@@ -315,18 +315,81 @@ def test_multitier_scenario_smoke_matches_committed_goldens(tmp_path):
     from repro.cli import main
 
     assert main(["scenario", "run", "all", "--smoke", "-o", str(tmp_path)]) == 0
-    goldens = REPO_ROOT / "results" / "scenarios_smoke"
+    _assert_matches_goldens(tmp_path, "scenarios_smoke")
+
+
+def test_stack_comparison_smoke_matches_committed_goldens(tmp_path):
+    """``--stack all`` over the legacy, two-domain, contention and fluid
+    scenarios must stay byte-identical to ``results/stacks_smoke/`` —
+    the pin on the Cellular IP and Mobile IP baselines (``cip.*`` /
+    ``mip.*`` extras included), which the multitier-only goldens above
+    cannot see."""
+    from repro.cli import main
+
+    argv = [
+        "scenario", "run", "campus-dense", "commuter-corridor", "campus-air",
+        "metro-100k", "--stack", "all", "--smoke", "-o", str(tmp_path),
+    ]
+    assert main(argv) == 0
+    _assert_matches_goldens(tmp_path, "stacks_smoke")
+
+
+_FLOW_KEYS = [
+    "population", "flows", "sent", "received", "loss_rate", "mean_delay",
+    "jitter", "max_gap",
+]
+_GATED_KEYS = [
+    "air_busiest_downlink", "air_detach_drops",
+    "fluid.background_population", "fluid.updates", "fluid.peak_cell_load",
+    "fluid.mean_blocking", "fluid.handoff_rate",
+]
+_BASELINE_KEYS = _FLOW_KEYS + [
+    "elastic_goodput_bps", "handoffs", "handoff_latency", "attached",
+    "hop_total",
+]
+_CIP_KEYS = _BASELINE_KEYS + [
+    "cip.route_updates", "cip.paging_updates", "cip.duplicates",
+    "cip.control_packets", "cip.downlink_drops", "cip.paging_broadcasts",
+]
+METRIC_KEY_ORDER = {
+    # Grandfathered: the multitier extras sit inside the common block.
+    "multitier": _FLOW_KEYS + [
+        "handoffs", "handoff_latency", "blocked_attaches", "attached",
+        "via_binding_fraction", "elastic_goodput_bps", "hop_total",
+    ],
+    "cellularip": _CIP_KEYS,
+    "cellularip-hard": _CIP_KEYS,
+    "mobileip": _BASELINE_KEYS + [
+        "mip.registration_attempts", "mip.registrations_accepted",
+        "mip.registrations_denied", "mip.tunneled", "mip.dropped_no_binding",
+        "mip.dropped_unknown_visitor",
+    ],
+}
+
+
+@pytest.mark.parametrize("stack", ALL_STACKS)
+def test_metric_key_order_is_pinned_per_stack(stack):
+    """Single-stack tables render in dict insertion order, so the key
+    order of every stack's metric dict is part of the byte-identity
+    contract (the ``--stack all`` table sorts extras and cannot see it).
+    metro-100k runs contention and fluid, so the gated tail is covered."""
+    metrics = run_scenario_spec(_smoke("metro-100k", stack=stack), seed=1)
+    assert list(metrics) == METRIC_KEY_ORDER[stack] + _GATED_KEYS
+
+
+def _assert_matches_goldens(produced_dir, golden_name):
+    goldens = REPO_ROOT / "results" / golden_name
     expected = sorted(p.name for p in goldens.glob("*.txt"))
-    produced = sorted(p.name for p in tmp_path.glob("*.txt"))
+    produced = sorted(p.name for p in produced_dir.glob("*.txt"))
     assert produced == expected
     mismatched = [
         name
         for name in produced
-        if (tmp_path / name).read_bytes() != (goldens / name).read_bytes()
+        if (produced_dir / name).read_bytes() != (goldens / name).read_bytes()
     ]
     assert not mismatched, (
-        f"multitier scenario tables diverged from "
-        f"results/scenarios_smoke/ goldens: {', '.join(mismatched)}"
+        f"scenario tables diverged from results/{golden_name}/ goldens: "
+        f"{', '.join(mismatched)}"
     )
 
 
