@@ -45,10 +45,11 @@ import json
 import os
 import pathlib
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.experiments.exec import ExecutionBackend, get_default_backend
-from repro.scenarios.builder import scenario_job
+from repro.scenarios.builder import run_scenario_spec
 
 from repro.campaign.manifest import (
     CampaignError,
@@ -330,7 +331,6 @@ def run_campaign(
     batch_size: int = DEFAULT_BATCH_SIZE,
     max_items: Optional[int] = None,
     log: Optional[Callable[[str], None]] = None,
-    shards: int = 1,
 ) -> RunSummary:
     """Drain a campaign's pending items through an execution backend.
 
@@ -343,9 +343,6 @@ def run_campaign(
     (deterministic partial runs for tests and incremental draining).
     When the last record lands, the canonical merged store is written
     to ``results.json`` and its path returned in the summary.
-    ``shards > 1`` decomposes every item's run spatially over that
-    many processes (see :mod:`repro.shard`); the store stays
-    byte-identical for any value.
 
     Determinism: the on-disk end state is byte-identical for any
     backend, any ``batch_size``, any ``max_items`` chunking and any
@@ -372,7 +369,7 @@ def run_campaign(
     for start in range(0, len(pending), batch_size):
         batch = pending[start:start + batch_size]
         jobs = [
-            scenario_job(item.spec(smoke), item.seed, shards)
+            partial(run_scenario_spec, item.spec(smoke), item.seed)
             for item in batch
         ]
         results = backend.run(jobs)

@@ -38,10 +38,6 @@ batch, so ``sweep all --jobs N`` overlaps small sweeps with big ones.
 registered protocol stack (see :mod:`repro.stacks`); ``--stack all``
 dispatches the whole (stack, scenario, seed) grid as ONE batch and,
 for ``scenario run``, renders a side-by-side comparison table.
-``--shards N`` (on ``scenario run``, ``scenario sweep`` and
-``campaign run``) decomposes each individual run spatially over N
-processes synchronized conservatively at wired backhaul cuts — metric
-output is byte-identical for any N (see ``docs/SHARDING.md``).
 """
 
 from __future__ import annotations
@@ -114,14 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "results are identical for any N)",
     )
     scenario_run.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="spatial domain shards per run (default 1 = monolithic; "
-        "metrics are byte-identical for any N, see docs/SHARDING.md)",
-    )
-    scenario_run.add_argument(
         "--seeds",
         type=int,
         nargs="+",
@@ -174,14 +162,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker processes for the (point, seed) grid (default 1 = "
         "serial; results are identical for any N)",
-    )
-    scenario_sweep.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="spatial domain shards per grid-point run (default 1 = "
-        "monolithic; metrics are byte-identical for any N)",
     )
     scenario_sweep.add_argument(
         "--seeds",
@@ -288,14 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "final store is byte-identical for any N)",
         )
         campaign_run.add_argument(
-            "--shards",
-            type=int,
-            default=1,
-            metavar="N",
-            help="spatial domain shards per item run (default 1 = "
-            "monolithic; the store is byte-identical for any N)",
-        )
-        campaign_run.add_argument(
             "--batch-size",
             type=int,
             default=None,
@@ -374,12 +346,36 @@ def _jobs_ok(jobs: int) -> bool:
     return True
 
 
-def _shards_ok(shards: int) -> bool:
-    """Validate a --shards value eagerly, printing the error on failure."""
-    if shards < 1:
-        print(f"--shards must be at least 1, got {shards}", file=sys.stderr)
-        return False
-    return True
+def _timed(call):
+    """Run ``call()``; return ``(result, elapsed wall-clock seconds)``.
+
+    Only the call itself is timed — rendering, printing and file
+    writing happen after it, outside every reported duration.
+    """
+    started = time.perf_counter()
+    result = call()
+    return result, time.perf_counter() - started
+
+
+def _print_completed(count: int, noun: str, elapsed: float) -> None:
+    """Print the ``[N noun(s) completed in X.Xs]`` footer line."""
+    label = noun if count == 1 else f"{noun}s"
+    print(f"[{count} {label} completed in {elapsed:.1f}s]")
+
+
+def _write_table(output_dir, stem: str, body: str):
+    """Write ``body`` to ``<output_dir>/<stem>.txt``; return the path.
+
+    ``stem`` is lower-cased with ``/`` flattened to ``_`` (sweep names
+    are ``<scenario>/<axis>``).  Without ``-o`` (``output_dir`` is
+    ``None``) nothing is written and ``None`` is returned.
+    """
+    if output_dir is None:
+        return None
+    output_dir.mkdir(parents=True, exist_ok=True)
+    path = output_dir / f"{stem.replace('/', '_').lower()}.txt"
+    path.write_text(body)
+    return path
 
 
 def _stack_ok(stack: str | None) -> bool:
@@ -451,7 +447,6 @@ def _scenario_main(args: argparse.Namespace) -> int:
     if (
         wanted is None
         or not _jobs_ok(args.jobs)
-        or not _shards_ok(args.shards)
         or not _stack_ok(args.stack)
     ):
         return 2
@@ -469,44 +464,34 @@ def _scenario_main(args: argparse.Namespace) -> int:
         # Cross-stack mode: the whole (scenario, stack, seed) grid is
         # ONE backend batch; each scenario renders a side-by-side
         # comparison table across every registered stack.
-        started = time.perf_counter()
-        comparisons = scenarios.compare_scenario_stacks(
-            specs,
-            seeds=args.seeds,
-            backend=backend_for_jobs(args.jobs),
-            shards=args.shards,
+        comparisons, elapsed = _timed(
+            lambda: scenarios.compare_scenario_stacks(
+                specs, seeds=args.seeds, backend=backend_for_jobs(args.jobs)
+            )
         )
-        elapsed = time.perf_counter() - started
         for comparison in comparisons:
             text = scenarios.format_stack_comparison(comparison)
             print(text)
             print()
-            if args.output_dir is not None:
-                args.output_dir.mkdir(parents=True, exist_ok=True)
-                safe = comparison.spec.name.replace("/", "_").lower()
-                (args.output_dir / f"scenario_{safe}_stacks.txt").write_text(
-                    text + "\n"
-                )
-        label = (
-            "stack comparison"
-            if len(comparisons) == 1
-            else "stack comparisons"
-        )
-        print(f"[{len(comparisons)} {label} completed in {elapsed:.1f}s]")
+            _write_table(
+                args.output_dir,
+                f"scenario_{comparison.spec.name}_stacks",
+                text + "\n",
+            )
+        _print_completed(len(comparisons), "stack comparison", elapsed)
         return 0
 
     # One batch for the whole (scenario, seed) grid: the pool's
     # work-stealing queue balances across scenarios, so a single-seed
     # heavyweight (mega) still overlaps its neighbours under --jobs N.
-    started = time.perf_counter()
-    batch = scenarios.replicate_scenarios(
-        specs,
-        seeds=args.seeds,
-        backend=backend_for_jobs(args.jobs),
-        stack=args.stack,
-        shards=args.shards,
+    batch, elapsed = _timed(
+        lambda: scenarios.replicate_scenarios(
+            specs,
+            seeds=args.seeds,
+            backend=backend_for_jobs(args.jobs),
+            stack=args.stack,
+        )
     )
-    elapsed = time.perf_counter() - started
     for spec, seeds, replication in batch:
         text = scenarios.format_scenario_result(spec, replication, seeds)
         print(text)
@@ -525,15 +510,12 @@ def _scenario_main(args: argparse.Namespace) -> int:
                     title=f"decision trace: {spec.name} seed {seeds[0]}"
                 ))
             print()
-        if args.output_dir is not None:
-            args.output_dir.mkdir(parents=True, exist_ok=True)
-            safe = spec.name.replace("/", "_").lower()
-            suffix = _stack_suffix(spec.stack)
-            (args.output_dir / f"scenario_{safe}{suffix}.txt").write_text(
-                text + "\n"
-            )
-    label = "scenario" if len(batch) == 1 else "scenarios"
-    print(f"[{len(batch)} {label} completed in {elapsed:.1f}s]")
+        _write_table(
+            args.output_dir,
+            f"scenario_{spec.name}{_stack_suffix(spec.stack)}",
+            text + "\n",
+        )
+    _print_completed(len(batch), "scenario", elapsed)
     return 0
 
 
@@ -557,7 +539,6 @@ def _scenario_sweep_main(args: argparse.Namespace) -> int:
     if (
         wanted is None
         or not _jobs_ok(args.jobs)
-        or not _shards_ok(args.shards)
         or not _stack_ok(args.stack)
     ):
         return 2
@@ -571,8 +552,6 @@ def _scenario_sweep_main(args: argparse.Namespace) -> int:
     else:
         stack_list = [args.stack]
 
-    backend = backend_for_jobs(args.jobs)
-    started = time.perf_counter()
     # ONE backend batch for the union of every requested (sweep, stack)
     # pair's (point, seed) grid: under --jobs N the pool's
     # work-stealing queue overlaps small sweeps with big ones instead
@@ -580,32 +559,32 @@ def _scenario_sweep_main(args: argparse.Namespace) -> int:
     # both come from the same effective_sweep() resolution inside
     # sweep_scenarios, and each returned entry carries the rebound
     # base spec that ran — its stack field names the output files.
-    batch = scenarios.sweep_scenarios(
-        wanted,
-        seeds=args.seeds,
-        smoke=args.smoke,
-        backend=backend,
-        stacks=stack_list,
-        shards=args.shards,
+    batch, elapsed = _timed(
+        lambda: scenarios.sweep_scenarios(
+            wanted,
+            seeds=args.seeds,
+            smoke=args.smoke,
+            backend=backend_for_jobs(args.jobs),
+            stacks=stack_list,
+        )
     )
     for effective, base, seeds, result in batch:
         text = scenarios.format_sweep_result(effective, result, seeds)
         print(text)
         if result.notes:
             print(f"Notes: {result.notes}")
-        if args.output_dir is not None:
-            args.output_dir.mkdir(parents=True, exist_ok=True)
-            safe = effective.name.replace("/", "_").lower()
-            safe += _stack_suffix(base.stack)
-            (args.output_dir / f"sweep_{safe}.txt").write_text(text + "\n")
+        table_path = _write_table(
+            args.output_dir,
+            f"sweep_{effective.name}{_stack_suffix(base.stack)}",
+            text + "\n",
+        )
+        if table_path is not None:
             figure_path = save_experiment_figure(
-                result, args.output_dir, stem=f"sweep_{safe}"
+                result, args.output_dir, stem=table_path.stem
             )
             print(f"figure written to {figure_path}")
         print()
-    elapsed = time.perf_counter() - started
-    label = "sweep" if len(batch) == 1 else "sweeps"
-    print(f"[{len(batch)} {label} completed in {elapsed:.1f}s]")
+    _print_completed(len(batch), "sweep", elapsed)
     return 0
 
 
@@ -663,22 +642,21 @@ def _campaign_main(args: argparse.Namespace) -> int:
             return 0
 
         if args.campaign_command in ("run", "resume"):
-            if not _jobs_ok(args.jobs) or not _shards_ok(args.shards):
+            if not _jobs_ok(args.jobs):
                 return 2
             campaign = Campaign.load(args.directory)
-            started = time.perf_counter()
             kwargs = {}
             if args.batch_size is not None:
                 kwargs["batch_size"] = args.batch_size
-            summary = run_campaign(
-                campaign,
-                backend=backend_for_jobs(args.jobs),
-                max_items=args.max_items,
-                log=print,
-                shards=args.shards,
-                **kwargs,
+            summary, elapsed = _timed(
+                lambda: run_campaign(
+                    campaign,
+                    backend=backend_for_jobs(args.jobs),
+                    max_items=args.max_items,
+                    log=print,
+                    **kwargs,
+                )
             )
-            elapsed = time.perf_counter() - started
             print(
                 f"[{summary.ran} item(s) run, {summary.skipped} skipped "
                 f"in {elapsed:.1f}s]"
@@ -760,20 +738,17 @@ def main(argv: list[str] | None = None) -> int:
     previous_backend = set_default_backend(backend_for_jobs(args.jobs))
     try:
         for experiment_id in wanted:
-            started = time.perf_counter()
-            result = ALL_EXPERIMENTS[experiment_id]()
-            elapsed = time.perf_counter() - started
+            result, elapsed = _timed(ALL_EXPERIMENTS[experiment_id])
             print(result.text)
             if result.notes:
                 print(f"Notes: {result.notes}")
             print(f"[{experiment_id} completed in {elapsed:.1f}s]\n")
-            if args.output_dir is not None:
-                args.output_dir.mkdir(parents=True, exist_ok=True)
-                safe_id = experiment_id.replace("/", "_").lower()
-                body = result.text + (
-                    f"\n\nNotes: {result.notes}\n" if result.notes else ""
-                )
-                (args.output_dir / f"{safe_id}.txt").write_text(body)
+            _write_table(
+                args.output_dir,
+                experiment_id,
+                result.text
+                + (f"\n\nNotes: {result.notes}\n" if result.notes else ""),
+            )
     finally:
         set_default_backend(previous_backend)
     return 0

@@ -11,11 +11,7 @@ from repro.experiments.runner import ExperimentResult, replicate_grid, sweep
 from repro.metrics.tables import diff_counts, format_table
 from repro.mobility import Highway, RandomWaypoint
 from repro.multitier.architecture import WORLD_BOUNDS, MultiTierWorld
-from repro.multitier.policy import (
-    AlwaysMicroPolicy,
-    AlwaysStrongestPolicy,
-    TierSelectionPolicy,
-)
+from repro.policy.decider import TierDecider
 from repro.radio.cells import Tier
 from repro.sim.rng import RandomStreams
 from repro.radio.geometry import Point, Rectangle
@@ -36,12 +32,12 @@ def experiment_e9(
 ) -> ExperimentResult:
     """S3.2 speed factor: tier-selection policy ablation (vehicles vs pedestrians)."""
     policies = {
-        "speed-aware (paper)": TierSelectionPolicy,
-        "always-strongest": AlwaysStrongestPolicy,
-        "always-micro": AlwaysMicroPolicy,
+        "speed-aware (paper)": "speed-aware",
+        "always-strongest": "always-strongest",
+        "always-micro": "always-micro",
     }
 
-    def make_policy_scenario(policy_cls):
+    def make_policy_scenario(mode):
         def scenario(seed: int) -> dict[str, float]:
             # One named stream per mobile: adding a vehicle (or a draw in
             # one model) cannot perturb any other mobile's trajectory.
@@ -59,7 +55,7 @@ def experiment_e9(
                     speed=25.0,
                     wrap=False,
                 )
-                world.add_controller(mn, model, policy=policy_cls())
+                world.add_controller(mn, model, policy=TierDecider(mode=mode))
                 vehicle_nodes.append(mn)
             pedestrian_nodes = []
             walk_area = Rectangle(-2500, -300, -1500, 300)
@@ -71,7 +67,7 @@ def experiment_e9(
                     streams.stream(f"ped{index}.mobility"),
                     speed_range=(0.8, 1.8),
                 )
-                world.add_controller(mn, model, policy=policy_cls())
+                world.add_controller(mn, model, policy=TierDecider(mode=mode))
                 pedestrian_nodes.append(mn)
 
             sim.run(until=duration)
@@ -95,7 +91,7 @@ def experiment_e9(
         return scenario
 
     replications = replicate_grid(
-        [make_policy_scenario(policy_cls) for policy_cls in policies.values()],
+        [make_policy_scenario(mode) for mode in policies.values()],
         seeds,
         backend=backend,
     )

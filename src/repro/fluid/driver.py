@@ -90,9 +90,7 @@ class FluidDriver:
         self._blocking_weight = 0.0
         self._blocking_sum = 0.0
         self._crossing_sum = 0.0
-        #: The driver's refresh process (shard runs neuter this when the
-        #: radio part lives in another shard).
-        self.process = sim.process(self._run(), name="fluid-driver")
+        sim.process(self._run(), name="fluid-driver")
 
     # ------------------------------------------------------------------
     def _states(self, now: float) -> list[CellBackgroundState]:
@@ -155,20 +153,21 @@ class FluidDriver:
 def install_fluid_background(
     sim: "Simulator",
     spec,
-    stations: Iterable,
+    pairs: list[tuple["Cell", "SharedChannel"]],
     rect: "Rectangle",
 ) -> Optional[FluidDriver]:
     """Build and start the scenario's fluid driver, if any.
 
-    The one call every stack adapter makes after assembling its
-    stations: returns ``None`` (and touches nothing) unless the spec
-    declares a non-empty ``fluid`` block, so legacy builds stay
-    byte-identical.
+    The one call every stack makes (through
+    :func:`repro.stacks.population.wire_population`) after assembling
+    its contended cells: returns ``None`` (and touches nothing) unless
+    the spec declares a non-empty ``fluid`` block, so legacy builds
+    stay byte-identical.
     """
     config = getattr(spec, "fluid", None)
     if config is None or not config.enabled:
         return None
-    return FluidDriver(sim, config, fluid_channel_pairs(stations), rect)
+    return FluidDriver(sim, config, pairs, rect)
 
 
 __all__ = ["FluidDriver", "fluid_channel_pairs", "install_fluid_background"]

@@ -8,27 +8,14 @@ from repro.multitier.correspondent import CorrespondentNode
 from repro.multitier.domain import MobileRealm, MultiTierDomain, default_cell
 from repro.multitier.mnld import MNLD
 from repro.multitier.mobile import MultiTierMobileNode
-from repro.multitier.policy import (
-    AlwaysMacroPolicy,
-    AlwaysMicroPolicy,
-    AlwaysStrongestPolicy,
-    Candidate,
-    HandoffFactors,
-    TierSelectionPolicy,
-)
 from repro.multitier.rsmc import RSMC
 from repro.multitier.tables import DIRECT, CellTable, LocationRecord, TablePair
 
 __all__ = [
-    "AlwaysMacroPolicy",
-    "AlwaysMicroPolicy",
-    "AlwaysStrongestPolicy",
     "Attachment",
-    "Candidate",
     "CellTable",
     "CorrespondentNode",
     "DIRECT",
-    "HandoffFactors",
     "LocationRecord",
     "MNLD",
     "MobileRealm",
@@ -37,7 +24,6 @@ __all__ = [
     "MultiTierMobileNode",
     "RSMC",
     "TablePair",
-    "TierSelectionPolicy",
     "default_cell",
     "messages",
 ]

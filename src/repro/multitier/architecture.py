@@ -30,10 +30,16 @@ from repro.multitier.correspondent import CorrespondentNode
 from repro.multitier.domain import MobileRealm, MultiTierDomain
 from repro.multitier.mnld import MNLD
 from repro.multitier.mobile import MultiTierMobileNode
-from repro.multitier.policy import Candidate, HandoffFactors, TierSelectionPolicy
 from repro.multitier.rsmc import RSMC
+from repro.policy.decider import TierDecider
 from repro.policy.trace import DecisionTrace
-from repro.policy.types import FallbackDecision, NextAction, TierDecision
+from repro.policy.types import (
+    Candidate,
+    FallbackDecision,
+    HandoffFactors,
+    NextAction,
+    TierDecision,
+)
 from repro.net import Network
 from repro.net.addressing import AddressAllocator
 from repro.radio.cells import Cell, Tier
@@ -292,7 +298,7 @@ class MobilityController:
         mobile: MultiTierMobileNode,
         model,
         stations: list[MultiTierBaseStation],
-        policy: Optional[TierSelectionPolicy] = None,
+        policy: Optional[TierDecider] = None,
         sample_period: float = 0.5,
         hysteresis_db: float = 4.0,
         min_usable_dbm: float = -95.0,
@@ -303,7 +309,7 @@ class MobilityController:
         self.sim = sim
         self.mobile = mobile
         self.model = model
-        self.policy = policy if policy is not None else TierSelectionPolicy()
+        self.policy = policy if policy is not None else TierDecider()
         #: Decision-trace log this controller records into; worlds pass
         #: their shared per-world trace, hand-built controllers get a
         #: private one.

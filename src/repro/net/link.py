@@ -167,16 +167,6 @@ class Link:
         self._busy_until = 0.0
         self._in_flight = 0
         self._loss_draw = None  # lazily bound RNG for lossy links
-        #: Shard-boundary hook: when set, ``transmit`` announces each
-        #: accepted packet as ``_export(packet, arrival_time)`` at send
-        #: time — the link's propagation delay is then the conservative
-        #: sync lookahead — and delivery stops at the sender-side stats
-        #: instead of calling ``tail.receive`` (the shard owning
-        #: ``tail`` replays the receive at ``arrival_time``).  Only
-        #: loss-free, always-up wired links may carry the hook; ``None``
-        #: (always, outside sharded runs) keeps the legacy delivery
-        #: path byte-identical.
-        self._export = None
         self.up = True
         link_registry(sim).register(self)
 
@@ -224,8 +214,6 @@ class Link:
         self.stats.bytes_sent += packet.size
 
         arrival_delay = (finish + self.delay) - now
-        if self._export is not None:
-            self._export(packet, now + arrival_delay)
         self.sim.call_later(arrival_delay, self._deliver, packet)
         return True
 
@@ -256,11 +244,6 @@ class Link:
         self.stats.delivered += 1
         hops = self.stats.protocol_hops
         hops[packet.protocol] = hops.get(packet.protocol, 0) + 1
-        if self._export is not None:
-            # Sharded boundary: the tail-owning shard replays the
-            # receive (announced from transmit()); this side only keeps
-            # the delivery accounting, at the same virtual time.
-            return
         self.tail.receive(packet, self)
 
     def _random_loss(self) -> bool:

@@ -17,9 +17,8 @@ so that every decision is *explainable*:
   ring-buffer log whose counters become the ``policy.*`` scenario
   metrics and whose tail renders under ``--trace-decisions``.
 
-The historical classes in :mod:`repro.multitier.policy` are thin
-compatibility wrappers over this package; the default config
-reproduces their behavior byte-identically.
+The default config reproduces the historical hard-coded policy
+byte-identically.
 
 Determinism: everything here is pure data or pure functions of it —
 no randomness, no wall-clock — so decisions and traces from a

@@ -147,8 +147,7 @@ class PolicyConfig:
         )
 
 
-#: The E9 ablation policies as config presets: byte-identical to the
-#: historical ``TierSelectionPolicy`` / ``Always*Policy`` classes.
+#: The E9 ablation policies as config presets, one per decision mode.
 PRESETS: dict[str, PolicyConfig] = {
     "speed-aware": PolicyConfig(mode="speed-aware"),
     "always-strongest": PolicyConfig(mode="always-strongest"),

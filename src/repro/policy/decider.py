@@ -16,11 +16,10 @@ returns a :class:`~repro.policy.types.TierDecision` whose ``reasons``
 name, in machine-readable tokens, why the candidates are ordered the
 way they are.
 
-The compatibility subclasses in :mod:`repro.multitier.policy`
-(``TierSelectionPolicy`` and the E9 ablation baselines) are thin
-wrappers over this class; with the default config the ordering is
-byte-identical to the pre-refactor behavior (pinned by the 16 golden
-tables and ``results/scenarios_smoke/``).
+With the default config the ordering is byte-identical to the
+historical threshold-only class (pinned by the 16 golden tables and
+``results/scenarios_smoke/``); the E9 ablation arms are this class in
+its other modes.
 
 Determinism: pure functions of the candidate list and factors — no
 randomness, no simulation state — so identical inputs order

@@ -51,7 +51,7 @@ def build_scenario(spec: ScenarioSpec, seed: int):
 
     Returns
     -------
-    StackRun
+    BuiltRun
         The assembled (not yet run) world — a
         :class:`~repro.stacks.multitier.BuiltScenario` for the default
         stack — with an ``execute()`` method returning the metric dict.
@@ -71,43 +71,20 @@ def run_scenario_spec(spec: ScenarioSpec, seed: int) -> dict[str, float]:
     return build_scenario(spec, seed).execute()
 
 
-def scenario_job(spec: ScenarioSpec, seed: int, shards: int = 1):
-    """The zero-argument backend job for one ``(spec, seed)`` run.
-
-    ``shards <= 1`` returns the plain serial :func:`run_scenario_spec`
-    partial; larger values return a
-    :func:`repro.shard.runner.run_scenario_spec_sharded` partial, which
-    decomposes the run spatially over ``shards`` processes and — by the
-    shard determinism contract (see :mod:`repro.shard`) — produces the
-    byte-identical metric dict.  One seam so every dispatcher
-    (replicate, sweep, campaign) threads ``--shards`` identically.
-    """
-    from functools import partial
-
-    if shards <= 1:
-        return partial(run_scenario_spec, spec, seed)
-    # Lazy: repro.shard.runner imports this module at load time.
-    from repro.shard.runner import run_scenario_spec_sharded
-
-    return partial(run_scenario_spec_sharded, spec, seed, shards)
-
-
 def run_scenario_trace(spec: ScenarioSpec, seed: int):
     """Run one ``(spec, seed)`` pair and keep its decision trace.
 
-    Returns ``(metrics, trace)`` where ``trace`` is the world's
-    :class:`~repro.policy.trace.DecisionTrace` (the per-world ring
-    buffer every tier decision and fallback is recorded into) for
-    stacks whose world carries one — the multi-tier stack — and
-    ``None`` for flat baselines, which make no tier decisions.  The
+    Returns ``(metrics, trace)`` where ``trace`` is the built run's
+    :class:`~repro.policy.trace.DecisionTrace` (the ring buffer every
+    tier decision and fallback is recorded into) for stacks that keep
+    one — the multi-tier stack — and ``None`` for flat baselines,
+    which make no tier decisions.  The
     metric dict is byte-identical to :func:`run_scenario_spec` for the
     same pair; tracing is observation, not behavior.  Deterministic:
     the trace replays identically for one ``(spec, seed)``.
     """
     built = build_scenario(spec, seed)
-    metrics = built.execute()
-    world = getattr(built, "world", None)
-    return metrics, getattr(world, "decision_trace", None)
+    return built.execute(), built.decision_trace
 
 
 __all__ = [
@@ -116,5 +93,4 @@ __all__ = [
     "roam_rectangle",
     "run_scenario_spec",
     "run_scenario_trace",
-    "scenario_job",
 ]

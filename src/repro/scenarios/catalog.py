@@ -23,11 +23,12 @@ suite has.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Optional, Sequence, Union
 
 from repro.experiments.exec import ExecutionBackend, get_default_backend
 from repro.experiments.runner import Replication, aggregate, replicate
-from repro.scenarios.builder import run_scenario_spec, scenario_job
+from repro.scenarios.builder import run_scenario_spec
 from repro.scenarios.spec import ScenarioSpec
 
 _REGISTRY: dict[str, ScenarioSpec] = {}
@@ -108,7 +109,6 @@ def replicate_scenarios(
     confidence: float = 0.95,
     backend: Optional[ExecutionBackend] = None,
     stack: Optional[str] = None,
-    shards: int = 1,
 ) -> list[tuple[ScenarioSpec, list[int], Replication]]:
     """Replicate several scenarios as ONE backend batch.
 
@@ -119,9 +119,7 @@ def replicate_scenarios(
     ``seeds=None`` uses each spec's own default list.  ``stack``
     rebinds every spec onto one protocol stack (``None`` keeps each
     spec's own ``stack`` field; an unknown name fails eagerly via spec
-    validation, listing the registered stacks).  ``shards > 1``
-    decomposes every run spatially over that many processes (see
-    :mod:`repro.shard`); metrics are byte-identical for any value.
+    validation, listing the registered stacks).
     Results come back in job order and are chunked per scenario, so
     the output is identical to calling :func:`replicate_scenario` one
     name at a time.
@@ -139,7 +137,7 @@ def replicate_scenarios(
         for spec in specs
     ]
     jobs = [
-        scenario_job(spec, seed, shards)
+        partial(run_scenario_spec, spec, seed)
         for spec, seed_list in zip(specs, seed_lists)
         for seed in seed_list
     ]

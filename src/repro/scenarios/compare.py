@@ -113,7 +113,6 @@ def compare_scenario_stacks(
     seeds: Optional[Iterable[int]] = None,
     confidence: float = 0.95,
     backend: Optional[ExecutionBackend] = None,
-    shards: int = 1,
 ) -> list[StackComparison]:
     """Run scenarios under several stacks as ONE backend batch.
 
@@ -123,9 +122,7 @@ def compare_scenario_stacks(
     across that spec's stacks, so columns are paired by seed).  The
     whole (scenario, stack, seed) grid goes through a single
     :meth:`ExecutionBackend.run` call, so a pool's work-stealing queue
-    balances heavyweight stacks against light ones.  ``shards > 1``
-    decomposes every run spatially (see :mod:`repro.shard`) with
-    byte-identical metrics.  Deterministic: same inputs, same
+    balances heavyweight stacks against light ones.  Deterministic: same inputs, same
     backend-independent output.
     """
     names = list(stacks) if stacks is not None else stack_names()
@@ -142,7 +139,6 @@ def compare_scenario_stacks(
         seeds=seeds,
         confidence=confidence,
         backend=backend,
-        shards=shards,
     )
     comparisons: list[StackComparison] = []
     offset = 0

@@ -43,7 +43,7 @@ from repro.experiments.runner import (
 from repro.experiments.runner import sweep as grid_sweep
 from repro.metrics.tables import format_table
 from repro.multitier.domain import MultiTierDomain
-from repro.scenarios.builder import run_scenario_spec, scenario_job
+from repro.scenarios.builder import run_scenario_spec
 from repro.scenarios.catalog import get_scenario
 from repro.scenarios.spec import ScenarioSpec
 
@@ -136,8 +136,8 @@ class ScenarioSweep:
         resulting curve reads left to right without reordering).
     metrics:
         Metric names extracted from each run's metric dict into the
-        figure's series (see ``BuiltScenario._collect_metrics`` for the
-        available names).
+        figure's series (see :func:`repro.stacks.base.run_metrics` for
+        the available names).
     seeds:
         Seeds replicated at *every* axis point; ``None`` uses the base
         spec's own default seed list.
@@ -513,7 +513,6 @@ def sweep_scenarios(
     backend: Optional[ExecutionBackend] = None,
     smoke: bool = False,
     stacks: Optional[Sequence[Optional[str]]] = None,
-    shards: int = 1,
 ) -> list[tuple[ScenarioSweep, ScenarioSpec, list[int], ExperimentResult]]:
     """Run several sweeps as ONE backend batch (the union of grids).
 
@@ -529,9 +528,7 @@ def sweep_scenarios(
     named protocol stack (in order) inside the same single batch —
     ``stacks=None`` keeps each base spec's own stack, so legacy calls
     are unchanged; the returned list is ordered sweep-major, stack
-    fastest.  ``shards > 1`` decomposes every grid point's run over
-    that many processes (see :mod:`repro.shard`) with byte-identical
-    metrics.  Results come back in job order and are chunked per
+    fastest.  Results come back in job order and are chunked per
     (sweep, stack, point); each returned
     ``(sweep, base spec, seed list, result)`` entry carries the
     rebound base spec that actually ran (``base.stack`` names its
@@ -558,7 +555,7 @@ def sweep_scenarios(
             )
             specs = [spec for _value, spec in points]
             jobs.extend(
-                scenario_job(spec, seed, shards)
+                partial(run_scenario_spec, spec, seed)
                 for spec in specs
                 for seed in seed_list
             )

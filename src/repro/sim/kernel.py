@@ -198,8 +198,8 @@ class Simulator:
         would drain events past the outer loop's ``until`` bound and
         then rewind the clock when the outer call returned — silently
         corrupting event order.  Drivers that interleave several
-        bounded advances (e.g. the shard driver) call ``run`` serially
-        from the top level instead.
+        bounded advances call ``run`` serially from the top level
+        instead.
         """
         if self._running:
             raise RuntimeError(

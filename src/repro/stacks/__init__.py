@@ -6,18 +6,21 @@ management beats flat Mobile IP and Cellular IP for multimedia traffic
 adapter*: an object that builds a world from a
 ``(ScenarioSpec, seed)`` pair, attaches mobility control, wires the
 shared traffic plan and collects a common metric dict (see
-:mod:`repro.stacks.base` for the contract and ``docs/STACKS.md`` for
-the guide).
+:mod:`repro.stacks.base` for the contract — every adapter returns a
+:class:`~repro.stacks.base.BuiltRun` — and ``docs/STACKS.md`` for the
+guide).
 
 Shipped stacks (registered on import, in this order):
 
 * ``multitier`` — the paper's architecture (the default; byte-identical
   to the pre-stacks builder);
 * ``cellularip`` — flat Cellular IP with semisoft handoff;
+* ``cellularip-hard`` — the same world with hard (break-then-make)
+  handoff;
 * ``mobileip`` — flat Mobile IP, one FA per cell, full home
   registration per move.
 
-All three instantiate the *same* seeded population and traffic plan
+All four instantiate the *same* seeded population and traffic plan
 (:mod:`repro.stacks.population`), which is what makes
 ``repro scenario run <name> --stack all`` an apples-to-apples,
 Table-1-style protocol comparison at catalog scale.
@@ -29,10 +32,9 @@ byte-identical metrics on any execution backend.
 
 from repro.stacks.base import (
     COMMON_METRICS,
+    BuiltRun,
     StackAdapter,
-    StackRun,
     air_metrics,
-    flow_metrics,
 )
 from repro.stacks.registry import (
     DEFAULT_STACK,
@@ -49,6 +51,7 @@ from repro.stacks.multitier import (
 )
 from repro.stacks.cellularip import (
     BuiltCIPScenario,
+    CellularIPHardStack,
     CellularIPStack,
     build_cip_scenario,
 )
@@ -63,17 +66,17 @@ __all__ = [
     "DEFAULT_STACK",
     "BuiltCIPScenario",
     "BuiltMIPScenario",
+    "BuiltRun",
     "BuiltScenario",
+    "CellularIPHardStack",
     "CellularIPStack",
     "MobileIPStack",
     "MultiTierStack",
     "StackAdapter",
-    "StackRun",
     "air_metrics",
     "build_cip_scenario",
     "build_mip_scenario",
     "build_multitier_scenario",
-    "flow_metrics",
     "get_stack",
     "is_registered",
     "iter_stacks",

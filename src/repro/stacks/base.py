@@ -5,8 +5,9 @@ ready-to-run world under one mobility-management protocol stack —
 the paper's multi-tier architecture, flat Cellular IP, or flat Mobile
 IP — wiring the *same* population and traffic plan (see
 :mod:`repro.stacks.population`) over stack-specific machinery.  The
-returned :class:`StackRun` executes warmup → traffic → drain and
-collects a metric dict.
+returned :class:`BuiltRun` is the one skeleton every stack shares: it
+executes warmup → traffic → drain and harvests the metric dict, so a
+stack supplies only its topology, its controller and its counters.
 
 Metric contract
 ---------------
@@ -21,6 +22,9 @@ Metric contract
 * Contention-mode runs additionally emit ``air_busiest_downlink`` /
   ``air_detach_drops`` (never in legacy mode — legacy tables must not
   grow keys).
+* Rendered tables follow dict insertion order, so each stack's key
+  order is part of its byte-identity contract (see
+  :attr:`BuiltRun.metric_order`).
 
 Determinism: adapters draw all randomness from the run seed through
 named :class:`~repro.sim.rng.RandomStreams`, so one
@@ -32,11 +36,20 @@ comparison table and CI parity gates rely on.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Protocol
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, ClassVar, Optional
+
+from repro.net.link import protocol_hop_totals
+from repro.radio.channel import DOWNLINK, UPLINK
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.fluid.driver import FluidDriver
+    from repro.policy.trace import DecisionTrace
+    from repro.radio.cells import Cell
+    from repro.radio.channel import SharedChannel
     from repro.scenarios.spec import ScenarioSpec
-    from repro.stacks.population import FlowPlan
+    from repro.sim.kernel import Simulator
+    from repro.stacks.population import FlowPlan, PopulationPlan
     from repro.traffic import FlowSink, TrafficSource
 
 #: Metric keys every stack adapter emits, in canonical order — the
@@ -58,41 +71,13 @@ COMMON_METRICS: tuple[str, ...] = (
 )
 
 
-class StackRun(Protocol):
-    """What :meth:`StackAdapter.build` returns: a runnable world."""
-
-    def execute(self) -> dict[str, float]:
-        """Run warmup → traffic window → drain; return the metric dict."""
-        ...  # pragma: no cover - protocol signature only
-
-
-def run_measurement_phases(sim, spec, flow_plans, sources, sinks, collect):
-    """The run protocol every stack shares: warmup → traffic → drain.
-
-    Simulates ``spec.warmup`` seconds, starts every planned flow
-    (appending the started sources and their sinks to the run's lists),
-    simulates the traffic window plus ``spec.drain``, then returns
-    ``collect()`` — the stack's own metric collection.  One definition
-    so no stack can drift onto a different measurement window and skew
-    the side-by-side comparison.  Deterministic: pure simulation drive.
-    """
-    sim.run(until=spec.warmup)
-    for plan in flow_plans:
-        sources.append(plan.start(spec.duration))
-        sinks.append(plan.sink)
-    sim.run(until=spec.warmup + spec.duration + spec.drain)
-    return collect()
-
-
 def sink_state(sink: "FlowSink") -> dict[str, float]:
-    """One sink's metric-relevant state as a plain picklable dict.
+    """One sink's metric-relevant state as a plain dict.
 
-    The harvest/merge path of sharded runs (see :mod:`repro.shard`)
-    cannot ship live :class:`~repro.traffic.FlowSink` objects across
-    processes (they hold a simulator reference), so each stack harvests
-    this reduced state instead; the guarded statistics mirror exactly
-    the ``received > 0`` / ``received > 1`` conditions under which the
-    metric formulas read them.  Deterministic: pure counter readout.
+    The guarded statistics mirror exactly the ``received > 0`` /
+    ``received > 1`` conditions under which
+    :func:`flow_metrics_from_states` reads them.  Deterministic: pure
+    counter readout.
     """
     return {
         "received": sink.received,
@@ -103,42 +88,18 @@ def sink_state(sink: "FlowSink") -> dict[str, float]:
     }
 
 
-def flow_metrics(
-    spec: "ScenarioSpec",
-    sources: list["TrafficSource"],
-    sinks: list["FlowSink"],
-    flow_plans: list["FlowPlan"],
-) -> dict[str, float]:
-    """The traffic-plane slice of :data:`COMMON_METRICS`.
-
-    Shared by the Cellular IP and Mobile IP adapters (the multi-tier
-    adapter keeps its historical, golden-pinned collection code).
-    Computes sent/received/loss, delay/jitter/gap and elastic goodput
-    from the per-flow sources and sinks with the same formulas the
-    multi-tier stack uses, so cross-stack columns are comparable.
-    Deterministic: pure arithmetic over the run's counters; all values
-    are plain floats and never NaN.
-    """
-    return flow_metrics_from_states(
-        spec,
-        [source.packets_sent for source in sources],
-        [sink_state(sink) for sink in sinks],
-        [plan.kind for plan in flow_plans],
-    )
-
-
 def flow_metrics_from_states(
     spec: "ScenarioSpec",
     packets_sent: list[int],
     sink_states: list[dict],
     kinds: list[str],
 ) -> dict[str, float]:
-    """:func:`flow_metrics` over harvested (picklable) per-flow state.
+    """The traffic-plane slice of :data:`COMMON_METRICS`.
 
-    The single definition both the monolithic path (live objects,
-    reduced via :func:`sink_state`) and the sharded merge path feed, so
-    shard count cannot change a single formula.  ``packets_sent``,
-    ``sink_states`` and ``kinds`` are index-aligned per flow plan.
+    Sent/received/loss, delay/jitter/gap and elastic goodput from the
+    per-flow counters — one definition for every stack, so cross-stack
+    columns are comparable.  ``packets_sent``, ``sink_states`` (see
+    :func:`sink_state`) and ``kinds`` are index-aligned per flow plan.
     Deterministic: pure arithmetic, plain never-NaN floats.
     """
     sent = sum(packets_sent)
@@ -170,13 +131,10 @@ def air_metrics(channels: list, window: float) -> dict[str, float]:
     """Contention-mode air-interface extras over ``channels``.
 
     Emitted only when the spec enables shared channels (legacy tables
-    must not grow keys).  Mirrors the multi-tier adapter's definitions:
-    the downlink utilization of the busiest cell (over the ``window``
-    seconds simulated) and the total airtime cancelled by claim
-    detaches.  Deterministic counter arithmetic.
+    must not grow keys): the downlink utilization of the busiest cell
+    (over the ``window`` seconds simulated) and the total airtime
+    cancelled by claim detaches.  Deterministic counter arithmetic.
     """
-    from repro.radio.channel import DOWNLINK, UPLINK
-
     live = [channel for channel in channels if channel is not None]
     busiest = max(
         (channel.stats.busy_seconds[DOWNLINK] for channel in live), default=0.0
@@ -193,12 +151,138 @@ def air_metrics(channels: list, window: float) -> dict[str, float]:
     }
 
 
+@dataclass(kw_only=True)
+class BuiltRun:
+    """One assembled (not yet run) world plus its planned traffic.
+
+    The skeleton every stack shares: :meth:`execute` drives the
+    measurement phases and :meth:`harvest` turns the finished run's
+    counters into the metric dict.  A stack subclasses this with its
+    own data fields (world, network, agents, ...) and supplies only
+    :meth:`mobility_counters` and :meth:`extras`.
+    """
+
+    spec: ScenarioSpec
+    seed: int
+    sim: Simulator
+    #: The seeded population this world was wired from.
+    population: PopulationPlan
+    flow_plans: list[FlowPlan]
+    #: The hybrid background driver; ``None`` unless the spec has one.
+    fluid_driver: Optional[FluidDriver]
+    #: ``(cell, channel)`` per contended cell; empty in legacy mode.
+    air_cells: list[tuple[Cell, SharedChannel]]
+    #: Where the stack's controllers record tier decisions; ``None``
+    #: for stacks that make none.
+    decision_trace: Optional[DecisionTrace]
+    sources: list[TrafficSource] = field(default_factory=list)
+    sinks: list[FlowSink] = field(default_factory=list)
+
+    #: Keys emitted ahead of the shared order, for a stack whose golden
+    #: tables pin a different historical order (multi-tier only).
+    metric_order: ClassVar[tuple[str, ...]] = ()
+
+    def execute(self) -> dict[str, float]:
+        """Run warmup → traffic window → drain; return the metric dict.
+
+        One definition, so no stack can drift onto a different
+        measurement window and skew the side-by-side comparison.
+        Deterministic: pure simulation drive.
+        """
+        spec = self.spec
+        self.sim.run(until=spec.warmup)
+        for plan in self.flow_plans:
+            self.sources.append(plan.start(spec.duration))
+            self.sinks.append(plan.sink)
+        self.sim.run(until=spec.warmup + spec.duration + spec.drain)
+        return self.harvest()
+
+    def harvest(self) -> dict[str, float]:
+        """Read the run's counters and compute the metric dict.
+
+        Gathers the shared state and the stack's own counters, then
+        hands them to :func:`run_metrics` — the single formula set.
+        Deterministic: pure counter readout in build order.
+        """
+        spec = self.spec
+        handoffs, latencies, attached = self.mobility_counters()
+        extras = self.extras()
+        if spec.channels_enabled():
+            # Contention mode only: adding keys to a legacy run would
+            # change its rendered table and break byte-identity.
+            extras.update(air_metrics(
+                [channel for _cell, channel in self.air_cells],
+                spec.warmup + spec.duration + spec.drain,
+            ))
+        if self.decision_trace is not None and not spec.policy.is_default():
+            # Non-default policy block only (same gating rule).
+            extras.update(self.decision_trace.metric_counts())
+        if self.fluid_driver is not None:
+            # Hybrid runs only: the fluid.* family (same gating rule).
+            extras.update(self.fluid_driver.metrics())
+        metrics = run_metrics(
+            spec,
+            [source.packets_sent for source in self.sources],
+            [sink_state(plan.sink) for plan in self.flow_plans],
+            [plan.kind for plan in self.flow_plans],
+            handoffs,
+            latencies,
+            attached,
+            sum(protocol_hop_totals(self.sim).values()),
+            extras,
+        )
+        return {key: metrics[key] for key in (*self.metric_order, *metrics)}
+
+    def mobility_counters(self) -> tuple[int, list[float], int]:
+        """Stack hook: ``(handoffs, handoff latencies, attached)``.
+
+        Completed handoffs over all mobiles, every completed handoff's
+        latency in seconds (mobile order), and how many mobiles hold a
+        serving attachment at the end of the run.
+        """
+        raise NotImplementedError
+
+    def extras(self) -> dict[str, float]:
+        """Stack hook: the stack's namespaced extra metrics, in order."""
+        return {}
+
+
+def run_metrics(
+    spec: "ScenarioSpec",
+    packets_sent: list[int],
+    sink_states: list[dict],
+    kinds: list[str],
+    handoffs: int,
+    latencies: list[float],
+    attached: int,
+    hop_total: int,
+    extras: dict[str, float],
+) -> dict[str, float]:
+    """The metric dict of one finished run, for every stack.
+
+    :func:`flow_metrics_from_states` for the traffic plane, then the
+    mobility counters, ``hop_total`` and the stack's (already gated)
+    ``extras``, in that order.  Metrics are plain floats and never NaN,
+    so serial-vs-parallel byte-identity is checkable with ordinary
+    equality.  Deterministic: pure arithmetic.
+    """
+    metrics = flow_metrics_from_states(spec, packets_sent, sink_states, kinds)
+    metrics["handoffs"] = float(handoffs)
+    metrics["handoff_latency"] = (
+        (sum(latencies) / len(latencies)) if latencies else 0.0
+    )
+    metrics["attached"] = float(attached)
+    metrics["hop_total"] = float(hop_total)
+    metrics.update(extras)
+    return metrics
+
+
 class StackAdapter(abc.ABC):
     """One pluggable protocol stack the scenario engine can drive.
 
     Subclasses implement :meth:`build`; everything else — the registry,
     the CLI ``--stack`` flag, :func:`repro.scenarios.compare` — works
-    against this interface, so registering a fourth stack is one class
+    against this interface, so registering another stack is one class
     plus one :func:`repro.stacks.registry.register_stack` call (see
     ``docs/STACKS.md``).
     """
@@ -211,7 +295,7 @@ class StackAdapter(abc.ABC):
     metric_namespace: str = ""
 
     @abc.abstractmethod
-    def build(self, spec: "ScenarioSpec", seed: int) -> StackRun:
+    def build(self, spec: "ScenarioSpec", seed: int) -> BuiltRun:
         """Assemble the (not yet run) world for one ``(spec, seed)``.
 
         Must instantiate the shared population plan from
@@ -222,22 +306,6 @@ class StackAdapter(abc.ABC):
     def run(self, spec: "ScenarioSpec", seed: int) -> dict[str, float]:
         """Build and execute one run — the execution-backend job body."""
         return self.build(spec, seed).execute()
-
-    def harvest_metrics(
-        self, spec: "ScenarioSpec", harvest: dict
-    ) -> dict[str, float]:
-        """Compute the metric dict from a merged shard harvest.
-
-        Sharded runs (see :mod:`repro.shard`) reduce each shard's
-        state with the built scenario's ``harvest`` and merge the
-        results; this hook applies the stack's exact historical metric
-        formulas to that merged harvest.  Adapters that implement the
-        shard contract override it; the base refuses, so an unsharded
-        stack fails eagerly instead of returning wrong numbers.
-        """
-        raise NotImplementedError(
-            f"stack {self.name!r} does not support sharded runs"
-        )
 
     def exercised(self, spec: "ScenarioSpec") -> list[str]:
         """The adapter features ``spec`` exercises, for ``describe``.
@@ -261,11 +329,10 @@ class StackAdapter(abc.ABC):
 
 __all__ = [
     "COMMON_METRICS",
+    "BuiltRun",
     "StackAdapter",
-    "StackRun",
     "air_metrics",
-    "flow_metrics",
     "flow_metrics_from_states",
-    "run_measurement_phases",
+    "run_metrics",
     "sink_state",
 ]

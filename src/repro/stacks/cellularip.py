@@ -27,37 +27,24 @@ byte-identical metrics on any execution backend.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.cellularip import CIPBaseStation, CIPDomain, CIPGateway, CIPMobileHost
-from repro.fluid.driver import FluidDriver
 from repro.net.addressing import AddressAllocator
 from repro.net.packet import Packet
 from repro.net.topology import Network
+from repro.policy.config import PolicyConfig
 from repro.radio.cells import Cell
-from repro.radio.channel import ChannelPlan
 from repro.sim.kernel import Simulator
-from repro.sim.rng import RandomStreams
-from repro.stacks.base import (
-    StackAdapter,
-    air_metrics,
-    flow_metrics_from_states,
-    run_measurement_phases,
-    sink_state,
-)
+from repro.stacks.base import BuiltRun, StackAdapter
 from repro.stacks.flat import FlatMobilityController, flat_cell_layout
 from repro.stacks.population import (
-    ElasticAckDispatcher,
-    FlowPlan,
-    assignments,
-    make_mobility,
-    plan_flow,
-    roam_rectangle,
-    start_positions,
+    MobileEndpoint,
+    plan_population,
+    wire_population,
 )
 from repro.stacks.registry import register_stack
-from repro.traffic import FlowSink, TrafficSource
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only (import cycle)
     from repro.scenarios.spec import ScenarioSpec
@@ -100,161 +87,47 @@ class _CIPController(FlatMobilityController):
             self.host.handoff_hard(station)
 
 
-@dataclass
-class BuiltCIPScenario:
+@dataclass(kw_only=True)
+class BuiltCIPScenario(BuiltRun):
     """A fully assembled Cellular IP world plus its planned traffic."""
 
-    spec: ScenarioSpec
-    seed: int
-    sim: Simulator
     network: Network
     domain: CIPDomain
     hosts: list[CIPMobileHost]
     controllers: list[_CIPController]
-    flow_plans: list[FlowPlan]
-    channel_plan: Optional[ChannelPlan]
-    fluid_driver: Optional[FluidDriver] = None
-    sources: list[TrafficSource] = field(default_factory=list)
-    sinks: list[FlowSink] = field(default_factory=list)
 
-    def execute(self) -> dict[str, float]:
-        """Run warmup → traffic window → drain; return the metric dict."""
-        return run_measurement_phases(
-            self.sim,
-            self.spec,
-            self.flow_plans,
-            self.sources,
-            self.sinks,
-            self._collect_metrics,
-        )
-
-    # ------------------------------------------------------------------
-    # Shard decomposition contract (see repro.shard)
-    # ------------------------------------------------------------------
-    #: Spatial parts of a built CIP world: the access tree (gateway +
-    #: stations + hosts), the correspondent, and the internet router.
-    SHARD_PARTS = ("radio", "cn", "core")
-
-    def shard_part(self, node_name: str) -> str:
-        """The shard part a node belongs to, by node name.
-
-        ``cn`` and ``internet`` split off the wired side; the gateway,
-        every base station and every mobile host form the radio part
-        (the controllers hold direct station references).
-        Deterministic: pure name lookup.
-        """
-        if node_name == "cn":
-            return "cn"
-        if node_name == "internet":
-            return "core"
-        return "radio"
-
-    def shard_processes(self, part: str) -> list:
-        """Root simulation processes owned by ``part`` (for neutering).
-
-        Only the radio part owns root activity: the per-mobile
-        controllers and the optional fluid driver.  Deterministic:
-        fixed build-order lists.
-        """
-        if part != "radio":
-            return []
-        processes = [host._control_loop for host in self.hosts]
-        processes.extend(controller.process for controller in self.controllers)
-        if self.fluid_driver is not None:
-            processes.append(self.fluid_driver.process)
-        return processes
-
-    def harvest(self, parts) -> dict:
-        """Picklable metric state for the owned ``parts`` of this world.
-
-        Merged across shards (``hops`` summed) and fed to
-        :func:`cip_metrics_from_harvest`; the monolithic path harvests
-        all parts and feeds the same function.  Deterministic: pure
-        counter readout in build order.
-        """
-        h: dict = {"hops": self.network.protocol_hop_totals()}
-        if "cn" in parts:
-            h["packets_sent"] = [s.packets_sent for s in self.sources]
-        if "radio" in parts:
-            h["sinks"] = [sink_state(plan.sink) for plan in self.flow_plans]
-            h["kinds"] = [plan.kind for plan in self.flow_plans]
-            h["hosts"] = [
-                {
-                    "handoffs": host.handoffs_completed,
-                    "attached": host.serving_bs is not None,
-                    "route_updates": host.route_updates_sent,
-                    "paging_updates": host.paging_updates_sent,
-                    "duplicates": host.duplicates_discarded,
-                }
-                for host in self.hosts
-            ]
-            h["latencies"] = [
+    def mobility_counters(self) -> tuple[int, list[float], int]:
+        """Handoffs and attachments per host; latencies per controller
+        (the time the handoff generator occupied)."""
+        return (
+            sum(host.handoffs_completed for host in self.hosts),
+            [
                 latency
                 for controller in self.controllers
                 for latency in controller.handoff_latencies
-            ]
-            h["domain"] = {
-                "control_packets": self.domain.total_control_packets(),
-                "downlink_drops": self.domain.total_downlink_drops(),
-                "paging_broadcasts": sum(
-                    bs.paging_broadcasts for bs in self.domain.base_stations
-                ),
-            }
-            if self.channel_plan is not None:
-                h["air"] = air_metrics(
-                    [bs.shared_channel for bs in self.domain.base_stations],
-                    self.spec.warmup + self.spec.duration + self.spec.drain,
-                )
-            if self.fluid_driver is not None:
-                h["fluid"] = self.fluid_driver.metrics()
-        return h
-
-    def _collect_metrics(self) -> dict[str, float]:
-        return cip_metrics_from_harvest(
-            self.spec, self.harvest(self.SHARD_PARTS)
+            ],
+            sum(1 for host in self.hosts if host.serving_bs is not None),
         )
 
-
-def cip_metrics_from_harvest(spec: "ScenarioSpec", h: dict) -> dict[str, float]:
-    """The Cellular IP metric dict from (merged) harvest state.
-
-    The historical collection formulas over harvested counters; both
-    the monolithic execute path and the sharded merge route through
-    here, so shard count cannot change a formula.  Deterministic: pure
-    arithmetic, plain never-NaN floats.
-    """
-    metrics = flow_metrics_from_states(
-        spec, h["packets_sent"], h["sinks"], h["kinds"]
-    )
-    latencies = h["latencies"]
-    metrics.update({
-        "handoffs": float(sum(host["handoffs"] for host in h["hosts"])),
-        "handoff_latency": (
-            (sum(latencies) / len(latencies)) if latencies else 0.0
-        ),
-        "attached": float(
-            sum(1 for host in h["hosts"] if host["attached"])
-        ),
-        "hop_total": float(sum(h["hops"].values())),
-        # Namespaced Cellular IP extras (metric contract: base.py).
-        "cip.route_updates": float(
-            sum(host["route_updates"] for host in h["hosts"])
-        ),
-        "cip.paging_updates": float(
-            sum(host["paging_updates"] for host in h["hosts"])
-        ),
-        "cip.duplicates": float(
-            sum(host["duplicates"] for host in h["hosts"])
-        ),
-        "cip.control_packets": float(h["domain"]["control_packets"]),
-        "cip.downlink_drops": float(h["domain"]["downlink_drops"]),
-        "cip.paging_broadcasts": float(h["domain"]["paging_broadcasts"]),
-    })
-    if "air" in h:
-        metrics.update(h["air"])
-    if "fluid" in h:
-        metrics.update(h["fluid"])
-    return metrics
+    def extras(self) -> dict[str, float]:
+        """Namespaced Cellular IP extras (metric contract: base.py)."""
+        hosts, domain = self.hosts, self.domain
+        return {
+            "cip.route_updates": float(
+                sum(host.route_updates_sent for host in hosts)
+            ),
+            "cip.paging_updates": float(
+                sum(host.paging_updates_sent for host in hosts)
+            ),
+            "cip.duplicates": float(
+                sum(host.duplicates_discarded for host in hosts)
+            ),
+            "cip.control_packets": float(domain.total_control_packets()),
+            "cip.downlink_drops": float(domain.total_downlink_drops()),
+            "cip.paging_broadcasts": float(
+                sum(bs.paging_broadcasts for bs in domain.base_stations)
+            ),
+        }
 
 
 def build_cip_scenario(
@@ -269,14 +142,8 @@ def build_cip_scenario(
     shared plan, so the run is directly comparable to the other stacks
     at the same seed.  Deterministic: seeded streams only.
     """
-    streams = RandomStreams(int(seed))
+    plan = plan_population(spec, seed, PolicyConfig())
     sim = Simulator()
-    roam = roam_rectangle(spec)
-    mobility_assignment, traffic_assignment, hotspot_indices = assignments(
-        spec, streams
-    )
-    starts = start_positions(spec, streams, roam)
-
     overrides = {
         key: value
         for key, value in spec.domain_overrides.items()
@@ -290,20 +157,13 @@ def build_cip_scenario(
     )
     network.add(gateway)
 
-    channel_plan = (
-        ChannelPlan(
-            macro_bandwidth=spec.macro_channel_bandwidth,
-            pico_bandwidth=spec.pico_channel_bandwidth,
-        )
-        if spec.channels_enabled()
-        else None
-    )
     layout = flat_cell_layout(
-        spec, starts, mobility_assignment, traffic_assignment
+        spec, plan.starts, plan.mobility_assignment, plan.traffic_assignment
     )
     stations: dict[str, CIPBaseStation] = {}
     stations_by_cell: dict[str, CIPBaseStation] = {}
     cells: list[Cell] = []
+    air_cells = []
     for site in layout:
         station = CIPBaseStation(
             sim, site.name, network.allocator.allocate(), domain
@@ -312,8 +172,11 @@ def build_cip_scenario(
         parent = stations[site.parent] if site.parent else gateway
         domain.link(parent, station)
         cell = site.cell()
-        if channel_plan is not None:
-            station.shared_channel = channel_plan.channel_for(sim, cell)
+        if plan.channel_plan is not None:
+            # CIP stations don't carry their cell, so the pair is
+            # recorded here for the air metrics and the fluid driver.
+            station.shared_channel = plan.channel_plan.channel_for(sim, cell)
+            air_cells.append((cell, station.shared_channel))
         stations[site.name] = station
         stations_by_cell[cell.name] = station
         cells.append(cell)
@@ -325,27 +188,20 @@ def build_cip_scenario(
     internet.add_route(MOBILE_PREFIX, gateway)
     internet.add_host_route(cn.address, cn)
 
-    ack_dispatcher = ElasticAckDispatcher()
-    cn.on_protocol("ack", ack_dispatcher)
-
     def downlink(packet: Packet) -> bool:
         return cn.send_via(internet, packet)
 
     mobile_allocator = AddressAllocator(MOBILE_PREFIX)
     hosts: list[CIPMobileHost] = []
     controllers: list[_CIPController] = []
-    flow_plans: list[FlowPlan] = []
-    for index in range(spec.population):
-        kind = traffic_assignment[index]
+
+    def add_mobile(index: int, kind: str, model) -> MobileEndpoint:
         host = CIPMobileHost(
             sim,
             f"mn{index}",
             mobile_allocator.allocate(),
             domain,
             airtime_key=index,
-        )
-        model = make_mobility(
-            mobility_assignment[index], index, streams, roam, starts[index]
         )
         controllers.append(_CIPController(
             sim,
@@ -357,62 +213,26 @@ def build_cip_scenario(
             sample_period=spec.sample_period,
         ))
         hosts.append(host)
-        plan = plan_flow(
-            sim,
-            kind,
-            f"{spec.name}.mn{index}",
-            streams,
-            ack_dispatcher,
-            downlink,
-            host.on_data,
-            host.originate,
-            cn.address,
-            host.address,
-        )
-        if plan is not None:
-            flow_plans.append(plan)
-    # Flash-crowd hotspots: extra simultaneous correspondent flows.
-    for index in hotspot_indices:
-        for flow in range(spec.hotspot_flows):
-            flow_plans.append(plan_flow(
-                sim,
-                "poisson-data",
-                f"{spec.name}.mn{index}.hot{flow}",
-                streams,
-                ack_dispatcher,
-                downlink,
-                hosts[index].on_data,
-                hosts[index].originate,
-                cn.address,
-                hosts[index].address,
-            ))
-
-    # Hybrid background: analytic claims on every contended flat cell.
-    # CIP stations don't carry their cell, so the pairs are zipped here.
-    fluid_driver = None
-    if spec.fluid is not None and spec.fluid.enabled:
-        fluid_driver = FluidDriver(
-            sim,
-            spec.fluid,
-            [
-                (cell, stations_by_cell[cell.name].shared_channel)
-                for cell in cells
-                if stations_by_cell[cell.name].shared_channel is not None
-            ],
-            roam,
+        return MobileEndpoint(
+            downlink, host.on_data, host.originate, host.address
         )
 
+    flow_plans, fluid_driver = wire_population(
+        sim, plan, cn, add_mobile, air_cells
+    )
     return BuiltCIPScenario(
         spec=spec,
         seed=int(seed),
         sim=sim,
+        population=plan,
+        flow_plans=flow_plans,
+        fluid_driver=fluid_driver,
+        air_cells=air_cells,
+        decision_trace=None,
         network=network,
         domain=domain,
         hosts=hosts,
         controllers=controllers,
-        flow_plans=flow_plans,
-        channel_plan=channel_plan,
-        fluid_driver=fluid_driver,
     )
 
 
@@ -434,12 +254,6 @@ class CellularIPStack(StackAdapter):
     def build(self, spec: ScenarioSpec, seed: int) -> BuiltCIPScenario:
         """Assemble the flat CIP world (see :func:`build_cip_scenario`)."""
         return build_cip_scenario(spec, seed)
-
-    def harvest_metrics(
-        self, spec: ScenarioSpec, harvest: dict
-    ) -> dict[str, float]:
-        """Metric dict from a merged shard harvest (shared formulas)."""
-        return cip_metrics_from_harvest(spec, harvest)
 
     def exercised(self, spec: ScenarioSpec) -> list[str]:
         """Adapter features ``spec`` exercises under flat Cellular IP."""
@@ -494,5 +308,4 @@ __all__ = [
     "CellularIPHardStack",
     "CellularIPStack",
     "build_cip_scenario",
-    "cip_metrics_from_harvest",
 ]

@@ -22,8 +22,8 @@ byte-identical metrics on any execution backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.mobileip import (
     ForeignAgent,
@@ -32,33 +32,20 @@ from repro.mobileip import (
     install_home_prefix_routes,
 )
 from repro.multitier.architecture import HOME_PREFIX
-from repro.fluid.driver import FluidDriver
 from repro.net.addressing import AddressAllocator
 from repro.net.packet import Packet
 from repro.net.topology import Network
+from repro.policy.config import PolicyConfig
 from repro.radio.cells import Cell
-from repro.radio.channel import ChannelPlan
 from repro.sim.kernel import Simulator
-from repro.sim.rng import RandomStreams
-from repro.stacks.base import (
-    StackAdapter,
-    air_metrics,
-    flow_metrics_from_states,
-    run_measurement_phases,
-    sink_state,
-)
+from repro.stacks.base import BuiltRun, StackAdapter
 from repro.stacks.flat import FlatMobilityController, flat_cell_layout
 from repro.stacks.population import (
-    ElasticAckDispatcher,
-    FlowPlan,
-    assignments,
-    make_mobility,
-    plan_flow,
-    roam_rectangle,
-    start_positions,
+    MobileEndpoint,
+    plan_population,
+    wire_population,
 )
 from repro.stacks.registry import register_stack
-from repro.traffic import FlowSink, TrafficSource
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only (import cycle)
     from repro.scenarios.spec import ScenarioSpec
@@ -100,165 +87,53 @@ class _MIPController(FlatMobilityController):
         yield  # pragma: no cover - generator protocol
 
 
-@dataclass
-class BuiltMIPScenario:
+@dataclass(kw_only=True)
+class BuiltMIPScenario(BuiltRun):
     """A fully assembled Mobile IP world plus its planned traffic."""
 
-    #: Shard decomposition parts, in deterministic harvest/merge order
-    #: (see :mod:`repro.shard`): the radio access side (FAs, mobiles,
-    #: controllers), the correspondent host, the home agent, and the
-    #: wired core router joining them.
-    SHARD_PARTS = ("radio", "cn", "home", "core")
-
-    spec: ScenarioSpec
-    seed: int
-    sim: Simulator
     network: Network
     home_agent: HomeAgent
     agents: list[ForeignAgent]
     nodes: list[MobileIPNode]
     controllers: list[_MIPController]
-    flow_plans: list[FlowPlan]
-    channel_plan: Optional[ChannelPlan]
-    fluid_driver: Optional[FluidDriver] = None
-    sources: list[TrafficSource] = field(default_factory=list)
-    sinks: list[FlowSink] = field(default_factory=list)
 
-    def execute(self) -> dict[str, float]:
-        """Run warmup → traffic window → drain; return the metric dict."""
-        return run_measurement_phases(
-            self.sim,
-            self.spec,
-            self.flow_plans,
-            self.sources,
-            self.sinks,
-            self._collect_metrics,
-        )
+    def mobility_counters(self) -> tuple[int, list[float], int]:
+        """Moves and attachments per controller; latencies per node.
 
-    # ------------------------------------------------------------------
-    def shard_part(self, node_name: str) -> str:
-        """Map a network node name onto one of :data:`SHARD_PARTS`.
-
-        The correspondent is its own part, the home agent lives in
-        ``home``, the core router in ``core``; everything else (FAs and
-        their radio side) is ``radio``.  Deterministic name lookup.
+        Mobile IP re-establishes routing via home registration, so the
+        registration round-trip IS the handoff latency.
         """
-        if node_name == "cn":
-            return "cn"
-        if node_name == "ha":
-            return "home"
-        if node_name == "internet":
-            return "core"
-        return "radio"
-
-    def shard_processes(self, part: str) -> list:
-        """The simulation processes owned by ``part``.
-
-        A sharded run neuters these on every replica that does not own
-        ``part`` so only the owner advances them.  Deterministic: fixed
-        build-order lists.
-        """
-        if part != "radio":
-            return []
-        processes = [agent._advertiser for agent in self.agents]
-        processes.extend(controller.process for controller in self.controllers)
-        if self.fluid_driver is not None:
-            processes.append(self.fluid_driver.process)
-        return processes
-
-    def harvest(self, parts) -> dict:
-        """Reduce the named parts' run state to one picklable dict.
-
-        Each shard calls this for the parts it owns; the merge path
-        unions the sections (summing ``hops``, which every replica
-        accrues for the links it drives) and feeds the result to
-        :func:`mip_metrics_from_harvest`.  Deterministic counter
-        readout in fixed build order.
-        """
-        h: dict = {"hops": self.network.protocol_hop_totals()}
-        if "cn" in parts:
-            h["packets_sent"] = [s.packets_sent for s in self.sources]
-        if "home" in parts:
-            home_agent = self.home_agent
-            h["home"] = {
-                "registrations_accepted": home_agent.registrations_accepted,
-                "registrations_denied": home_agent.registrations_denied,
-                "tunneled": home_agent.tunneled_count,
-                "dropped_no_binding": home_agent.dropped_no_binding,
-            }
-        if "radio" in parts:
-            h["sinks"] = [sink_state(plan.sink) for plan in self.flow_plans]
-            h["kinds"] = [plan.kind for plan in self.flow_plans]
-            h["handoffs"] = sum(
-                controller.handoffs for controller in self.controllers
-            )
-            h["latencies"] = [
+        return (
+            sum(controller.handoffs for controller in self.controllers),
+            [
                 latency
                 for node in self.nodes
                 for latency in node.registration_latencies
-            ]
-            h["attached"] = sum(
+            ],
+            sum(
                 1
                 for controller in self.controllers
                 if controller.serving_cell is not None
-            )
-            h["registration_attempts"] = sum(
-                node.registration_attempts for node in self.nodes
-            )
-            h["dropped_unknown_visitor"] = sum(
-                agent.dropped_unknown_visitor for agent in self.agents
-            )
-            if self.channel_plan is not None:
-                spec = self.spec
-                h["air"] = air_metrics(
-                    [agent.shared_channel for agent in self.agents],
-                    spec.warmup + spec.duration + spec.drain,
-                )
-            if self.fluid_driver is not None:
-                h["fluid"] = self.fluid_driver.metrics()
-        return h
+            ),
+        )
 
-    def _collect_metrics(self) -> dict[str, float]:
-        return mip_metrics_from_harvest(self.spec, self.harvest(self.SHARD_PARTS))
-
-
-def mip_metrics_from_harvest(spec: "ScenarioSpec", h: dict) -> dict[str, float]:
-    """Compute the Mobile IP metric dict from a (merged) harvest.
-
-    The single formula set both the monolithic collection path and the
-    sharded merge feed, holding the historical metric order exactly so
-    shard count cannot perturb a golden table.  Deterministic pure
-    arithmetic over harvested counters.
-    """
-    metrics = flow_metrics_from_states(
-        spec, h["packets_sent"], h["sinks"], h["kinds"]
-    )
-    registrations = h["latencies"]
-    home = h["home"]
-    metrics.update({
-        "handoffs": float(h["handoffs"]),
-        # Mobile IP re-establishes routing via home registration, so
-        # the registration round-trip IS the handoff latency.
-        "handoff_latency": (
-            (sum(registrations) / len(registrations))
-            if registrations
-            else 0.0
-        ),
-        "attached": float(h["attached"]),
-        "hop_total": float(sum(h["hops"].values())),
-        # Namespaced Mobile IP extras (metric contract: base.py).
-        "mip.registration_attempts": float(h["registration_attempts"]),
-        "mip.registrations_accepted": float(home["registrations_accepted"]),
-        "mip.registrations_denied": float(home["registrations_denied"]),
-        "mip.tunneled": float(home["tunneled"]),
-        "mip.dropped_no_binding": float(home["dropped_no_binding"]),
-        "mip.dropped_unknown_visitor": float(h["dropped_unknown_visitor"]),
-    })
-    if "air" in h:
-        metrics.update(h["air"])
-    if "fluid" in h:
-        metrics.update(h["fluid"])
-    return metrics
+    def extras(self) -> dict[str, float]:
+        """Namespaced Mobile IP extras (metric contract: base.py)."""
+        home_agent = self.home_agent
+        return {
+            "mip.registration_attempts": float(
+                sum(node.registration_attempts for node in self.nodes)
+            ),
+            "mip.registrations_accepted": float(
+                home_agent.registrations_accepted
+            ),
+            "mip.registrations_denied": float(home_agent.registrations_denied),
+            "mip.tunneled": float(home_agent.tunneled_count),
+            "mip.dropped_no_binding": float(home_agent.dropped_no_binding),
+            "mip.dropped_unknown_visitor": float(
+                sum(agent.dropped_unknown_visitor for agent in self.agents)
+            ),
+        }
 
 
 def build_mip_scenario(spec: ScenarioSpec, seed: int) -> BuiltMIPScenario:
@@ -275,14 +150,8 @@ def build_mip_scenario(spec: ScenarioSpec, seed: int) -> BuiltMIPScenario:
     the remaining overrides are multi-tier-specific and ignored here.
     Deterministic: seeded streams only.
     """
-    streams = RandomStreams(int(seed))
+    plan = plan_population(spec, seed, PolicyConfig())
     sim = Simulator()
-    roam = roam_rectangle(spec)
-    mobility_assignment, traffic_assignment, hotspot_indices = assignments(
-        spec, streams
-    )
-    starts = start_positions(spec, streams, roam)
-
     network = Network(sim, prefix="10.0.0.0/8")
     core = network.router("internet")
     home_agent = HomeAgent(
@@ -293,14 +162,6 @@ def build_mip_scenario(spec: ScenarioSpec, seed: int) -> BuiltMIPScenario:
     network.connect(home_agent, core, delay=_HOME_DELAY)
     network.connect(cn, core, delay=_INTERNET_DELAY)
 
-    channel_plan = (
-        ChannelPlan(
-            macro_bandwidth=spec.macro_channel_bandwidth,
-            pico_bandwidth=spec.pico_channel_bandwidth,
-        )
-        if spec.channels_enabled()
-        else None
-    )
     # Link knobs mirror the multi-tier domain defaults unless the spec
     # overrides them: radio legs per FA, and the FA↔core access
     # backhaul (the flat analogue of the domain's wired tree).
@@ -317,11 +178,12 @@ def build_mip_scenario(spec: ScenarioSpec, seed: int) -> BuiltMIPScenario:
         spec.domain_overrides.get("wired_delay", _INTERNET_DELAY)
     )
     layout = flat_cell_layout(
-        spec, starts, mobility_assignment, traffic_assignment
+        spec, plan.starts, plan.mobility_assignment, plan.traffic_assignment
     )
     agents: list[ForeignAgent] = []
     agents_by_cell: dict[str, ForeignAgent] = {}
     cells: list[Cell] = []
+    air_cells = []
     for site in layout:
         cell = site.cell()
         agent = ForeignAgent(
@@ -331,8 +193,8 @@ def build_mip_scenario(spec: ScenarioSpec, seed: int) -> BuiltMIPScenario:
             wireless_bandwidth=wireless_bandwidth,
             wireless_delay=wireless_delay,
             shared_channel=(
-                channel_plan.channel_for(sim, cell)
-                if channel_plan is not None
+                plan.channel_plan.channel_for(sim, cell)
+                if plan.channel_plan is not None
                 else None
             ),
         )
@@ -343,11 +205,10 @@ def build_mip_scenario(spec: ScenarioSpec, seed: int) -> BuiltMIPScenario:
         agents.append(agent)
         agents_by_cell[cell.name] = agent
         cells.append(cell)
+        if agent.shared_channel is not None:
+            air_cells.append((cell, agent.shared_channel))
     network.install_routes()
     install_home_prefix_routes(network, home_agent)
-
-    ack_dispatcher = ElasticAckDispatcher()
-    cn.on_protocol("ack", ack_dispatcher)
 
     def downlink(packet: Packet) -> bool:
         return cn.send_via(core, packet)
@@ -355,13 +216,8 @@ def build_mip_scenario(spec: ScenarioSpec, seed: int) -> BuiltMIPScenario:
     home_allocator = AddressAllocator(HOME_PREFIX)
     nodes: list[MobileIPNode] = []
     controllers: list[_MIPController] = []
-    flow_plans: list[FlowPlan] = []
-    #: Per-mobile data hook lists, indexed like ``nodes`` (MobileIPNode
-    #: has no native on_data list, so flows and hotspot flows share
-    #: these through the "data" protocol handler).
-    hooks_by_index: list[list] = []
-    for index in range(spec.population):
-        kind = traffic_assignment[index]
+
+    def add_mobile(index: int, kind: str, model) -> MobileEndpoint:
         node = MobileIPNode(
             sim,
             f"mn{index}",
@@ -371,12 +227,11 @@ def build_mip_scenario(spec: ScenarioSpec, seed: int) -> BuiltMIPScenario:
         #: Deterministic shared-channel arbitration key (population
         #: index), matching the other stacks' tie-break order.
         node.airtime_key = index
+        #: MobileIPNode has no native on_data list, so the mobile's
+        #: flows (hotspot flows included) share this hook list through
+        #: the "data" protocol handler.
         hooks: list = []
-        hooks_by_index.append(hooks)
         node.on_protocol("data", _fan_out(hooks))
-        model = make_mobility(
-            mobility_assignment[index], index, streams, roam, starts[index]
-        )
         controllers.append(_MIPController(
             sim,
             model,
@@ -386,62 +241,27 @@ def build_mip_scenario(spec: ScenarioSpec, seed: int) -> BuiltMIPScenario:
             sample_period=spec.sample_period,
         ))
         nodes.append(node)
-        plan = plan_flow(
-            sim,
-            kind,
-            f"{spec.name}.mn{index}",
-            streams,
-            ack_dispatcher,
-            downlink,
-            hooks,
-            node.originate,
-            cn.address,
-            node.home_address,
-        )
-        if plan is not None:
-            flow_plans.append(plan)
-    # Flash-crowd hotspots: extra simultaneous correspondent flows.
-    for index in hotspot_indices:
-        for flow in range(spec.hotspot_flows):
-            flow_plans.append(plan_flow(
-                sim,
-                "poisson-data",
-                f"{spec.name}.mn{index}.hot{flow}",
-                streams,
-                ack_dispatcher,
-                downlink,
-                hooks_by_index[index],
-                nodes[index].originate,
-                cn.address,
-                nodes[index].home_address,
-            ))
-
-    # Hybrid background: analytic claims on every contended flat cell.
-    fluid_driver = None
-    if spec.fluid is not None and spec.fluid.enabled:
-        fluid_driver = FluidDriver(
-            sim,
-            spec.fluid,
-            [
-                (cell, agents_by_cell[cell.name].shared_channel)
-                for cell in cells
-                if agents_by_cell[cell.name].shared_channel is not None
-            ],
-            roam,
+        return MobileEndpoint(
+            downlink, hooks, node.originate, node.home_address
         )
 
+    flow_plans, fluid_driver = wire_population(
+        sim, plan, cn, add_mobile, air_cells
+    )
     return BuiltMIPScenario(
         spec=spec,
         seed=int(seed),
         sim=sim,
+        population=plan,
+        flow_plans=flow_plans,
+        fluid_driver=fluid_driver,
+        air_cells=air_cells,
+        decision_trace=None,
         network=network,
         home_agent=home_agent,
         agents=agents,
         nodes=nodes,
         controllers=controllers,
-        flow_plans=flow_plans,
-        channel_plan=channel_plan,
-        fluid_driver=fluid_driver,
     )
 
 
@@ -475,12 +295,6 @@ class MobileIPStack(StackAdapter):
         :func:`build_mip_scenario`)."""
         return build_mip_scenario(spec, seed)
 
-    def harvest_metrics(
-        self, spec: ScenarioSpec, harvest: dict
-    ) -> dict[str, float]:
-        """Metric dict from a merged shard harvest (shared formulas)."""
-        return mip_metrics_from_harvest(spec, harvest)
-
     def exercised(self, spec: ScenarioSpec) -> list[str]:
         """Adapter features ``spec`` exercises under flat Mobile IP."""
         features = super().exercised(spec)
@@ -512,5 +326,4 @@ __all__ = [
     "BuiltMIPScenario",
     "MobileIPStack",
     "build_mip_scenario",
-    "mip_metrics_from_harvest",
 ]

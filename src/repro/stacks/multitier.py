@@ -1,8 +1,8 @@
 """The multi-tier stack adapter: the paper's architecture (default).
 
-This is the pre-stacks ``repro.scenarios.builder`` world-assembly code
-hoisted behind the :class:`~repro.stacks.base.StackAdapter` interface:
-a :class:`~repro.multitier.architecture.MultiTierWorld` (one or two
+The stack's own half of a run behind the
+:class:`~repro.stacks.base.StackAdapter` interface: a
+:class:`~repro.multitier.architecture.MultiTierWorld` (one or two
 domains, optional pico cells, optional shared air interface), the
 shared population plan from :mod:`repro.stacks.population`, per-mobile
 :class:`~repro.multitier.architecture.MobilityController`\\ s applying
@@ -22,286 +22,82 @@ byte-identical metrics on any execution backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.fluid.driver import FluidDriver, install_fluid_background
+from repro.fluid.driver import fluid_channel_pairs
 from repro.multitier.architecture import MobilityController, MultiTierWorld
 from repro.multitier.mobile import MultiTierMobileNode
 from repro.net.packet import Packet
 from repro.policy.decider import TierDecider
-from repro.radio.channel import ChannelPlan
-from repro.sim.rng import RandomStreams
+from repro.stacks.base import BuiltRun, StackAdapter
+from repro.stacks.population import (
+    BANDWIDTH_DEMAND,
+    MobileEndpoint,
+    pico_placements,
+    plan_population,
+    wire_population,
+)
+from repro.stacks.registry import register_stack
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only (import cycle)
     from repro.scenarios.spec import ScenarioSpec
-from repro.stacks.base import StackAdapter, run_measurement_phases, sink_state
-from repro.stacks.population import (
-    BANDWIDTH_DEMAND,
-    ElasticAckDispatcher,
-    FlowPlan,
-    assignments,
-    make_mobility,
-    pico_placements,
-    plan_flow,
-    roam_rectangle,
-    start_positions,
-)
-from repro.stacks.registry import register_stack
-from repro.traffic import FlowSink, TrafficSource
 
 
-@dataclass
-class BuiltScenario:
+@dataclass(kw_only=True)
+class BuiltScenario(BuiltRun):
     """A fully assembled multi-tier world plus its planned traffic."""
 
-    spec: ScenarioSpec
-    seed: int
     world: MultiTierWorld
     mobiles: list[MultiTierMobileNode]
     controllers: list[MobilityController]
-    mobility_assignment: list[str]
-    traffic_assignment: list[str]
-    hotspot_indices: list[int]
-    flow_plans: list[FlowPlan]
-    fluid_driver: "FluidDriver | None" = None
-    sources: list[TrafficSource] = field(default_factory=list)
-    sinks: list[FlowSink] = field(default_factory=list)
 
-    def execute(self) -> dict[str, float]:
-        """Run warmup → traffic window → drain; return scenario metrics."""
-        return run_measurement_phases(
-            self.world.sim,
-            self.spec,
-            self.flow_plans,
-            self.sources,
-            self.sinks,
-            self._collect_metrics,
+    #: Grandfathered key order (pinned by the committed golden tables):
+    #: the un-namespaced extras sit inside the common block.
+    metric_order = (
+        "population", "flows", "sent", "received", "loss_rate",
+        "mean_delay", "jitter", "max_gap", "handoffs", "handoff_latency",
+        "blocked_attaches", "attached", "via_binding_fraction",
+        "elastic_goodput_bps", "hop_total",
+    )
+
+    def mobility_counters(self) -> tuple[int, list[float], int]:
+        """Handoffs, their latencies and attachments, per mobile node."""
+        return (
+            sum(m.handoffs_completed for m in self.mobiles),
+            [latency for m in self.mobiles for latency in m.handoff_latencies],
+            sum(1 for m in self.mobiles if m.serving_bs is not None),
         )
 
-    # ------------------------------------------------------------------
-    # Shard decomposition contract (see repro.shard)
-    # ------------------------------------------------------------------
-    #: Spatial parts a built multi-tier world decomposes into, in the
-    #: deterministic order the shard planner coalesces them.
-    SHARD_PARTS = ("radio", "cn", "home", "core")
-
-    @property
-    def sim(self) -> "Simulator":
-        """The world's simulator — uniform access for :mod:`repro.shard`
-        (the other stacks store it as a plain ``sim`` field)."""
-        return self.world.sim
-
-    def shard_part(self, node_name: str) -> str:
-        """The shard part a node belongs to, by node name.
-
-        The wired core splits into the correspondent (``cn``), the home
-        machinery (``ha`` + ``mnld``) and the ``internet`` router; every
-        other node — RSMCs, stations, picos, mobiles — is radio-side
-        (controllers hold direct references to stations of *both*
-        domains, so the radio access side is one part).  Deterministic:
-        pure name lookup.
-        """
-        if node_name == "cn":
-            return "cn"
-        if node_name in ("ha", "mnld"):
-            return "home"
-        if node_name == "internet":
-            return "core"
-        return "radio"
-
-    def shard_processes(self, part: str) -> list:
-        """Root simulation processes owned by ``part`` (for neutering).
-
-        A shard that does not own ``part`` swaps these processes'
-        generators for no-ops before time starts, so the replicated
-        world stays quiescent outside its owned region.  Deterministic:
-        fixed build-order lists.
-        """
-        if part != "radio":
-            return []
-        processes = [controller.process for controller in self.controllers]
-        if self.fluid_driver is not None:
-            processes.append(self.fluid_driver.process)
-        return processes
-
-    def harvest(self, parts) -> dict:
-        """Picklable metric state for the owned ``parts`` of this world.
-
-        The sharded merge unions one harvest per shard (summing the
-        ``hops`` section, which every shard contributes) and feeds the
-        result to :func:`metrics_from_harvest`; the monolithic path
-        harvests all parts at once and feeds the same function, so
-        shard count cannot change a formula.  Deterministic: pure
-        counter readout in build order.
-        """
-        h: dict = {"hops": self.world.protocol_hop_totals()}
-        if "cn" in parts:
-            cn = self.world.cn
-            h["packets_sent"] = [s.packets_sent for s in self.sources]
-            h["cn"] = {
-                "sent_via_binding": cn.sent_via_binding,
-                "sent_via_home": cn.sent_via_home,
-            }
-        if "radio" in parts:
-            h["sinks"] = [sink_state(plan.sink) for plan in self.flow_plans]
-            h["kinds"] = [plan.kind for plan in self.flow_plans]
-            h["mobiles"] = [
-                {
-                    "handoffs": m.handoffs_completed,
-                    "latencies": list(m.handoff_latencies),
-                    "attached": m.serving_bs is not None,
-                }
-                for m in self.mobiles
-            ]
-            h["blocked"] = sum(
-                c.blocked_attach_attempts for c in self.controllers
-            )
-            if self.world.channel_plan is not None:
-                from repro.radio.channel import DOWNLINK, UPLINK
-
-                channels = [
-                    bs.shared_channel
-                    for bs in self.world.all_radio_stations()
-                    if bs.shared_channel is not None
-                ]
-                window = self.spec.warmup + self.spec.duration + self.spec.drain
-                busiest = max(
-                    (ch.stats.busy_seconds[DOWNLINK] for ch in channels),
-                    default=0.0,
-                )
-                h["air"] = {
-                    "air_busiest_downlink": busiest / window,
-                    "air_detach_drops": float(
-                        sum(
-                            ch.stats.dropped_on_detach[DOWNLINK]
-                            + ch.stats.dropped_on_detach[UPLINK]
-                            for ch in channels
-                        )
-                    ),
-                }
-            if not self.spec.policy.is_default():
-                h["policy"] = self.world.decision_trace.metric_counts()
-            if self.fluid_driver is not None:
-                h["fluid"] = self.fluid_driver.metrics()
-        return h
-
-    def _collect_metrics(self) -> dict[str, float]:
-        return metrics_from_harvest(self.spec, self.harvest(self.SHARD_PARTS))
-
-
-def metrics_from_harvest(spec: "ScenarioSpec", h: dict) -> dict[str, float]:
-    """The multi-tier metric dict from (merged) harvest state.
-
-    Exactly the historical golden-pinned collection formulas, reading
-    harvested counters instead of live objects — the monolithic
-    :meth:`BuiltScenario.execute` path routes through here too, so the
-    sharded merge and the legacy path cannot drift apart.  Metrics are
-    plain floats and never NaN, so serial-vs-parallel (and
-    shards(1)-vs-shards(N)) byte-identity is checkable with ordinary
-    equality.  Deterministic: pure arithmetic.
-    """
-    sent = sum(h["packets_sent"])
-    received = sum(s["received"] for s in h["sinks"])
-    delays = [s["mean_delay"] for s in h["sinks"] if s["received"] > 0]
-    jitters = [s["jitter"] for s in h["sinks"] if s["received"] > 1]
-    gaps = [s["max_gap"] for s in h["sinks"] if s["received"] > 1]
-    handoffs = sum(m["handoffs"] for m in h["mobiles"])
-    latencies = [
-        latency for m in h["mobiles"] for latency in m["latencies"]
-    ]
-    blocked = h["blocked"]
-    attached = sum(1 for m in h["mobiles"] if m["attached"])
-    routed = h["cn"]["sent_via_binding"] + h["cn"]["sent_via_home"]
-    goodput = [
-        state["bytes_received"] * 8.0 / spec.duration
-        for state, kind in zip(h["sinks"], h["kinds"])
-        if kind == "elastic-data"
-    ]
-    metrics = {
-        "population": float(spec.population),
-        "flows": float(len(h["kinds"])),
-        "sent": float(sent),
-        "received": float(received),
-        "loss_rate": (1.0 - received / sent) if sent else 0.0,
-        "mean_delay": (sum(delays) / len(delays)) if delays else 0.0,
-        "jitter": (sum(jitters) / len(jitters)) if jitters else 0.0,
-        "max_gap": max(gaps) if gaps else 0.0,
-        "handoffs": float(handoffs),
-        "handoff_latency": (
-            (sum(latencies) / len(latencies)) if latencies else 0.0
-        ),
-        "blocked_attaches": float(blocked),
-        "attached": float(attached),
-        "via_binding_fraction": (
-            h["cn"]["sent_via_binding"] / routed if routed else 0.0
-        ),
-        "elastic_goodput_bps": (
-            (sum(goodput) / len(goodput)) if goodput else 0.0
-        ),
-        "hop_total": float(sum(h["hops"].values())),
-    }
-    if "air" in h:
-        # Contention mode only: adding keys to a legacy run would
-        # change its rendered table and break pre-channel byte-identity.
-        metrics.update(h["air"])
-    if "policy" in h:
-        # Non-default policy block only — gated so default runs keep
-        # their table shape byte-identical.
-        metrics.update(h["policy"])
-    if "fluid" in h:
-        # Hybrid runs only: the fluid.* family (same gating rule).
-        metrics.update(h["fluid"])
-    return metrics
-
-
-# ----------------------------------------------------------------------
-def _downlink(world: MultiTierWorld, mobile: MultiTierMobileNode):
-    """A send callable streaming CN -> mobile with route optimization."""
-
-    def send(packet: Packet) -> bool:
-        return world.cn.send_to_mobile(
-            mobile.home_address,
-            size=packet.size,
-            flow_id=packet.flow_id,
-            seq=packet.seq,
-            created_at=packet.created_at,
-        )
-
-    return send
+    def extras(self) -> dict[str, float]:
+        """The grandfathered un-namespaced multi-tier extras."""
+        cn = self.world.cn
+        routed = cn.sent_via_binding + cn.sent_via_home
+        return {
+            "blocked_attaches": float(
+                sum(c.blocked_attach_attempts for c in self.controllers)
+            ),
+            "via_binding_fraction": (
+                cn.sent_via_binding / routed if routed else 0.0
+            ),
+        }
 
 
 def build_multitier_scenario(spec: ScenarioSpec, seed: int) -> BuiltScenario:
     """Assemble the multi-tier world, population and traffic for one run.
 
-    The pre-stacks ``build_scenario`` body, verbatim: same construction
-    order, same stream names, same pico placement — the root of the
+    Same construction order, same stream names, same pico placement as
+    the pre-stacks ``build_scenario`` — the root of the
     ``stack="multitier"`` byte-identity guarantee.  Returns the
     assembled (not yet run) world; call :meth:`BuiltScenario.execute`
     to run it.
     """
-    streams = RandomStreams(int(seed))
-    channel_plan = None
-    if spec.channels_enabled():
-        # Contention mode: per-cell shared channels on every tier.  The
-        # micro tier (and any unset field) runs at its TIER_DEFAULTS
-        # budget; uplink budgets are half the downlink ones.
-        channel_plan = ChannelPlan(
-            macro_bandwidth=spec.macro_channel_bandwidth,
-            pico_bandwidth=spec.pico_channel_bandwidth,
-            admission_factor=spec.policy.admission_factor,
-            weighted=spec.policy.weighted_airtime,
-        )
+    plan = plan_population(spec, seed, spec.policy)
     world = MultiTierWorld(
         second_domain=spec.domains == 2,
         domain_kwargs=dict(spec.domain_overrides),
-        channel_plan=channel_plan,
+        channel_plan=plan.channel_plan,
     )
-    roam = roam_rectangle(spec)
-    mobility_assignment, traffic_assignment, hotspot_indices = assignments(
-        spec, streams
-    )
-    starts = start_positions(spec, streams, roam)
     # In-building picos (Fig 2.1's third hierarchy level).  Legacy mode
     # keeps the historic placement: alternating fixed offsets under the
     # micro leaves.  Contention mode deploys them at seeded population
@@ -313,13 +109,14 @@ def build_multitier_scenario(spec: ScenarioSpec, seed: int) -> BuiltScenario:
         name: world.domain1[name].cell.center for name in ("B", "C", "E", "F")
     }
     placements = pico_placements(
-        spec, starts, mobility_assignment, traffic_assignment, leaf_centers
+        spec,
+        plan.starts,
+        plan.mobility_assignment,
+        plan.traffic_assignment,
+        leaf_centers,
     )
     for pico, (parent_name, center) in enumerate(placements):
         world.add_pico(parent_name, f"p{pico}", center)
-
-    ack_dispatcher = ElasticAckDispatcher()
-    world.cn.on_protocol("ack", ack_dispatcher)
 
     # Under a shared air interface any slow, traffic-bearing mobile
     # benefits from a covering pico's fat shared budget, so the default
@@ -327,20 +124,16 @@ def build_multitier_scenario(spec: ScenarioSpec, seed: int) -> BuiltScenario:
     # contention mode (200 kbit/s with per-user dedicated radios) —
     # the historical stack defaults, byte-identical.
     policy = TierDecider.from_config(
-        spec.policy, contention=channel_plan is not None
+        spec.policy, contention=plan.channel_plan is not None
     )
     mobiles: list[MultiTierMobileNode] = []
     controllers: list[MobilityController] = []
-    flow_plans: list[FlowPlan] = []
-    for index in range(spec.population):
-        kind = traffic_assignment[index]
+
+    def add_mobile(index: int, kind: str, model) -> MobileEndpoint:
         mobile = world.add_mobile(
             f"mn{index}",
             bandwidth_demand=BANDWIDTH_DEMAND[kind],
             airtime_key=index,
-        )
-        model = make_mobility(
-            mobility_assignment[index], index, streams, roam, starts[index]
         )
         controllers.append(
             world.add_controller(
@@ -351,55 +144,39 @@ def build_multitier_scenario(spec: ScenarioSpec, seed: int) -> BuiltScenario:
             )
         )
         mobiles.append(mobile)
-        plan = plan_flow(
-            world.sim,
-            kind,
-            f"{spec.name}.mn{index}",
-            streams,
-            ack_dispatcher,
-            _downlink(world, mobile),
-            mobile.on_data,
-            mobile.originate,
-            world.cn.address,
-            mobile.home_address,
-        )
-        if plan is not None:
-            flow_plans.append(plan)
-    # Flash-crowd hotspots: extra simultaneous correspondent flows.
-    for index in hotspot_indices:
-        for flow in range(spec.hotspot_flows):
-            plan = plan_flow(
-                world.sim,
-                "poisson-data",
-                f"{spec.name}.mn{index}.hot{flow}",
-                streams,
-                ack_dispatcher,
-                _downlink(world, mobiles[index]),
-                mobiles[index].on_data,
-                mobiles[index].originate,
-                world.cn.address,
-                mobiles[index].home_address,
+
+        def send(packet: Packet) -> bool:
+            """Stream CN -> mobile with route optimization."""
+            return world.cn.send_to_mobile(
+                mobile.home_address,
+                size=packet.size,
+                flow_id=packet.flow_id,
+                seq=packet.seq,
+                created_at=packet.created_at,
             )
-            flow_plans.append(plan)
 
-    # Hybrid background (no-op returning None unless the spec carries a
-    # non-empty fluid block): one analytic driver over every contended
-    # cell, claiming airtime the discrete cohort then contends for.
-    fluid_driver = install_fluid_background(
-        world.sim, spec, world.all_radio_stations(), roam
+        return MobileEndpoint(
+            send, mobile.on_data, mobile.originate, mobile.home_address
+        )
+
+    # One analytic driver over every contended cell (hybrid runs),
+    # claiming airtime the discrete cohort then contends for.
+    air_cells = fluid_channel_pairs(world.all_radio_stations())
+    flow_plans, fluid_driver = wire_population(
+        world.sim, plan, world.cn, add_mobile, air_cells
     )
-
     return BuiltScenario(
         spec=spec,
         seed=int(seed),
+        sim=world.sim,
+        population=plan,
+        flow_plans=flow_plans,
+        fluid_driver=fluid_driver,
+        air_cells=air_cells,
+        decision_trace=world.decision_trace,
         world=world,
         mobiles=mobiles,
         controllers=controllers,
-        mobility_assignment=mobility_assignment,
-        traffic_assignment=traffic_assignment,
-        hotspot_indices=hotspot_indices,
-        flow_plans=flow_plans,
-        fluid_driver=fluid_driver,
     )
 
 
@@ -423,12 +200,6 @@ class MultiTierStack(StackAdapter):
         """Assemble the multi-tier world (see
         :func:`build_multitier_scenario`)."""
         return build_multitier_scenario(spec, seed)
-
-    def harvest_metrics(
-        self, spec: ScenarioSpec, harvest: dict
-    ) -> dict[str, float]:
-        """Metric dict from a merged shard harvest (shared formulas)."""
-        return metrics_from_harvest(spec, harvest)
 
     def exercised(self, spec: ScenarioSpec) -> list[str]:
         """Adapter features ``spec`` exercises under the multi-tier stack."""
@@ -469,5 +240,4 @@ __all__ = [
     "BuiltScenario",
     "MultiTierStack",
     "build_multitier_scenario",
-    "metrics_from_harvest",
 ]

@@ -11,8 +11,12 @@ pair, mobile ``mn3`` walks the identical trajectory and receives the
 identical offered traffic under every stack; only the mobility
 management underneath differs.
 
-These helpers are hoisted verbatim from the pre-stacks
-``repro.scenarios.builder`` (PR 2); the stream names (``mn<i>.start.x``,
+:func:`plan_population` draws that seeded plan once per run and
+:func:`wire_population` lays it over a stack's topology — the two calls
+every stack builder makes, so the per-mobile loop, the hotspot flows,
+the air-interface plan and the hybrid background exist exactly once.
+
+The stream names (``mn<i>.start.x``,
 ``assign.traffic``, ``<flow>.talkspurts``, ...) are part of the
 determinism contract and must not change — the multi-tier adapter's
 byte-identity with pre-refactor output depends on them.
@@ -37,7 +41,9 @@ from repro.mobility import (
     RandomWaypoint,
     Stationary,
 )
+from repro.fluid.driver import FluidDriver, install_fluid_background
 from repro.net.packet import Packet
+from repro.radio.channel import ChannelPlan
 from repro.radio.geometry import Point, Rectangle
 from repro.sim.rng import RandomStreams
 from repro.traffic import (
@@ -52,6 +58,9 @@ from repro.traffic import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.policy.config import PolicyConfig
+    from repro.radio.cells import Cell
+    from repro.radio.channel import SharedChannel
     from repro.scenarios.spec import ScenarioSpec
     from repro.sim.kernel import Simulator
 
@@ -272,24 +281,12 @@ class ElasticAckDispatcher:
 
 @dataclass
 class FlowPlan:
-    """A traffic flow scheduled to start after warmup.
-
-    ``start`` performs the whole monolithic start (sender and receiver
-    side, in the historical order).  Sharded runs split the two ends
-    across processes: the correspondent-side shard calls
-    ``start_sender`` while the mobile-side shard calls
-    ``attach_receiver`` — together they perform exactly what ``start``
-    does, so shard count cannot change flow behaviour.
-    """
+    """A traffic flow scheduled to start after warmup."""
 
     flow_id: str
     kind: str
     start: Callable[[float], TrafficSource]  # duration -> started source
     sink: FlowSink
-    #: CN-side half of ``start``: create + start the traffic source.
-    start_sender: Optional[Callable[[float], TrafficSource]] = None
-    #: Mobile-side half of ``start``: install receive hooks (elastic ack).
-    attach_receiver: Optional[Callable[[], None]] = None
 
 
 def plan_flow(
@@ -320,7 +317,7 @@ def plan_flow(
     sink = FlowSink(flow_id=flow_id)
     data_hooks.append(sink.bind(sim))
 
-    def make_source(duration: float) -> TrafficSource:
+    def start(duration: float) -> TrafficSource:
         if kind == "cbr-voice":
             source = CBRSource(
                 sim, send, src_address, dst_address,
@@ -354,32 +351,133 @@ def plan_flow(
                 packet_size=1000, duration=duration, flow_id=flow_id,
             )
             ack_dispatcher.register(source)
+            data_hooks.append(make_ack_hook(sim, ack_reply, flow_id=flow_id))
         else:  # pragma: no cover - spec validation rejects this earlier
             raise ValueError(f"unknown traffic kind {kind!r}")
-        return source
-
-    def attach_receiver() -> None:
-        if kind == "elastic-data":
-            data_hooks.append(make_ack_hook(sim, ack_reply, flow_id=flow_id))
-
-    def start_sender(duration: float) -> TrafficSource:
-        return make_source(duration).start()
-
-    def start(duration: float) -> TrafficSource:
-        # Historical monolithic order: create + register the source,
-        # install the mobile-side hook, then start — preserved exactly
-        # so legacy runs stay byte-identical.
-        source = make_source(duration)
-        attach_receiver()
         return source.start()
 
-    return FlowPlan(
-        flow_id=flow_id,
-        kind=kind,
-        start=start,
-        sink=sink,
-        start_sender=start_sender,
-        attach_receiver=attach_receiver,
+    return FlowPlan(flow_id=flow_id, kind=kind, start=start, sink=sink)
+
+
+@dataclass
+class PopulationPlan:
+    """The seeded, stack-independent half of one run.
+
+    Who roams where, who carries which traffic, which mobiles are
+    hotspots, and the per-tier air-interface budgets — everything a
+    stack builder needs before it lays out its own topology.
+    """
+
+    spec: "ScenarioSpec"
+    streams: RandomStreams
+    roam: Rectangle
+    mobility_assignment: list[str]
+    traffic_assignment: list[str]
+    hotspot_indices: list[int]
+    starts: list[Point]
+    #: Per-cell shared channels on every tier; ``None`` = legacy
+    #: unconstrained per-mobile radio links (contention off).
+    channel_plan: Optional[ChannelPlan]
+
+
+def plan_population(
+    spec: "ScenarioSpec", seed: int, air_policy: "PolicyConfig"
+) -> PopulationPlan:
+    """Draw the seeded population plan for one ``(spec, seed)``.
+
+    ``air_policy`` supplies the air-interface resource controls
+    (admission factor, weighted airtime) of the contention-mode
+    channel plan: the multi-tier stack passes ``spec.policy``, the
+    tier-blind baselines a default block.  The micro tier (and any
+    unset field) runs at its ``TIER_DEFAULTS`` budget; uplink budgets
+    are half the downlink ones.  Deterministic: seeded streams only.
+    """
+    streams = RandomStreams(int(seed))
+    roam = roam_rectangle(spec)
+    mobility, traffic, hotspots = assignments(spec, streams)
+    channel_plan = None
+    if spec.channels_enabled():
+        channel_plan = ChannelPlan(
+            macro_bandwidth=spec.macro_channel_bandwidth,
+            pico_bandwidth=spec.pico_channel_bandwidth,
+            admission_factor=air_policy.admission_factor,
+            weighted=air_policy.weighted_airtime,
+        )
+    return PopulationPlan(
+        spec=spec,
+        streams=streams,
+        roam=roam,
+        mobility_assignment=mobility,
+        traffic_assignment=traffic,
+        hotspot_indices=hotspots,
+        starts=start_positions(spec, streams, roam),
+        channel_plan=channel_plan,
+    )
+
+
+@dataclass
+class MobileEndpoint:
+    """The ends of one mobile's downlink flows, as its stack wires them."""
+
+    #: CN-side downlink injection (route-optimized tunnelling for
+    #: multi-tier, plain Internet routing for the baselines).
+    send: Callable[[Packet], bool]
+    #: The mobile-side hook list fired per received data packet.
+    data_hooks: list
+    #: Originates the elastic ack uplink from the mobile.
+    ack_reply: Callable[[Packet], object]
+    #: The address flows to this mobile are sent to.
+    address: object
+
+
+def wire_population(
+    sim: "Simulator",
+    plan: PopulationPlan,
+    cn,
+    add_mobile: Callable[[int, str, MobilityModel], MobileEndpoint],
+    air_cells: list[tuple["Cell", "SharedChannel"]],
+) -> tuple[list[FlowPlan], Optional[FluidDriver]]:
+    """Lay the planned population and traffic over a built topology.
+
+    Per mobile index, in order: instantiate its mobility model, let the
+    stack create the mobile and its controller
+    (``add_mobile(index, traffic kind, model)``) and plan its downlink
+    flow from the correspondent ``cn``; then the flash-crowd hotspots'
+    extra simultaneous correspondent flows; last the hybrid background
+    over ``air_cells`` (a no-op returning ``None`` unless the spec
+    carries a non-empty fluid block).  Returns the flow plans and the
+    fluid driver.  Deterministic: fixed order, seeded streams only.
+    """
+    spec = plan.spec
+    ack_dispatcher = ElasticAckDispatcher()
+    cn.on_protocol("ack", ack_dispatcher)
+    endpoints: list[MobileEndpoint] = []
+    flow_plans: list[FlowPlan] = []
+
+    def flow(kind: str, flow_id: str, index: int) -> Optional[FlowPlan]:
+        end = endpoints[index]
+        return plan_flow(
+            sim, kind, flow_id, plan.streams, ack_dispatcher,
+            end.send, end.data_hooks, end.ack_reply, cn.address, end.address,
+        )
+
+    for index in range(spec.population):
+        kind = plan.traffic_assignment[index]
+        model = make_mobility(
+            plan.mobility_assignment[index], index, plan.streams,
+            plan.roam, plan.starts[index],
+        )
+        endpoints.append(add_mobile(index, kind, model))
+        planned = flow(kind, f"{spec.name}.mn{index}", index)
+        if planned is not None:
+            flow_plans.append(planned)
+    for index in plan.hotspot_indices:
+        for hot in range(spec.hotspot_flows):
+            flow_plans.append(
+                flow("poisson-data", f"{spec.name}.mn{index}.hot{hot}", index)
+            )
+    return flow_plans, install_fluid_background(
+        sim, spec, air_cells, plan.roam
     )
 
 
@@ -388,11 +486,15 @@ __all__ = [
     "PICO_FRIENDLY_MODELS",
     "ElasticAckDispatcher",
     "FlowPlan",
+    "MobileEndpoint",
+    "PopulationPlan",
     "assignments",
     "make_mobility",
     "pico_placements",
     "pico_sites",
     "plan_flow",
+    "plan_population",
     "roam_rectangle",
     "start_positions",
+    "wire_population",
 ]

@@ -1,8 +1,8 @@
 """The protocol-stack registry.
 
 Maps ``ScenarioSpec.stack`` values to :class:`~repro.stacks.base.
-StackAdapter` instances.  The three shipped stacks register themselves
-when :mod:`repro.stacks` is imported; a fourth stack is one
+StackAdapter` instances.  The four shipped stacks register themselves
+when :mod:`repro.stacks` is imported; a fifth stack is one
 :func:`register_stack` call (see ``docs/STACKS.md``).  Lookup failures
 always list the registered names, so an unknown ``--stack`` fails
 eagerly and helpfully.

@@ -133,13 +133,13 @@ def test_simulated_highway_handoff_rate_matches_fluid_flow():
     at about v/d per second."""
     from repro.mobility import Highway
     from repro.multitier.architecture import WORLD_BOUNDS, MultiTierWorld
-    from repro.multitier.policy import AlwaysMicroPolicy
+    from repro.policy import TierDecider
     from repro.radio.geometry import Point
 
     world = MultiTierWorld()
     mn = world.add_mobile("veh")
     model = Highway(Point(-2700, 0), WORLD_BOUNDS, None, speed=25.0, wrap=False)
-    world.add_controller(mn, model, policy=AlwaysMicroPolicy(), sample_period=0.25)
+    world.add_controller(mn, model, policy=TierDecider(mode="always-micro"), sample_period=0.25)
     # Drive across B -> A -> C: 1400 m of contiguous micro coverage.
     duration = 1400 / 25.0
     world.sim.run(until=duration)

@@ -6,12 +6,7 @@ import pytest
 
 from repro.mobility import Highway, Stationary, TracePlayback
 from repro.multitier.architecture import WORLD_BOUNDS, MultiTierWorld
-from repro.multitier.policy import (
-    AlwaysMacroPolicy,
-    Candidate,
-    HandoffFactors,
-    TierSelectionPolicy,
-)
+from repro.policy import Candidate, HandoffFactors, TierDecider
 from repro.radio.cells import Tier
 from repro.radio.geometry import Point
 
@@ -61,7 +56,7 @@ def test_controller_macro_policy_overrides():
     world = MultiTierWorld()
     mn = world.add_mobile("mn")
     world.add_controller(
-        mn, Stationary(Point(-2000, 0), WORLD_BOUNDS), policy=AlwaysMacroPolicy()
+        mn, Stationary(Point(-2000, 0), WORLD_BOUNDS), policy=TierDecider(mode="always-macro")
     )
     world.sim.run(until=5.0)
     assert mn.serving_tier is Tier.MACRO
@@ -116,7 +111,7 @@ def make_candidates():
 
 
 def test_policy_fast_mobile_orders_macro_first():
-    policy = TierSelectionPolicy(speed_threshold=15.0)
+    policy = TierDecider(speed_threshold=15.0)
     ordered = policy.order_candidates(
         make_candidates(), HandoffFactors(speed=25.0)
     )
@@ -124,7 +119,7 @@ def test_policy_fast_mobile_orders_macro_first():
 
 
 def test_policy_slow_mobile_orders_micro_first_by_signal():
-    policy = TierSelectionPolicy()
+    policy = TierDecider()
     ordered = policy.order_candidates(
         make_candidates(), HandoffFactors(speed=1.0)
     )
@@ -135,7 +130,7 @@ def test_policy_slow_mobile_orders_micro_first_by_signal():
 
 
 def test_policy_bandwidth_demand_prefers_smallest_cells():
-    policy = TierSelectionPolicy(demand_threshold=200e3)
+    policy = TierDecider(demand_threshold=200e3)
     preference = policy.tier_preference(
         HandoffFactors(speed=1.0, bandwidth_demand=384e3)
     )
@@ -143,7 +138,7 @@ def test_policy_bandwidth_demand_prefers_smallest_cells():
 
 
 def test_policy_default_preference_micro_first():
-    policy = TierSelectionPolicy()
+    policy = TierDecider()
     preference = policy.tier_preference(HandoffFactors(speed=1.0))
     assert preference[0] is Tier.MICRO
     assert preference[-1] is Tier.MACRO
@@ -151,4 +146,4 @@ def test_policy_default_preference_micro_first():
 
 def test_policy_validation():
     with pytest.raises(ValueError):
-        TierSelectionPolicy(speed_threshold=0.0)
+        TierDecider(speed_threshold=0.0)

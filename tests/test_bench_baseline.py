@@ -51,26 +51,6 @@ def test_baseline_covers_kernel_and_every_stack():
         )
 
 
-def test_baseline_covers_shard_scaling_curve():
-    """Every point of the shard-scaling curve (see
-    ``benchmarks/bench_shard_scaling.py``) has a baseline entry, so the
-    CI tolerance gate covers the conservative-sync overhead too."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_shard_scaling", REPO / "benchmarks" / "bench_shard_scaling.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert module.SHARD_COUNTS == (1, 2, 4)
-
-    entries = json.loads(BASELINE.read_text())["entries"]
-    for shards in module.SHARD_COUNTS:
-        key = f"test_bench_shard_scaling[{shards}]"
-        assert key in entries, (
-            f"shard count {shards} has no baseline entry; re-run "
-            f"tools/update_bench_baseline.py"
-        )
-
-
 def _report(name, mean):
     return {"benchmarks": [{"name": name, "stats": {"mean": mean}}]}
 

@@ -1,8 +1,8 @@
 """Docs-debt guard: the public API must stay documented.
 
 Walks ``__all__`` of the scenario subsystem, the execution engine, the
-campaign runner, the policy engine, the hybrid fluid layer, the shard
-engine, and the radio and mobility packages (their public APIs are the package
+campaign runner, the policy engine, the hybrid fluid layer, and the
+radio and mobility packages (their public APIs are the package
 ``__init__`` exports plus the shared-channel module) and asserts every
 exported callable/class (and every public method defined on an
 exported class) carries a real docstring, and that each module states
@@ -37,12 +37,6 @@ import repro.scenarios.catalog
 import repro.scenarios.compare
 import repro.scenarios.spec
 import repro.scenarios.sweep
-import repro.shard
-import repro.shard.boundary
-import repro.shard.driver
-import repro.shard.plan
-import repro.shard.runner
-import repro.shard.transport
 import repro.stacks
 import repro.stacks.base
 import repro.stacks.cellularip
@@ -75,12 +69,6 @@ MODULES = [
     repro.policy.types,
     repro.radio,
     repro.radio.channel,
-    repro.shard,
-    repro.shard.plan,
-    repro.shard.boundary,
-    repro.shard.driver,
-    repro.shard.transport,
-    repro.shard.runner,
     repro.mobility,
     repro.stacks,
     repro.stacks.base,

@@ -69,23 +69,19 @@ def test_demand_threshold_resolution():
 
 
 # ----------------------------------------------------------------------
-# S1: legacy entry point validates demand_threshold like speed_threshold
+# S1: the decider validates demand_threshold like speed_threshold
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("bad", [0.0, -200e3, float("nan")])
 def test_legacy_policy_rejects_bad_demand_threshold(bad):
-    from repro.multitier.policy import TierSelectionPolicy
-
     with pytest.raises(ValueError, match="demand_threshold must be positive"):
-        TierSelectionPolicy(demand_threshold=bad)
+        TierDecider(demand_threshold=bad)
 
 
 def test_legacy_policy_threshold_errors_share_one_shape():
-    from repro.multitier.policy import TierSelectionPolicy
-
     with pytest.raises(ValueError) as speed_error:
-        TierSelectionPolicy(speed_threshold=-1.0)
+        TierDecider(speed_threshold=-1.0)
     with pytest.raises(ValueError) as demand_error:
-        TierSelectionPolicy(demand_threshold=-1.0)
+        TierDecider(demand_threshold=-1.0)
     assert str(speed_error.value) == "speed_threshold must be positive"
     assert str(demand_error.value) == "demand_threshold must be positive"
 

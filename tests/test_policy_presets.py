@@ -1,13 +1,12 @@
 """S4: ablation policies as :class:`PolicyConfig` presets, and reasons.
 
-The E9 tier-policy ablation predates the policy package: it
-parametrizes over the legacy ``Always*Policy`` / ``TierSelectionPolicy``
-classes.  These tests pin that re-expressing each of those classes as a
-``PolicyConfig`` preset (built through
+The E9 tier-policy ablation builds its arms as ``TierDecider(mode=...)``.
+These tests pin that expressing each arm as a ``PolicyConfig`` preset
+(built through
 :meth:`TierDecider.from_config <repro.policy.decider.TierDecider.from_config>`)
-produces a byte-identical E9 table — the explainable decider is the
-same policy, not a near-miss — and that every decision an instrumented
-world emits carries at least one machine-readable reason.
+produces a byte-identical E9 table — a preset is the same policy, not a
+near-miss — and that every decision an instrumented world emits carries
+at least one machine-readable reason.
 """
 
 import pytest
@@ -21,22 +20,14 @@ _E9_PARAMS = dict(seeds=(1, 2), duration=60.0, vehicles=2, pedestrians=2)
 
 
 def test_e9_preset_policies_reproduce_legacy_table(monkeypatch):
-    """PRESETS-built deciders replicate the legacy classes byte-for-byte."""
+    """PRESETS-built deciders replicate the E9 arms byte-for-byte."""
     from repro.experiments import ablations
 
     baseline = ablations.experiment_e9(**_E9_PARAMS)
 
     monkeypatch.setattr(
-        ablations, "TierSelectionPolicy",
-        lambda: TierDecider.from_config(PRESETS["speed-aware"]),
-    )
-    monkeypatch.setattr(
-        ablations, "AlwaysStrongestPolicy",
-        lambda: TierDecider.from_config(PRESETS["always-strongest"]),
-    )
-    monkeypatch.setattr(
-        ablations, "AlwaysMicroPolicy",
-        lambda: TierDecider.from_config(PRESETS["always-micro"]),
+        ablations, "TierDecider",
+        lambda mode: TierDecider.from_config(PRESETS[mode]),
     )
     via_presets = ablations.experiment_e9(**_E9_PARAMS)
 

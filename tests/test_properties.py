@@ -5,7 +5,7 @@ does not install — this layer instead derives each mini-spec from a
 seeded ``random.Random`` and pytest parametrization, so the same cases
 run everywhere, deterministically, with no optional dependency.
 
-Four properties, each over a family of generated specs (random
+Three properties, each over a family of generated specs (random
 population, duration, mobility/traffic mixes, topology, stack):
 
 1. repeat == repeat — one ``(spec, seed)`` pair is byte-identical
@@ -13,10 +13,7 @@ population, duration, mobility/traffic mixes, topology, stack):
 2. serial == pool(2) — the execution backends add no nondeterminism;
 3. fluid-off == legacy — a spec with ``fluid=None`` and the same spec
    with ``fluid={"population": 0}`` are byte-identical, across every
-   registered stack: the hybrid layer is invisible until enabled;
-4. shards(1) == shards(2) — conservative spatial decomposition (see
-   :mod:`repro.shard`) changes wall-clock distribution, never a
-   metric byte, across every registered stack.
+   registered stack: the hybrid layer is invisible until enabled.
 """
 
 import multiprocessing
@@ -114,55 +111,6 @@ def test_fluid_population_zero_is_byte_identical_to_fluid_none(case_seed):
     )
     assert legacy == disabled
     assert not any(key.startswith("fluid.") for key in legacy)
-
-
-@pytest.mark.parametrize("case_seed", CASE_SEEDS)
-def test_generated_spec_sharded_run_is_byte_identical(case_seed):
-    """The shard determinism contract over the randomized family:
-    ``shards=2`` (thread transport, so the property runs on fork-less
-    platforms too) produces the byte-identical metric dict."""
-    from repro.shard import LocalTransport, run_scenario_spec_sharded
-
-    spec = random_mini_spec(case_seed)
-    serial = run_scenario_spec(spec, seed=1)
-    sharded = run_scenario_spec_sharded(
-        spec, 1, 2, transport=LocalTransport()
-    )
-    assert serial == sharded
-
-
-@pytest.mark.parametrize("stack", sorted(stack_names()))
-def test_sharded_run_identity_holds_on_every_stack(stack):
-    """shards(1) == shards(2), explicitly per registered stack, on a
-    two-domain spec (inter-domain handoffs reachable) — the randomized
-    family above only samples stacks and topologies."""
-    from repro.shard import LocalTransport, run_scenario_spec_sharded
-
-    spec = random_mini_spec(CASE_SEEDS[1]).replace(
-        name=f"prop-shard-{stack}", stack=stack, domains=2
-    )
-    serial = run_scenario_spec_sharded(spec, 1, 1)
-    sharded = run_scenario_spec_sharded(
-        spec, 1, 2, transport=LocalTransport()
-    )
-    assert serial == sharded
-    assert serial == run_scenario_spec(spec, seed=1)
-
-
-@needs_fork
-def test_sharded_run_is_byte_identical_across_processes():
-    """The real cross-process transport (fork + pipes) preserves the
-    same contract the thread transport proves above."""
-    from repro.shard import PipeTransport, run_scenario_spec_sharded
-
-    spec = random_mini_spec(CASE_SEEDS[2]).replace(
-        name="prop-shard-pipe", domains=2
-    )
-    serial = run_scenario_spec(spec, seed=1)
-    sharded = run_scenario_spec_sharded(
-        spec, 1, 2, transport=PipeTransport()
-    )
-    assert serial == sharded
 
 
 @pytest.mark.parametrize("stack", sorted(stack_names()))

@@ -192,7 +192,7 @@ def test_build_scenario_second_domain_and_hotspots():
     assert build_scenario(spec, seed=1).world.domain2 is not None
     crowd = get_scenario("flash-crowd").smoke()
     built = build_scenario(crowd, seed=1)
-    assert len(built.hotspot_indices) == crowd.hotspot_count() > 0
+    assert len(built.population.hotspot_indices) == crowd.hotspot_count() > 0
     hot_flows = [
         plan for plan in built.flow_plans if ".hot" in plan.flow_id
     ]

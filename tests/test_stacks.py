@@ -10,8 +10,11 @@ Pins the stacks refactor's load-bearing guarantees:
   at one seed;
 * one-batch dispatch for ``--stack all`` comparisons, and regrouping
   equal to per-stack replication;
+* the shared skeleton: every stack builds a ``BuiltRun`` and a
+  throw-away fifth stack fits in 60 lines;
 * the golden regression: ``stack="multitier"`` output byte-identical
-  to the committed pre-refactor ``results/scenarios_smoke/`` tables;
+  to the committed pre-refactor ``results/scenarios_smoke/`` tables,
+  and the baselines' to ``results/stacks_smoke/``;
 * Mobile IP uplink shared-channel contention (the ROADMAP nicety).
 """
 
@@ -88,6 +91,119 @@ def test_smoke_and_derived_specs_preserve_stack():
     spec = _smoke(stack="mobileip")
     assert spec.smoke().stack == "mobileip"
     assert spec.scaled(2.0).stack == "mobileip"
+
+
+def test_every_registered_adapter_class_is_importable_from_repro_stacks():
+    import repro.stacks
+
+    for adapter in iter_stacks():
+        name = type(adapter).__name__
+        assert name in repro.stacks.__all__, name
+        assert getattr(repro.stacks, name) is type(adapter)
+
+
+# ----------------------------------------------------------------------
+# The shared skeleton
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("stack", ALL_STACKS)
+def test_every_stack_builds_a_built_run_with_the_one_execute(stack):
+    """A stack contributes data fields and counter hooks only: the run
+    protocol (``execute``) and the metric assembly (``harvest``) are
+    defined once, on :class:`BuiltRun`."""
+    from repro.scenarios import build_scenario
+    from repro.stacks import BuiltRun
+
+    built = build_scenario(_smoke(stack=stack), seed=1)
+    assert isinstance(built, BuiltRun)
+    for method in ("execute", "harvest"):
+        owners = [c for c in type(built).__mro__ if method in vars(c)]
+        assert owners == [BuiltRun], (stack, method, owners)
+
+
+def test_throwaway_fifth_stack_runs_on_the_shared_skeleton():
+    """What a new stack costs: a ``BuiltRun`` subclass with its two
+    counter hooks, a topology, and one ``add_mobile`` callback.  This
+    one has no access network at all (mobiles roam, nothing is
+    delivered) yet emits every common metric through the skeleton."""
+    import math
+    from dataclasses import dataclass
+
+    from repro.net.topology import Network
+    from repro.policy import PolicyConfig
+    from repro.sim.kernel import Simulator
+    from repro.stacks import BuiltRun, StackAdapter
+    from repro.stacks.flat import FlatMobilityController, flat_cell_layout
+    from repro.stacks.population import (
+        MobileEndpoint, plan_population, wire_population,
+    )
+    from repro.stacks.registry import _REGISTRY
+
+    # --- the whole stack (<= 60 lines) --------------------------------
+    class NullController(FlatMobilityController):
+        """Tracks the strongest cell; attaching and moving do nothing."""
+
+    @dataclass(kw_only=True)
+    class BuiltNullRun(BuiltRun):
+        controllers: list
+
+        def mobility_counters(self):
+            return (
+                sum(c.handoffs for c in self.controllers),
+                [t for c in self.controllers for t in c.handoff_latencies],
+                sum(1 for c in self.controllers if c.serving_cell is not None),
+            )
+
+        def extras(self):
+            return {"null.controllers": float(len(self.controllers))}
+
+    class NullStack(StackAdapter):
+        name = "null"
+        description = "no access network: mobility only"
+        metric_namespace = "null"
+
+        def build(self, spec, seed):
+            plan = plan_population(spec, seed, PolicyConfig())
+            sim = Simulator()
+            cn = Network(sim, prefix="10.0.0.0/8").host("cn")
+            cells = [
+                site.cell()
+                for site in flat_cell_layout(
+                    spec, plan.starts, plan.mobility_assignment,
+                    plan.traffic_assignment,
+                )
+            ]
+            controllers = []
+
+            def add_mobile(index, kind, model):
+                controllers.append(NullController(
+                    sim, model, cells, sample_period=spec.sample_period
+                ))
+                return MobileEndpoint(
+                    lambda packet: True, [], lambda packet: None, cn.address
+                )
+
+            flow_plans, fluid_driver = wire_population(
+                sim, plan, cn, add_mobile, []
+            )
+            return BuiltNullRun(
+                spec=spec, seed=seed, sim=sim, population=plan,
+                flow_plans=flow_plans, fluid_driver=fluid_driver,
+                air_cells=[], decision_trace=None, controllers=controllers,
+            )
+    # ------------------------------------------------------------------
+
+    register_stack(NullStack())
+    try:
+        spec = _smoke("city-rush-hour", stack="null")
+        metrics = run_scenario_spec(spec, seed=1)
+    finally:
+        del _REGISTRY["null"]
+    assert stack_names() == ALL_STACKS
+    for name in COMMON_METRICS:
+        assert isinstance(metrics[name], float) and math.isfinite(metrics[name])
+    assert metrics["sent"] > 0 and metrics["received"] == 0
+    assert metrics["attached"] == spec.population
+    assert metrics["null.controllers"] == spec.population
 
 
 # ----------------------------------------------------------------------

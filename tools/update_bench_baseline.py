@@ -53,7 +53,6 @@ BASELINE = REPO / "benchmarks" / "BENCH_kernel.json"
 BENCH_FILES = (
     "benchmarks/bench_kernel_throughput.py",
     "benchmarks/bench_scenario_stacks.py",
-    "benchmarks/bench_shard_scaling.py",
 )
 
 SCHEMA = 2
