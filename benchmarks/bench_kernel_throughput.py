@@ -31,7 +31,7 @@ def run_callback_storm(count):
     sim = Simulator()
     hits = []
     for index in range(count):
-        sim.schedule(float(index % 97), hits.append, index)
+        sim.call_later(float(index % 97), hits.append, index)
     sim.run()
     return len(hits)
 

@@ -11,13 +11,14 @@ from benchmarks.conftest import run_once
 from repro.analysis import erlang_b, guard_channel_blocking
 from repro.experiments.runner import ExperimentResult
 from repro.metrics.tables import format_table
-from repro.sim import GuardedChannelPool, RandomStreams, Simulator
+from repro.multitier.basestation import GuardedChannelPool
+from repro.sim import RandomStreams, Simulator
 
 
 def simulate_blocking(servers, guard, new_load, handoff_load, duration, seed):
     """Simulate a guarded loss system; returns (P_block_new, P_drop_ho)."""
     sim = Simulator()
-    pool = GuardedChannelPool(sim, capacity=servers, guard=guard)
+    pool = GuardedChannelPool(capacity=servers, guard=guard)
     streams = RandomStreams(seed)
     counts = {"new": 0, "new_blocked": 0, "ho": 0, "ho_blocked": 0}
 

@@ -18,10 +18,11 @@ from repro.net.addressing import IPAddress, Prefix
 from repro.net.link import connect
 from repro.net.node import Node
 from repro.net.packet import Packet
-from repro.radio.channel import SharedChannel, airtime_key
+from repro.radio.channel import radio_attach, radio_detach
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.link import Link
+    from repro.radio.channel import SharedChannel
     from repro.sim.kernel import Simulator
 
 
@@ -42,12 +43,7 @@ class CIPDomain:
         wired_bandwidth: float = 100e6,
         wired_delay: float = 0.002,
         broadcast_paging: bool = True,
-        channel_bandwidth: Optional[float] = None,
     ) -> None:
-        if channel_bandwidth is not None and channel_bandwidth <= 0:
-            raise ValueError(
-                f"channel_bandwidth must be positive, got {channel_bandwidth}"
-            )
         self.sim = sim
         self.route_timeout = route_timeout
         self.paging_timeout = paging_timeout
@@ -60,10 +56,6 @@ class CIPDomain:
         self.wired_bandwidth = wired_bandwidth
         self.wired_delay = wired_delay
         self.broadcast_paging = broadcast_paging
-        #: Shared downlink air-interface budget per base station
-        #: (bit/s; uplink budget is half).  ``None`` (default) keeps
-        #: the legacy unconstrained per-mobile radio links.
-        self.channel_bandwidth = channel_bandwidth
 
         self.gateway: Optional["CIPGateway"] = None
         self.base_stations: list["CIPBaseStation"] = []
@@ -111,7 +103,14 @@ class CIPDomain:
 class CIPBaseStation(Node):
     """One node of the Cellular IP access tree."""
 
-    def __init__(self, sim: "Simulator", name: str, address, domain: CIPDomain) -> None:
+    def __init__(
+        self,
+        sim: "Simulator",
+        name: str,
+        address,
+        domain: CIPDomain,
+        shared_channel: Optional["SharedChannel"] = None,
+    ) -> None:
         super().__init__(sim, name, address)
         self.domain = domain
         self.parent: Optional["CIPBaseStation"] = None
@@ -120,14 +119,7 @@ class CIPBaseStation(Node):
         self.paging_cache = RoutingCache(sim, domain.paging_timeout)
         #: Shared air interface of this station's cell; ``None`` =
         #: legacy mode (unconstrained per-mobile radio links).
-        self.shared_channel: Optional[SharedChannel] = None
-        if domain.channel_bandwidth is not None:
-            self.shared_channel = SharedChannel(
-                sim,
-                f"air-{name}",
-                domain.channel_bandwidth,
-                domain.channel_bandwidth * 0.5,
-            )
+        self.shared_channel = shared_channel
         #: Radio-attached mobiles: address -> node.
         self.attached: dict[IPAddress, Node] = {}
         self.control_packets_seen = 0
@@ -152,17 +144,9 @@ class CIPBaseStation(Node):
         address = mobile.address
         if address in self.attached:
             return
-        connect(
-            self.sim,
-            self,
-            mobile,
-            bandwidth=self.domain.wireless_bandwidth,
-            delay=self.domain.wireless_delay,
-            shared_channel=self.shared_channel,
-            channel_key=airtime_key(mobile),
+        radio_attach(
+            self, mobile, self.domain.wireless_bandwidth, self.domain.wireless_delay
         )
-        if self.shared_channel is not None:
-            self.shared_channel.attach(airtime_key(mobile))
         self.attached[address] = mobile
 
     def detach_mobile(self, mobile: Node) -> None:
@@ -172,11 +156,8 @@ class CIPBaseStation(Node):
         this cell's shared channel (air-interface losses); a no-op in
         legacy mode.
         """
-        if self.shared_channel is not None and self.link_to(mobile) is not None:
-            self.shared_channel.detach(airtime_key(mobile))
         self.attached.pop(mobile.address, None)
-        self.detach_link(mobile)
-        mobile.detach_link(self)
+        radio_detach(self, mobile)
 
     # ------------------------------------------------------------------
     # Packet handling

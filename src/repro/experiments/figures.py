@@ -224,7 +224,7 @@ def experiment_e2(
                 packet_size=500,
                 duration=duration,
             )
-            sim.schedule(1.0, source.start)
+            sim.call_later(1.0, source.start)
             sink.flow_id = source.flow_id
             sim.run(until=1.0 + duration + 2.0)
             control = domain.total_control_packets()
@@ -574,7 +574,7 @@ def experiment_e7_blocking(
                 sim = world.sim
                 d1 = world.domain1
                 target = d1["E"]
-                target.channels._capacity = channels
+                target.channels.capacity = channels
                 # Residents occupy the target cell up to its capacity.
                 for index in range(load):
                     resident = world.add_mobile(f"res{index}")

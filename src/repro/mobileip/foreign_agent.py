@@ -12,11 +12,10 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.mobileip import messages
 from repro.net.addressing import IPAddress
-from repro.net.link import connect
 from repro.net.node import Node
 from repro.net.packet import Packet, decapsulate
 from repro.net.router import Router
-from repro.radio.channel import airtime_key
+from repro.radio.channel import radio_attach, radio_detach
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.link import Link
@@ -84,17 +83,7 @@ class ForeignAgent(Router):
         address = mobile.address
         if address in self.attached:
             return
-        connect(
-            self.sim,
-            self,
-            mobile,
-            bandwidth=self.wireless_bandwidth,
-            delay=self.wireless_delay,
-            shared_channel=self.shared_channel,
-            channel_key=airtime_key(mobile),
-        )
-        if self.shared_channel is not None:
-            self.shared_channel.attach(airtime_key(mobile))
+        radio_attach(self, mobile, self.wireless_bandwidth, self.wireless_delay)
         self.attached[address] = mobile
         self._send_advertisement(mobile)
 
@@ -105,12 +94,9 @@ class ForeignAgent(Router):
         this cell's shared channel (air-interface losses); a no-op in
         legacy mode.
         """
-        if self.shared_channel is not None and self.link_to(mobile) is not None:
-            self.shared_channel.detach(airtime_key(mobile))
         self.attached.pop(mobile.address, None)
         self.visitors.pop(mobile.address, None)
-        self.detach_link(mobile)
-        mobile.detach_link(self)
+        radio_detach(self, mobile)
 
     # ------------------------------------------------------------------
     # Agent advertisement

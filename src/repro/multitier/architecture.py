@@ -43,7 +43,7 @@ from repro.policy.types import (
 from repro.net import Network
 from repro.net.addressing import AddressAllocator
 from repro.radio.cells import Cell, Tier
-from repro.radio.channel import ChannelPlan
+from repro.radio.channel import DOWNLINK, ChannelPlan
 from repro.radio.geometry import Point, Rectangle
 from repro.radio.propagation import PropagationModel
 from repro.radio.signal import SignalMeter
@@ -442,8 +442,6 @@ class MobilityController:
         """True when ``station``'s shared downlink queue is at or above
         the offload threshold; always False in legacy mode (no channel).
         """
-        from repro.radio.channel import DOWNLINK
-
         channel = station.shared_channel
         return (
             channel is not None

@@ -10,17 +10,16 @@ down when a record is known, up toward the RSMC otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import TYPE_CHECKING, Optional
 
 from repro.multitier import messages
 from repro.multitier.tables import TablePair
 from repro.net.addressing import IPAddress
-from repro.net.link import connect
 from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.radio.cells import Cell, Tier
-from repro.radio.channel import airtime_key
-from repro.sim.resources import GuardedChannelPool, Request
+from repro.radio.channel import airtime_key, radio_attach, radio_detach
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.multitier.domain import MultiTierDomain
@@ -29,12 +28,61 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
 
 
+class GuardedChannelPool:
+    """A channel pool with *guard channels* reserved for handoffs.
+
+    A classic cellular admission policy: of ``capacity`` channels, the
+    last ``guard`` may only be taken by handoff requests.  New calls are
+    blocked once ``capacity - guard`` channels are busy; handoffs are
+    blocked only when every channel is busy.  This is the "resources of
+    BS" decision factor in the paper's handoff strategy (§3.2).
+
+    Admission is immediate (nothing ever waits for a channel), so the
+    pool is a plain counter: an admission hands out an opaque token and
+    :meth:`release` takes it back.
+    """
+
+    def __init__(self, capacity: int, guard: int = 0) -> None:
+        if capacity <= 0:
+            raise ValueError(f"capacity must be positive, got {capacity}")
+        if guard < 0 or guard >= capacity:
+            raise ValueError(f"guard must be in [0, capacity), got {guard}")
+        self.capacity = capacity
+        self.guard = guard
+        self._held: set[int] = set()
+        self._tokens = count(1)
+
+    @property
+    def free(self) -> int:
+        """Number of channels currently available (to a handoff)."""
+        return self.capacity - len(self._held)
+
+    def admit_new_call(self) -> Optional[int]:
+        """Try to admit a new call; returns a channel token or ``None``."""
+        return self._take(self.capacity - self.guard)
+
+    def admit_handoff(self) -> Optional[int]:
+        """Try to admit a handoff; returns a channel token or ``None``."""
+        return self._take(self.capacity)
+
+    def _take(self, limit: int) -> Optional[int]:
+        if len(self._held) >= limit:
+            return None
+        token = next(self._tokens)
+        self._held.add(token)
+        return token
+
+    def release(self, token: int) -> None:
+        """Return a channel; a token the pool does not hold is ignored."""
+        self._held.discard(token)
+
+
 @dataclass
 class Attachment:
     """One mobile currently holding a channel on this base station."""
 
     node: Node
-    channel: Optional[Request]
+    channel: Optional[int]
     since: float
 
 
@@ -72,12 +120,12 @@ class MultiTierBaseStation(Node):
         )
         capacity = channels or (cell.channels if cell else 32)
         guard = min(domain.guard_channels, max(capacity - 1, 0))
-        self.channels = GuardedChannelPool(sim, capacity=capacity, guard=guard)
+        self.channels = GuardedChannelPool(capacity=capacity, guard=guard)
         self.parent: Optional["MultiTierBaseStation"] = None
         self.children: list["MultiTierBaseStation"] = []
         self.attached: dict[IPAddress, Attachment] = {}
         #: Channel held between handoff-accept and update-location.
-        self._pending_channels: dict[IPAddress, Request] = {}
+        self._pending_channels: dict[IPAddress, int] = {}
 
         self.location_messages_seen = 0
         self.handoff_requests = 0
@@ -112,20 +160,13 @@ class MultiTierBaseStation(Node):
         briefly holds claims on both the old and the new cell.
         """
         if self.link_to(mobile) is None:
-            connect(
-                self.sim,
+            radio_attach(
                 self,
                 mobile,
-                bandwidth=self.domain.wireless_bandwidth,
-                delay=self.domain.wireless_delay,
-                shared_channel=self.shared_channel,
-                channel_key=airtime_key(mobile),
+                self.domain.wireless_bandwidth,
+                self.domain.wireless_delay,
+                demand=getattr(mobile, "bandwidth_demand", 0.0),
             )
-            if self.shared_channel is not None:
-                self.shared_channel.attach(
-                    airtime_key(mobile),
-                    demand=getattr(mobile, "bandwidth_demand", 0.0),
-                )
 
     def radio_disconnect(self, mobile: Node) -> None:
         """Tear the radio link down, migrating the airtime claim away.
@@ -134,10 +175,7 @@ class MultiTierBaseStation(Node):
         still had queued on this cell's shared channel (counted as
         air-interface losses); a no-op in legacy mode.
         """
-        if self.shared_channel is not None and self.link_to(mobile) is not None:
-            self.shared_channel.detach(airtime_key(mobile))
-        self.detach_link(mobile)
-        mobile.detach_link(self)
+        radio_detach(self, mobile)
 
     # ------------------------------------------------------------------
     # Admission (the "resources of BS" factor)

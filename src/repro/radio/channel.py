@@ -12,10 +12,10 @@ Semantics
 * One channel per cell, with **separate downlink and uplink budgets**
   in bits per second (the cell's aggregate over-the-air rate, not a
   per-user rate).
-* Each budget is a single-server FIFO queue built on the sim kernel's
-  resource primitives (:class:`~repro.sim.resources.Resource` with
-  capacity 1): a packet's airtime is ``size * 8 / budget`` seconds and
-  transmissions never overlap within one direction.
+* Each budget is a single-server queue the channel arbitrates itself
+  (one heap and a busy flag per direction): a packet's airtime is
+  ``size * 8 / budget`` seconds and transmissions never overlap within
+  one direction.
 * Arbitration is FIFO by submission time with **deterministic
   tie-breaking keyed by the mobile index** (``airtime_key``): packets
   submitted at the same simulation instant (before that instant's
@@ -58,13 +58,16 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import count
 from typing import TYPE_CHECKING, Optional
 
+from repro.net.link import connect
 from repro.radio.cells import Cell, Tier
-from repro.sim.resources import Request, Resource
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.link import Link
+    from repro.net.node import Node
     from repro.net.packet import Packet
     from repro.sim.kernel import Simulator
 
@@ -93,82 +96,20 @@ def airtime_key(node) -> int:
     return zlib.crc32(node.name.encode("utf-8"))
 
 
-class _AirtimeRequest(Request):
-    """One queued transmission: a claim on a channel direction's server.
+class _Airtime:
+    """One transmission queued for (or holding) a direction's airtime."""
 
-    FIFO channels sort by ``(submission time, mobile key)`` — FIFO
-    across time, mobile-index tie-break within one simulation instant
-    (the resource's own counter breaks any remaining tie in submission
-    order).  Weighted channels stamp a virtual finish ``tag`` (start-
-    time fair queueing) that sorts ahead of submission time, so the
-    smallest tag is granted first.
-    """
-
-    __slots__ = ("key", "link", "packet", "tag")
+    __slots__ = ("link", "packet", "tag")
 
     def __init__(
-        self,
-        resource: "Resource",
-        key: int,
-        link: "Link",
-        packet: "Packet",
-        tag: Optional[float] = None,
-    ):
-        # All sort fields must exist before Request.__init__, whose
-        # final step enqueues this request via _key().
-        self.key = key
-        self.link = link
+        self, link: "Link", packet: "Packet", tag: Optional[float]
+    ) -> None:
+        #: ``None`` once a claim detach cancelled this transmission; the
+        #: arbiter skips it when it surfaces (lazy heap deletion).
+        self.link: Optional["Link"] = link
         self.packet = packet
+        #: Virtual finish tag (weighted mode), else ``None``.
         self.tag = tag
-        super().__init__(resource)
-
-    def _key(self) -> tuple:
-        if self.tag is None:
-            return (self.time, self.key)
-        return (self.tag, self.time, self.key)
-
-
-class _AirtimeServer(Resource):
-    """A capacity-1 server whose grants are deferred to end-of-instant.
-
-    A plain :class:`~repro.sim.resources.Resource` grants a slot
-    synchronously — inside ``request()`` when idle, and inside
-    ``release()`` when a serialization finishes — which would serve
-    same-instant submissions in *call* order.  Deferring every grant
-    behind a zero-delay arbitration event lets all requests submitted
-    at the same simulation time (before that event fires) reach the
-    queue first, so the (time, mobile-key) order applies both when the
-    channel is idle and when it frees up mid-instant.  Timing is
-    unchanged: the grant still happens at the same timestamp.
-    """
-
-    def __init__(self, sim: "Simulator") -> None:
-        super().__init__(sim, capacity=1)
-        self._arbitration_pending = False
-
-    def _do_request(self, request: Request) -> None:
-        from heapq import heappush
-
-        heappush(self._queue, (request._key(), next(self._tiebreak), request))
-        self._schedule_arbitration()
-
-    def release(self, request: Request) -> None:
-        """Return the slot (or cancel a waiting request), deferring the
-        follow-on grant to the end of the current instant."""
-        if request in self.users:
-            self.users.remove(request)
-            self._schedule_arbitration()
-            return
-        request.resource = None  # type: ignore[assignment]
-
-    def _schedule_arbitration(self) -> None:
-        if not self._arbitration_pending:
-            self._arbitration_pending = True
-            self.sim.call_later(0.0, self._arbitrate)
-
-    def _arbitrate(self) -> None:
-        self._arbitration_pending = False
-        self._grant_next()
 
 
 class ChannelStats:
@@ -238,15 +179,16 @@ class SharedChannel:
             float(admission_factor) if admission_factor is not None else None
         )
         self.weighted = bool(weighted)
-        self._servers = {
-            DOWNLINK: _AirtimeServer(sim),
-            UPLINK: _AirtimeServer(sim),
-        }
-        #: Requests submitted but not yet granted, per direction.
-        self._waiting: dict[str, list[_AirtimeRequest]] = {
-            DOWNLINK: [],
-            UPLINK: [],
-        }
+        # The arbiter, per direction: a heap of waiting transmissions
+        # ordered ``(time, key, seq)`` — ``(tag, time, key, seq)`` when
+        # weighted — whether one is on the air, and whether this
+        # instant's zero-delay arbitration is already scheduled.
+        self._heaps: dict[str, list[tuple]] = {DOWNLINK: [], UPLINK: []}
+        self._busy = {DOWNLINK: False, UPLINK: False}
+        self._arbitrating = {DOWNLINK: False, UPLINK: False}
+        self._seq = count()
+        #: direction -> transmissions currently waiting for airtime.
+        self.queued = {DOWNLINK: 0, UPLINK: 0}
         #: Mobile keys currently holding an airtime claim here.
         self.attached: set[int] = set()
         #: key -> declared bandwidth demand (bit/s) of each claim; the
@@ -336,16 +278,14 @@ class SharedChannel:
         self.claims.pop(key, None)
         for direction in DIRECTIONS:
             self._last_finish[direction].pop(key, None)
-        for direction in DIRECTIONS:
-            keep: list[_AirtimeRequest] = []
-            for request in self._waiting[direction]:
-                if request.key == key and not request.triggered:
-                    self._servers[direction].release(request)  # cancel queued
-                    request.link.channel_drop(request.packet)
+            for item in self._heaps[direction]:
+                entry = item[-1]
+                link = entry.link
+                if link is not None and link.channel_key == key:
+                    link.channel_drop(entry.packet)
+                    entry.link = None  # cancelled; skipped when it surfaces
+                    self.queued[direction] -= 1
                     self.stats.dropped_on_detach[direction] += 1
-                else:
-                    keep.append(request)
-            self._waiting[direction] = keep
 
     # ------------------------------------------------------------------
     # Transmission (called by Link.transmit for channel-gated links)
@@ -391,13 +331,14 @@ class SharedChannel:
         schedule propagation once serialization finishes.
         """
         direction = link.channel_direction
+        key = link.channel_key
         self.stats.submitted[direction] += 1
+        self.queued[direction] += 1
         tag = None
         if self.weighted:
             # Start-time fair queueing: the tag advances from the later
             # of the direction's virtual time and this mobile's last
             # finish tag, at a rate inverse to the mobile's weight.
-            key = link.channel_key
             weight = max(self.claims.get(key, 0.0), MIN_AIRTIME_WEIGHT)
             start = max(
                 self._vtime[direction],
@@ -405,40 +346,95 @@ class SharedChannel:
             )
             tag = start + packet.size * 8.0 / weight
             self._last_finish[direction][key] = tag
-        request = _AirtimeRequest(
-            self._servers[direction], link.channel_key, link, packet, tag
-        )
-        self._waiting[direction].append(request)
-        request.callbacks.append(self._granted)
+        order = (self.sim.now, key, next(self._seq), _Airtime(link, packet, tag))
+        heappush(self._heaps[direction], order if tag is None else (tag, *order))
+        self._schedule_arbitration(direction)
 
-    def _granted(self, event: "_AirtimeRequest") -> None:
-        """Start serializing: hold the server for the packet's airtime."""
-        request = event
-        direction = request.link.channel_direction
-        self._waiting[direction].remove(request)
-        if request.tag is not None and request.tag > self._vtime[direction]:
-            self._vtime[direction] = request.tag
-        seconds = self.airtime(direction, request.packet)
+    # Every grant is deferred behind a zero-delay arbitration callback,
+    # so all transmissions submitted at one simulation instant (before
+    # that callback fires) reach the heap first and the (time, key)
+    # order applies both when the channel is idle and when it frees up
+    # mid-instant.  Timing is unchanged: the grant still happens at the
+    # same timestamp.  Each packet costs three kernel queue entries:
+    # arbitrate -> start (zero delay) -> finish (after its airtime).
+    def _schedule_arbitration(self, direction: str) -> None:
+        if not self._arbitrating[direction]:
+            self._arbitrating[direction] = True
+            self.sim.call_later(0.0, self._arbitrate, direction)
+
+    def _arbitrate(self, direction: str) -> None:
+        """Grant the direction's airtime to the first live waiter."""
+        self._arbitrating[direction] = False
+        if self._busy[direction]:
+            return
+        heap = self._heaps[direction]
+        while heap:
+            entry = heappop(heap)[-1]
+            if entry.link is None:
+                continue  # cancelled by detach
+            self._busy[direction] = True
+            self.queued[direction] -= 1
+            self.sim.call_later(0.0, self._start, direction, entry)
+            return
+
+    def _start(self, direction: str, entry: _Airtime) -> None:
+        """Start serializing: hold the direction for the packet's airtime."""
+        if entry.tag is not None and entry.tag > self._vtime[direction]:
+            self._vtime[direction] = entry.tag
+        seconds = self.airtime(direction, entry.packet)
         self.stats.granted[direction] += 1
         self.stats.busy_seconds[direction] += seconds
-        self.sim.call_later(seconds, self._finish, request)
+        self.sim.call_later(seconds, self._finish, direction, entry)
 
-    def _finish(self, request: "_AirtimeRequest") -> None:
-        """Serialization done: free the server, start propagation."""
-        direction = request.link.channel_direction
-        self._servers[direction].release(request)
-        request.link.channel_serialized(request.packet)
+    def _finish(self, direction: str, entry: _Airtime) -> None:
+        """Serialization done: free the direction, start propagation."""
+        self._busy[direction] = False
+        self._schedule_arbitration(direction)
+        entry.link.channel_serialized(entry.packet)
 
-    # ------------------------------------------------------------------
-    @property
-    def queued(self) -> dict[str, int]:
-        """Transmissions currently waiting for airtime, per direction."""
-        return {
-            direction: sum(
-                1 for request in self._waiting[direction] if not request.triggered
-            )
-            for direction in DIRECTIONS
-        }
+
+def radio_attach(
+    station: "Node",
+    mobile: "Node",
+    bandwidth: float,
+    delay: float,
+    demand: float = 0.0,
+) -> None:
+    """Create the ``station``/``mobile`` radio link pair.
+
+    The one place the attach rule lives: with ``station.shared_channel``
+    set the pair is gated on it (``station -> mobile`` consumes the
+    downlink budget, the reverse the uplink budget) and the mobile's
+    airtime claim of ``demand`` bit/s is attached as the links are
+    created; with ``None`` the pair is a legacy unconstrained link.
+    """
+    channel = station.shared_channel
+    key = airtime_key(mobile)
+    connect(
+        station.sim,
+        station,
+        mobile,
+        bandwidth=bandwidth,
+        delay=delay,
+        shared_channel=channel,
+        channel_key=key,
+    )
+    if channel is not None:
+        channel.attach(key, demand)
+
+
+def radio_detach(station: "Node", mobile: "Node") -> None:
+    """Tear the radio link pair down, migrating the airtime claim away.
+
+    The claim is detached — cancelling any airtime the departed mobile
+    still had queued on the cell's channel (air-interface losses) —
+    only if the radio link still exists; a no-op in legacy mode.
+    """
+    channel = station.shared_channel
+    if channel is not None and station.link_to(mobile) is not None:
+        channel.detach(airtime_key(mobile))
+    station.detach_link(mobile)
+    mobile.detach_link(station)
 
 
 @dataclass(frozen=True)
@@ -512,4 +508,6 @@ __all__ = [
     "ChannelStats",
     "SharedChannel",
     "airtime_key",
+    "radio_attach",
+    "radio_detach",
 ]

@@ -1,55 +1,22 @@
 """Discrete-event simulation kernel.
 
-Public surface::
+Public surface — the names the rest of ``repro`` imports::
 
-    from repro.sim import Simulator, Interrupt, Resource, Store
+    from repro.sim import Interrupt, RandomStreams, Simulator
 
     sim = Simulator()
     sim.process(my_generator(sim))
     sim.run(until=100.0)
+
+Events, timeouts, processes and conditions are created through the
+:class:`Simulator` factories (``sim.event()``, ``sim.timeout()``,
+``sim.process()``, ``sim.any_of()`` / ``sim.all_of()``); their classes
+live in :mod:`repro.sim.events` and the remaining error types in
+:mod:`repro.sim.errors`.
 """
 
-from repro.sim.errors import EmptySchedule, Interrupt, SimulationError
-from repro.sim.events import (
-    NORMAL,
-    URGENT,
-    AllOf,
-    AnyOf,
-    Condition,
-    ConditionValue,
-    Event,
-    Process,
-    Timeout,
-)
+from repro.sim.errors import Interrupt
 from repro.sim.kernel import Simulator
-from repro.sim.monitor import Counter, Monitor, Series, TimeWeightedGauge
-from repro.sim.resources import GuardedChannelPool, Preempted, Request, Resource
 from repro.sim.rng import RandomStreams
-from repro.sim.stores import FilterStore, Store
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Condition",
-    "ConditionValue",
-    "Counter",
-    "EmptySchedule",
-    "Event",
-    "FilterStore",
-    "GuardedChannelPool",
-    "Interrupt",
-    "Monitor",
-    "NORMAL",
-    "Preempted",
-    "Process",
-    "RandomStreams",
-    "Request",
-    "Resource",
-    "Series",
-    "SimulationError",
-    "Simulator",
-    "Store",
-    "TimeWeightedGauge",
-    "Timeout",
-    "URGENT",
-]
+__all__ = ["Interrupt", "RandomStreams", "Simulator"]

@@ -49,8 +49,8 @@ class _Callback(Event):
     list) so the hottest scheduling pattern in the code base — a link
     delivering a packet, a channel finishing a serialization — pays no
     event allocation once the pool is warm.  Never exposed to callers;
-    anything that needs to *wait* on scheduled work goes through
-    :meth:`Simulator.schedule`, which still returns a real event.
+    anything that needs to *wait* on scheduled work yields a
+    :meth:`Simulator.timeout` from a process instead.
     """
 
     __slots__ = ("fn", "args")
@@ -88,26 +88,15 @@ class Simulator:
         """Place a triggered event on the queue ``delay`` units from now."""
         heappush(self._queue, (self._now + delay, priority, next(self._eid), event))
 
-    def schedule(self, delay: float, callback, *args) -> Event:
-        """Run ``callback(*args)`` after ``delay`` time units.
-
-        Returns the underlying :class:`Timeout` event, so callers may also
-        wait on it.  This is the lightweight alternative to spawning a
-        process for fire-and-forget work.
-        """
-        event = Timeout(self, delay)
-        event.callbacks.append(lambda _event: callback(*args))
-        return event
-
     def call_later(self, delay: float, fn, *args) -> None:
         """Run ``fn(*args)`` after ``delay`` time units (no return event).
 
-        The fast fire-and-forget path: identical queue ordering to
-        :meth:`schedule` (one event-id per call, NORMAL priority) but
-        the queue entry is a pooled :class:`_Callback` the dispatch
-        loop recycles, so hot paths allocate nothing once warm.  Use
-        :meth:`schedule` instead when the caller needs an event to
-        wait on.
+        The fire-and-forget path: queue ordering is that of a
+        :meth:`timeout` created at the same point (one event-id per
+        call, NORMAL priority), but the queue entry is a pooled
+        :class:`_Callback` the dispatch loop recycles, so hot paths
+        allocate nothing once warm.  A caller that needs an event to
+        wait on uses :meth:`timeout` in a process instead.
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")

@@ -59,7 +59,7 @@ MOBILE_PREFIX = "10.200.0.0/16"
 #: and ignored here.
 _CIP_DOMAIN_PARAMS = set(
     inspect.signature(CIPDomain.__init__).parameters
-) - {"self", "sim", "channel_bandwidth"}
+) - {"self", "sim"}
 
 
 class _CIPController(FlatMobilityController):
@@ -165,17 +165,24 @@ def build_cip_scenario(
     cells: list[Cell] = []
     air_cells = []
     for site in layout:
+        cell = site.cell()
         station = CIPBaseStation(
-            sim, site.name, network.allocator.allocate(), domain
+            sim,
+            site.name,
+            network.allocator.allocate(),
+            domain,
+            shared_channel=(
+                plan.channel_plan.channel_for(sim, cell)
+                if plan.channel_plan is not None
+                else None
+            ),
         )
         network.add(station)
         parent = stations[site.parent] if site.parent else gateway
         domain.link(parent, station)
-        cell = site.cell()
-        if plan.channel_plan is not None:
+        if station.shared_channel is not None:
             # CIP stations don't carry their cell, so the pair is
             # recorded here for the air metrics and the fluid driver.
-            station.shared_channel = plan.channel_plan.channel_for(sim, cell)
             air_cells.append((cell, station.shared_channel))
         stations[site.name] = station
         stations_by_cell[cell.name] = station

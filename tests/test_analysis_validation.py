@@ -17,7 +17,8 @@ from repro.analysis import (
     location_update_cost,
     mean_cell_dwell_time,
 )
-from repro.sim import GuardedChannelPool, RandomStreams, Simulator
+from repro.multitier.basestation import GuardedChannelPool
+from repro.sim import RandomStreams, Simulator
 
 
 # ----------------------------------------------------------------------
@@ -79,9 +80,9 @@ def test_fluid_flow_formulas():
 # Simulation vs analysis
 # ----------------------------------------------------------------------
 def simulate_loss_system(servers, arrival_rate, mean_holding, duration, seed):
-    """M/M/c/c loss system on the kernel's channel pool."""
+    """M/M/c/c loss system on the base stations' channel pool."""
     sim = Simulator()
-    pool = GuardedChannelPool(sim, capacity=servers, guard=0)
+    pool = GuardedChannelPool(capacity=servers, guard=0)
     streams = RandomStreams(seed)
     counts = {"offered": 0, "blocked": 0}
 

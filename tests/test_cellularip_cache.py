@@ -139,9 +139,9 @@ def test_property_entry_live_iff_within_timeout_of_last_refresh(
     probe_time = last_refresh + probe_offset
 
     for when in sorted(refresh_times):
-        sim.schedule(when, cache.refresh, mobile, node)
+        sim.call_later(when, cache.refresh, mobile, node)
     result = []
-    sim.schedule(probe_time, lambda: result.append(cache.lookup(mobile)))
+    sim.call_later(probe_time, lambda: result.append(cache.lookup(mobile)))
     sim.run()
 
     expected_alive = probe_offset < timeout

@@ -77,7 +77,7 @@ def stream_downlink(sim, cn, internet, mn_address, count, interval, size=500, st
         internet.receive(packet)
 
     for seq in range(count):
-        sim.schedule(start + seq * interval, send_one, seq)
+        sim.call_later(start + seq * interval, send_one, seq)
     return sent
 
 
@@ -86,7 +86,7 @@ def test_uplink_data_reaches_cn_and_refreshes_caches():
     mn.attach_to(bs[1])
     received = []
     cn.on_protocol("data", lambda packet, link: received.append(packet))
-    sim.schedule(0.1, lambda: mn.originate(
+    sim.call_later(0.1, lambda: mn.originate(
         Packet(src=mn.address, dst=cn.address, size=400, created_at=sim.now)
     ))
     sim.run(until=1.0)
@@ -129,7 +129,7 @@ def test_hard_handoff_loses_in_flight_packets():
 
     # 50 packets at 5 ms spacing; handoff bs1 -> bs4 mid-stream.
     stream_downlink(sim, cn, internet, mn.address, count=50, interval=0.005, start=0.5)
-    sim.schedule(0.56, mn.handoff_hard, bs[4])
+    sim.call_later(0.56, mn.handoff_hard, bs[4])
     sim.run(until=3.0)
 
     lost = set(range(50)) - set(got)
@@ -151,7 +151,7 @@ def test_semisoft_handoff_avoids_losses():
     mn.on_data.append(lambda packet: got.append(packet.seq))
 
     stream_downlink(sim, cn, internet, mn.address, count=50, interval=0.005, start=0.5)
-    sim.schedule(0.56, lambda: sim.process(mn.handoff_semisoft(bs[4])))
+    sim.call_later(0.56, lambda: sim.process(mn.handoff_semisoft(bs[4])))
     sim.run(until=3.0)
 
     lost = set(range(50)) - set(got)
@@ -169,7 +169,7 @@ def test_handoff_between_sibling_cells_has_lower_crossover():
     mn.attach_to(bs[1])
     sim.run(until=0.5)
     gw_hops_before = gw.routing_cache.lookup(mn.address)
-    sim.schedule(0.1, mn.handoff_hard, bs[2])  # at t=0.6
+    sim.call_later(0.1, mn.handoff_hard, bs[2])  # at t=0.6
     sim.run(until=1.0)
     assert m1.routing_cache.lookup(mn.address) == [bs[2]]
     assert gw.routing_cache.lookup(mn.address) == gw_hops_before
@@ -180,7 +180,7 @@ def test_mobile_goes_idle_and_sends_paging_updates():
         active_state_timeout=1.0, paging_update_time=2.0, route_update_time=0.5
     )
     mn.attach_to(bs[3])
-    sim.schedule(0.1, lambda: mn.originate(
+    sim.call_later(0.1, lambda: mn.originate(
         Packet(src=mn.address, dst=cn.address, size=100, created_at=sim.now)
     ))
     sim.run(until=0.5)
@@ -240,7 +240,7 @@ def test_active_mobile_sends_route_updates_when_silent():
     )
     mn.attach_to(bs[1])
     # Make it active once; then stay silent and let the timer fill gaps.
-    sim.schedule(0.05, lambda: mn.originate(
+    sim.call_later(0.05, lambda: mn.originate(
         Packet(src=mn.address, dst=cn.address, size=100, created_at=sim.now)
     ))
     sim.run(until=2.0)

@@ -20,7 +20,7 @@ import pytest
 
 from repro.experiments.exec import ProcessPoolBackend, SerialBackend
 from repro.multitier.architecture import MultiTierWorld
-from repro.radio.channel import ChannelPlan, airtime_key
+from repro.radio.channel import ChannelPlan, SharedChannel, airtime_key
 from repro.scenarios import get_scenario, replicate_scenario, run_scenario_spec
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -92,14 +92,18 @@ def test_cip_semisoft_handoff_holds_claims_on_both_then_migrates():
     from repro.sim.kernel import Simulator
 
     sim = Simulator()
-    domain = CIPDomain(sim, channel_bandwidth=1e6)
+    domain = CIPDomain(sim)
     gateway = CIPGateway(sim, "gw", "10.0.0.1", domain)
-    old = CIPBaseStation(sim, "bs-old", "10.0.0.2", domain)
-    new = CIPBaseStation(sim, "bs-new", "10.0.0.3", domain)
+    old = CIPBaseStation(
+        sim, "bs-old", "10.0.0.2", domain,
+        shared_channel=SharedChannel(sim, "air-bs-old", 1e6, 0.5e6),
+    )
+    new = CIPBaseStation(
+        sim, "bs-new", "10.0.0.3", domain,
+        shared_channel=SharedChannel(sim, "air-bs-new", 1e6, 0.5e6),
+    )
     domain.link(gateway, old)
     domain.link(gateway, new)
-    assert old.shared_channel is not None
-    assert old.shared_channel.rates["uplink"] == pytest.approx(0.5e6)
 
     host = CIPMobileHost(sim, "mh0", "10.99.0.1", domain, airtime_key=0)
     key = airtime_key(host)
@@ -117,7 +121,7 @@ def test_cip_semisoft_handoff_holds_claims_on_both_then_migrates():
     assert key not in old.shared_channel.attached
 
 
-def test_cip_domain_without_channel_bandwidth_stays_legacy():
+def test_cip_station_without_shared_channel_stays_legacy():
     from repro.cellularip.base_station import CIPBaseStation, CIPDomain, CIPGateway
     from repro.sim.kernel import Simulator
 
@@ -128,7 +132,7 @@ def test_cip_domain_without_channel_bandwidth_stays_legacy():
     domain.link(gateway, bs)
     assert bs.shared_channel is None
     with pytest.raises(ValueError):
-        CIPDomain(Simulator(), channel_bandwidth=0.0)
+        SharedChannel(sim, "air-bs", 0.0, 0.0)
 
 
 # ----------------------------------------------------------------------

@@ -146,7 +146,7 @@ def test_stream_survives_lossy_wireless_with_gaps():
     got = []
     mn.on_data.append(lambda packet: got.append(packet.seq))
     for seq in range(100):
-        sim.schedule(seq * 0.01, world.cn.send_to_mobile, mn.home_address, 300)
+        sim.call_later(seq * 0.01, world.cn.send_to_mobile, mn.home_address, 300)
     sim.run(until=5.0)
     assert 50 < mn.data_received < 100
     assert link.stats.dropped_error > 0
@@ -166,7 +166,7 @@ def test_buffer_guard_prevents_unbounded_memory():
 
     rsmc._start_buffering(mn.home_address)
     for seq in range(50):
-        sim.schedule(seq * 0.005, world.cn.send_to_mobile, mn.home_address, 300)
+        sim.call_later(seq * 0.005, world.cn.send_to_mobile, mn.home_address, 300)
     sim.run(until=5.0)
     assert rsmc.buffered_packets <= 8
     assert rsmc.buffer_overflows >= 42

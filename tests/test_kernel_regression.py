@@ -3,11 +3,10 @@
 The PR 9 speed work changed the hottest structures in the simulator —
 pooled ``_Callback`` events behind :meth:`Simulator.call_later`, an
 inlined dispatch loop in :meth:`Simulator.run`, ``__slots__`` on
-:class:`~repro.net.packet.Packet` and the monitor probes.  None of
-that may move a single event: this file pins the ordering contract
-(time, then priority, then scheduling order) across both scheduling
-APIs, the pool's recycling semantics, and the exact totals the leaner
-Monitor accounting produces.  The 16 experiment-table goldens pin the
+:class:`~repro.net.packet.Packet`.  None of that may move a single
+event: this file pins the ordering contract (time, then priority, then
+scheduling order) across pooled callbacks and plain timeouts, and the
+pool's recycling semantics.  The 16 experiment-table goldens pin the
 same contract end-to-end; these tests localize a violation.
 """
 
@@ -17,7 +16,6 @@ from repro.net.packet import Packet
 from repro.sim import Simulator
 from repro.sim.events import NORMAL, URGENT, Timeout
 from repro.sim.kernel import _Callback
-from repro.sim.monitor import Monitor
 
 
 # ----------------------------------------------------------------------
@@ -40,22 +38,22 @@ def test_same_time_same_priority_fires_in_scheduling_order():
     sim = Simulator()
     seen = []
     for tag in range(8):
-        sim.schedule(2.0, seen.append, tag)
+        sim.call_later(2.0, seen.append, tag)
     sim.run()
     assert seen == list(range(8))
 
 
-def test_call_later_and_schedule_interleave_in_creation_order():
+def test_call_later_and_timeout_interleave_in_creation_order():
     """``call_later`` consumes exactly one event id per call, so mixing
-    the fast path with ``schedule`` at one timestamp keeps creation
+    the fast path with plain timeouts at one timestamp keeps creation
     order — the determinism contract that let links and channels move
     to the pooled path without disturbing a single golden byte."""
     sim = Simulator()
     seen = []
     sim.call_later(1.0, seen.append, "a")
-    sim.schedule(1.0, seen.append, "b")
+    sim.timeout(1.0).callbacks.append(lambda _event: seen.append("b"))
     sim.call_later(1.0, seen.append, "c")
-    sim.schedule(1.0, seen.append, "d")
+    sim.timeout(1.0).callbacks.append(lambda _event: seen.append("d"))
     sim.run()
     assert seen == ["a", "b", "c", "d"]
 
@@ -140,7 +138,7 @@ def test_callbacks_scheduled_from_a_callback_keep_ordering():
     sim.call_later(1.0, seen.append, ("sibling", 1.0))
     sim.run()
     # The re-scheduled callback lands after the already-queued sibling
-    # at the same timestamp (fresh event id), exactly like schedule().
+    # at the same timestamp (fresh event id), exactly like a new timeout.
     assert seen == [("outer", 1.0), ("sibling", 1.0), ("inner", 1.0)]
 
 
@@ -153,47 +151,12 @@ def test_pooled_callback_type_is_internal_only_and_slotted():
 
 
 # ----------------------------------------------------------------------
-# Monitor accounting after the __slots__ / single-probe changes
+# Packet after the __slots__ change
 # ----------------------------------------------------------------------
-def test_monitor_totals_are_pinned():
-    sim = Simulator()
-    monitor = Monitor(sim)
-    for _ in range(3):
-        monitor.count("handoffs")
-    monitor.count("handoffs", 2)
-    monitor.record("delay", 1.0, 10.0)
-    monitor.record("delay", 2.0, 30.0)
-    gauge = monitor.gauge("queue")
-    Timeout(sim, 1.0).callbacks.append(lambda e: gauge.set(4.0))
-    Timeout(sim, 3.0).callbacks.append(lambda e: gauge.set(0.0))
-    sim.run(until=4.0)
-    assert monitor.get_count("handoffs") == 5
-    assert monitor.get_count("never-touched") == 0
-    series = monitor.timeseries("delay")
-    assert (series.times, series.values) == ([1.0, 2.0], [10.0, 30.0])
-    snapshot = monitor.snapshot()
-    assert snapshot["count.handoffs"] == 5
-    assert snapshot["series.delay.mean"] == 20.0
-    assert snapshot["gauge.queue"] == pytest.approx(4.0 * 2.0 / 4.0)
-
-
-def test_monitor_lookup_methods_return_the_same_object():
-    monitor = Monitor()
-    assert monitor.counter("x") is monitor.counter("x")
-    assert monitor.timeseries("y") is monitor.timeseries("y")
-    monitor.count("x")
-    assert monitor.counter("x").value == 1
-    monitor.record("y", 0.0, 1.0)
-    assert len(monitor.timeseries("y")) == 1
-
-
-def test_monitor_and_packet_carry_no_instance_dict():
-    """``__slots__`` actually took: the high-churn objects allocate no
+def test_packet_carries_no_instance_dict():
+    """``__slots__`` actually took: the high-churn object allocates no
     per-instance ``__dict__`` (the point of the memory work), and
     Packet's field coercion still runs."""
-    monitor = Monitor()
-    with pytest.raises(AttributeError):
-        monitor.not_a_slot = 1
     packet = Packet(src="10.0.0.1", dst="10.0.0.2", size=100)
     with pytest.raises(AttributeError):
         packet.not_a_field = 1
@@ -259,7 +222,7 @@ def test_events_processed_counts_run_and_step_and_survives_errors():
 
 
 def test_pool_recycling_survives_reentrant_scheduling_fuzz():
-    """schedule()/call_later() invoked from inside dispatched callbacks
+    """call_later()/timeout() invoked from inside dispatched callbacks
     (the inlined run loop) must keep the pool coherent: every scheduled
     body fires exactly once, recycled entries are distinct objects, and
     nothing in the pool still holds a payload."""
@@ -280,8 +243,9 @@ def test_pool_recycling_survives_reentrant_scheduling_fuzz():
             if rng.random() < 0.5:
                 sim.call_later(rng.choice((0.0, 0.5, 1.0)), body, child)
             else:
-                sim.schedule(sim.now + rng.choice((0.0, 0.5, 1.0)),
-                             body, child)
+                sim.timeout(rng.choice((0.0, 0.5, 1.0))).callbacks.append(
+                    lambda _event, child=child: body(child)
+                )
 
     for index in range(10):
         sim.call_later(float(index % 3), body, ("root", index))
@@ -310,8 +274,9 @@ def test_pool_recycling_survives_reentrant_scheduling_fuzz():
             if rng2.random() < 0.5:
                 sim2.call_later(rng2.choice((0.0, 0.5, 1.0)), body2, child)
             else:
-                sim2.schedule(sim2.now + rng2.choice((0.0, 0.5, 1.0)),
-                              body2, child)
+                sim2.timeout(rng2.choice((0.0, 0.5, 1.0))).callbacks.append(
+                    lambda _event, child=child: body2(child)
+                )
 
     for index in range(10):
         sim2.call_later(float(index % 3), body2, ("root", index))

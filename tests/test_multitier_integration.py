@@ -7,6 +7,7 @@ import pytest
 
 from repro.multitier import messages
 from repro.multitier.architecture import MultiTierWorld
+from repro.multitier.basestation import GuardedChannelPool
 from repro.net import Packet
 from repro.radio.cells import Tier
 from repro.sim import Simulator
@@ -184,6 +185,39 @@ def test_guard_channels_prefer_handoffs():
     assert run_handoff(world, z, target)
 
 
+def test_guarded_pool_blocks_new_calls_before_handoffs():
+    pool = GuardedChannelPool(capacity=3, guard=1)
+    # Two new calls fill the unguarded portion.
+    first = pool.admit_new_call()
+    assert first is not None
+    assert pool.admit_new_call() is not None
+    # Third new call hits the guard band.
+    assert pool.admit_new_call() is None
+    # Handoff may still take the guarded channel.
+    handoff = pool.admit_handoff()
+    assert handoff is not None
+    # Now everything is full, even for handoffs.
+    assert pool.admit_handoff() is None
+    assert pool.free == 0
+    # Releasing frees exactly one channel; a token the pool no longer
+    # holds is ignored.
+    pool.release(first)
+    pool.release(first)
+    assert pool.free == 1
+    assert pool.admit_new_call() is None  # only the guard channel is free
+    assert pool.admit_handoff() is not None
+
+
+def test_guarded_pool_invalid_guard():
+    with pytest.raises(ValueError):
+        GuardedChannelPool(capacity=2, guard=2)
+
+
+def test_guarded_pool_invalid_capacity():
+    with pytest.raises(ValueError):
+        GuardedChannelPool(capacity=0)
+
+
 # ----------------------------------------------------------------------
 # Fig 3.2 / 3.3: inter-domain handoff
 # ----------------------------------------------------------------------
@@ -282,7 +316,7 @@ def test_rsmc_buffers_during_handoff_no_loss():
 
     # Stream 40 packets at 5 ms spacing, hand off F -> E mid-stream.
     for index in range(40):
-        world.sim.schedule(
+        world.sim.call_later(
             index * 0.005, world.cn.send_to_mobile, x.home_address, 500
         )
     world.sim.run(until=1.05)

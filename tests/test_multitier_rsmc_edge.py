@@ -63,7 +63,7 @@ def test_departure_forwarding_to_new_domain():
 
     # Stream across the move.
     for seq in range(40):
-        sim.schedule(seq * 0.02, world.cn.send_to_mobile, mn.home_address, 500)
+        sim.call_later(seq * 0.02, world.cn.send_to_mobile, mn.home_address, 500)
     sim.process(mover())
     sim.run(until=8.0)
     assert world.domain1.rsmc.forwarded_to_new_domain > 0

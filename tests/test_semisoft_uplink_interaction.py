@@ -29,7 +29,7 @@ def test_semisoft_handoff_lossless_despite_uplink_chatter():
         )
 
     for seq in range(60):
-        sim.schedule(seq * 0.005, send_down, seq)
+        sim.call_later(seq * 0.005, send_down, seq)
 
     # Concurrent uplink chatter from the mobile (refreshes caches via
     # whichever base station currently serves it).
@@ -45,7 +45,7 @@ def test_semisoft_handoff_lossless_despite_uplink_chatter():
 
     # Semisoft handoff to the far subtree (crossover at the gateway) in
     # the middle of all that.
-    sim.schedule(0.1, lambda: sim.process(mn.handoff_semisoft(leaves[3])))
+    sim.call_later(0.1, lambda: sim.process(mn.handoff_semisoft(leaves[3])))
     sim.run(until=4.0)
 
     lost = set(range(60)) - set(got)

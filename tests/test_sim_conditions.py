@@ -102,7 +102,7 @@ def test_condition_failure_propagates():
             caught.append(str(error))
 
     sim.process(proc(sim, event))
-    sim.schedule(1.0, event.fail, RuntimeError("sub-event died"))
+    sim.call_later(1.0, event.fail, RuntimeError("sub-event died"))
     sim.run()
     assert caught == ["sub-event died"]
 

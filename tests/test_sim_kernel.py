@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.sim import (
-    EmptySchedule,
-    Interrupt,
-    SimulationError,
-    Simulator,
-)
+from repro.sim import Interrupt, Simulator
+from repro.sim.errors import EmptySchedule, SimulationError
 
 
 def test_clock_starts_at_zero():
@@ -44,8 +40,8 @@ def test_run_until_is_inclusive_of_events_at_stop_time():
     """run(until=t) processes events scheduled at exactly t."""
     sim = Simulator()
     fired = []
-    sim.schedule(3.0, fired.append, "at-stop")
-    sim.schedule(3.5, fired.append, "after-stop")
+    sim.call_later(3.0, fired.append, "at-stop")
+    sim.call_later(3.5, fired.append, "after-stop")
     sim.run(until=3.0)
     assert fired == ["at-stop"]
     assert sim.now == 3.0
@@ -63,7 +59,7 @@ def test_events_process_in_time_order():
     sim = Simulator()
     order = []
     for delay in (3.0, 1.0, 2.0):
-        sim.schedule(delay, order.append, delay)
+        sim.call_later(delay, order.append, delay)
     sim.run()
     assert order == [1.0, 2.0, 3.0]
 
@@ -72,7 +68,7 @@ def test_simultaneous_events_fifo_order():
     sim = Simulator()
     order = []
     for tag in range(5):
-        sim.schedule(1.0, order.append, tag)
+        sim.call_later(1.0, order.append, tag)
     sim.run()
     assert order == [0, 1, 2, 3, 4]
 
@@ -137,7 +133,7 @@ def test_event_succeed_delivers_value():
         got.append(value)
 
     sim.process(waiter(sim, event))
-    sim.schedule(2.0, event.succeed, "hello")
+    sim.call_later(2.0, event.succeed, "hello")
     sim.run()
     assert got == ["hello"]
 
@@ -162,7 +158,7 @@ def test_event_fail_raises_in_waiting_process():
             caught.append(str(error))
 
     sim.process(waiter(sim, event))
-    sim.schedule(1.0, event.fail, ValueError("boom"))
+    sim.call_later(1.0, event.fail, ValueError("boom"))
     sim.run()
     assert caught == ["boom"]
 
@@ -170,7 +166,7 @@ def test_event_fail_raises_in_waiting_process():
 def test_unhandled_failed_event_surfaces():
     sim = Simulator()
     event = sim.event()
-    sim.schedule(1.0, event.fail, ValueError("nobody caught me"))
+    sim.call_later(1.0, event.fail, ValueError("nobody caught me"))
     with pytest.raises(ValueError, match="nobody caught me"):
         sim.run()
 
@@ -239,7 +235,7 @@ def test_interrupt_wakes_sleeping_process():
             log.append((sim.now, interrupt.cause))
 
     process = sim.process(sleeper(sim))
-    sim.schedule(3.0, process.interrupt, "wake-up")
+    sim.call_later(3.0, process.interrupt, "wake-up")
     sim.run()
     assert log == [(3.0, "wake-up")]
 
@@ -281,7 +277,7 @@ def test_interrupted_process_can_continue():
         log.append(sim.now)
 
     process = sim.process(tenacious(sim))
-    sim.schedule(10.0, process.interrupt)
+    sim.call_later(10.0, process.interrupt)
     sim.run()
     assert log == [12.0]
 
@@ -289,7 +285,7 @@ def test_interrupted_process_can_continue():
 def test_schedule_callback_with_args():
     sim = Simulator()
     seen = []
-    sim.schedule(1.0, lambda a, b: seen.append(a + b), 2, 3)
+    sim.call_later(1.0, lambda a, b: seen.append(a + b), 2, 3)
     sim.run()
     assert seen == [5]
 
@@ -311,3 +307,29 @@ def test_peek_reports_next_event_time():
     assert sim.peek() == float("inf")
     sim.timeout(7.0)
     assert sim.peek() == 7.0
+
+
+def test_public_kernel_surface_is_all_imported_outside_the_kernel():
+    """Every name in ``repro.sim.__all__`` is imported by at least one
+    module under ``src/repro/`` outside ``sim/`` — the kernel exports
+    what the simulator uses and cannot quietly regrow unused surface."""
+    import ast
+    import pathlib
+
+    import repro
+    import repro.sim
+
+    package = pathlib.Path(repro.__file__).parent
+    imported = set()
+    for path in package.rglob("*.py"):
+        if path.is_relative_to(package / "sim"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module and (
+                node.module == "repro.sim" or node.module.startswith("repro.sim.")
+            ):
+                imported.update(alias.name for alias in node.names)
+    assert set(repro.sim.__all__) <= imported, sorted(
+        set(repro.sim.__all__) - imported
+    )
+    assert all(hasattr(repro.sim, name) for name in repro.sim.__all__)

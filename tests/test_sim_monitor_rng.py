@@ -1,97 +1,8 @@
-"""Tests for the measurement probes and the named RNG streams."""
-
-import math
+"""Tests for the named RNG streams."""
 
 import pytest
 
-from repro.sim import Monitor, RandomStreams, Simulator
-from repro.sim.monitor import Counter, Series, TimeWeightedGauge
-
-
-# ----------------------------------------------------------------------
-# Counters and series
-# ----------------------------------------------------------------------
-def test_counter_increments():
-    counter = Counter("drops")
-    counter.increment()
-    counter.increment(4)
-    assert counter.value == 5
-
-
-def test_counter_rejects_negative():
-    counter = Counter("drops")
-    with pytest.raises(ValueError):
-        counter.increment(-1)
-
-
-def test_series_statistics():
-    series = Series("delay")
-    for t, v in [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]:
-        series.record(t, v)
-    assert len(series) == 3
-    assert series.mean() == pytest.approx(2.0)
-    assert series.last() == 3.0
-    times, values = series.as_arrays()
-    assert list(times) == [0.0, 1.0, 2.0]
-
-
-def test_empty_series_mean_is_nan():
-    series = Series("empty")
-    assert math.isnan(series.mean())
-    assert math.isnan(series.last())
-
-
-# ----------------------------------------------------------------------
-# Time-weighted gauge
-# ----------------------------------------------------------------------
-def test_gauge_time_average_weights_by_duration():
-    sim = Simulator()
-    gauge = TimeWeightedGauge(sim, "queue", initial=0.0)
-
-    def driver():
-        yield sim.timeout(2.0)   # level 0 for 2s
-        gauge.set(10.0)
-        yield sim.timeout(2.0)   # level 10 for 2s
-        gauge.set(0.0)
-        yield sim.timeout(4.0)   # level 0 for 4s
-
-    sim.process(driver())
-    sim.run()
-    # Integral: 0*2 + 10*2 + 0*4 = 20 over 8s -> 2.5.
-    assert gauge.time_average() == pytest.approx(2.5)
-
-
-def test_gauge_adjust_delta():
-    sim = Simulator()
-    gauge = TimeWeightedGauge(sim, "q")
-    gauge.adjust(+3.0)
-    gauge.adjust(-1.0)
-    assert gauge.level == 2.0
-
-
-# ----------------------------------------------------------------------
-# Monitor namespace
-# ----------------------------------------------------------------------
-def test_monitor_counters_and_snapshot():
-    sim = Simulator()
-    monitor = Monitor(sim)
-    monitor.count("handoffs")
-    monitor.count("handoffs", 2)
-    monitor.record("delay", 1.0, 0.5)
-    gauge = monitor.gauge("queue")
-    gauge.set(4.0)
-    snapshot = monitor.snapshot()
-    assert snapshot["count.handoffs"] == 3
-    assert "series.delay.mean" in snapshot
-    assert "gauge.queue" in snapshot
-    assert monitor.get_count("handoffs") == 3
-    assert monitor.get_count("missing") == 0
-
-
-def test_monitor_gauge_requires_simulator():
-    monitor = Monitor()  # unbound
-    with pytest.raises(ValueError):
-        monitor.gauge("queue")
+from repro.sim import RandomStreams
 
 
 # ----------------------------------------------------------------------

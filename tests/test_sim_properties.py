@@ -1,10 +1,9 @@
 """Property-based tests for the simulation kernel (hypothesis)."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sim import RandomStreams, Simulator
-from repro.sim.monitor import TimeWeightedGauge
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=50))
@@ -12,7 +11,7 @@ def test_events_always_processed_in_nondecreasing_time_order(delays):
     sim = Simulator()
     seen = []
     for delay in delays:
-        sim.schedule(delay, lambda d=delay: seen.append(sim.now))
+        sim.call_later(delay, lambda d=delay: seen.append(sim.now))
     sim.run()
     assert seen == sorted(seen)
     assert len(seen) == len(delays)
@@ -29,7 +28,7 @@ def test_simultaneous_events_preserve_insertion_order(items):
     sim = Simulator()
     seen = []
     for delay, tag in items:
-        sim.schedule(delay, seen.append, (delay, tag))
+        sim.call_later(delay, seen.append, (delay, tag))
     sim.run()
     # Stable sort by delay must reproduce the processing order exactly.
     assert seen == sorted(items, key=lambda pair: pair[0])
@@ -50,54 +49,3 @@ def test_named_rng_streams_are_independent_of_draw_order(seed):
     streams_b = RandomStreams(seed)
     second_then_first = (streams_b.uniform("two"), streams_b.uniform("one"))
     assert first_then_second == (second_then_first[1], second_then_first[0])
-
-
-@settings(max_examples=50)
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(min_value=0.01, max_value=10.0),
-            st.floats(min_value=0.0, max_value=5.0),
-        ),
-        min_size=1,
-        max_size=20,
-    )
-)
-def test_time_weighted_gauge_average_is_bounded_by_extremes(segments):
-    sim = Simulator()
-    gauge = TimeWeightedGauge(sim, "queue")
-    levels = [0.0]
-
-    def driver(sim, gauge):
-        for duration, level in segments:
-            yield sim.timeout(duration)
-            gauge.set(level)
-            levels.append(level)
-
-    sim.process(driver(sim, gauge))
-    sim.run()
-    average = gauge.time_average()
-    assert min(levels) - 1e-9 <= average <= max(levels) + 1e-9
-
-
-@given(st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=30))
-def test_store_preserves_all_items_fifo(items):
-    sim = Simulator()
-    from repro.sim import Store
-
-    store = Store(sim)
-    received = []
-
-    def producer(sim, store):
-        for item in items:
-            yield store.put(item)
-
-    def consumer(sim, store):
-        for _ in items:
-            value = yield store.get()
-            received.append(value)
-
-    sim.process(producer(sim, store))
-    sim.process(consumer(sim, store))
-    sim.run()
-    assert received == list(items)

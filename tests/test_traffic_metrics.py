@@ -122,7 +122,7 @@ def test_elastic_source_grows_when_acked():
 
     def send(packet):
         # Instant perfect network: ack everything immediately.
-        sim.schedule(0.001, source_ref["src"].acknowledge, packet.seq)
+        sim.call_later(0.001, source_ref["src"].acknowledge, packet.seq)
         return True
 
     source = ElasticSource(
@@ -146,7 +146,7 @@ def test_elastic_source_backs_off_on_loss():
         counter["n"] += 1
         if counter["n"] % 3 == 0:
             return True  # swallowed: never acked
-        sim.schedule(0.001, source_ref["src"].acknowledge, packet.seq)
+        sim.call_later(0.001, source_ref["src"].acknowledge, packet.seq)
         return True
 
     source = ElasticSource(
