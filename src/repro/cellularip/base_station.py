@@ -169,7 +169,8 @@ class CIPBaseStation(Node):
         uplink_arrival = from_node is not self.parent and not self._from_internet(
             from_node
         )
-        if uplink_arrival and self.domain.is_mobile(packet.src):
+        mobiles = self.domain.mobile_addresses
+        if uplink_arrival and packet.src in mobiles:
             self._refresh_caches(packet, from_node)
 
         if packet.protocol == messages.ROUTE_UPDATE:
@@ -181,11 +182,11 @@ class CIPBaseStation(Node):
             self._forward_up_or_consume(packet)
             return
 
-        if self.domain.is_mobile(packet.dst):
+        if packet.dst in mobiles:
             self.deliver_downlink(packet)
             return
 
-        if self.owns(packet.dst):
+        if packet.dst in self.addresses:
             self.deliver_local(packet, link)
             return
 

@@ -56,8 +56,9 @@ class RoutingCache:
     def __contains__(self, mobile) -> bool:
         return bool(self.lookup(mobile))
 
-    def refresh(self, mobile, next_hop: "Node", semisoft: bool = False) -> None:
-        mobile = IPAddress(mobile)
+    def refresh(
+        self, mobile: IPAddress, next_hop: "Node", semisoft: bool = False
+    ) -> None:
         self.refreshes += 1
         self._freshness += 1
         expires = self.sim.now + self.timeout
@@ -74,11 +75,10 @@ class RoutingCache:
             )
         )
 
-    def lookup(self, mobile) -> list["Node"]:
+    def lookup(self, mobile: IPAddress) -> list["Node"]:
         """Live next hops for ``mobile``: the freshest regular mapping,
         plus every live semisoft mapping (dual-cast during handoff).
         Expired entries are purged on access."""
-        mobile = IPAddress(mobile)
         entries = self._entries.get(mobile)
         if not entries:
             return []
@@ -104,9 +104,9 @@ class RoutingCache:
                 hops.append(entry.next_hop)
         return hops
 
-    def remove(self, mobile) -> None:
+    def remove(self, mobile: IPAddress) -> None:
         """Explicitly clear the mapping (paper's Delete Location Message)."""
-        self._entries.pop(IPAddress(mobile), None)
+        self._entries.pop(mobile, None)
 
     def purge_expired(self) -> int:
         """Drop all expired entries; returns how many were removed."""

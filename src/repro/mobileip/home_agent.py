@@ -160,8 +160,8 @@ class HomeAgent(Router):
                 return
         super().forward(packet, link)
 
-    def lookup_binding(self, home_address) -> Optional[Binding]:
-        binding = self.bindings.get(IPAddress(home_address))
+    def lookup_binding(self, home_address: IPAddress) -> Optional[Binding]:
+        binding = self.bindings.get(home_address)
         if binding is None:
             return None
         if binding.expired(self.sim.now):

@@ -225,26 +225,29 @@ class MultiTierBaseStation(Node):
         from_node = link.head if link is not None else None
         protocol = packet.protocol
 
-        if protocol in (messages.LOCATION, messages.UPDATE_LOCATION):
-            self._handle_location(packet, from_node)
-            return
-        if protocol == messages.DELETE_LOCATION:
-            self._handle_delete(packet, from_node)
-            return
-        if protocol == messages.HANDOFF_REQUEST:
-            self._handle_handoff_request(packet, from_node)
-            return
-        if protocol == messages.HANDOFF_BEGIN:
-            self._forward_up(packet)
-            return
-        if self.owns(packet.dst):
+        # Data and tunnelled data, nearly every packet, skip the four
+        # control-protocol comparisons.
+        if protocol != "data" and protocol != "ipip":
+            if protocol in (messages.LOCATION, messages.UPDATE_LOCATION):
+                self._handle_location(packet, from_node)
+                return
+            if protocol == messages.DELETE_LOCATION:
+                self._handle_delete(packet, from_node)
+                return
+            if protocol == messages.HANDOFF_REQUEST:
+                self._handle_handoff_request(packet, from_node)
+                return
+            if protocol == messages.HANDOFF_BEGIN:
+                self._forward_up(packet)
+                return
+        dst = packet.dst
+        if dst in self.addresses:
             self.deliver_local(packet, link)
-            return
-        if self.domain.is_mobile(packet.dst):
+        elif dst in self.domain.realm.mobile_addresses:
             self._route_mobile_packet(packet, from_node)
-            return
-        # Plain uplink traffic toward the Internet.
-        self._forward_up(packet)
+        else:
+            # Plain uplink traffic toward the Internet.
+            self._forward_up(packet)
 
     def _forward_up(self, packet: Packet) -> None:
         if self.parent is not None:

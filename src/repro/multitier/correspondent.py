@@ -59,7 +59,6 @@ class CorrespondentNode(Node):
         With a binding: tunnel to the RSMC (route-optimized).  Without:
         plain addressing, which the Internet routes to the home agent.
         """
-        mobile = IPAddress(mobile)
         inner = Packet(
             src=self.address,
             dst=mobile,
@@ -68,7 +67,7 @@ class CorrespondentNode(Node):
             created_at=packet_fields.pop("created_at", self.sim.now),
             **packet_fields,
         )
-        binding = self.bindings.get(mobile)
+        binding = self.bindings.get(inner.dst)
         if binding is not None:
             self.sent_via_binding += 1
             outgoing = encapsulate(inner, self.address, binding)

@@ -101,27 +101,24 @@ class RSMC(MultiTierBaseStation):
     # ------------------------------------------------------------------
     def receive(self, packet: Packet, link=None) -> None:
         from_node = link.head if link is not None else None
-        if packet.protocol == messages.HANDOFF_BEGIN and self._is_local_control(packet):
+        if packet.protocol == messages.HANDOFF_BEGIN and packet.dst in self.addresses:
             self.received_count += 1
             self._start_buffering(packet.payload.mobile_address)
             return
         if (
-            self.domain.is_mobile(packet.dst)
-            and packet.protocol == "data"
+            packet.protocol == "data"
             and from_node is self.internet_neighbor
+            and packet.dst in self.domain.realm.mobile_addresses
         ):
             # Remember who talks to this mobile, for route optimization.
             self._learn_correspondent(packet.dst, packet.src)
         super().receive(packet, link)
 
-    def _learn_correspondent(self, mobile: IPAddress, correspondent) -> None:
-        self._correspondents[mobile] = IPAddress(correspondent)
+    def _learn_correspondent(self, mobile: IPAddress, correspondent: IPAddress) -> None:
+        self._correspondents[mobile] = correspondent
         if mobile in self._pending_cn_notify:
             self._pending_cn_notify.discard(mobile)
             self._notify_correspondent(mobile)
-
-    def _is_local_control(self, packet: Packet) -> bool:
-        return packet.dst == self.address or self.owns(packet.dst)
 
     def _forward_up(self, packet: Packet) -> None:
         """The root consumes domain control and bridges data upward."""
@@ -139,8 +136,9 @@ class RSMC(MultiTierBaseStation):
     def _handle_tunneled(self, packet: Packet, link) -> None:
         """Tunnel exit: the RSMC is the domain's care-of address."""
         inner = decapsulate(packet)
-        if self.domain.is_mobile(inner.dst):
-            if inner.protocol == "data" and not self.domain.is_mobile(inner.src):
+        mobiles = self.domain.realm.mobile_addresses
+        if inner.dst in mobiles:
+            if inner.protocol == "data" and inner.src not in mobiles:
                 self._learn_correspondent(inner.dst, inner.src)
             self._route_mobile_packet(inner, link.head if link else None)
         # Non-mobile inner destinations are not ours to forward.

@@ -62,9 +62,8 @@ class CellTable:
     def __contains__(self, mobile) -> bool:
         return self.get(mobile) is not None
 
-    def store(self, mobile, via: Optional["Node"]) -> LocationRecord:
+    def store(self, mobile: IPAddress, via: Optional["Node"]) -> LocationRecord:
         """Insert or refresh the record for ``mobile``."""
-        mobile = IPAddress(mobile)
         now = self.sim.now
         record = LocationRecord(
             mobile=mobile,
@@ -76,9 +75,8 @@ class CellTable:
         self.stores += 1
         return record
 
-    def get(self, mobile) -> Optional[LocationRecord]:
+    def get(self, mobile: IPAddress) -> Optional[LocationRecord]:
         """The live record for ``mobile``, purging it if expired."""
-        mobile = IPAddress(mobile)
         record = self._records.get(mobile)
         if record is None:
             self.misses += 1
@@ -91,17 +89,15 @@ class CellTable:
         self.hits += 1
         return record
 
-    def peek(self, mobile) -> Optional[LocationRecord]:
+    def peek(self, mobile: IPAddress) -> Optional[LocationRecord]:
         """Like :meth:`get` but without touching hit/miss counters."""
-        mobile = IPAddress(mobile)
         record = self._records.get(mobile)
         if record is None or record.expires <= self.sim.now:
             return None
         return record
 
-    def delete(self, mobile) -> bool:
+    def delete(self, mobile: IPAddress) -> bool:
         """Explicit erase (Delete Location Message, §3.2)."""
-        mobile = IPAddress(mobile)
         if mobile in self._records:
             del self._records[mobile]
             self.deletes += 1

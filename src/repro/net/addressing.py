@@ -1,67 +1,47 @@
 """IPv4 addresses and prefixes.
 
-Addresses are plain ``int`` wrapped in a tiny value type so they format
-nicely and cannot be confused with packet sizes or ports.  The paper's
-architecture is explicitly IPv4 ("a multi-tier solution base on the
-current IP (IPv4)"), so 32-bit addressing is used throughout.
+Addresses are an ``int`` subclass so they format nicely, cannot be
+confused with packet sizes or ports, and hash and compare at C speed.
+The paper's architecture is explicitly IPv4 ("a multi-tier solution
+base on the current IP (IPv4)"), so 32-bit addressing is used throughout.
 """
 
 from __future__ import annotations
 
-from functools import total_ordering
 from typing import Iterator, Union
 
 _MAX = (1 << 32) - 1
 
 
-@total_ordering
-class IPAddress:
-    """A 32-bit IPv4 address."""
+class IPAddress(int):
+    """A 32-bit IPv4 address: an ``int`` that prints dotted.
 
-    __slots__ = ("_value",)
+    Hashing, equality and ordering are ``int``'s own, so an address in
+    a ``packet.dst`` field is tested against sets, dicts and lists as
+    it is; ``IPAddress(a)`` returns ``a`` itself when it already is one.
+    """
 
-    def __init__(self, value: Union[int, str, "IPAddress"]) -> None:
-        if isinstance(value, IPAddress):
-            self._value = value._value
-            return
+    __slots__ = ()
+
+    def __new__(cls, value: Union[int, str, "IPAddress"]) -> "IPAddress":
+        if type(value) is cls:
+            return value
         if isinstance(value, str):
-            self._value = _parse_dotted(value)
-            return
-        if isinstance(value, int):
-            if not 0 <= value <= _MAX:
-                raise ValueError(f"address out of range: {value}")
-            self._value = value
-            return
-        raise TypeError(f"cannot make an IPAddress from {value!r}")
-
-    def __int__(self) -> int:
-        return self._value
-
-    def __index__(self) -> int:
-        return self._value
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, IPAddress):
-            return self._value == other._value
-        if isinstance(other, int):
-            return self._value == other
-        return NotImplemented
-
-    def __lt__(self, other: "IPAddress") -> bool:
-        return self._value < int(other)
-
-    def __hash__(self) -> int:
-        return hash(self._value)
+            value = _parse_dotted(value)
+        elif not isinstance(value, int):
+            raise TypeError(f"cannot make an IPAddress from {value!r}")
+        if not 0 <= value <= _MAX:
+            raise ValueError(f"address out of range: {value}")
+        return int.__new__(cls, value)
 
     def __repr__(self) -> str:
         return f"IPAddress({str(self)!r})"
 
     def __str__(self) -> str:
-        value = self._value
-        return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+        return ".".join(str((self >> shift) & 0xFF) for shift in (24, 16, 8, 0))
 
     def __add__(self, offset: int) -> "IPAddress":
-        return IPAddress(self._value + offset)
+        return IPAddress(int(self) + offset)
 
 
 def _parse_dotted(text: str) -> int:
@@ -109,7 +89,9 @@ class Prefix:
         return self._mask
 
     def __contains__(self, address: Union[int, str, IPAddress]) -> bool:
-        return (int(IPAddress(address)) & self._mask) == int(self.network)
+        if type(address) is not IPAddress:
+            address = IPAddress(address)
+        return address & self._mask == self.network
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Prefix):

@@ -188,33 +188,29 @@ class Link:
         down); True if it was accepted (it may still be lost to random
         errors in flight).
         """
-        if not self.up:
-            self.stats.dropped_queue += 1
+        stats = self.stats
+        if not self.up or self._in_flight >= self.queue_limit:
+            stats.dropped_queue += 1
             return False
-        if self._in_flight >= self.queue_limit:
-            self.stats.dropped_queue += 1
-            return False
+        self._in_flight += 1
+        stats.sent += 1
+        stats.bytes_sent += packet.size
 
         if self.shared_channel is not None:
             # Contention mode: the cell's shared airtime arbiter owns
             # serialization; it calls channel_serialized()/channel_drop()
             # back on this link.  Per-link queue accounting is unchanged.
-            self._in_flight += 1
-            self.stats.sent += 1
-            self.stats.bytes_sent += packet.size
             self.shared_channel.submit(self, packet)
             return True
 
-        now = self.sim.now
-        start = max(now, self._busy_until)
-        finish = start + self.serialization_time(packet)
-        self._busy_until = finish
-        self._in_flight += 1
-        self.stats.sent += 1
-        self.stats.bytes_sent += packet.size
-
-        arrival_delay = (finish + self.delay) - now
-        self.sim.call_later(arrival_delay, self._deliver, packet)
+        # max() and serialization_time() inlined: this runs once per hop.
+        sim = self.sim
+        now = sim._now
+        start = self._busy_until
+        if start < now:
+            start = now
+        self._busy_until = finish = start + packet.size * 8.0 / self.bandwidth
+        sim.call_later((finish + self.delay) - now, self._deliver, packet)
         return True
 
     # ------------------------------------------------------------------
@@ -235,14 +231,12 @@ class Link:
 
     def _deliver(self, packet: "Packet") -> None:
         self._in_flight -= 1
-        if not self.up:
-            self.stats.dropped_error += 1
+        stats = self.stats
+        if not self.up or (self.loss_rate > 0.0 and self._random_loss()):
+            stats.dropped_error += 1
             return
-        if self.loss_rate > 0.0 and self._random_loss():
-            self.stats.dropped_error += 1
-            return
-        self.stats.delivered += 1
-        hops = self.stats.protocol_hops
+        stats.delivered += 1
+        hops = stats.protocol_hops
         hops[packet.protocol] = hops.get(packet.protocol, 0) + 1
         self.tail.receive(packet, self)
 

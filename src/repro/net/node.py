@@ -95,7 +95,7 @@ class Node:
     def receive(self, packet: "Packet", link: Optional["Link"] = None) -> None:
         """Entry point for packets arriving at this node."""
         self.received_count += 1
-        if self.owns(packet.dst):
+        if packet.dst in self.addresses:
             self.deliver_local(packet, link)
         else:
             self.forward(packet, link)

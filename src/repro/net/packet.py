@@ -40,7 +40,7 @@ class Packet:
     seq: int = 0
     created_at: float = 0.0
     ttl: int = 64
-    uid: int = field(default_factory=lambda: next(_packet_ids))
+    uid: int = field(default_factory=_packet_ids.__next__)
     #: Set by semisoft handoff when a copy is sent down two paths.
     duplicate_of: Optional[int] = None
     #: Set on paging-broadcast copies so they are not re-flooded.

@@ -18,16 +18,28 @@ class ForwardingTable:
 
     Entries are bucketed by prefix length so lookup probes at most 33
     dictionaries, longest first — simple and fast enough for simulated
-    topologies while behaving exactly like real LPM.
+    topologies while behaving exactly like real LPM.  The probe order
+    is rebuilt when a length bucket appears or empties, not per lookup.
     """
 
     def __init__(self) -> None:
-        # _buckets[length] maps masked-network-int -> next hop.
+        # _buckets[mask] maps masked-network-int -> next hop; one
+        # bucket per prefix length in use, never an empty one.
         self._buckets: dict[int, dict[int, Node]] = {}
+        #: (mask, bucket) pairs, longest prefix first.
+        self._probes: list[tuple[int, dict[int, Node]]] = []
         self._default: Optional[Node] = None
 
+    def _rebuild_probes(self) -> None:
+        self._probes = [
+            (mask, self._buckets[mask]) for mask in sorted(self._buckets, reverse=True)
+        ]
+
     def add(self, prefix: Prefix, next_hop: Node) -> None:
-        bucket = self._buckets.setdefault(prefix.length, {})
+        bucket = self._buckets.get(prefix.mask)
+        if bucket is None:
+            bucket = self._buckets[prefix.mask] = {}
+            self._rebuild_probes()
         bucket[int(prefix.network)] = next_hop
 
     def add_host(self, address, next_hop: Node) -> None:
@@ -35,18 +47,20 @@ class ForwardingTable:
         self.add(Prefix(IPAddress(address), 32), next_hop)
 
     def remove(self, prefix: Prefix) -> None:
-        bucket = self._buckets.get(prefix.length)
-        if bucket:
-            bucket.pop(int(prefix.network), None)
+        bucket = self._buckets.get(prefix.mask)
+        if bucket is None:
+            return
+        bucket.pop(int(prefix.network), None)
+        if not bucket:
+            del self._buckets[prefix.mask]
+            self._rebuild_probes()
 
     def set_default(self, next_hop: Optional[Node]) -> None:
         self._default = next_hop
 
-    def lookup(self, address) -> Optional[Node]:
-        value = int(IPAddress(address))
-        for length in sorted(self._buckets, reverse=True):
-            mask = ((1 << 32) - 1) << (32 - length) if length else 0
-            next_hop = self._buckets[length].get(value & mask & ((1 << 32) - 1))
+    def lookup(self, address: IPAddress) -> Optional[Node]:
+        for mask, bucket in self._probes:
+            next_hop = bucket.get(address & mask)
             if next_hop is not None:
                 return next_hop
         return self._default

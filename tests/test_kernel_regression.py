@@ -12,7 +12,10 @@ same contract end-to-end; these tests localize a violation.
 
 import pytest
 
+from repro.multitier.architecture import MultiTierWorld
+from repro.net import IPAddress, Network
 from repro.net.packet import Packet
+from repro.net.router import ForwardingTable
 from repro.sim import Simulator
 from repro.sim.events import NORMAL, URGENT, Timeout
 from repro.sim.kernel import _Callback
@@ -163,6 +166,69 @@ def test_packet_carries_no_instance_dict():
     assert int(packet.src) and int(packet.dst)  # str coerced to IPAddress
     copy = packet.copy()
     assert copy.src == packet.src and copy is not packet
+
+
+# ----------------------------------------------------------------------
+# The per-hop chain stays coercion-free
+# ----------------------------------------------------------------------
+def _router_chain(sim):
+    """host -> router -> router -> host; returns (send_one, delivered)."""
+    network = Network(sim)
+    src, dst = network.host("src"), network.host("dst")
+    r1, r2 = network.router("r1"), network.router("r2")
+    for a, b in ((src, r1), (r1, r2), (r2, dst)):
+        network.connect(a, b)
+    network.install_routes()
+    delivered = []
+    dst.on_default(lambda packet, link: delivered.append(packet.uid))
+    return (
+        lambda: src.send_via(r1, Packet(src=src.address, dst=dst.address, size=500)),
+        delivered,
+    )
+
+
+def _multitier_downlink(sim):
+    """CN -> Internet -> RSMC -> base stations -> mobile (Fig 3.1 world)."""
+    world = MultiTierWorld(sim=sim)
+    mobile = world.add_mobile("mn")
+    assert mobile.initial_attach(world.domain1["B"])
+    sim.run(until=1.0)
+    delivered = []
+    mobile.on_data.append(lambda packet: delivered.append(packet.uid))
+    return lambda: world.cn.send_to_mobile(mobile.home_address), delivered
+
+
+@pytest.mark.parametrize("build", [_router_chain, _multitier_downlink])
+def test_forwarding_does_no_per_packet_address_or_table_work(build, monkeypatch):
+    """Forwarding N packets may construct no address and rebuild no LPM
+    probe list: both counts are set by the world and the simulated time,
+    never by N.  (Addresses are typed once, at ``Packet`` construction
+    or at build time; every hop tests membership on ``packet.dst``.)"""
+    made, rebuilt = [], []
+    address_new = IPAddress.__new__
+    rebuild_probes = ForwardingTable._rebuild_probes
+    monkeypatch.setattr(
+        IPAddress,
+        "__new__",
+        staticmethod(lambda cls, value: made.append(value) or address_new(cls, value)),
+    )
+    monkeypatch.setattr(
+        ForwardingTable,
+        "_rebuild_probes",
+        lambda table: rebuilt.append(table) or rebuild_probes(table),
+    )
+    counts = []
+    for packets in (3, 30):
+        del made[:], rebuilt[:]
+        sim = Simulator()
+        send_one, delivered = build(sim)
+        for _ in range(packets):
+            send_one()
+        sim.run(until=3.0)
+        assert len(delivered) == packets
+        counts.append((len(made), len(rebuilt)))
+    assert counts[0] == counts[1]
+    assert counts[0][1] > 0  # the patches did see the build-time work
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for IPv4 addresses, prefixes and allocation."""
 
+import pickle
+
 import pytest
 
 from repro.net import AddressAllocator, IPAddress, Prefix, ip
@@ -21,6 +23,56 @@ def test_address_equality_and_hash():
     assert ip("10.0.0.1") == 0x0A000001
     assert ip("10.0.0.1") != ip("10.0.0.2")
     assert len({ip("10.0.0.1"), ip("10.0.0.1")}) == 1
+
+
+def test_address_is_an_int_and_is_never_rewrapped():
+    address = ip("10.0.0.1")
+    assert isinstance(address, int)
+    assert IPAddress(address) is address
+    assert ip(address) is address
+    assert hash(address) == hash(int(address)) == hash(0x0A000001)
+    assert {0x0A000001: "hop"}[address] == "hop"
+    assert address in [0x0A000001]
+
+
+def test_address_prints_dotted_everywhere():
+    address = ip("10.1.2.3")
+    assert str(address) == f"{address}" == "%s" % address == "10.1.2.3"
+    assert repr(address) == "IPAddress('10.1.2.3')"
+    assert repr([address]) == "[IPAddress('10.1.2.3')]"
+
+
+def test_address_arithmetic_stays_range_checked():
+    assert type(ip("10.0.0.1") + 1) is IPAddress
+    with pytest.raises(ValueError):
+        ip("255.255.255.255") + 1
+    with pytest.raises(ValueError):
+        ip("0.0.0.0") + -1
+
+
+@pytest.mark.parametrize("bad", [1.0, None, b"10.0.0.1", (10, 0, 0, 1)])
+def test_address_from_other_types_rejected(bad):
+    with pytest.raises(TypeError):
+        IPAddress(bad)
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_address_pickle_roundtrip_keeps_type_and_value(protocol):
+    """Results carrying addresses cross ``ProcessPoolBackend``."""
+    address = ip("10.1.2.3")
+    clone = pickle.loads(pickle.dumps(address, protocol))
+    assert type(clone) is IPAddress
+    assert clone == address and str(clone) == "10.1.2.3"
+
+
+def test_sorting_mixed_addresses_and_ints_is_stable():
+    mixed = [ip("0.0.0.5"), 3, ip("0.0.0.3"), 5, 4, ip("0.0.0.4")]
+    ordered = sorted(mixed)
+    assert ordered == [3, 3, 4, 4, 5, 5]
+    # Equal keys keep their input order, whichever type came first.
+    assert [type(x) for x in ordered] == [
+        int, IPAddress, int, IPAddress, IPAddress, int
+    ]
 
 
 def test_address_ordering():

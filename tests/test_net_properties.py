@@ -40,18 +40,32 @@ def test_prefix_membership_matches_mask_arithmetic(network, length, probe):
         min_size=1,
         max_size=25,
     ),
+    removals=st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24)), max_size=12),
     probe=addresses,
 )
-def test_lpm_matches_bruteforce_reference(entries, probe):
-    """The bucketed LPM must agree with a naive longest-match scan."""
+def test_lpm_matches_bruteforce_reference(entries, removals, probe):
+    """The bucketed LPM must agree with a naive longest-match scan,
+    with removes interleaved among the adds."""
     sim = Simulator()
     hops = [Node(sim, f"hop{i}") for i in range(10)]
     table = ForwardingTable()
     reference: dict[tuple[int, int], Node] = {}
-    for network, length, hop_index in entries:
+    # (after, victim): once entry ``after`` is in, remove entry ``victim``
+    # whether or not it was added yet (removing an absent prefix is a no-op).
+    removes_after: dict[int, list[int]] = {}
+    for after, victim in removals:
+        removes_after.setdefault(after % len(entries), []).append(victim % len(entries))
+    for index, (network, length, hop_index) in enumerate(entries):
         prefix = Prefix(IPAddress(network), length)
         table.add(prefix, hops[hop_index])
         reference[(int(prefix.network), length)] = hops[hop_index]
+        for victim in removes_after.get(index, ()):
+            gone = Prefix(IPAddress(entries[victim][0]), entries[victim][1])
+            table.remove(gone)
+            reference.pop((int(gone.network), gone.length), None)
+    assert len(table) == len(reference)
+    # One probe per prefix length still in use: remove leaves no empty bucket.
+    assert len(table._probes) == len({length for _network, length in reference})
 
     # Naive reference: longest prefix containing the probe; ties by
     # insertion order are impossible since (network, length) is unique.
