@@ -8,10 +8,10 @@ at ``repro campaign new`` time, so a resume months later runs exactly
 the grid that was queued — and can *detect* that it no longer can.
 
 Every item derives its :class:`~repro.scenarios.spec.ScenarioSpec`
-through the same code paths the CLI uses (the catalog, ``smoke()``
-shrinking, ``stack`` rebinding, and
-:func:`repro.scenarios.sweep.sweep_points` for sweep axes), and the
-manifest pins a :func:`spec_fingerprint` per item.  On load the specs
+through :func:`repro.scenarios.grid.expand_grid` — the expansion live
+``repro scenario run`` / ``sweep`` calls use (catalog lookup,
+``smoke()`` shrinking, ``stack`` rebinding, sweep-axis derivation) —
+and the manifest pins a :func:`spec_fingerprint` per item.  On load the specs
 are re-derived and re-fingerprinted: if the catalog or a sweep
 definition drifted since ``new``, the mismatch fails eagerly with the
 offending item named, instead of silently merging incomparable results.
@@ -31,9 +31,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from repro.scenarios.catalog import get_scenario
+from repro.scenarios.grid import expand_grid
 from repro.scenarios.spec import ScenarioSpec
-from repro.scenarios.sweep import get_sweep, sweep_points
 
 #: Manifest (and work-item) schema version, bumped on layout changes.
 MANIFEST_SCHEMA = 1
@@ -100,21 +99,27 @@ class WorkItem:
         return f"{self.sweep}@{self.sweep_value:g} [{self.stack}]"
 
     def spec(self, smoke: bool = False) -> ScenarioSpec:
-        """Re-derive the spec this item runs, via the CLI's own paths.
+        """Re-derive the spec this item runs.
 
-        Scenario items: catalog lookup, ``stack`` rebind, optional
-        ``smoke()`` shrink.  Sweep items: the same resolution
-        :func:`repro.scenarios.sweep.sweep_points` performs, then
-        :meth:`ScenarioSweep.derive` at this item's axis value.
-        Deterministic: pure data derivation, revalidated end to end.
+        Expands this item's own (scenario or sweep, stack) through
+        :func:`repro.scenarios.grid.expand_grid` — the expansion that
+        queued it and that live runs use — and picks the cell at this
+        item's axis value; :class:`ValueError` when the sweep no longer
+        has that point.  Deterministic: pure data derivation,
+        revalidated end to end.
         """
-        if self.sweep is None:
-            spec = get_scenario(self.scenario).replace(stack=self.stack)
-            return spec.smoke() if smoke else spec
-        resolved, base, _seeds, _points = sweep_points(
-            self.sweep, smoke=smoke, stack=self.stack
+        cells = expand_grid(
+            scenarios=[self.scenario] if self.sweep is None else [],
+            sweeps=[self.sweep] if self.sweep is not None else [],
+            stacks=[self.stack],
+            smoke=smoke,
         )
-        return resolved.derive(base, self.sweep_value)
+        for cell in cells:
+            if cell.value == self.sweep_value:
+                return cell.spec
+        raise ValueError(
+            f"sweep {self.sweep!r} has no axis point {self.sweep_value!r}"
+        )
 
     def to_json(self) -> dict:
         """The JSON mapping stored in manifests and records."""
@@ -265,9 +270,11 @@ def build_manifest(
 ) -> CampaignManifest:
     """Expand campaign knobs into a validated, frozen manifest.
 
-    Expansion order (which is also execution order): scenario entries
-    first — scenario-major, then stack, then seed — followed by sweep
-    entries — sweep-major, then stack, then axis point, then seed.
+    One item per (cell, seed) of
+    :func:`repro.scenarios.grid.expand_grid`'s cells, in its expansion
+    order (which is also execution order): scenario entries first —
+    scenario-major, then stack, then seed — followed by sweep entries
+    — sweep-major, then stack, then axis point, then seed.
     ``stacks=None`` keeps each spec's own default stack; explicit
     stacks are validated against the registry.  ``seeds=None`` uses
     each (smoke-shrunk) spec's or sweep's own defaults.  Duplicate
@@ -280,45 +287,23 @@ def build_manifest(
             "a campaign needs at least one scenario or sweep"
         )
     if stacks is not None:
-        from repro.stacks.registry import get_stack
-
         stacks = tuple(stacks)
-        for stack in stacks:
-            get_stack(stack)  # eager: unknown stack fails before expansion
-    seed_override = (
-        tuple(int(seed) for seed in seeds) if seeds is not None else None
-    )
-
+    if seeds is not None:
+        seeds = tuple(int(seed) for seed in seeds)
+    cells = expand_grid(scenarios, sweeps, stacks, seeds, smoke)
     items: list[WorkItem] = []
     fingerprints: list[str] = []
-    for scenario_name in scenarios:
-        base = get_scenario(scenario_name)
-        for stack in stacks if stacks is not None else (base.stack,):
-            spec = base.replace(stack=stack)
-            if smoke:
-                spec = spec.smoke()
-            for seed in seed_override or spec.seeds:
-                items.append(WorkItem(
-                    scenario=scenario_name, stack=stack, seed=seed,
-                ))
-                fingerprints.append(spec_fingerprint(spec))
-    for sweep_name in sweeps:
-        sweep = get_sweep(sweep_name)
-        base_stack = get_scenario(sweep.scenario).stack
-        for stack in stacks if stacks is not None else (base_stack,):
-            _resolved, _base, seed_list, points = sweep_points(
-                sweep, seeds=seed_override, smoke=smoke, stack=stack
-            )
-            for value, spec in points:
-                for seed in seed_list:
-                    items.append(WorkItem(
-                        scenario=sweep.scenario,
-                        stack=stack,
-                        seed=seed,
-                        sweep=sweep_name,
-                        sweep_value=value,
-                    ))
-                    fingerprints.append(spec_fingerprint(spec))
+    for cell in cells:
+        fingerprint = spec_fingerprint(cell.spec)
+        for seed in cell.seeds:
+            items.append(WorkItem(
+                scenario=cell.scenario.name,
+                stack=cell.stack,
+                seed=seed,
+                sweep=cell.sweep.name if cell.sweep is not None else None,
+                sweep_value=cell.value,
+            ))
+            fingerprints.append(fingerprint)
 
     seen: set[str] = set()
     for item in items:
@@ -336,7 +321,7 @@ def build_manifest(
         scenarios=tuple(scenarios),
         sweeps=tuple(sweeps),
         stacks=stacks,
-        seeds=seed_override,
+        seeds=seeds,
         smoke=smoke,
         items=tuple(items),
         fingerprints=tuple(fingerprints),

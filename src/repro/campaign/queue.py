@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
 
-from repro.experiments.exec import ExecutionBackend, get_default_backend
+from repro.experiments.exec import ExecutionBackend, SerialBackend
 from repro.scenarios.builder import run_scenario_spec
 
 from repro.campaign.manifest import (
@@ -352,7 +352,7 @@ def run_campaign(
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     if backend is None:
-        backend = get_default_backend()
+        backend = SerialBackend()
     say = log if log is not None else (lambda message: None)
 
     pending = campaign.pending()

@@ -15,11 +15,12 @@ the problem named instead of producing silently wrong aggregates.
 
 Re-aggregation: :func:`store_replications` groups records per grid
 cell (same scenario/stack/sweep-point, seeds ascending) and reduces
-them with :func:`repro.experiments.runner.aggregate` — the exact
+them with :func:`repro.experiments.runner.replicate_cells` — the exact
 reduction live runs use — so confidence intervals computed from a
 store equal the ones a live run would have printed.
-:func:`store_stack_comparisons` goes one step further and rebuilds
-:class:`~repro.scenarios.compare.StackComparison` tables for scenarios
+:func:`store_stack_comparisons` goes one step further and regroups
+the cells into :class:`~repro.scenarios.compare.StackComparison`
+tables (:func:`repro.scenarios.grid.stack_comparisons`) for scenarios
 the campaign covered under several stacks.
 
 Determinism: merging, loading and re-aggregation are pure functions of
@@ -33,9 +34,10 @@ import json
 import pathlib
 from typing import Union
 
-from repro.experiments.runner import Replication, aggregate
-from repro.scenarios.catalog import get_scenario
-from repro.scenarios.compare import StackComparison, build_stack_comparison
+from repro.experiments.runner import Replication, replicate_cells
+from repro.scenarios.compare import StackComparison
+from repro.scenarios.grid import GridCell, expand_grid, stack_comparisons
+from repro.stacks.registry import stack_names
 
 from repro.campaign.manifest import CampaignError, WorkItem
 from repro.campaign.queue import Campaign, _write_atomic
@@ -152,35 +154,47 @@ def load_store(path: Union[str, pathlib.Path]) -> dict:
     return store
 
 
+def _store_cells(
+    store: dict, confidence: float
+) -> list[tuple[WorkItem, list[int], Replication]]:
+    """Regroup a store's records per grid cell, in store order.
+
+    One ``(item, seeds ascending, Replication)`` entry per
+    :attr:`WorkItem.group` (``item`` is the cell's first record).  The
+    stored per-seed metric dicts go through
+    :func:`repro.experiments.runner.replicate_cells` — the batch
+    function live runs use, each "job" a lookup — so means and CI
+    half-widths match a live run of the same grid.
+    """
+    grouped: dict[str, tuple[WorkItem, dict[int, dict]]] = {}
+    for record in store["records"]:
+        item = WorkItem.from_json(record["item"])
+        grouped.setdefault(item.group, (item, {}))[1][item.seed] = record["metrics"]
+    replications = replicate_cells(
+        [(by_seed.__getitem__, sorted(by_seed)) for _item, by_seed in grouped.values()],
+        confidence,
+    )
+    return [
+        (item, sorted(by_seed), replication)
+        for (item, by_seed), replication in zip(grouped.values(), replications)
+    ]
+
+
 def store_replications(
     store: dict, confidence: float = 0.95
 ) -> dict[str, tuple[list[int], Replication]]:
     """Re-aggregate a store per grid cell: group -> (seeds, Replication).
 
     Groups records by :attr:`WorkItem.group` (same scenario, stack and
-    sweep-point — the cells of the campaign grid), orders each group's
-    records by seed ascending, and reduces the per-seed metric dicts
-    with :func:`repro.experiments.runner.aggregate` at ``confidence``
-    — exactly how a live replication aggregates, so the resulting
-    means and CI half-widths match a live run of the same grid.
-    Groups are returned in first-appearance (store) order.
+    sweep-point — the cells of the campaign grid), each group's seeds
+    ascending, reduced at ``confidence`` exactly as a live replication
+    is.  Groups are returned in first-appearance (store) order.
     Deterministic: pure reduction.
     """
-    grouped: dict[str, list[tuple[int, dict]]] = {}
-    for record in store["records"]:
-        item = WorkItem.from_json(record["item"])
-        grouped.setdefault(item.group, []).append(
-            (item.seed, record["metrics"])
-        )
-    out: dict[str, tuple[list[int], Replication]] = {}
-    for group, entries in grouped.items():
-        entries.sort(key=lambda entry: entry[0])
-        seeds = [seed for seed, _metrics in entries]
-        out[group] = (
-            seeds,
-            aggregate([metrics for _seed, metrics in entries], confidence),
-        )
-    return out
+    return {
+        item.group: (seeds, replication)
+        for item, seeds, replication in _store_cells(store, confidence)
+    }
 
 
 def store_stack_comparisons(
@@ -189,52 +203,39 @@ def store_stack_comparisons(
     """Rebuild cross-stack comparison tables from a merged store.
 
     For every plain scenario (non-sweep) the campaign ran under more
-    than one stack with identical seed lists, assembles the same
-    :class:`~repro.scenarios.compare.StackComparison` a live
-    ``repro scenario run <name> --stack all`` builds — render it with
+    than one stack with identical seed lists, re-expands the
+    scenario's cells (:func:`repro.scenarios.grid.expand_grid`) and
+    groups them with :func:`repro.scenarios.grid.stack_comparisons` —
+    the same :class:`~repro.scenarios.compare.StackComparison` a live
+    ``repro scenario run <name> --stack all`` builds; render it with
     :func:`~repro.scenarios.compare.format_stack_comparison` for a
     byte-identical table.  Scenarios appear in store order; stacks in
-    registry order (the order a live ``--stack all`` uses), with any
-    unregistered stragglers appended in first-appearance order.
+    registry order (the order a live ``--stack all`` uses).  A store
+    naming a stack that is no longer registered fails the expansion
+    with the registered names listed.
     Deterministic: pure reduction.
     """
-    from repro.stacks.registry import stack_names
-    per_scenario: dict[str, dict[str, list[tuple[int, dict]]]] = {}
-    for record in store["records"]:
-        item = WorkItem.from_json(record["item"])
-        if item.sweep is not None:
+    columns: dict[str, dict[str, tuple[list[int], Replication]]] = {}
+    for item, seeds, replication in _store_cells(store, confidence):
+        if item.sweep is None:
+            columns.setdefault(item.scenario, {})[item.stack] = (seeds, replication)
+    registry = stack_names()
+    cells: list[GridCell] = []
+    replications: list[Replication] = []
+    for scenario, by_stack in columns.items():
+        # A stack no longer registered sorts last (and fails expansion).
+        stacks = sorted(by_stack, key=(registry + list(by_stack)).index)
+        seed_lists = [by_stack[name][0] for name in stacks]
+        if len(stacks) < 2 or any(seeds != seed_lists[0] for seeds in seed_lists):
+            # One stack, or unpaired seeds (columns would not be
+            # comparable per seed): no side-by-side table.
             continue
-        stacks = per_scenario.setdefault(item.scenario, {})
-        stacks.setdefault(item.stack, []).append(
-            (item.seed, record["metrics"])
+        cells += expand_grid(
+            [scenario], stacks=stacks, seeds=seed_lists[0],
+            smoke=bool(store.get("smoke")),
         )
-    comparisons: list[StackComparison] = []
-    registry_order = stack_names()
-    for scenario, stacks in per_scenario.items():
-        if len(stacks) < 2:
-            continue
-        ordered = [name for name in registry_order if name in stacks]
-        ordered += [name for name in stacks if name not in ordered]
-        seed_lists = []
-        replications: dict[str, Replication] = {}
-        for stack in ordered:
-            entries = stacks[stack]
-            entries.sort(key=lambda entry: entry[0])
-            seed_lists.append([seed for seed, _metrics in entries])
-            replications[stack] = aggregate(
-                [metrics for _seed, metrics in entries], confidence
-            )
-        if any(seeds != seed_lists[0] for seeds in seed_lists[1:]):
-            # Unpaired seeds: columns would not be comparable per seed,
-            # so no side-by-side table for this scenario.
-            continue
-        spec = get_scenario(scenario)
-        if store.get("smoke"):
-            spec = spec.smoke()
-        comparisons.append(build_stack_comparison(
-            spec, replications, seed_lists[0], confidence
-        ))
-    return comparisons
+        replications += [by_stack[name][1] for name in stacks]
+    return stack_comparisons(cells, replications, confidence)
 
 
 __all__ = [

@@ -47,7 +47,7 @@ import pathlib
 import sys
 import time
 
-from repro.experiments import ALL_EXPERIMENTS, backend_for_jobs, set_default_backend
+from repro.experiments import ALL_EXPERIMENTS, backend_for_jobs
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -451,9 +451,19 @@ def _scenario_main(args: argparse.Namespace) -> int:
     ):
         return 2
 
-    specs = [scenarios.get_scenario(name) for name in wanted]
-    if args.smoke:
-        specs = [spec.smoke() for spec in specs]
+    # ONE backend batch for the whole (scenario, stack, seed) grid:
+    # the pool's work-stealing queue balances across scenarios and
+    # stacks, so a single-seed heavyweight (mega) still overlaps its
+    # neighbours under --jobs N.
+    cells = scenarios.expand_grid(
+        wanted,
+        stacks=_stack_list(args.stack),
+        seeds=args.seeds,
+        smoke=args.smoke,
+    )
+    replications, elapsed = _timed(
+        lambda: scenarios.run_grid(cells, backend=backend_for_jobs(args.jobs))
+    )
 
     if args.stack == "all":
         if args.trace_decisions:
@@ -461,14 +471,9 @@ def _scenario_main(args: argparse.Namespace) -> int:
                 "[--trace-decisions applies to single-stack runs; "
                 "ignored with --stack all]"
             )
-        # Cross-stack mode: the whole (scenario, stack, seed) grid is
-        # ONE backend batch; each scenario renders a side-by-side
+        # Cross-stack mode: each scenario renders a side-by-side
         # comparison table across every registered stack.
-        comparisons, elapsed = _timed(
-            lambda: scenarios.compare_scenario_stacks(
-                specs, seeds=args.seeds, backend=backend_for_jobs(args.jobs)
-            )
-        )
+        comparisons = scenarios.stack_comparisons(cells, replications)
         for comparison in comparisons:
             text = scenarios.format_stack_comparison(comparison)
             print(text)
@@ -481,18 +486,8 @@ def _scenario_main(args: argparse.Namespace) -> int:
         _print_completed(len(comparisons), "stack comparison", elapsed)
         return 0
 
-    # One batch for the whole (scenario, seed) grid: the pool's
-    # work-stealing queue balances across scenarios, so a single-seed
-    # heavyweight (mega) still overlaps its neighbours under --jobs N.
-    batch, elapsed = _timed(
-        lambda: scenarios.replicate_scenarios(
-            specs,
-            seeds=args.seeds,
-            backend=backend_for_jobs(args.jobs),
-            stack=args.stack,
-        )
-    )
-    for spec, seeds, replication in batch:
+    for cell, replication in zip(cells, replications):
+        spec, seeds = cell.spec, cell.seeds
         text = scenarios.format_scenario_result(spec, replication, seeds)
         print(text)
         print()
@@ -515,8 +510,20 @@ def _scenario_main(args: argparse.Namespace) -> int:
             f"scenario_{spec.name}{_stack_suffix(spec.stack)}",
             text + "\n",
         )
-    _print_completed(len(batch), "scenario", elapsed)
+    _print_completed(len(cells), "scenario", elapsed)
     return 0
+
+
+def _stack_list(stack: str | None):
+    """The ``stacks=`` knob for a validated --stack value: ``None``
+    (each spec's own stack), every registered stack, or the one named."""
+    if stack is None:
+        return None
+    if stack == "all":
+        from repro.stacks import stack_names
+
+        return stack_names()
+    return [stack]
 
 
 def _stack_suffix(stack: str) -> str:
@@ -543,29 +550,19 @@ def _scenario_sweep_main(args: argparse.Namespace) -> int:
     ):
         return 2
 
-    if args.stack is None:
-        stack_list = None  # each base spec's own stack; legacy output
-    elif args.stack == "all":
-        from repro.stacks import stack_names
-
-        stack_list = list(stack_names())
-    else:
-        stack_list = [args.stack]
-
     # ONE backend batch for the union of every requested (sweep, stack)
     # pair's (point, seed) grid: under --jobs N the pool's
     # work-stealing queue overlaps small sweeps with big ones instead
-    # of serializing the sweeps behind each other.  Labels and grids
-    # both come from the same effective_sweep() resolution inside
-    # sweep_scenarios, and each returned entry carries the rebound
-    # base spec that ran — its stack field names the output files.
+    # of serializing the sweeps behind each other.  Each returned
+    # entry carries the effective sweep, seeds and rebound base spec
+    # that ran — its stack field names the output files.
     batch, elapsed = _timed(
         lambda: scenarios.sweep_scenarios(
             wanted,
             seeds=args.seeds,
             smoke=args.smoke,
             backend=backend_for_jobs(args.jobs),
-            stacks=stack_list,
+            stacks=_stack_list(args.stack),
         )
     )
     for effective, base, seeds, result in batch:
@@ -733,24 +730,21 @@ def main(argv: list[str] | None = None) -> int:
     wanted = _expand_names(args.experiments, list(ALL_EXPERIMENTS), "experiment")
     if wanted is None or not _jobs_ok(args.jobs):
         return 2
-    # Experiments pick the backend up via get_default_backend(), so the
-    # flag covers every replicate()/sweep() call they make.
-    previous_backend = set_default_backend(backend_for_jobs(args.jobs))
-    try:
-        for experiment_id in wanted:
-            result, elapsed = _timed(ALL_EXPERIMENTS[experiment_id])
-            print(result.text)
-            if result.notes:
-                print(f"Notes: {result.notes}")
-            print(f"[{experiment_id} completed in {elapsed:.1f}s]\n")
-            _write_table(
-                args.output_dir,
-                experiment_id,
-                result.text
-                + (f"\n\nNotes: {result.notes}\n" if result.notes else ""),
-            )
-    finally:
-        set_default_backend(previous_backend)
+    backend = backend_for_jobs(args.jobs)
+    for experiment_id in wanted:
+        result, elapsed = _timed(
+            lambda: ALL_EXPERIMENTS[experiment_id](backend=backend)
+        )
+        print(result.text)
+        if result.notes:
+            print(f"Notes: {result.notes}")
+        print(f"[{experiment_id} completed in {elapsed:.1f}s]\n")
+        _write_table(
+            args.output_dir,
+            experiment_id,
+            result.text
+            + (f"\n\nNotes: {result.notes}\n" if result.notes else ""),
+        )
     return 0
 
 

@@ -3,9 +3,18 @@ per reproduced figure/table.
 
 Execution engine
 ----------------
-Every experiment routes its per-(seed, sweep-point) scenario jobs
-through a pluggable :class:`~repro.experiments.exec.ExecutionBackend`
-(see :mod:`repro.experiments.exec`):
+Every experiment takes ``backend=`` and routes its per-(seed,
+sweep-point) scenario jobs through ONE batch function,
+:func:`~repro.experiments.runner.replicate_cells` — ``(scenario,
+seeds)`` cells → jobs → a single ``backend.run`` → one
+:class:`~repro.experiments.runner.Replication` per cell —
+which :func:`~repro.experiments.runner.replicate`,
+:func:`~repro.experiments.runner.replicate_grid` and
+:func:`~repro.experiments.runner.sweep` delegate to, as does the
+scenario layer's grid path (:mod:`repro.scenarios.grid`:
+``expand_grid`` → ``run_grid`` → ``stack_comparisons``).  The backend
+is a pluggable :class:`~repro.experiments.exec.ExecutionBackend`
+(see :mod:`repro.experiments.exec`; ``backend=None`` means serial):
 
 * :class:`~repro.experiments.exec.SerialBackend` (the default) runs
   jobs in order in-process and is bit-identical to the historic serial
@@ -46,8 +55,6 @@ from repro.experiments.exec import (
     RemoteTraceback,
     SerialBackend,
     backend_for_jobs,
-    get_default_backend,
-    set_default_backend,
 )
 from repro.experiments.elastic import experiment_e8b
 from repro.experiments.load import experiment_e11
@@ -69,6 +76,7 @@ from repro.experiments.runner import (
     aggregate,
     build_sweep_result,
     replicate,
+    replicate_cells,
     replicate_grid,
     sweep,
 )
@@ -121,8 +129,8 @@ __all__ = [
     "experiment_e11",
     "experiment_t1",
     "experiment_t2",
-    "get_default_backend",
     "replicate",
+    "replicate_cells",
     "replicate_grid",
     "run_cip_hard",
     "run_cip_semisoft",
@@ -130,6 +138,5 @@ __all__ = [
     "run_multitier_rsmc",
     "run_scheme",
     "save_experiment_figure",
-    "set_default_backend",
     "sweep",
 ]

@@ -6,7 +6,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Iterable, Optional
 
-from repro.experiments.exec import ExecutionBackend, get_default_backend
+from repro.experiments.exec import ExecutionBackend, SerialBackend
 from repro.experiments.runner import ExperimentResult, replicate_grid, sweep
 from repro.metrics.tables import diff_counts, format_table
 from repro.mobility import Highway, RandomWaypoint
@@ -194,7 +194,7 @@ def experiment_t1(
         "inter diff-upper (F->G)": ("F", "G", True),
     }
     if backend is None:
-        backend = get_default_backend()
+        backend = SerialBackend()
     deltas = backend.run(
         [
             partial(_t1_case, start, target, cross_domain)

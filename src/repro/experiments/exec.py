@@ -3,9 +3,9 @@
 The paper's evaluation (E1-E11, T1/T2) is embarrassingly parallel: every
 (seed, sweep-point) pair builds its own world and its own
 :class:`~repro.sim.kernel.Simulator`, so scenario jobs share no state.
-:func:`repro.experiments.runner.replicate` and
-:func:`~repro.experiments.runner.sweep` flatten their work into a list
-of zero-argument *jobs* and hand the list to an
+:func:`repro.experiments.runner.replicate_cells` flattens a grid of
+``(scenario, seeds)`` cells into a list of zero-argument *jobs* and
+hands the list to an
 :class:`ExecutionBackend`; the backend returns results **in job order**,
 which makes aggregation deterministic regardless of how (or where) the
 jobs actually ran.
@@ -272,25 +272,6 @@ class ProcessPoolBackend(ExecutionBackend):
         return results
 
 
-# ----------------------------------------------------------------------
-# Process-wide default (set by the CLI's --jobs flag)
-# ----------------------------------------------------------------------
-_default_backend: ExecutionBackend = SerialBackend()
-
-
-def get_default_backend() -> ExecutionBackend:
-    """The backend used when a caller does not pass one explicitly."""
-    return _default_backend
-
-
-def set_default_backend(backend: ExecutionBackend) -> ExecutionBackend:
-    """Replace the process-wide default backend; returns the old one."""
-    global _default_backend
-    previous = _default_backend
-    _default_backend = backend
-    return previous
-
-
 def backend_for_jobs(jobs: int | None) -> ExecutionBackend:
     """The natural backend for a ``--jobs N`` request."""
     if jobs is None or jobs <= 1:
@@ -305,6 +286,4 @@ __all__ = [
     "RemoteTraceback",
     "SerialBackend",
     "backend_for_jobs",
-    "get_default_backend",
-    "set_default_backend",
 ]

@@ -1,24 +1,25 @@
-"""Replication machinery: run a scenario across seeds, aggregate.
+"""Replication machinery: run scenarios across seeds, aggregate.
 
-A *scenario* is any callable ``f(seed) -> dict[str, float]``.  The
-runner executes it for each seed and reduces every metric to a mean ±
-confidence-interval :class:`Estimate`.
-
-Execution is delegated to an
-:class:`~repro.experiments.exec.ExecutionBackend`: :func:`replicate`
-turns its seed list into one job per seed, :func:`sweep` flattens the
-whole (x value, seed) grid into a single batch so a parallel backend
-can use every core even when the seed list is short.  Results come back
-in job order, so the aggregated output is identical for every backend.
+A *scenario* is any callable ``f(seed) -> dict[str, float]``.  Every
+multi-run entry point — :func:`replicate`, :func:`replicate_grid`,
+:func:`sweep`, and the scenario, stack-comparison, sweep and campaign
+layers above them — hands its ``(scenario, seeds)`` cells to
+:func:`replicate_cells`, which flattens the whole grid into ONE
+:class:`~repro.experiments.exec.ExecutionBackend` batch (so a parallel
+backend can use every core even when the seed lists are short) and
+reduces each cell's results to mean ± confidence-interval
+:class:`Estimate` values.  Results come back in job order, so the
+aggregated output is identical for every backend.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence
 
-from repro.experiments.exec import ExecutionBackend, get_default_backend
+from repro.experiments.exec import ExecutionBackend, SerialBackend
 from repro.metrics.stats import Estimate, mean_confidence
 
 Scenario = Callable[[int], dict[str, float]]
@@ -41,17 +42,6 @@ class Replication:
 def aggregate(
     results: Iterable[dict[str, float]], confidence: float = 0.95
 ) -> Replication:
-    """Reduce per-seed metric dicts (in seed order) to a Replication.
-
-    Public entry point for callers that batch heterogeneous job lists
-    through a backend directly (e.g. the scenario catalog running
-    several scenarios' seed grids as one batch) and aggregate the
-    chunks themselves.
-    """
-    return _aggregate(results, confidence)
-
-
-def _aggregate(results: Iterable[dict[str, float]], confidence: float) -> Replication:
     """Reduce per-seed metric dicts (in seed order) to a Replication."""
     samples: dict[str, list[float]] = {}
     for result in results:
@@ -64,21 +54,41 @@ def _aggregate(results: Iterable[dict[str, float]], confidence: float) -> Replic
     return Replication(metrics=metrics, samples=samples)
 
 
+def replicate_cells(
+    cells: Iterable[tuple[Scenario, Iterable[int]]],
+    confidence: float = 0.95,
+    backend: Optional[ExecutionBackend] = None,
+) -> list[Replication]:
+    """Replicate every ``(scenario, seeds)`` cell as ONE backend batch.
+
+    The batch function every multi-run entry point shares: one job per
+    (cell, seed) — row-major, seeds fastest — goes through a single
+    :meth:`ExecutionBackend.run` call (``backend=None`` runs serially
+    in-process), so a pool's work-stealing queue balances cells
+    against each other, not just the (often short) seed lists.
+    Results are chunked back per cell in order, so the output equals
+    replicating the cells one at a time, on any backend.
+    """
+    if backend is None:
+        backend = SerialBackend()
+    grid = [(scenario, [int(seed) for seed in seeds]) for scenario, seeds in cells]
+    results = iter(backend.run(
+        [partial(scenario, seed) for scenario, seeds in grid for seed in seeds]
+    ))
+    return [
+        aggregate(islice(results, len(seeds)), confidence)
+        for _scenario, seeds in grid
+    ]
+
+
 def replicate(
     scenario: Scenario,
     seeds: Iterable[int],
     confidence: float = 0.95,
     backend: Optional[ExecutionBackend] = None,
 ) -> Replication:
-    """Run ``scenario`` once per seed and aggregate each metric.
-
-    Each seed becomes one job on ``backend`` (default: the process-wide
-    backend from :func:`repro.experiments.exec.get_default_backend`).
-    """
-    if backend is None:
-        backend = get_default_backend()
-    jobs = [partial(scenario, int(seed)) for seed in seeds]
-    return _aggregate(backend.run(jobs), confidence)
+    """Run ``scenario`` once per seed and aggregate each metric."""
+    return replicate_cells([(scenario, seeds)], confidence, backend)[0]
 
 
 def replicate_grid(
@@ -87,25 +97,11 @@ def replicate_grid(
     confidence: float = 0.95,
     backend: Optional[ExecutionBackend] = None,
 ) -> list[Replication]:
-    """Replicate several scenarios over the same seeds as ONE batch.
-
-    Submitting the whole (scenario, seed) grid at once lets a parallel
-    backend overlap the scenarios themselves, not just the (often
-    short) seed list.  Results are chunked back per scenario, in order,
-    so the output is identical to calling :func:`replicate` per
-    scenario.
-    """
-    if backend is None:
-        backend = get_default_backend()
-    scenarios = list(scenarios)
-    seeds = [int(seed) for seed in seeds]
-    results = backend.run(
-        [partial(scenario, seed) for scenario in scenarios for seed in seeds]
+    """Replicate several scenarios over the same seeds as ONE batch."""
+    seeds = list(seeds)
+    return replicate_cells(
+        [(scenario, seeds) for scenario in scenarios], confidence, backend
     )
-    return [
-        _aggregate(results[index * len(seeds): (index + 1) * len(seeds)], confidence)
-        for index in range(len(scenarios))
-    ]
 
 
 @dataclass
@@ -147,8 +143,7 @@ def build_sweep_result(
     Pure (deterministic) rendering: extracts each metric's per-point
     means into series and formats the text table.  Shared by
     :func:`sweep` and by callers that batch several sweeps' grids
-    through one backend run and chunk the replications themselves
-    (e.g. ``repro.scenarios.sweep.sweep_scenarios``).
+    through one backend run (``repro.scenarios.grid.sweep_scenarios``).
     """
     from repro.metrics.tables import format_series
 

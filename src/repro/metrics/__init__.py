@@ -1,6 +1,6 @@
 """Statistics and result rendering."""
 
-from repro.metrics.stats import Estimate, geometric_mean, mean_confidence, ratio
+from repro.metrics.stats import Estimate, mean_confidence, ratio
 from repro.metrics.tables import (
     diff_counts,
     format_ascii_plot,
@@ -14,7 +14,6 @@ __all__ = [
     "format_ascii_plot",
     "format_series",
     "format_table",
-    "geometric_mean",
     "mean_confidence",
     "ratio",
 ]

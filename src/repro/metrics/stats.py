@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import stats as scipy_stats
@@ -53,13 +53,6 @@ def mean_confidence(samples: Sequence[float], confidence: float = 0.95) -> Estim
         return Estimate(mean, 0.0, n)
     t_crit = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
     return Estimate(mean, t_crit * sem, n)
-
-
-def geometric_mean(samples: Iterable[float]) -> float:
-    values = np.asarray(list(samples), dtype=float)
-    if len(values) == 0 or np.any(values <= 0):
-        return float("nan")
-    return float(np.exp(np.mean(np.log(values))))
 
 
 def ratio(numerator: float, denominator: float) -> float:

@@ -5,7 +5,7 @@ Resource Switching Management Center (RSMC)."""
 from repro.multitier import messages
 from repro.multitier.basestation import Attachment, MultiTierBaseStation
 from repro.multitier.correspondent import CorrespondentNode
-from repro.multitier.domain import MobileRealm, MultiTierDomain, default_cell
+from repro.multitier.domain import MobileRealm, MultiTierDomain
 from repro.multitier.mnld import MNLD
 from repro.multitier.mobile import MultiTierMobileNode
 from repro.multitier.rsmc import RSMC
@@ -24,6 +24,5 @@ __all__ = [
     "MultiTierMobileNode",
     "RSMC",
     "TablePair",
-    "default_cell",
     "messages",
 ]

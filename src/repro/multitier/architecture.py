@@ -54,6 +54,53 @@ WORLD_BOUNDS = Rectangle(-4500, -1500, 8500, 1500)
 HOME_PREFIX = "10.99.0.0/16"
 
 
+@dataclass(frozen=True)
+class Site:
+    """One station site: name, tier, cell centre and wired-tree parent."""
+
+    name: str
+    tier: Tier
+    #: ``None`` = aggregation only (no cell).
+    center: Optional[Point]
+    #: Name of the parent site ("" = directly under the domain root).
+    parent: str
+
+    def cell(self) -> Cell:
+        """This site's :class:`~repro.radio.cells.Cell` (tier defaults
+        fill radius and radio parameters)."""
+        return Cell(name=f"cell-{self.name}", center=self.center, tier=self.tier)
+
+
+#: The canonical world's sites, one tuple per domain, in build order
+#: (address allocation, wired links and the station dicts follow it).
+#: Macro towers sit 800 m off the street axis, so at street level a
+#: nearby micro cell is stronger than the macro umbrella — signal-
+#: chasing policies therefore churn between tiers (E9's baseline).
+DOMAIN_SITES: tuple[tuple[Site, ...], ...] = (
+    (
+        # Macro tier: R3 aggregates R1 and R2 (Fig 3.1's two levels).
+        Site("R3", Tier.MACRO, None, ""),
+        Site("R1", Tier.MACRO, Point(-2000, 800), "R3"),
+        Site("R2", Tier.MACRO, Point(2000, 800), "R3"),
+        # Micro tier west (under R1): A aggregates B and C.
+        Site("A", Tier.MICRO, Point(-2000, 0), "R1"),
+        Site("B", Tier.MICRO, Point(-2700, 0), "A"),
+        Site("C", Tier.MICRO, Point(-1300, 0), "A"),
+        # Micro tier east (under R2): D aggregates E and F.
+        Site("D", Tier.MICRO, Point(2000, 0), "R2"),
+        Site("E", Tier.MICRO, Point(1300, 0), "D"),
+        Site("F", Tier.MICRO, Point(2700, 0), "D"),
+    ),
+    (
+        Site("R4", Tier.MACRO, Point(6000, 800), ""),
+        Site("G", Tier.MICRO, Point(6000, 0), "R4"),
+    ),
+)
+
+#: Micro leaves eligible as pico parents.
+PICO_LEAVES = ("B", "C", "E", "F")
+
+
 @dataclass
 class DomainHandle:
     """Convenient access to one built domain's parts."""
@@ -112,8 +159,8 @@ class MultiTierWorld:
         self.mnld.gateway_router = self.internet
 
         # Domains ---------------------------------------------------------
-        self.domain1 = self._build_domain_one()
-        self.domain2 = self._build_domain_two() if second_domain else None
+        self.domain1 = self._build_domain(0)
+        self.domain2 = self._build_domain(1) if second_domain else None
 
         self.network.install_routes()
         install_home_prefix_routes(self.network, self.ha)
@@ -153,11 +200,12 @@ class MultiTierWorld:
         self.network.add(station)
         return station
 
-    def _build_domain_one(self) -> DomainHandle:
+    def _build_domain(self, index: int) -> DomainHandle:
+        """Build domain ``index`` of :data:`DOMAIN_SITES` under its RSMC."""
         domain = self._new_domain()
         rsmc = RSMC(
             self.sim,
-            "rsmc1",
+            f"rsmc{index + 1}",
             self.network.allocator.allocate(),
             domain,
             home_agent_address=self.ha.address,
@@ -168,58 +216,13 @@ class MultiTierWorld:
         rsmc.internet_neighbor = self.internet
 
         handle = DomainHandle(domain=domain, rsmc=rsmc)
-        # Macro tier: R3 aggregates R1 and R2 (Fig 3.1's two levels).
-        # Macro towers sit 800 m off the street axis, so at street level a
-        # nearby micro cell is stronger than the macro umbrella — signal-
-        # chasing policies therefore churn between tiers (E9's baseline).
-        r3 = self._station(domain, "R3", Tier.MACRO, None)
-        r1 = self._station(domain, "R1", Tier.MACRO, Point(-2000, 800), radius=2500)
-        r2 = self._station(domain, "R2", Tier.MACRO, Point(2000, 800), radius=2500)
-        # Micro tier west (under R1): A aggregates B and C.
-        a = self._station(domain, "A", Tier.MICRO, Point(-2000, 0), radius=400)
-        b = self._station(domain, "B", Tier.MICRO, Point(-2700, 0), radius=400)
-        c = self._station(domain, "C", Tier.MICRO, Point(-1300, 0), radius=400)
-        # Micro tier east (under R2): D aggregates E and F.
-        d = self._station(domain, "D", Tier.MICRO, Point(2000, 0), radius=400)
-        e = self._station(domain, "E", Tier.MICRO, Point(1300, 0), radius=400)
-        f = self._station(domain, "F", Tier.MICRO, Point(2700, 0), radius=400)
-
-        domain.link(rsmc, r3)
-        domain.link(r3, r1)
-        domain.link(r3, r2)
-        domain.link(r1, a)
-        domain.link(a, b)
-        domain.link(a, c)
-        domain.link(r2, d)
-        domain.link(d, e)
-        domain.link(d, f)
-        handle.stations = {
-            "R3": r3, "R1": r1, "R2": r2,
-            "A": a, "B": b, "C": c,
-            "D": d, "E": e, "F": f,
-        }
-        return handle
-
-    def _build_domain_two(self) -> DomainHandle:
-        domain = self._new_domain()
-        rsmc = RSMC(
-            self.sim,
-            "rsmc2",
-            self.network.allocator.allocate(),
-            domain,
-            home_agent_address=self.ha.address,
-            mnld_address=self.mnld.address,
-        )
-        self.network.add(rsmc)
-        self.network.connect(rsmc, self.internet, delay=0.005)
-        rsmc.internet_neighbor = self.internet
-
-        handle = DomainHandle(domain=domain, rsmc=rsmc)
-        r4 = self._station(domain, "R4", Tier.MACRO, Point(6000, 800), radius=2500)
-        g = self._station(domain, "G", Tier.MICRO, Point(6000, 0), radius=400)
-        domain.link(rsmc, r4)
-        domain.link(r4, g)
-        handle.stations = {"R4": r4, "G": g}
+        for site in DOMAIN_SITES[index]:
+            handle.stations[site.name] = self._station(
+                domain, site.name, site.tier, site.center
+            )
+        for site in DOMAIN_SITES[index]:
+            parent = handle[site.parent] if site.parent else rsmc
+            domain.link(parent, handle[site.name])
         return handle
 
     # ------------------------------------------------------------------

@@ -147,10 +147,6 @@ class MultiTierBaseStation(Node):
         domain.add_station(self)
 
     # ------------------------------------------------------------------
-    @property
-    def is_root(self) -> bool:
-        return self.parent is None
-
     def radio_connect(self, mobile: Node) -> None:
         """Create the radio link pair (signalling-only until admitted).
 
@@ -212,10 +208,6 @@ class MultiTierBaseStation(Node):
         if pending is not None:
             self.channels.release(pending)
         self.radio_disconnect(mobile)
-
-    @property
-    def free_channels(self) -> int:
-        return self.channels.free
 
     # ------------------------------------------------------------------
     # Packet handling

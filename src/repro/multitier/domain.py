@@ -12,8 +12,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.net.addressing import IPAddress
-from repro.radio.cells import Cell, Tier
-from repro.radio.geometry import Point
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.multitier.basestation import MultiTierBaseStation
@@ -117,8 +115,3 @@ class MultiTierDomain:
             bs.dropped_no_record + bs.dropped_stale_radio
             for bs in self.base_stations
         )
-
-
-def default_cell(name: str, tier: Tier, center: Point = Point(0.0, 0.0)) -> Cell:
-    """A cell with tier-default radio parameters."""
-    return Cell(name=name, center=center, tier=tier)

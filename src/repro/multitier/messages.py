@@ -103,20 +103,6 @@ class RSMCBindingNotify:
 
 
 @dataclass(frozen=True)
-class AuthRequest:
-    """MN (via BS) -> RSMC: authenticate on first arrival in a domain."""
-
-    mobile_address: IPAddress
-    credential: int
-
-
-@dataclass(frozen=True)
-class AuthReply:
-    mobile_address: IPAddress
-    granted: bool
-
-
-@dataclass(frozen=True)
 class MNLDUpdate:
     """RSMC -> MNLD: record the MN's current domain."""
 

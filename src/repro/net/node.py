@@ -46,17 +46,6 @@ class Node:
             raise AttributeError(f"{self.name} has no address")
         return self.addresses[0]
 
-    def add_address(self, address) -> IPAddress:
-        addr = IPAddress(address)
-        if addr not in self.addresses:
-            self.addresses.append(addr)
-        return addr
-
-    def remove_address(self, address) -> None:
-        addr = IPAddress(address)
-        if addr in self.addresses:
-            self.addresses.remove(addr)
-
     def owns(self, address) -> bool:
         return IPAddress(address) in self.addresses
 

@@ -87,9 +87,6 @@ class Router(Node):
     def add_host_route(self, address, next_hop: Node) -> None:
         self.table.add_host(address, next_hop)
 
-    def set_default_route(self, next_hop: Optional[Node]) -> None:
-        self.table.set_default(next_hop)
-
     def forward(self, packet: "Packet", link: Optional["Link"]) -> None:
         if packet.ttl <= 1:
             self.dropped_ttl += 1

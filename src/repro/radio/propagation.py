@@ -78,10 +78,6 @@ class PropagationModel:
             loss += float(self._rng.normal(0.0, self.shadowing_sigma_db))
         return tx_power_dbm - loss
 
-    def snr_db(self, tx_power_dbm: float, distance: float) -> float:
-        """Signal-to-noise ratio in dB against the thermal noise floor."""
-        return self.received_power_dbm(tx_power_dbm, distance) - NOISE_FLOOR_DBM
-
     def range_for_threshold(
         self, tx_power_dbm: float, rx_threshold_dbm: float
     ) -> float:

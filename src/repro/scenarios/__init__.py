@@ -5,19 +5,27 @@ traffic mix and a protocol stack into one named workload:
 
 * :class:`~repro.scenarios.spec.ScenarioSpec` — the declarative spec;
 * :mod:`repro.scenarios.builder` — spec + seed -> ready-to-run world;
-* :mod:`repro.scenarios.catalog` — the registry and shipped scenarios,
-  plus :func:`~repro.scenarios.catalog.replicate_scenario`, which
-  dispatches runs through the execution backends with the same
-  ordered-deterministic aggregation guarantee as the experiments;
+* :mod:`repro.scenarios.catalog` — the registry and shipped scenarios;
 * :mod:`repro.scenarios.sweep` — named axes over spec fields
   (:class:`~repro.scenarios.sweep.ScenarioSweep`), turning catalog
   entries into paper-style figures with per-point confidence
   intervals;
-* :mod:`repro.scenarios.compare` — cross-stack comparison
-  (:func:`~repro.scenarios.compare.compare_scenario_stacks`): any
-  scenario under every registered protocol stack (multi-tier,
-  Cellular IP, Mobile IP — see :mod:`repro.stacks`) as one backend
-  batch, rendered side by side.
+* :mod:`repro.scenarios.compare` — the cross-stack comparison table
+  (:class:`~repro.scenarios.compare.StackComparison`): any scenario
+  under every registered protocol stack (multi-tier, Cellular IP,
+  Mobile IP — see :mod:`repro.stacks`), rendered side by side;
+* :mod:`repro.scenarios.grid` — the one path every multi-run entry
+  point takes: :func:`~repro.scenarios.grid.expand_grid` turns
+  scenarios / sweeps / stacks / seeds / ``smoke`` into grid cells,
+  :func:`~repro.scenarios.grid.run_grid` dispatches them as one
+  execution-backend batch (through
+  :func:`repro.experiments.runner.replicate_cells`, with the same
+  ordered-deterministic aggregation guarantee as the experiments),
+  and :func:`~repro.scenarios.grid.stack_comparisons` regroups them
+  per scenario.  ``replicate_scenario(s)``,
+  ``compare_scenario_stacks`` and ``sweep_scenario(s)`` are those
+  steps under one call each; the campaign layer freezes the same
+  cells into durable work items.
 
 CLI: ``repro scenario list | describe <name> | run <name> --jobs N
 [--stack <name|all>] | sweep <name> --jobs N [--stack <name|all>]``.
@@ -36,16 +44,19 @@ from repro.scenarios.catalog import (
     get_scenario,
     iter_scenarios,
     register,
-    replicate_scenario,
-    replicate_scenarios,
-    run_scenario,
     scenario_names,
 )
-from repro.scenarios.compare import (
-    StackComparison,
-    build_stack_comparison,
+from repro.scenarios.compare import StackComparison, format_stack_comparison
+from repro.scenarios.grid import (
+    GridCell,
     compare_scenario_stacks,
-    format_stack_comparison,
+    expand_grid,
+    replicate_scenario,
+    replicate_scenarios,
+    run_grid,
+    stack_comparisons,
+    sweep_scenario,
+    sweep_scenarios,
 )
 from repro.scenarios.spec import (
     MOBILITY_MODELS,
@@ -56,31 +67,27 @@ from repro.scenarios.spec import (
 from repro.scenarios.sweep import (
     ScenarioSweep,
     describe_sweep,
-    effective_sweep,
     format_sweep_result,
     get_sweep,
     iter_sweeps,
     register_sweep,
     sweep_names,
-    sweep_points,
-    sweep_scenario,
-    sweep_scenarios,
 )
 
 __all__ = [
     "MOBILITY_MODELS",
     "TRAFFIC_KINDS",
     "BuiltScenario",
+    "GridCell",
     "ScenarioSpec",
     "ScenarioSweep",
     "StackComparison",
     "apportion",
     "build_scenario",
-    "build_stack_comparison",
     "compare_scenario_stacks",
     "describe_scenario",
     "describe_sweep",
-    "effective_sweep",
+    "expand_grid",
     "format_scenario_result",
     "format_stack_comparison",
     "format_sweep_result",
@@ -93,12 +100,12 @@ __all__ = [
     "replicate_scenario",
     "replicate_scenarios",
     "roam_rectangle",
-    "run_scenario",
+    "run_grid",
     "run_scenario_spec",
     "run_scenario_trace",
     "scenario_names",
+    "stack_comparisons",
     "sweep_names",
-    "sweep_points",
     "sweep_scenario",
     "sweep_scenarios",
 ]

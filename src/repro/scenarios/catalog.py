@@ -1,7 +1,7 @@
 """The scenario registry and the shipped scenario catalog.
 
 Scenarios are registered by name; ``repro scenario list|describe|run``
-and :func:`replicate_scenario` look them up here.  Registering a new
+and the run grid (:mod:`repro.scenarios.grid`) look them up here.  Registering a new
 workload is one call::
 
     from repro.scenarios import ScenarioSpec, register
@@ -23,12 +23,9 @@ suite has.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Union
 
-from repro.experiments.exec import ExecutionBackend, get_default_backend
-from repro.experiments.runner import Replication, aggregate, replicate
-from repro.scenarios.builder import run_scenario_spec
+from repro.experiments.runner import Replication
 from repro.scenarios.spec import ScenarioSpec
 
 _REGISTRY: dict[str, ScenarioSpec] = {}
@@ -71,84 +68,6 @@ def _resolve(scenario: Union[str, ScenarioSpec]) -> ScenarioSpec:
     if isinstance(scenario, ScenarioSpec):
         return scenario
     return get_scenario(scenario)
-
-
-def run_scenario(
-    scenario: Union[str, ScenarioSpec], seed: int = 1
-) -> dict[str, float]:
-    """One ``(scenario, seed)`` run — the execution-backend job entry."""
-    return run_scenario_spec(_resolve(scenario), seed)
-
-
-def replicate_scenario(
-    scenario: Union[str, ScenarioSpec],
-    seeds: Optional[Iterable[int]] = None,
-    confidence: float = 0.95,
-    backend: Optional[ExecutionBackend] = None,
-) -> Replication:
-    """Replicate a scenario across seeds on an execution backend.
-
-    ``seeds=None`` uses the spec's own default seed list.  Jobs dispatch
-    through :func:`repro.experiments.runner.replicate`, inheriting the
-    PR 1 ordered-deterministic aggregation guarantee: any backend, any
-    ``--jobs N``, same output.
-    """
-    spec = _resolve(scenario)
-    if seeds is None:
-        seeds = spec.seeds
-
-    def job(seed: int) -> dict[str, float]:
-        return run_scenario_spec(spec, seed)
-
-    return replicate(job, seeds, confidence=confidence, backend=backend)
-
-
-def replicate_scenarios(
-    scenarios: Sequence[Union[str, ScenarioSpec]],
-    seeds: Optional[Iterable[int]] = None,
-    confidence: float = 0.95,
-    backend: Optional[ExecutionBackend] = None,
-    stack: Optional[str] = None,
-) -> list[tuple[ScenarioSpec, list[int], Replication]]:
-    """Replicate several scenarios as ONE backend batch.
-
-    Submitting the whole (scenario, seed) grid at once lets a parallel
-    backend's work-stealing queue balance heterogeneous scenarios — a
-    ``mega`` seed next to a ``sparse-rural`` one — instead of the
-    per-scenario seed lists (often a single seed) capping parallelism.
-    ``seeds=None`` uses each spec's own default list.  ``stack``
-    rebinds every spec onto one protocol stack (``None`` keeps each
-    spec's own ``stack`` field; an unknown name fails eagerly via spec
-    validation, listing the registered stacks).
-    Results come back in job order and are chunked per scenario, so
-    the output is identical to calling :func:`replicate_scenario` one
-    name at a time.
-    """
-    if backend is None:
-        backend = get_default_backend()
-    specs = [_resolve(scenario) for scenario in scenarios]
-    if stack is not None:
-        specs = [spec.replace(stack=stack) for spec in specs]
-    # Materialize once: a one-shot iterator must not be drained by the
-    # first scenario and leave the rest with empty seed lists.
-    shared_seeds = list(seeds) if seeds is not None else None
-    seed_lists = [
-        shared_seeds if shared_seeds is not None else list(spec.seeds)
-        for spec in specs
-    ]
-    jobs = [
-        partial(run_scenario_spec, spec, seed)
-        for spec, seed_list in zip(specs, seed_lists)
-        for seed in seed_list
-    ]
-    results = backend.run(jobs)
-    out: list[tuple[ScenarioSpec, list[int], Replication]] = []
-    offset = 0
-    for spec, seed_list in zip(specs, seed_lists):
-        chunk = results[offset:offset + len(seed_list)]
-        offset += len(seed_list)
-        out.append((spec, seed_list, aggregate(chunk, confidence)))
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -494,8 +413,5 @@ __all__ = [
     "get_scenario",
     "iter_scenarios",
     "register",
-    "replicate_scenario",
-    "replicate_scenarios",
-    "run_scenario",
     "scenario_names",
 ]

@@ -11,12 +11,13 @@ scenario into such a curve: it names a spec field (``population``,
 ``domain_overrides.<key>``), the axis values, the seeds replicated at
 each point and the metrics to extract.
 
-:func:`sweep_scenario` derives one immutable, re-validated
-:class:`ScenarioSpec` per axis point (``dataclasses.replace`` under the
-hood) and dispatches the **entire (point, seed) grid through a single
+:func:`repro.scenarios.grid.expand_grid` derives one immutable,
+re-validated :class:`ScenarioSpec` per axis point
+(:meth:`ScenarioSweep.derive`, ``dataclasses.replace`` under the hood)
+and :func:`~repro.scenarios.grid.sweep_scenarios` dispatches the
+**entire (sweep, stack, point, seed) grid through a single
 :meth:`ExecutionBackend.run <repro.experiments.exec.ExecutionBackend.run>`
-call** via :func:`repro.experiments.runner.sweep`, so ``--jobs N``
-overlaps points and seeds alike.
+call**, so ``--jobs N`` overlaps sweeps, points and seeds alike.
 
 Determinism: derived specs are pure data, every run derives all
 randomness from its seed, and results are aggregated in job order —
@@ -31,19 +32,11 @@ from __future__ import annotations
 import dataclasses
 import inspect
 from dataclasses import dataclass
-from functools import partial
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
-from repro.experiments.exec import ExecutionBackend, get_default_backend
-from repro.experiments.runner import (
-    ExperimentResult,
-    aggregate,
-    build_sweep_result,
-)
-from repro.experiments.runner import sweep as grid_sweep
+from repro.experiments.runner import ExperimentResult
 from repro.metrics.tables import format_table
 from repro.multitier.domain import MultiTierDomain
-from repro.scenarios.builder import run_scenario_spec
 from repro.scenarios.catalog import get_scenario
 from repro.scenarios.spec import ScenarioSpec
 
@@ -126,7 +119,7 @@ class ScenarioSweep:
         ``city-rush-hour/population``).
     scenario:
         Name of the base :class:`ScenarioSpec` in the catalog (or, when
-        used with :func:`sweep_scenario`'s ``base=``, any spec).
+        run with ``sweep_scenario``'s ``base=``, any spec).
     field:
         The axis: a :class:`ScenarioSpec` field name, or
         ``domain_overrides.<key>`` to vary one per-domain override
@@ -136,8 +129,8 @@ class ScenarioSweep:
         resulting curve reads left to right without reordering).
     metrics:
         Metric names extracted from each run's metric dict into the
-        figure's series (see :func:`repro.stacks.base.run_metrics` for
-        the available names).
+        figure's series (see :meth:`repro.stacks.base.BuiltRun.harvest`
+        for the available names).
     seeds:
         Seeds replicated at *every* axis point; ``None`` uses the base
         spec's own default seed list.
@@ -306,8 +299,8 @@ class ScenarioSweep:
     def smoke(self, base: Optional[ScenarioSpec] = None) -> "ScenarioSweep":
         """A shrunken variant for CI smoke runs and determinism tests.
 
-        Keeps the first two axis points and a single seed;
-        :func:`sweep_scenario` additionally shrinks the base spec with
+        Keeps the first two axis points and a single seed; a smoke run
+        additionally shrinks the base spec with
         :meth:`ScenarioSpec.smoke`.  ``base`` resolves the default
         seed list when the sweep has none (``None`` looks
         :attr:`scenario` up in the catalog).  Same code path, same
@@ -364,225 +357,6 @@ def _resolve(sweep: Union[str, ScenarioSweep]) -> ScenarioSweep:
     if isinstance(sweep, ScenarioSweep):
         return sweep
     return get_sweep(sweep)
-
-
-# ----------------------------------------------------------------------
-# Execution
-# ----------------------------------------------------------------------
-def _sweep_title(resolved: ScenarioSweep, base: ScenarioSpec) -> str:
-    """The result title shared by single- and multi-sweep execution.
-
-    Non-default protocol stacks are named in the title; the default
-    stays un-suffixed so legacy sweep output is byte-identical.
-    """
-    from repro.stacks.registry import DEFAULT_STACK
-
-    title = f"sweep {resolved.name}: {base.name} vs {resolved.axis_label()}"
-    if base.stack != DEFAULT_STACK:
-        title += f" [stack={base.stack}]"
-    if resolved.description:
-        title += f" — {resolved.description}"
-    return title
-
-
-def effective_sweep(
-    sweep: Union[str, ScenarioSweep],
-    base: Optional[ScenarioSpec] = None,
-    seeds: Optional[Iterable[int]] = None,
-    smoke: bool = False,
-    stack: Optional[str] = None,
-) -> tuple[ScenarioSweep, ScenarioSpec, list[int]]:
-    """Resolve what a sweep run will actually execute.
-
-    Returns ``(sweep, base spec, seed list)`` after applying the same
-    name resolution, ``base=`` override, ``stack=`` rebinding, smoke
-    shrinking and seed defaulting that :func:`sweep_scenario` performs
-    — it calls this helper itself, so labels rendered from the return
-    value (e.g. the CLI's "N seeds/point" header) can never diverge
-    from the grid that ran.  ``stack=None`` keeps the base spec's own
-    protocol stack; an unknown name fails eagerly via spec validation.
-    Deterministic: pure resolution, no randomness.
-    """
-    resolved = _resolve(sweep)
-    if base is None:
-        base = get_scenario(resolved.scenario)
-    if stack is not None:
-        base = base.replace(stack=stack)
-    if smoke:
-        base = base.smoke()
-        resolved = resolved.smoke(base)
-    if seeds is None:
-        seed_list = resolved.point_seeds(base)
-    else:
-        seed_list = [int(seed) for seed in seeds]
-    return resolved, base, seed_list
-
-
-def sweep_points(
-    sweep: Union[str, ScenarioSweep],
-    base: Optional[ScenarioSpec] = None,
-    seeds: Optional[Iterable[int]] = None,
-    smoke: bool = False,
-    stack: Optional[str] = None,
-) -> tuple[ScenarioSweep, ScenarioSpec, list[int], list[tuple[float, ScenarioSpec]]]:
-    """Resolve one sweep run down to its executable (value, spec) grid.
-
-    Extends :func:`effective_sweep` with the derived per-point specs:
-    returns ``(sweep, base spec, seed list, points)`` where ``points``
-    is one ``(axis value, validated spec)`` pair per axis point, in
-    axis order.  This is the single source of truth for what a sweep
-    run executes — :func:`sweep_scenarios` batches exactly these specs
-    and the campaign layer (:mod:`repro.campaign.manifest`) freezes
-    them into durable work items, so the two can never disagree about
-    the grid.  Deterministic: pure resolution and derivation.
-    """
-    resolved, base, seed_list = effective_sweep(sweep, base, seeds, smoke, stack)
-    specs = resolved.derived_specs(base)
-    return resolved, base, seed_list, list(zip(resolved.values, specs))
-
-
-def sweep_scenario(
-    sweep: Union[str, ScenarioSweep],
-    base: Optional[ScenarioSpec] = None,
-    seeds: Optional[Iterable[int]] = None,
-    confidence: float = 0.95,
-    backend: Optional[ExecutionBackend] = None,
-    smoke: bool = False,
-    stack: Optional[str] = None,
-) -> ExperimentResult:
-    """Run one scenario sweep and return its :class:`ExperimentResult`.
-
-    Parameters
-    ----------
-    sweep:
-        A registered sweep name or a :class:`ScenarioSweep` instance.
-    base:
-        Base spec override; ``None`` resolves ``sweep.scenario`` from
-        the catalog.
-    seeds:
-        Seeds replicated at every axis point; ``None`` uses the sweep's
-        (then the base spec's) defaults.
-    confidence:
-        Confidence level for the per-point intervals computed by
-        :func:`repro.metrics.stats.mean_confidence`.
-    backend:
-        Execution backend; ``None`` uses the process-wide default.
-    smoke:
-        Run the shrunken CI variant: :meth:`ScenarioSweep.smoke` axis
-        (first two points, one seed) over :meth:`ScenarioSpec.smoke`
-        of the base spec.
-    stack:
-        Rebind the base spec onto one registered protocol stack
-        (``None`` keeps the spec's own ``stack`` field); non-default
-        stacks are named in the result title.
-
-    The whole (point, seed) grid — row-major, seeds fastest — is
-    submitted as ONE :meth:`ExecutionBackend.run` batch through
-    :func:`repro.experiments.runner.sweep`, so a pool backend's
-    work-stealing queue overlaps axis points as well as seeds.
-
-    Returns an :class:`~repro.experiments.runner.ExperimentResult`
-    whose ``replications`` carry the per-point
-    :class:`~repro.metrics.stats.Estimate` confidence intervals.
-    Determinism: output is identical for every backend and job count,
-    and across repeats, for the same (sweep, base, seeds).
-    """
-    resolved, base, seed_list = effective_sweep(sweep, base, seeds, smoke, stack)
-    specs = resolved.derived_specs(base)
-    spec_by_value = dict(zip(resolved.values, specs))
-
-    title = _sweep_title(resolved, base)
-    return grid_sweep(
-        resolved.name,
-        title,
-        resolved.axis_label(),
-        list(resolved.values),
-        lambda value: partial(run_scenario_spec, spec_by_value[value]),
-        seed_list,
-        list(resolved.metrics),
-        notes=resolved.notes,
-        confidence=confidence,
-        backend=backend,
-    )
-
-
-def sweep_scenarios(
-    sweeps: Iterable[Union[str, ScenarioSweep]],
-    seeds: Optional[Iterable[int]] = None,
-    confidence: float = 0.95,
-    backend: Optional[ExecutionBackend] = None,
-    smoke: bool = False,
-    stacks: Optional[Sequence[Optional[str]]] = None,
-) -> list[tuple[ScenarioSweep, ScenarioSpec, list[int], ExperimentResult]]:
-    """Run several sweeps as ONE backend batch (the union of grids).
-
-    ``repro scenario sweep all --jobs N`` used to batch per sweep,
-    capping parallelism at each sweep's own (point, seed) grid and
-    serializing the sweeps behind each other.  This dispatches the
-    union of every sweep's (sweep, point, seed) jobs through a single
-    :meth:`ExecutionBackend.run` call, so a pool's work-stealing queue
-    overlaps small sweeps with big ones.
-
-    ``seeds`` / ``smoke`` apply to every sweep exactly as in
-    :func:`sweep_scenario`.  ``stacks`` crosses every sweep with each
-    named protocol stack (in order) inside the same single batch —
-    ``stacks=None`` keeps each base spec's own stack, so legacy calls
-    are unchanged; the returned list is ordered sweep-major, stack
-    fastest.  Results come back in job order and are chunked per
-    (sweep, stack, point); each returned
-    ``(sweep, base spec, seed list, result)`` entry carries the
-    rebound base spec that actually ran (``base.stack`` names its
-    protocol stack — callers never have to reconstruct the grid order
-    themselves), and is byte-identical to calling
-    :func:`sweep_scenario` one (sweep, stack) at a time — on any
-    backend, for any job count (determinism inherited from the PR 1
-    ordered aggregation guarantee).
-    """
-    if backend is None:
-        backend = get_default_backend()
-    materialized = [int(seed) for seed in seeds] if seeds is not None else None
-    stack_list: list[Optional[str]] = (
-        list(stacks) if stacks is not None else [None]
-    )
-    if not stack_list:
-        raise ValueError("stacks must not be empty")
-    layout: list[tuple[ScenarioSweep, ScenarioSpec, list[int], list[ScenarioSpec]]] = []
-    jobs = []
-    for entry in sweeps:
-        for stack in stack_list:
-            resolved, base, seed_list, points = sweep_points(
-                entry, seeds=materialized, smoke=smoke, stack=stack
-            )
-            specs = [spec for _value, spec in points]
-            jobs.extend(
-                partial(run_scenario_spec, spec, seed)
-                for spec in specs
-                for seed in seed_list
-            )
-            layout.append((resolved, base, seed_list, specs))
-
-    results = backend.run(jobs)
-
-    out: list[tuple[ScenarioSweep, ScenarioSpec, list[int], ExperimentResult]] = []
-    offset = 0
-    for resolved, base, seed_list, specs in layout:
-        replications = []
-        for _spec in specs:
-            chunk = results[offset:offset + len(seed_list)]
-            offset += len(seed_list)
-            replications.append(aggregate(chunk, confidence))
-        result = build_sweep_result(
-            resolved.name,
-            _sweep_title(resolved, base),
-            resolved.axis_label(),
-            list(resolved.values),
-            replications,
-            list(resolved.metrics),
-            notes=resolved.notes,
-            confidence=confidence,
-        )
-        out.append((resolved, base, seed_list, result))
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -755,13 +529,9 @@ __all__ = [
     "POLICY_PREFIX",
     "ScenarioSweep",
     "describe_sweep",
-    "effective_sweep",
     "format_sweep_result",
     "get_sweep",
     "iter_sweeps",
     "register_sweep",
     "sweep_names",
-    "sweep_points",
-    "sweep_scenario",
-    "sweep_scenarios",
 ]

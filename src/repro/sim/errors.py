@@ -7,10 +7,6 @@ class SimulationError(Exception):
     """Base class for all kernel-level errors."""
 
 
-class EmptySchedule(SimulationError):
-    """Raised internally when the event queue runs dry before ``until``."""
-
-
 class StopSimulation(SimulationError):
     """Raised internally to stop :meth:`Simulator.run` at a target event."""
 

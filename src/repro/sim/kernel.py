@@ -25,7 +25,7 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import Iterable, Optional, Union
 
-from repro.sim.errors import EmptySchedule, SimulationError, StopSimulation
+from repro.sim.errors import SimulationError, StopSimulation
 from repro.sim.events import (
     NORMAL,
     URGENT,
@@ -68,7 +68,7 @@ class Simulator:
         self._callback_pool: list[_Callback] = []
         #: True while :meth:`run`'s dispatch loop is on the stack.
         self._running = False
-        #: Total events dispatched by :meth:`run`/:meth:`step` so far.
+        #: Total events dispatched by :meth:`run` so far.
         self.events_processed = 0
 
     # ------------------------------------------------------------------
@@ -144,31 +144,6 @@ class Simulator:
         """Time of the next scheduled event, or ``inf`` if none remain."""
         return self._queue[0][0] if self._queue else float("inf")
 
-    def step(self) -> None:
-        """Process exactly one event from the queue."""
-        try:
-            when, _priority, _eid, event = heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule() from None
-        self._now = when
-        self.events_processed += 1
-
-        if event.__class__ is _Callback:
-            fn, args = event.fn, event.args
-            event.fn = event.args = None
-            self._callback_pool.append(event)
-            fn(*args)
-            return
-
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event._defused:
-            # Nobody handled a failed event: surface the error loudly.
-            exc = event._value
-            raise exc
-
     def run(self, until: Until = None) -> object:
         """Run the simulation.
 
@@ -193,7 +168,7 @@ class Simulator:
         if self._running:
             raise RuntimeError(
                 "Simulator.run() is not re-entrant; it was called from "
-                "inside an event dispatched by an outer run()/step()"
+                "inside an event dispatched by an outer run()"
             )
         stop_at: Optional[float] = None
         if until is not None:
@@ -209,7 +184,7 @@ class Simulator:
                         f"until ({stop_at}) must not be before now ({self._now})"
                     )
 
-        # The dispatch loop is step() inlined with everything hot bound
+        # The dispatch loop is written inline with everything hot bound
         # to locals — this function dominates every benchmark, so the
         # per-event overhead (method dispatch, try/except, attribute
         # loads) is paid here, once, instead of per event.

@@ -71,62 +71,6 @@ COMMON_METRICS: tuple[str, ...] = (
 )
 
 
-def sink_state(sink: "FlowSink") -> dict[str, float]:
-    """One sink's metric-relevant state as a plain dict.
-
-    The guarded statistics mirror exactly the ``received > 0`` /
-    ``received > 1`` conditions under which
-    :func:`flow_metrics_from_states` reads them.  Deterministic: pure
-    counter readout.
-    """
-    return {
-        "received": sink.received,
-        "bytes_received": sink.bytes_received,
-        "mean_delay": sink.mean_delay() if sink.received > 0 else 0.0,
-        "jitter": sink.jitter() if sink.received > 1 else 0.0,
-        "max_gap": sink.max_gap() if sink.received > 1 else 0.0,
-    }
-
-
-def flow_metrics_from_states(
-    spec: "ScenarioSpec",
-    packets_sent: list[int],
-    sink_states: list[dict],
-    kinds: list[str],
-) -> dict[str, float]:
-    """The traffic-plane slice of :data:`COMMON_METRICS`.
-
-    Sent/received/loss, delay/jitter/gap and elastic goodput from the
-    per-flow counters — one definition for every stack, so cross-stack
-    columns are comparable.  ``packets_sent``, ``sink_states`` (see
-    :func:`sink_state`) and ``kinds`` are index-aligned per flow plan.
-    Deterministic: pure arithmetic, plain never-NaN floats.
-    """
-    sent = sum(packets_sent)
-    received = sum(state["received"] for state in sink_states)
-    delays = [s["mean_delay"] for s in sink_states if s["received"] > 0]
-    jitters = [s["jitter"] for s in sink_states if s["received"] > 1]
-    gaps = [s["max_gap"] for s in sink_states if s["received"] > 1]
-    goodput = [
-        state["bytes_received"] * 8.0 / spec.duration
-        for state, kind in zip(sink_states, kinds)
-        if kind == "elastic-data"
-    ]
-    return {
-        "population": float(spec.population),
-        "flows": float(len(kinds)),
-        "sent": float(sent),
-        "received": float(received),
-        "loss_rate": (1.0 - received / sent) if sent else 0.0,
-        "mean_delay": (sum(delays) / len(delays)) if delays else 0.0,
-        "jitter": (sum(jitters) / len(jitters)) if jitters else 0.0,
-        "max_gap": max(gaps) if gaps else 0.0,
-        "elastic_goodput_bps": (
-            (sum(goodput) / len(goodput)) if goodput else 0.0
-        ),
-    }
-
-
 def air_metrics(channels: list, window: float) -> dict[str, float]:
     """Contention-mode air-interface extras over ``channels``.
 
@@ -200,37 +144,59 @@ class BuiltRun:
     def harvest(self) -> dict[str, float]:
         """Read the run's counters and compute the metric dict.
 
-        Gathers the shared state and the stack's own counters, then
-        hands them to :func:`run_metrics` — the single formula set.
-        Deterministic: pure counter readout in build order.
+        One formula set for every stack, so cross-stack columns are
+        comparable: the traffic plane from the per-flow counters, then
+        the stack's mobility counters, ``hop_total`` and the (gated)
+        extras, in that order.  Metrics are plain floats and never NaN,
+        so serial-vs-parallel byte-identity is checkable with ordinary
+        equality.  Deterministic: pure counter readout in build order.
         """
         spec = self.spec
+        sinks = [plan.sink for plan in self.flow_plans]
+        sent = sum(source.packets_sent for source in self.sources)
+        received = sum(sink.received for sink in sinks)
+        delays = [sink.mean_delay() for sink in sinks if sink.received > 0]
+        jitters = [sink.jitter() for sink in sinks if sink.received > 1]
+        gaps = [sink.max_gap() for sink in sinks if sink.received > 1]
+        goodput = [
+            plan.sink.bytes_received * 8.0 / spec.duration
+            for plan in self.flow_plans
+            if plan.kind == "elastic-data"
+        ]
         handoffs, latencies, attached = self.mobility_counters()
-        extras = self.extras()
+        metrics = {
+            "population": float(spec.population),
+            "flows": float(len(self.flow_plans)),
+            "sent": float(sent),
+            "received": float(received),
+            "loss_rate": (1.0 - received / sent) if sent else 0.0,
+            "mean_delay": (sum(delays) / len(delays)) if delays else 0.0,
+            "jitter": (sum(jitters) / len(jitters)) if jitters else 0.0,
+            "max_gap": max(gaps) if gaps else 0.0,
+            "elastic_goodput_bps": (
+                (sum(goodput) / len(goodput)) if goodput else 0.0
+            ),
+            "handoffs": float(handoffs),
+            "handoff_latency": (
+                (sum(latencies) / len(latencies)) if latencies else 0.0
+            ),
+            "attached": float(attached),
+            "hop_total": float(sum(protocol_hop_totals(self.sim).values())),
+        }
+        metrics.update(self.extras())
         if spec.channels_enabled():
             # Contention mode only: adding keys to a legacy run would
             # change its rendered table and break byte-identity.
-            extras.update(air_metrics(
+            metrics.update(air_metrics(
                 [channel for _cell, channel in self.air_cells],
                 spec.warmup + spec.duration + spec.drain,
             ))
         if self.decision_trace is not None and not spec.policy.is_default():
             # Non-default policy block only (same gating rule).
-            extras.update(self.decision_trace.metric_counts())
+            metrics.update(self.decision_trace.metric_counts())
         if self.fluid_driver is not None:
             # Hybrid runs only: the fluid.* family (same gating rule).
-            extras.update(self.fluid_driver.metrics())
-        metrics = run_metrics(
-            spec,
-            [source.packets_sent for source in self.sources],
-            [sink_state(plan.sink) for plan in self.flow_plans],
-            [plan.kind for plan in self.flow_plans],
-            handoffs,
-            latencies,
-            attached,
-            sum(protocol_hop_totals(self.sim).values()),
-            extras,
-        )
+            metrics.update(self.fluid_driver.metrics())
         return {key: metrics[key] for key in (*self.metric_order, *metrics)}
 
     def mobility_counters(self) -> tuple[int, list[float], int]:
@@ -247,41 +213,11 @@ class BuiltRun:
         return {}
 
 
-def run_metrics(
-    spec: "ScenarioSpec",
-    packets_sent: list[int],
-    sink_states: list[dict],
-    kinds: list[str],
-    handoffs: int,
-    latencies: list[float],
-    attached: int,
-    hop_total: int,
-    extras: dict[str, float],
-) -> dict[str, float]:
-    """The metric dict of one finished run, for every stack.
-
-    :func:`flow_metrics_from_states` for the traffic plane, then the
-    mobility counters, ``hop_total`` and the stack's (already gated)
-    ``extras``, in that order.  Metrics are plain floats and never NaN,
-    so serial-vs-parallel byte-identity is checkable with ordinary
-    equality.  Deterministic: pure arithmetic.
-    """
-    metrics = flow_metrics_from_states(spec, packets_sent, sink_states, kinds)
-    metrics["handoffs"] = float(handoffs)
-    metrics["handoff_latency"] = (
-        (sum(latencies) / len(latencies)) if latencies else 0.0
-    )
-    metrics["attached"] = float(attached)
-    metrics["hop_total"] = float(hop_total)
-    metrics.update(extras)
-    return metrics
-
-
 class StackAdapter(abc.ABC):
     """One pluggable protocol stack the scenario engine can drive.
 
     Subclasses implement :meth:`build`; everything else — the registry,
-    the CLI ``--stack`` flag, :func:`repro.scenarios.compare` — works
+    the CLI ``--stack`` flag, :mod:`repro.scenarios.grid` — works
     against this interface, so registering another stack is one class
     plus one :func:`repro.stacks.registry.register_stack` call (see
     ``docs/STACKS.md``).
@@ -302,10 +238,6 @@ class StackAdapter(abc.ABC):
         :mod:`repro.stacks.population` so trajectories and offered
         traffic match the other stacks for the same seed.
         """
-
-    def run(self, spec: "ScenarioSpec", seed: int) -> dict[str, float]:
-        """Build and execute one run — the execution-backend job body."""
-        return self.build(spec, seed).execute()
 
     def exercised(self, spec: "ScenarioSpec") -> list[str]:
         """The adapter features ``spec`` exercises, for ``describe``.
@@ -332,7 +264,4 @@ __all__ = [
     "BuiltRun",
     "StackAdapter",
     "air_metrics",
-    "flow_metrics_from_states",
-    "run_metrics",
-    "sink_state",
 ]

@@ -18,9 +18,10 @@ process, on any execution backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import TYPE_CHECKING, Optional
 
+from repro.multitier.architecture import DOMAIN_SITES, PICO_LEAVES, Site
 from repro.radio.cells import Cell, Tier
 from repro.radio.geometry import Point
 from repro.radio.propagation import PropagationModel
@@ -33,88 +34,49 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
 
 
-@dataclass(frozen=True)
-class FlatSite:
-    """One cell site of a flat deployment: name, geometry, tree parent."""
-
-    name: str
-    tier: Tier
-    center: Point
-    radius: float
-    #: Name of the wired-tree parent site ("" = directly under the root).
-    parent: str
-
-    def cell(self) -> Cell:
-        """This site's :class:`~repro.radio.cells.Cell` (tier defaults
-        fill radio parameters)."""
-        return Cell(
-            name=f"cell-{self.name}",
-            center=self.center,
-            tier=self.tier,
-            radius=self.radius,
-        )
-
-
-#: The multi-tier world's radio geometry (architecture.py docstring):
-#: macro towers 800 m off the street axis, micro cells on it.
-_MACRO_SITES = (
-    ("R1", Point(-2000, 800)),
-    ("R2", Point(2000, 800)),
-)
-_MACRO_SITES_D2 = (("R4", Point(6000, 800)),)
-_MICRO_SITES = (
-    ("A", Point(-2000, 0), "R1"),
-    ("B", Point(-2700, 0), "R1"),
-    ("C", Point(-1300, 0), "R1"),
-    ("D", Point(2000, 0), "R2"),
-    ("E", Point(1300, 0), "R2"),
-    ("F", Point(2700, 0), "R2"),
-)
-_MICRO_SITES_D2 = (("G", Point(6000, 0), "R4"),)
-
-#: Micro leaves eligible as pico parents (mirrors the multi-tier
-#: builder's ``leaves`` tuple).
-_PICO_LEAVES = ("B", "C", "E", "F")
-
-
 def flat_cell_layout(
     spec: "ScenarioSpec",
     starts: Optional[list[Point]] = None,
     mobility_assignment: Optional[list[str]] = None,
     traffic_assignment: Optional[list[str]] = None,
-) -> list[FlatSite]:
+) -> list[Site]:
     """The baseline deployments' site list for ``spec``.
 
-    Mirrors the multi-tier world cell-for-cell so coverage (and thus
-    the mobility a roam rectangle induces) is identical across stacks:
-    macro umbrellas (radius 2500 m), micro street cells (400 m), and
-    ``spec.pico_cells`` picos (60 m) placed by the SAME shared rule the
-    multi-tier builder uses
+    The multi-tier world's own radio sites
+    (:data:`~repro.multitier.architecture.DOMAIN_SITES`), so coverage
+    (and thus the mobility a roam rectangle induces) is identical
+    across stacks — re-parented into the flat two-level tree: macro
+    umbrellas under the root, then every micro street cell directly
+    under its umbrella, then ``spec.pico_cells`` picos placed by the
+    SAME shared rule the multi-tier builder uses
     (:func:`~repro.stacks.population.pico_placements`: fixed offsets
     under the micro leaves in legacy mode, seeded population
     concentration points — requiring ``starts`` and the assignments —
     when contention is enabled).  Deterministic: pure function of its
     inputs.
     """
-    sites: list[FlatSite] = []
-    macro = list(_MACRO_SITES) + (
-        list(_MACRO_SITES_D2) if spec.domains == 2 else []
-    )
-    micro = list(_MICRO_SITES) + (
-        list(_MICRO_SITES_D2) if spec.domains == 2 else []
-    )
-    for name, center in macro:
-        sites.append(FlatSite(name, Tier.MACRO, center, 2500.0, ""))
-    for name, center, parent in micro:
-        sites.append(FlatSite(name, Tier.MICRO, center, 400.0, parent))
+    by_name = {
+        site.name: site
+        for domain in DOMAIN_SITES[: spec.domains]
+        for site in domain
+    }
+    radio = [site for site in by_name.values() if site.center is not None]
+    sites = [
+        replace(site, parent="") for site in radio if site.tier is Tier.MACRO
+    ]
+    for site in radio:
+        if site.tier is Tier.MICRO:
+            umbrella = site
+            while umbrella.tier is not Tier.MACRO:
+                umbrella = by_name[umbrella.parent]
+            sites.append(replace(site, parent=umbrella.name))
 
-    micro_by_name = {name: center for name, center, _ in micro}
-    leaf_centers = {name: micro_by_name[name] for name in _PICO_LEAVES}
+    leaf_centers = {name: by_name[name].center for name in PICO_LEAVES}
     placements = pico_placements(
         spec, starts, mobility_assignment, traffic_assignment, leaf_centers
     )
     for pico, (parent, center) in enumerate(placements):
-        sites.append(FlatSite(f"p{pico}", Tier.PICO, center, 60.0, parent))
+        sites.append(Site(f"p{pico}", Tier.PICO, center, parent))
     return sites
 
 
@@ -209,6 +171,5 @@ class FlatMobilityController:
 
 __all__ = [
     "FlatMobilityController",
-    "FlatSite",
     "flat_cell_layout",
 ]

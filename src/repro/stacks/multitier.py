@@ -26,7 +26,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.fluid.driver import fluid_channel_pairs
-from repro.multitier.architecture import MobilityController, MultiTierWorld
+from repro.multitier.architecture import (
+    PICO_LEAVES,
+    MobilityController,
+    MultiTierWorld,
+)
 from repro.multitier.mobile import MultiTierMobileNode
 from repro.net.packet import Packet
 from repro.policy.decider import TierDecider
@@ -106,7 +110,7 @@ def build_multitier_scenario(spec: ScenarioSpec, seed: int) -> BuiltScenario:
     # is shared with the baselines' flat layout (pico_placements), so
     # cross-stack cell geometry cannot drift.
     leaf_centers = {
-        name: world.domain1[name].cell.center for name in ("B", "C", "E", "F")
+        name: world.domain1[name].cell.center for name in PICO_LEAVES
     }
     placements = pico_placements(
         spec,

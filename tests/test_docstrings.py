@@ -35,6 +35,7 @@ import repro.radio.channel
 import repro.scenarios.builder
 import repro.scenarios.catalog
 import repro.scenarios.compare
+import repro.scenarios.grid
 import repro.scenarios.spec
 import repro.scenarios.sweep
 import repro.stacks
@@ -51,6 +52,7 @@ MODULES = [
     repro.scenarios.builder,
     repro.scenarios.catalog,
     repro.scenarios.compare,
+    repro.scenarios.grid,
     repro.scenarios.sweep,
     repro.experiments.exec,
     repro.fluid,

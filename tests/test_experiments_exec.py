@@ -14,8 +14,6 @@ from repro.experiments.exec import (
     RemoteTraceback,
     SerialBackend,
     backend_for_jobs,
-    get_default_backend,
-    set_default_backend,
 )
 from repro.experiments.runner import replicate, replicate_grid, sweep
 from repro.multitier.architecture import MultiTierWorld
@@ -193,16 +191,6 @@ def test_backend_for_jobs_selection():
     pool = backend_for_jobs(4)
     assert isinstance(pool, ProcessPoolBackend)
     assert pool.jobs == 4
-
-
-def test_default_backend_set_and_restore():
-    original = get_default_backend()
-    replacement = SerialBackend()
-    try:
-        assert set_default_backend(replacement) is original
-        assert get_default_backend() is replacement
-    finally:
-        set_default_backend(original)
 
 
 # ----------------------------------------------------------------------

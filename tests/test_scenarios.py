@@ -30,7 +30,6 @@ from repro.scenarios import (
     iter_scenarios,
     register,
     replicate_scenario,
-    run_scenario,
     run_scenario_spec,
     scenario_names,
 )

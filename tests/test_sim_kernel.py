@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Interrupt, Simulator
-from repro.sim.errors import EmptySchedule, SimulationError
+from repro.sim.errors import SimulationError
 
 
 def test_clock_starts_at_zero():
@@ -71,12 +71,6 @@ def test_simultaneous_events_fifo_order():
         sim.call_later(1.0, order.append, tag)
     sim.run()
     assert order == [0, 1, 2, 3, 4]
-
-
-def test_step_on_empty_queue_raises():
-    sim = Simulator()
-    with pytest.raises(EmptySchedule):
-        sim.step()
 
 
 def test_process_runs_and_returns_value():

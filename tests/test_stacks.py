@@ -29,7 +29,9 @@ from repro.scenarios import (
     format_stack_comparison,
     get_scenario,
     replicate_scenario,
+    replicate_scenarios,
     run_scenario_spec,
+    sweep_scenarios,
 )
 from repro.stacks import (
     COMMON_METRICS,
@@ -258,9 +260,8 @@ def test_shared_population_plan_offers_identical_traffic():
 def test_flat_layout_macro_micro_geometry_matches_multitier(domains):
     """Every baseline cell site sits exactly on the multi-tier world's
     cell of the same name (center, radius, tier) — the cross-stack
-    "same geometry" guarantee for the macro and micro tables, which
-    the hand-written site list in stacks/flat.py could otherwise
-    silently drift away from."""
+    "same geometry" guarantee: both are built from the one site table
+    in multitier/architecture.py."""
     from repro.multitier.architecture import MultiTierWorld
     from repro.stacks.flat import flat_cell_layout
 
@@ -276,7 +277,7 @@ def test_flat_layout_macro_micro_geometry_matches_multitier(domains):
         assert (site.center.x, site.center.y) == (
             cell.center.x, cell.center.y,
         ), name
-        assert site.radius == cell.radius, name
+        assert site.cell().radius == cell.radius, name
         assert site.tier == cell.tier, name
 
 
@@ -381,6 +382,25 @@ def test_compare_dispatches_one_backend_batch():
     assert backend.jobs_seen == expected
     assert [c.spec.name for c in comparisons] == [s.name for s in specs]
 
+    # Same contract for every other multi-run entry point: one batch,
+    # job count = grid size.
+    backend = _CountingBackend()
+    replicate_scenarios(specs, backend=backend)
+    assert (backend.batches, backend.jobs_seen) == (
+        1, sum(len(spec.seeds) for spec in specs)
+    )
+    backend = _CountingBackend()
+    sweeps = ["sparse-rural/population", "campus-dense/backhaul"]
+    curves = sweep_scenarios(
+        sweeps, smoke=True, backend=backend, stacks=["multitier", "mobileip"]
+    )
+    assert backend.batches == 1
+    # 2 sweeps x 2 stacks x 2 smoke points x 1 smoke seed.
+    assert backend.jobs_seen == 8
+    assert [(sweep.name, base.stack) for sweep, base, _seeds, _result in curves] == [
+        (name, stack) for name in sweeps for stack in ("multitier", "mobileip")
+    ]
+
 
 def test_compare_matches_per_stack_replication():
     spec = _smoke("sparse-rural")
@@ -450,6 +470,40 @@ def test_stack_comparison_smoke_matches_committed_goldens(tmp_path):
     _assert_matches_goldens(tmp_path, "stacks_smoke")
 
 
+def test_sweep_smoke_matches_committed_goldens(tmp_path):
+    """``scenario sweep all --smoke`` must stay byte-identical to
+    ``results/sweeps_smoke/`` — the pin on sweep expansion, batching
+    and per-point regrouping.  Tables only: the figure is a ``.png``
+    once matplotlib is installed."""
+    from repro.cli import main
+
+    assert main(["scenario", "sweep", "all", "--smoke", "-o", str(tmp_path)]) == 0
+    _assert_matches_goldens(
+        tmp_path, "sweeps_smoke",
+        keep=lambda name: name.endswith(".txt")
+        and not name.endswith(".figure.txt"),
+    )
+
+
+def test_campaign_smoke_matches_committed_goldens(tmp_path):
+    """A scenario + sweep campaign under two stacks must freeze the
+    same ``manifest.json`` (item ids, order, fingerprints) and merge
+    the same ``results.json`` as ``results/campaign_smoke/`` — so a
+    campaign created before a grid refactor still resumes after it."""
+    from repro.cli import main
+
+    camp = tmp_path / "camp"
+    assert main([
+        "campaign", "new", str(camp), "--scenarios", "sparse-rural",
+        "--sweeps", "sparse-rural/population", "--stacks", "multitier",
+        "mobileip", "--smoke", "--name", "golden",
+    ]) == 0
+    assert main(["campaign", "run", str(camp)]) == 0
+    _assert_matches_goldens(
+        camp, "campaign_smoke", keep=lambda name: name.endswith(".json")
+    )
+
+
 _FLOW_KEYS = [
     "population", "flows", "sent", "received", "loss_rate", "mean_delay",
     "jitter", "max_gap",
@@ -493,10 +547,12 @@ def test_metric_key_order_is_pinned_per_stack(stack):
     assert list(metrics) == METRIC_KEY_ORDER[stack] + _GATED_KEYS
 
 
-def _assert_matches_goldens(produced_dir, golden_name):
+def _assert_matches_goldens(
+    produced_dir, golden_name, keep=lambda name: name.endswith(".txt")
+):
     goldens = REPO_ROOT / "results" / golden_name
-    expected = sorted(p.name for p in goldens.glob("*.txt"))
-    produced = sorted(p.name for p in produced_dir.glob("*.txt"))
+    expected = sorted(p.name for p in goldens.iterdir() if keep(p.name))
+    produced = sorted(p.name for p in produced_dir.iterdir() if keep(p.name))
     assert produced == expected
     mismatched = [
         name
@@ -504,7 +560,7 @@ def _assert_matches_goldens(produced_dir, golden_name):
         if (produced_dir / name).read_bytes() != (goldens / name).read_bytes()
     ]
     assert not mismatched, (
-        f"scenario tables diverged from results/{golden_name}/ goldens: "
+        f"output diverged from results/{golden_name}/ goldens: "
         f"{', '.join(mismatched)}"
     )
 
