@@ -2,7 +2,7 @@
 location-record lifetime ratio."""
 
 from benchmarks.conftest import run_once
-from repro.experiments import ablation_buffer_size, ablation_record_lifetime
+from repro.experiments.ablations import ablation_buffer_size, ablation_record_lifetime
 
 
 def test_bench_ablation_buffer_size(benchmark, record_result):

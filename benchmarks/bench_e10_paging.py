@@ -7,7 +7,7 @@ system where they must refresh route caches at the fast cadence.
 import math
 
 from benchmarks.conftest import run_once
-from repro.experiments import experiment_e10
+from repro.experiments.figures import experiment_e10
 
 
 def test_bench_e10_paging_economy(benchmark, record_result):

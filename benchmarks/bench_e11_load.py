@@ -5,7 +5,7 @@ bottleneck, loss appears past saturation.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import experiment_e11
+from repro.experiments.load import experiment_e11
 
 
 def test_bench_e11_qos_under_load(benchmark, record_result):

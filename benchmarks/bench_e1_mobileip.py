@@ -5,7 +5,7 @@ CN->MN path stretch as the home agent moves farther away.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import experiment_e1
+from repro.experiments.figures import experiment_e1
 
 
 def test_bench_e1_registration_and_triangle(benchmark, record_result):

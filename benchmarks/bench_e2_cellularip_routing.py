@@ -5,7 +5,7 @@ the update period exceeds the route timeout.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import experiment_e2
+from repro.experiments.figures import experiment_e2
 
 
 def test_bench_e2_signalling_vs_refresh(benchmark, record_result):

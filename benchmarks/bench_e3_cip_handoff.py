@@ -5,7 +5,7 @@ dual-path semisoft scheme, across handoff rates.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import experiment_e3
+from repro.experiments.figures import experiment_e3
 
 
 def test_bench_e3_hard_vs_semisoft(benchmark, record_result):

@@ -5,7 +5,7 @@ Fig 3.1 hierarchy.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import experiment_e4
+from repro.experiments.figures import experiment_e4
 
 
 def test_bench_e4_location_load(benchmark, record_result):

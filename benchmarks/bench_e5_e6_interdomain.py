@@ -7,7 +7,7 @@ trip, so its service interruption grows with home-agent distance.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import experiment_e5_e6
+from repro.experiments.figures import experiment_e5_e6
 
 
 def test_bench_e5_e6_interdomain(benchmark, record_result):

@@ -3,7 +3,7 @@ channel-overflow fallback (case c's "turn to macro-cell").
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import experiment_e7, experiment_e7_blocking
+from repro.experiments.figures import experiment_e7, experiment_e7_blocking
 
 
 def test_bench_e7_handoff_cases(benchmark, record_result):

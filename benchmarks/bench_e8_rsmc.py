@@ -9,7 +9,7 @@ loss and delay columns.
 import math
 
 from benchmarks.conftest import run_once
-from repro.experiments import experiment_e8
+from repro.experiments.figures import experiment_e8
 
 
 def test_bench_e8_scheme_comparison(benchmark, record_result):

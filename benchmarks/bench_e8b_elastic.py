@@ -6,7 +6,7 @@ TCP ... performance over hard handoff", extended to the paper's RSMC.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import experiment_e8b
+from repro.experiments.elastic import experiment_e8b
 
 
 def test_bench_e8b_elastic_goodput(benchmark, record_result):

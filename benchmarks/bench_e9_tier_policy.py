@@ -6,7 +6,7 @@ macro umbrella and cut their handoff churn.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import experiment_e9
+from repro.experiments.ablations import experiment_e9
 
 
 def test_bench_e9_policy_ablation(benchmark, record_result):

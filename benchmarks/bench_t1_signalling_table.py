@@ -1,7 +1,7 @@
 """T1: control message-hops per handoff type (§3/§4 accounting)."""
 
 from benchmarks.conftest import run_once
-from repro.experiments import experiment_t1
+from repro.experiments.ablations import experiment_t1
 
 
 def test_bench_t1_signalling_accounting(benchmark, record_result):

@@ -2,7 +2,7 @@
 central registration scheme."""
 
 from benchmarks.conftest import run_once
-from repro.experiments import experiment_t2
+from repro.experiments.ablations import experiment_t2
 
 
 def test_bench_t2_scaling(benchmark, record_result, execution_backend):

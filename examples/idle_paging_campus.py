@@ -11,7 +11,7 @@ Run:  python examples/idle_paging_campus.py
 """
 
 from repro.cellularip import CIPMobileHost
-from repro.experiments import build_cip_world
+from repro.experiments.baselines import build_cip_world
 from repro.net import Packet, ip
 from repro.traffic import FlowSink
 

@@ -8,7 +8,7 @@ the reproduction of the paper's headline claims.
 Run:  python examples/multimedia_streaming.py
 """
 
-from repro.experiments import SCHEMES
+from repro.experiments.baselines import SCHEMES
 from repro.metrics import format_table
 
 

@@ -47,7 +47,7 @@ import pathlib
 import sys
 import time
 
-from repro.experiments import ALL_EXPERIMENTS, backend_for_jobs
+from repro.experiments.exec import backend_for_jobs
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -719,6 +719,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "campaign":
         return _campaign_main(args)
+
+    from repro.experiments.registry import ALL_EXPERIMENTS
 
     if args.command == "list":
         for experiment_id, fn in ALL_EXPERIMENTS.items():

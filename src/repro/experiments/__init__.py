@@ -1,5 +1,9 @@
-"""Experiment harness: scenario builders, baselines and one function
-per reproduced figure/table.
+"""Experiment harness: the execution engine and the replication
+runner.  The package itself exports only those — the scenario layer
+imports :mod:`~repro.experiments.runner` on every start — so the
+reproduced figures and tables are imported from their modules
+(``figures``, ``ablations``, ``baselines``, ``elastic``, ``load``) and
+:mod:`repro.experiments.registry` maps the E-series ids to them.
 
 Execution engine
 ----------------
@@ -33,42 +37,12 @@ order, so every backend — and every job count — produces identical
 metrics for the same seed list.
 """
 
-from repro.experiments.ablations import (
-    ablation_buffer_size,
-    ablation_record_lifetime,
-    experiment_e9,
-    experiment_t1,
-    experiment_t2,
-)
-from repro.experiments.baselines import (
-    SCHEMES,
-    build_cip_world,
-    run_cip_hard,
-    run_cip_semisoft,
-    run_mobileip,
-    run_multitier_rsmc,
-    run_scheme,
-)
 from repro.experiments.exec import (
     ExecutionBackend,
     ProcessPoolBackend,
     RemoteTraceback,
     SerialBackend,
     backend_for_jobs,
-)
-from repro.experiments.elastic import experiment_e8b
-from repro.experiments.load import experiment_e11
-from repro.experiments.figures import (
-    save_experiment_figure,
-    experiment_e1,
-    experiment_e2,
-    experiment_e3,
-    experiment_e4,
-    experiment_e5_e6,
-    experiment_e7,
-    experiment_e7_blocking,
-    experiment_e8,
-    experiment_e10,
 )
 from repro.experiments.runner import (
     ExperimentResult,
@@ -81,62 +55,18 @@ from repro.experiments.runner import (
     sweep,
 )
 
-ALL_EXPERIMENTS = {
-    "E1": experiment_e1,
-    "E2": experiment_e2,
-    "E3": experiment_e3,
-    "E4": experiment_e4,
-    "E5/E6": experiment_e5_e6,
-    "E7": experiment_e7,
-    "E7b": experiment_e7_blocking,
-    "E8": experiment_e8,
-    "E8b": experiment_e8b,
-    "E9": experiment_e9,
-    "E10": experiment_e10,
-    "E11": experiment_e11,
-    "T1": experiment_t1,
-    "T2": experiment_t2,
-    "AB1": ablation_buffer_size,
-    "AB2": ablation_record_lifetime,
-}
-
 __all__ = [
-    "ALL_EXPERIMENTS",
     "ExecutionBackend",
     "ExperimentResult",
     "ProcessPoolBackend",
     "RemoteTraceback",
     "Replication",
-    "SCHEMES",
     "SerialBackend",
-    "ablation_buffer_size",
-    "ablation_record_lifetime",
     "aggregate",
     "backend_for_jobs",
-    "build_cip_world",
     "build_sweep_result",
-    "experiment_e1",
-    "experiment_e2",
-    "experiment_e3",
-    "experiment_e4",
-    "experiment_e5_e6",
-    "experiment_e7",
-    "experiment_e7_blocking",
-    "experiment_e8",
-    "experiment_e8b",
-    "experiment_e9",
-    "experiment_e10",
-    "experiment_e11",
-    "experiment_t1",
-    "experiment_t2",
     "replicate",
     "replicate_cells",
     "replicate_grid",
-    "run_cip_hard",
-    "run_cip_semisoft",
-    "run_mobileip",
-    "run_multitier_rsmc",
-    "run_scheme",
-    "save_experiment_figure",
     "sweep",
 ]

@@ -23,17 +23,13 @@ def install_home_prefix_routes(network, home_agent) -> None:
     cover mobile home addresses, so the home prefix must be attracted
     to the home agent, which then tunnels per its binding cache.
     """
-    import networkx as nx
-
     from repro.net.router import Router
+    from repro.net.topology import shortest_paths
 
     graph = network.graph()
     for node in network.nodes.values():
         if not isinstance(node, Router) or node is home_agent:
             continue
-        try:
-            path = nx.dijkstra_path(graph, node, home_agent, weight="weight")
-        except nx.NetworkXNoPath:
-            continue
-        if len(path) >= 2:
+        path = shortest_paths(graph, node)[1].get(home_agent)
+        if path is not None:
             node.add_route(home_agent.home_prefix, path[1])

@@ -1,18 +1,51 @@
 """Topology builder: assemble nodes and links, then install static
-shortest-path routes (Dijkstra over propagation delay via networkx).
+shortest-path routes (Dijkstra over propagation delay).
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+from itertools import count
 from typing import Optional, Union
-
-import networkx as nx
 
 from repro.net.addressing import AddressAllocator, IPAddress
 from repro.net.link import Link, LinkRegistry, connect, link_registry
 from repro.net.node import Node
 from repro.net.router import Router
 from repro.sim.kernel import Simulator
+
+
+def shortest_paths(graph: dict, source) -> tuple[dict, dict]:
+    """Dijkstra from ``source`` over ``{node: {neighbour: delay}}``.
+
+    Returns ``(dist, paths)`` over the reachable nodes, nearest first.
+    Equal-cost ties resolve deterministically and routes depend on it:
+    the heap breaks distance ties by push order, neighbours relax in
+    insertion order, and only a strictly shorter path replaces a
+    predecessor.
+    """
+    dist: dict = {}
+    seen = {source: 0}
+    paths = {source: [source]}
+    pred: dict = {}
+    pushed = count()
+    fringe = [(0, next(pushed), source)]
+    while fringe:
+        reached, _, node = heappop(fringe)
+        if node in dist:
+            continue
+        dist[node] = reached
+        if node is not source:
+            paths[node] = paths[pred[node]] + [node]
+        for neighbour, delay in graph[node].items():
+            candidate = reached + delay
+            if neighbour in dist:
+                continue
+            if neighbour not in seen or candidate < seen[neighbour]:
+                seen[neighbour] = candidate
+                pred[neighbour] = node
+                heappush(fringe, (candidate, next(pushed), neighbour))
+    return dist, paths
 
 
 class Network:
@@ -68,40 +101,43 @@ class Network:
         return forward, backward
 
     # ------------------------------------------------------------------
-    def graph(self) -> nx.DiGraph:
-        """The topology as a directed graph weighted by link delay."""
-        graph = nx.DiGraph()
-        for node in self.nodes.values():
-            graph.add_node(node)
+    def graph(self) -> dict[Node, dict[Node, float]]:
+        """The topology as ``{node: {neighbour: link delay}}``; a
+        repeated ``(head, tail)`` link keeps its first position and
+        takes the last delay."""
+        graph = {node: {} for node in self.nodes.values()}
         for link in self.links:
-            graph.add_edge(link.head, link.tail, weight=link.delay, link=link)
+            graph.setdefault(link.head, {})[link.tail] = link.delay
+            graph.setdefault(link.tail, {})
         return graph
 
     def install_routes(self) -> None:
         """Install host routes for every addressed node at every router.
 
-        Uses all-pairs Dijkstra over propagation delay.  Later route
-        changes (Mobile IP bindings, Cellular IP caches, the paper's
+        Runs Dijkstra over propagation delay from every router.  Later
+        route changes (Mobile IP bindings, Cellular IP caches, the paper's
         location tables) override these static routes through their own
         mechanisms.
         """
         graph = self.graph()
-        routers = [node for node in self.nodes.values() if isinstance(node, Router)]
-        paths = dict(nx.all_pairs_dijkstra_path(graph, weight="weight"))
-        for router in routers:
-            reachable = paths.get(router, {})
-            for target, path in reachable.items():
-                if target is router or len(path) < 2:
+        for router in self.nodes.values():
+            if not isinstance(router, Router):
+                continue
+            _, paths = shortest_paths(graph, router)
+            for target, path in paths.items():
+                if target is router:
                     continue
-                next_hop = path[1]
                 for address in target.addresses:
-                    router.table.add_host(address, next_hop)
+                    router.table.add_host(address, path[1])
 
     def path_delay(self, a: Union[str, Node], b: Union[str, Node]) -> float:
         """Total one-way propagation delay along the shortest path."""
         node_a = self.nodes[a] if isinstance(a, str) else a
         node_b = self.nodes[b] if isinstance(b, str) else b
-        return nx.dijkstra_path_length(self.graph(), node_a, node_b, weight="weight")
+        dist, _ = shortest_paths(self.graph(), node_a)
+        if node_b not in dist:
+            raise ValueError(f"no path from {node_a.name!r} to {node_b.name!r}")
+        return dist[node_b]
 
     # ------------------------------------------------------------------
     @property

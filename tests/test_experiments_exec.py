@@ -300,7 +300,7 @@ def test_replicate_grid_matches_per_scenario_replicate():
 
 
 def test_run_scheme_rejects_unknown_name():
-    from repro.experiments import run_scheme
+    from repro.experiments.baselines import run_scheme
 
     with pytest.raises(ValueError, match="unknown scheme"):
         run_scheme("no-such-scheme", seed=1)

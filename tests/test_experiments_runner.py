@@ -5,13 +5,13 @@ import math
 
 import pytest
 
-from repro.experiments import (
-    ALL_EXPERIMENTS,
+from repro.experiments.baselines import (
     run_cip_hard,
     run_cip_semisoft,
     run_mobileip,
     run_multitier_rsmc,
 )
+from repro.experiments.registry import ALL_EXPERIMENTS
 from repro.experiments.runner import replicate, sweep
 
 

@@ -262,6 +262,14 @@ def test_mean_confidence_constant_samples():
     assert estimate.half_width == 0.0
 
 
+@pytest.mark.parametrize("confidence", [1.5, 1.0, 0.0])
+def test_mean_confidence_rejects_confidence_outside_the_open_unit_interval(confidence):
+    # 1.5 used to give a NaN half-width (printed as a bare mean), 1.0 "±inf".
+    for samples in ([1.0, 2.0, 3.0], [7.0], []):
+        with pytest.raises(ValueError, match=r"confidence must be in \(0, 1\)"):
+            mean_confidence(samples, confidence=confidence)
+
+
 def test_estimate_str():
     assert "±" in str(Estimate(3.0, 0.5, 5))
     assert str(Estimate(3.0, 0.0, 5)) == "3"
