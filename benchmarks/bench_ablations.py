@@ -6,9 +6,7 @@ from repro.experiments.ablations import ablation_buffer_size, ablation_record_li
 
 
 def test_bench_ablation_buffer_size(benchmark, record_result):
-    result = run_once(
-        benchmark, lambda: ablation_buffer_size(seeds=(1, 2), buffer_sizes=(1, 4, 16, 64))
-    )
+    result = run_once(benchmark, ablation_buffer_size)
     record_result(result)
 
     loss = result.series["loss_rate"]
@@ -19,12 +17,7 @@ def test_bench_ablation_buffer_size(benchmark, record_result):
 
 
 def test_bench_ablation_record_lifetime(benchmark, record_result):
-    result = run_once(
-        benchmark,
-        lambda: ablation_record_lifetime(
-            seeds=(1, 2), lifetime_ratios=(1.2, 2.0, 4.0, 8.0)
-        ),
-    )
+    result = run_once(benchmark, ablation_record_lifetime)
     record_result(result)
 
     loss = result.series["loss_rate"]

@@ -11,10 +11,7 @@ from repro.experiments.figures import experiment_e10
 
 
 def test_bench_e10_paging_economy(benchmark, record_result):
-    result = run_once(
-        benchmark,
-        lambda: experiment_e10(seeds=(1, 2), mobile_counts=(2, 4, 8, 16), duration=25.0),
-    )
+    result = run_once(benchmark, experiment_e10)
     record_result(result)
 
     savings = result.series["savings_factor"]

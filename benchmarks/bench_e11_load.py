@@ -5,16 +5,11 @@ bottleneck, loss appears past saturation.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments.load import experiment_e11
+from repro.experiments.figures import experiment_e11
 
 
 def test_bench_e11_qos_under_load(benchmark, record_result):
-    result = run_once(
-        benchmark,
-        lambda: experiment_e11(
-            seeds=(1, 2), background_flows=(0, 2, 4, 6, 8, 10), duration=10.0
-        ),
-    )
+    result = run_once(benchmark, experiment_e11)
     record_result(result)
 
     offered = result.series["offered_load"]

@@ -9,12 +9,7 @@ from repro.experiments.figures import experiment_e1
 
 
 def test_bench_e1_registration_and_triangle(benchmark, record_result):
-    result = run_once(
-        benchmark,
-        lambda: experiment_e1(
-            seeds=(1, 2, 3), backbone_delays=(0.005, 0.010, 0.025, 0.050, 0.100)
-        ),
-    )
+    result = run_once(benchmark, experiment_e1)
     record_result(result)
 
     latency = result.series["registration_latency"]

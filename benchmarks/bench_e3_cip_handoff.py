@@ -9,12 +9,7 @@ from repro.experiments.figures import experiment_e3
 
 
 def test_bench_e3_hard_vs_semisoft(benchmark, record_result):
-    result = run_once(
-        benchmark,
-        lambda: experiment_e3(
-            seeds=(1, 2), handoff_intervals=(0.5, 1.0, 2.0, 4.0), duration=12.0
-        ),
-    )
+    result = run_once(benchmark, experiment_e3)
     record_result(result)
 
     hard = result.series["hard_loss_rate"]

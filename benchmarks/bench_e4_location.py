@@ -9,12 +9,7 @@ from repro.experiments.figures import experiment_e4
 
 
 def test_bench_e4_location_load(benchmark, record_result):
-    result = run_once(
-        benchmark,
-        lambda: experiment_e4(
-            seeds=(1, 2), mobile_counts=(4, 8, 16, 32), duration=15.0
-        ),
-    )
+    result = run_once(benchmark, experiment_e4)
     record_result(result)
 
     msgs = result.series["location_msgs_per_s"]

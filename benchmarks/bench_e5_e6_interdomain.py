@@ -11,12 +11,7 @@ from repro.experiments.figures import experiment_e5_e6
 
 
 def test_bench_e5_e6_interdomain(benchmark, record_result):
-    result = run_once(
-        benchmark,
-        lambda: experiment_e5_e6(
-            seeds=(1, 2), home_delays=(0.010, 0.025, 0.050, 0.100)
-        ),
-    )
+    result = run_once(benchmark, experiment_e5_e6)
     record_result(result)
 
     same_gap = result.series["same_upper_gap"]

@@ -7,10 +7,10 @@ from repro.experiments.figures import experiment_e7, experiment_e7_blocking
 
 
 def test_bench_e7_handoff_cases(benchmark, record_result):
-    result = run_once(benchmark, lambda: experiment_e7(seeds=(1, 2)))
+    result = run_once(benchmark, experiment_e7)
     record_result(result)
 
-    interruptions = result.series["interruption_s"]
+    interruptions = result.series["interruption"]
     losses = result.series["loss_rate"]
     # Shape: all three cases complete with sub-100 ms interruption and no
     # loss (RSMC buffering covers the switch).
@@ -19,10 +19,7 @@ def test_bench_e7_handoff_cases(benchmark, record_result):
 
 
 def test_bench_e7_overflow_blocking(benchmark, record_result):
-    result = run_once(
-        benchmark,
-        lambda: experiment_e7_blocking(seeds=(1,), offered_loads=(4, 8, 12, 16)),
-    )
+    result = run_once(benchmark, experiment_e7_blocking)
     record_result(result)
 
     with_overflow = result.series["success_with_overflow"]

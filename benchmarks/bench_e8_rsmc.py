@@ -13,12 +13,7 @@ from repro.experiments.figures import experiment_e8
 
 
 def test_bench_e8_scheme_comparison(benchmark, record_result):
-    result = run_once(
-        benchmark,
-        lambda: experiment_e8(
-            seeds=(1, 2, 3), handoffs=6, handoff_interval=2.0, duration=16.0
-        ),
-    )
+    result = run_once(benchmark, experiment_e8)
     record_result(result)
 
     schemes = result.x_values

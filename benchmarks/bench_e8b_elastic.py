@@ -6,16 +6,11 @@ TCP ... performance over hard handoff", extended to the paper's RSMC.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments.elastic import experiment_e8b
+from repro.experiments.figures import experiment_e8b
 
 
 def test_bench_e8b_elastic_goodput(benchmark, record_result):
-    result = run_once(
-        benchmark,
-        lambda: experiment_e8b(
-            seeds=(1, 2, 3), handoffs=6, handoff_interval=2.0, duration=16.0
-        ),
-    )
+    result = run_once(benchmark, experiment_e8b)
     record_result(result)
 
     schemes = result.x_values

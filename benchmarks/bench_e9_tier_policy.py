@@ -10,14 +10,11 @@ from repro.experiments.ablations import experiment_e9
 
 
 def test_bench_e9_policy_ablation(benchmark, record_result):
-    result = run_once(
-        benchmark,
-        lambda: experiment_e9(seeds=(1, 2), duration=120.0, vehicles=3, pedestrians=3),
-    )
+    result = run_once(benchmark, experiment_e9)
     record_result(result)
 
     policies = result.x_values
-    vehicle = dict(zip(policies, result.series["veh_handoffs_per_min"]))
+    vehicle = dict(zip(policies, result.series["vehicle_handoffs_per_min"]))
     on_macro = dict(zip(policies, result.series["vehicles_on_macro"]))
 
     # Shape: the paper's policy produces the least vehicle churn and

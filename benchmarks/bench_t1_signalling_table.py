@@ -11,7 +11,7 @@ def test_bench_t1_signalling_accounting(benchmark, record_result):
     cases = result.x_values
     registrations = dict(zip(cases, result.series["mip-reg-request"]))
     mnld = dict(zip(cases, result.series["mnld-update"]))
-    updates = dict(zip(cases, result.series["update-location"]))
+    updates = dict(zip(cases, result.series["mt-update-location"]))
 
     # Shape: only the different-upper inter-domain case touches the
     # home network and the MNLD.

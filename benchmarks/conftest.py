@@ -5,29 +5,18 @@ round — the workload is a full simulation, not a microbenchmark),
 prints the reproduced table/figure and also writes it to
 ``results/<experiment>.txt`` so the output survives pytest's capture.
 
-Set ``REPRO_BENCH_JOBS=N`` to run engine-aware benches (e.g.
-``bench_t2_scaling_table.py``) through a ``ProcessPoolBackend`` with N
-workers instead of the serial default — the reproduced numbers are
-identical by the engine's determinism guarantee, only the wall-clock
-(and hence the reported benchmark time) changes.
+Every bench calls its experiment at the registry defaults, so what it
+writes is byte-identical to the committed golden: a bench run leaves
+``git status --short results/`` empty unless the table really changed.
 """
 
 from __future__ import annotations
 
-import os
 import pathlib
 
 import pytest
 
-from repro.experiments.exec import backend_for_jobs
-
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
-
-
-@pytest.fixture
-def execution_backend():
-    """The execution backend selected by ``REPRO_BENCH_JOBS`` (default serial)."""
-    return backend_for_jobs(int(os.environ.get("REPRO_BENCH_JOBS", "1")))
 
 
 @pytest.fixture

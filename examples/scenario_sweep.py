@@ -12,7 +12,7 @@ Run:  PYTHONPATH=src python examples/scenario_sweep.py
 import tempfile
 
 from repro.experiments import ProcessPoolBackend, SerialBackend
-from repro.experiments.figures import save_experiment_figure
+from repro.experiments.runner import save_experiment_figure
 from repro.scenarios import (
     ScenarioSweep,
     describe_sweep,

@@ -540,7 +540,7 @@ def _stack_suffix(stack: str) -> str:
 
 def _scenario_sweep_main(args: argparse.Namespace) -> int:
     from repro import scenarios
-    from repro.experiments.figures import save_experiment_figure
+    from repro.experiments.runner import save_experiment_figure
 
     wanted = _expand_names(args.names, scenarios.sweep_names(), "sweep")
     if (

@@ -1,40 +1,75 @@
 """Experiment harness: the execution engine and the replication
 runner.  The package itself exports only those — the scenario layer
 imports :mod:`~repro.experiments.runner` on every start — so the
-reproduced figures and tables are imported from their modules
-(``figures``, ``ablations``, ``baselines``, ``elastic``, ``load``) and
+reproduced figures and tables are imported from their modules and
 :mod:`repro.experiments.registry` maps the E-series ids to them.
+
+One experiment shape
+--------------------
+The paper has no evaluation section, so the E-series *is* the
+reproduction: every figure (2.2-4.1) as an executable table.  Each one
+is a scenario function + one ``sweep`` call + a registry line:
+
+* ``scenario(x, seed) -> dict[str, float]`` — a module-level function
+  that builds its own world for axis point ``x`` (a number on a
+  figure's axis, or the label of a row in a case / scheme table), runs
+  it and returns plain metrics.  The shared pieces live in
+  :mod:`~repro.experiments.baselines`: the small worlds, the downlink
+  probe ``cbr_to_mobile(world, mn, rate_bps, duration)`` and the
+  scripted mover ``scripted_handoffs(sim, interval, targets, handoff)``.
+* :func:`~repro.experiments.runner.sweep` — runs the whole
+  (x, seed) grid as ONE backend batch and is the only place an
+  :class:`~repro.experiments.runner.ExperimentResult` is assembled;
+  ``columns`` picks the metrics to print and, as a mapping, renames
+  their headers.
+* ``ALL_EXPERIMENTS["E12"] = experiment_e12`` in the registry.
+
+An E8-shaped table — interruption per handoff target, per seed::
+
+    _E12_TARGETS = {"same branch (F->E)": "E", "other branch (F->B)": "B"}
+
+    def _e12_scenario(label, seed, handoff_at):
+        world = MultiTierWorld()
+        d1 = world.domain1
+        mn, source, sink = baselines.handoff_under_stream(
+            world, d1["F"], d1[_E12_TARGETS[label]],
+            handoff_at=handoff_at, stream_s=4.0, until=8.0,
+        )
+        return {"gap": sink.max_gap(),
+                "loss_rate": sink.loss_rate(source.packets_sent)}
+
+    def experiment_e12(seeds=DEFAULT_SEEDS, handoff_at=1.5, backend=None):
+        "E12: interruption by handoff target."
+        return sweep(
+            "E12", "E12: interruption by handoff target", "target",
+            list(_E12_TARGETS), partial(_e12_scenario, handoff_at=handoff_at),
+            seeds, {"gap": "gap_s", "loss_rate": "loss_rate"},
+            backend=backend,
+        )
+
+Why not ``ScenarioSweep``: the E-series measure protocol-internal
+quantities (registration latency, triangle stretch, cache-miss rate,
+per-protocol hop deltas, AIMD windows) around *scripted* handoffs
+between named stations.  ``ScenarioSpec`` has no scripted mover and
+``BuiltRun.harvest()`` emits none of those keys; adding both for
+seventeen single-use callers would be new surface, not less.
 
 Execution engine
 ----------------
-Every experiment takes ``backend=`` and routes its per-(seed,
-sweep-point) scenario jobs through ONE batch function,
+Every experiment takes ``backend=`` and its (axis point, seed) jobs go
+through ONE batch function,
 :func:`~repro.experiments.runner.replicate_cells` — ``(scenario,
 seeds)`` cells → jobs → a single ``backend.run`` → one
-:class:`~repro.experiments.runner.Replication` per cell —
-which :func:`~repro.experiments.runner.replicate`,
-:func:`~repro.experiments.runner.replicate_grid` and
-:func:`~repro.experiments.runner.sweep` delegate to, as does the
-scenario layer's grid path (:mod:`repro.scenarios.grid`:
-``expand_grid`` → ``run_grid`` → ``stack_comparisons``).  The backend
-is a pluggable :class:`~repro.experiments.exec.ExecutionBackend`
-(see :mod:`repro.experiments.exec`; ``backend=None`` means serial):
-
-* :class:`~repro.experiments.exec.SerialBackend` (the default) runs
-  jobs in order in-process and is bit-identical to the historic serial
-  code path;
-* :class:`~repro.experiments.exec.ProcessPoolBackend` fans the same
-  jobs out over forked worker processes — ``repro run E8 --jobs 8`` on
-  the CLI, or ``experiment_e8(backend=ProcessPoolBackend(8))`` from
-  code.
-
-**Determinism guarantee:** a scenario derives all randomness from its
-seed via :class:`repro.sim.rng.RandomStreams`, builds its own
-:class:`~repro.sim.kernel.Simulator` (whose link registry scopes
-whole-network accounting to that world), and returns plain floats.
-Backends only decide *where* jobs run; results are aggregated in job
-order, so every backend — and every job count — produces identical
-metrics for the same seed list.
+:class:`~repro.experiments.runner.Replication` per cell — as does the
+scenario layer's grid path (:mod:`repro.scenarios.grid`).  The backend
+is a pluggable :class:`~repro.experiments.exec.ExecutionBackend`:
+:class:`~repro.experiments.exec.SerialBackend` (the default,
+``backend=None``) or :class:`~repro.experiments.exec.ProcessPoolBackend`
+(``repro run E8 --jobs 8``).  Backends only decide *where* jobs run;
+a scenario derives all randomness from its seed and builds its own
+simulator, and results are aggregated in job order, so every backend
+and job count produces identical tables (the determinism guarantee is
+spelled out in :mod:`repro.experiments.exec`).
 """
 
 from repro.experiments.exec import (

@@ -1,28 +1,92 @@
-"""E9 (tier-selection policy), T1 (signalling accounting), T2 (scale)
-and the design-choice ablations listed in DESIGN.md §6."""
+"""E9 (tier-selection policy), T1 (signalling accounting), T2 (scale),
+V1 (simulator-vs-analysis validation) and the design-choice ablations
+listed in DESIGN.md §6."""
 
 from __future__ import annotations
 
 from functools import partial
 from typing import Iterable, Optional
 
-from repro.experiments.exec import ExecutionBackend, SerialBackend
-from repro.experiments.runner import ExperimentResult, replicate_grid, sweep
-from repro.metrics.tables import diff_counts, format_table
+from repro.analysis import erlang_b, guard_channel_blocking
+from repro.experiments import baselines
+from repro.experiments.baselines import DEFAULT_SEEDS
+from repro.experiments.exec import ExecutionBackend
+from repro.experiments.runner import ExperimentResult, sweep
+from repro.metrics.tables import diff_counts
 from repro.mobility import Highway, RandomWaypoint
 from repro.multitier.architecture import WORLD_BOUNDS, MultiTierWorld
+from repro.multitier.basestation import GuardedChannelPool
 from repro.policy.decider import TierDecider
 from repro.radio.cells import Tier
-from repro.sim.rng import RandomStreams
 from repro.radio.geometry import Point, Rectangle
-from repro.traffic import CBRSource, FlowSink
-
-DEFAULT_SEEDS = (1, 2, 3)
+from repro.sim import Simulator
+from repro.sim.rng import RandomStreams
 
 
 # ----------------------------------------------------------------------
 # E9 — speed-aware tier selection vs baselines
 # ----------------------------------------------------------------------
+_E9_POLICIES = {
+    "speed-aware (paper)": "speed-aware",
+    "always-strongest": "always-strongest",
+    "always-micro": "always-micro",
+}
+
+
+def _e9_scenario(
+    policy: str, seed: int, duration: float, vehicles: int, pedestrians: int
+) -> dict[str, float]:
+    mode = _E9_POLICIES[policy]
+    # One named stream per mobile: adding a vehicle (or a draw in
+    # one model) cannot perturb any other mobile's trajectory.
+    streams = RandomStreams(seed)
+    world = MultiTierWorld()
+    sim = world.sim
+    vehicle_nodes = []
+    for index in range(vehicles):
+        mn = world.add_mobile(f"veh{index}")
+        start_x = streams.uniform(f"veh{index}.start", -4000, -1000)
+        model = Highway(
+            Point(start_x, 0.0),
+            WORLD_BOUNDS,
+            streams.stream(f"veh{index}.mobility"),
+            speed=25.0,
+            wrap=False,
+        )
+        world.add_controller(mn, model, policy=TierDecider(mode=mode))
+        vehicle_nodes.append(mn)
+    pedestrian_nodes = []
+    walk_area = Rectangle(-2500, -300, -1500, 300)
+    for index in range(pedestrians):
+        mn = world.add_mobile(f"ped{index}")
+        model = RandomWaypoint(
+            Point(-2000, 0),
+            walk_area,
+            streams.stream(f"ped{index}.mobility"),
+            speed_range=(0.8, 1.8),
+        )
+        world.add_controller(mn, model, policy=TierDecider(mode=mode))
+        pedestrian_nodes.append(mn)
+
+    sim.run(until=duration)
+    minutes = duration / 60.0
+    vehicle_handoffs = sum(m.handoffs_completed for m in vehicle_nodes)
+    pedestrian_handoffs = sum(m.handoffs_completed for m in pedestrian_nodes)
+    on_macro = sum(
+        1 for m in vehicle_nodes if m.serving_tier is Tier.MACRO
+    )
+    return {
+        "vehicle_handoffs_per_min": vehicle_handoffs / vehicles / minutes,
+        "pedestrian_handoffs_per_min": pedestrian_handoffs
+        / max(pedestrians, 1)
+        / minutes,
+        "vehicles_on_macro": float(on_macro),
+        "rejections": float(
+            sum(m.handoffs_rejected for m in vehicle_nodes + pedestrian_nodes)
+        ),
+    }
+
+
 def experiment_e9(
     seeds: Iterable[int] = DEFAULT_SEEDS,
     duration: float = 120.0,
@@ -31,107 +95,29 @@ def experiment_e9(
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
     """S3.2 speed factor: tier-selection policy ablation (vehicles vs pedestrians)."""
-    policies = {
-        "speed-aware (paper)": "speed-aware",
-        "always-strongest": "always-strongest",
-        "always-micro": "always-micro",
-    }
-
-    def make_policy_scenario(mode):
-        def scenario(seed: int) -> dict[str, float]:
-            # One named stream per mobile: adding a vehicle (or a draw in
-            # one model) cannot perturb any other mobile's trajectory.
-            streams = RandomStreams(seed)
-            world = MultiTierWorld()
-            sim = world.sim
-            vehicle_nodes = []
-            for index in range(vehicles):
-                mn = world.add_mobile(f"veh{index}")
-                start_x = streams.uniform(f"veh{index}.start", -4000, -1000)
-                model = Highway(
-                    Point(start_x, 0.0),
-                    WORLD_BOUNDS,
-                    streams.stream(f"veh{index}.mobility"),
-                    speed=25.0,
-                    wrap=False,
-                )
-                world.add_controller(mn, model, policy=TierDecider(mode=mode))
-                vehicle_nodes.append(mn)
-            pedestrian_nodes = []
-            walk_area = Rectangle(-2500, -300, -1500, 300)
-            for index in range(pedestrians):
-                mn = world.add_mobile(f"ped{index}")
-                model = RandomWaypoint(
-                    Point(-2000, 0),
-                    walk_area,
-                    streams.stream(f"ped{index}.mobility"),
-                    speed_range=(0.8, 1.8),
-                )
-                world.add_controller(mn, model, policy=TierDecider(mode=mode))
-                pedestrian_nodes.append(mn)
-
-            sim.run(until=duration)
-            minutes = duration / 60.0
-            vehicle_handoffs = sum(m.handoffs_completed for m in vehicle_nodes)
-            pedestrian_handoffs = sum(m.handoffs_completed for m in pedestrian_nodes)
-            on_macro = sum(
-                1 for m in vehicle_nodes if m.serving_tier is Tier.MACRO
-            )
-            return {
-                "vehicle_handoffs_per_min": vehicle_handoffs / vehicles / minutes,
-                "pedestrian_handoffs_per_min": pedestrian_handoffs
-                / max(pedestrians, 1)
-                / minutes,
-                "vehicles_on_macro": float(on_macro),
-                "rejections": float(
-                    sum(m.handoffs_rejected for m in vehicle_nodes + pedestrian_nodes)
-                ),
-            }
-
-        return scenario
-
-    replications = replicate_grid(
-        [make_policy_scenario(mode) for mode in policies.values()],
-        seeds,
-        backend=backend,
-    )
-    rows = []
-    for label, replication in zip(policies, replications):
-        rows.append(
-            [
-                label,
-                replication.mean("vehicle_handoffs_per_min"),
-                replication.mean("pedestrian_handoffs_per_min"),
-                replication.mean("vehicles_on_macro"),
-                replication.mean("rejections"),
-            ]
-        )
-    text = format_table(
-        [
-            "policy",
-            "veh_handoffs/min",
-            "ped_handoffs/min",
-            "vehicles_on_macro",
-            "rejections",
-        ],
-        rows,
-        title="E9 (§3.2): tier-selection policy ablation "
+    return sweep(
+        "E9",
+        "E9 (§3.2): tier-selection policy ablation "
         f"({vehicles} vehicles @25 m/s, {pedestrians} pedestrians, {duration:.0f}s)",
-    )
-    return ExperimentResult(
-        experiment_id="E9",
-        title="Tier-selection policy ablation",
-        x_label="policy",
-        x_values=list(policies),
-        series={
-            "veh_handoffs_per_min": [row[1] for row in rows],
-            "ped_handoffs_per_min": [row[2] for row in rows],
-            "vehicles_on_macro": [row[3] for row in rows],
+        "policy",
+        list(_E9_POLICIES),
+        partial(
+            _e9_scenario,
+            duration=duration,
+            vehicles=vehicles,
+            pedestrians=pedestrians,
+        ),
+        seeds,
+        {
+            "vehicle_handoffs_per_min": "veh_handoffs/min",
+            "pedestrian_handoffs_per_min": "ped_handoffs/min",
+            "vehicles_on_macro": "vehicles_on_macro",
+            "rejections": "rejections",
         },
-        text=text,
         notes="The paper's speed factor parks vehicles on the macro tier, "
         "cutting their handoff rate versus signal-chasing policies, while "
         "pedestrians stay on the high-bandwidth micro tier either way.",
+        backend=backend,
     )
 
 
@@ -149,9 +135,19 @@ _T1_PROTOCOLS = [
     "mt-binding-notify",
 ]
 
+#: handoff type -> (start station, target station, target in domain 2)
+_T1_CASES = {
+    "micro->micro (F->E)": ("F", "E", False),
+    "macro->micro (R1->B)": ("R1", "B", False),
+    "micro->macro (E->R2)": ("E", "R2", False),
+    "inter same-upper (C->E)": ("C", "E", False),
+    "inter diff-upper (F->G)": ("F", "G", True),
+}
 
-def _t1_case(start: str, target: str, cross_domain: bool) -> dict[str, int]:
+
+def _t1_scenario(case: str, seed: int) -> dict[str, int]:
     """Hop-count delta around one handoff, in an isolated world."""
+    start, target, cross_domain = _T1_CASES[case]
     world = MultiTierWorld(second_domain=True)
     sim = world.sim
     mn = world.add_mobile("mn")
@@ -164,13 +160,9 @@ def _t1_case(start: str, target: str, cross_domain: bool) -> dict[str, int]:
         mn._location_loop.interrupt("t1 accounting")
     sim.run(until=1.5)
     before = world.protocol_hop_totals()
-
-    def handoff():
-        ok = yield from mn.perform_handoff(target_bs)
-        assert ok
-
-    sim.process(handoff())
+    outcomes = baselines.scripted_handoffs(sim, 0.0, [target_bs], mn.perform_handoff)
     sim.run(until=4.0)
+    assert outcomes == [True]
     return diff_counts(before, world.protocol_hop_totals(), _T1_PROTOCOLS)
 
 
@@ -179,51 +171,26 @@ def experiment_t1(
 ) -> ExperimentResult:
     """Control message-hops consumed by one handoff of each type.
 
-    Deterministic (no seeds needed): the periodic location-refresh loop
+    Deterministic (one seed, unused): the periodic location-refresh loop
     is frozen and hop counts are differenced around the handoff over the
     world's link registry (which also covers radio links that are torn
     down during the handoff).  Each case builds its own world and runs
     as one job on the execution backend.  RSMC authentication is a
     processing delay, not an on-wire message, so it has no column.
     """
-    cases = {
-        "micro->micro (F->E)": ("F", "E", False),
-        "macro->micro (R1->B)": ("R1", "B", False),
-        "micro->macro (E->R2)": ("E", "R2", False),
-        "inter same-upper (C->E)": ("C", "E", False),
-        "inter diff-upper (F->G)": ("F", "G", True),
-    }
-    if backend is None:
-        backend = SerialBackend()
-    deltas = backend.run(
-        [
-            partial(_t1_case, start, target, cross_domain)
-            for start, target, cross_domain in cases.values()
-        ]
-    )
-    rows = [
-        [label] + [delta[protocol] for protocol in _T1_PROTOCOLS]
-        for label, delta in zip(cases, deltas)
-    ]
-
-    headers = ["handoff type"] + [p.replace("mt-", "") for p in _T1_PROTOCOLS]
-    text = format_table(
-        headers, rows, title="T1: control message-hops per handoff type"
-    )
-    return ExperimentResult(
-        experiment_id="T1",
-        title="Signalling cost per handoff type",
-        x_label="handoff type",
-        x_values=list(cases),
-        series={
-            headers[index + 1]: [row[index + 1] for row in rows]
-            for index in range(len(_T1_PROTOCOLS))
-        },
-        text=text,
+    return sweep(
+        "T1",
+        "T1: control message-hops per handoff type",
+        "handoff type",
+        list(_T1_CASES),
+        _t1_scenario,
+        (0,),
+        {protocol: protocol.replace("mt-", "") for protocol in _T1_PROTOCOLS},
         notes="Intra-domain handoffs touch only the changed branch; the "
         "different-upper case adds a home registration and an MNLD update "
         "(plus a binding notify when a correspondent is active). RSMC "
         "authentication is a processing delay at the RSMC, not a message.",
+        backend=backend,
     )
 
 
@@ -237,85 +204,139 @@ def experiment_t2(
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
     """T2: location-management scaling, hierarchy vs flat central registration."""
-
-    def make_scenario(count):
-        def scenario(seed: int) -> dict[str, float]:
-            world = MultiTierWorld()
-            d1 = world.domain1
-            leaves = [d1["B"], d1["C"], d1["E"], d1["F"]]
-            for index in range(count):
-                mn = world.add_mobile(f"mn{index}")
-                mn.initial_attach(leaves[index % len(leaves)])
-            world.sim.run(until=duration)
-            domain = d1.domain
-            rate = count / domain.location_update_period
-            # Hierarchy: measured message-hops/s (each refresh climbs its
-            # branch only).  Flat central: every refresh must cross
-            # BS -> RSMC -> Internet -> HA, and one server absorbs all of it.
-            hierarchy_hops = domain.total_location_messages() / duration
-            branch_depth = 4  # leaf -> aggregation -> macro -> R3 -> RSMC
-            flat_hops = rate * (branch_depth + 2)
-            return {
-                "update_rate_per_s": rate,
-                "hierarchy_msg_hops_per_s": hierarchy_hops,
-                "flat_central_msg_hops_per_s": flat_hops,
-                "central_server_load_per_s": rate,
-                "max_station_load_per_s": max(
-                    bs.location_messages_seen for bs in domain.base_stations
-                )
-                / duration,
-                "table_records": float(domain.total_table_records()),
-            }
-
-        return scenario
-
-    # One batch over the whole (count, seed) grid so a parallel backend
-    # overlaps the sweep points, not just the (often single) seeds.
-    replications = replicate_grid(
-        [make_scenario(count) for count in mobile_counts], seeds, backend=backend
-    )
-    rows = []
-    for count, replication in zip(mobile_counts, replications):
-        rows.append(
-            [
-                count,
-                replication.mean("update_rate_per_s"),
-                replication.mean("hierarchy_msg_hops_per_s"),
-                replication.mean("flat_central_msg_hops_per_s"),
-                replication.mean("max_station_load_per_s"),
-                replication.mean("table_records"),
-            ]
-        )
-    headers = [
+    return sweep(
+        "T2",
+        "T2: location-management scaling, hierarchy vs flat",
         "mobiles",
-        "updates/s",
-        "hier_hops/s",
-        "flat_hops/s",
-        "max_station_load/s",
-        "table_records",
-    ]
-    text = format_table(
-        headers, rows, title="T2: location-management scaling, hierarchy vs flat"
-    )
-    return ExperimentResult(
-        experiment_id="T2",
-        title="Scaling of location management",
-        x_label="mobiles",
-        x_values=list(mobile_counts),
-        series={
-            headers[index]: [row[index] for row in rows]
-            for index in range(1, len(headers))
+        list(mobile_counts),
+        partial(baselines.location_load, duration=duration),
+        seeds,
+        {
+            "update_rate_per_s": "updates/s",
+            "location_msgs_per_s": "hier_hops/s",
+            "flat_central_msg_hops_per_s": "flat_hops/s",
+            "max_station_load_per_s": "max_station_load/s",
+            "table_records": "table_records",
         },
-        text=text,
         notes="Both grow linearly in message count, but the hierarchy keeps "
         "per-station load bounded and localizes handoff updates, while the "
         "flat scheme concentrates everything on one server across the WAN.",
+        backend=backend,
+    )
+
+
+# ----------------------------------------------------------------------
+# V1 — simulated channel-pool blocking vs Erlang-B / guard-channel models
+# ----------------------------------------------------------------------
+#: case label -> (servers, guard, new_load, handoff_load)
+_V1_CASES = {
+    "c=4 g=0 a_n=3.0 a_h=0.0": (4, 0, 3.0, 0.0),
+    "c=8 g=0 a_n=6.0 a_h=0.0": (8, 0, 6.0, 0.0),
+    "c=8 g=2 a_n=4.0 a_h=2.0": (8, 2, 4.0, 2.0),
+    "c=16 g=2 a_n=10.0 a_h=3.0": (16, 2, 10.0, 3.0),
+}
+
+
+def simulate_blocking(servers, guard, new_load, handoff_load, duration, seed):
+    """Simulate a guarded loss system; returns (P_block_new, P_drop_ho)."""
+    sim = Simulator()
+    pool = GuardedChannelPool(capacity=servers, guard=guard)
+    streams = RandomStreams(seed)
+    counts = {"new": 0, "new_blocked": 0, "ho": 0, "ho_blocked": 0}
+
+    def hold_then_release(request, holding):
+        def proc():
+            yield sim.timeout(holding)
+            pool.release(request)
+
+        sim.process(proc())
+
+    def arrival_stream(kind, rate, admit):
+        def proc():
+            while True:
+                yield sim.timeout(streams.exponential(f"{kind}-gap", 1.0 / rate))
+                counts[kind] += 1
+                request = admit()
+                if request is None:
+                    counts[f"{kind}_blocked"] += 1
+                else:
+                    hold_then_release(
+                        request, streams.exponential(f"{kind}-hold", 1.0)
+                    )
+
+        sim.process(proc())
+
+    arrival_stream("new", new_load, pool.admit_new_call)
+    if handoff_load > 0:
+        arrival_stream("ho", handoff_load, pool.admit_handoff)
+    sim.run(until=duration)
+    p_new = counts["new_blocked"] / max(counts["new"], 1)
+    p_ho = counts["ho_blocked"] / max(counts["ho"], 1) if handoff_load else 0.0
+    return p_new, p_ho
+
+
+def _v1_scenario(case: str, seed: int, duration: float) -> dict[str, float]:
+    servers, guard, new_load, handoff_load = _V1_CASES[case]
+    if guard == 0 and handoff_load == 0.0:
+        analytic_new = erlang_b(servers, new_load)
+        analytic_ho = 0.0
+    else:
+        analytic_new, analytic_ho = guard_channel_blocking(
+            servers, guard, new_load, handoff_load
+        )
+    sim_new, sim_ho = simulate_blocking(
+        servers, guard, new_load, handoff_load, duration, seed
+    )
+    return {
+        "analytic_P_new": analytic_new,
+        "sim_P_new": sim_new,
+        "analytic_P_ho": analytic_ho,
+        "sim_P_ho": sim_ho,
+    }
+
+
+def experiment_v1(
+    seeds: Iterable[int] = DEFAULT_SEEDS,
+    duration: float = 4000.0,
+    backend: Optional[ExecutionBackend] = None,
+) -> ExperimentResult:
+    """V1: channel-pool blocking, simulation vs Erlang-B / guard-channel closed forms."""
+    return sweep(
+        "V1",
+        "V1: channel blocking, simulation vs closed form",
+        "case",
+        list(_V1_CASES),
+        partial(_v1_scenario, duration=duration),
+        seeds,
+        ["analytic_P_new", "sim_P_new", "analytic_P_ho", "sim_P_ho"],
+        notes="The kernel's guarded channel pools reproduce classic "
+        "teletraffic results, so E7/E7b blocking numbers are trustworthy.",
+        backend=backend,
     )
 
 
 # ----------------------------------------------------------------------
 # Ablation: RSMC handoff buffer depth
 # ----------------------------------------------------------------------
+def _ab1_scenario(size: int, seed: int, home_delay: float) -> dict[str, float]:
+    world = MultiTierWorld(
+        second_domain=True,
+        home_delay=home_delay,
+        domain_kwargs={"buffer_size": size},
+    )
+    _mn, source, sink = baselines.handoff_under_stream(
+        world, world.domain1["F"], world.domain2["G"],
+        handoff_at=2.0, stream_s=6.0, until=12.0,
+    )
+    rsmc1 = world.domain1.rsmc
+    return {
+        "loss_rate": sink.loss_rate(source.packets_sent),
+        "max_gap": sink.max_gap(),
+        "buffered": float(rsmc1.buffered_packets),
+        "overflows": float(rsmc1.buffer_overflows),
+    }
+
+
 def ablation_buffer_size(
     seeds: Iterable[int] = DEFAULT_SEEDS,
     buffer_sizes=(1, 2, 4, 8, 32),
@@ -327,57 +348,13 @@ def ablation_buffer_size(
     where to forward them.  Intra-domain handoffs barely need the
     buffer (resource switching drains the old branch), so this is the
     regime where depth matters."""
-
-    def make_scenario(size):
-        def scenario(seed: int) -> dict[str, float]:
-            world = MultiTierWorld(
-                second_domain=True,
-                home_delay=home_delay,
-                domain_kwargs={"buffer_size": size},
-            )
-            sim = world.sim
-            mn = world.add_mobile("mn")
-            assert mn.initial_attach(world.domain1["F"])
-            sim.run(until=1.0)
-            sink = FlowSink()
-            mn.on_data.append(sink.bind(sim))
-            source = CBRSource(
-                sim,
-                lambda p: world.cn.send_to_mobile(
-                    mn.home_address, size=p.size, flow_id=p.flow_id,
-                    seq=p.seq, created_at=p.created_at,
-                ),
-                world.cn.address,
-                mn.home_address,
-                rate_bps=200e3,
-                packet_size=500,
-                duration=6.0,
-            ).start()
-            sink.flow_id = source.flow_id
-
-            def mover():
-                yield sim.timeout(2.0)
-                yield from mn.perform_handoff(world.domain2["G"])
-
-            sim.process(mover())
-            sim.run(until=12.0)
-            rsmc1 = world.domain1.rsmc
-            return {
-                "loss_rate": sink.loss_rate(source.packets_sent),
-                "max_gap": sink.max_gap(),
-                "buffered": float(rsmc1.buffered_packets),
-                "overflows": float(rsmc1.buffer_overflows),
-            }
-
-        return scenario
-
     return sweep(
         "AB1",
         "Ablation: RSMC handoff buffer depth, inter-domain handoff "
         f"(home RTT ~{2 * home_delay * 1e3:.0f} ms, 50 pkt/s)",
         "buffer_size_packets",
         list(buffer_sizes),
-        make_scenario,
+        partial(_ab1_scenario, home_delay=home_delay),
         seeds,
         ["loss_rate", "max_gap", "buffered", "overflows"],
         notes="The old RSMC buffers packets until the home agent reports "
@@ -390,6 +367,29 @@ def ablation_buffer_size(
 # ----------------------------------------------------------------------
 # Ablation: location record lifetime / refresh period ratio
 # ----------------------------------------------------------------------
+def _ab2_scenario(
+    ratio: float, seed: int, update_period: float, duration: float
+) -> dict[str, float]:
+    world = MultiTierWorld(
+        domain_kwargs={
+            "record_lifetime": update_period * ratio,
+            "location_update_period": update_period,
+        }
+    )
+    sim = world.sim
+    d1 = world.domain1
+    mn = world.add_mobile("mn")
+    assert mn.initial_attach(d1["B"])
+    sim.run(until=1.0)
+    source, sink = baselines.cbr_to_mobile(world, mn, 40e3, duration)
+    sim.run(until=duration + 3.0)
+    return {
+        "loss_rate": sink.loss_rate(source.packets_sent),
+        "records_at_root": float(d1.rsmc.tables.total_records()),
+        "location_msgs_per_s": d1.domain.total_location_messages() / duration,
+    }
+
+
 def ablation_record_lifetime(
     seeds: Iterable[int] = DEFAULT_SEEDS,
     lifetime_ratios=(1.2, 2.0, 4.0, 8.0),
@@ -398,50 +398,12 @@ def ablation_record_lifetime(
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
     """Ablation: location record lifetime as a multiple of the refresh period."""
-    def make_scenario(ratio):
-        def scenario(seed: int) -> dict[str, float]:
-            world = MultiTierWorld(
-                domain_kwargs={
-                    "record_lifetime": update_period * ratio,
-                    "location_update_period": update_period,
-                }
-            )
-            sim = world.sim
-            d1 = world.domain1
-            mn = world.add_mobile("mn")
-            assert mn.initial_attach(d1["B"])
-            sim.run(until=1.0)
-            sink = FlowSink()
-            mn.on_data.append(sink.bind(sim))
-            source = CBRSource(
-                sim,
-                lambda p: world.cn.send_to_mobile(
-                    mn.home_address, size=p.size, flow_id=p.flow_id,
-                    seq=p.seq, created_at=p.created_at,
-                ),
-                world.cn.address,
-                mn.home_address,
-                rate_bps=40e3,
-                packet_size=500,
-                duration=duration,
-            ).start()
-            sink.flow_id = source.flow_id
-            sim.run(until=duration + 3.0)
-            return {
-                "loss_rate": sink.loss_rate(source.packets_sent),
-                "records_at_root": float(d1.rsmc.tables.total_records()),
-                "location_msgs_per_s": world.domain1.domain.total_location_messages()
-                / duration,
-            }
-
-        return scenario
-
     return sweep(
         "AB2",
         "Ablation: record lifetime as a multiple of the refresh period",
         "lifetime/period",
         list(lifetime_ratios),
-        make_scenario,
+        partial(_ab2_scenario, update_period=update_period, duration=duration),
         seeds,
         ["loss_rate", "records_at_root", "location_msgs_per_s"],
         notes="Lifetimes barely above the refresh period risk expiry between "

@@ -1,4 +1,4 @@
-"""One function per reproduced figure/table (E1-E10, T1, T2).
+"""One function per reproduced figure (E1-E8b, E10, E11).
 
 The paper has no quantitative evaluation section; every architecture
 figure is reproduced as an executable scenario, and every qualitative
@@ -6,177 +6,78 @@ claim ("improve QoS", "reduce data packet loss", "overhead ...
 decreased") becomes a measured comparison.  See DESIGN.md §4 for the
 index and expected shapes.
 
-All functions return :class:`repro.experiments.runner.ExperimentResult`
-whose ``text`` is the printable table.
+Every experiment is a module-level ``scenario(x, seed) -> dict`` plus
+one :func:`repro.experiments.runner.sweep` call, and returns the
+:class:`~repro.experiments.runner.ExperimentResult` whose ``text`` is
+the printable table.
 """
 
 from __future__ import annotations
 
-import pathlib
 from functools import partial
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
+from repro.cellularip import CIPMobileHost
 from repro.experiments import baselines
+from repro.experiments.baselines import DEFAULT_SEEDS
 from repro.experiments.exec import ExecutionBackend
-from repro.experiments.runner import ExperimentResult, replicate_grid, sweep
-from repro.metrics.tables import format_ascii_plot, format_table
-from repro.mobileip import ForeignAgent, HomeAgent, MobileIPNode, install_home_prefix_routes
+from repro.experiments.runner import ExperimentResult, sweep
 from repro.multitier.architecture import MultiTierWorld
-from repro.net import Network, Packet
-from repro.sim import Simulator
-from repro.traffic import CBRSource, FlowSink
-
-DEFAULT_SEEDS = (1, 2, 3)
-
-
-# ----------------------------------------------------------------------
-# Figure emission (used by the scenario sweep CLI, available to any
-# ExperimentResult consumer): a result can be rendered as an actual
-# figure file, not just a table.
-# ----------------------------------------------------------------------
-def _have_matplotlib() -> bool:
-    try:
-        import matplotlib  # noqa: F401
-    except ImportError:
-        return False
-    return True
+from repro.net import Packet
+from repro.net import ip as make_ip
+from repro.sim.rng import RandomStreams
+from repro.traffic import FlowSink, PoissonSource
 
 
-def save_experiment_figure(
-    result: ExperimentResult,
-    directory: Union[str, pathlib.Path],
-    stem: Optional[str] = None,
-) -> pathlib.Path:
-    """Write ``result`` as a figure file and return the written path.
-
-    One line is drawn per entry of ``result.series`` against
-    ``result.x_values``.  When matplotlib is importable the figure is a
-    PNG rendered on the ``Agg`` backend; otherwise (matplotlib is an
-    optional dependency) the same data is written as a deterministic
-    ASCII chart with a ``.txt`` suffix via
-    :func:`repro.metrics.tables.format_ascii_plot`.
-
-    Parameters
-    ----------
-    result:
-        Any :class:`~repro.experiments.runner.ExperimentResult` — the
-        sweep engine and every reproduced experiment produce one.
-    directory:
-        Output directory, created if missing.
-    stem:
-        File name without suffix; defaults to a sanitized
-        ``result.experiment_id``.
-
-    Determinism: the rendering is a pure function of the result data,
-    so figures produced from serial and ``--jobs N`` runs of the same
-    sweep are identical (byte-identical in the ASCII fallback, which is
-    what CI diffs).
-    """
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    if stem is None:
-        stem = result.experiment_id.replace("/", "_").lower()
-
-    numeric_x = all(isinstance(x, (int, float)) for x in result.x_values)
-    if _have_matplotlib():
-        # Object-oriented API on an explicit Agg canvas: no pyplot, no
-        # matplotlib.use(), so a host application's interactive backend
-        # and figure registry are left untouched.
-        from matplotlib.backends.backend_agg import FigureCanvasAgg
-        from matplotlib.figure import Figure
-
-        xs = result.x_values if numeric_x else range(len(result.x_values))
-        figure = Figure(figsize=(7.0, 4.5))
-        FigureCanvasAgg(figure)
-        axes = figure.add_subplot()
-        for name, values in result.series.items():
-            axes.plot(xs, values, marker="o", label=name)
-        if not numeric_x:
-            axes.set_xticks(list(xs))
-            axes.set_xticklabels([str(x) for x in result.x_values])
-        axes.set_xlabel(result.x_label)
-        axes.set_title(result.title)
-        axes.grid(True, alpha=0.3)
-        axes.legend()
-        path = directory / f"{stem}.png"
-        # Fixed metadata: default PNG metadata embeds the matplotlib
-        # version, which would break output-parity diffs across hosts.
-        figure.savefig(path, dpi=120, metadata={"Software": "repro"})
-        return path
-
-    path = directory / f"{stem}.figure.txt"
-    path.write_text(
-        format_ascii_plot(
-            result.x_label, result.x_values, result.series, title=result.title
-        )
-        + "\n"
-    )
-    return path
+def _first(values: list) -> float:
+    return values[0] if values else float("nan")
 
 
 # ----------------------------------------------------------------------
 # E1 — Fig 2.2: Mobile IP registration latency and triangle routing
 # ----------------------------------------------------------------------
+def _e1_scenario(delay: float, seed: int) -> dict[str, float]:
+    sim, core, cn, _agents, mn = baselines.build_mobileip_world(1, delay, delay, 0.002)
+    sim.run(until=5.0)
+
+    down_delay = []
+    up_delay = []
+    mn.on_protocol(
+        "data", lambda p, l: down_delay.append(sim.now - p.created_at)
+    )
+    cn.on_protocol(
+        "data", lambda p, l: up_delay.append(sim.now - p.created_at)
+    )
+    core.receive(
+        Packet(src=cn.address, dst=mn.home_address, size=1000, created_at=sim.now)
+    )
+    mn.originate(
+        Packet(src=mn.home_address, dst=cn.address, size=1000, created_at=sim.now)
+    )
+    sim.run(until=10.0)
+    stretch = (
+        down_delay[0] / up_delay[0] if down_delay and up_delay else float("nan")
+    )
+    return {
+        "registration_latency": mn.registration_latencies[0],
+        "downlink_delay": _first(down_delay),
+        "uplink_delay": _first(up_delay),
+        "triangle_stretch": stretch,
+    }
+
+
 def experiment_e1(
     seeds: Iterable[int] = DEFAULT_SEEDS,
     backbone_delays=(0.005, 0.010, 0.025, 0.050, 0.100),
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
     """Fig 2.2: Mobile IP registration latency & triangle routing vs HA distance."""
-    def make_scenario(delay):
-        def scenario(seed: int) -> dict[str, float]:
-            sim = Simulator()
-            network = Network(sim)
-            core = network.router("core")
-            cn = network.host("cn")
-            ha = HomeAgent(sim, "ha", network.allocator.allocate(), "10.99.0.0/16")
-            fa = ForeignAgent(sim, "fa", network.allocator.allocate())
-            for agent in (ha, fa):
-                network.add(agent)
-            network.connect(cn, core, delay=0.002)
-            network.connect(ha, core, delay=delay)
-            network.connect(fa, core, delay=delay)
-            network.install_routes()
-            install_home_prefix_routes(network, ha)
-            mn = MobileIPNode(
-                sim, "mn", home_address="10.99.0.5", home_agent_address=ha.address
-            )
-            fa.attach_mobile(mn)
-            sim.run(until=5.0)
-
-            down_delay = []
-            up_delay = []
-            mn.on_protocol(
-                "data", lambda p, l: down_delay.append(sim.now - p.created_at)
-            )
-            cn.on_protocol(
-                "data", lambda p, l: up_delay.append(sim.now - p.created_at)
-            )
-            core.receive(
-                Packet(src=cn.address, dst=mn.home_address, size=1000, created_at=sim.now)
-            )
-            mn.originate(
-                Packet(src=mn.home_address, dst=cn.address, size=1000, created_at=sim.now)
-            )
-            sim.run(until=10.0)
-            stretch = (
-                down_delay[0] / up_delay[0] if down_delay and up_delay else float("nan")
-            )
-            return {
-                "registration_latency": mn.registration_latencies[0],
-                "downlink_delay": down_delay[0] if down_delay else float("nan"),
-                "uplink_delay": up_delay[0] if up_delay else float("nan"),
-                "triangle_stretch": stretch,
-            }
-
-        return scenario
-
     return sweep(
         "E1",
         "E1 (Fig 2.2): Mobile IP registration latency & triangle routing vs backbone delay",
         "backbone_delay_s",
         list(backbone_delays),
-        make_scenario,
+        _e1_scenario,
         seeds,
         ["registration_latency", "downlink_delay", "uplink_delay", "triangle_stretch"],
         notes="Registration latency and CN->MN delay grow with the HA distance; "
@@ -188,6 +89,38 @@ def experiment_e1(
 # ----------------------------------------------------------------------
 # E2 — Fig 2.3: Cellular IP routing-cache maintenance
 # ----------------------------------------------------------------------
+def _e2_scenario(
+    period: float, seed: int, route_timeout: float, duration: float
+) -> dict[str, float]:
+    sim, domain, gw, leaves, internet, cn, mn = baselines.build_cip_world()
+    domain.route_update_time = period
+    domain.route_timeout = route_timeout
+    domain.broadcast_paging = False
+    for bs in domain.base_stations:
+        bs.routing_cache.timeout = route_timeout
+        bs.paging_cache.timeout = route_timeout  # isolate route caches
+    mn.attach_to(leaves[0])
+    # Keep the mobile nominally active but silent so only timed
+    # route updates refresh the caches.
+    mn._last_activity = float("inf")
+
+    # Fine-grained downlink probes, started after a warmup so the
+    # startup transient does not pollute the miss rate.
+    probe_interval = 0.3
+    sim.run(until=1.0)
+    source, sink = baselines.cbr_stream(
+        sim, lambda p: internet.receive(p) or True, cn, mn, mn.address,
+        duration, rate_bps=500 * 8 / probe_interval, packet_size=500,
+    )
+    sim.run(until=1.0 + duration + 2.0)
+    control = domain.total_control_packets()
+    return {
+        "control_packets_per_s": control / duration,
+        "miss_rate": sink.loss_rate(source.packets_sent),
+        "cache_refreshes": float(gw.routing_cache.refreshes),
+    }
+
+
 def experiment_e2(
     seeds: Iterable[int] = DEFAULT_SEEDS,
     update_periods=(0.25, 0.5, 1.0, 2.0, 4.0),
@@ -196,53 +129,13 @@ def experiment_e2(
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
     """Fig 2.3: Cellular IP signalling vs route-update period, and the cache-miss cliff."""
-    def make_scenario(period):
-        def scenario(seed: int) -> dict[str, float]:
-            sim, domain, gw, leaves, internet, cn, mn = baselines.build_cip_world()
-            domain.route_update_time = period
-            domain.route_timeout = route_timeout
-            domain.broadcast_paging = False
-            for bs in domain.base_stations:
-                bs.routing_cache.timeout = route_timeout
-                bs.paging_cache.timeout = route_timeout  # isolate route caches
-            mn.attach_to(leaves[0])
-            # Keep the mobile nominally active but silent so only timed
-            # route updates refresh the caches.
-            mn._last_activity = float("inf")
-
-            sink = FlowSink()
-            mn.on_data.append(sink.bind(sim))
-            # Fine-grained downlink probes, started after a warmup so the
-            # startup transient does not pollute the miss rate.
-            probe_interval = 0.3
-            source = CBRSource(
-                sim,
-                lambda p: internet.receive(p) or True,
-                cn.address,
-                mn.address,
-                rate_bps=500 * 8 / probe_interval,
-                packet_size=500,
-                duration=duration,
-            )
-            sim.call_later(1.0, source.start)
-            sink.flow_id = source.flow_id
-            sim.run(until=1.0 + duration + 2.0)
-            control = domain.total_control_packets()
-            return {
-                "control_packets_per_s": control / duration,
-                "miss_rate": sink.loss_rate(source.packets_sent),
-                "cache_refreshes": float(gw.routing_cache.refreshes),
-            }
-
-        return scenario
-
     return sweep(
         "E2",
         "E2 (Fig 2.3): Cellular IP signalling vs route-update period "
         f"(route_timeout={route_timeout}s)",
         "route_update_period_s",
         list(update_periods),
-        make_scenario,
+        partial(_e2_scenario, route_timeout=route_timeout, duration=duration),
         seeds,
         ["control_packets_per_s", "miss_rate", "cache_refreshes"],
         notes="Faster updates cost linearly more signalling; once the period "
@@ -254,6 +147,22 @@ def experiment_e2(
 # ----------------------------------------------------------------------
 # E3 — Fig 2.4: Cellular IP hard vs semisoft handoff
 # ----------------------------------------------------------------------
+def _e3_scenario(interval: float, seed: int, duration: float) -> dict[str, float]:
+    schedule = dict(
+        handoffs=int(duration / interval) - 1,
+        handoff_interval=interval,
+        duration=duration,
+    )
+    hard = baselines.run_cip_hard(seed, **schedule)
+    semisoft = baselines.run_cip_semisoft(seed, **schedule)
+    return {
+        "hard_loss_rate": hard["loss_rate"],
+        "semisoft_loss_rate": semisoft["loss_rate"],
+        "hard_lost_per_handoff": hard["lost"] / hard["handoff_count"],
+        "semisoft_duplicates": semisoft["duplicates"],
+    }
+
+
 def experiment_e3(
     seeds: Iterable[int] = DEFAULT_SEEDS,
     handoff_intervals=(0.5, 1.0, 2.0, 4.0),
@@ -261,31 +170,12 @@ def experiment_e3(
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
     """Fig 2.4: hard vs semisoft Cellular IP handoff loss across handoff rates."""
-    def make_scenario(interval):
-        def scenario(seed: int) -> dict[str, float]:
-            hard = baselines.run_cip_hard(
-                seed, handoffs=int(duration / interval) - 1,
-                handoff_interval=interval, duration=duration,
-            )
-            semisoft = baselines.run_cip_semisoft(
-                seed, handoffs=int(duration / interval) - 1,
-                handoff_interval=interval, duration=duration,
-            )
-            return {
-                "hard_loss_rate": hard["loss_rate"],
-                "semisoft_loss_rate": semisoft["loss_rate"],
-                "hard_lost_per_handoff": hard["lost"] / hard["handoff_count"],
-                "semisoft_duplicates": semisoft["duplicates"],
-            }
-
-        return scenario
-
     return sweep(
         "E3",
         "E3 (Fig 2.4): hard vs semisoft Cellular IP handoff",
         "handoff_interval_s",
         list(handoff_intervals),
-        make_scenario,
+        partial(_e3_scenario, duration=duration),
         seeds,
         [
             "hard_loss_rate",
@@ -309,42 +199,12 @@ def experiment_e4(
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
     """Fig 3.1: hierarchical location-management load vs number of mobiles."""
-    def make_scenario(count):
-        def scenario(seed: int) -> dict[str, float]:
-            world = MultiTierWorld()
-            d1 = world.domain1
-            leaves = [d1["B"], d1["C"], d1["E"], d1["F"]]
-            for index in range(count):
-                mn = world.add_mobile(f"mn{index}")
-                mn.initial_attach(leaves[index % len(leaves)])
-            world.sim.run(until=duration)
-            domain = d1.domain
-            messages_total = domain.total_location_messages()
-            # Hierarchy: each refresh touches the stations on one branch
-            # (depth 4-5).  Flat central: every refresh would cross the
-            # wired Internet to one server; cost modelled as the same
-            # message count but concentrated on a single node.
-            root_load = d1.rsmc.location_messages_seen / duration
-            max_load = max(
-                bs.location_messages_seen for bs in domain.base_stations
-            ) / duration
-            return {
-                "location_msgs_per_s": messages_total / duration,
-                "root_load_per_s": root_load,
-                "max_station_load_per_s": max_load,
-                "table_records": float(domain.total_table_records()),
-                "records_per_station": domain.total_table_records()
-                / len(domain.base_stations),
-            }
-
-        return scenario
-
     return sweep(
         "E4",
         "E4 (Fig 3.1): location-management load vs number of mobiles",
         "mobiles",
         list(mobile_counts),
-        make_scenario,
+        partial(baselines.location_load, duration=duration),
         seeds,
         [
             "location_msgs_per_s",
@@ -362,50 +222,30 @@ def experiment_e4(
 # ----------------------------------------------------------------------
 # E5 / E6 — Figs 3.2 / 3.3: inter-domain handoff latency
 # ----------------------------------------------------------------------
-def _interdomain_scenario(different_upper: bool, home_delay: float):
-    def scenario(seed: int) -> dict[str, float]:
-        world = MultiTierWorld(second_domain=True, home_delay=home_delay)
-        sim = world.sim
-        d1, d2 = world.domain1, world.domain2
-        mn = world.add_mobile("mn")
-        start = d1["C"] if not different_upper else d1["F"]
-        target = d1["E"] if not different_upper else d2["G"]
-        assert mn.initial_attach(start)
-        sim.run(until=1.0)
+def _interdomain_handoff(different_upper: bool, home_delay: float) -> dict[str, float]:
+    world = MultiTierWorld(second_domain=True, home_delay=home_delay)
+    d1, d2 = world.domain1, world.domain2
+    start, target = (d1["F"], d2["G"]) if different_upper else (d1["C"], d1["E"])
+    mn, _source, sink = baselines.handoff_under_stream(
+        world, start, target, handoff_at=2.0, stream_s=6.0, until=12.0
+    )
+    return {
+        "latency": _first(mn.handoff_latencies),
+        "gap": sink.max_gap(),
+        "ha_involved": 1.0 if world.ha.registrations_accepted > 1 else 0.0,
+    }
 
-        sink = FlowSink()
-        mn.on_data.append(sink.bind(sim))
-        source = CBRSource(
-            sim,
-            lambda p: world.cn.send_to_mobile(
-                mn.home_address, size=p.size, flow_id=p.flow_id,
-                seq=p.seq, created_at=p.created_at,
-            ),
-            world.cn.address,
-            mn.home_address,
-            rate_bps=200e3,
-            packet_size=500,
-            duration=6.0,
-        ).start()
-        sink.flow_id = source.flow_id
 
-        def mover():
-            yield sim.timeout(2.0)
-            yield from mn.perform_handoff(target)
-
-        sim.process(mover())
-        sim.run(until=12.0)
-        ha_involved = 1.0 if world.ha.registrations_accepted > 1 else 0.0
-        return {
-            "handoff_latency": mn.handoff_latencies[0]
-            if mn.handoff_latencies
-            else float("nan"),
-            "interruption": sink.max_gap(),
-            "loss_rate": sink.loss_rate(source.packets_sent),
-            "ha_involved": ha_involved,
-        }
-
-    return scenario
+def _e5_e6_scenario(home_delay: float, seed: int) -> dict[str, float]:
+    same = _interdomain_handoff(False, home_delay)
+    diff = _interdomain_handoff(True, home_delay)
+    return {
+        "same_upper_latency": same["latency"],
+        "diff_upper_latency": diff["latency"],
+        "same_upper_gap": same["gap"],
+        "diff_upper_gap": diff["gap"],
+        "diff_ha_involved": diff["ha_involved"],
+    }
 
 
 def experiment_e5_e6(
@@ -414,145 +254,108 @@ def experiment_e5_e6(
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
     """Figs 3.2/3.3: inter-domain handoff, same vs different upper BS."""
-    scenarios = []
-    for home_delay in home_delays:
-        scenarios.append(_interdomain_scenario(False, home_delay))
-        scenarios.append(_interdomain_scenario(True, home_delay))
-    replications = replicate_grid(scenarios, seeds, backend=backend)
-    rows = []
-    for index, home_delay in enumerate(home_delays):
-        same, diff = replications[2 * index], replications[2 * index + 1]
-        rows.append(
-            [
-                home_delay,
-                same.mean("handoff_latency"),
-                diff.mean("handoff_latency"),
-                same.mean("interruption"),
-                diff.mean("interruption"),
-                diff.mean("ha_involved"),
-            ]
-        )
-    headers = [
+    return sweep(
+        "E5/E6",
+        "E5/E6 (Figs 3.2/3.3): inter-domain handoff, same vs different upper BS",
         "home_delay_s",
-        "same_upper_latency",
-        "diff_upper_latency",
-        "same_upper_gap",
-        "diff_upper_gap",
-        "diff_ha_involved",
-    ]
-    text = format_table(
-        headers,
-        rows,
-        title="E5/E6 (Figs 3.2/3.3): inter-domain handoff, same vs different upper BS",
-    )
-    series = {
-        header: [row[index] for row in rows]
-        for index, header in enumerate(headers)
-        if index > 0
-    }
-    return ExperimentResult(
-        experiment_id="E5/E6",
-        title="Inter-domain handoff: same vs different upper BS",
-        x_label="home_delay_s",
-        x_values=list(home_delays),
-        series=series,
-        text=text,
+        list(home_delays),
+        _e5_e6_scenario,
+        seeds,
+        [
+            "same_upper_latency",
+            "diff_upper_latency",
+            "same_upper_gap",
+            "diff_upper_gap",
+            "diff_ha_involved",
+        ],
         notes="Same-upper handoffs never involve the home network, so their "
         "latency is flat; different-upper handoffs pay authentication plus "
         "the home registration and grow with home delay.",
+        backend=backend,
     )
 
 
 # ----------------------------------------------------------------------
 # E7 — Fig 3.4: the three intra-domain handoff cases + overflow
 # ----------------------------------------------------------------------
+_E7_CASES = {
+    "micro->micro (F->E)": ("F", "E"),
+    "macro->micro (R1->B)": ("R1", "B"),
+    "micro->macro (E->R2)": ("E", "R2"),
+}
+
+
+def _e7_scenario(case: str, seed: int) -> dict[str, float]:
+    world = MultiTierWorld()
+    start, target = (world.domain1[name] for name in _E7_CASES[case])
+    mn, source, sink = baselines.handoff_under_stream(
+        world, start, target, handoff_at=1.5, stream_s=4.0, until=8.0
+    )
+    return {
+        "latency": _first(mn.handoff_latencies),
+        "interruption": sink.max_gap(),
+        "loss_rate": sink.loss_rate(source.packets_sent),
+    }
+
+
 def experiment_e7(
     seeds: Iterable[int] = DEFAULT_SEEDS,
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
     """Fig 3.4: the three intra-domain handoff cases (latency, interruption, loss)."""
-    cases = {
-        "micro->micro (F->E)": ("F", "E"),
-        "macro->micro (R1->B)": ("R1", "B"),
-        "micro->macro (E->R2)": ("E", "R2"),
-    }
-
-    def make_case_scenario(stations):
-        start_name, target_name = stations
-
-        def scenario(seed: int) -> dict[str, float]:
-            world = MultiTierWorld()
-            sim = world.sim
-            d1 = world.domain1
-            mn = world.add_mobile("mn")
-            assert mn.initial_attach(d1[start_name])
-            sim.run(until=1.0)
-            sink = FlowSink()
-            mn.on_data.append(sink.bind(sim))
-            source = CBRSource(
-                sim,
-                lambda p: world.cn.send_to_mobile(
-                    mn.home_address, size=p.size, flow_id=p.flow_id,
-                    seq=p.seq, created_at=p.created_at,
-                ),
-                world.cn.address,
-                mn.home_address,
-                rate_bps=200e3,
-                packet_size=500,
-                duration=4.0,
-            ).start()
-            sink.flow_id = source.flow_id
-
-            def mover():
-                yield sim.timeout(1.5)
-                yield from mn.perform_handoff(d1[target_name])
-
-            sim.process(mover())
-            sim.run(until=8.0)
-            return {
-                "latency": mn.handoff_latencies[0]
-                if mn.handoff_latencies
-                else float("nan"),
-                "interruption": sink.max_gap(),
-                "loss_rate": sink.loss_rate(source.packets_sent),
-            }
-
-        return scenario
-
-    replications = replicate_grid(
-        [make_case_scenario(stations) for stations in cases.values()],
+    return sweep(
+        "E7",
+        "E7 (Fig 3.4): intra-domain handoff cases",
+        "case",
+        list(_E7_CASES),
+        _e7_scenario,
         seeds,
-        backend=backend,
-    )
-    rows = []
-    for label, replication in zip(cases, replications):
-        rows.append(
-            [
-                label,
-                replication.mean("latency"),
-                replication.mean("interruption"),
-                replication.mean("loss_rate"),
-            ]
-        )
-    text = format_table(
-        ["case", "latency_s", "interruption_s", "loss_rate"],
-        rows,
-        title="E7 (Fig 3.4): intra-domain handoff cases",
-    )
-    return ExperimentResult(
-        experiment_id="E7",
-        title="Intra-domain handoff cases",
-        x_label="case",
-        x_values=list(cases),
-        series={
-            "latency_s": [row[1] for row in rows],
-            "interruption_s": [row[2] for row in rows],
-            "loss_rate": [row[3] for row in rows],
+        {
+            "latency": "latency_s",
+            "interruption": "interruption_s",
+            "loss_rate": "loss_rate",
         },
-        text=text,
         notes="All three §3.2 cases complete with sub-100ms interruption; "
         "crossing tiers costs no more than staying within one.",
+        backend=backend,
     )
+
+
+def _e7b_scenario(load: int, seed: int, channels: int) -> dict[str, float]:
+    outcomes = {"with": 0, "without": 0}
+    for overflow in (True, False):
+        world = MultiTierWorld(
+            domain_kwargs={"guard_channels": 0}
+        )
+        sim = world.sim
+        d1 = world.domain1
+        target = d1["E"]
+        target.channels.capacity = channels
+        # Residents occupy the target cell up to its capacity.
+        for index in range(load):
+            resident = world.add_mobile(f"res{index}")
+            resident.initial_attach(target)
+        sim.run(until=0.5)
+        mover = world.add_mobile("mover")
+        assert mover.initial_attach(d1["F"])
+        sim.run(until=1.0)
+
+        completed = []
+
+        def attempt():
+            ok = yield from mover.perform_handoff(target)
+            if not ok and overflow:
+                ok = yield from mover.perform_handoff(d1["R2"])
+            completed.append(ok)
+
+        sim.process(attempt())
+        sim.run(until=4.0)
+        key = "with" if overflow else "without"
+        outcomes[key] = 1 if (completed and completed[0]) else 0
+    return {
+        "success_with_overflow": float(outcomes["with"]),
+        "success_without_overflow": float(outcomes["without"]),
+    }
 
 
 def experiment_e7_blocking(
@@ -563,52 +366,12 @@ def experiment_e7_blocking(
 ) -> ExperimentResult:
     """Channel overflow: handoffs into a small micro cell, with and
     without the paper's fallback to the macro tier."""
-
-    def make_scenario(load):
-        def scenario(seed: int) -> dict[str, float]:
-            outcomes = {"with": 0, "without": 0}
-            for overflow in (True, False):
-                world = MultiTierWorld(
-                    domain_kwargs={"guard_channels": 0}
-                )
-                sim = world.sim
-                d1 = world.domain1
-                target = d1["E"]
-                target.channels.capacity = channels
-                # Residents occupy the target cell up to its capacity.
-                for index in range(load):
-                    resident = world.add_mobile(f"res{index}")
-                    resident.initial_attach(target)
-                sim.run(until=0.5)
-                mover = world.add_mobile("mover")
-                assert mover.initial_attach(d1["F"])
-                sim.run(until=1.0)
-
-                completed = []
-
-                def attempt():
-                    ok = yield from mover.perform_handoff(target)
-                    if not ok and overflow:
-                        ok = yield from mover.perform_handoff(d1["R2"])
-                    completed.append(ok)
-
-                sim.process(attempt())
-                sim.run(until=4.0)
-                key = "with" if overflow else "without"
-                outcomes[key] = 1 if (completed and completed[0]) else 0
-            return {
-                "success_with_overflow": float(outcomes["with"]),
-                "success_without_overflow": float(outcomes["without"]),
-            }
-
-        return scenario
-
     return sweep(
         "E7b",
         f"E7b (Fig 3.4 case c): handoff success vs load ({channels} channels)",
         "resident_mobiles",
         list(offered_loads),
-        make_scenario,
+        partial(_e7b_scenario, channels=channels),
         seeds,
         ["success_with_overflow", "success_without_overflow"],
         notes="Once the micro cell fills, handoffs without macro overflow are "
@@ -628,62 +391,127 @@ def experiment_e8(
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
     """Fig 4.1: headline scheme comparison (Mobile IP / CIP hard / semisoft / RSMC)."""
-    rows = []
-    series: dict[str, list[float]] = {
-        "loss_rate": [], "mean_delay": [], "jitter": [],
-        "max_gap": [], "duplicates": [],
-    }
-    replications = replicate_grid(
-        [
-            partial(
-                baselines.run_scheme,
-                name,
-                handoffs=handoffs,
-                handoff_interval=handoff_interval,
-                duration=duration,
-            )
-            for name in baselines.SCHEMES
-        ],
-        seeds,
-        backend=backend,
-    )
-    for name, replication in zip(baselines.SCHEMES, replications):
-        row = [
-            name,
-            replication.mean("loss_rate"),
-            replication.mean("mean_delay"),
-            replication.mean("jitter"),
-            replication.mean("max_gap"),
-            replication.mean("duplicates"),
-        ]
-        rows.append(row)
-        for index, key in enumerate(series):
-            series[key].append(row[index + 1])
-    text = format_table(
-        ["scheme", "loss_rate", "mean_delay_s", "jitter_s", "max_gap_s", "duplicates"],
-        rows,
-        title=(
-            "E8 (Fig 4.1): CBR video to a roaming MN, "
-            f"{handoffs} handoffs @ {handoff_interval}s"
+    return sweep(
+        "E8",
+        "E8 (Fig 4.1): CBR video to a roaming MN, "
+        f"{handoffs} handoffs @ {handoff_interval}s",
+        "scheme",
+        list(baselines.SCHEMES),
+        partial(
+            baselines.run_scheme,
+            handoffs=handoffs,
+            handoff_interval=handoff_interval,
+            duration=duration,
         ),
-    )
-    return ExperimentResult(
-        experiment_id="E8",
-        title="Scheme comparison: Mobile IP vs CIP hard vs CIP semisoft vs RSMC",
-        x_label="scheme",
-        x_values=list(baselines.SCHEMES),
-        series=series,
-        text=text,
+        seeds,
+        {
+            "loss_rate": "loss_rate",
+            "mean_delay": "mean_delay_s",
+            "jitter": "jitter_s",
+            "max_gap": "max_gap_s",
+            "duplicates": "duplicates",
+        },
         notes="Expected shape: loss(MobileIP) > loss(CIP hard) > "
         "loss(semisoft) ~= loss(RSMC) ~= 0; Mobile IP also pays triangle "
         "delay, semisoft pays duplicates, RSMC pays a small buffer-flush "
         "delay spike instead.",
+        backend=backend,
+    )
+
+
+# ----------------------------------------------------------------------
+# E8b — elastic (TCP-like) traffic under handoffs, per scheme
+# ----------------------------------------------------------------------
+def _e8b_scenario(scheme: str, seed: int, **schedule) -> dict[str, float]:
+    return baselines.ELASTIC_SCHEMES[scheme](seed, **schedule)
+
+
+def experiment_e8b(
+    seeds: Iterable[int] = DEFAULT_SEEDS,
+    handoffs: int = 6,
+    handoff_interval: float = 2.0,
+    duration: float = 16.0,
+    backend: Optional[ExecutionBackend] = None,
+) -> ExperimentResult:
+    """E8b: elastic AIMD goodput under handoffs (CIP hard vs semisoft vs RSMC).
+
+    The multimedia story (E8) uses CBR; elastic AIMD traffic reacts to
+    the same handoff losses by collapsing its window, so schemes that
+    lose packets lose *throughput* disproportionately — the classic
+    motivation for loss-free handoff ("providing improved TCP and UDP
+    performance over hard handoff", §2.2.2).
+    """
+    return sweep(
+        "E8b",
+        "E8b: elastic (AIMD) traffic under handoffs, "
+        f"{handoffs} handoffs @ {handoff_interval}s",
+        "scheme",
+        list(baselines.ELASTIC_SCHEMES),
+        partial(
+            _e8b_scenario,
+            handoffs=handoffs,
+            handoff_interval=handoff_interval,
+            duration=duration,
+        ),
+        seeds,
+        ["goodput_bps", "lossy_windows", "final_window"],
+        notes="Handoff losses make AIMD halve its window: hard handoff shows "
+        "lossy windows and reduced goodput, while semisoft and the RSMC keep "
+        "the window growing through every handoff.",
+        backend=backend,
     )
 
 
 # ----------------------------------------------------------------------
 # E10 — paging / idle efficiency (Cellular IP + §4 claim)
 # ----------------------------------------------------------------------
+def _idle_population(count: int, with_paging: bool, duration: float) -> dict[str, float]:
+    sim, domain, gw, leaves, internet, cn, _mn = baselines.build_cip_world()
+    domain.route_update_time = 0.5
+    domain.active_state_timeout = 1.0
+    # Without paging support, idle mobiles must refresh at the fast
+    # route cadence to stay reachable.
+    domain.paging_update_time = 5.0 if with_paging else 0.5
+
+    hosts = []
+    for index in range(count):
+        host = CIPMobileHost(
+            sim, f"mn{index}", make_ip(f"10.200.1.{index + 1}"), domain
+        )
+        host.attach_to(leaves[index % len(leaves)])
+        hosts.append(host)
+    sim.run(until=duration)
+    control = domain.total_control_packets()
+
+    # First-packet delay to one idle host (found via paging caches).
+    target = hosts[-1]
+    sink = FlowSink()
+    target.on_data.append(sink.bind(sim))
+    probe = Packet(
+        src=cn.address, dst=target.address, size=300,
+        created_at=sim.now, protocol="data", flow_id="probe", seq=0,
+    )
+    sink.flow_id = "probe"
+    internet.receive(probe)
+    sim.run(until=duration + 3.0)
+    return {
+        "control_per_s": control / duration,
+        "first_packet_delay": _first(sink.delays),
+    }
+
+
+def _e10_scenario(count: int, seed: int, duration: float) -> dict[str, float]:
+    paging = _idle_population(count, True, duration)
+    forced = _idle_population(count, False, duration)
+    return {
+        "paging_control_per_s": paging["control_per_s"],
+        "no_paging_control_per_s": forced["control_per_s"],
+        "paging_first_packet_delay": paging["first_packet_delay"],
+        "savings_factor": forced["control_per_s"]
+        / max(paging["control_per_s"], 1e-9),
+    }
+
+
 def experiment_e10(
     seeds: Iterable[int] = DEFAULT_SEEDS,
     mobile_counts=(2, 4, 8, 16),
@@ -693,61 +521,12 @@ def experiment_e10(
     """Idle-mode economy: a population of idle mobiles maintained by slow
     paging-updates versus one forced to keep route caches alive at the
     route-update cadence (no paging support)."""
-
-    def run_population(seed: int, count: int, with_paging: bool) -> dict[str, float]:
-        sim, domain, gw, leaves, internet, cn, _mn = baselines.build_cip_world()
-        domain.route_update_time = 0.5
-        domain.active_state_timeout = 1.0
-        # Without paging support, idle mobiles must refresh at the fast
-        # route cadence to stay reachable.
-        domain.paging_update_time = 5.0 if with_paging else 0.5
-        from repro.cellularip import CIPMobileHost
-        from repro.net import ip as make_ip
-
-        hosts = []
-        for index in range(count):
-            host = CIPMobileHost(
-                sim, f"mn{index}", make_ip(f"10.200.1.{index + 1}"), domain
-            )
-            host.attach_to(leaves[index % len(leaves)])
-            hosts.append(host)
-        sim.run(until=duration)
-        control = domain.total_control_packets()
-
-        # First-packet delay to one idle host (found via paging caches).
-        target = hosts[-1]
-        sink = FlowSink()
-        target.on_data.append(sink.bind(sim))
-        probe = Packet(
-            src=cn.address, dst=target.address, size=300,
-            created_at=sim.now, protocol="data", flow_id="probe", seq=0,
-        )
-        sink.flow_id = "probe"
-        internet.receive(probe)
-        sim.run(until=duration + 3.0)
-        delay = sink.delays[0] if sink.delays else float("nan")
-        return {"control_per_s": control / duration, "first_packet_delay": delay}
-
-    def make_scenario(count):
-        def scenario(seed: int) -> dict[str, float]:
-            paging = run_population(seed, count, with_paging=True)
-            forced = run_population(seed, count, with_paging=False)
-            return {
-                "paging_control_per_s": paging["control_per_s"],
-                "no_paging_control_per_s": forced["control_per_s"],
-                "paging_first_packet_delay": paging["first_packet_delay"],
-                "savings_factor": forced["control_per_s"]
-                / max(paging["control_per_s"], 1e-9),
-            }
-
-        return scenario
-
     return sweep(
         "E10",
         "E10: idle-mode paging economy (paging-update 5s vs forced route-update 0.5s)",
         "idle_mobiles",
         list(mobile_counts),
-        make_scenario,
+        partial(_e10_scenario, duration=duration),
         seeds,
         [
             "paging_control_per_s",
@@ -758,5 +537,108 @@ def experiment_e10(
         notes="Paging cuts idle-mode control traffic by roughly the period "
         "ratio (~10x) while the first downlink packet still arrives (it "
         "follows the paging caches), paying only a small extra delay.",
+        backend=backend,
+    )
+
+
+# ----------------------------------------------------------------------
+# E11 — multimedia QoS under background load (§4 capability d)
+# ----------------------------------------------------------------------
+#: Backhaul bottleneck: ~2x E1 (era-appropriate microwave/leased line).
+BACKHAUL_BPS = 3e6
+
+
+def _e11_scenario(
+    flows: int,
+    seed: int,
+    foreground_rate: float,
+    background_rate_pps: float,
+    duration: float,
+) -> dict[str, float]:
+    # One named stream per background flow (sim/rng.py's
+    # variance-reduction discipline): flow k's arrivals are the
+    # same whether 2 or 10 flows are configured.
+    streams = RandomStreams(seed)
+    world = MultiTierWorld(
+        domain_kwargs={"wired_bandwidth": BACKHAUL_BPS}
+    )
+    sim = world.sim
+    cell = world.domain1["B"]
+
+    viewer = world.add_mobile("viewer")
+    assert viewer.initial_attach(cell)
+
+    # Background: Poisson data to other mobiles in the same
+    # cell; every flow shares the R1->A->B backhaul.
+    for index in range(flows):
+        other = world.add_mobile(f"bg{index}")
+        assert other.initial_attach(cell)
+        PoissonSource(
+            sim,
+            baselines.downlink(world, other),
+            src=world.cn.address,
+            dst=other.home_address,
+            rng=streams.stream(f"background{index}.arrivals"),
+            mean_rate_pps=background_rate_pps,
+            packet_size=1000,
+            duration=duration + 2.0,
+        ).start()
+    sim.run(until=1.0)
+
+    source, sink = baselines.cbr_to_mobile(world, viewer, foreground_rate, duration)
+    sim.run(until=1.0 + duration + 3.0)
+    offered = (
+        foreground_rate + flows * background_rate_pps * 1000 * 8
+    ) / BACKHAUL_BPS
+    return {
+        "offered_load": offered,
+        "loss_rate": sink.loss_rate(source.packets_sent),
+        "mean_delay": sink.mean_delay(),
+        "jitter": sink.jitter(),
+    }
+
+
+def experiment_e11(
+    seeds: Iterable[int] = DEFAULT_SEEDS,
+    background_flows=(0, 2, 4, 6, 8, 10),
+    foreground_rate: float = 200e3,
+    background_rate_pps: float = 40.0,
+    duration: float = 10.0,
+    backend: Optional[ExecutionBackend] = None,
+) -> ExperimentResult:
+    """E11: foreground video QoS vs background load on the cell backhaul.
+
+    The paper's architecture promises "Multimedia Quality of Service".
+    This experiment loads one micro cell's *backhaul* (a 3 Mbit/s
+    era-appropriate E1-class link into the cell) with competing
+    background flows and measures the QoS-degradation curve of one
+    foreground video stream: queueing delay and jitter rise as the
+    offered load approaches the bottleneck, then drop-tail loss appears
+    past saturation.
+
+    Note on scope: radio links in this world are per-mobile (no shared
+    air-interface model), so contention is created where the era's
+    systems actually concentrated it — the wired backhaul shared by
+    every mobile in the cell.
+    """
+    return sweep(
+        "E11",
+        "E11 (§4d): foreground video QoS vs background load "
+        f"({BACKHAUL_BPS/1e6:g} Mbit/s backhaul, "
+        f"{background_rate_pps:.0f} pkt/s x 1000 B per background flow)",
+        "background_flows",
+        list(background_flows),
+        partial(
+            _e11_scenario,
+            foreground_rate=foreground_rate,
+            background_rate_pps=background_rate_pps,
+            duration=duration,
+        ),
+        seeds,
+        ["offered_load", "loss_rate", "mean_delay", "jitter"],
+        notes="Queueing delay and jitter climb as offered load approaches "
+        "the backhaul rate; once past ~1.0 the drop-tail queue sheds video "
+        "packets — the QoS cliff the paper's admission control exists to "
+        "stay clear of.",
         backend=backend,
     )

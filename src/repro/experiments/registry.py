@@ -6,8 +6,8 @@ from repro.experiments.ablations import (
     experiment_e9,
     experiment_t1,
     experiment_t2,
+    experiment_v1,
 )
-from repro.experiments.elastic import experiment_e8b
 from repro.experiments.figures import (
     experiment_e1,
     experiment_e2,
@@ -17,9 +17,10 @@ from repro.experiments.figures import (
     experiment_e7,
     experiment_e7_blocking,
     experiment_e8,
+    experiment_e8b,
     experiment_e10,
+    experiment_e11,
 )
-from repro.experiments.load import experiment_e11
 
 ALL_EXPERIMENTS = {
     "E1": experiment_e1,
@@ -36,6 +37,7 @@ ALL_EXPERIMENTS = {
     "E11": experiment_e11,
     "T1": experiment_t1,
     "T2": experiment_t2,
+    "V1": experiment_v1,
     "AB1": ablation_buffer_size,
     "AB2": ablation_record_lifetime,
 }

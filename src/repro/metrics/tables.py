@@ -76,7 +76,7 @@ def format_ascii_plot(
     """A figure as a deterministic ASCII chart: one letter per series.
 
     Used as the figure fallback when matplotlib is unavailable (see
-    :func:`repro.experiments.figures.save_experiment_figure`).  Pure
+    :func:`repro.experiments.runner.save_experiment_figure`).  Pure
     function of its inputs — same data, same bytes — so sweep figure
     files stay byte-identical across backends and repeats.
 

@@ -26,6 +26,8 @@ byte-for-byte to the pre-refactor builder by the
 
 from __future__ import annotations
 
+import gc
+
 from repro.scenarios.spec import ScenarioSpec
 from repro.stacks.multitier import BuiltScenario
 from repro.stacks.population import roam_rectangle
@@ -68,7 +70,14 @@ def run_scenario_spec(spec: ScenarioSpec, seed: int) -> dict[str, float]:
     same ``(spec, seed)`` pair returns byte-identical metrics in any
     process, on any backend.
     """
-    return build_scenario(spec, seed).execute()
+    metrics = build_scenario(spec, seed).execute()
+    # A finished world is one reference cycle (simulator, nodes,
+    # processes) that reference counting cannot free and that is too
+    # small a share of the heap to trigger a full collection: without
+    # this a batch keeps every world it has run, and the process's peak
+    # memory grows with the batch and differs from seed to seed.
+    gc.collect()
+    return metrics
 
 
 def run_scenario_trace(spec: ScenarioSpec, seed: int):

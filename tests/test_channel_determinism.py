@@ -136,19 +136,31 @@ def test_cip_station_without_shared_channel_stays_legacy():
 
 
 # ----------------------------------------------------------------------
-# 3. Legacy regression: the 16 experiment tables vs the goldens
+# 3. Legacy regression: the 17 experiment tables vs the goldens
 # ----------------------------------------------------------------------
-def test_all_legacy_experiment_tables_match_committed_goldens(tmp_path):
+def test_all_legacy_experiment_tables_match_committed_goldens(tmp_path, monkeypatch):
     """Channels disabled (default): every table byte-identical to
     ``results/``.  This is the whole-suite regression gate for the
     shared-channel PR's compatibility contract — slow (~10 s), but it
-    executes every reproduced experiment end to end."""
-    from repro.cli import main
+    executes every reproduced experiment end to end, and counts that
+    each one hands its whole (axis point, seed) grid to the backend as
+    a single batch."""
+    import repro.cli
+    from repro.experiments.exec import SerialBackend
 
-    assert main(["run", "all", "-o", str(tmp_path)]) == 0
+    batches = []
+
+    class CountingBackend(SerialBackend):
+        def run(self, jobs):
+            batches.append(len(jobs))
+            return super().run(jobs)
+
+    monkeypatch.setattr(repro.cli, "backend_for_jobs", lambda jobs: CountingBackend())
+    assert repro.cli.main(["run", "all", "-o", str(tmp_path)]) == 0
     goldens = REPO_ROOT / "results"
     produced = sorted(p.name for p in tmp_path.glob("*.txt"))
-    assert len(produced) == 16
+    assert len(produced) == 17
+    assert len(batches) == 17
     mismatched = [
         name
         for name in produced

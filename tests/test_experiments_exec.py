@@ -210,22 +210,19 @@ def test_replicate_identical_across_backends(jobs):
 
 @needs_fork
 def test_sweep_identical_across_backends():
-    def make_scenario(x):
-        def scenario(seed: int) -> dict[str, float]:
-            result = _world_scenario(seed)
-            result["x_echo"] = float(x)
-            return result
-
-        return scenario
+    def scenario(x, seed: int) -> dict[str, float]:
+        result = _world_scenario(seed)
+        result["x_echo"] = float(x)
+        return result
 
     kwargs = dict(
         experiment_id="TEST",
         title="engine equivalence sweep",
         x_label="x",
         x_values=[1, 2],
-        make_scenario=make_scenario,
+        scenario=scenario,
         seeds=[1, 2],
-        metric_names=["hop_total", "link_count", "x_echo"],
+        columns=["hop_total", "link_count", "x_echo"],
     )
     serial = sweep(backend=SerialBackend(), **kwargs)
     pooled = sweep(backend=ProcessPoolBackend(2), **kwargs)
@@ -310,20 +307,17 @@ def test_run_scheme_rejects_unknown_name():
 # sweep() confidence passthrough
 # ----------------------------------------------------------------------
 def test_sweep_passes_confidence_through():
-    def make_scenario(x):
-        def scenario(seed: int) -> dict[str, float]:
-            return {"value": float(seed * x)}
-
-        return scenario
+    def scenario(x, seed: int) -> dict[str, float]:
+        return {"value": float(seed * x)}
 
     kwargs = dict(
         experiment_id="TEST",
         title="confidence passthrough",
         x_label="x",
         x_values=[1, 2],
-        make_scenario=make_scenario,
+        scenario=scenario,
         seeds=range(8),
-        metric_names=["value"],
+        columns=["value"],
     )
     narrow = sweep(confidence=0.50, **kwargs)
     wide = sweep(confidence=0.99, **kwargs)

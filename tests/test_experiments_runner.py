@@ -36,20 +36,17 @@ def test_replicate_confidence_interval_contains_mean():
 
 
 def test_sweep_builds_series_and_text():
-    def make_scenario(x):
-        def scenario(seed):
-            return {"doubled": 2.0 * x, "seeded": float(seed)}
-
-        return scenario
+    def scenario(x, seed):
+        return {"doubled": 2.0 * x, "seeded": float(seed)}
 
     result = sweep(
         "TEST",
         "a test sweep",
         "x",
         [1, 2, 3],
-        make_scenario,
+        scenario,
         seeds=[1, 2],
-        metric_names=["doubled", "seeded"],
+        columns=["doubled", "seeded"],
     )
     assert result.series["doubled"] == [2.0, 4.0, 6.0]
     assert result.series["seeded"] == [1.5, 1.5, 1.5]
@@ -57,10 +54,46 @@ def test_sweep_builds_series_and_text():
     assert result.series_mean("doubled") == pytest.approx(4.0)
 
 
+def test_sweep_renders_a_case_table_with_renamed_headers():
+    """The one assembler covers what the hand-rolled E-series tables
+    did: label rows, headers that differ from the metric names, a
+    metric one row lacks, and counts printed without a decimal point."""
+    cases = {"short": 5, "long": 1200}
+
+    def scenario(case, seed):
+        metrics = {"hops": cases[case], "delay": 0.25 * seed}
+        if case == "long":
+            metrics["detour"] = 3
+        return metrics
+
+    result = sweep(
+        "TEST",
+        "a case table",
+        "case",
+        list(cases),
+        scenario,
+        seeds=[1, 3],
+        columns={"hops": "msg-hops", "delay": "delay_s", "detour": "detour"},
+    )
+    assert result.x_values == ["short", "long"]
+    # Series are keyed by metric name; the header only shows in the text.
+    assert result.series["hops"] == [5.0, 1200.0]
+    assert result.series["delay"] == [0.5, 0.5]
+    assert math.isnan(result.series["detour"][0])
+    assert result.series["detour"][1] == 3.0
+    assert result.text.splitlines() == [
+        "a case table",
+        " case   msg-hops  delay_s  detour",
+        "-----  ---------  -------  ------",
+        "short          5      0.5     nan",
+        " long  1.200e+03      0.5       3",
+    ]
+
+
 def test_all_experiments_registry_complete():
     expected = {
         "E1", "E2", "E3", "E4", "E5/E6", "E7", "E7b", "E8", "E8b", "E9",
-        "E10", "E11", "T1", "T2", "AB1", "AB2",
+        "E10", "E11", "T1", "T2", "V1", "AB1", "AB2",
     }
     assert set(ALL_EXPERIMENTS) == expected
 

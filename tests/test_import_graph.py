@@ -19,10 +19,19 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 HEAVY = ("scipy", "networkx", "matplotlib")
 #: The E-series modules; the scenario layer needs only ``runner``/``exec``.
 E_SERIES = (
+    "repro.experiments.registry",
     "repro.experiments.figures",
     "repro.experiments.ablations",
     "repro.experiments.baselines",
 )
+
+#: ``repro scenario sweep`` end to end, figure file included.
+SWEEP_THROUGH_CLI = """
+import contextlib, io, tempfile
+from repro.cli import main
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    assert main(["scenario", "sweep", "sparse-rural/population", "--smoke", "-o", out]) == 0
+"""
 
 RUN_EVERY_STACK = """
 from repro.scenarios import compare_scenario_stacks, format_stack_comparison, get_scenario
@@ -63,3 +72,7 @@ def test_no_heavy_dependency_is_imported(statements):
 
 def test_scenario_layer_does_not_import_the_e_series():
     assert loaded_after("import repro.scenarios", E_SERIES) == []
+
+
+def test_scenario_sweep_cli_does_not_import_the_e_series():
+    assert loaded_after(SWEEP_THROUGH_CLI, E_SERIES) == []

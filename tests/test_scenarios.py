@@ -198,6 +198,30 @@ def test_build_scenario_second_domain_and_hotspots():
     assert len(hot_flows) == crowd.hotspot_count() * crowd.hotspot_flows
 
 
+def test_run_scenario_spec_leaves_no_finished_world_behind(monkeypatch):
+    """The job collects its world: a serial batch's memory must not grow
+    with the number of runs it has made."""
+    import gc
+    import weakref
+
+    from repro.sim import Simulator
+
+    simulators = []
+    original = Simulator.__init__
+
+    def recording_init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        simulators.append(weakref.ref(self))
+
+    monkeypatch.setattr(Simulator, "__init__", recording_init)
+    gc.disable()  # whatever dies below, the job's own collect freed it
+    try:
+        run_scenario_spec(_tiny_spec(), seed=2)
+        assert simulators and all(ref() is None for ref in simulators)
+    finally:
+        gc.enable()
+
+
 def test_run_scenario_metrics_are_plain_finite_floats():
     metrics = run_scenario_spec(_tiny_spec(), seed=2)
     for name, value in metrics.items():
