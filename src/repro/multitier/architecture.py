@@ -167,6 +167,7 @@ class MultiTierWorld:
 
         self.mobiles: list[MultiTierMobileNode] = []
         self.controllers: list["MobilityController"] = []
+        self._meter: Optional[SignalMeter] = None  # see add_controller
 
     # ------------------------------------------------------------------
     def _new_domain(self) -> MultiTierDomain:
@@ -283,9 +284,15 @@ class MultiTierWorld:
         return stations
 
     def add_controller(self, mobile, model, **kwargs) -> "MobilityController":
+        """A controller over every radio station built so far; the
+        shared meter is rebuilt only when stations were added since."""
         kwargs.setdefault("trace", self.decision_trace)
+        stations = self.all_radio_stations()
+        cells = [bs.cell for bs in stations]
+        if self._meter is None or self._meter.cells != cells:
+            self._meter = SignalMeter(PropagationModel(), cells)
         controller = MobilityController(
-            self.sim, mobile, model, self.all_radio_stations(), **kwargs
+            self.sim, mobile, model, stations, meter=self._meter, **kwargs
         )
         self.controllers.append(controller)
         return controller
@@ -304,10 +311,9 @@ class MobilityController:
         policy: Optional[TierDecider] = None,
         sample_period: float = 0.5,
         hysteresis_db: float = 4.0,
-        min_usable_dbm: float = -95.0,
-        propagation: Optional[PropagationModel] = None,
         offload_queue_threshold: int = 3,
         trace: Optional[DecisionTrace] = None,
+        meter: Optional[SignalMeter] = None,
     ) -> None:
         self.sim = sim
         self.mobile = mobile
@@ -326,22 +332,21 @@ class MobilityController:
         #: mode, where cells have no shared channel).
         self.offload_queue_threshold = offload_queue_threshold
         self.stations = [bs for bs in stations if bs.cell is not None]
-        self._cell_to_station = {bs.cell.name: bs for bs in self.stations}
-        self.meter = SignalMeter(
-            propagation if propagation is not None else PropagationModel(),
-            [bs.cell for bs in self.stations],
-            min_usable_dbm=min_usable_dbm,
+        #: Scans ``stations``' cells in station order (candidates map
+        #: back by position).  Worlds pass the one meter all their
+        #: controllers share; a hand-built controller gets its own.
+        self.meter = meter or SignalMeter(
+            PropagationModel(), [bs.cell for bs in self.stations]
         )
         self.blocked_attach_attempts = 0
         self.process = sim.process(self._run(), name=f"{mobile.name}-controller")
 
     # ------------------------------------------------------------------
     def _candidates(self, position: Point) -> list[Candidate]:
-        survey = self.meter.survey(position)
+        stations = self.stations
         return [
-            Candidate(station=self._cell_to_station[m.cell.name], rss_dbm=m.rss_dbm)
-            for m in survey
-            if self._cell_to_station[m.cell.name].cell.covers(position)
+            Candidate(stations[index], rss)
+            for rss, index in self.meter.scan(position, covering=True)
         ]
 
     def _factors(self) -> HandoffFactors:
@@ -376,7 +381,7 @@ class MobilityController:
                     )
                 continue
 
-            decision = self._decide(position, candidates, factors, ordered)
+            decision = self._decide(candidates, factors, ordered)
             if decision is None:
                 continue
             self.trace.record(
@@ -479,7 +484,6 @@ class MobilityController:
 
     def _decide(
         self,
-        position: Point,
         candidates: list[Candidate],
         factors: HandoffFactors,
         ordered: list[Candidate],
@@ -497,8 +501,9 @@ class MobilityController:
         def decision(targets: list[Candidate], reasons: list[str]) -> TierDecision:
             return TierDecision(targets=targets, reasons=reasons, factors=factors)
 
-        # Factor: signal — out of the serving cell entirely, must move.
-        if serving_candidate is None or not serving.cell.covers(position):
+        # Factor: signal — out of the serving cell entirely, must move
+        # (candidates are exactly the audible cells covering us).
+        if serving_candidate is None:
             return decision(
                 [c for c in ordered if c.station is not serving],
                 ["out-of-coverage"] + self.policy.preference_reasons(factors),

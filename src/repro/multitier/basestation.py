@@ -254,7 +254,7 @@ class MultiTierBaseStation(Node):
         self.location_messages_seen += 1
         mobile = payload.mobile_address
         serving_macro = payload.serving_tier is Tier.MACRO
-        came_from_mobile = from_node is not None and from_node.owns(mobile)
+        came_from_mobile = from_node is not None and mobile in from_node.addresses
         via = None if came_from_mobile else from_node
         self.tables.store(mobile, via, serving_tier_is_macro=serving_macro)
 
@@ -275,7 +275,7 @@ class MultiTierBaseStation(Node):
 
     def _linked_mobile(self, mobile_address: IPAddress) -> Optional[Node]:
         for neighbor in self.links:
-            if neighbor.owns(mobile_address):
+            if mobile_address in neighbor.addresses:
                 return neighbor
         return None
 
@@ -294,7 +294,7 @@ class MultiTierBaseStation(Node):
             record = self.tables.macro_table.peek(mobile)
         if record is None:
             return
-        came_from_mobile = from_node is not None and from_node.owns(mobile)
+        came_from_mobile = from_node is not None and mobile in from_node.addresses
         if came_from_mobile:
             # We are the old serving BS: always erase and release radio.
             self.tables.delete(mobile)

@@ -69,13 +69,13 @@ class PropagationModel:
             raise ValueError("shadowing requires an rng")
         self.exponent = exponent
         self.shadowing_sigma_db = shadowing_sigma_db
-        self._rng = rng
+        self.rng = rng
 
     def received_power_dbm(self, tx_power_dbm: float, distance: float) -> float:
         """Received signal strength in dBm at ``distance`` meters."""
         loss = log_distance_path_loss_db(distance, exponent=self.exponent)
         if self.shadowing_sigma_db > 0:
-            loss += float(self._rng.normal(0.0, self.shadowing_sigma_db))
+            loss += float(self.rng.normal(0.0, self.shadowing_sigma_db))
         return tx_power_dbm - loss
 
     def range_for_threshold(

@@ -10,11 +10,15 @@ serving signal falls below a drop threshold.  This implements the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import hypot, log10
+from operator import itemgetter
 from typing import Optional
 
 from repro.radio.cells import Cell
 from repro.radio.geometry import Point
-from repro.radio.propagation import PropagationModel
+from repro.radio.propagation import REFERENCE_LOSS_DB, PropagationModel
+
+_RSS = itemgetter(0)
 
 
 @dataclass
@@ -29,7 +33,11 @@ class Measurement:
 
 
 class SignalMeter:
-    """Measures RSS from every cell at a position and ranks candidates."""
+    """Measures RSS from every cell at a position and ranks candidates.
+
+    One meter can serve every mobile of a world: ``cells`` (and each
+    cell's centre, radius and power) are read once, at construction.
+    """
 
     def __init__(
         self,
@@ -40,6 +48,10 @@ class SignalMeter:
         self.propagation = propagation
         self.cells = list(cells)
         self.min_usable_dbm = min_usable_dbm
+        self._rows = [
+            (cell.center.x, cell.center.y, cell.radius, cell.tx_power_dbm)
+            for cell in self.cells
+        ]
 
     def measure(self, cell: Cell, position: Point) -> Measurement:
         """Received signal strength of ``cell`` at ``position`` (dBm)."""
@@ -47,17 +59,38 @@ class SignalMeter:
         rss = self.propagation.received_power_dbm(cell.tx_power_dbm, distance)
         return Measurement(cell, rss)
 
+    def scan(self, position: Point, covering: bool = False) -> list[tuple[float, int]]:
+        """One measurement epoch: ``(rss_dbm, index into cells)`` per
+        audible cell, strongest first, ties in cell order; ``covering``
+        keeps only the cells whose disc holds ``position``.
+
+        :meth:`measure`'s float operations in the same order, inlined.
+        Coverage is tested on the raw distance before any path loss is
+        computed; with shadowing on, every cell takes its draw, in cell
+        order, whether or not it is then kept.
+        """
+        px, py = position.x, position.y
+        propagation = self.propagation
+        slope = 10.0 * propagation.exponent
+        sigma = propagation.shadowing_sigma_db
+        floor = self.min_usable_dbm
+        heard = []
+        for index, (cx, cy, radius, tx_power_dbm) in enumerate(self._rows):
+            distance = hypot(cx - px, cy - py)
+            shadow = float(propagation.rng.normal(0.0, sigma)) if sigma > 0 else 0.0
+            if covering and distance > radius:
+                continue
+            clamped = distance if distance > 1.0 else 1.0
+            rss = tx_power_dbm - (REFERENCE_LOSS_DB + slope * log10(clamped) + shadow)
+            if rss >= floor:
+                heard.append((rss, index))
+        heard.sort(key=_RSS, reverse=True)
+        return heard
+
     def survey(self, position: Point) -> list[Measurement]:
         """All cells audible above the usable floor, strongest first."""
-        measurements = [self.measure(cell, position) for cell in self.cells]
-        audible = [m for m in measurements if m.rss_dbm >= self.min_usable_dbm]
-        audible.sort(key=lambda m: m.rss_dbm, reverse=True)
-        return audible
-
-    def strongest(self, position: Point) -> Optional[Measurement]:
-        """The loudest usable measurement at ``position``, or ``None``."""
-        survey = self.survey(position)
-        return survey[0] if survey else None
+        cells = self.cells
+        return [Measurement(cells[index], rss) for rss, index in self.scan(position)]
 
 
 @dataclass

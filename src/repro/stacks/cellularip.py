@@ -36,6 +36,8 @@ from repro.net.packet import Packet
 from repro.net.topology import Network
 from repro.policy.config import PolicyConfig
 from repro.radio.cells import Cell
+from repro.radio.propagation import PropagationModel
+from repro.radio.signal import SignalMeter
 from repro.sim.kernel import Simulator
 from repro.stacks.base import BuiltRun, StackAdapter
 from repro.stacks.flat import FlatMobilityController, flat_cell_layout
@@ -187,6 +189,7 @@ def build_cip_scenario(
         stations[site.name] = station
         stations_by_cell[cell.name] = station
         cells.append(cell)
+    meter = SignalMeter(PropagationModel(), cells)  # shared by every controller
 
     internet = network.router("internet")
     cn = network.host("cn")
@@ -217,6 +220,7 @@ def build_cip_scenario(
             stations_by_cell,
             semisoft,
             cells=cells,
+            meter=meter,
             sample_period=spec.sample_period,
         ))
         hosts.append(host)

@@ -104,18 +104,15 @@ class FlatMobilityController:
         cells: list[Cell],
         sample_period: float = 0.5,
         hysteresis_db: float = 4.0,
-        min_usable_dbm: float = -95.0,
-        propagation: Optional[PropagationModel] = None,
+        meter: Optional[SignalMeter] = None,
     ) -> None:
         self.sim = sim
         self.model = model
         self.sample_period = sample_period
         self.hysteresis_db = hysteresis_db
-        self.meter = SignalMeter(
-            propagation if propagation is not None else PropagationModel(),
-            cells,
-            min_usable_dbm=min_usable_dbm,
-        )
+        #: Stack builders pass the one meter (over ``cells``) that all
+        #: their controllers share; a hand-built controller gets its own.
+        self.meter = meter or SignalMeter(PropagationModel(), cells)
         self.serving_cell: Optional[Cell] = None
         self.handoffs = 0
         self.handoff_latencies: list[float] = []
@@ -126,28 +123,26 @@ class FlatMobilityController:
         while True:
             yield self.sim.timeout(self.sample_period)
             position = self.model.advance(self.sample_period)
-            covering = [
-                m
-                for m in self.meter.survey(position)
-                if m.cell.covers(position)
-            ]
+            covering = self.meter.scan(position, covering=True)
             if not covering:
                 continue
-            best = covering[0]  # survey is sorted strongest-first
+            cells = self.meter.cells
+            best_rss, best_index = covering[0]  # sorted strongest-first
+            best = cells[best_index]
             if self.serving_cell is None:
-                self.serving_cell = best.cell
-                yield from self._attach(best.cell)
+                self.serving_cell = best
+                yield from self._attach(best)
                 continue
-            serving = next(
-                (m for m in covering if m.cell is self.serving_cell), None
+            serving_rss = next(
+                (rss for rss, i in covering if cells[i] is self.serving_cell), None
             )
-            if serving is None:
-                target = best.cell  # forced: walked out of the serving cell
+            if serving_rss is None:
+                target = best  # forced: walked out of the serving cell
             elif (
-                best.cell is not self.serving_cell
-                and best.rss_dbm >= serving.rss_dbm + self.hysteresis_db
+                best is not self.serving_cell
+                and best_rss >= serving_rss + self.hysteresis_db
             ):
-                target = best.cell
+                target = best
             else:
                 continue
             old = self.serving_cell

@@ -37,6 +37,8 @@ from repro.net.packet import Packet
 from repro.net.topology import Network
 from repro.policy.config import PolicyConfig
 from repro.radio.cells import Cell
+from repro.radio.propagation import PropagationModel
+from repro.radio.signal import SignalMeter
 from repro.sim.kernel import Simulator
 from repro.stacks.base import BuiltRun, StackAdapter
 from repro.stacks.flat import FlatMobilityController, flat_cell_layout
@@ -207,6 +209,7 @@ def build_mip_scenario(spec: ScenarioSpec, seed: int) -> BuiltMIPScenario:
         cells.append(cell)
         if agent.shared_channel is not None:
             air_cells.append((cell, agent.shared_channel))
+    meter = SignalMeter(PropagationModel(), cells)  # shared by every controller
     network.install_routes()
     install_home_prefix_routes(network, home_agent)
 
@@ -238,6 +241,7 @@ def build_mip_scenario(spec: ScenarioSpec, seed: int) -> BuiltMIPScenario:
             node,
             agents_by_cell,
             cells=cells,
+            meter=meter,
             sample_period=spec.sample_period,
         ))
         nodes.append(node)

@@ -73,6 +73,22 @@ def test_controller_high_demand_user_picks_pico():
     assert mn.serving_bs is pico
 
 
+def test_pico_added_between_controllers_is_audible_to_the_later_one():
+    """The world's controllers share one signal meter; it must be
+    rebuilt when a station appears, not kept from the first call."""
+    world = MultiTierWorld()
+    spot = Point(-2700, 50)
+    model = Stationary(spot, WORLD_BOUNDS)
+    early = world.add_controller(world.add_mobile("early"), model)
+    pico = world.add_pico("B", "office", spot, radius=60.0, channels=4)
+    caller = world.add_mobile("videocaller", bandwidth_demand=1e6)
+    late = world.add_controller(caller, Stationary(spot, WORLD_BOUNDS))
+    assert pico not in [c.station for c in early._candidates(spot)]
+    assert pico in [c.station for c in late._candidates(spot)]
+    world.sim.run(until=5.0)
+    assert caller.serving_bs is pico
+
+
 def test_controller_low_demand_user_picks_micro_over_pico():
     world, pico = make_world_with_pico()
     mn = world.add_mobile("idler", bandwidth_demand=0.0)
