@@ -30,10 +30,7 @@ def main() -> None:
     mobile.on_data.append(sink.bind(sim))
     source = CBRSource(
         sim,
-        lambda p: world.cn.send_to_mobile(
-            mobile.home_address, size=p.size,
-            flow_id=p.flow_id, seq=p.seq, created_at=p.created_at,
-        ),
+        world.cn.send,
         src=world.cn.address,
         dst=mobile.home_address,
         rate_bps=200e3,

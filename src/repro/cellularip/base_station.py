@@ -163,7 +163,6 @@ class CIPBaseStation(Node):
     # Packet handling
     # ------------------------------------------------------------------
     def receive(self, packet: Packet, link: Optional["Link"] = None) -> None:
-        self.received_count += 1
         from_node = link.head if link is not None else None
 
         uplink_arrival = from_node is not self.parent and not self._from_internet(

@@ -75,27 +75,12 @@ def elastic_stream(sim, send, cn, mn, dst, duration) -> tuple[ElasticSource, Flo
     return source, sink
 
 
-def downlink(world: MultiTierWorld, mn):
-    """The correspondent's send function towards multi-tier mobile ``mn``
-    (route-optimizable: it honours the CN's RSMC binding)."""
-    def send(packet: Packet):
-        return world.cn.send_to_mobile(
-            mn.home_address,
-            size=packet.size,
-            flow_id=packet.flow_id,
-            seq=packet.seq,
-            created_at=packet.created_at,
-        )
-
-    return send
-
-
 def cbr_to_mobile(
     world: MultiTierWorld, mn, rate_bps: float, duration: float
 ) -> tuple[CBRSource, FlowSink]:
     """CBR (500-byte packets) from the CN to a multi-tier mobile, measured."""
     return cbr_stream(
-        world.sim, downlink(world, mn), world.cn, mn, mn.home_address,
+        world.sim, world.cn.send, world.cn, mn, mn.home_address,
         duration, rate_bps,
     )
 
@@ -355,7 +340,7 @@ def _roam_multitier(handoffs, handoff_interval, duration, open_stream, **world_k
     assert mn.initial_attach(cells[0])
     sim.run(until=1.0)
     source, sink = open_stream(
-        sim, downlink(world, mn), world.cn, mn, mn.home_address, duration
+        sim, world.cn.send, world.cn, mn, mn.home_address, duration
     )
     scripted_handoffs(
         sim, handoff_interval, _round_robin(cells, handoffs), mn.perform_handoff

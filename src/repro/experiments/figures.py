@@ -575,7 +575,7 @@ def _e11_scenario(
         assert other.initial_attach(cell)
         PoissonSource(
             sim,
-            baselines.downlink(world, other),
+            world.cn.send,
             src=world.cn.address,
             dst=other.home_address,
             rng=streams.stream(f"background{index}.arrivals"),

@@ -213,7 +213,6 @@ class MultiTierBaseStation(Node):
     # Packet handling
     # ------------------------------------------------------------------
     def receive(self, packet: Packet, link: Optional["Link"] = None) -> None:
-        self.received_count += 1
         from_node = link.head if link is not None else None
         protocol = packet.protocol
 
@@ -243,7 +242,7 @@ class MultiTierBaseStation(Node):
 
     def _forward_up(self, packet: Packet) -> None:
         if self.parent is not None:
-            self.send_via(self.parent, packet)
+            self.links[self.parent].transmit(packet)
         # The RSMC overrides to bridge to the Internet / consume control.
 
     # ------------------------------------------------------------------
@@ -435,9 +434,10 @@ class MultiTierBaseStation(Node):
         destination = packet.dst
         attachment = self.attached.get(destination)
         if attachment is not None:
-            if attachment.node in self.links:
+            radio = self.links.get(attachment.node)
+            if radio is not None:
                 self.delivered_to_mobiles += 1
-                self.send_via(attachment.node, packet)
+                radio.transmit(packet)
             else:
                 self.dropped_stale_radio += 1
             return
@@ -450,7 +450,7 @@ class MultiTierBaseStation(Node):
                 down is not None and down in self.links and down is not from_node
             )
             if usable:
-                self.send_via(down, packet)
+                self.links[down].transmit(packet)
                 return
         # No usable downward pointer: drain upward (resource switching)
         # unless this copy is a paging flood that found nobody.

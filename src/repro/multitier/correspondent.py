@@ -59,22 +59,30 @@ class CorrespondentNode(Node):
         With a binding: tunnel to the RSMC (route-optimized).  Without:
         plain addressing, which the Internet routes to the home agent.
         """
-        inner = Packet(
-            src=self.address,
-            dst=mobile,
-            size=size,
-            protocol="data",
-            created_at=packet_fields.pop("created_at", self.sim.now),
-            **packet_fields,
+        return self.send(
+            Packet(
+                src=self.address,
+                dst=mobile,
+                size=size,
+                protocol="data",
+                created_at=packet_fields.pop("created_at", self.sim.now),
+                **packet_fields,
+            )
         )
-        binding = self.bindings.get(inner.dst)
+
+    def send(self, packet: Packet) -> bool:
+        """Send an already-addressed data packet (``dst`` a mobile's
+        home address), the way :meth:`send_to_mobile` sends the one it
+        builds.  A traffic source's ``send`` callable: the packet the
+        source made is the packet on the wire (or the tunnel's payload).
+        """
+        binding = self.bindings.get(packet.dst)
         if binding is not None:
             self.sent_via_binding += 1
-            outgoing = encapsulate(inner, self.address, binding)
+            packet = encapsulate(packet, self.address, binding)
         else:
             self.sent_via_home += 1
-            outgoing = inner
-        return self.originate(outgoing)
+        return self.originate(packet)
 
     def originate(self, packet: Packet) -> bool:
         target = self.gateway_router
@@ -82,4 +90,4 @@ class CorrespondentNode(Node):
             target = next(iter(self.links))
         if target is None:
             return False
-        return self.send_via(target, packet)
+        return self.links[target].transmit(packet)

@@ -248,7 +248,7 @@ class MultiTierMobileNode(Node):
     def originate(self, packet: Packet) -> bool:
         if self.serving_bs is None:
             return False
-        return self.send_via(self.serving_bs, packet)
+        return self.links[self.serving_bs].transmit(packet)
 
     def deliver_local(self, packet: Packet, link: Optional["Link"]) -> None:
         if packet.protocol == "data":

@@ -102,7 +102,6 @@ class RSMC(MultiTierBaseStation):
     def receive(self, packet: Packet, link=None) -> None:
         from_node = link.head if link is not None else None
         if packet.protocol == messages.HANDOFF_BEGIN and packet.dst in self.addresses:
-            self.received_count += 1
             self._start_buffering(packet.payload.mobile_address)
             return
         if (
@@ -131,7 +130,7 @@ class RSMC(MultiTierBaseStation):
         ):
             return
         if self.internet_neighbor is not None:
-            self.send_via(self.internet_neighbor, packet)
+            self.links[self.internet_neighbor].transmit(packet)
 
     def _handle_tunneled(self, packet: Packet, link) -> None:
         """Tunnel exit: the RSMC is the domain's care-of address."""
@@ -294,7 +293,7 @@ class RSMC(MultiTierBaseStation):
         if record is not None:
             down = record.via
             if down is not None and down in self.links and down is not from_node:
-                self.send_via(down, packet)
+                self.links[down].transmit(packet)
                 return
             if packet.protocol == "data":
                 # Stale branch drained back to us mid-handoff: hold the

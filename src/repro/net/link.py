@@ -139,9 +139,10 @@ class Link:
         channel_direction: str = "downlink",
         channel_key: int = 0,
     ) -> None:
-        if bandwidth <= 0:
+        # Written so that nan fails too, as loss_rate's chained test does.
+        if not bandwidth > 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
         if queue_limit < 1:
             raise ValueError(f"queue_limit must be at least 1, got {queue_limit}")
@@ -205,7 +206,7 @@ class Link:
 
         # max() and serialization_time() inlined: this runs once per hop.
         sim = self.sim
-        now = sim._now
+        now = sim.now
         start = self._busy_until
         if start < now:
             start = now

@@ -35,8 +35,6 @@ class Node:
         self.links: dict["Node", "Link"] = {}
         self._handlers: dict[str, PacketHandler] = {}
         self._default_handler: Optional[PacketHandler] = None
-        self.received_count = 0
-        self.sent_count = 0
 
     # ------------------------------------------------------------------
     @property
@@ -78,12 +76,10 @@ class Node:
         link = self.links.get(neighbor)
         if link is None:
             raise ValueError(f"{self.name} has no link to {neighbor.name}")
-        self.sent_count += 1
         return link.transmit(packet)
 
     def receive(self, packet: "Packet", link: Optional["Link"] = None) -> None:
         """Entry point for packets arriving at this node."""
-        self.received_count += 1
         if packet.dst in self.addresses:
             self.deliver_local(packet, link)
         else:

@@ -97,4 +97,4 @@ class Router(Node):
             return
         packet.ttl -= 1
         self.forwarded_count += 1
-        self.send_via(next_hop, packet)
+        self.links[next_hop].transmit(packet)

@@ -123,7 +123,7 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: object = None) -> None:
-        if delay < 0:
+        if not delay >= 0:  # also rejects nan, which would sort first
             raise ValueError(f"negative delay {delay}")
         # Event.__init__ and Simulator._enqueue inlined: Timeout is the
         # highest-churn event type (every process tick allocates one),
@@ -134,7 +134,7 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         self._defused = False
-        heappush(sim._queue, (sim._now + delay, NORMAL, next(sim._eid), self))
+        heappush(sim._queue, (sim.now + delay, NORMAL, next(sim._eid), self, None))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay} at {id(self):#x}>"
@@ -153,7 +153,7 @@ class Initialize(Event):
         self._value = None
         self._ok = True
         self._defused = False
-        heappush(sim._queue, (sim._now, URGENT, next(sim._eid), self))
+        heappush(sim._queue, (sim.now, URGENT, next(sim._eid), self, None))
 
 
 class _Interruption(Event):

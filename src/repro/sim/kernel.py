@@ -40,32 +40,23 @@ from repro.sim.events import (
 Until = Union[None, float, int, Event]
 
 
-class _Callback(Event):
-    """A pooled fire-and-forget callback entry (kernel-internal).
+class Simulator:
+    """A minimal but complete discrete-event simulation kernel.
 
-    :meth:`Simulator.call_later` uses these instead of a full
-    :class:`Timeout` + closure: the dispatch loop special-cases them
-    (call ``fn(*args)``, recycle the object into the simulator's free
-    list) so the hottest scheduling pattern in the code base — a link
-    delivering a packet, a channel finishing a serialization — pays no
-    event allocation once the pool is warm.  Never exposed to callers;
-    anything that needs to *wait* on scheduled work yields a
-    :meth:`Simulator.timeout` from a process instead.
+    Every heap entry is ``(when, priority, eid, target, args)``.  With
+    ``args is None`` the target is an :class:`Event` whose callbacks the
+    loop runs; otherwise the loop calls ``target(*args)`` — the
+    fire-and-forget form :meth:`call_later` pushes, which allocates
+    nothing but the entry itself.
     """
 
-    __slots__ = ("fn", "args")
-
-
-class Simulator:
-    """A minimal but complete discrete-event simulation kernel."""
-
     def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
-        self._queue: list[tuple[float, int, int, Event]] = []
+        #: Current simulation time.  A plain attribute (every hop reads
+        #: it); only the dispatch loop writes it.
+        self.now = float(start)
+        self._queue: list[tuple[float, int, int, object, Optional[tuple]]] = []
         self._eid = count()
         self._active_process: Optional[Process] = None
-        #: Recycled :class:`_Callback` instances (object pooling).
-        self._callback_pool: list[_Callback] = []
         #: True while :meth:`run`'s dispatch loop is on the stack.
         self._running = False
         #: Total events dispatched by :meth:`run` so far.
@@ -75,44 +66,28 @@ class Simulator:
     # Clock and scheduling
     # ------------------------------------------------------------------
     @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self._now
-
-    @property
     def active_process(self) -> Optional[Process]:
         """The process currently being resumed, if any."""
         return self._active_process
 
     def _enqueue(self, event: Event, delay: float, priority: int = NORMAL) -> None:
         """Place a triggered event on the queue ``delay`` units from now."""
-        heappush(self._queue, (self._now + delay, priority, next(self._eid), event))
+        heappush(
+            self._queue, (self.now + delay, priority, next(self._eid), event, None)
+        )
 
     def call_later(self, delay: float, fn, *args) -> None:
         """Run ``fn(*args)`` after ``delay`` time units (no return event).
 
         The fire-and-forget path: queue ordering is that of a
         :meth:`timeout` created at the same point (one event-id per
-        call, NORMAL priority), but the queue entry is a pooled
-        :class:`_Callback` the dispatch loop recycles, so hot paths
-        allocate nothing once warm.  A caller that needs an event to
-        wait on uses :meth:`timeout` in a process instead.
+        call, NORMAL priority), but the heap entry carries the callable
+        itself, so no event object is made.  A caller that needs an
+        event to wait on uses :meth:`timeout` in a process instead.
         """
-        if delay < 0:
+        if not delay >= 0:  # also rejects nan, which would sort first
             raise ValueError(f"negative delay {delay}")
-        pool = self._callback_pool
-        if pool:
-            event = pool.pop()
-        else:
-            event = _Callback.__new__(_Callback)
-            event.sim = self
-            event.callbacks = None
-            event._value = None
-            event._ok = True
-            event._defused = False
-        event.fn = fn
-        event.args = args
-        heappush(self._queue, (self._now + delay, NORMAL, next(self._eid), event))
+        heappush(self._queue, (self.now + delay, NORMAL, next(self._eid), fn, args))
 
     # ------------------------------------------------------------------
     # Event factories
@@ -179,9 +154,9 @@ class Simulator:
                 until.callbacks.append(self._stop_on_event)
             else:
                 stop_at = float(until)
-                if stop_at < self._now:
+                if stop_at < self.now:
                     raise ValueError(
-                        f"until ({stop_at}) must not be before now ({self._now})"
+                        f"until ({stop_at}) must not be before now ({self.now})"
                     )
 
         # The dispatch loop is written inline with everything hot bound
@@ -189,7 +164,6 @@ class Simulator:
         # per-event overhead (method dispatch, try/except, attribute
         # loads) is paid here, once, instead of per event.
         queue = self._queue
-        pool = self._callback_pool
         pop = heappop
         processed = 0
         self._running = True
@@ -197,14 +171,10 @@ class Simulator:
             while queue:
                 if stop_at is not None and queue[0][0] > stop_at:
                     break
-                when, _priority, _eid, event = pop(queue)
-                self._now = when
+                self.now, _priority, _eid, event, args = pop(queue)
                 processed += 1
-                if event.__class__ is _Callback:
-                    fn, args = event.fn, event.args
-                    event.fn = event.args = None
-                    pool.append(event)
-                    fn(*args)
+                if args is not None:
+                    event(*args)  # a call_later entry: a bare callable
                     continue
                 callbacks, event.callbacks = event.callbacks, None
                 for callback in callbacks:
@@ -222,7 +192,7 @@ class Simulator:
                 "event queue ran empty before the target event triggered"
             )
         if stop_at is not None:
-            self._now = stop_at
+            self.now = stop_at
         return None
 
     @staticmethod

@@ -32,7 +32,6 @@ from repro.multitier.architecture import (
     MultiTierWorld,
 )
 from repro.multitier.mobile import MultiTierMobileNode
-from repro.net.packet import Packet
 from repro.policy.decider import TierDecider
 from repro.stacks.base import BuiltRun, StackAdapter
 from repro.stacks.population import (
@@ -148,19 +147,10 @@ def build_multitier_scenario(spec: ScenarioSpec, seed: int) -> BuiltScenario:
             )
         )
         mobiles.append(mobile)
-
-        def send(packet: Packet) -> bool:
-            """Stream CN -> mobile with route optimization."""
-            return world.cn.send_to_mobile(
-                mobile.home_address,
-                size=packet.size,
-                flow_id=packet.flow_id,
-                seq=packet.seq,
-                created_at=packet.created_at,
-            )
-
+        # Sources address their packets CN -> home address themselves;
+        # the CN sends them as built, with route optimization.
         return MobileEndpoint(
-            send, mobile.on_data, mobile.originate, mobile.home_address
+            world.cn.send, mobile.on_data, mobile.originate, mobile.home_address
         )
 
     # One analytic driver over every contended cell (hybrid runs),

@@ -308,12 +308,12 @@ class ElasticSource(TrafficSource):
                 next_seq += 1
             # Wait for the window to be acknowledged (or time out).
             deadline = self.sim.timeout(self.feedback_timeout)
-            while not all(seq in self._acknowledged for seq in sent):
+            while not self._acknowledged.issuperset(sent):
                 self._feedback_event = self.sim.event()
                 outcome = yield self.sim.any_of([self._feedback_event, deadline])
                 if deadline in outcome:
                     break
-            if all(seq in self._acknowledged for seq in sent):
+            if self._acknowledged.issuperset(sent):
                 self.window = min(self.window + 1.0, self.max_window)
                 self.windows_clean += 1
             else:

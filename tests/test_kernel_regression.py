@@ -1,24 +1,31 @@
 """Micro-regression pins for the kernel fast path.
 
-The PR 9 speed work changed the hottest structures in the simulator —
-pooled ``_Callback`` events behind :meth:`Simulator.call_later`, an
-inlined dispatch loop in :meth:`Simulator.run`, ``__slots__`` on
-:class:`~repro.net.packet.Packet`.  None of that may move a single
-event: this file pins the ordering contract (time, then priority, then
-scheduling order) across pooled callbacks and plain timeouts, and the
-pool's recycling semantics.  The 16 experiment-table goldens pin the
-same contract end-to-end; these tests localize a violation.
+The speed work shaped the hottest structures in the simulator — heap
+entries ``(when, priority, eid, target, args)`` that carry
+:meth:`Simulator.call_later`'s callable themselves, an inlined dispatch
+loop in :meth:`Simulator.run`, ``__slots__`` on
+:class:`~repro.net.packet.Packet`, data-plane sites that transmit on
+the link.  None of that may move a single event: this file pins the
+ordering contract (time, then priority, then scheduling order) across
+bare callables and plain timeouts, and what the per-hop chain may not
+do per packet.  The experiment-table goldens pin the same contract
+end-to-end; these tests localize a violation.
 """
 
+from itertools import count
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.multitier.architecture import MultiTierWorld
 from repro.net import IPAddress, Network
+from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.net.router import ForwardingTable
+from repro.scenarios import ScenarioSpec, build_scenario
 from repro.sim import Simulator
 from repro.sim.events import NORMAL, URGENT, Timeout
-from repro.sim.kernel import _Callback
 
 
 # ----------------------------------------------------------------------
@@ -50,7 +57,7 @@ def test_call_later_and_timeout_interleave_in_creation_order():
     """``call_later`` consumes exactly one event id per call, so mixing
     the fast path with plain timeouts at one timestamp keeps creation
     order — the determinism contract that let links and channels move
-    to the pooled path without disturbing a single golden byte."""
+    to the fast path without disturbing a single golden byte."""
     sim = Simulator()
     seen = []
     sim.call_later(1.0, seen.append, "a")
@@ -83,42 +90,19 @@ def test_run_until_includes_pooled_callbacks_at_the_stop_time():
 
 
 # ----------------------------------------------------------------------
-# The callback pool
+# The heap entry: (when, priority, eid, target, args)
 # ----------------------------------------------------------------------
-def test_fired_callbacks_are_recycled_through_the_pool():
+def test_call_later_entry_carries_its_callable_and_makes_no_event():
     sim = Simulator()
-    assert sim._callback_pool == []
-    sim.call_later(1.0, lambda: None)
+    seen = []
+    assert sim.call_later(1.0, seen.append, "x") is None  # nothing to wait on
+    timeout = sim.timeout(1.0)
+    (_, _, first, target, args), (_, _, second, event, no_args) = sorted(sim._queue)
+    assert (target, args) == (seen.append, ("x",))
+    assert event is timeout and no_args is None
+    assert second == first + 1  # one event id each, in call order
     sim.run()
-    assert len(sim._callback_pool) == 1
-    recycled = sim._callback_pool[0]
-    # Recycled entries drop their payload (no leaked references)...
-    assert recycled.fn is None and recycled.args is None
-    # ...and the next call_later reuses the exact same object.
-    sim.call_later(1.0, lambda: None)
-    assert sim._callback_pool == []
-    assert sim._queue[-1][3] is recycled
-    sim.run()
-    assert sim._callback_pool == [recycled]
-
-
-def test_pool_size_tracks_peak_in_flight_not_total_calls():
-    sim = Simulator()
-    fired = []
-
-    def chain():
-        fired.append(sim.now)
-        if len(fired) < 100:
-            sim.call_later(1.0, chain)  # one in flight at a time
-
-    sim.call_later(1.0, chain)
-    sim.run()
-    assert len(fired) == 100
-    assert len(sim._callback_pool) == 1  # 100 calls, one pooled object
-    for _ in range(10):
-        sim.call_later(1.0, lambda: None)  # ten in flight at once
-    sim.run()
-    assert len(sim._callback_pool) == 10
+    assert seen == ["x"] and timeout.processed
 
 
 def test_callbacks_scheduled_from_a_callback_keep_ordering():
@@ -137,12 +121,95 @@ def test_callbacks_scheduled_from_a_callback_keep_ordering():
     assert seen == [("outer", 1.0), ("sibling", 1.0), ("inner", 1.0)]
 
 
-def test_pooled_callback_type_is_internal_only_and_slotted():
+_DELAYS = (0.0, 0.5, 1.0)
+_KINDS = ("call_later", "timeout", "urgent")
+#: One scheduling call plus the calls its firing makes: (kind, delay, children).
+_ops = st.recursive(
+    st.tuples(st.sampled_from(_KINDS), st.sampled_from(_DELAYS), st.just(())),
+    lambda children: st.tuples(
+        st.sampled_from(_KINDS),
+        st.sampled_from(_DELAYS),
+        st.lists(children, max_size=3).map(tuple),
+    ),
+    max_leaves=20,
+)
+
+
+def _schedule(sim, op, tag, fired):
+    kind, delay, children = op
+
+    def fire(*_event):
+        fired.append((tag, sim.now))
+        for index, child in enumerate(children):
+            _schedule(sim, child, tag + (index,), fired)
+
+    if kind == "call_later":
+        sim.call_later(delay, fire)
+    elif kind == "timeout":
+        sim.timeout(delay).callbacks.append(fire)
+    else:  # an event triggered now, ahead of everything NORMAL at this time
+        event = sim.event()
+        event.callbacks.append(fire)
+        event.succeed(priority=URGENT)
+
+
+def _reference_order(ops):
+    """The contract, without a heap: always fire the pending entry that
+    is least by (time, priority, creation index)."""
+    pending, created, fired = [], count(), []
+
+    def schedule(now, op, tag):
+        kind, delay, children = op
+        key = (now, URGENT) if kind == "urgent" else (now + delay, NORMAL)
+        pending.append((*key, next(created), tag, children))
+
+    for index, op in enumerate(ops):
+        schedule(0.0, op, (index,))
+    while pending:
+        entry = min(pending, key=lambda e: e[:3])
+        pending.remove(entry)
+        now, _priority, _index, tag, children = entry
+        fired.append((tag, now))
+        for index, child in enumerate(children):
+            schedule(now, child, tag + (index,))
+    return fired
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ops, min_size=1, max_size=6), st.sampled_from((0.0, 0.5, 1.0, 2.5)))
+def test_dispatch_order_is_time_then_priority_then_creation_index(ops, stop):
+    """Any mix of ``call_later``, ``timeout`` and urgent ``succeed``,
+    from the top level and from inside fired callbacks, is dispatched in
+    the reference order; a bounded run stops after the entries at its
+    bound; ``events_processed`` counts exactly what fired."""
+    expected = _reference_order(ops)
     sim = Simulator()
-    assert sim.call_later(0.0, lambda: None) is None  # no waitable event
-    entry = _Callback.__new__(_Callback)
-    with pytest.raises(AttributeError):
-        entry.not_a_slot = 1  # Event + _Callback are fully __slots__-ed
+    fired = []
+    for index, op in enumerate(ops):
+        _schedule(sim, op, (index,), fired)
+    sim.run(until=stop)
+    up_to_stop = [entry for entry in expected if entry[1] <= stop]
+    assert fired == up_to_stop
+    assert sim.now == stop
+    assert sim.events_processed == len(up_to_stop)
+    sim.run()
+    assert fired == expected
+    assert sim.events_processed == len(expected)
+
+
+@pytest.mark.parametrize("schedule", ["call_later", "timeout"])
+def test_nan_delay_is_rejected_instead_of_firing_first(schedule):
+    """``nan < 0`` is false, and a ``nan`` heap key sorts ahead of every
+    real time: it would fire first and set the clock to ``nan``."""
+    sim = Simulator()
+    seen = []
+    sim.call_later(1.0, seen.append, "b")
+    sim.call_later(0.5, seen.append, "a")
+    with pytest.raises(ValueError, match="negative delay nan"):
+        getattr(sim, schedule)(float("nan"), seen.append)
+    sim.run()
+    assert seen == ["a", "b"]
+    assert sim.now == 1.0
 
 
 # ----------------------------------------------------------------------
@@ -223,6 +290,44 @@ def test_forwarding_does_no_per_packet_address_or_table_work(build, monkeypatch)
     assert counts[0][1] > 0  # the patches did see the build-time work
 
 
+def test_data_plane_transmits_on_the_link_and_sends_the_source_packet(monkeypatch):
+    """A ``multitier`` run with CBR downlinks, before and after the
+    correspondent learns its bindings: no data packet passes through
+    ``Node.send_via`` (control messages still do), every data packet is
+    constructed once, by its source, and wrapped at most once per
+    tunnel, and reading the clock is an attribute load."""
+    via, made = [], []
+    send_via, post_init = Node.send_via, Packet.__post_init__
+    monkeypatch.setattr(
+        Node,
+        "send_via",
+        lambda node, neighbor, packet: via.append(packet.protocol)
+        or send_via(node, neighbor, packet),
+    )
+    monkeypatch.setattr(
+        Packet,
+        "__post_init__",
+        lambda packet: made.append(packet.protocol) or post_init(packet),
+    )
+    spec = ScenarioSpec(
+        name="hop-guard",
+        description="stationary CBR listeners",
+        population=3,
+        duration=2.0,
+        mobility_mix={"stationary": 1.0},
+        traffic_mix={"cbr-voice": 1.0},
+    )
+    run = build_scenario(spec, seed=1)
+    metrics = run.execute()
+    cn, ha = run.world.cn, run.world.ha
+    assert metrics["received"] > 0
+    assert cn.sent_via_home > 0 and cn.sent_via_binding > 0
+    assert via and not {"data", "ipip"} & set(via)
+    assert made.count("data") == metrics["sent"]
+    assert made.count("ipip") == cn.sent_via_binding + ha.tunneled_count
+    assert not hasattr(Simulator, "now")  # set per instance, no descriptor
+
+
 # ----------------------------------------------------------------------
 # Run-loop hardening: re-entrancy guard and the event counter
 # ----------------------------------------------------------------------
@@ -281,9 +386,8 @@ def test_events_processed_counts_run_and_step_and_survives_errors():
 
 def test_pool_recycling_survives_reentrant_scheduling_fuzz():
     """call_later()/timeout() invoked from inside dispatched callbacks
-    (the inlined run loop) must keep the pool coherent: every scheduled
-    body fires exactly once, recycled entries are distinct objects, and
-    nothing in the pool still holds a payload."""
+    (the inlined run loop): every scheduled body fires exactly once,
+    and the same fuzz replays identically."""
     import random
 
     rng = random.Random(1234)
@@ -310,11 +414,6 @@ def test_pool_recycling_survives_reentrant_scheduling_fuzz():
     sim.run()
     assert len(fired) == len(set(fired))  # every body fired exactly once
     assert len(fired) >= 10
-    pool = sim._callback_pool
-    assert len(pool) == len({id(entry) for entry in pool})
-    assert all(entry.fn is None and entry.args is None for entry in pool)
-    # The pool never exceeds the peak in-flight count (no unbounded growth).
-    assert len(pool) <= len(fired)
 
     # Determinism spot check: the same fuzz replays identically.
     rng2 = random.Random(1234)

@@ -299,6 +299,42 @@ def test_rsmc_notifies_cn_for_route_optimization(world):
     assert x.data_received == 2
 
 
+def test_cn_send_puts_the_callers_packet_on_the_wire(world):
+    """``send`` takes an addressed packet and sends *that object* (or
+    its encapsulation); ``send_to_mobile`` builds one and does the same."""
+    cn, rsmc = world.cn, world.domain1.rsmc
+    x = world.add_mobile("x")
+    wire = []
+    cn.links[world.internet].transmit = wire.append
+
+    plain = Packet(src=cn.address, dst=x.home_address, size=200, seq=1)
+    cn.send(plain)
+    assert wire[-1] is plain
+    assert (cn.sent_via_home, cn.sent_via_binding) == (1, 0)
+
+    cn.bindings[x.home_address] = rsmc.address
+    tunnelled = Packet(src=cn.address, dst=x.home_address, size=200, seq=2)
+    cn.send(tunnelled)
+    outer = wire[-1]
+    assert outer.protocol == "ipip" and outer.payload is tunnelled
+    assert (outer.src, outer.dst, outer.size) == (cn.address, rsmc.address, 220)
+    assert (cn.sent_via_home, cn.sent_via_binding) == (1, 1)
+
+    world.sim.run(until=0.25)
+    cn.send_to_mobile(x.home_address, size=300, seq=3, flow_id="f")
+    inner = wire[-1].payload
+    assert wire[-1].dst == rsmc.address
+    assert (inner.src, inner.dst, inner.size, inner.protocol, inner.seq,
+            inner.flow_id, inner.created_at) == (
+        cn.address, x.home_address, 300, "data", 3, "f", 0.25)
+    del cn.bindings[x.home_address]
+    cn.send_to_mobile(x.home_address, created_at=0.125)
+    assert wire[-1].protocol == "data" and wire[-1].dst == x.home_address
+    assert (wire[-1].size, wire[-1].created_at) == (1000, 0.125)
+    assert (cn.sent_via_home, cn.sent_via_binding) == (2, 2)
+    assert len(wire) == 4
+
+
 def test_rsmc_buffers_during_handoff_no_loss():
     """The headline claim: RSMC resource switching avoids packet loss
     during an intra-domain handoff.

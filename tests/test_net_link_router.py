@@ -129,6 +129,19 @@ def test_link_validation():
         Link(sim, a, b, loss_rate=1.5)
 
 
+@pytest.mark.parametrize("field", ["bandwidth", "delay"])
+def test_link_rejects_nan_bandwidth_and_delay(field):
+    """``nan <= 0`` and ``nan < 0`` are both false: the checks are
+    written the other way round so a ``nan`` link cannot be built."""
+    sim = Simulator()
+    a = Node(sim, "a", "10.0.0.1")
+    b = Node(sim, "b", "10.0.0.2")
+    from repro.net.link import Link
+
+    with pytest.raises(ValueError, match=f"{field} must be .*nan"):
+        Link(sim, a, b, **{field: float("nan")})
+
+
 def test_send_via_unconnected_neighbor_raises():
     sim = Simulator()
     a = Node(sim, "a", "10.0.0.1")
