@@ -342,31 +342,28 @@ class MobilityController:
         self.process = sim.process(self._run(), name=f"{mobile.name}-controller")
 
     # ------------------------------------------------------------------
-    def _candidates(self, position: Point) -> list[Candidate]:
-        stations = self.stations
-        return [
-            Candidate(stations[index], rss)
-            for rss, index in self.meter.scan(position, covering=True)
-        ]
-
-    def _factors(self) -> HandoffFactors:
-        return HandoffFactors(
-            speed=self.mobile.speed,
-            bandwidth_demand=self.mobile.bandwidth_demand,
-            serving_tier=self.mobile.serving_tier,
-        )
-
     def _run(self):
         mobile = self.mobile
+        stations = self.stations
+        policy = self.policy
+        scan = self.meter.scan
         while True:
             yield self.sim.timeout(self.sample_period)
             position = self.model.advance(self.sample_period)
             mobile.speed = self.model.speed
-            candidates = self._candidates(position)
+            # One pass from the scan to the decision: the candidates are
+            # exactly the audible cells covering us, strongest first.
+            candidates = [
+                Candidate(stations[index], rss)
+                for rss, index in scan(position, covering=True)
+            ]
             if not candidates:
                 continue
-            factors = self._factors()
-            ordered = self.policy.order_candidates(candidates, factors)
+            factors = HandoffFactors(
+                mobile.speed, mobile.bandwidth_demand, mobile.serving_tier
+            )
+            preference = policy.tier_preference(factors)
+            ordered = policy.order_by_preference(candidates, preference)
 
             if mobile.serving_bs is None:
                 for index, candidate in enumerate(ordered):
@@ -381,7 +378,7 @@ class MobilityController:
                     )
                 continue
 
-            decision = self._decide(candidates, factors, ordered)
+            decision = self._decide(candidates, factors, ordered, preference)
             if decision is None:
                 continue
             self.trace.record(
@@ -461,17 +458,15 @@ class MobilityController:
     ) -> Optional[list[Candidate]]:
         """Offload targets when the serving shared channel is congested.
 
-        Returns the policy-ordered covering candidates whose shared
-        channels have spare airtime (downlink queue below the offload
-        threshold), or ``None`` when the serving cell has no shared
-        channel (legacy mode), the mobile carries no traffic, or the
-        serving channel is not congested.  Deterministic: reads only
-        the channels' current queue lengths.
+        Only asked in contention mode (the serving cell has a shared
+        channel).  Returns the policy-ordered covering candidates whose
+        shared channels have spare airtime (downlink queue below the
+        offload threshold), or ``None`` when the mobile carries no
+        traffic or the serving channel is not congested.  Deterministic:
+        reads only the channels' current queue lengths.
         """
         serving = self.mobile.serving_bs
-        if serving.shared_channel is None or factors.bandwidth_demand <= 0:
-            return None
-        if not self._channel_congested(serving):
+        if factors.bandwidth_demand <= 0 or not self._channel_congested(serving):
             return None
         relief = [
             c
@@ -487,26 +482,28 @@ class MobilityController:
         candidates: list[Candidate],
         factors: HandoffFactors,
         ordered: list[Candidate],
+        preference: list[Tier],
     ) -> Optional[TierDecision]:
         """None = stay; otherwise an explainable decision whose
         ``targets`` are the ordered candidates to try and whose
         ``reasons`` name the branch that fired (reason vocabulary:
-        ``docs/POLICY.md``)."""
-        mobile = self.mobile
-        serving = mobile.serving_bs
-        serving_candidate = next(
-            (c for c in candidates if c.station is serving), None
-        )
-
-        def decision(targets: list[Candidate], reasons: list[str]) -> TierDecision:
-            return TierDecision(targets=targets, reasons=reasons, factors=factors)
+        ``docs/POLICY.md``).  ``ordered`` and ``preference`` are the
+        policy's ordering of ``candidates`` and the tier preference it
+        was made with."""
+        serving = self.mobile.serving_bs
+        serving_candidate = None
+        for candidate in candidates:
+            if candidate.station is serving:
+                serving_candidate = candidate
+                break
 
         # Factor: signal — out of the serving cell entirely, must move
         # (candidates are exactly the audible cells covering us).
         if serving_candidate is None:
-            return decision(
+            return TierDecision(
                 [c for c in ordered if c.station is not serving],
                 ["out-of-coverage"] + self.policy.preference_reasons(factors),
+                factors,
             )
 
         # Factor: resources — in contention mode a congested shared
@@ -514,20 +511,26 @@ class MobilityController:
         # with spare airtime (the paper's pico-overlay absorption:
         # "system will switch MN" when the serving tier cannot carry
         # its bandwidth).  Never fires in legacy mode (no channel).
-        relief = self._airtime_relief(ordered, factors)
-        if relief is not None:
-            return decision(
-                relief, ["airtime-relief", "serving-channel-congested"]
-            )
+        if serving.shared_channel is not None:
+            relief = self._airtime_relief(ordered, factors)
+            if relief is not None:
+                return TierDecision(
+                    relief, ["airtime-relief", "serving-channel-congested"], factors
+                )
 
-        if not self.policy.tier_agnostic:
+        # Nothing but the serving cell covers us: no tier to prefer and
+        # no rival to beat it.
+        if len(candidates) == 1:
+            return None
+
+        tier_agnostic = self.policy.tier_agnostic
+        if not tier_agnostic:
             # Factors: speed / bandwidth demand — switch to a tier the
             # policy ranks strictly better than the serving one.  In
             # contention mode a congested target is never "better":
             # without this filter the preference branch would bounce a
             # mobile straight back into the congested cell that
             # _airtime_relief just moved it off (handoff ping-pong).
-            preference = self.policy.tier_preference(factors)
             serving_rank = preference.index(serving.tier)
             better_tier = [
                 c
@@ -537,29 +540,31 @@ class MobilityController:
             ]
             if better_tier:
                 best_rank = min(preference.index(c.tier) for c in better_tier)
-                return decision(
+                return TierDecision(
                     [
                         c
                         for c in better_tier
                         if preference.index(c.tier) == best_rank
                     ],
                     ["better-tier"] + self.policy.preference_reasons(factors),
+                    factors,
                 )
-            rivals = [
-                c
-                for c in candidates
-                if c.tier is serving.tier and c.station is not serving
-            ]
-        else:
-            rivals = [c for c in candidates if c.station is not serving]
 
-        # Factor: signal — a rival beats us by the hysteresis margin
-        # (congested rivals excluded in contention mode, same reason).
-        rivals = [c for c in rivals if not self._channel_congested(c.station)]
+        # Factor: signal — a rival (of the serving tier, unless the
+        # policy ignores tiers) beats us by the hysteresis margin;
+        # congested rivals are excluded in contention mode for the same
+        # reason as above.
+        rivals = [
+            c
+            for c in candidates
+            if c.station is not serving
+            and (tier_agnostic or c.tier is serving.tier)
+            and not self._channel_congested(c.station)
+        ]
         if rivals:
             best = max(rivals, key=lambda c: c.rss_dbm)
             if best.rss_dbm >= serving_candidate.rss_dbm + self.hysteresis_db:
-                return decision(
+                return TierDecision(
                     [best]
                     + [
                         c
@@ -567,5 +572,6 @@ class MobilityController:
                         if c.station not in (best.station, serving)
                     ],
                     ["signal-hysteresis"],
+                    factors,
                 )
         return None

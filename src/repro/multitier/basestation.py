@@ -258,21 +258,31 @@ class MultiTierBaseStation(Node):
         self.tables.store(mobile, via, serving_tier_is_macro=serving_macro)
 
         if packet.protocol == messages.UPDATE_LOCATION:
-            self._finalize_handoff_attachment(mobile)
+            self._finalize_handoff_attachment(mobile, from_node)
         self._forward_up(packet)
 
-    def _finalize_handoff_attachment(self, mobile_address: IPAddress) -> None:
+    def _finalize_handoff_attachment(
+        self, mobile_address: IPAddress, from_node: Optional[Node]
+    ) -> None:
         """Promote a pending handoff channel to a full attachment."""
         pending = self._pending_channels.pop(mobile_address, None)
         if pending is None:
             return
-        mobile = self._linked_mobile(mobile_address)
+        mobile = self._linked_mobile(mobile_address, from_node)
         if mobile is None:
             self.channels.release(pending)
             return
         self.attached[mobile_address] = Attachment(mobile, pending, self.sim.now)
 
-    def _linked_mobile(self, mobile_address: IPAddress) -> Optional[Node]:
+    def _linked_mobile(
+        self, mobile_address: IPAddress, from_node: Optional[Node]
+    ) -> Optional[Node]:
+        """The linked neighbour owning ``mobile_address``: ``from_node``
+        when the message came over the mobile's own radio (still linked
+        — a message in flight outlives a torn-down radio), else, for a
+        relayed message, whichever neighbour has the address."""
+        if from_node is not None and mobile_address in from_node.addresses:
+            return from_node if from_node in self.links else None
         for neighbor in self.links:
             if mobile_address in neighbor.addresses:
                 return neighbor
@@ -314,7 +324,7 @@ class MultiTierBaseStation(Node):
         request = packet.payload
         self.handoff_requests += 1
         mobile_address = request.mobile_address
-        mobile = self._linked_mobile(mobile_address)
+        mobile = self._linked_mobile(mobile_address, from_node)
         # Resources factor, checked in order: the shared channel's
         # demand budget (when admission control is on), then the
         # guarded channel pool.

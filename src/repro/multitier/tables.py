@@ -26,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover
 DIRECT = None
 
 
-@dataclass
+@dataclass(slots=True)
 class LocationRecord:
     """One ``(mn, via)`` downward pointer with its expiry time."""
 
@@ -65,12 +65,7 @@ class CellTable:
     def store(self, mobile: IPAddress, via: Optional["Node"]) -> LocationRecord:
         """Insert or refresh the record for ``mobile``."""
         now = self.sim.now
-        record = LocationRecord(
-            mobile=mobile,
-            via=via,
-            expires=now + self.record_lifetime,
-            stored_at=now,
-        )
+        record = LocationRecord(mobile, via, now + self.record_lifetime, now)
         self._records[mobile] = record
         self.stores += 1
         return record

@@ -28,9 +28,13 @@ identically in any process, on any execution backend.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from repro.policy.config import PolicyConfig
 from repro.policy.types import Candidate, HandoffFactors, TierDecision
 from repro.radio.cells import Tier
+
+_RSS_DBM = attrgetter("rss_dbm")
 
 
 class TierDecider:
@@ -144,13 +148,21 @@ class TierDecider:
         """Best-first list of stations to ask, never empty-handed: the
         non-preferred tiers follow as overflow (tier-agnostic modes
         sort purely by signal strength)."""
+        return self.order_by_preference(candidates, self.tier_preference(factors))
+
+    def order_by_preference(
+        self, candidates: list[Candidate], preference: list[Tier]
+    ) -> list[Candidate]:
+        """:meth:`order_candidates` for a :meth:`tier_preference` the
+        caller already holds (the controller computes it once per
+        sample and decides with it too)."""
+        if len(candidates) < 2:
+            return list(candidates)
+        # Both sorts are stable: equal signals keep their given order.
+        by_signal = sorted(candidates, key=_RSS_DBM, reverse=True)
         if self.tier_agnostic:
-            return sorted(candidates, key=lambda c: -c.rss_dbm)
-        preference = self.tier_preference(factors)
-        return sorted(
-            candidates,
-            key=lambda c: (preference.index(c.tier), -c.rss_dbm),
-        )
+            return by_signal
+        return [c for tier in preference for c in by_signal if c.tier == tier]
 
     def decide(
         self, candidates: list[Candidate], factors: HandoffFactors

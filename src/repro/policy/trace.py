@@ -74,7 +74,7 @@ _ACTION_KEYS = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class DecisionRecord:
     """One traced policy event.
 
@@ -124,12 +124,8 @@ class DecisionTrace:
         — they just have no dedicated metric key.
         """
         self.records.append(DecisionRecord(
-            time=float(time),
-            mobile=str(mobile),
-            kind=str(kind),
-            action=str(action),
-            reasons=tuple(reasons),
-            target=str(target),
+            float(time), str(mobile), str(kind), str(action), tuple(reasons),
+            str(target),
         ))
         if kind == "decision":
             self.counts["policy.decisions"] += 1

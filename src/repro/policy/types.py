@@ -29,13 +29,13 @@ execution backends.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.radio.cells import Tier
 
 
-@dataclass
+@dataclass(slots=True)
 class HandoffFactors:
     """Inputs the mobile can observe locally (the §3.2 factors)."""
 
@@ -44,16 +44,19 @@ class HandoffFactors:
     serving_tier: Optional[Tier] = None
 
 
-@dataclass
+@dataclass(init=False, slots=True)
 class Candidate:
-    """One admissible target: a base station heard at some signal level."""
+    """One admissible target: a base station heard at some signal
+    level; ``tier`` is read off the station once, at construction."""
 
     station: object  # MultiTierBaseStation (untyped to avoid an import cycle)
     rss_dbm: float
-    tier: Tier = field(init=False)
+    tier: Tier
 
-    def __post_init__(self) -> None:
-        self.tier = self.station.tier
+    def __init__(self, station: object, rss_dbm: float) -> None:
+        self.station = station
+        self.rss_dbm = rss_dbm
+        self.tier = station.tier
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Radio substrate: geometry, cells and tiers, propagation, signal
-measurement, handoff triggering and the shared air-interface
-contention model (:mod:`repro.radio.channel`).
+measurement and the shared air-interface contention model
+(:mod:`repro.radio.channel`).
 
 Determinism: everything here is either pure geometry/arithmetic or —
 for the shared channel — driven by the simulator's deterministic event
@@ -32,7 +32,7 @@ from repro.radio.propagation import (
     free_space_path_loss_db,
     log_distance_path_loss_db,
 )
-from repro.radio.signal import HandoffDetector, HandoffTrigger, Measurement, SignalMeter
+from repro.radio.signal import Measurement, SignalMeter
 
 __all__ = [
     "Cell",
@@ -40,8 +40,6 @@ __all__ = [
     "ChannelStats",
     "DIRECTIONS",
     "DOWNLINK",
-    "HandoffDetector",
-    "HandoffTrigger",
     "Measurement",
     "NOISE_FLOOR_DBM",
     "ORIGIN",

@@ -1,24 +1,30 @@
-"""Signal measurement and handoff triggering.
+"""Signal measurement: the "power of signal from BS" factor of the
+paper's §3.2 decision.
 
-The classic mobile-controlled handoff trigger: hand off when a
-candidate cell's signal exceeds the serving cell's by a hysteresis
-margin (optionally sustained for a time-to-trigger), or when the
-serving signal falls below a drop threshold.  This implements the
-"power of signal from BS" factor of the paper's §3.2 decision.
+:class:`SignalMeter` turns a position into the received signal strength
+of the cells around it; the stacks' mobility controllers apply the
+hysteresis rule to what :meth:`SignalMeter.scan` returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import hypot, log10
+from math import hypot, inf, log10
 from operator import itemgetter
-from typing import Optional
 
 from repro.radio.cells import Cell
 from repro.radio.geometry import Point
 from repro.radio.propagation import REFERENCE_LOSS_DB, PropagationModel
 
 _RSS = itemgetter(0)
+
+#: Buckets per axis of the coverage index.  At 64 the Fig 3.1 strip
+#: (13 km x 5 km, 400 m micro cells) walks ~2 rows for the ~1.4 cells
+#: that cover a mobile; the index is 65 x 65 pointers to shared tuples.
+_GRID = 64
+#: One column and one row more than ``_GRID``: the far edge of the
+#: bounding box (and a product rounded up to it) lands on index ``_GRID``.
+_STRIDE = _GRID + 1
 
 
 @dataclass
@@ -48,9 +54,45 @@ class SignalMeter:
         self.propagation = propagation
         self.cells = list(cells)
         self.min_usable_dbm = min_usable_dbm
-        self._rows = [
-            (cell.center.x, cell.center.y, cell.radius, cell.tx_power_dbm)
-            for cell in self.cells
+        self._rows = tuple(
+            (index, cell.center.x, cell.center.y, cell.radius, cell.tx_power_dbm)
+            for index, cell in enumerate(self.cells)
+        )
+        self._build_coverage_index()
+
+    def _build_coverage_index(self) -> None:
+        """A uniform grid over the discs' bounding box: each bucket
+        holds, in cell order, the rows whose bounding square (padded
+        past float rounding) overlaps it, so every cell whose disc holds
+        a position is in that position's bucket.
+
+        Positions and square edges go through the same monotone
+        ``int((t - origin) * scale)``, which is what makes the bucket a
+        superset of the covering cells at any coordinate magnitude.
+        """
+        spans = [
+            (index, x, y, radius + (abs(x) + abs(y) + radius) * 1e-9)
+            for index, x, y, radius, _ in self._rows
+        ]
+        self._x0 = x0 = min((x - reach for _, x, _, reach in spans), default=inf)
+        self._y0 = y0 = min((y - reach for _, _, y, reach in spans), default=inf)
+        self._x1 = x1 = max((x + reach for _, x, _, reach in spans), default=-inf)
+        self._y1 = y1 = max((y + reach for _, _, y, reach in spans), default=-inf)
+        self._scale_x = scale_x = _GRID / (x1 - x0) if x1 > x0 else 0.0
+        self._scale_y = scale_y = _GRID / (y1 - y0) if y1 > y0 else 0.0
+        buckets: list[list] = [[] for _ in range(_STRIDE * _STRIDE)]
+        for index, x, y, reach in spans:
+            columns = range(
+                int((x - reach - x0) * scale_x), int((x + reach - x0) * scale_x) + 1
+            )
+            for row in range(
+                int((y - reach - y0) * scale_y), int((y + reach - y0) * scale_y) + 1
+            ):
+                for column in columns:
+                    buckets[row * _STRIDE + column].append(self._rows[index])
+        shared: dict[tuple, tuple] = {}
+        self._buckets = [
+            shared.setdefault(bucket, bucket) for bucket in map(tuple, buckets)
         ]
 
     def measure(self, cell: Cell, position: Point) -> Measurement:
@@ -66,16 +108,27 @@ class SignalMeter:
 
         :meth:`measure`'s float operations in the same order, inlined.
         Coverage is tested on the raw distance before any path loss is
-        computed; with shadowing on, every cell takes its draw, in cell
-        order, whether or not it is then kept.
+        computed.  A ``covering`` scan without shadowing visits only the
+        rows of the position's coverage-index bucket; with shadowing on,
+        every cell takes its draw, in cell order, whether or not it is
+        then kept, so every row is visited.
         """
         px, py = position.x, position.y
         propagation = self.propagation
         slope = 10.0 * propagation.exponent
         sigma = propagation.shadowing_sigma_db
         floor = self.min_usable_dbm
+        rows = self._rows
+        if covering and not sigma > 0:
+            x0, y0 = self._x0, self._y0
+            if not (x0 <= px <= self._x1 and y0 <= py <= self._y1):
+                return []
+            rows = self._buckets[
+                int((py - y0) * self._scale_y) * _STRIDE
+                + int((px - x0) * self._scale_x)
+            ]
         heard = []
-        for index, (cx, cy, radius, tx_power_dbm) in enumerate(self._rows):
+        for index, cx, cy, radius, tx_power_dbm in rows:
             distance = hypot(cx - px, cy - py)
             shadow = float(propagation.rng.normal(0.0, sigma)) if sigma > 0 else 0.0
             if covering and distance > radius:
@@ -91,86 +144,3 @@ class SignalMeter:
         """All cells audible above the usable floor, strongest first."""
         cells = self.cells
         return [Measurement(cells[index], rss) for rss, index in self.scan(position)]
-
-
-@dataclass
-class HandoffTrigger:
-    """Decision emitted by the :class:`HandoffDetector`."""
-
-    target: Cell
-    reason: str
-    serving_rss_dbm: float
-    target_rss_dbm: float
-
-
-class HandoffDetector:
-    """Stateful hysteresis + time-to-trigger handoff detector.
-
-    ``check`` is called on each measurement epoch with the MN's current
-    position; it returns a :class:`HandoffTrigger` when a handoff is
-    warranted, else None.
-    """
-
-    def __init__(
-        self,
-        meter: SignalMeter,
-        hysteresis_db: float = 4.0,
-        drop_threshold_dbm: float = -90.0,
-        time_to_trigger: float = 0.0,
-    ) -> None:
-        if hysteresis_db < 0:
-            raise ValueError("hysteresis must be non-negative")
-        self.meter = meter
-        self.hysteresis_db = hysteresis_db
-        self.drop_threshold_dbm = drop_threshold_dbm
-        self.time_to_trigger = time_to_trigger
-        self._candidate: Optional[Cell] = None
-        self._candidate_since: Optional[float] = None
-
-    def reset(self) -> None:
-        """Forget the hysteresis candidate (after a handoff executes)."""
-        self._candidate = None
-        self._candidate_since = None
-
-    def check(
-        self, serving: Optional[Cell], position: Point, now: float
-    ) -> Optional[HandoffTrigger]:
-        """Evaluate the survey at ``position``; a trigger or ``None``.
-
-        Applies initial attachment, the emergency drop threshold, and
-        hysteresis + time-to-trigger against the serving cell.
-        """
-        survey = self.meter.survey(position)
-        if not survey:
-            return None
-        best = survey[0]
-
-        if serving is None:
-            # Initial attachment: take the strongest audible cell.
-            return HandoffTrigger(best.cell, "initial", float("-inf"), best.rss_dbm)
-
-        serving_rss = self.meter.measure(serving, position).rss_dbm
-
-        # Emergency: serving signal lost; go to the best alternative now.
-        if serving_rss < self.drop_threshold_dbm and best.cell is not serving:
-            self.reset()
-            return HandoffTrigger(best.cell, "signal-lost", serving_rss, best.rss_dbm)
-
-        if best.cell is serving:
-            self.reset()
-            return None
-
-        if best.rss_dbm < serving_rss + self.hysteresis_db:
-            self.reset()
-            return None
-
-        # Candidate beats serving by the hysteresis margin.
-        if self._candidate is not best.cell:
-            self._candidate = best.cell
-            self._candidate_since = now
-        if now - self._candidate_since >= self.time_to_trigger:
-            self.reset()
-            return HandoffTrigger(
-                best.cell, "hysteresis", serving_rss, best.rss_dbm
-            )
-        return None

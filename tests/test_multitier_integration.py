@@ -113,6 +113,32 @@ def test_intra_domain_micro_to_micro_case_c(world):
     assert d1["R2"].tables.micro_table.peek(z.home_address).via is d1["D"]
 
 
+def test_handoff_over_the_mobiles_own_radio_never_walks_the_stations_links(world):
+    """The Handoff Request and the Update Location Message arrive on the
+    mobile's radio link, whose head is the mobile: the station must not
+    search its (growing) link table for the node it was just handed."""
+
+    class CountedLinks(dict):
+        passes = 0
+
+        def __iter__(self):
+            self.passes += 1
+            return super().__iter__()
+
+    d1 = world.domain1
+    target = d1["E"]
+    for index in range(5):
+        attach(world, world.add_mobile(f"resident{index}"), "E")
+    z = world.add_mobile("z")
+    attach(world, z, "F")
+    world.sim.run(until=1.0)
+    target.links = CountedLinks(target.links)
+    assert run_handoff(world, z, target)
+    assert z.serving_bs is target
+    assert target.attached[z.home_address].node is z
+    assert target.links.passes == 0
+
+
 def test_intra_domain_macro_to_micro_case_a(world):
     """X on R1 demands bandwidth -> system switches it to micro B."""
     d1 = world.domain1

@@ -83,8 +83,13 @@ def test_pico_added_between_controllers_is_audible_to_the_later_one():
     pico = world.add_pico("B", "office", spot, radius=60.0, channels=4)
     caller = world.add_mobile("videocaller", bandwidth_demand=1e6)
     late = world.add_controller(caller, Stationary(spot, WORLD_BOUNDS))
-    assert pico not in [c.station for c in early._candidates(spot)]
-    assert pico in [c.station for c in late._candidates(spot)]
+
+    def covering(controller):
+        heard = controller.meter.scan(spot, covering=True)
+        return [controller.stations[index] for _rss, index in heard]
+
+    assert pico not in covering(early)
+    assert pico in covering(late)
     world.sim.run(until=5.0)
     assert caller.serving_bs is pico
 

@@ -1,4 +1,4 @@
-"""Tests for geometry, cells, propagation and handoff triggering."""
+"""Tests for geometry, cells, propagation and signal measurement."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.radio import (
     Cell,
-    HandoffDetector,
     Point,
     PropagationModel,
     Rectangle,
@@ -153,7 +152,7 @@ def test_invalid_distance_rejected():
 
 
 # ----------------------------------------------------------------------
-# Signal meter and handoff detector
+# Signal meter
 # ----------------------------------------------------------------------
 def make_two_cell_meter():
     # 400 m spacing: with 30 dBm tx, 3.5 exponent and a -95 dBm floor the
@@ -177,58 +176,3 @@ def test_survey_excludes_cells_below_floor():
     left, _right, meter = make_two_cell_meter()
     survey = meter.survey(Point(10, 0))
     assert [m.cell for m in survey] == [left]
-
-
-def test_detector_initial_attachment():
-    left, _right, meter = make_two_cell_meter()
-    detector = HandoffDetector(meter)
-    trigger = detector.check(None, Point(100, 0), now=0.0)
-    assert trigger is not None
-    assert trigger.target is left
-    assert trigger.reason == "initial"
-
-
-def test_detector_no_trigger_when_serving_strongest():
-    left, _right, meter = make_two_cell_meter()
-    detector = HandoffDetector(meter)
-    assert detector.check(left, Point(100, 0), now=0.0) is None
-
-
-def test_detector_hysteresis_blocks_marginal_improvement():
-    left, right, meter = make_two_cell_meter()
-    detector = HandoffDetector(meter, hysteresis_db=6.0)
-    # Just past the midpoint (x=210 of 200): right leads by ~1.5 dB,
-    # inside the 6 dB hysteresis margin.
-    assert detector.check(left, Point(210, 0), now=0.0) is None
-
-
-def test_detector_triggers_past_hysteresis():
-    left, right, meter = make_two_cell_meter()
-    detector = HandoffDetector(meter, hysteresis_db=4.0, drop_threshold_dbm=-100.0)
-    # x=280: distances 280 vs 120 -> ~12.9 dB advantage for right.
-    trigger = detector.check(left, Point(280, 0), now=0.0)
-    assert trigger is not None
-    assert trigger.target is right
-    assert trigger.reason == "hysteresis"
-    assert trigger.target_rss_dbm > trigger.serving_rss_dbm
-
-
-def test_detector_time_to_trigger_delays_handoff():
-    left, right, meter = make_two_cell_meter()
-    detector = HandoffDetector(
-        meter, hysteresis_db=4.0, drop_threshold_dbm=-100.0, time_to_trigger=2.0
-    )
-    position = Point(280, 0)
-    assert detector.check(left, position, now=0.0) is None
-    assert detector.check(left, position, now=1.0) is None
-    trigger = detector.check(left, position, now=2.5)
-    assert trigger is not None and trigger.target is right
-
-
-def test_detector_signal_lost_overrides_hysteresis():
-    left, right, meter = make_two_cell_meter()
-    detector = HandoffDetector(meter, hysteresis_db=100.0, drop_threshold_dbm=-80.0)
-    # x=280: serving (left) is ~-87 dBm, below the -80 drop threshold.
-    trigger = detector.check(left, Point(280, 0), now=0.0)
-    assert trigger is not None
-    assert trigger.reason == "signal-lost"

@@ -1,14 +1,17 @@
 """The measurement epoch: ``SignalMeter.scan`` against its oracle.
 
 ``scan`` inlines the public ``measure`` -> ``received_power_dbm`` ->
-``log_distance_path_loss_db`` chain into one loop over per-cell rows.
-The chain is left untouched and is the reference here: every value the
-scan returns must be bit-identical to it, in the same order, with the
-same shadowing draws.  The last tests pin the consumers: controllers
-of every stack sample through ``scan`` only, and map what it returns
-back to stations by position rather than by cell name.
+``log_distance_path_loss_db`` chain into one loop over per-cell rows,
+and a covering scan without shadowing walks only the rows its coverage
+index lists for the position.  The chain is left untouched and is the
+reference here: every value the scan returns must be bit-identical to
+it, in the same order, with the same shadowing draws.  The last tests
+pin the consumers: controllers of every stack sample through ``scan``
+only, and map what it returns back to stations by position rather than
+by cell name.
 """
 
+import math
 import sys
 
 import numpy as np
@@ -17,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.radio.propagation as propagation_module
+import repro.radio.signal as signal_module
 from repro.mobility import Stationary
 from repro.multitier.architecture import (
     WORLD_BOUNDS,
@@ -43,45 +47,76 @@ def indexed(meter, measurements):
     return [(m.rss_dbm, ids.index(id(m.cell))) for m in measurements]
 
 
-coordinates = st.sampled_from([-900.0, -40.0, 0.0, 0.5, 300.0, 1234.5])
+coordinates = st.sampled_from(
+    # 0.1 and 1234.567 are not dyadic, so centre -/+ radius rounds;
+    # at 1e12 one ulp is 0.12 mm
+    [-1e9, -900.0, -40.0, 0.0, 0.1, 0.5, 300.0, 1234.567, 1e12]
+)
 cell_specs = st.tuples(
     coordinates,
     coordinates,
     st.sampled_from(list(Tier)),
-    st.sampled_from([0.0, 35.0, 400.0, 3000.0]),  # 0 = the tier's radius
+    # 0 = the tier's radius; 60 beside 2500 is a pico under a macro
+    st.sampled_from([0.0, 35.0, 60.0, 400.0, 2500.0, 3000.0]),
     st.sampled_from([0.0, 10.0, 36.0, 65.0]),  # 0 = the tier's power
 )
 
 
 @st.composite
 def layouts(draw):
-    """1-20 cells (small pools, so co-located equal-power twins are
-    common) and positions inside, exactly on the edge of, just outside
-    and far from coverage."""
+    """0-20 cells (small pools, so co-located equal-power twins and a
+    pico inside a macro are common) and one free position."""
     cells = [
         Cell(f"c{index}", Point(x, y), tier, radius=radius, tx_power_dbm=power)
         for index, (x, y, tier, radius, power) in enumerate(
-            draw(st.lists(cell_specs, min_size=1, max_size=20))
+            draw(st.lists(cell_specs, min_size=0, max_size=20))
         )
     ]
-    anchor = draw(st.sampled_from(cells))
-    positions = [
-        anchor.center,
-        anchor.center.offset(anchor.radius, 0.0),
-        anchor.center.offset(0.0, -anchor.radius),
-        anchor.center.offset(anchor.radius * 1.0000001, 0.0),
-        anchor.center.offset(0.3, 0.4),  # inside the 1 m clamp
-        Point(draw(st.floats(-5000.0, 5000.0)), draw(st.floats(-5000.0, 5000.0))),
-    ]
-    return cells, positions
+    if cells and draw(st.booleans()):
+        cells[0].radius = 0.0  # a degenerate disc: only its centre is covered
+    anchor = draw(st.sampled_from(cells)) if cells else None
+    free = Point(draw(st.floats(-5000.0, 5000.0)), draw(st.floats(-5000.0, 5000.0)))
+    return cells, anchor, free, draw(st.integers(0, 64)), draw(st.integers(0, 64))
+
+
+def either_side(value):
+    return [math.nextafter(value, -math.inf), value, math.nextafter(value, math.inf)]
+
+
+def probe_positions(meter, anchor, free, column, row):
+    """Where an index could go wrong: on, just inside and just outside
+    the anchor's disc (axis points and a diagonal), its centre and the
+    1 m clamp, the corners and outside of the bounding box, and a bucket
+    boundary of the meter's own grid, each to the last float."""
+    positions = [free]
+    if anchor is None:
+        return positions + [Point(0.0, 0.0), Point(1e12, -1e9)]
+    center, radius = anchor.center, anchor.radius
+    positions += [center, center.offset(0.3, 0.4)]
+    for reach in either_side(radius) + [radius * 1.0000001]:
+        positions.append(center.offset(reach * 0.6, reach * 0.8))
+        for sign in (-1.0, 1.0):
+            positions += [Point(x, center.y) for x in either_side(center.x + sign * reach)]
+            positions += [Point(center.x, y) for y in either_side(center.y + sign * reach)]
+    x_edges = either_side(meter._x0) + either_side(meter._x1)
+    y_edges = either_side(meter._y0) + either_side(meter._y1)
+    if meter._scale_x > 0.0 and meter._scale_y > 0.0:
+        x_edges += either_side(meter._x0 + column / meter._scale_x)
+        y_edges += either_side(meter._y0 + row / meter._scale_y)
+    positions += [Point(x, center.y) for x in x_edges]
+    positions += [Point(center.x, y) for y in y_edges]
+    positions += [Point(x, y) for x, y in zip(x_edges, y_edges)]
+    return positions
 
 
 @settings(max_examples=150, deadline=None)
 @given(layouts(), st.sampled_from([2.0, 3.5, 4.2]), st.sampled_from([-95.0, -60.0]))
 def test_scan_equals_the_measure_chain(layout, exponent, floor):
-    cells, positions = layout
+    """The covering scan walks one bucket of the coverage index; the
+    oracle measures every cell and filters with ``Cell.covers``."""
+    cells, anchor, free, column, row = layout
     meter = SignalMeter(PropagationModel(exponent=exponent), cells, floor)
-    for position in positions:
+    for position in probe_positions(meter, anchor, free, column, row):
         oracle = legacy_survey(meter, position)
         assert meter.scan(position) == indexed(meter, oracle)
         assert meter.scan(position, covering=True) == indexed(
@@ -90,10 +125,38 @@ def test_scan_equals_the_measure_chain(layout, exponent, floor):
         assert indexed(meter, meter.survey(position)) == indexed(meter, oracle)
 
 
+def test_covering_scan_visits_only_the_rows_in_reach(monkeypatch):
+    """What the index is for: under the Fig 3.1 strip's eight cells a
+    street-level sample computes two or three distances, not eight —
+    and a position off the map none at all."""
+    world = MultiTierWorld()
+    cells = [station.cell for station in world.all_radio_stations()]
+    meter = SignalMeter(PropagationModel(), cells)
+    distances = []
+    monkeypatch.setattr(
+        signal_module, "hypot", lambda dx, dy: distances.append(1) or math.hypot(dx, dy)
+    )
+
+    def walked(position, covering=True):
+        del distances[:]
+        heard = meter.scan(position, covering=covering)
+        return len(distances), heard
+
+    street = [walked(Point(float(x), 10.0))[0] for x in range(-3100, 3101, 50)]
+    assert max(street) <= 4 < len(cells)
+    assert sum(street) / len(street) < 3.0
+    off_the_map = Point(-4600.0, 800.0)  # 2,600 m from R1's 2,500 m disc
+    assert walked(off_the_map) == (0, [])
+    rows, heard = walked(off_the_map, covering=False)
+    assert rows == len(cells) and heard  # audible, just not covering
+
+
 @settings(max_examples=50, deadline=None)
 @given(layouts(), st.integers(0, 2**32 - 1), st.booleans())
 def test_shadowed_scan_draws_once_per_cell_in_cell_order(layout, seed, covering):
-    cells, positions = layout
+    """With shadowing on the index is bypassed: one draw per cell per
+    scan, in cell order, wherever the position is (off the map too)."""
+    cells, anchor, free, column, row = layout
 
     def shadowed_meter():
         rng = np.random.default_rng(seed)
@@ -102,6 +165,7 @@ def test_shadowed_scan_draws_once_per_cell_in_cell_order(layout, seed, covering)
 
     meter, rng = shadowed_meter()
     oracle_meter, oracle_rng = shadowed_meter()
+    positions = probe_positions(meter, anchor, free, column, row)
     for position in positions:
         oracle = legacy_survey(oracle_meter, position)
         if covering:
@@ -176,7 +240,7 @@ def test_same_named_cells_map_to_their_own_stations():
     controller = MobilityController(
         world.sim, mobile, Stationary(Point(-2700, 45), WORLD_BOUNDS), [near, far]
     )
-    candidates = controller._candidates(Point(-2700, 45))
-    assert [c.station for c in candidates] == [near]
+    heard = controller.meter.scan(Point(-2700, 45), covering=True)
+    assert [controller.stations[index] for _rss, index in heard] == [near]
     world.sim.run(until=2.0)
     assert mobile.serving_bs is near
