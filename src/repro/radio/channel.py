@@ -348,15 +348,16 @@ class SharedChannel:
             self._last_finish[direction][key] = tag
         order = (self.sim.now, key, next(self._seq), _Airtime(link, packet, tag))
         heappush(self._heaps[direction], order if tag is None else (tag, *order))
-        self._schedule_arbitration(direction)
+        if not self._busy[direction]:
+            self._schedule_arbitration(direction)
 
-    # Every grant is deferred behind a zero-delay arbitration callback,
-    # so all transmissions submitted at one simulation instant (before
-    # that callback fires) reach the heap first and the (time, key)
-    # order applies both when the channel is idle and when it frees up
-    # mid-instant.  Timing is unchanged: the grant still happens at the
-    # same timestamp.  Each packet costs three kernel queue entries:
-    # arbitrate -> start (zero delay) -> finish (after its airtime).
+    # Every grant is made in a zero-delay arbitration callback, so all
+    # transmissions submitted at one simulation instant (before that
+    # callback fires) reach the heap first and the (time, key) order
+    # applies both when the channel is idle and when it frees up
+    # mid-instant.  It is scheduled only where a grant can follow: by a
+    # submit onto an idle direction and by a finish that leaves someone
+    # waiting.  Two kernel entries per packet: arbitrate -> finish.
     def _schedule_arbitration(self, direction: str) -> None:
         if not self._arbitrating[direction]:
             self._arbitrating[direction] = True
@@ -365,31 +366,27 @@ class SharedChannel:
     def _arbitrate(self, direction: str) -> None:
         """Grant the direction's airtime to the first live waiter."""
         self._arbitrating[direction] = False
-        if self._busy[direction]:
-            return
         heap = self._heaps[direction]
         while heap:
             entry = heappop(heap)[-1]
             if entry.link is None:
                 continue  # cancelled by detach
+            # Start serializing: hold the direction for the airtime.
             self._busy[direction] = True
             self.queued[direction] -= 1
-            self.sim.call_later(0.0, self._start, direction, entry)
+            if entry.tag is not None and entry.tag > self._vtime[direction]:
+                self._vtime[direction] = entry.tag
+            seconds = self.airtime(direction, entry.packet)
+            self.stats.granted[direction] += 1
+            self.stats.busy_seconds[direction] += seconds
+            self.sim.call_later(seconds, self._finish, direction, entry)
             return
-
-    def _start(self, direction: str, entry: _Airtime) -> None:
-        """Start serializing: hold the direction for the packet's airtime."""
-        if entry.tag is not None and entry.tag > self._vtime[direction]:
-            self._vtime[direction] = entry.tag
-        seconds = self.airtime(direction, entry.packet)
-        self.stats.granted[direction] += 1
-        self.stats.busy_seconds[direction] += seconds
-        self.sim.call_later(seconds, self._finish, direction, entry)
 
     def _finish(self, direction: str, entry: _Airtime) -> None:
         """Serialization done: free the direction, start propagation."""
         self._busy[direction] = False
-        self._schedule_arbitration(direction)
+        if self.queued[direction]:
+            self._schedule_arbitration(direction)
         entry.link.channel_serialized(entry.packet)
 
 

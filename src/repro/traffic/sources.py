@@ -182,6 +182,13 @@ class OnOffSource(TrafficSource):
         flow_id: Optional[str] = None,
     ) -> None:
         super().__init__(sim, send, src, dst, flow_id)
+        # Written so that nan fails too.
+        if not (rate_bps > 0 and packet_size > 0 and mean_on > 0 and mean_off >= 0):
+            raise ValueError(
+                f"rate, packet size and mean_on must be positive and mean_off "
+                f"non-negative, got rate_bps={rate_bps}, packet_size={packet_size}, "
+                f"mean_on={mean_on}, mean_off={mean_off}"
+            )
         self._rng = rng
         self.packet_size = packet_size
         self.interval = packet_size * 8.0 / rate_bps
@@ -280,40 +287,54 @@ class ElasticSource(TrafficSource):
         flow_id: Optional[str] = None,
     ) -> None:
         super().__init__(sim, send, src, dst, flow_id)
+        if not (  # written so that nan fails too
+            packet_size > 0
+            and initial_window > 0
+            and max_window >= 1
+            and feedback_timeout > 0
+        ):
+            raise ValueError(
+                f"packet size, windows and feedback timeout must be positive, got "
+                f"packet_size={packet_size}, initial_window={initial_window}, "
+                f"max_window={max_window}, feedback_timeout={feedback_timeout}"
+            )
         self.packet_size = packet_size
         self.window = float(initial_window)
         self.max_window = max_window
         self.feedback_timeout = feedback_timeout
         self.duration = duration
-        self._acknowledged: set[int] = set()
-        self._feedback_event = None
+        #: Unacked seqs of the window in flight; the event its last ack succeeds.
+        self._awaited: set[int] = set()
+        self._feedback = None
         self.windows_clean = 0
         self.windows_lossy = 0
 
     def acknowledge(self, seq: int) -> None:
-        """Sink-side callback: mark ``seq`` received."""
-        self._acknowledged.add(seq)
-        if self._feedback_event is not None and not self._feedback_event.triggered:
-            self._feedback_event.succeed()
+        """Sink-side callback: mark ``seq`` received.
+
+        Only the ack completing the window in flight wakes the source.
+        """
+        if seq in self._awaited:
+            self._awaited.remove(seq)
+            if not self._awaited and self._feedback is not None:
+                self._feedback.succeed()
 
     def _run(self):
         stop_at = None if self.duration is None else self.sim.now + self.duration
         next_seq = 0
         while stop_at is None or self.sim.now < stop_at:
             burst = max(1, int(self.window))
-            sent = []
+            # Armed before the burst: a send may deliver its ack inline.
+            awaited = self._awaited = set(range(next_seq, next_seq + burst))
+            next_seq += burst
             for _ in range(burst):
                 self._emit(self.packet_size)
-                sent.append(next_seq)
-                next_seq += 1
-            # Wait for the window to be acknowledged (or time out).
             deadline = self.sim.timeout(self.feedback_timeout)
-            while not self._acknowledged.issuperset(sent):
-                self._feedback_event = self.sim.event()
-                outcome = yield self.sim.any_of([self._feedback_event, deadline])
-                if deadline in outcome:
-                    break
-            if self._acknowledged.issuperset(sent):
+            if awaited:  # one wait per window: its last ack, or the deadline
+                self._feedback = self.sim.event()
+                yield self.sim.any_of([self._feedback, deadline])
+                self._feedback = None
+            if not awaited:
                 self.window = min(self.window + 1.0, self.max_window)
                 self.windows_clean += 1
             else:

@@ -7,8 +7,9 @@ loop in :meth:`Simulator.run`, ``__slots__`` on
 :class:`~repro.net.packet.Packet`, data-plane sites that transmit on
 the link.  None of that may move a single event: this file pins the
 ordering contract (time, then priority, then scheduling order) across
-bare callables and plain timeouts, and what the per-hop chain may not
-do per packet.  The experiment-table goldens pin the same contract
+bare callables and plain timeouts, what the per-hop chain may not
+do per packet, and the kernel-entry budgets of an elastic window and of
+an air packet.  The experiment-table goldens pin the same contract
 end-to-end; these tests localize a violation.
 """
 
@@ -20,12 +21,15 @@ from hypothesis import strategies as st
 
 from repro.multitier.architecture import MultiTierWorld
 from repro.net import IPAddress, Network
+from repro.net.link import Link
 from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.net.router import ForwardingTable
+from repro.radio.channel import DOWNLINK, SharedChannel
 from repro.scenarios import ScenarioSpec, build_scenario
 from repro.sim import Simulator
 from repro.sim.events import NORMAL, URGENT, Timeout
+from repro.traffic import ElasticSource
 
 
 # ----------------------------------------------------------------------
@@ -326,6 +330,103 @@ def test_data_plane_transmits_on_the_link_and_sends_the_source_packet(monkeypatc
     assert made.count("data") == metrics["sent"]
     assert made.count("ipip") == cn.sent_via_binding + ha.tunneled_count
     assert not hasattr(Simulator, "now")  # set per instance, no descriptor
+
+
+# ----------------------------------------------------------------------
+# No kernel entry that decides nothing
+# ----------------------------------------------------------------------
+def test_an_elastic_window_costs_the_same_entries_whatever_its_size():
+    """Over a loopback that returns each ack at its own instant, a
+    window of any size costs four kernel entries of the source's own —
+    its last ack's feedback event, the condition, the spent deadline and
+    the pause — and builds one ``Event`` and one ``AnyOf``: nothing is
+    dispatched or allocated per ack."""
+    budgets = []
+    for size in (1, 4, 16):
+        sim = Simulator()
+        built = {"event": 0, "any_of": 0}
+        for factory in built:
+            def counted(*args, _make=getattr(sim, factory), _name=factory):
+                built[_name] += 1
+                return _make(*args)
+            setattr(sim, factory, counted)
+
+        def loopback(packet):  # acks one millisecond apart, in order
+            delay = 0.002 + 0.001 * (packet.seq % size)
+            sim.call_later(delay, source.acknowledge, packet.seq)
+            return True
+
+        source = ElasticSource(
+            sim, loopback, "10.0.0.1", "10.0.0.2",
+            initial_window=size, max_window=size, feedback_timeout=0.02,
+            duration=1.0,
+        ).start()
+        sim.run()
+        windows = source.windows_clean
+        assert windows > 20 and source.windows_lossy == 0
+        assert source.packets_sent == windows * size
+        assert built == {"event": windows, "any_of": windows}
+        # Besides one entry per looped-back ack: the process's start and
+        # end, and the window's own.
+        own = sim.events_processed - source.packets_sent - 2
+        budgets.append(own / windows)
+    assert budgets == [4.0, 4.0, 4.0]
+
+
+class _AirTap:
+    """Stands in for a link on the channel; serialization schedules nothing."""
+
+    channel_direction = DOWNLINK
+
+    def __init__(self, key, served):
+        self.channel_key = key
+        self.served = served
+
+    def channel_serialized(self, packet):
+        self.served.append(packet.seq)
+
+
+def _air_packet(seq=0, size=125):
+    return Packet(src="10.0.0.1", dst="10.99.0.1", size=size, seq=seq)
+
+
+def test_an_air_packet_costs_two_kernel_entries():
+    """*k* packets submitted in one instant and drained dispatch exactly
+    2 *k* channel entries (one arbitrate and one finish each); a submit
+    onto a busy direction pushes nothing; a lone packet on an idle
+    channel costs arbitrate + finish + its delivery."""
+    for packets in (1, 5, 40):
+        sim = Simulator()
+        channel = SharedChannel(sim, "air", 8000.0, 4000.0)
+        served = []
+        for seq in range(packets):
+            channel.submit(_AirTap(seq % 3, served), _air_packet(seq))
+        sim.run()
+        assert len(served) == packets == channel.stats.granted[DOWNLINK]
+        assert sim.events_processed == 2 * packets
+
+    sim = Simulator()
+    channel = SharedChannel(sim, "air", 8000.0, 4000.0)
+    served = []
+    channel.submit(_AirTap(0, served), _air_packet(size=1000))
+    sim.run(until=0.5)  # on the air until t = 1.0
+    pending = len(sim._queue)
+    for seq in (1, 2):
+        channel.submit(_AirTap(seq, served), _air_packet(seq))
+        assert len(sim._queue) == pending
+    sim.run()
+    assert served == [0, 1, 2] and sim.events_processed == 6
+
+    sim = Simulator()
+    log = []
+    channel = SharedChannel(sim, "air", 8000.0, 4000.0)
+    bs = Node(sim, "bs", "10.0.1.1")
+    mobile = Node(sim, "mn", "10.99.0.1")
+    mobile.on_default(lambda packet, link: log.append(sim.now))
+    link = Link(sim, bs, mobile, bandwidth=100e6, delay=0.25, shared_channel=channel)
+    assert link.transmit(_air_packet(size=500))
+    sim.run()
+    assert log == [0.75] and sim.events_processed == 3
 
 
 # ----------------------------------------------------------------------

@@ -159,6 +159,32 @@ def test_elastic_source_backs_off_on_loss():
     assert source.windows_lossy > 0
 
 
+@pytest.mark.parametrize(
+    "source, bad",
+    [
+        (source, {name: value})
+        for source, names in (
+            (ElasticSource,
+             ("packet_size", "initial_window", "max_window", "feedback_timeout")),
+            (OnOffSource, ("rate_bps", "packet_size", "mean_on", "mean_off")),
+        )
+        for name in names
+        for value in (0, -1, math.nan)
+        if (name, value) != ("mean_off", 0)  # a source that never pauses
+    ],
+)
+def test_mis_built_sources_fail_at_construction(source, bad):
+    """A value that would make every window lossy (``feedback_timeout=0``),
+    send nothing (``mean_on=0``) or only raise from inside the process at
+    the first emit (``packet_size=0``) is refused up front, nan included."""
+    sim = Simulator()
+    send, _ = collect(sim)
+    extra = {"rng": np.random.default_rng(0)} if source is OnOffSource else {}
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        source(sim, send, ip("10.0.0.1"), ip("10.0.0.2"), **extra, **bad)
+    source(sim, send, ip("10.0.0.1"), ip("10.0.0.2"), **extra)  # defaults pass
+
+
 # ----------------------------------------------------------------------
 # Sink
 # ----------------------------------------------------------------------
