@@ -165,18 +165,16 @@ class CIPBaseStation(Node):
     def receive(self, packet: Packet, link: Optional["Link"] = None) -> None:
         from_node = link.head if link is not None else None
 
-        uplink_arrival = from_node is not self.parent and not self._from_internet(
-            from_node
-        )
+        # An uplink arrival from a mobile refreshes the soft state.
         mobiles = self.domain.mobile_addresses
-        if uplink_arrival and packet.src in mobiles:
+        if (
+            from_node is not self.parent
+            and packet.src in mobiles
+            and not self._from_internet(from_node)
+        ):
             self._refresh_caches(packet, from_node)
 
-        if packet.protocol == messages.ROUTE_UPDATE:
-            self.control_packets_seen += 1
-            self._forward_up_or_consume(packet)
-            return
-        if packet.protocol == messages.PAGING_UPDATE:
+        if packet.protocol in (messages.ROUTE_UPDATE, messages.PAGING_UPDATE):
             self.control_packets_seen += 1
             self._forward_up_or_consume(packet)
             return
@@ -212,7 +210,7 @@ class CIPBaseStation(Node):
 
     def _forward_up_or_consume(self, packet: Packet) -> None:
         if self.parent is not None:
-            self.send_via(self.parent, packet)
+            self.links[self.parent].transmit(packet)
         # else: gateway override handles the Internet side; control
         # packets terminate here.
 
@@ -224,7 +222,7 @@ class CIPBaseStation(Node):
         mobile = self.attached.get(destination)
         if mobile is not None:
             self.delivered_to_mobiles += 1
-            self.send_via(mobile, packet)
+            self.links[mobile].transmit(packet)
             return
 
         hops = self.routing_cache.lookup(destination)
@@ -246,15 +244,17 @@ class CIPBaseStation(Node):
         self.dropped_no_route += 1
 
     def _fan_out(self, packet: Packet, hops: list[Node]) -> None:
-        live = [hop for hop in hops if hop in self.links]
+        links = self.links
+        live = [links[hop] for hop in hops if hop in links]
         if not live:
             # Cached mapping points at a departed mobile's dead radio link.
             self.dropped_stale_route += 1
             return
-        self.send_via(live[0], packet)
+        live[0].transmit(packet)
         for extra in live[1:]:
-            duplicate = packet.copy(duplicate_of=packet.duplicate_of or packet.uid)
-            self.send_via(extra, duplicate)
+            extra.transmit(
+                packet.copy(duplicate_of=packet.duplicate_of or packet.uid)
+            )
 
 
 class CIPGateway(CIPBaseStation):
@@ -295,4 +295,4 @@ class CIPGateway(CIPBaseStation):
             return  # control packets terminate at the gateway
         if self.internet_neighbor is not None:
             self.uplink_data_packets += 1
-            self.send_via(self.internet_neighbor, packet)
+            self.links[self.internet_neighbor].transmit(packet)

@@ -181,7 +181,7 @@ class CIPMobileHost(Node):
             return False
         self._last_activity = self.sim.now
         self._last_uplink = self.sim.now
-        return self.send_via(self.serving_bs, packet)
+        return self.links[self.serving_bs].transmit(packet)
 
     def deliver_local(self, packet: Packet, link: Optional["Link"]) -> None:
         key = packet.duplicate_of or packet.uid

@@ -62,14 +62,13 @@ class RoutingCache:
         self.refreshes += 1
         self._freshness += 1
         expires = self.sim.now + self.timeout
-        entries = self._entries.setdefault(mobile, [])
-        for entry in entries:
+        for entry in self._entries.get(mobile, ()):
             if entry.next_hop is next_hop:
                 entry.expires = expires
                 entry.freshness = self._freshness
                 entry.semisoft = semisoft
                 return
-        entries.append(
+        self._entries.setdefault(mobile, []).append(
             CacheEntry(
                 next_hop, expires, semisoft=semisoft, freshness=self._freshness
             )
@@ -83,6 +82,8 @@ class RoutingCache:
         if not entries:
             return []
         now = self.sim.now
+        if len(entries) == 1 and entries[0].expires > now:
+            return [entries[0].next_hop]  # nearly every call: no list to build
         live = [entry for entry in entries if entry.expires > now]
         expired = len(entries) - len(live)
         if expired:

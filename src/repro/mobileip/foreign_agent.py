@@ -190,7 +190,7 @@ class ForeignAgent(Router):
             self.dropped_unknown_visitor += 1
             return
         self.delivered_to_visitors += 1
-        self.send_via(visitor.node, inner)
+        self.links[visitor.node].transmit(inner)
 
     def originate(self, packet: Packet) -> None:
         """Send a locally generated packet using the forwarding table."""

@@ -165,4 +165,4 @@ class MobileIPNode(Node):
             if not neighbors:
                 return False
             agent_node = neighbors[0]
-        return self.send_via(agent_node, packet)
+        return self.links[agent_node].transmit(packet)

@@ -168,6 +168,8 @@ class Link:
         self._busy_until = 0.0
         self._in_flight = 0
         self._loss_draw = None  # lazily bound RNG for lossy links
+        #: Bound once: every hop hands it to the kernel.
+        self._arrival = self._deliver
         self.up = True
         link_registry(sim).register(self)
 
@@ -211,7 +213,7 @@ class Link:
         if start < now:
             start = now
         self._busy_until = finish = start + packet.size * 8.0 / self.bandwidth
-        sim.call_later((finish + self.delay) - now, self._deliver, packet)
+        sim.call_later((finish + self.delay) - now, self._arrival, packet)
         return True
 
     # ------------------------------------------------------------------
@@ -219,7 +221,7 @@ class Link:
     # ------------------------------------------------------------------
     def channel_serialized(self, packet: "Packet") -> None:
         """Airtime finished: start propagation toward the tail node."""
-        self.sim.call_later(self.delay, self._deliver, packet)
+        self.sim.call_later(self.delay, self._arrival, packet)
 
     def channel_drop(self, packet: "Packet") -> None:
         """The channel cancelled a queued packet (claim detached).

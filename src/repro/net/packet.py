@@ -11,24 +11,25 @@ handoff-latency measurements.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.net.addressing import IPAddress
 
-_packet_ids = itertools.count(1)
+_next_packet_id = itertools.count(1).__next__
 
 #: Size in bytes of an IPv4 header, used for tunnelling overhead.
 IP_HEADER_BYTES = 20
 
 
-@dataclass(slots=True)
+@dataclass(init=False, slots=True)
 class Packet:
     """One IP datagram (or an encapsulated datagram).
 
     Slotted: packets are the highest-churn object in any traffic-bearing
     run (every hop holds one in its queue tuple), so they carry no
-    per-instance ``__dict__``.
+    per-instance ``__dict__``, and the constructor is written out (a
+    generated one, with its post-init hook, costs twice as much).
     """
 
     src: IPAddress
@@ -40,38 +41,54 @@ class Packet:
     seq: int = 0
     created_at: float = 0.0
     ttl: int = 64
-    uid: int = field(default_factory=_packet_ids.__next__)
+    uid: int = field(default_factory=_next_packet_id)
     #: Set by semisoft handoff when a copy is sent down two paths.
     duplicate_of: Optional[int] = None
     #: Set on paging-broadcast copies so they are not re-flooded.
     paged: bool = False
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        src,
+        dst,
+        size: int,
+        protocol: str = "data",
+        payload: object = None,
+        flow_id: Optional[str] = None,
+        seq: int = 0,
+        created_at: float = 0.0,
+        ttl: int = 64,
+        uid: Optional[int] = None,
+        duplicate_of: Optional[int] = None,
+        paged: bool = False,
+    ) -> None:
+        self.uid = _next_packet_id() if uid is None else uid
         # Coerce only when needed: copies and forwarded packets already
         # carry IPAddress instances, and re-wrapping them per packet is
         # measurable at scale.
-        if type(self.src) is not IPAddress:
-            self.src = IPAddress(self.src)
-        if type(self.dst) is not IPAddress:
-            self.dst = IPAddress(self.dst)
-        if self.size <= 0:
-            raise ValueError(f"packet size must be positive, got {self.size}")
+        self.src = src if type(src) is IPAddress else IPAddress(src)
+        self.dst = dst if type(dst) is IPAddress else IPAddress(dst)
+        if size <= 0:
+            raise ValueError(f"packet size must be positive, got {size}")
+        self.size = size
+        self.protocol = protocol
+        self.payload = payload
+        self.flow_id = flow_id
+        self.seq = seq
+        self.created_at = created_at
+        self.ttl = ttl
+        self.duplicate_of = duplicate_of
+        self.paged = paged
 
     def copy(self, **overrides) -> "Packet":
-        """A fresh packet with the same fields, a new uid, and overrides."""
-        fields = {
-            "src": self.src,
-            "dst": self.dst,
-            "size": self.size,
-            "protocol": self.protocol,
-            "payload": self.payload,
-            "flow_id": self.flow_id,
-            "seq": self.seq,
-            "created_at": self.created_at,
-            "ttl": self.ttl,
-        }
-        fields.update(overrides)
-        return Packet(**fields)
+        """A fresh packet: a new uid, this packet's addressing, size,
+        protocol, payload, flow, seq, timestamp and ttl, then overrides.
+
+        ``duplicate_of`` and ``paged`` mark one particular copy, so they
+        are *not* carried over: a copy has the defaults (``None`` /
+        ``False``) unless an override sets them."""
+        marks = {"uid": None, "duplicate_of": None, "paged": False}
+        return replace(self, **{**marks, **overrides})
 
     def __repr__(self) -> str:
         return (
@@ -87,15 +104,8 @@ def encapsulate(inner: Packet, src: IPAddress, dst: IPAddress) -> Packet:
     adds one IP header of overhead (RFC 2003 behaviour).
     """
     return Packet(
-        src=src,
-        dst=dst,
-        size=inner.size + IP_HEADER_BYTES,
-        protocol="ipip",
-        payload=inner,
-        flow_id=inner.flow_id,
-        seq=inner.seq,
-        created_at=inner.created_at,
-        ttl=64,
+        src, dst, inner.size + IP_HEADER_BYTES, "ipip", inner,
+        inner.flow_id, inner.seq, inner.created_at,
     )
 
 

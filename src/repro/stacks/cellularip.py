@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING
 
 from repro.cellularip import CIPBaseStation, CIPDomain, CIPGateway, CIPMobileHost
 from repro.net.addressing import AddressAllocator
-from repro.net.packet import Packet
 from repro.net.topology import Network
 from repro.policy.config import PolicyConfig
 from repro.radio.cells import Cell
@@ -198,8 +197,7 @@ def build_cip_scenario(
     internet.add_route(MOBILE_PREFIX, gateway)
     internet.add_host_route(cn.address, cn)
 
-    def downlink(packet: Packet) -> bool:
-        return cn.send_via(internet, packet)
+    downlink = cn.links[internet].transmit
 
     mobile_allocator = AddressAllocator(MOBILE_PREFIX)
     hosts: list[CIPMobileHost] = []

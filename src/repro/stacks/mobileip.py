@@ -213,8 +213,7 @@ def build_mip_scenario(spec: ScenarioSpec, seed: int) -> BuiltMIPScenario:
     network.install_routes()
     install_home_prefix_routes(network, home_agent)
 
-    def downlink(packet: Packet) -> bool:
-        return cn.send_via(core, packet)
+    downlink = cn.links[core].transmit
 
     home_allocator = AddressAllocator(HOME_PREFIX)
     nodes: list[MobileIPNode] = []

@@ -41,15 +41,9 @@ def make_ack_hook(sim, reply: Callable[[Packet], object], flow_id=None):
         if flow_id is not None and packet.flow_id != flow_id:
             return
         reply(
-            Packet(
-                src=packet.dst,
-                dst=packet.src,
-                size=ACK_BYTES,
-                protocol="ack",
-                payload=packet.seq,
-                flow_id=packet.flow_id,
-                seq=packet.seq,
-                created_at=sim.now,
+            Packet(  # positional, in field order; the payload echoes seq
+                packet.dst, packet.src, ACK_BYTES, "ack", packet.seq,
+                packet.flow_id, packet.seq, sim.now,
             )
         )
 
@@ -82,14 +76,9 @@ class TrafficSource:
         return self
 
     def _emit(self, size: int) -> bool:
-        packet = Packet(
-            src=self.src,
-            dst=self.dst,
-            size=size,
-            protocol="data",
-            flow_id=self.flow_id,
-            seq=next(self._sequence),
-            created_at=self.sim.now,
+        packet = Packet(  # positional, in field order: no payload
+            self.src, self.dst, size, "data", None,
+            self.flow_id, next(self._sequence), self.sim.now,
         )
         accepted = self._send(packet)
         if accepted is not False:

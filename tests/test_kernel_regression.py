@@ -29,6 +29,7 @@ from repro.radio.channel import DOWNLINK, SharedChannel
 from repro.scenarios import ScenarioSpec, build_scenario
 from repro.sim import Simulator
 from repro.sim.events import NORMAL, URGENT, Timeout
+from repro.stacks import stack_names
 from repro.traffic import ElasticSource
 
 
@@ -294,41 +295,53 @@ def test_forwarding_does_no_per_packet_address_or_table_work(build, monkeypatch)
     assert counts[0][1] > 0  # the patches did see the build-time work
 
 
-def test_data_plane_transmits_on_the_link_and_sends_the_source_packet(monkeypatch):
-    """A ``multitier`` run with CBR downlinks, before and after the
-    correspondent learns its bindings: no data packet passes through
+@pytest.mark.parametrize("stack", stack_names())
+def test_data_plane_transmits_on_the_link_and_sends_the_source_packet(
+    monkeypatch, stack
+):
+    """A run of every stack with CBR and elastic downlinks (under
+    ``multitier``, before and after the correspondent learns its
+    bindings): no data packet, ack or tunnel wrapper passes through
     ``Node.send_via`` (control messages still do), every data packet is
-    constructed once, by its source, and wrapped at most once per
-    tunnel, and reading the clock is an attribute load."""
+    constructed once, by its source, every ack once, by its receiver,
+    and a packet is wrapped at most once per tunnel; reading the clock
+    is an attribute load."""
     via, made = [], []
-    send_via, post_init = Node.send_via, Packet.__post_init__
+    send_via, init = Node.send_via, Packet.__init__
+
+    def counted_init(packet, *args, **kwargs):
+        init(packet, *args, **kwargs)
+        made.append(packet.protocol)
+
     monkeypatch.setattr(
         Node,
         "send_via",
         lambda node, neighbor, packet: via.append(packet.protocol)
         or send_via(node, neighbor, packet),
     )
-    monkeypatch.setattr(
-        Packet,
-        "__post_init__",
-        lambda packet: made.append(packet.protocol) or post_init(packet),
-    )
+    monkeypatch.setattr(Packet, "__init__", counted_init)
     spec = ScenarioSpec(
         name="hop-guard",
-        description="stationary CBR listeners",
-        population=3,
+        description="stationary CBR and elastic listeners",
+        population=4,
         duration=2.0,
         mobility_mix={"stationary": 1.0},
-        traffic_mix={"cbr-voice": 1.0},
+        traffic_mix={"cbr-voice": 0.5, "elastic-data": 0.5},
+        stack=stack,
     )
     run = build_scenario(spec, seed=1)
     metrics = run.execute()
-    cn, ha = run.world.cn, run.world.ha
     assert metrics["received"] > 0
-    assert cn.sent_via_home > 0 and cn.sent_via_binding > 0
-    assert via and not {"data", "ipip"} & set(via)
+    assert via and not {"data", "ack", "ipip"} & set(via)
     assert made.count("data") == metrics["sent"]
-    assert made.count("ipip") == cn.sent_via_binding + ha.tunneled_count
+    assert 0 < made.count("ack") <= metrics["received"]
+    if stack == "multitier":
+        cn, ha = run.world.cn, run.world.ha
+        assert cn.sent_via_home > 0 and cn.sent_via_binding > 0
+        tunnelled = cn.sent_via_binding + ha.tunneled_count
+    else:
+        tunnelled = run.extras().get("mip.tunneled", 0)
+    assert made.count("ipip") == tunnelled
     assert not hasattr(Simulator, "now")  # set per instance, no descriptor
 
 

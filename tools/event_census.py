@@ -145,9 +145,9 @@ def render(label: str, record: dict) -> str:
     return "\n".join(lines)
 
 
-def main(argv: list[str]) -> int:
-    """CLI entry point: run, count, print; exit 1 on a miscount."""
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+def parse_arguments(doc: str, argv: list[str]) -> argparse.Namespace:
+    """The command line the census tools share; ``doc`` heads ``--help``."""
+    parser = argparse.ArgumentParser(description=doc.split("\n\n")[0])
     parser.add_argument("scenario", metavar="SCENARIO",
                         help="catalog scenario name, or perf:WORKLOAD")
     parser.add_argument("--stack", help="registered stack, or 'all'")
@@ -157,8 +157,12 @@ def main(argv: list[str]) -> int:
                         help="the shrunken CI variant of every spec")
     parser.add_argument("--json", action="store_true",
                         help="print one JSON document instead of tables")
-    args = parser.parse_args(argv)
+    return parser.parse_args(argv)
 
+
+def main(argv: list[str]) -> int:
+    """CLI entry point: run, count, print; exit 1 on a miscount."""
+    args = parse_arguments(__doc__, argv)
     report: dict[str, dict] = {}
     for label, spec in planned_runs(args.scenario, args.stack, args.smoke):
         seed = spec.seeds[0] if args.seed is None else args.seed
