@@ -1,6 +1,7 @@
 """Experiment harness: the execution engine and the replication
-runner.  The package itself exports only those — the scenario layer
-imports :mod:`~repro.experiments.runner` on every start — so the
+runner.  The package itself exports only those — the multi-run half of
+the scenario layer (:mod:`repro.scenarios.grid`) and the CLI import
+:mod:`~repro.experiments.runner` on every start — so the
 reproduced figures and tables are imported from their modules and
 :mod:`repro.experiments.registry` maps the E-series ids to them.
 

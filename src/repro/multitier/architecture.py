@@ -35,7 +35,6 @@ from repro.policy.decider import TierDecider
 from repro.policy.trace import DecisionTrace
 from repro.policy.types import (
     Candidate,
-    FallbackDecision,
     HandoffFactors,
     NextAction,
     TierDecision,
@@ -411,27 +410,24 @@ class MobilityController:
         failed: Candidate,
         remaining: list[Candidate],
         reason: str,
-    ) -> FallbackDecision:
+    ) -> None:
         """Record what happens after one refused or timed-out attempt.
 
         Mirrors the try-next-candidate loop exactly: the next target is
         ``remaining[0]`` (the serving station there means the loop will
         stop), a different tier means the §3.2 "turn to ask" overflow
-        (``ESCALATE_TIER``), the same tier a plain retry.  Returns the
-        :class:`FallbackDecision` it recorded.
+        (``ESCALATE_TIER``), the same tier a plain retry.
         """
         serving = self.mobile.serving_bs
         nxt = remaining[0] if remaining else None
         if nxt is None or nxt.station is serving:
             action = NextAction.STOP
-            next_tier = None
             target = ""
         else:
             if nxt.tier is not failed.tier:
                 action = NextAction.ESCALATE_TIER
             else:
                 action = NextAction.RETRY_SAME_TIER
-            next_tier = nxt.tier
             target = nxt.station.name
         self.trace.record(
             self.sim.now,
@@ -441,7 +437,6 @@ class MobilityController:
             action=action.value,
             target=target,
         )
-        return FallbackDecision(action=action, next_tier=next_tier, reason=reason)
 
     def _channel_congested(self, station: MultiTierBaseStation) -> bool:
         """True when ``station``'s shared downlink queue is at or above

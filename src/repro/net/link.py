@@ -144,7 +144,7 @@ class Link:
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
         if not delay >= 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        if queue_limit < 1:
+        if not queue_limit >= 1:
             raise ValueError(f"queue_limit must be at least 1, got {queue_limit}")
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")

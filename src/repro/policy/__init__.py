@@ -11,8 +11,8 @@ so that every decision is *explainable*:
   handoff candidates from the three §3.2 factors and returns
   machine-readable reasons;
 * :mod:`repro.policy.types` — the decision values
-  (:class:`TierDecision`, :class:`FallbackDecision`,
-  :class:`HandoffFactors`, :class:`Candidate`, :class:`NextAction`);
+  (:class:`TierDecision`, :class:`HandoffFactors`,
+  :class:`Candidate`, :class:`NextAction`);
 * :mod:`repro.policy.trace` — :class:`DecisionTrace`, the per-world
   ring-buffer log whose counters become the ``policy.*`` scenario
   metrics and whose tail renders under ``--trace-decisions``.
@@ -42,7 +42,6 @@ from repro.policy.trace import (
 )
 from repro.policy.types import (
     Candidate,
-    FallbackDecision,
     HandoffFactors,
     NextAction,
     TierDecision,
@@ -58,7 +57,6 @@ __all__ = [
     "Candidate",
     "DecisionRecord",
     "DecisionTrace",
-    "FallbackDecision",
     "HandoffFactors",
     "NextAction",
     "PolicyConfig",

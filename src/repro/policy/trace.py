@@ -2,9 +2,10 @@
 
 One :class:`DecisionTrace` lives on each multi-tier world.  The
 mobility controllers append a :class:`DecisionRecord` for every
-:class:`~repro.policy.types.TierDecision` they act on and every
-:class:`~repro.policy.types.FallbackDecision` a rejected or timed-out
-handoff produces.  Two views come out of it:
+:class:`~repro.policy.types.TierDecision` they act on and a
+``"fallback"`` record (its ``action`` a
+:class:`~repro.policy.types.NextAction`) for every rejected or
+timed-out attempt.  Two views come out of it:
 
 * **metrics** — :meth:`DecisionTrace.metric_counts` aggregates the
   records into the fixed ``policy.*`` key set

@@ -11,9 +11,8 @@ module gives each of those acts a typed, *explainable* value:
 * :class:`Candidate` — one admissible target base station;
 * :class:`TierDecision` — an ordered target list plus the
   machine-readable reasons that produced it;
-* :class:`NextAction` / :class:`FallbackDecision` — what the mobile
-  does after a rejection or timeout (retry the same tier, escalate to
-  the next tier, or stop).
+* :class:`NextAction` — what the mobile does after a rejection or
+  timeout (retry the same tier, escalate to the next tier, or stop).
 
 Reason strings are drawn from the fixed vocabulary documented in
 ``docs/POLICY.md`` (kebab-case tokens such as ``better-tier`` or
@@ -91,27 +90,8 @@ class NextAction(str, enum.Enum):
     STOP = "stop"
 
 
-@dataclass
-class FallbackDecision:
-    """The explainable follow-up to one failed handoff attempt.
-
-    Emitted by the mobility controller each time a candidate rejects
-    (admission, §3.2's "resources of BS") or times out: ``action``
-    says what happens next, ``next_tier`` names the tier of the next
-    candidate (``None`` when stopping), and ``reason`` carries the
-    rejection cause reported by the base station (e.g.
-    ``air-budget-exceeded``, ``channel-pool-full``,
-    ``handoff-timeout``).
-    """
-
-    action: NextAction
-    next_tier: Optional[Tier]
-    reason: str
-
-
 __all__ = [
     "Candidate",
-    "FallbackDecision",
     "HandoffFactors",
     "NextAction",
     "TierDecision",

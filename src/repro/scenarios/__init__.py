@@ -27,10 +27,19 @@ traffic mix and a protocol stack into one named workload:
   steps under one call each; the campaign layer freezes the same
   cells into durable work items.
 
+Importing this package loads what one run needs: the spec, the
+catalog and the builder.  The multi-run names (everything from
+``sweep``, ``grid`` and ``compare``) resolve on first access and bring
+the execution engine and the table renderer with them; a stack adapter
+is imported when a grid first names it (``expand_grid`` validates each
+explicit stack with ``get_stack``).  A process that builds and runs one
+world pays for neither.
+
 CLI: ``repro scenario list | describe <name> | run <name> --jobs N
 [--stack <name|all>] | sweep <name> --jobs N [--stack <name|all>]``.
 """
 
+from repro._lazy import lazy_exports
 from repro.scenarios.builder import (
     BuiltScenario,
     build_scenario,
@@ -46,33 +55,36 @@ from repro.scenarios.catalog import (
     register,
     scenario_names,
 )
-from repro.scenarios.compare import StackComparison, format_stack_comparison
-from repro.scenarios.grid import (
-    GridCell,
-    compare_scenario_stacks,
-    expand_grid,
-    replicate_scenario,
-    replicate_scenarios,
-    run_grid,
-    stack_comparisons,
-    sweep_scenario,
-    sweep_scenarios,
-)
 from repro.scenarios.spec import (
     MOBILITY_MODELS,
     TRAFFIC_KINDS,
     ScenarioSpec,
     apportion,
 )
-from repro.scenarios.sweep import (
-    ScenarioSweep,
-    describe_sweep,
-    format_sweep_result,
-    get_sweep,
-    iter_sweeps,
-    register_sweep,
-    sweep_names,
-)
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.scenarios.compare": ("StackComparison", "format_stack_comparison"),
+    "repro.scenarios.grid": (
+        "GridCell",
+        "compare_scenario_stacks",
+        "expand_grid",
+        "replicate_scenario",
+        "replicate_scenarios",
+        "run_grid",
+        "stack_comparisons",
+        "sweep_scenario",
+        "sweep_scenarios",
+    ),
+    "repro.scenarios.sweep": (
+        "ScenarioSweep",
+        "describe_sweep",
+        "format_sweep_result",
+        "get_sweep",
+        "iter_sweeps",
+        "register_sweep",
+        "sweep_names",
+    ),
+})
 
 __all__ = [
     "MOBILITY_MODELS",

@@ -23,10 +23,12 @@ suite has.
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
-from repro.experiments.runner import Replication
 from repro.scenarios.spec import ScenarioSpec
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.experiments.runner import Replication
 
 _REGISTRY: dict[str, ScenarioSpec] = {}
 

@@ -154,7 +154,7 @@ class Simulator:
                 until.callbacks.append(self._stop_on_event)
             else:
                 stop_at = float(until)
-                if stop_at < self.now:
+                if not stop_at >= self.now:  # also rejects nan, which stops nothing
                     raise ValueError(
                         f"until ({stop_at}) must not be before now ({self.now})"
                     )

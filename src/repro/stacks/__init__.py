@@ -10,7 +10,7 @@ shared traffic plan and collects a common metric dict (see
 :class:`~repro.stacks.base.BuiltRun` — and ``docs/STACKS.md`` for the
 guide).
 
-Shipped stacks (registered on import, in this order):
+Shipped stacks (named by :mod:`repro.stacks.registry`, in this order):
 
 * ``multitier`` — the paper's architecture (the default; byte-identical
   to the pre-stacks builder);
@@ -25,11 +25,18 @@ All four instantiate the *same* seeded population and traffic plan
 ``repro scenario run <name> --stack all`` an apples-to-apples,
 Table-1-style protocol comparison at catalog scale.
 
+Importing this package loads the contract, the registry and the
+default stack.  The flat baselines' names (``CellularIPStack``,
+``build_mip_scenario``, ...) resolve on first access, and
+:func:`~repro.stacks.registry.get_stack` imports an adapter the first
+time it is asked for, so a run loads the stack it runs and no other.
+
 Determinism: adapters draw all randomness from the run seed through
 named streams; one ``(stack, spec, seed)`` triple returns
 byte-identical metrics on any execution backend.
 """
 
+from repro._lazy import lazy_exports
 from repro.stacks.base import (
     COMMON_METRICS,
     BuiltRun,
@@ -49,17 +56,20 @@ from repro.stacks.multitier import (
     MultiTierStack,
     build_multitier_scenario,
 )
-from repro.stacks.cellularip import (
-    BuiltCIPScenario,
-    CellularIPHardStack,
-    CellularIPStack,
-    build_cip_scenario,
-)
-from repro.stacks.mobileip import (
-    BuiltMIPScenario,
-    MobileIPStack,
-    build_mip_scenario,
-)
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.stacks.cellularip": (
+        "BuiltCIPScenario",
+        "CellularIPHardStack",
+        "CellularIPStack",
+        "build_cip_scenario",
+    ),
+    "repro.stacks.mobileip": (
+        "BuiltMIPScenario",
+        "MobileIPStack",
+        "build_mip_scenario",
+    ),
+})
 
 __all__ = [
     "COMMON_METRICS",

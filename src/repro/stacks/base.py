@@ -36,6 +36,7 @@ comparison table and CI parity gates rely on.
 from __future__ import annotations
 
 import abc
+import gc
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, ClassVar, Optional
 
@@ -131,15 +132,34 @@ class BuiltRun:
 
         One definition, so no stack can drift onto a different
         measurement window and skew the side-by-side comparison.
-        Deterministic: pure simulation drive.
+
+        Automatic garbage collection is suspended for the run and put
+        back as it was found.  A running world frees what it drops by
+        reference count (packets, timers, records); the cyclic
+        collector would re-walk the pending timers on every pass for
+        the few cycles a run does leave (one per timed-out wait).  Those
+        and the finished world, one large cycle, are for the caller to
+        collect: :func:`~repro.scenarios.builder.run_scenario_spec`
+        does; any other caller (``run_scenario_trace``, a tool, a
+        direct ``build_scenario(...).execute()``) keeps them until its
+        own next collection.  The collector's switch is process-wide
+        and the save/restore here is not atomic: worlds are run one at
+        a time per process (the execution backends fork, never
+        thread).  Deterministic: pure simulation drive.
         """
         spec = self.spec
-        self.sim.run(until=spec.warmup)
-        for plan in self.flow_plans:
-            self.sources.append(plan.start(spec.duration))
-            self.sinks.append(plan.sink)
-        self.sim.run(until=spec.warmup + spec.duration + spec.drain)
-        return self.harvest()
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self.sim.run(until=spec.warmup)
+            for plan in self.flow_plans:
+                self.sources.append(plan.start(spec.duration))
+                self.sinks.append(plan.sink)
+            self.sim.run(until=spec.warmup + spec.duration + spec.drain)
+            return self.harvest()
+        finally:
+            if collecting:
+                gc.enable()
 
     def harvest(self) -> dict[str, float]:
         """Read the run's counters and compute the metric dict.

@@ -45,7 +45,6 @@ from repro.stacks.population import (
     plan_population,
     wire_population,
 )
-from repro.stacks.registry import register_stack
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only (import cycle)
     from repro.scenarios.spec import ScenarioSpec
@@ -307,9 +306,6 @@ class CellularIPHardStack(CellularIPStack):
         )] = "soft-state route/paging caches + hard handoff"
         return features
 
-
-register_stack(CellularIPStack())
-register_stack(CellularIPHardStack())
 
 __all__ = [
     "MOBILE_PREFIX",

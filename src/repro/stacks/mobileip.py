@@ -47,7 +47,6 @@ from repro.stacks.population import (
     plan_population,
     wire_population,
 )
-from repro.stacks.registry import register_stack
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only (import cycle)
     from repro.scenarios.spec import ScenarioSpec
@@ -321,8 +320,6 @@ class MobileIPStack(StackAdapter):
             features.append("domain overrides mapped: " + ", ".join(mapped))
         return features
 
-
-register_stack(MobileIPStack())
 
 __all__ = [
     "HOME_PREFIX",

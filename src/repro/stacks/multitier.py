@@ -41,7 +41,6 @@ from repro.stacks.population import (
     plan_population,
     wire_population,
 )
-from repro.stacks.registry import register_stack
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only (import cycle)
     from repro.scenarios.spec import ScenarioSpec
@@ -227,8 +226,6 @@ class MultiTierStack(StackAdapter):
             )
         return features
 
-
-register_stack(MultiTierStack())
 
 __all__ = [
     "BuiltScenario",

@@ -129,10 +129,11 @@ def test_link_validation():
         Link(sim, a, b, loss_rate=1.5)
 
 
-@pytest.mark.parametrize("field", ["bandwidth", "delay"])
+@pytest.mark.parametrize("field", ["bandwidth", "delay", "queue_limit"])
 def test_link_rejects_nan_bandwidth_and_delay(field):
-    """``nan <= 0`` and ``nan < 0`` are both false: the checks are
-    written the other way round so a ``nan`` link cannot be built."""
+    """``nan <= 0``, ``nan < 0`` and ``nan < 1`` are all false: the
+    checks are written the other way round so a ``nan`` link (for
+    ``queue_limit``, one whose queue is never full) cannot be built."""
     sim = Simulator()
     a = Node(sim, "a", "10.0.0.1")
     b = Node(sim, "b", "10.0.0.2")

@@ -55,6 +55,19 @@ def test_run_until_past_time_rejected():
         sim.run(until=5.0)
 
 
+def test_run_until_nan_rejected():
+    """``nan < now`` is false and ``when > nan`` is false: unchecked, the
+    run drains the whole queue and leaves the clock at nan."""
+    sim = Simulator()
+    fired = []
+    sim.call_later(1.0, fired.append, "drained")
+    with pytest.raises(ValueError, match="until .*nan"):
+        sim.run(until=float("nan"))
+    assert fired == [] and sim.now == 0.0
+    sim.run(until=2.0)
+    assert fired == ["drained"] and sim.now == 2.0
+
+
 def test_events_process_in_time_order():
     sim = Simulator()
     order = []

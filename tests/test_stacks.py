@@ -122,6 +122,68 @@ def test_every_stack_builds_a_built_run_with_the_one_execute(stack):
         assert owners == [BuiltRun], (stack, method, owners)
 
 
+@pytest.fixture
+def collector_restored():
+    """Put the collector back however a test in here leaves it."""
+    import gc
+
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_execute_suspends_collection_and_restores_what_it_found(
+    enabled, collector_restored, monkeypatch
+):
+    """The world runs with the cyclic collector off; on return and on an
+    exception the collector is as the caller had it."""
+    import gc
+
+    from repro.scenarios import build_scenario
+    from repro.stacks import BuiltRun
+
+    (gc.enable if enabled else gc.disable)()
+    built = build_scenario(_smoke("sparse-rural"), seed=1)
+    seen = []
+    built.sim.call_later(0.5, lambda: seen.append(gc.isenabled()))
+    built.execute()
+    assert seen == [False]
+    assert gc.isenabled() is enabled
+
+    def broken_harvest(self):
+        raise RuntimeError("harvest failed")
+
+    monkeypatch.setattr(BuiltRun, "harvest", broken_harvest)
+    with pytest.raises(RuntimeError, match="harvest failed"):
+        build_scenario(_smoke("sparse-rural"), seed=1).execute()
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("stack", ALL_STACKS)
+def test_a_run_leaves_almost_nothing_for_the_cyclic_collector(
+    stack, collector_restored
+):
+    """What lets ``execute`` run with collection off: a running world
+    frees what it drops by reference count.  Per-event reference cycles
+    (a packet that points back at its sender's closure, a timer that
+    holds its own handle) would pile up for the whole run instead — this
+    smoke dispatches over 20,000 kernel entries on every stack, so one
+    cycle per entry cannot hide under the bound.  The finished world is itself a cycle,
+    so it is kept referenced while the garbage is counted."""
+    import gc
+
+    from repro.scenarios import build_scenario
+
+    built = build_scenario(_smoke("commuter-corridor", stack=stack), seed=1)
+    gc.collect()
+    gc.disable()
+    built.execute()
+    assert built.sim.events_processed > 20_000
+    unreachable = gc.collect()
+    assert unreachable < 5_000, (stack, unreachable)
+
+
 def test_throwaway_fifth_stack_runs_on_the_shared_skeleton():
     """What a new stack costs: a ``BuiltRun`` subclass with its two
     counter hooks, a topology, and one ``add_mobile`` callback.  This
