@@ -122,6 +122,8 @@ class CIPBaseStation(Node):
         self.shared_channel = shared_channel
         #: Radio-attached mobiles: address -> node.
         self.attached: dict[IPAddress, Node] = {}
+        #: The wired Internet router; ``None`` except at the gateway.
+        self.internet_neighbor: Optional[Node] = None
         self.control_packets_seen = 0
         self.dropped_no_route = 0
         self.dropped_stale_route = 0
@@ -165,12 +167,14 @@ class CIPBaseStation(Node):
     def receive(self, packet: Packet, link: Optional["Link"] = None) -> None:
         from_node = link.head if link is not None else None
 
-        # An uplink arrival from a mobile refreshes the soft state.
+        # An uplink arrival from a mobile refreshes the soft state.  An
+        # arrival without a link never does: the gateway's parent and
+        # every other station's Internet side are ``None``.
         mobiles = self.domain.mobile_addresses
         if (
             from_node is not self.parent
+            and from_node is not self.internet_neighbor
             and packet.src in mobiles
-            and not self._from_internet(from_node)
         ):
             self._refresh_caches(packet, from_node)
 
@@ -190,12 +194,7 @@ class CIPBaseStation(Node):
         # Uplink data toward the Internet.
         self._forward_up_or_consume(packet)
 
-    def _from_internet(self, from_node: Optional[Node]) -> bool:
-        return False  # only the gateway has an Internet side
-
-    def _refresh_caches(self, packet: Packet, from_node: Optional[Node]) -> None:
-        if from_node is None:
-            return
+    def _refresh_caches(self, packet: Packet, from_node: Node) -> None:
         source = packet.src
         if packet.protocol == messages.PAGING_UPDATE:
             self.paging_cache.refresh(source, from_node)
@@ -226,12 +225,17 @@ class CIPBaseStation(Node):
             return
 
         hops = self.routing_cache.lookup(destination)
-        if hops:
-            self._fan_out(packet, hops)
+        if not hops:
+            hops = self.paging_cache.lookup(destination)
+        if len(hops) == 1:  # nearly every hop: one live mapping, no copies
+            link = self.links.get(hops[0])
+            if link is None:
+                # The mapping points at a departed mobile's dead radio link.
+                self.dropped_stale_route += 1
+            else:
+                link.transmit(packet)
             return
-
-        hops = self.paging_cache.lookup(destination)
-        if hops:
+        if hops:  # semisoft dual-cast
             self._fan_out(packet, hops)
             return
 
@@ -244,10 +248,11 @@ class CIPBaseStation(Node):
         self.dropped_no_route += 1
 
     def _fan_out(self, packet: Packet, hops: list[Node]) -> None:
+        """Send ``packet`` down every live hop, a copy on all but the
+        first: semisoft dual-cast and the paging flood."""
         links = self.links
         live = [links[hop] for hop in hops if hop in links]
         if not live:
-            # Cached mapping points at a departed mobile's dead radio link.
             self.dropped_stale_route += 1
             return
         live[0].transmit(packet)
@@ -275,7 +280,6 @@ class CIPGateway(CIPBaseStation):
     ) -> None:
         super().__init__(sim, name, address, domain)
         domain.add_gateway(self)
-        self.internet_neighbor: Optional[Node] = None
         self.mobile_prefix: Optional[Prefix] = (
             Prefix(mobile_prefix) if mobile_prefix is not None else None
         )
@@ -286,9 +290,6 @@ class CIPGateway(CIPBaseStation):
     ) -> None:
         connect(self.sim, self, router, bandwidth=bandwidth, delay=delay)
         self.internet_neighbor = router
-
-    def _from_internet(self, from_node: Optional[Node]) -> bool:
-        return from_node is not None and from_node is self.internet_neighbor
 
     def _forward_up_or_consume(self, packet: Packet) -> None:
         if packet.protocol in (messages.ROUTE_UPDATE, messages.PAGING_UPDATE):

@@ -41,7 +41,7 @@ class RoutingCache:
     """
 
     def __init__(self, sim: "Simulator", timeout: float) -> None:
-        if timeout <= 0:
+        if not timeout > 0:  # nan fails too
             raise ValueError(f"timeout must be positive, got {timeout}")
         self.sim = sim
         self.timeout = timeout

@@ -44,7 +44,7 @@ class CellTable:
     """A micro_table or macro_table with soft-state records."""
 
     def __init__(self, sim: "Simulator", name: str, record_lifetime: float) -> None:
-        if record_lifetime <= 0:
+        if not record_lifetime > 0:  # nan fails too
             raise ValueError(f"record_lifetime must be positive, got {record_lifetime}")
         self.sim = sim
         self.name = name

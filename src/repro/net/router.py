@@ -20,6 +20,10 @@ class ForwardingTable:
     dictionaries, longest first — simple and fast enough for simulated
     topologies while behaving exactly like real LPM.  The probe order
     is rebuilt when a length bucket appears or empties, not per lookup.
+
+    A destination is probed once per table state: its answer is
+    remembered until the next ``add``, ``remove`` or ``set_default``
+    (the only mutators), which forget every answer.
     """
 
     def __init__(self) -> None:
@@ -29,6 +33,8 @@ class ForwardingTable:
         #: (mask, bucket) pairs, longest prefix first.
         self._probes: list[tuple[int, dict[int, Node]]] = []
         self._default: Optional[Node] = None
+        #: destination -> the answer ``lookup`` gave it (None included).
+        self._resolved: dict[int, Optional[Node]] = {}
 
     def _rebuild_probes(self) -> None:
         self._probes = [
@@ -36,6 +42,7 @@ class ForwardingTable:
         ]
 
     def add(self, prefix: Prefix, next_hop: Node) -> None:
+        self._resolved.clear()
         bucket = self._buckets.get(prefix.mask)
         if bucket is None:
             bucket = self._buckets[prefix.mask] = {}
@@ -47,6 +54,7 @@ class ForwardingTable:
         self.add(Prefix(IPAddress(address), 32), next_hop)
 
     def remove(self, prefix: Prefix) -> None:
+        self._resolved.clear()
         bucket = self._buckets.get(prefix.mask)
         if bucket is None:
             return
@@ -56,14 +64,22 @@ class ForwardingTable:
             self._rebuild_probes()
 
     def set_default(self, next_hop: Optional[Node]) -> None:
+        self._resolved.clear()
         self._default = next_hop
 
     def lookup(self, address: IPAddress) -> Optional[Node]:
+        try:
+            return self._resolved[address]
+        except KeyError:
+            pass
         for mask, bucket in self._probes:
             next_hop = bucket.get(address & mask)
             if next_hop is not None:
-                return next_hop
-        return self._default
+                break
+        else:
+            next_hop = self._default
+        self._resolved[address] = next_hop
+        return next_hop
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())

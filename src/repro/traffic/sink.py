@@ -55,9 +55,10 @@ class FlowSink:
 
     def bind(self, sim) -> "callable":
         """A hook suitable for ``node.on_data.append``."""
+        on_packet = self.on_packet
 
         def hook(packet: Packet) -> None:
-            self.on_packet(packet, sim.now)
+            on_packet(packet, sim.now)
 
         return hook
 

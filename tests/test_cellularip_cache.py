@@ -106,6 +106,11 @@ def test_invalid_timeout_rejected():
         RoutingCache(sim, timeout=0.0)
 
 
+def test_nan_timeout_rejected():
+    with pytest.raises(ValueError, match="timeout must be positive"):
+        RoutingCache(Simulator(), timeout=float("nan"))
+
+
 def test_contains_and_mobiles():
     sim, cache, a, _b = make_cache()
     cache.refresh(ip("10.0.0.1"), a)

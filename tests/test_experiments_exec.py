@@ -325,3 +325,80 @@ def test_sweep_passes_confidence_through():
     for low, high in zip(narrow.replications, wide.replications):
         assert low["value"].mean == high["value"].mean
         assert low["value"].half_width < high["value"].half_width
+
+
+# ----------------------------------------------------------------------
+# The serial batch runs over a frozen starting heap
+# ----------------------------------------------------------------------
+def _failing_job():
+    raise RuntimeError("job failed")
+
+
+def test_serial_batch_freezes_the_starting_heap_for_the_batch_only():
+    import gc
+
+    assert gc.get_freeze_count() == 0  # nothing else in the suite freezes
+    frozen = SerialBackend().run([gc.get_freeze_count, gc.get_freeze_count])
+    assert all(count > 0 for count in frozen)
+    assert gc.get_freeze_count() == 0
+    with pytest.raises(RuntimeError, match="job failed"):
+        SerialBackend().run([gc.get_freeze_count, _failing_job])
+    assert gc.get_freeze_count() == 0
+
+
+def test_serial_batch_keeps_a_host_freeze_as_it_found_it():
+    import gc
+
+    gc.freeze()
+    try:
+        host = gc.get_freeze_count()
+        assert SerialBackend().run([gc.get_freeze_count]) == [host]
+        assert gc.get_freeze_count() == host
+        with pytest.raises(RuntimeError, match="job failed"):
+            SerialBackend().run([_failing_job])
+        assert gc.get_freeze_count() == host
+    finally:
+        gc.unfreeze()
+
+
+def test_a_frozen_batch_frees_every_world_but_the_newest(monkeypatch):
+    """A caller that keeps the newest simulator referenced (the perf
+    harness counts events that way) must still see each earlier world
+    freed by the next run's teardown: the frozen heap is the one the
+    batch started with, never a world the batch made.  Automatic
+    collection is off, so only the jobs' own collections free worlds."""
+    import gc
+    import weakref
+
+    from repro.scenarios import get_scenario, run_scenario_spec
+    from repro.sim import Simulator
+    from repro.stacks import stack_names
+
+    simulators, newest = [], []
+    original = Simulator.__init__
+
+    def keeping_init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        simulators.append(weakref.ref(self))
+        newest[:] = [self]
+
+    def job(spec):
+        def run():
+            run_scenario_spec(spec, seed=1)
+            return sum(ref() is not None for ref in simulators)
+
+        return run
+
+    spec = get_scenario("sparse-rural").smoke()
+    monkeypatch.setattr(Simulator, "__init__", keeping_init)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        alive = SerialBackend().run(
+            [job(spec.replace(stack=stack)) for stack in stack_names()]
+        )
+    finally:
+        if collecting:
+            gc.enable()
+    assert len(simulators) == len(stack_names()) >= 3
+    assert max(alive) <= 2, alive

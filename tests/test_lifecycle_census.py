@@ -66,6 +66,18 @@ def test_collector_rests_during_execute_and_the_watch_is_removed(lifecycle_censu
     assert record["unreachable_after"] < 5_000
 
 
+def test_a_batch_tears_its_worlds_down_over_a_frozen_heap(lifecycle_census):
+    """A lone run's teardown walks the whole heap (here: the test
+    session's); in a batch it walks what the batch made."""
+    spec = get_scenario("sparse-rural").smoke()
+    runs = [(stack, spec.replace(stack=stack)) for stack in ("multitier", "mobileip")]
+    alone = lifecycle_census.census_of_runs(runs[:1], 1)["multitier"]["teardown"]
+    batch = lifecycle_census.census_of_runs(runs, 1)
+    assert gc.get_freeze_count() == 0
+    for label, record in batch.items():
+        assert 0 < record["teardown"]["walked"] < alone["walked"] // 4, label
+
+
 def test_a_pass_is_placed_by_the_stack_it_interrupts(lifecycle_census):
     def run():
         gc.collect()

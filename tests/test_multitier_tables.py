@@ -86,6 +86,11 @@ def test_invalid_lifetime():
         CellTable(sim, "micro", record_lifetime=0.0)
 
 
+def test_nan_lifetime_rejected():
+    with pytest.raises(ValueError, match="record_lifetime must be positive"):
+        CellTable(Simulator(), "micro", record_lifetime=float("nan"))
+
+
 # ----------------------------------------------------------------------
 # TablePair: the paper's micro-then-macro lookup
 # ----------------------------------------------------------------------

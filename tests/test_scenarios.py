@@ -222,6 +222,21 @@ def test_run_scenario_spec_leaves_no_finished_world_behind(monkeypatch):
         gc.enable()
 
 
+@pytest.mark.parametrize(
+    "stack,key", [("multitier", "record_lifetime"), ("cellularip", "route_timeout")]
+)
+def test_nan_soft_state_lifetime_override_fails_the_build_in_one_line(stack, key):
+    """nan passes an ``x <= 0`` test: records that never expire, or a
+    routing cache with no live entry, would still finish a run with a
+    plausible table."""
+    spec = get_scenario("campus-dense").smoke().replace(
+        stack=stack, domain_overrides={key: float("nan")}
+    )
+    with pytest.raises(ValueError, match="must be positive, got nan") as error:
+        build_scenario(spec, seed=1)
+    assert "\n" not in str(error.value)
+
+
 def test_run_scenario_metrics_are_plain_finite_floats():
     metrics = run_scenario_spec(_tiny_spec(), seed=2)
     for name, value in metrics.items():

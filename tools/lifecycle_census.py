@@ -20,10 +20,15 @@ the loop, and this tool counts both:
   the ``import`` statements inside it are);
 * **the cyclic collector** — per run, the collector's passes, seconds
   and unreachable objects found per generation while ``execute()`` ran
-  (``BuiltRun.execute`` suspends automatic collection, so: none), and
-  what the collector finds afterwards with the finished world still
-  held — the garbage the whole run left behind, which is what says
-  suspending it is safe.
+  (``BuiltRun.execute`` suspends automatic collection, so: none), what
+  the collector finds afterwards with the finished world still held —
+  the garbage the whole run left behind, which is what says suspending
+  it is safe — and the teardown: the full collection that frees the
+  dropped world, its seconds and the objects it walked.  One planned
+  run is made alone, as a library caller makes it; several are made as
+  one ``SerialBackend`` batch, as ``compare_scenario_stacks`` makes
+  them, so their teardowns walk only what the batch made (the backend
+  freezes the heap the batch started with).
 
 Module counts, passes and object counts repeat from run to run; the
 microseconds and seconds are wall-clock readings and do not.  Exits 1
@@ -49,6 +54,7 @@ import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
+from functools import partial
 
 from event_census import ROOT, parse_arguments, planned_runs
 
@@ -56,12 +62,9 @@ from event_census import ROOT, parse_arguments, planned_runs
 CHILD = """
 import json, sys
 from event_census import planned_runs
-from lifecycle_census import census_of
+from lifecycle_census import census_of_runs
 scenario, stack, smoke, seed = json.loads(sys.argv[1])
-runs = {
-    label: census_of(spec, spec.seeds[0] if seed is None else seed)
-    for label, spec in planned_runs(scenario, stack, smoke)
-}
+runs = census_of_runs(planned_runs(scenario, stack, smoke), seed)
 print(json.dumps({"modules": sorted(sys.modules), "runs": runs}))
 """
 
@@ -159,7 +162,7 @@ def watching_collector(run_code):
 
 
 def census_of(spec, seed: int) -> dict:
-    """Build and execute one run; its record for the report."""
+    """Build, execute and tear down one run; its record for the report."""
     from repro.scenarios import build_scenario
     from repro.stacks import BuiltRun
 
@@ -172,8 +175,16 @@ def census_of(spec, seed: int) -> dict:
         # ``built`` is still held: the finished world is one cycle, and
         # it is not garbage the run made.
         gc.collect()
+    events = built.sim.events_processed
+    del built
+    # A full collection walks every object the collector tracks outside
+    # the frozen generation; ``get_objects`` lists exactly those.
+    walked = len(gc.get_objects())
+    started = time.perf_counter()
+    gc.collect()
+    teardown_s = time.perf_counter() - started
     return {
-        "events": built.sim.events_processed,
+        "events": events,
         "imported_inside_execute": imported,
         "during_execute": {
             str(generation): {
@@ -182,7 +193,25 @@ def census_of(spec, seed: int) -> dict:
             for generation, (passes, seconds, found) in during.items()
         },
         "unreachable_after": outside[2],
+        "teardown": {"walked": walked, "seconds": teardown_s},
     }
+
+
+def census_of_runs(runs: list[tuple], seed: int | None) -> dict:
+    """``census_of`` every planned ``(label, spec)`` run at ``seed`` (the
+    spec's first seed if ``None``): a lone run as a library caller makes
+    it, several as one serial batch."""
+    jobs = [
+        partial(census_of, spec, spec.seeds[0] if seed is None else seed)
+        for _label, spec in runs
+    ]
+    if len(jobs) > 1:
+        from repro.experiments.exec import SerialBackend
+
+        records = SerialBackend().run(jobs)
+    else:
+        records = [job() for job in jobs]
+    return {label: record for (label, _spec), record in zip(runs, records)}
 
 
 def render_packages(title: str, packages: dict, untimed: list[str]) -> str:
@@ -205,7 +234,7 @@ def render_packages(title: str, packages: dict, untimed: list[str]) -> str:
 
 def render_run(label: str, record: dict) -> str:
     """One run: imports inside ``execute()``, the collector's passes,
-    and what the run left behind."""
+    what the run left behind, and the collection that freed it."""
     lines = [
         f"{label}: {record['events']} kernel entries",
         "  first imported inside execute(): "
@@ -219,6 +248,11 @@ def render_run(label: str, record: dict) -> str:
     lines.append(
         f"  left for the collector afterwards, world still held: "
         f"{record['unreachable_after']} unreachable"
+    )
+    teardown = record["teardown"]
+    lines.append(
+        f"  teardown collection, world dropped: {teardown['walked']} objects "
+        f"walked  {teardown['seconds']:.4f} s"
     )
     return "\n".join(lines)
 
