@@ -1,81 +1,34 @@
-"""Campaign runner: durable queues, resumable runs, cross-run diffs.
+"""Campaigns: one grid run that writes its answer, and cross-run diffs.
 
-The evaluation grid — 8 scenarios × 4 stacks × sweep axes × seeds — is
-too big for one-shot CLI runs.  A *campaign* makes it durable:
-
-* :mod:`repro.campaign.manifest` — the frozen grid definition:
-  :class:`~repro.campaign.manifest.WorkItem` cells with deterministic
-  ids and spec fingerprints, expanded once at ``campaign new`` time;
-* :mod:`repro.campaign.queue` — the on-disk queue: atomic per-item
-  completion records (tmp-file + rename), crash/kill-safe resume that
-  skips completed items, batch dispatch through the standard
-  :class:`~repro.experiments.exec.ExecutionBackend` (``--jobs N``
-  works unchanged);
-* :mod:`repro.campaign.store` — the canonical merged ``results.json``
-  plus re-aggregation back into live-run-equal
-  :class:`~repro.experiments.runner.Replication` and
-  :class:`~repro.scenarios.compare.StackComparison` views;
-* :mod:`repro.campaign.diff` — cross-run regression reports: per
-  (grid-cell, metric) mean ± CI comparison, disjoint intervals flag
-  significance, metric polarity names regressions.
-
-CLI: ``repro campaign new | run | resume | status | diff`` — see
+A *campaign* is the paper's comparison made concrete — the 9 catalog
+scenarios and their sweeps × 4 protocol stacks × seeds — run in one
+pass and kept on disk for later runs to be compared against:
+:mod:`~repro.campaign.manifest` defines the grid (work items with ids
+and spec fingerprints), :mod:`~repro.campaign.store` runs it as one
+execution-backend batch and writes ``manifest.json`` and
+``results.json``, then reads and re-aggregates stores, and
+:mod:`~repro.campaign.diff` compares two stores metric by metric with
+confidence intervals.  CLI: ``repro campaign run | show | diff`` — see
 ``docs/CAMPAIGN.md``.
 
-Determinism contract: a campaign's final on-disk state (item records
-and merged store) is **byte-identical** for any execution backend, any
-``--jobs N``, any batch size, and any interleaving of crashes (SIGKILL
-included) and resumes — extending the serial == ``--jobs N`` guarantee
-the execution engine established to the durable layer (enforced by
-``tests/test_campaign_crash.py`` and the CI campaign smoke step).
+Determinism contract: a campaign's two files are **byte-identical** for
+any execution backend and any ``--jobs N``.
 """
 
 from repro.campaign.diff import (
-    CampaignDiff,
-    MetricChange,
-    diff_stores,
-    format_campaign_diff,
-    metric_polarity,
+    CampaignDiff, MetricChange, diff_stores, format_campaign_diff, metric_polarity,
 )
 from repro.campaign.manifest import (
-    CampaignError,
-    CampaignManifest,
-    WorkItem,
-    build_manifest,
-    spec_fingerprint,
-)
-from repro.campaign.queue import (
-    Campaign,
-    CampaignStatus,
-    RunSummary,
-    run_campaign,
+    CampaignError, CampaignManifest, WorkItem, build_manifest, spec_fingerprint,
 )
 from repro.campaign.store import (
-    load_store,
-    merge_store,
-    store_replications,
+    load_store, merge_store, run_campaign, store_replications,
     store_stack_comparisons,
-    write_store,
 )
 
 __all__ = [
-    "Campaign",
-    "CampaignDiff",
-    "CampaignError",
-    "CampaignManifest",
-    "CampaignStatus",
-    "MetricChange",
-    "RunSummary",
-    "WorkItem",
-    "build_manifest",
-    "diff_stores",
-    "format_campaign_diff",
-    "load_store",
-    "merge_store",
-    "metric_polarity",
-    "run_campaign",
-    "spec_fingerprint",
-    "store_replications",
-    "store_stack_comparisons",
-    "write_store",
+    "CampaignDiff", "CampaignError", "CampaignManifest", "MetricChange",
+    "WorkItem", "build_manifest", "diff_stores", "format_campaign_diff",
+    "load_store", "merge_store", "metric_polarity", "run_campaign",
+    "spec_fingerprint", "store_replications", "store_stack_comparisons",
 ]

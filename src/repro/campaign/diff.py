@@ -1,31 +1,19 @@
 """Cross-run regression diffs: compare two campaign results stores.
 
-``repro campaign diff <runA> <runB>`` answers the question the
-mobility-comparison literature keeps asking of simulations — did this
-change regress any metric, beyond seed noise?  Both stores are
-re-aggregated per grid cell (seeds -> mean ± Student-t CI via
-:func:`repro.campaign.store.store_replications`, the same
-:mod:`repro.metrics.stats` reduction live runs use), then every metric
-of every shared cell is compared:
-
-* a difference is **significant** when the two confidence intervals
-  are disjoint (``A.high < B.low`` or ``B.high < A.low``) — seed noise
-  inside overlapping intervals is never flagged;
-* a significant change is a **regression** when the metric moved in
-  its known-bad direction (:data:`LOWER_IS_BETTER` /
-  :data:`HIGHER_IS_BETTER`), an **improvement** when it moved the good
-  way, and a direction-neutral **change** for metrics with no known
-  polarity (e.g. raw handoff counts);
-* single-seed cells have zero-width intervals, so *any* drift there is
-  significant — run more seeds per point when that is too strict.
-
-Two identical stores (or two runs whose intervals all overlap) produce
-an explicit "no regressions" result — pinned by the golden fixtures in
-``tests/test_campaign_diff.py``.
+``repro campaign diff <runA> <runB>`` asks whether a change regressed
+any metric beyond seed noise.  Both stores are re-aggregated per grid
+cell (seeds -> mean ± Student-t CI via
+:func:`repro.campaign.store.store_replications`), then every metric of
+every shared cell is compared.  A difference is **significant** only
+when the two confidence intervals are disjoint; it is a **regression**
+when the metric moved in its known-bad direction
+(:data:`LOWER_IS_BETTER` / :data:`HIGHER_IS_BETTER`), an
+**improvement** the other way, and a direction-neutral **change** for
+metrics with no known polarity.  Single-seed cells have zero-width
+intervals, so any drift there is significant.
 
 Determinism: the diff and its rendering are pure functions of the two
-stores' record contents — byte-identical output for byte-identical
-inputs, independent of how either campaign was executed or resumed.
+stores' contents — byte-identical output for byte-identical inputs.
 """
 
 from __future__ import annotations
@@ -35,6 +23,7 @@ from dataclasses import dataclass
 from repro.metrics.stats import Estimate
 from repro.metrics.tables import format_table
 
+from repro.campaign.manifest import CampaignError
 from repro.campaign.store import store_replications
 
 #: Metrics where an increase is a regression (QoS penalties, losses,
@@ -42,39 +31,25 @@ from repro.campaign.store import store_replications
 #: part after the last dot (``cip.handoff_latency`` -> see
 #: :func:`metric_polarity`).
 LOWER_IS_BETTER = frozenset({
-    "loss_rate",
-    "mean_delay",
-    "max_delay",
-    "jitter",
-    "max_gap",
-    "handoff_latency",
-    "blocked_attaches",
-    "dropped",
-    "drops",
-    "air_detach_drops",
-    "air_busiest_downlink",
-    "signalling_messages",
+    "loss_rate", "mean_delay", "max_delay", "jitter", "max_gap",
+    "handoff_latency", "blocked_attaches", "dropped", "drops",
+    "air_detach_drops", "air_busiest_downlink", "signalling_messages",
 })
 
 #: Metrics where a decrease is a regression (delivery and throughput).
 HIGHER_IS_BETTER = frozenset({
-    "delivered",
-    "received",
-    "throughput",
-    "goodput",
-    "delivery_ratio",
+    "delivered", "received", "throughput", "goodput", "delivery_ratio",
 })
+
+#: Verdicts of significant changes, in report order.
+_SIGNIFICANT = ("regressed", "improved", "changed")
 
 
 def metric_polarity(metric: str) -> int:
-    """The known-bad direction of one metric name.
-
-    Returns ``+1`` when higher is worse (:data:`LOWER_IS_BETTER`),
-    ``-1`` when lower is worse (:data:`HIGHER_IS_BETTER`), ``0`` when
-    the polarity is unknown and a significant change is reported
-    direction-neutrally.  Namespaced names (``cip.handoff_latency``)
-    are judged by their last component.  Deterministic.
-    """
+    """The known-bad direction of one metric name: ``+1`` when higher is
+    worse, ``-1`` when lower is worse, ``0`` when unknown.  Namespaced
+    names (``cip.handoff_latency``) are judged by their last component.
+    Deterministic."""
     leaf = metric.rsplit(".", 1)[-1]
     if leaf in LOWER_IS_BETTER:
         return +1
@@ -128,15 +103,18 @@ class CampaignDiff:
 
     def regressions(self) -> list[MetricChange]:
         """The significant changes in a metric's known-bad direction."""
-        return [
-            change for change in self.changes
-            if change.verdict == "regressed"
-        ]
+        return [change for change in self.changes if change.verdict == "regressed"]
 
 
-def _disjoint(a: Estimate, b: Estimate) -> bool:
-    """True when two confidence intervals do not overlap at all."""
-    return a.high < b.low or b.high < a.low
+def _verdict(metric: str, a: Estimate, b: Estimate) -> str:
+    """``ok`` unless the two intervals are disjoint; then the metric's
+    polarity and the direction of the move decide."""
+    if not (a.high < b.low or b.high < a.low):
+        return "ok"
+    polarity = metric_polarity(metric)
+    if polarity == 0:
+        return "changed"
+    return "regressed" if (polarity > 0) == (b.mean > a.mean) else "improved"
 
 
 def diff_stores(
@@ -148,77 +126,80 @@ def diff_stores(
 ) -> CampaignDiff:
     """Compare two loaded stores per (grid cell, metric) with CIs.
 
-    Cells are matched by group label (scenario/sweep-point + stack);
-    cells present in only one store are reported, not compared.
-    Within a shared cell, metrics present in both stores are compared
-    (a metric only one run emitted — e.g. gated ``policy.*`` keys — is
-    skipped: absence is a shape difference, not a regression).
-    Verdicts per the module contract: CI-disjoint changes are
-    significant, polarity decides regressed/improved/changed.
+    Cells match by group label; cells in only one store are listed, not
+    compared, and so is a metric only one run emitted (e.g. gated
+    ``policy.*`` keys): absence is a shape difference, not a
+    regression.  A smoke store against a full-size one raises
+    :class:`CampaignError`: every metric would differ by construction.
     Deterministic: pure function of the two stores.
     """
+    smoke_a, smoke_b = bool(store_a.get("smoke")), bool(store_b.get("smoke"))
+    if smoke_a != smoke_b:
+        raise CampaignError(
+            f"cannot diff {label_a} (smoke={smoke_a}) against {label_b} "
+            f"(smoke={smoke_b}): a smoke store only compares with another "
+            f"smoke store"
+        )
     groups_a = store_replications(store_a, confidence)
     groups_b = store_replications(store_b, confidence)
-    shared = [group for group in groups_a if group in groups_b]
-    only_in_a = [group for group in groups_a if group not in groups_b]
-    only_in_b = [group for group in groups_b if group not in groups_a]
-
     changes: list[MetricChange] = []
-    for group in shared:
-        _seeds_a, replication_a = groups_a[group]
-        _seeds_b, replication_b = groups_b[group]
-        for metric, estimate_a in replication_a.metrics.items():
-            estimate_b = replication_b.metrics.get(metric)
-            if estimate_b is None:
-                continue
-            verdict = "ok"
-            if _disjoint(estimate_a, estimate_b):
-                polarity = metric_polarity(metric)
-                moved_up = estimate_b.mean > estimate_a.mean
-                if polarity == 0:
-                    verdict = "changed"
-                elif (polarity > 0) == moved_up:
-                    verdict = "regressed"
-                else:
-                    verdict = "improved"
-            changes.append(MetricChange(
-                group=group,
-                metric=metric,
-                a=estimate_a,
-                b=estimate_b,
-                verdict=verdict,
-            ))
+    for group, (_seeds, replication_a) in groups_a.items():
+        if group not in groups_b:
+            continue
+        metrics_b = groups_b[group][1].metrics
+        for metric, a in replication_a.metrics.items():
+            if metric in metrics_b:
+                b = metrics_b[metric]
+                changes.append(
+                    MetricChange(group, metric, a, b, _verdict(metric, a, b))
+                )
     return CampaignDiff(
         label_a=label_a,
         label_b=label_b,
         confidence=confidence,
         changes=changes,
-        only_in_a=only_in_a,
-        only_in_b=only_in_b,
+        only_in_a=[group for group in groups_a if group not in groups_b],
+        only_in_b=[group for group in groups_b if group not in groups_a],
+    )
+
+
+def _change_table(
+    diff: CampaignDiff, changes: list[MetricChange], verdicts: bool
+) -> str:
+    """Mean ± CI of both runs and the delta per change; ``verdicts``
+    adds the relative-change and verdict columns."""
+    ci = f"±ci{int(round(diff.confidence * 100))}"
+    headers = ["group", "metric", diff.label_a, ci, diff.label_b, ci, "delta"]
+    rows = [
+        [
+            change.group, change.metric, change.a.mean, change.a.half_width,
+            change.b.mean, change.b.half_width, change.delta,
+        ] + ([change.relative, change.verdict] if verdicts else [])
+        for change in changes
+    ]
+    return format_table(
+        headers + (["relative", "verdict"] if verdicts else []), rows
     )
 
 
 def format_campaign_diff(diff: CampaignDiff, show_all: bool = False) -> str:
     """Render a :class:`CampaignDiff` as the CLI's regression report.
 
-    Significant changes (regressed first, then improved, then
-    direction-neutral) as a table of mean ± CI pairs, delta and
-    relative change; with no significant change at all, an explicit
-    "no regressions" line replaces the table.  ``show_all=True``
-    appends the non-significant rows too.  Groups present in only one
-    store are listed last.  Deterministic: pure rendering.
+    Significant changes (regressed, improved, then direction-neutral)
+    as one table, or an explicit "no regressions" line when there are
+    none; ``show_all=True`` appends the non-significant rows.  Groups
+    in only one store are listed last.  Deterministic: pure rendering.
     """
     level = int(round(diff.confidence * 100))
     lines = [
         f"campaign diff: {diff.label_a} vs {diff.label_b} "
         f"({len(diff.changes)} shared metric comparisons, {level}% CIs)"
     ]
-    significant = diff.significant()
-    rank = {"regressed": 0, "improved": 1, "changed": 2}
-    significant.sort(
+    significant = sorted(
+        diff.significant(),
         key=lambda change: (
-            rank[change.verdict], change.group, change.metric
-        )
+            _SIGNIFICANT.index(change.verdict), change.group, change.metric
+        ),
     )
     if not significant:
         lines.append(
@@ -226,70 +207,24 @@ def format_campaign_diff(diff: CampaignDiff, show_all: bool = False) -> str:
             "overlap"
         )
     else:
-        counts = {
-            verdict: sum(
-                1 for change in significant if change.verdict == verdict
-            )
-            for verdict in ("regressed", "improved", "changed")
-        }
-        lines.append(
-            f"{counts['regressed']} regressed, {counts['improved']} "
-            f"improved, {counts['changed']} changed (direction-neutral)"
-        )
-        rows = [
-            [
-                change.group,
-                change.metric,
-                change.a.mean,
-                change.a.half_width,
-                change.b.mean,
-                change.b.half_width,
-                change.delta,
-                change.relative,
-                change.verdict,
-            ]
-            for change in significant
+        counts = [
+            sum(1 for change in significant if change.verdict == verdict)
+            for verdict in _SIGNIFICANT
         ]
-        lines.append(format_table(
-            [
-                "group", "metric",
-                diff.label_a, f"±ci{level}",
-                diff.label_b, f"±ci{level}",
-                "delta", "relative", "verdict",
-            ],
-            rows,
-        ))
-    if show_all:
-        stable = [change for change in diff.changes if not change.significant]
-        if stable:
-            rows = [
-                [
-                    change.group, change.metric,
-                    change.a.mean, change.a.half_width,
-                    change.b.mean, change.b.half_width,
-                    change.delta,
-                ]
-                for change in stable
-            ]
-            lines.append("")
-            lines.append("within confidence intervals (no change claimed):")
-            lines.append(format_table(
-                [
-                    "group", "metric",
-                    diff.label_a, f"±ci{level}",
-                    diff.label_b, f"±ci{level}",
-                    "delta",
-                ],
-                rows,
-            ))
+        lines.append(
+            "{} regressed, {} improved, {} changed (direction-neutral)"
+            .format(*counts)
+        )
+        lines.append(_change_table(diff, significant, verdicts=True))
+    stable = [change for change in diff.changes if not change.significant]
+    if show_all and stable:
+        lines.append("")
+        lines.append("within confidence intervals (no change claimed):")
+        lines.append(_change_table(diff, stable, verdicts=False))
     if diff.only_in_a:
-        lines.append(
-            f"only in {diff.label_a}: {', '.join(diff.only_in_a)}"
-        )
+        lines.append(f"only in {diff.label_a}: {', '.join(diff.only_in_a)}")
     if diff.only_in_b:
-        lines.append(
-            f"only in {diff.label_b}: {', '.join(diff.only_in_b)}"
-        )
+        lines.append(f"only in {diff.label_b}: {', '.join(diff.only_in_b)}")
     return "\n".join(lines)
 
 

@@ -1,26 +1,17 @@
-"""Campaign manifests: the frozen definition of a grid of work items.
+"""Campaign manifests: the definition of one campaign's grid.
 
-A campaign is a (scenario, stack, sweep-point, seed) grid too big for a
-one-shot CLI run.  The :class:`CampaignManifest` records the knobs the
-grid was expanded from (scenario names, sweep names, stacks, seeds,
-smoke flag) **and** the expanded :class:`WorkItem` list itself, frozen
-at ``repro campaign new`` time, so a resume months later runs exactly
-the grid that was queued — and can *detect* that it no longer can.
+A :class:`CampaignManifest` records the knobs a campaign was expanded
+from (scenarios, sweeps, stacks, seeds, smoke) and the expanded
+:class:`WorkItem` list with a :func:`spec_fingerprint` per item, so
+``manifest.json`` says exactly which specs produced the
+``results.json`` beside it.  The items come from one
+:func:`repro.scenarios.grid.expand_grid` call, the expansion live
+``repro scenario run`` / ``sweep`` calls use, and the manifest keeps
+its cells, so a campaign runs the very specs it fingerprinted.
 
-Every item derives its :class:`~repro.scenarios.spec.ScenarioSpec`
-through :func:`repro.scenarios.grid.expand_grid` — the expansion live
-``repro scenario run`` / ``sweep`` calls use (catalog lookup,
-``smoke()`` shrinking, ``stack`` rebinding, sweep-axis derivation) —
-and the manifest pins a :func:`spec_fingerprint` per item.  On load the specs
-are re-derived and re-fingerprinted: if the catalog or a sweep
-definition drifted since ``new``, the mismatch fails eagerly with the
-offending item named, instead of silently merging incomparable results.
-
-Determinism: expansion is a pure function of the manifest knobs and the
-registered catalog/sweep/stack definitions — same inputs, same item
-list, same item ids, same fingerprints, in the same order, on every
-platform.  No randomness, no timestamps (so two campaign directories
-created from the same knobs are byte-identical).
+Determinism: expansion is a pure function of the knobs and the
+registered catalog/sweep/stack definitions, and a manifest holds no
+timestamps, so equal knobs give byte-identical manifests.
 """
 
 from __future__ import annotations
@@ -28,10 +19,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from repro.scenarios.grid import expand_grid
+from repro.scenarios.grid import GridCell, expand_grid
 from repro.scenarios.spec import ScenarioSpec
 
 #: Manifest (and work-item) schema version, bumped on layout changes.
@@ -39,21 +30,16 @@ MANIFEST_SCHEMA = 1
 
 
 class CampaignError(Exception):
-    """A campaign-layer failure: bad manifest, corrupt or mismatched
-    records, incomplete runs asked to merge — always raised eagerly
-    with the offending item or file named."""
+    """A campaign-layer failure: an existing campaign directory, a
+    malformed store, incomparable stores asked to diff — always raised
+    eagerly with the offending item or file named."""
 
 
 def spec_fingerprint(spec: ScenarioSpec) -> str:
-    """A stable digest of one derived spec's full field contents.
-
-    Canonical-JSON SHA-256 (sorted keys, nested dataclasses expanded)
-    truncated to 16 hex chars.  Pinned into the manifest per item and
-    into every completion record, so ``campaign resume`` and the store
-    merge can detect that the catalog, a sweep or the policy defaults
-    changed under a half-finished campaign.  Deterministic: pure
-    function of the spec's value.
-    """
+    """A stable 16-hex-char digest of one derived spec's full contents
+    (canonical-JSON SHA-256), pinned into the manifest and every store
+    record so stores run from different specs can be told apart.
+    Deterministic: pure function of the spec's value."""
     payload = dataclasses.asdict(spec)
     canonical = json.dumps(payload, sort_keys=True, default=repr)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
@@ -61,14 +47,10 @@ def spec_fingerprint(spec: ScenarioSpec) -> str:
 
 @dataclass(frozen=True)
 class WorkItem:
-    """One durable unit of campaign work: a (scenario, stack, optional
-    sweep-point, seed) cell of the grid.
+    """One (scenario, stack, optional sweep-point, seed) cell of the grid.
 
     ``sweep``/``sweep_value`` are ``None`` for plain scenario items and
-    name a registered sweep plus one of its axis values for sweep
-    items.  The item id doubles as the completion-record filename, so
-    it is filesystem-safe and unique within a campaign (validated at
-    expansion).
+    name a registered sweep and one of its axis values for sweep items.
     """
 
     scenario: str
@@ -88,46 +70,16 @@ class WorkItem:
 
     @property
     def group(self) -> str:
-        """The aggregation group: every seed of one grid cell.
-
-        Items sharing a group differ only by seed; the results store
-        aggregates their metrics into one mean ± CI estimate, and
-        ``campaign diff`` compares runs group by group.
-        """
+        """The aggregation group: every seed of one grid cell, reduced
+        to one mean ± CI estimate per metric and compared group by
+        group by ``campaign diff``."""
         if self.sweep is None:
             return f"{self.scenario} [{self.stack}]"
         return f"{self.sweep}@{self.sweep_value:g} [{self.stack}]"
 
-    def spec(self, smoke: bool = False) -> ScenarioSpec:
-        """Re-derive the spec this item runs.
-
-        Expands this item's own (scenario or sweep, stack) through
-        :func:`repro.scenarios.grid.expand_grid` — the expansion that
-        queued it and that live runs use — and picks the cell at this
-        item's axis value; :class:`ValueError` when the sweep no longer
-        has that point.  Deterministic: pure data derivation,
-        revalidated end to end.
-        """
-        cells = expand_grid(
-            scenarios=[self.scenario] if self.sweep is None else [],
-            sweeps=[self.sweep] if self.sweep is not None else [],
-            stacks=[self.stack],
-            smoke=smoke,
-        )
-        for cell in cells:
-            if cell.value == self.sweep_value:
-                return cell.spec
-        raise ValueError(
-            f"sweep {self.sweep!r} has no axis point {self.sweep_value!r}"
-        )
-
     def to_json(self) -> dict:
-        """The JSON mapping stored in manifests and records."""
-        payload = {
-            "scenario": self.scenario,
-            "stack": self.stack,
-            "seed": self.seed,
-        }
+        """The JSON mapping stored in manifests and store records."""
+        payload = {"scenario": self.scenario, "stack": self.stack, "seed": self.seed}
         if self.sweep is not None:
             payload["sweep"] = self.sweep
             payload["sweep_value"] = self.sweep_value
@@ -136,7 +88,7 @@ class WorkItem:
     @classmethod
     def from_json(cls, payload: dict) -> "WorkItem":
         """Rebuild an item from :meth:`to_json` output (round-trip
-        exact: ids and fingerprints match the originals)."""
+        exact: ids and groups match the originals)."""
         return cls(
             scenario=payload["scenario"],
             stack=payload["stack"],
@@ -148,11 +100,11 @@ class WorkItem:
 
 @dataclass(frozen=True)
 class CampaignManifest:
-    """The frozen campaign definition: knobs plus the expanded grid.
+    """One campaign's definition: knobs plus the expanded grid.
 
-    Built by :func:`build_manifest` (which expands and validates the
-    grid) and serialized to ``manifest.json`` by the queue layer.  The
-    ``fingerprints`` tuple is parallel to ``items``.
+    ``fingerprints`` is parallel to ``items``; ``cells`` holds the grid
+    cells the items were made from (one item per (cell, seed), in
+    order), in memory only — neither serialized nor compared.
     """
 
     name: str
@@ -163,20 +115,14 @@ class CampaignManifest:
     smoke: bool
     items: tuple[WorkItem, ...]
     fingerprints: tuple[str, ...]
+    cells: tuple[GridCell, ...] = field(default=(), compare=False, repr=False)
 
     def digest(self) -> str:
-        """A stable digest of the whole manifest (16 hex chars).
-
-        Stamped into every results store so ``campaign diff`` can say
-        whether two runs executed the same frozen grid.
-        Deterministic: canonical-JSON SHA-256 of :meth:`to_json`.
-        """
+        """A stable 16-hex-char digest of :meth:`to_json`, stamped into
+        the results store so two stores tell whether they ran the same
+        grid."""
         canonical = json.dumps(self.to_json(), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-    def item_ids(self) -> list[str]:
-        """Every item id, in expansion (= execution) order."""
-        return [item.item_id for item in self.items]
 
     def to_json(self) -> dict:
         """The ``manifest.json`` payload (schema-stamped, no
@@ -195,70 +141,6 @@ class CampaignManifest:
             ],
         }
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "CampaignManifest":
-        """Rebuild a manifest from :meth:`to_json` output.
-
-        Shape-validates eagerly (schema version, item fields) and
-        raises :class:`CampaignError` with the problem named.
-        """
-        if payload.get("schema") != MANIFEST_SCHEMA:
-            raise CampaignError(
-                f"manifest schema must be {MANIFEST_SCHEMA}, "
-                f"got {payload.get('schema')!r}"
-            )
-        try:
-            items = tuple(
-                WorkItem.from_json(entry) for entry in payload["items"]
-            )
-            fingerprints = tuple(
-                entry["fingerprint"] for entry in payload["items"]
-            )
-            return cls(
-                name=payload["name"],
-                scenarios=tuple(payload["scenarios"]),
-                sweeps=tuple(payload["sweeps"]),
-                stacks=(
-                    tuple(payload["stacks"])
-                    if payload["stacks"] is not None
-                    else None
-                ),
-                seeds=(
-                    tuple(int(s) for s in payload["seeds"])
-                    if payload["seeds"] is not None
-                    else None
-                ),
-                smoke=bool(payload["smoke"]),
-                items=items,
-                fingerprints=fingerprints,
-            )
-        except (KeyError, TypeError) as error:
-            raise CampaignError(f"malformed manifest: {error!r}") from None
-
-    def verify_derivable(self) -> None:
-        """Re-derive every item's spec and match its fingerprint.
-
-        The eager manifest/spec-mismatch gate: raises
-        :class:`CampaignError` naming the first item whose current
-        derivation (catalog entry, sweep definition, policy defaults)
-        no longer produces the spec that was frozen at ``campaign
-        new`` time.  Deterministic: pure re-derivation.
-        """
-        for item, pinned in zip(self.items, self.fingerprints):
-            try:
-                fresh = spec_fingerprint(item.spec(self.smoke))
-            except (KeyError, ValueError) as error:
-                raise CampaignError(
-                    f"item {item.item_id!r} no longer derives: {error}"
-                ) from error
-            if fresh != pinned:
-                raise CampaignError(
-                    f"item {item.item_id!r}: spec fingerprint {fresh} does "
-                    f"not match the manifest's {pinned} — the scenario "
-                    f"catalog or sweep definition changed since 'campaign "
-                    f"new'; create a fresh campaign instead of resuming"
-                )
-
 
 def build_manifest(
     name: str,
@@ -268,63 +150,43 @@ def build_manifest(
     seeds: Optional[Iterable[int]] = None,
     smoke: bool = False,
 ) -> CampaignManifest:
-    """Expand campaign knobs into a validated, frozen manifest.
+    """Expand campaign knobs into a validated manifest: one item per
+    (cell, seed) of one :func:`~repro.scenarios.grid.expand_grid` call,
+    in its order, which is also the execution order.
 
-    One item per (cell, seed) of
-    :func:`repro.scenarios.grid.expand_grid`'s cells, in its expansion
-    order (which is also execution order): scenario entries first —
-    scenario-major, then stack, then seed — followed by sweep entries
-    — sweep-major, then stack, then axis point, then seed.
-    ``stacks=None`` keeps each spec's own default stack; explicit
-    stacks are validated against the registry.  ``seeds=None`` uses
-    each (smoke-shrunk) spec's or sweep's own defaults.  Duplicate
-    item ids (e.g. the same scenario listed twice) raise
-    :class:`CampaignError` eagerly.  Deterministic: a pure function of
-    the knobs and registered definitions.
+    No entry at all, or a duplicate item id (the same scenario listed
+    twice), raises :class:`CampaignError`; an unknown stack raises the
+    registry's :class:`KeyError`.  Deterministic.
     """
     if not scenarios and not sweeps:
-        raise CampaignError(
-            "a campaign needs at least one scenario or sweep"
-        )
+        raise CampaignError("a campaign needs at least one scenario or sweep")
     if stacks is not None:
         stacks = tuple(stacks)
     if seeds is not None:
         seeds = tuple(int(seed) for seed in seeds)
     cells = expand_grid(scenarios, sweeps, stacks, seeds, smoke)
-    items: list[WorkItem] = []
+    items: dict[str, WorkItem] = {}
     fingerprints: list[str] = []
     for cell in cells:
         fingerprint = spec_fingerprint(cell.spec)
         for seed in cell.seeds:
-            items.append(WorkItem(
-                scenario=cell.scenario.name,
-                stack=cell.stack,
-                seed=seed,
+            item = WorkItem(
+                scenario=cell.scenario.name, stack=cell.stack, seed=seed,
                 sweep=cell.sweep.name if cell.sweep is not None else None,
                 sweep_value=cell.value,
-            ))
-            fingerprints.append(fingerprint)
-
-    seen: set[str] = set()
-    for item in items:
-        if item.item_id in seen:
-            raise CampaignError(
-                f"duplicate work item {item.item_id!r}: the same "
-                f"(scenario, stack, sweep-point, seed) cell was queued "
-                f"twice — de-duplicate the campaign's scenario/sweep/seed "
-                f"lists"
             )
-        seen.add(item.item_id)
-
+            if item.item_id in items:
+                raise CampaignError(
+                    f"duplicate work item {item.item_id!r}: the same "
+                    f"(scenario, stack, sweep-point, seed) cell was listed "
+                    f"twice — de-duplicate the scenario/sweep/seed lists"
+                )
+            items[item.item_id] = item
+            fingerprints.append(fingerprint)
     return CampaignManifest(
-        name=name,
-        scenarios=tuple(scenarios),
-        sweeps=tuple(sweeps),
-        stacks=stacks,
-        seeds=seeds,
-        smoke=smoke,
-        items=tuple(items),
-        fingerprints=tuple(fingerprints),
+        name=name, scenarios=tuple(scenarios), sweeps=tuple(sweeps),
+        stacks=stacks, seeds=seeds, smoke=smoke, items=tuple(items.values()),
+        fingerprints=tuple(fingerprints), cells=tuple(cells),
     )
 
 

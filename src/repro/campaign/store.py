@@ -1,130 +1,116 @@
-"""The merged campaign results store and its re-aggregation views.
+"""Running a campaign, its results store, and the store's re-aggregation.
 
-When a campaign's last work item completes, the per-item records merge
-into one canonical ``results.json``: records sorted by item id, JSON
-keys sorted, schema-stamped, with the manifest digest pinned — the
-single artifact ``repro campaign diff`` consumes and the byte-identity
-contract is stated over.
+:func:`run_campaign` sends every (cell, seed) job of a manifest to the
+execution backend as ONE batch and, after the last job returns, writes
+``manifest.json`` and ``results.json`` — the store, one record per item,
+sorted by item id, that ``repro campaign diff`` and ``show`` read.
+Nothing is written before every job has returned, so a failed run
+leaves no campaign behind and re-running it is the recovery.  A store
+read back is outside input: :func:`load_store` validates it and fails
+in one line, file and item named.  :func:`store_replications` and
+:func:`store_stack_comparisons` re-aggregate a store with the reduction
+live runs use, so its intervals and tables equal a live run's.
 
-Integrity is checked eagerly at every boundary: merging refuses
-incomplete campaigns (naming the pending count), duplicate item ids,
-fingerprint drift against the manifest, and records for items the
-manifest never queued; loading a store re-validates schema, duplicate
-ids and record shape, so a hand-edited or truncated store fails with
-the problem named instead of producing silently wrong aggregates.
-
-Re-aggregation: :func:`store_replications` groups records per grid
-cell (same scenario/stack/sweep-point, seeds ascending) and reduces
-them with :func:`repro.experiments.runner.replicate_cells` — the exact
-reduction live runs use — so confidence intervals computed from a
-store equal the ones a live run would have printed.
-:func:`store_stack_comparisons` goes one step further and regroups
-the cells into :class:`~repro.scenarios.compare.StackComparison`
-tables (:func:`repro.scenarios.grid.stack_comparisons`) for scenarios
-the campaign covered under several stacks.
-
-Determinism: merging, loading and re-aggregation are pure functions of
-the record contents; the store's bytes are independent of execution
-order, backend, batch size and crash/resume history.
+Determinism: every item's metrics depend only on its (spec, seed), and
+both files are pure functions of the manifest and those metrics —
+byte-identical for any backend and any ``--jobs N``.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-from typing import Union
+from functools import partial
+from typing import Optional, Sequence, Union
 
+from repro.experiments.exec import ExecutionBackend, SerialBackend
 from repro.experiments.runner import Replication, replicate_cells
+from repro.scenarios.builder import run_scenario_spec
 from repro.scenarios.compare import StackComparison
 from repro.scenarios.grid import GridCell, expand_grid, stack_comparisons
 from repro.stacks.registry import stack_names
 
-from repro.campaign.manifest import CampaignError, WorkItem
-from repro.campaign.queue import Campaign, _write_atomic
+from repro.campaign.manifest import CampaignError, CampaignManifest, WorkItem
 
-#: Merged-store schema version, bumped on layout changes.
+#: Store schema version, bumped on layout changes.
 STORE_SCHEMA = 1
 
 
-def merge_store(campaign: Campaign) -> dict:
-    """Merge a *completed* campaign's records into one store mapping.
+def run_campaign(
+    directory: Union[str, pathlib.Path],
+    manifest: CampaignManifest,
+    backend: Optional[ExecutionBackend] = None,
+) -> None:
+    """Run ``manifest``'s grid; write it and its store into ``directory``.
 
-    Validates everything eagerly: every manifest item must have a
-    record (else the pending count is reported — run ``campaign
-    resume``), every record must parse, match its filename id, carry
-    metrics, and carry the fingerprint the manifest pinned for that
-    item; duplicates cannot arise from the filesystem but are guarded
-    against all the same.  Records are ordered by item id so the
-    result is canonical.  Deterministic: pure function of the records.
+    A directory already holding a ``manifest.json`` is refused
+    (:class:`CampaignError`) before anything runs.  The jobs go to
+    ``backend`` (serial when ``None``) as one batch, row-major with
+    seeds fastest like :func:`repro.scenarios.grid.run_grid`'s.  If a
+    job raises, the exception propagates and neither file is written.
     """
-    status = campaign.status()
-    if not status.done:
+    directory = pathlib.Path(directory)
+    if (directory / "manifest.json").exists():
         raise CampaignError(
-            f"campaign {campaign.manifest.name!r} has {status.pending} "
-            f"pending item(s); run 'repro campaign resume' before merging"
+            f"{directory / 'manifest.json'} already exists; 'campaign run' "
+            f"never overwrites — pick a fresh directory"
         )
-    pinned = dict(zip(campaign.manifest.item_ids(), campaign.manifest.fingerprints))
-    records = []
-    seen: set[str] = set()
-    for item_id in sorted(pinned):
-        if item_id in seen:
-            raise CampaignError(f"duplicate item id {item_id!r} in manifest")
-        seen.add(item_id)
-        record = campaign.read_record(item_id)
-        if record.get("fingerprint") != pinned[item_id]:
-            raise CampaignError(
-                f"record {item_id!r}: spec fingerprint "
-                f"{record.get('fingerprint')!r} does not match the "
-                f"manifest's {pinned[item_id]!r} — the record was produced "
-                f"by a different spec; re-run the item (delete its record "
-                f"and 'campaign resume')"
-            )
-        records.append({
-            "item": record["item"],
-            "item_id": item_id,
-            "fingerprint": record["fingerprint"],
-            "metrics": record["metrics"],
-        })
+    results = (backend or SerialBackend()).run([
+        partial(run_scenario_spec, cell.spec, seed)
+        for cell in manifest.cells
+        for seed in cell.seeds
+    ])
+    directory.mkdir(parents=True, exist_ok=True)
+    for filename, payload in (
+        ("manifest.json", manifest.to_json()),
+        ("results.json", merge_store(manifest, results)),
+    ):
+        (directory / filename).write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        )
+
+
+def merge_store(manifest: CampaignManifest, results: Sequence[dict]) -> dict:
+    """The store mapping for a manifest and its per-item metric dicts
+    (``results`` parallel to ``manifest.items``): one record per item —
+    item, id, spec fingerprint, plain-float metrics — ordered by item
+    id, so the store is canonical.  Deterministic."""
+    records = [
+        {
+            "item": item.to_json(),
+            "item_id": item.item_id,
+            "fingerprint": fingerprint,
+            "metrics": {key: float(value) for key, value in metrics.items()},
+        }
+        for item, fingerprint, metrics in zip(
+            manifest.items, manifest.fingerprints, results
+        )
+    ]
+    records.sort(key=lambda record: record["item_id"])
     return {
         "schema": STORE_SCHEMA,
-        "campaign": campaign.manifest.name,
-        "manifest_digest": campaign.manifest.digest(),
-        "smoke": campaign.manifest.smoke,
+        "campaign": manifest.name,
+        "manifest_digest": manifest.digest(),
+        "smoke": manifest.smoke,
         "records": records,
     }
 
 
-def write_store(campaign: Campaign) -> pathlib.Path:
-    """Merge and write ``results.json`` atomically; returns its path.
-
-    Canonical bytes: sorted record order, sorted JSON keys, trailing
-    newline — byte-identical for any execution history of the same
-    campaign (the crash/kill suite and the CI campaign smoke step
-    ``diff -r`` this).  Deterministic per the merge contract.
-    """
-    store = merge_store(campaign)
-    _write_atomic(
-        campaign.store_path,
-        json.dumps(store, indent=2, sort_keys=True) + "\n",
-    )
-    return campaign.store_path
-
-
 def load_store(path: Union[str, pathlib.Path]) -> dict:
-    """Load and validate a merged store from a file or campaign dir.
+    """Load and validate a store from a ``results.json`` path or the
+    campaign directory holding one.
 
-    Accepts either the ``results.json`` path itself or a campaign
-    directory containing one.  Validates schema, record shape and
-    duplicate item ids eagerly (:class:`CampaignError` with the
-    problem named).  Deterministic: read-only.
+    Checks the schema, duplicate item ids and every record's shape — an
+    ``item`` with ``scenario``, ``stack`` and ``seed``, and a non-empty
+    mapping of numeric metrics — and raises :class:`CampaignError`
+    naming the file and the item.  Deterministic: read-only.
     """
     path = pathlib.Path(path)
     if path.is_dir():
         path = path / "results.json"
     if not path.exists():
         raise CampaignError(
-            f"no merged store at {path}; finish the campaign "
-            f"('repro campaign resume') to produce one"
+            f"no results store at {path}; write one with 'campaign run'"
         )
     try:
         store = json.loads(path.read_text())
@@ -146,26 +132,31 @@ def load_store(path: Union[str, pathlib.Path]) -> dict:
         if item_id in seen:
             raise CampaignError(f"{path}: duplicate item id {item_id!r}")
         seen.add(item_id)
-        metrics = record.get("metrics")
+        item, metrics = record.get("item"), record.get("metrics")
+        if not isinstance(item, dict) or not {"scenario", "stack", "seed"} <= item.keys():
+            raise CampaignError(
+                f"{path}: record {item_id!r} has no item with scenario, "
+                f"stack and seed"
+            )
         if not isinstance(metrics, dict) or not metrics:
             raise CampaignError(f"{path}: record {item_id!r} has no metrics")
-        if not isinstance(record.get("item"), dict):
-            raise CampaignError(f"{path}: record {item_id!r} has no item")
+        for metric, value in metrics.items():
+            if not isinstance(value, (int, float)):
+                raise CampaignError(
+                    f"{path}: record {item_id!r} metric {metric!r} is not "
+                    f"a number: {value!r}"
+                )
     return store
 
 
 def _store_cells(
     store: dict, confidence: float
 ) -> list[tuple[WorkItem, list[int], Replication]]:
-    """Regroup a store's records per grid cell, in store order.
-
-    One ``(item, seeds ascending, Replication)`` entry per
-    :attr:`WorkItem.group` (``item`` is the cell's first record).  The
-    stored per-seed metric dicts go through
-    :func:`repro.experiments.runner.replicate_cells` — the batch
-    function live runs use, each "job" a lookup — so means and CI
-    half-widths match a live run of the same grid.
-    """
+    """Regroup a store's records per grid cell, in store order: one
+    ``(first item, seeds ascending, Replication)`` per
+    :attr:`WorkItem.group`, reduced by
+    :func:`repro.experiments.runner.replicate_cells` (each "job" a
+    lookup) so means and CI half-widths match a live run's."""
     grouped: dict[str, tuple[WorkItem, dict[int, dict]]] = {}
     for record in store["records"]:
         item = WorkItem.from_json(record["item"])
@@ -183,14 +174,9 @@ def _store_cells(
 def store_replications(
     store: dict, confidence: float = 0.95
 ) -> dict[str, tuple[list[int], Replication]]:
-    """Re-aggregate a store per grid cell: group -> (seeds, Replication).
-
-    Groups records by :attr:`WorkItem.group` (same scenario, stack and
-    sweep-point — the cells of the campaign grid), each group's seeds
-    ascending, reduced at ``confidence`` exactly as a live replication
-    is.  Groups are returned in first-appearance (store) order.
-    Deterministic: pure reduction.
-    """
+    """Re-aggregate a store per grid cell: group -> (seeds, Replication),
+    seeds ascending, reduced at ``confidence`` exactly as a live
+    replication is, groups in store order.  Deterministic."""
     return {
         item.group: (seeds, replication)
         for item, seeds, replication in _store_cells(store, confidence)
@@ -200,20 +186,13 @@ def store_replications(
 def store_stack_comparisons(
     store: dict, confidence: float = 0.95
 ) -> list[StackComparison]:
-    """Rebuild cross-stack comparison tables from a merged store.
+    """Rebuild cross-stack comparison tables from a store.
 
-    For every plain scenario (non-sweep) the campaign ran under more
-    than one stack with identical seed lists, re-expands the
-    scenario's cells (:func:`repro.scenarios.grid.expand_grid`) and
-    groups them with :func:`repro.scenarios.grid.stack_comparisons` —
-    the same :class:`~repro.scenarios.compare.StackComparison` a live
-    ``repro scenario run <name> --stack all`` builds; render it with
-    :func:`~repro.scenarios.compare.format_stack_comparison` for a
-    byte-identical table.  Scenarios appear in store order; stacks in
-    registry order (the order a live ``--stack all`` uses).  A store
-    naming a stack that is no longer registered fails the expansion
-    with the registered names listed.
-    Deterministic: pure reduction.
+    One :class:`~repro.scenarios.compare.StackComparison` per plain
+    scenario the store holds under several stacks with equal seed
+    lists, built as a live ``scenario run <name> --stack all`` builds
+    it (scenarios in store order, stacks in registry order), so it
+    renders byte-identically.  Deterministic: pure reduction.
     """
     columns: dict[str, dict[str, tuple[list[int], Replication]]] = {}
     for item, seeds, replication in _store_cells(store, confidence):
@@ -242,7 +221,7 @@ __all__ = [
     "STORE_SCHEMA",
     "load_store",
     "merge_store",
+    "run_campaign",
     "store_replications",
     "store_stack_comparisons",
-    "write_store",
 ]

@@ -23,10 +23,8 @@ Usage::
     python -m repro scenario sweep campus-dense/backhaul --smoke    # CI variant
     python -m repro scenario sweep flash-crowd/hotspot-fraction --stack all
 
-    python -m repro campaign new night --scenarios all --stacks all
-    python -m repro campaign run night --jobs 8     # durable; Ctrl-C safe
-    python -m repro campaign resume night --jobs 8  # skips completed items
-    python -m repro campaign status night --tables
+    python -m repro campaign run night --scenarios all --stacks all --jobs 8
+    python -m repro campaign show night             # cross-stack tables
     python -m repro campaign diff night-before night-after  # CI regressions
 
 ``--jobs N`` fans the per-seed scenario jobs out over N forked worker
@@ -195,34 +193,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
     campaign = commands.add_parser(
         "campaign",
-        help="durable resumable runs over (scenario, stack, sweep, seed) "
-        "grids, with cross-run regression diffs",
+        help="run a (scenario, stack, sweep, seed) grid into a results "
+        "store; cross-run regression diffs",
     )
     campaign_verbs = campaign.add_subparsers(
         dest="campaign_command", required=True
     )
 
-    campaign_new = campaign_verbs.add_parser(
-        "new", help="expand a grid into a durable campaign directory"
+    campaign_run = campaign_verbs.add_parser(
+        "run", help="run a grid; write manifest.json and results.json"
     )
-    campaign_new.add_argument(
+    campaign_run.add_argument(
         "directory", type=pathlib.Path, help="campaign directory to create"
     )
-    campaign_new.add_argument(
+    campaign_run.add_argument(
         "--scenarios",
         nargs="+",
         default=[],
         metavar="NAME",
-        help="catalog scenarios to queue (names, or 'all')",
+        help="catalog scenarios to run (names, or 'all')",
     )
-    campaign_new.add_argument(
+    campaign_run.add_argument(
         "--sweeps",
         nargs="+",
         default=[],
         metavar="NAME",
-        help="registered sweeps to queue (names, or 'all')",
+        help="registered sweeps to run (names, or 'all')",
     )
-    campaign_new.add_argument(
+    campaign_run.add_argument(
         "--stacks",
         nargs="+",
         default=None,
@@ -230,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="protocol stacks to cross every entry with (names, or "
         "'all'); default: each spec's own stack",
     )
-    campaign_new.add_argument(
+    campaign_run.add_argument(
         "--seeds",
         type=int,
         nargs="+",
@@ -238,64 +236,32 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="SEED",
         help="override every entry's default seed list",
     )
-    campaign_new.add_argument(
+    campaign_run.add_argument(
         "--smoke",
         action="store_true",
-        help="queue the shrunken CI smoke variant of every entry",
+        help="run the shrunken CI smoke variant of every entry",
     )
-    campaign_new.add_argument(
+    campaign_run.add_argument(
         "--name",
         default=None,
         help="campaign name recorded in the manifest (default: the "
         "directory name)",
     )
-
-    for verb, help_text in (
-        ("run", "drain the campaign's pending items"),
-        ("resume", "synonym of run: skip completed items, run the rest"),
-    ):
-        campaign_run = campaign_verbs.add_parser(verb, help=help_text)
-        campaign_run.add_argument(
-            "directory", type=pathlib.Path, help="campaign directory"
-        )
-        campaign_run.add_argument(
-            "-j",
-            "--jobs",
-            type=int,
-            default=1,
-            metavar="N",
-            help="worker processes per batch (default 1 = serial; the "
-            "final store is byte-identical for any N)",
-        )
-        campaign_run.add_argument(
-            "--batch-size",
-            type=int,
-            default=None,
-            metavar="K",
-            help="items dispatched per backend batch (default 8): "
-            "smaller = finer crash granularity, larger = less dispatch "
-            "overhead",
-        )
-        campaign_run.add_argument(
-            "--max-items",
-            type=int,
-            default=None,
-            metavar="M",
-            help="stop after M items (deterministic partial run; resume "
-            "later)",
-        )
-
-    campaign_status = campaign_verbs.add_parser(
-        "status", help="show per-group completion counts"
+    campaign_run.add_argument(
+        "-j",
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help="worker processes for the grid (default 1 = serial; both "
+        "files are byte-identical for any N)",
     )
-    campaign_status.add_argument(
-        "directory", type=pathlib.Path, help="campaign directory"
+
+    campaign_show = campaign_verbs.add_parser(
+        "show", help="render a store's cross-stack comparison tables"
     )
-    campaign_status.add_argument(
-        "--tables",
-        action="store_true",
-        help="for a completed campaign, also render the cross-stack "
-        "comparison tables from the merged store",
+    campaign_show.add_argument(
+        "directory", type=pathlib.Path, help="campaign dir or results.json"
     )
 
     campaign_diff = campaign_verbs.add_parser(
@@ -587,8 +553,8 @@ def _scenario_sweep_main(args: argparse.Namespace) -> int:
 
 def _campaign_main(args: argparse.Namespace) -> int:
     from repro.campaign import (
-        Campaign,
         CampaignError,
+        build_manifest,
         diff_stores,
         format_campaign_diff,
         load_store,
@@ -597,100 +563,52 @@ def _campaign_main(args: argparse.Namespace) -> int:
     )
 
     try:
-        if args.campaign_command == "new":
+        if args.campaign_command == "run":
             from repro import scenarios
+            from repro.stacks import stack_names
 
-            wanted_scenarios = args.scenarios
-            if wanted_scenarios:
-                wanted_scenarios = _expand_names(
-                    wanted_scenarios, scenarios.scenario_names(), "scenario"
-                )
-                if wanted_scenarios is None:
-                    return 2
-            wanted_sweeps = args.sweeps
-            if wanted_sweeps:
-                wanted_sweeps = _expand_names(
-                    wanted_sweeps, scenarios.sweep_names(), "sweep"
-                )
-                if wanted_sweeps is None:
-                    return 2
-            stacks = args.stacks
-            if stacks is not None:
-                from repro.stacks import stack_names
-
-                stacks = _expand_names(stacks, stack_names(), "stack")
-                if stacks is None:
-                    return 2
-            campaign = Campaign.create(
-                args.directory,
-                scenarios=wanted_scenarios,
-                sweeps=wanted_sweeps,
-                stacks=stacks,
-                seeds=args.seeds,
-                smoke=args.smoke,
-                name=args.name,
-            )
-            print(
-                f"campaign {campaign.manifest.name!r} created at "
-                f"{args.directory}: {len(campaign.manifest.items)} work "
-                f"item(s) queued"
-            )
-            print(f"run it with: repro campaign run {args.directory}")
-            return 0
-
-        if args.campaign_command in ("run", "resume"):
             if not _jobs_ok(args.jobs):
                 return 2
-            campaign = Campaign.load(args.directory)
-            kwargs = {}
-            if args.batch_size is not None:
-                kwargs["batch_size"] = args.batch_size
-            summary, elapsed = _timed(
+            knobs = {}
+            for kind, names, available in (
+                ("scenario", args.scenarios, scenarios.scenario_names),
+                ("sweep", args.sweeps, scenarios.sweep_names),
+                ("stack", args.stacks, stack_names),
+            ):
+                if names:
+                    names = _expand_names(names, available(), kind)
+                    if names is None:
+                        return 2
+                knobs[f"{kind}s"] = names
+            manifest = build_manifest(
+                args.name or args.directory.name,
+                seeds=args.seeds,
+                smoke=args.smoke,
+                **knobs,
+            )
+            elapsed = _timed(
                 lambda: run_campaign(
-                    campaign,
-                    backend=backend_for_jobs(args.jobs),
-                    max_items=args.max_items,
-                    log=print,
-                    **kwargs,
+                    args.directory, manifest, backend_for_jobs(args.jobs)
                 )
-            )
+            )[1]
             print(
-                f"[{summary.ran} item(s) run, {summary.skipped} skipped "
-                f"in {elapsed:.1f}s]"
+                f"campaign {manifest.name!r}: {len(manifest.items)} item(s) "
+                f"run in {elapsed:.1f}s; results store written to "
+                f"{args.directory / 'results.json'}"
             )
-            if not summary.done:
-                remaining = summary.total - summary.skipped - summary.ran
-                print(
-                    f"{remaining} item(s) still pending; continue with: "
-                    f"repro campaign resume {args.directory}"
-                )
             return 0
 
-        if args.campaign_command == "status":
-            campaign = Campaign.load(args.directory)
-            status = campaign.status()
-            print(
-                f"campaign {status.name!r}: {status.completed}/"
-                f"{status.total} item(s) completed "
-                f"({status.pending} pending)"
-            )
-            for group, (done, total) in status.groups.items():
-                print(f"  {group:44s} {done}/{total}")
-            if status.done:
-                print(f"merged store: {campaign.store_path}")
-            if args.tables:
-                if not status.done:
-                    print(
-                        "[--tables needs a completed campaign; "
-                        "finish it with 'repro campaign resume']"
-                    )
-                else:
-                    from repro.scenarios import format_stack_comparison
+        if args.campaign_command == "show":
+            from repro.scenarios import format_stack_comparison
 
-                    store = load_store(campaign.store_path)
-                    for comparison in store_stack_comparisons(store):
-                        print()
-                        print(format_stack_comparison(comparison))
+            comparisons = store_stack_comparisons(load_store(args.directory))
+            if comparisons:
+                print("\n\n".join(map(format_stack_comparison, comparisons)))
+            else:
+                print(
+                    "[no scenario in this store ran under several stacks "
+                    "with the same seeds: no cross-stack table]"
+                )
             return 0
 
         # campaign diff --------------------------------------------------

@@ -24,8 +24,8 @@ traffic mix and a protocol stack into one named workload:
   and :func:`~repro.scenarios.grid.stack_comparisons` regroups them
   per scenario.  ``replicate_scenario(s)``,
   ``compare_scenario_stacks`` and ``sweep_scenario(s)`` are those
-  steps under one call each; the campaign layer freezes the same
-  cells into durable work items.
+  steps under one call each; a campaign runs the same cells and
+  keeps their results on disk.
 
 Importing this package loads what one run needs: the spec, the
 catalog and the builder.  The multi-run names (everything from

@@ -8,9 +8,9 @@ sweep``, campaigns) goes through the same three steps:
 1. :func:`expand_grid` expands scenarios / sweeps / stacks / seeds /
    ``smoke`` into :class:`GridCell` values — one per (scenario, stack)
    or (sweep, stack, axis point), each carrying the derived spec that
-   runs and its seed list.  The campaign layer freezes exactly these
-   cells into work items, so a live run and a queued one can never
-   disagree about the grid.
+   runs and its seed list.  A campaign makes exactly these cells its
+   work items, so a live run and a campaign can never disagree about
+   the grid.
 2. :func:`run_grid` dispatches the cells' whole (cell, seed) grid as
    ONE :meth:`ExecutionBackend.run
    <repro.experiments.exec.ExecutionBackend.run>` batch through

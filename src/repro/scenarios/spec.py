@@ -204,7 +204,9 @@ class ScenarioSpec:
             raise ValueError("scenario name must not be empty")
         if self.population < 1:
             raise ValueError(f"population must be >= 1, got {self.population}")
-        if self.duration <= 0:
+        # ``not x > 0`` / ``not x >= 0``: nan fails both, where it
+        # passes an ``x <= 0`` / ``x < 0`` guard.
+        if not self.duration > 0:
             raise ValueError(f"duration must be positive, got {self.duration}")
         if self.domains not in (1, 2):
             raise ValueError(f"domains must be 1 or 2, got {self.domains}")
@@ -213,7 +215,7 @@ class ScenarioSpec:
         for label in ("macro_channel_bandwidth", "pico_channel_bandwidth"):
             value = getattr(self, label)
             if value is not None:
-                if not isinstance(value, (int, float)) or value <= 0:
+                if not isinstance(value, (int, float)) or not value > 0:
                     raise ValueError(
                         f"{label} must be a positive number or None, "
                         f"got {value!r}"
@@ -223,8 +225,14 @@ class ScenarioSpec:
             raise ValueError("hotspot_fraction must be in [0, 1]")
         if self.hotspot_flows < 1:
             raise ValueError("hotspot_flows must be >= 1")
-        if self.sample_period <= 0 or self.warmup < 0 or self.drain < 0:
-            raise ValueError("bad timing parameters")
+        if not self.sample_period > 0:
+            raise ValueError(
+                f"sample_period must be positive, got {self.sample_period}"
+            )
+        for label in ("warmup", "drain"):
+            value = getattr(self, label)
+            if not value >= 0:
+                raise ValueError(f"{label} must be non-negative, got {value}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if not self.seeds:
             raise ValueError("seeds must not be empty")

@@ -1,21 +1,18 @@
-"""Tests for the durable campaign runner (`repro.campaign`).
+"""Tests for campaigns (`repro.campaign`).
 
 Pins the campaign layer's load-bearing guarantees:
 
-* manifest expansion is deterministic, unique and round-trip exact;
-  duplicate grid cells and unknown names fail eagerly;
-* completion records round-trip byte-exactly and every integrity gate
-  fires with the problem named: stray records, fingerprint drift
-  between manifest and catalog, corrupted or duplicated store entries,
-  merging an incomplete campaign;
-* ``run_campaign`` resumes by skipping completed items, re-runs only
-  the remainder, and the merged ``results.json`` is byte-identical to
-  an uninterrupted run's — serial and ``--jobs 2`` (the SIGKILL
-  variants live in ``tests/test_campaign_crash.py``);
+* manifest expansion is deterministic and unique; duplicate grid cells
+  and unknown names fail eagerly;
+* ``run_campaign`` writes ``manifest.json`` and ``results.json`` only
+  after every job has returned — a failed job leaves no campaign, and
+  an existing campaign directory is refused before anything runs;
+* the store is byte-identical serial and ``--jobs 2``;
+* every ``load_store`` integrity gate fires in one line with the file
+  and item named;
 * store re-aggregation equals a live replication of the same grid;
-* the CLI verbs (``new``/``run``/``resume``/``status``/``diff``) wire
-  through with the documented exit codes (2 campaign error, 3 strict
-  regression).
+* the CLI verbs (``run``/``show``/``diff``) wire through with the
+  documented exit codes (2 campaign error, 3 strict regression).
 """
 
 import json
@@ -24,18 +21,15 @@ import multiprocessing
 import pytest
 
 from repro.campaign import (
-    Campaign,
     CampaignError,
     WorkItem,
     build_manifest,
     load_store,
-    merge_store,
     run_campaign,
     spec_fingerprint,
     store_replications,
     store_stack_comparisons,
 )
-from repro.campaign.manifest import CampaignManifest
 from repro.cli import main
 from repro.experiments.exec import ProcessPoolBackend, SerialBackend
 from repro.experiments.runner import replicate
@@ -52,11 +46,12 @@ needs_fork = pytest.mark.skipif(not HAS_FORK, reason="platform lacks fork")
 SCENARIO = "sparse-rural"  # the fastest smoke scenario in the catalog
 
 
-def _campaign(tmp_path, sub="camp", **kwargs):
+def _campaign(tmp_path, sub="camp", backend=None, **kwargs):
+    """Run a smoke campaign of ``SCENARIO`` into ``tmp_path / sub``."""
     kwargs.setdefault("scenarios", [SCENARIO])
-    kwargs.setdefault("smoke", True)
-    kwargs.setdefault("name", "testcamp")
-    return Campaign.create(tmp_path / sub, **kwargs)
+    manifest = build_manifest("testcamp", smoke=True, **kwargs)
+    run_campaign(tmp_path / sub, manifest, backend)
+    return tmp_path / sub, manifest
 
 
 # ----------------------------------------------------------------------
@@ -74,12 +69,13 @@ def test_build_manifest_is_deterministic_and_unique():
     b = build_manifest("grid", **knobs)
     assert a == b
     assert a.digest() == b.digest()
-    ids = a.item_ids()
+    ids = [item.item_id for item in a.items]
     assert len(ids) == len(set(ids))
     # scenario-major then sweep-major expansion, 2 scenarios x 2 stacks
     # x 2 seeds + 1 sweep x 2 stacks x points x 2 seeds
     assert ids[0] == "sparse-rural--multitier--s1"
     assert any(item.sweep == "sparse-rural/population" for item in a.items)
+    assert len(a.items) == sum(len(cell.seeds) for cell in a.cells)
 
 
 def test_build_manifest_rejects_duplicates_and_empties():
@@ -92,16 +88,20 @@ def test_build_manifest_rejects_duplicates_and_empties():
 
 
 def test_manifest_json_round_trip_is_exact():
+    """Every manifest item survives JSON; the digest is over the JSON
+    payload, so it is unchanged by a round trip."""
     manifest = build_manifest(
         "rt", scenarios=[SCENARIO], sweeps=["sparse-rural/population"],
         stacks=["multitier"], seeds=[3, 5], smoke=True,
     )
-    rebuilt = CampaignManifest.from_json(
-        json.loads(json.dumps(manifest.to_json()))
+    payload = json.loads(json.dumps(manifest.to_json()))
+    assert payload == manifest.to_json()
+    assert tuple(WorkItem.from_json(entry) for entry in payload["items"]) == (
+        manifest.items
     )
-    assert rebuilt == manifest
-    assert rebuilt.digest() == manifest.digest()
-    rebuilt.verify_derivable()  # catalog unchanged -> no drift
+    assert [entry["fingerprint"] for entry in payload["items"]] == list(
+        manifest.fingerprints
+    )
 
 
 def test_work_item_ids_are_filesystem_safe():
@@ -114,146 +114,127 @@ def test_work_item_ids_are_filesystem_safe():
     assert item.group == "sparse-rural/population@24 [multitier]"
 
 
-def test_manifest_detects_fingerprint_drift_on_load(tmp_path):
-    campaign = _campaign(tmp_path)
-    payload = json.loads((campaign.directory / "manifest.json").read_text())
-    payload["items"][0]["fingerprint"] = "0" * 16
-    (campaign.directory / "manifest.json").write_text(json.dumps(payload))
-    with pytest.raises(CampaignError, match="does not match the manifest"):
-        Campaign.load(campaign.directory)
-
-
 def test_campaign_new_refuses_existing_directory(tmp_path):
-    _campaign(tmp_path)
+    """A second run into the same directory is refused before any job
+    runs, and the first run's files are untouched."""
+    directory, manifest = _campaign(tmp_path)
+    before = (directory / "results.json").read_bytes()
+
+    class _Refuse(SerialBackend):
+        def run(self, jobs):
+            raise AssertionError("a job ran")
+
     with pytest.raises(CampaignError, match="never\\s+overwrites"):
-        _campaign(tmp_path)
+        run_campaign(directory, manifest, _Refuse())
+    assert (directory / "results.json").read_bytes() == before
 
 
 # ----------------------------------------------------------------------
-# Records: round trip + integrity gates
+# One pass: nothing half-written, byte-identical on any backend
 # ----------------------------------------------------------------------
+def test_failed_job_leaves_no_campaign(tmp_path, monkeypatch):
+    """If any job raises, the exception propagates and the directory
+    holds neither ``manifest.json`` nor ``results.json``."""
+    import repro.campaign.store as store_module
+
+    def run_or_fail(spec, seed):
+        if seed == 2:
+            raise RuntimeError("seed 2 failed")
+        return run_scenario_spec(spec, seed)
+
+    monkeypatch.setattr(store_module, "run_scenario_spec", run_or_fail)
+    with pytest.raises(RuntimeError, match="seed 2 failed"):
+        _campaign(tmp_path, seeds=[1, 2, 3])
+    assert not (tmp_path / "camp" / "manifest.json").exists()
+    assert not (tmp_path / "camp" / "results.json").exists()
+
+
 def test_record_round_trip_is_byte_exact(tmp_path):
-    campaign = _campaign(tmp_path)
-    item = campaign.manifest.items[0]
-    metrics = run_scenario_spec(item.spec(smoke=True), item.seed)
-    path = campaign.write_record(item, metrics)
-    first = path.read_bytes()
-    record = campaign.read_record(item.item_id)
+    """A store record holds the item, its fingerprint and its metrics
+    as plain floats; the same grid run again writes identical bytes."""
+    directory, manifest = _campaign(tmp_path)
+    (record,) = load_store(directory)["records"]
+    item = manifest.items[0]
+    spec = manifest.cells[0].spec
+    metrics = run_scenario_spec(spec, item.seed)
+    assert record["item"] == item.to_json()
     assert record["metrics"] == {k: float(v) for k, v in metrics.items()}
-    assert record["fingerprint"] == spec_fingerprint(item.spec(smoke=True))
-    campaign.write_record(item, metrics)  # rewrite: identical bytes
-    assert path.read_bytes() == first
-
-
-def test_stray_record_fails_eagerly(tmp_path):
-    campaign = _campaign(tmp_path)
-    (campaign.items_dir / "not-in-manifest--s1.json").write_text("{}")
-    with pytest.raises(CampaignError, match="unknown item"):
-        campaign.completed_ids()
-
-
-def test_inflight_tmp_files_are_ignored(tmp_path):
-    campaign = _campaign(tmp_path)
-    (campaign.items_dir / "whatever.json.tmp").write_text("{torn")
-    assert campaign.completed_ids() == set()
-
-
-def test_corrupt_record_fails_with_file_named(tmp_path):
-    campaign = _campaign(tmp_path)
-    item_id = campaign.manifest.item_ids()[0]
-    campaign.record_path(item_id).write_text("{not json")
-    with pytest.raises(CampaignError, match="not valid JSON"):
-        campaign.read_record(item_id)
-
-
-def test_merge_refuses_incomplete_campaign(tmp_path):
-    campaign = _campaign(tmp_path, seeds=[1, 2])
-    run_campaign(campaign, backend=SerialBackend(), max_items=1)
-    with pytest.raises(CampaignError, match="1 pending"):
-        merge_store(campaign)
-
-
-def test_merge_rejects_record_fingerprint_mismatch(tmp_path):
-    campaign = _campaign(tmp_path)
-    run_campaign(campaign, backend=SerialBackend())
-    item_id = campaign.manifest.item_ids()[0]
-    payload = json.loads(campaign.record_path(item_id).read_text())
-    payload["fingerprint"] = "f" * 16
-    campaign.record_path(item_id).write_text(json.dumps(payload))
-    with pytest.raises(CampaignError, match="different spec"):
-        merge_store(campaign)
-
-
-def test_load_store_integrity_gates(tmp_path):
-    campaign = _campaign(tmp_path)
-    with pytest.raises(CampaignError, match="no merged store"):
-        load_store(campaign.directory)
-    run_campaign(campaign, backend=SerialBackend())
-    store = load_store(campaign.directory)  # accepts the directory
-    assert store["schema"] == 1
-    payload = json.loads(campaign.store_path.read_text())
-    payload["records"].append(payload["records"][0])
-    campaign.store_path.write_text(json.dumps(payload))
-    with pytest.raises(CampaignError, match="duplicate item id"):
-        load_store(campaign.store_path)
-    payload["records"] = []
-    campaign.store_path.write_text(json.dumps(payload))
-    with pytest.raises(CampaignError, match="no records"):
-        load_store(campaign.store_path)
-
-
-# ----------------------------------------------------------------------
-# Resume semantics + byte-identity (kill-free; SIGKILL suite separate)
-# ----------------------------------------------------------------------
-def test_resume_skips_completed_and_store_is_byte_identical(tmp_path):
-    knobs = dict(seeds=[1, 2, 3], name="parity")
-    straight = _campaign(tmp_path, "straight", **knobs)
-    summary = run_campaign(straight, backend=SerialBackend())
-    assert summary.done and summary.skipped == 0 and summary.ran == 3
-
-    resumed = _campaign(tmp_path, "resumed", **knobs)
-    partial = run_campaign(resumed, backend=SerialBackend(), max_items=2)
-    assert not partial.done and partial.ran == 2
-    rest = run_campaign(resumed, backend=SerialBackend())
-    assert rest.done and rest.skipped == 2 and rest.ran == 1
-
-    assert resumed.store_path.read_bytes() == straight.store_path.read_bytes()
-    for item_id in straight.manifest.item_ids():
-        assert (
-            resumed.record_path(item_id).read_bytes()
-            == straight.record_path(item_id).read_bytes()
-        )
+    assert record["fingerprint"] == spec_fingerprint(spec)
+    again, _manifest = _campaign(tmp_path, "again")
+    for name in ("manifest.json", "results.json"):
+        assert (again / name).read_bytes() == (directory / name).read_bytes()
 
 
 @needs_fork
-def test_pool_resume_matches_serial_store(tmp_path):
-    knobs = dict(seeds=[1, 2, 3], name="parity")
-    serial = _campaign(tmp_path, "serial", **knobs)
-    run_campaign(serial, backend=SerialBackend())
-    pooled = _campaign(tmp_path, "pooled", **knobs)
-    run_campaign(pooled, backend=ProcessPoolBackend(jobs=2), max_items=2,
-                 batch_size=2)
-    run_campaign(pooled, backend=ProcessPoolBackend(jobs=2))
-    assert pooled.store_path.read_bytes() == serial.store_path.read_bytes()
+def test_pool_run_matches_serial_store(tmp_path):
+    serial, _manifest = _campaign(tmp_path, "serial", seeds=[1, 2, 3])
+    pooled, _manifest = _campaign(
+        tmp_path, "pooled", ProcessPoolBackend(jobs=2), seeds=[1, 2, 3]
+    )
+    for name in ("manifest.json", "results.json"):
+        assert (pooled / name).read_bytes() == (serial / name).read_bytes()
 
 
-def test_status_counts_groups(tmp_path):
-    campaign = _campaign(tmp_path, seeds=[1, 2])
-    run_campaign(campaign, backend=SerialBackend(), max_items=1)
-    status = campaign.status()
-    assert (status.total, status.completed, status.pending) == (2, 1, 1)
-    assert status.groups == {f"{SCENARIO} [multitier]": (1, 2)}
-    assert not status.done
+# ----------------------------------------------------------------------
+# load_store integrity gates
+# ----------------------------------------------------------------------
+def _duplicate_record(records):
+    records.append(records[0])
+
+
+def _item_without_seed(records):
+    del records[0]["item"]["seed"]
+
+
+def _non_numeric_metric(records):
+    records[0]["metrics"]["loss_rate"] = "x"
+
+
+def test_load_store_integrity_gates(tmp_path, capsys):
+    """Each defect fails ``load_store`` in one line naming the file
+    (and the item, where there is one), and ``campaign show`` exits 2
+    with that line instead of a traceback."""
+    with pytest.raises(CampaignError, match="no results store"):
+        load_store(tmp_path / "missing")
+    directory, _manifest = _campaign(tmp_path)
+    assert load_store(directory)["schema"] == 1  # accepts the directory
+    path = directory / "results.json"
+    pristine = path.read_text()
+    item_id = json.loads(pristine)["records"][0]["item_id"]
+    cases = [
+        (_duplicate_record, "duplicate item id"),
+        (lambda records: records.clear(), "no records"),
+        (_item_without_seed, "has no item with scenario, stack and seed"),
+        (_non_numeric_metric, "metric 'loss_rate' is not a number: 'x'"),
+    ]
+    for corrupt, message in cases:
+        store = json.loads(pristine)
+        corrupt(store["records"])
+        path.write_text(json.dumps(store))
+        with pytest.raises(CampaignError, match=message) as error:
+            load_store(path)
+        assert str(path) in str(error.value) and "\n" not in str(error.value)
+        if store["records"]:
+            assert repr(item_id) in str(error.value)
+        capsys.readouterr()
+        assert main(["campaign", "show", str(directory)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_corrupt_record_fails_with_file_named(tmp_path):
+    directory, _manifest = _campaign(tmp_path)
+    (directory / "results.json").write_text("{not json")
+    with pytest.raises(CampaignError, match="not valid JSON") as error:
+        load_store(directory)
+    assert str(directory / "results.json") in str(error.value)
 
 
 # ----------------------------------------------------------------------
 # Store re-aggregation == live replication
 # ----------------------------------------------------------------------
 def test_store_replications_match_live_aggregate(tmp_path):
-    campaign = _campaign(tmp_path, seeds=[1, 2, 3])
-    run_campaign(campaign, backend=SerialBackend())
-    store = load_store(campaign.directory)
-    (groups,) = [store_replications(store)]
+    directory, _manifest = _campaign(tmp_path, seeds=[1, 2, 3])
+    groups = store_replications(load_store(directory))
     seeds, replication = groups[f"{SCENARIO} [multitier]"]
     assert seeds == [1, 2, 3]
     spec = get_scenario(SCENARIO).smoke()
@@ -265,11 +246,10 @@ def test_store_replications_match_live_aggregate(tmp_path):
 
 
 def test_store_stack_comparison_renders_byte_identical_to_live(tmp_path):
-    campaign = _campaign(
+    directory, _manifest = _campaign(
         tmp_path, stacks=["multitier", "cellularip", "mobileip"]
     )
-    run_campaign(campaign, backend=SerialBackend())
-    (rebuilt,) = store_stack_comparisons(load_store(campaign.directory))
+    (rebuilt,) = store_stack_comparisons(load_store(directory))
     live = compare_scenario_stacks(
         [get_scenario(SCENARIO).smoke()],
         stacks=["multitier", "cellularip", "mobileip"],
@@ -281,63 +261,76 @@ def test_store_stack_comparison_renders_byte_identical_to_live(tmp_path):
 # ----------------------------------------------------------------------
 # CLI verbs
 # ----------------------------------------------------------------------
-def test_cli_new_run_status_diff_happy_path(tmp_path, capsys):
+def test_cli_run_show_diff_happy_path(tmp_path, capsys):
     camp = tmp_path / "cli-camp"
     assert main([
-        "campaign", "new", str(camp), "--scenarios", SCENARIO,
-        "--smoke", "--seeds", "1", "2", "--name", "clicamp",
+        "campaign", "run", str(camp), "--scenarios", SCENARIO,
+        "--stacks", "multitier", "mobileip", "--smoke", "--seeds", "1", "2",
+        "--name", "clicamp", "--jobs", "1",
     ]) == 0
-    assert "2 work item(s) queued" in capsys.readouterr().out
+    assert "'clicamp': 4 item(s) run" in capsys.readouterr().out
+    assert sorted(path.name for path in camp.iterdir()) == [
+        "manifest.json", "results.json",
+    ]
 
-    assert main(["campaign", "run", str(camp), "--batch-size", "1"]) == 0
-    assert "merged store written" in capsys.readouterr().out
-
-    assert main(["campaign", "status", str(camp)]) == 0
-    assert "2/2 item(s) completed" in capsys.readouterr().out
+    assert main(["campaign", "show", str(camp)]) == 0
+    (comparison,) = store_stack_comparisons(load_store(camp))
+    assert capsys.readouterr().out == format_stack_comparison(comparison) + "\n"
 
     assert main(["campaign", "diff", str(camp), str(camp), "--strict"]) == 0
     assert "no regressions" in capsys.readouterr().out
 
 
-def test_cli_resume_is_run_again(tmp_path, capsys):
-    camp = tmp_path / "resume-camp"
-    assert main([
-        "campaign", "new", str(camp), "--scenarios", SCENARIO,
-        "--smoke", "--seeds", "1", "2", "--name", "resumecamp",
-    ]) == 0
-    assert main(["campaign", "run", str(camp), "--max-items", "1"]) == 0
-    assert "still pending" in capsys.readouterr().out
-    assert main(["campaign", "resume", str(camp)]) == 0
-    out = capsys.readouterr().out
-    assert "resuming: 1 completed item(s) skipped" in out
-    assert "merged store written" in out
+def test_cli_resume_is_run_again(tmp_path, capsys, monkeypatch):
+    """There is no resume: after a run that failed, the same command
+    run again is the recovery, and a finished directory is refused."""
+    import repro.campaign.store as store_module
+
+    camp = tmp_path / "rerun-camp"
+    argv = [
+        "campaign", "run", str(camp), "--scenarios", SCENARIO, "--smoke",
+        "--seeds", "1", "2", "--name", "rerun",
+    ]
+
+    def fail(spec, seed):
+        raise RuntimeError("worker died")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(store_module, "run_scenario_spec", fail)
+        with pytest.raises(RuntimeError, match="worker died"):
+            main(argv)
+    assert not (camp / "manifest.json").exists()
+    assert main(argv) == 0
+    assert "results store written" in capsys.readouterr().out
+    assert main(argv) == 2
+    assert "never overwrites" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_names_with_exit_2(tmp_path, capsys):
     camp = tmp_path / "bad-camp"
     assert main([
-        "campaign", "new", str(camp), "--scenarios", "atlantis",
+        "campaign", "run", str(camp), "--scenarios", "atlantis",
     ]) == 2
     assert main([
-        "campaign", "new", str(camp), "--scenarios", SCENARIO,
+        "campaign", "run", str(camp), "--scenarios", SCENARIO,
         "--stacks", "hawaii",
     ]) == 2
+    assert main(["campaign", "run", str(camp)]) == 2
     assert not camp.exists()  # failed before touching the filesystem
-    assert main(["campaign", "status", str(camp)]) == 2
+    assert main(["campaign", "show", str(camp)]) == 2
     err = capsys.readouterr().err
-    assert "not a campaign directory" in err
+    assert "at least one scenario or sweep" in err
+    assert "no results store" in err
 
 
 def test_cli_diff_strict_exits_3_on_regression(tmp_path, capsys):
     """A seeded single-metric regression (zero-width CIs at one seed)
     must flip ``--strict`` to exit 3."""
-    knobs = ["--scenarios", SCENARIO, "--smoke", "--seeds", "1"]
+    knobs = ["--scenarios", SCENARIO, "--smoke", "--seeds", "1", "--name", "n"]
     camp_a = tmp_path / "a"
     camp_b = tmp_path / "b"
-    assert main(["campaign", "new", str(camp_a), *knobs, "--name", "n"]) == 0
-    assert main(["campaign", "new", str(camp_b), *knobs, "--name", "n"]) == 0
-    assert main(["campaign", "run", str(camp_a)]) == 0
-    assert main(["campaign", "run", str(camp_b)]) == 0
+    assert main(["campaign", "run", str(camp_a), *knobs]) == 0
+    assert main(["campaign", "run", str(camp_b), *knobs]) == 0
     capsys.readouterr()
 
     store = json.loads((camp_b / "results.json").read_text())
@@ -350,3 +343,21 @@ def test_cli_diff_strict_exits_3_on_regression(tmp_path, capsys):
     ]) == 3
     out = capsys.readouterr().out
     assert "1 regressed" in out and "loss_rate" in out
+
+
+def test_cli_diff_refuses_smoke_against_full_size(tmp_path, capsys):
+    """Every metric of a smoke run differs from a full-size one by
+    construction; the diff is refused with exit 2, not a wall of
+    regressions."""
+    camp = tmp_path / "smoke"
+    assert main([
+        "campaign", "run", str(camp), "--scenarios", SCENARIO, "--smoke",
+        "--seeds", "1",
+    ]) == 0
+    store = json.loads((camp / "results.json").read_text())
+    store["smoke"] = False
+    full = tmp_path / "full.json"
+    full.write_text(json.dumps(store))
+    capsys.readouterr()
+    assert main(["campaign", "diff", str(camp), str(full), "--strict"]) == 2
+    assert "smoke" in capsys.readouterr().err

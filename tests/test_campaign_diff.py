@@ -17,7 +17,14 @@ single-seed intervals always are), and ``--strict`` semantics via
 
 import pathlib
 
-from repro.campaign import diff_stores, format_campaign_diff, load_store
+import pytest
+
+from repro.campaign import (
+    CampaignError,
+    diff_stores,
+    format_campaign_diff,
+    load_store,
+)
 from repro.campaign.diff import (
     HIGHER_IS_BETTER,
     LOWER_IS_BETTER,
@@ -79,6 +86,12 @@ def test_seeded_verdicts_are_exactly_as_designed():
         change.metric == "mean_delay" and change.verdict == "ok"
         for change in diff.changes
     )
+
+
+def test_smoke_store_against_full_size_store_is_refused():
+    a, _b = _stores()
+    with pytest.raises(CampaignError, match="smoke"):
+        diff_stores(a, {**a, "smoke": not a["smoke"]})
 
 
 def test_show_all_appends_the_stable_rows():

@@ -17,7 +17,6 @@ import pytest
 import repro.campaign
 import repro.campaign.diff
 import repro.campaign.manifest
-import repro.campaign.queue
 import repro.campaign.store
 import repro.experiments.exec
 import repro.fluid
@@ -61,7 +60,6 @@ MODULES = [
     repro.fluid.model,
     repro.campaign,
     repro.campaign.manifest,
-    repro.campaign.queue,
     repro.campaign.store,
     repro.campaign.diff,
     repro.policy,

@@ -6,6 +6,7 @@ same seed.  Determinism tests run the catalog's ``smoke()`` variants —
 the same code path with a small population and short duration.
 """
 
+import dataclasses
 import multiprocessing
 
 import pytest
@@ -90,6 +91,21 @@ def test_spec_rejects_bad_shape_fields():
         _tiny_spec(seeds=())
     with pytest.raises(ValueError):
         _tiny_spec(hotspot_fraction=1.5)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        "duration", "sample_period", "warmup", "drain",
+        "macro_channel_bandwidth", "pico_channel_bandwidth",
+    ],
+)
+def test_spec_rejects_nan_timing_and_bandwidth_fields(field):
+    """nan passes an ``x <= 0`` / ``x < 0`` guard; the spec must refuse
+    it at construction, naming the field, in one line."""
+    with pytest.raises(ValueError, match=field) as error:
+        dataclasses.replace(_tiny_spec(), **{field: float("nan")})
+    assert "\n" not in str(error.value)
 
 
 def test_apportion_is_exact_and_deterministic():
