@@ -28,7 +28,7 @@ from typing import Optional
 from repro.cellularip import CIPBaseStation, CIPDomain, CIPGateway, CIPMobileHost
 from repro.mobileip import ForeignAgent, HomeAgent, MobileIPNode, install_home_prefix_routes
 from repro.multitier.architecture import MultiTierWorld
-from repro.net import Network, Packet, Router, ip
+from repro.net import Network, Router, ip
 from repro.sim import Simulator
 from repro.traffic import CBRSource, ElasticSource, FlowSink, make_ack_hook
 
@@ -215,11 +215,9 @@ def run_mobileip(
     sim, core, cn, agents, mn = build_mobileip_world(4, home_delay, 0.005, 0.005)
     sim.run(until=1.0)
 
-    hooks = []
-    mn.on_protocol("data", lambda packet, link: _fire(hooks, packet))
     source, sink = measured(
         sim,
-        hooks,
+        mn.on_data,
         CBRSource(
             sim, lambda packet: core.receive(packet) or True,
             cn.address, mn.home_address,
@@ -237,11 +235,6 @@ def run_mobileip(
     scripted_handoffs(sim, handoff_interval, _round_robin(agents, handoffs), reattach)
     sim.run(until=1.0 + duration + 4.0)
     return _metrics(source, sink, handoffs)
-
-
-def _fire(hooks: list, packet: Packet) -> None:
-    for hook in hooks:
-        hook(packet)
 
 
 # ----------------------------------------------------------------------

@@ -52,9 +52,12 @@ class MobileIPNode(Node):
         self.registration_attempts = 0
         #: Hooks fired with (agent_address, latency) on registration.
         self.on_registered: list[Callable[[IPAddress, float], None]] = []
+        #: Hooks fired with each received data packet.
+        self.on_data: list[Callable[[Packet], None]] = []
 
         self.on_protocol(messages.AGENT_ADVERTISEMENT, self._handle_advertisement)
         self.on_protocol(messages.REGISTRATION_REPLY, self._handle_reply)
+        self.on_protocol("data", self._handle_data)
 
     # ------------------------------------------------------------------
     @property
@@ -156,6 +159,10 @@ class MobileIPNode(Node):
     # ------------------------------------------------------------------
     # Data plane
     # ------------------------------------------------------------------
+    def _handle_data(self, packet: Packet, link: Optional["Link"]) -> None:
+        for hook in self.on_data:
+            hook(packet)
+
     def originate(self, packet: Packet) -> bool:
         """Send a data packet via the current point of attachment."""
         agent_node = self._agent_node()

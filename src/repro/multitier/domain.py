@@ -9,6 +9,7 @@ stitched together over the wired Internet by Mobile IP.
 
 from __future__ import annotations
 
+import inspect
 from typing import TYPE_CHECKING, Optional
 
 from repro.net.addressing import IPAddress
@@ -115,3 +116,12 @@ class MultiTierDomain:
             bs.dropped_no_record + bs.dropped_stale_radio
             for bs in self.base_stations
         )
+
+
+#: The keys a ``ScenarioSpec.domain_overrides`` mapping may name: the
+#: keyword parameters of :class:`MultiTierDomain` minus the ones the
+#: world supplies itself.  The sweep axis check and the flat stacks'
+#: override check both read this one set.
+OVERRIDE_KEYS = frozenset(
+    inspect.signature(MultiTierDomain.__init__).parameters
+) - {"self", "sim", "realm"}

@@ -36,7 +36,7 @@ from typing import Iterable, Optional, Union
 
 from repro.experiments.runner import ExperimentResult
 from repro.metrics.tables import format_table
-from repro.multitier.domain import MultiTierDomain
+from repro.multitier.domain import OVERRIDE_KEYS, MultiTierDomain
 from repro.scenarios.catalog import get_scenario
 from repro.scenarios.spec import ScenarioSpec
 
@@ -73,14 +73,6 @@ _UNSWEEPABLE = {
 
 _SPEC_FIELDS = {field.name for field in dataclasses.fields(ScenarioSpec)}
 
-#: Keys a ``domain_overrides.<key>`` axis may target: the keyword
-#: parameters of :class:`~repro.multitier.domain.MultiTierDomain`
-#: minus the ones the world supplies itself.  Checked at sweep
-#: construction so a typo'd override key fails eagerly, not mid-run.
-_OVERRIDE_KEYS = set(
-    inspect.signature(MultiTierDomain.__init__).parameters
-) - {"self", "sim", "realm"}
-
 #: Override keys whose domain parameter is integral (judged by the
 #: constructor default's type, bools included) — their axis values get
 #: the same integral check as int-typed spec fields.
@@ -89,7 +81,7 @@ _INT_OVERRIDE_KEYS = {
     for name, param in inspect.signature(
         MultiTierDomain.__init__
     ).parameters.items()
-    if name in _OVERRIDE_KEYS and isinstance(param.default, int)
+    if name in OVERRIDE_KEYS and isinstance(param.default, int)
 }
 
 #: Fields whose declared type is ``int`` — axis values for these must
@@ -186,10 +178,11 @@ class ScenarioSweep:
                     f"{self.name}: empty domain_overrides key in "
                     f"field {self.field!r}"
                 )
-            if key not in _OVERRIDE_KEYS:
+            # Checked here so a typo'd key fails eagerly, not mid-run.
+            if key not in OVERRIDE_KEYS:
                 raise ValueError(
                     f"{self.name}: unknown domain override key {key!r}; "
-                    f"known: {', '.join(sorted(_OVERRIDE_KEYS))}"
+                    f"known: {', '.join(sorted(OVERRIDE_KEYS))}"
                 )
         elif self.field.startswith(POLICY_PREFIX):
             key = self.field[len(POLICY_PREFIX):]

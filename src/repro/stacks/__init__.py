@@ -27,7 +27,7 @@ Table-1-style protocol comparison at catalog scale.
 
 Importing this package loads the contract, the registry and the
 default stack.  The flat baselines' names (``CellularIPStack``,
-``build_mip_scenario``, ...) resolve on first access, and
+``BuiltMIPScenario``, ...) resolve on first access, and
 :func:`~repro.stacks.registry.get_stack` imports an adapter the first
 time it is asked for, so a run loads the stack it runs and no other.
 
@@ -51,23 +51,17 @@ from repro.stacks.registry import (
     register_stack,
     stack_names,
 )
-from repro.stacks.multitier import (
-    BuiltScenario,
-    MultiTierStack,
-    build_multitier_scenario,
-)
+from repro.stacks.multitier import BuiltScenario, MultiTierStack
 
 __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.stacks.cellularip": (
         "BuiltCIPScenario",
         "CellularIPHardStack",
         "CellularIPStack",
-        "build_cip_scenario",
     ),
     "repro.stacks.mobileip": (
         "BuiltMIPScenario",
         "MobileIPStack",
-        "build_mip_scenario",
     ),
 })
 
@@ -84,9 +78,6 @@ __all__ = [
     "MultiTierStack",
     "StackAdapter",
     "air_metrics",
-    "build_cip_scenario",
-    "build_mip_scenario",
-    "build_multitier_scenario",
     "get_stack",
     "is_registered",
     "iter_stacks",

@@ -119,7 +119,7 @@ class BuiltRun:
     air_cells: list[tuple[Cell, SharedChannel]]
     #: Where the stack's controllers record tier decisions; ``None``
     #: for stacks that make none.
-    decision_trace: Optional[DecisionTrace]
+    decision_trace: Optional[DecisionTrace] = None
     sources: list[TrafficSource] = field(default_factory=list)
     sinks: list[FlowSink] = field(default_factory=list)
 

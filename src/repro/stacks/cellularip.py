@@ -34,12 +34,9 @@ from repro.cellularip import CIPBaseStation, CIPDomain, CIPGateway, CIPMobileHos
 from repro.net.addressing import AddressAllocator
 from repro.net.topology import Network
 from repro.policy.config import PolicyConfig
-from repro.radio.cells import Cell
-from repro.radio.propagation import PropagationModel
-from repro.radio.signal import SignalMeter
 from repro.sim.kernel import Simulator
 from repro.stacks.base import BuiltRun, StackAdapter
-from repro.stacks.flat import FlatMobilityController, flat_cell_layout
+from repro.stacks.flat import FlatMobilityController, flat_access, flat_overrides
 from repro.stacks.population import (
     MobileEndpoint,
     plan_population,
@@ -55,36 +52,10 @@ MOBILE_PREFIX = "10.200.0.0/16"
 
 #: ``ScenarioSpec.domain_overrides`` keys that translate directly onto
 #: :class:`~repro.cellularip.base_station.CIPDomain` parameters (the
-#: shared wired/wireless link knobs); others are multi-tier-specific
-#: and ignored here.
-_CIP_DOMAIN_PARAMS = set(
+#: shared wired/wireless link knobs plus CIP's own timers).
+_CIP_DOMAIN_PARAMS = frozenset(
     inspect.signature(CIPDomain.__init__).parameters
 ) - {"self", "sim"}
-
-
-class _CIPController(FlatMobilityController):
-    """Strongest-signal controller executing Cellular IP handoffs."""
-
-    def __init__(self, sim, model, host, stations_by_cell, semisoft, **kwargs):
-        self.host = host
-        self.stations_by_cell = stations_by_cell
-        self.semisoft = semisoft
-        super().__init__(sim, model, **kwargs)
-
-    def _attach(self, cell: Cell):
-        """Initial attachment: associate and announce the route."""
-        self.host.attach_to(self.stations_by_cell[cell.name])
-        return
-        yield  # pragma: no cover - generator protocol
-
-    def _handoff(self, old: Cell, new: Cell):
-        """Execute a CIP handoff (semisoft blocks for the dual-path
-        interval; hard is instantaneous break-then-make)."""
-        station = self.stations_by_cell[new.name]
-        if self.semisoft:
-            yield from self.host.handoff_semisoft(station)
-        else:
-            self.host.handoff_hard(station)
 
 
 @dataclass(kw_only=True)
@@ -94,7 +65,7 @@ class BuiltCIPScenario(BuiltRun):
     network: Network
     domain: CIPDomain
     hosts: list[CIPMobileHost]
-    controllers: list[_CIPController]
+    controllers: list[FlatMobilityController]
 
     def mobility_counters(self) -> tuple[int, list[float], int]:
         """Handoffs and attachments per host; latencies per controller
@@ -130,120 +101,6 @@ class BuiltCIPScenario(BuiltRun):
         }
 
 
-def build_cip_scenario(
-    spec: ScenarioSpec, seed: int, semisoft: bool = True
-) -> BuiltCIPScenario:
-    """Assemble the flat Cellular IP world for one ``(spec, seed)``.
-
-    The access tree mirrors the multi-tier wired hierarchy — gateway
-    over macro-site relays over micro leaves over picos — with
-    ``spec.domain_overrides`` link knobs applied where CIP has the same
-    parameter.  Population, trajectories and traffic come from the
-    shared plan, so the run is directly comparable to the other stacks
-    at the same seed.  Deterministic: seeded streams only.
-    """
-    plan = plan_population(spec, seed, PolicyConfig())
-    sim = Simulator()
-    overrides = {
-        key: value
-        for key, value in spec.domain_overrides.items()
-        if key in _CIP_DOMAIN_PARAMS
-    }
-    domain = CIPDomain(sim, **overrides)
-    network = Network(sim, prefix="10.0.0.0/8")
-    gateway = CIPGateway(
-        sim, "gw", network.allocator.allocate(), domain,
-        mobile_prefix=MOBILE_PREFIX,
-    )
-    network.add(gateway)
-
-    layout = flat_cell_layout(
-        spec, plan.starts, plan.mobility_assignment, plan.traffic_assignment
-    )
-    stations: dict[str, CIPBaseStation] = {}
-    stations_by_cell: dict[str, CIPBaseStation] = {}
-    cells: list[Cell] = []
-    air_cells = []
-    for site in layout:
-        cell = site.cell()
-        station = CIPBaseStation(
-            sim,
-            site.name,
-            network.allocator.allocate(),
-            domain,
-            shared_channel=(
-                plan.channel_plan.channel_for(sim, cell)
-                if plan.channel_plan is not None
-                else None
-            ),
-        )
-        network.add(station)
-        parent = stations[site.parent] if site.parent else gateway
-        domain.link(parent, station)
-        if station.shared_channel is not None:
-            # CIP stations don't carry their cell, so the pair is
-            # recorded here for the air metrics and the fluid driver.
-            air_cells.append((cell, station.shared_channel))
-        stations[site.name] = station
-        stations_by_cell[cell.name] = station
-        cells.append(cell)
-    meter = SignalMeter(PropagationModel(), cells)  # shared by every controller
-
-    internet = network.router("internet")
-    cn = network.host("cn")
-    network.connect(cn, internet, delay=0.005)
-    gateway.connect_internet(internet, delay=0.005)
-    internet.add_route(MOBILE_PREFIX, gateway)
-    internet.add_host_route(cn.address, cn)
-
-    downlink = cn.links[internet].transmit
-
-    mobile_allocator = AddressAllocator(MOBILE_PREFIX)
-    hosts: list[CIPMobileHost] = []
-    controllers: list[_CIPController] = []
-
-    def add_mobile(index: int, kind: str, model) -> MobileEndpoint:
-        host = CIPMobileHost(
-            sim,
-            f"mn{index}",
-            mobile_allocator.allocate(),
-            domain,
-            airtime_key=index,
-        )
-        controllers.append(_CIPController(
-            sim,
-            model,
-            host,
-            stations_by_cell,
-            semisoft,
-            cells=cells,
-            meter=meter,
-            sample_period=spec.sample_period,
-        ))
-        hosts.append(host)
-        return MobileEndpoint(
-            downlink, host.on_data, host.originate, host.address
-        )
-
-    flow_plans, fluid_driver = wire_population(
-        sim, plan, cn, add_mobile, air_cells
-    )
-    return BuiltCIPScenario(
-        spec=spec,
-        seed=int(seed),
-        sim=sim,
-        population=plan,
-        flow_plans=flow_plans,
-        fluid_driver=fluid_driver,
-        air_cells=air_cells,
-        decision_trace=None,
-        network=network,
-        domain=domain,
-        hosts=hosts,
-        controllers=controllers,
-    )
-
-
 class CellularIPStack(StackAdapter):
     """Flat Cellular IP over the multi-tier geometry (semisoft handoff).
 
@@ -258,20 +115,92 @@ class CellularIPStack(StackAdapter):
         "semisoft handoff, no tier policy"
     )
     metric_namespace = "cip"
+    #: Semisoft (dual-path) handoff, or hard break-then-make.
+    semisoft = True
 
     def build(self, spec: ScenarioSpec, seed: int) -> BuiltCIPScenario:
-        """Assemble the flat CIP world (see :func:`build_cip_scenario`)."""
-        return build_cip_scenario(spec, seed)
+        """Assemble the flat Cellular IP world for one ``(spec, seed)``.
+
+        The access tree mirrors the multi-tier wired hierarchy —
+        gateway over macro-site relays over micro leaves over picos —
+        with ``spec.domain_overrides`` applied where CIP has the same
+        parameter, over the shared population plan.  Deterministic:
+        seeded streams only.
+        """
+        plan = plan_population(spec, seed, PolicyConfig())
+        sim = Simulator()
+        domain = CIPDomain(sim, **flat_overrides(spec, _CIP_DOMAIN_PARAMS))
+        network = Network(sim, prefix="10.0.0.0/8")
+        gateway = CIPGateway(
+            sim, "gw", network.allocator.allocate(), domain,
+            mobile_prefix=MOBILE_PREFIX,
+        )
+        network.add(gateway)
+        stations: dict[str, CIPBaseStation] = {}
+
+        def place(site, channel) -> CIPBaseStation:
+            station = CIPBaseStation(
+                sim, site.name, network.allocator.allocate(), domain,
+                shared_channel=channel,
+            )
+            network.add(station)
+            parent = stations[site.parent] if site.parent else gateway
+            domain.link(parent, station)
+            stations[site.name] = station
+            return station
+
+        nodes, air_cells, meter = flat_access(spec, plan, sim, place)
+
+        internet = network.router("internet")
+        cn = network.host("cn")
+        network.connect(cn, internet, delay=0.005)
+        gateway.connect_internet(internet, delay=0.005)
+        internet.add_route(MOBILE_PREFIX, gateway)
+        internet.add_host_route(cn.address, cn)
+
+        downlink = cn.links[internet].transmit
+        mobile_allocator = AddressAllocator(MOBILE_PREFIX)
+        hosts: list[CIPMobileHost] = []
+        controllers: list[FlatMobilityController] = []
+
+        def add_mobile(index: int, kind: str, model) -> MobileEndpoint:
+            host = CIPMobileHost(
+                sim, f"mn{index}", mobile_allocator.allocate(), domain,
+                airtime_key=index,
+            )
+            # Semisoft returns its dual-path generator; hard is instant.
+            move = host.handoff_semisoft if self.semisoft else host.handoff_hard
+            controllers.append(FlatMobilityController(
+                sim, model, nodes, meter, host.attach_to,
+                lambda old, new: move(new), spec.sample_period,
+            ))
+            hosts.append(host)
+            return MobileEndpoint(
+                downlink, host.on_data, host.originate, host.address
+            )
+
+        flow_plans, fluid_driver = wire_population(
+            sim, plan, cn, add_mobile, air_cells
+        )
+        return BuiltCIPScenario(
+            spec=spec, seed=int(seed), sim=sim, population=plan,
+            flow_plans=flow_plans, fluid_driver=fluid_driver,
+            air_cells=air_cells, network=network, domain=domain,
+            hosts=hosts, controllers=controllers,
+        )
 
     def exercised(self, spec: ScenarioSpec) -> list[str]:
         """Adapter features ``spec`` exercises under flat Cellular IP."""
         features = super().exercised(spec)
-        features.append("soft-state route/paging caches + semisoft handoff")
+        features.append(
+            "soft-state route/paging caches + "
+            f"{'semisoft' if self.semisoft else 'hard'} handoff"
+        )
         if spec.domains == 2:
             features.append("single flat tree spans both domains' sites")
         if spec.pico_cells > 0:
             features.append(f"pico sites in the access tree ({spec.pico_cells})")
-        mapped = sorted(set(spec.domain_overrides) & _CIP_DOMAIN_PARAMS)
+        mapped = sorted(flat_overrides(spec, _CIP_DOMAIN_PARAMS))
         if mapped:
             features.append("domain overrides mapped: " + ", ".join(mapped))
         return features
@@ -293,18 +222,7 @@ class CellularIPHardStack(CellularIPStack):
         "flat Cellular IP baseline with hard (break-then-make) "
         "handoff: no semisoft dual-path interval"
     )
-
-    def build(self, spec: ScenarioSpec, seed: int) -> BuiltCIPScenario:
-        """Assemble the flat CIP world with hard handoff."""
-        return build_cip_scenario(spec, seed, semisoft=False)
-
-    def exercised(self, spec: ScenarioSpec) -> list[str]:
-        """Adapter features ``spec`` exercises under hard-handoff CIP."""
-        features = super().exercised(spec)
-        features[features.index(
-            "soft-state route/paging caches + semisoft handoff"
-        )] = "soft-state route/paging caches + hard handoff"
-        return features
+    semisoft = False
 
 
 __all__ = [
@@ -312,5 +230,4 @@ __all__ = [
     "BuiltCIPScenario",
     "CellularIPHardStack",
     "CellularIPStack",
-    "build_cip_scenario",
 ]

@@ -4,10 +4,14 @@ The Cellular IP and Mobile IP baselines deploy cells at the *same*
 geometry as the multi-tier world — macro umbrellas R1/R2(/R4), micro
 street cells A–G, and the spec's pico cells — but manage them flat:
 no tier policy, no hierarchy-aware handoff.  :func:`flat_cell_layout`
-produces that site list from a spec, and
-:class:`FlatMobilityController` drives one mobile across it with the
-classic strongest-signal + hysteresis rule (the baseline the paper's
-three-factor decision is compared against).
+produces that site list from a spec, :func:`flat_access` places one
+access node per site, and :class:`FlatMobilityController` drives one
+mobile across those nodes with the classic strongest-signal +
+hysteresis rule (the baseline the paper's three-factor decision is
+compared against).  A flat stack supplies only what differs: the node
+it places at a site and its two moves, ``attach(node)`` and
+``handoff(old, new)``; :func:`flat_overrides` picks the
+``domain_overrides`` it maps and rejects a key no stack reads.
 
 Determinism: the layout is a pure function of ``(spec, starts,
 assignments)``; the controller samples the (seeded) mobility model on a
@@ -19,10 +23,11 @@ process, on any execution backend.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Callable, Collection, Optional
 
 from repro.multitier.architecture import DOMAIN_SITES, PICO_LEAVES, Site
-from repro.radio.cells import Cell, Tier
+from repro.multitier.domain import OVERRIDE_KEYS
+from repro.radio.cells import Tier
 from repro.radio.geometry import Point
 from repro.radio.propagation import PropagationModel
 from repro.radio.signal import SignalMeter
@@ -30,8 +35,10 @@ from repro.stacks.population import pico_placements
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mobility import MobilityModel
+    from repro.radio.channel import SharedChannel
     from repro.scenarios.spec import ScenarioSpec
     from repro.sim.kernel import Simulator
+    from repro.stacks.population import PopulationPlan
 
 
 def flat_cell_layout(
@@ -80,91 +87,142 @@ def flat_cell_layout(
     return sites
 
 
+def flat_overrides(spec: "ScenarioSpec", own: Collection[str]) -> dict:
+    """The ``spec.domain_overrides`` a flat stack maps: the keys in ``own``.
+
+    A key outside ``own`` that the multi-tier domain reads is skipped
+    here; a key neither reads is a typo, and raises a one-line
+    :class:`ValueError` naming it rather than letting the run finish
+    unchoked with a normal-looking table.
+    """
+    for key in spec.domain_overrides:
+        if key not in own and key not in OVERRIDE_KEYS:
+            raise ValueError(
+                f"{spec.name}: unknown domain override key {key!r}; "
+                f"known: {', '.join(sorted({*own, *OVERRIDE_KEYS}))}"
+            )
+    return {
+        key: value
+        for key, value in spec.domain_overrides.items()
+        if key in own
+    }
+
+
+def flat_access(
+    spec: "ScenarioSpec",
+    plan: "PopulationPlan",
+    sim: "Simulator",
+    place: Callable[[Site, Optional["SharedChannel"]], Any],
+) -> tuple[list, list, SignalMeter]:
+    """Place one access node per flat site: ``(nodes, air_cells, meter)``.
+
+    Walks :func:`flat_cell_layout` and calls ``place(site, channel)``
+    once per site, in layout order, with the cell's shared channel
+    (``None`` in legacy mode).  ``air_cells`` holds the ``(cell,
+    channel)`` pair of each contended cell, for the air metrics and the
+    fluid driver; ``meter`` surveys the cells indexed like ``nodes``
+    and is shared by every controller of the build.  Deterministic:
+    layout order fixes address allocation and channel creation.
+    """
+    channel_plan = plan.channel_plan
+    nodes, cells, air_cells = [], [], []
+    for site in flat_cell_layout(
+        spec, plan.starts, plan.mobility_assignment, plan.traffic_assignment
+    ):
+        cell = site.cell()
+        channel = (
+            channel_plan.channel_for(sim, cell)
+            if channel_plan is not None
+            else None
+        )
+        nodes.append(place(site, channel))
+        cells.append(cell)
+        if channel is not None:
+            air_cells.append((cell, channel))
+    return nodes, air_cells, SignalMeter(PropagationModel(), cells)
+
+
 class FlatMobilityController:
     """Strongest-signal mobility for one mobile over a flat deployment.
 
     Samples the mobility model every ``sample_period`` seconds, surveys
-    all cells, and: attaches to the strongest covering cell when
-    unattached; hands off when the serving cell no longer covers the
-    position (forced) or a covering rival beats it by ``hysteresis_db``
-    — the tier-blind baseline behaviour (no speed or bandwidth factor).
+    the cells of ``meter`` (indexed like ``nodes``), and: attaches to
+    the node of the strongest covering cell when unattached; hands off
+    when the serving node's cell no longer covers the position (forced)
+    or a covering rival beats it by :attr:`hysteresis_db` — the
+    tier-blind baseline behaviour (no speed or bandwidth factor).
 
-    Subclasses implement :meth:`_attach` / :meth:`_handoff` as
-    generators executing the stack's actual attachment machinery; the
-    controller records handoff counts and wall-clock latencies (the
-    time the handoff generator occupied, e.g. the Cellular IP semisoft
-    interval).  Deterministic: decisions read only the seeded model and
-    the pure signal survey.
+    ``attach(node)`` and ``handoff(old, new)`` are the stack's two
+    moves.  An instant move returns ``None``; a move that takes
+    simulated time (the Cellular IP semisoft interval) returns its
+    generator, which the controller runs to completion.  The controller
+    records handoff counts and latencies (the simulated time the move
+    took).  Deterministic: decisions read only the seeded model and the
+    pure signal survey.
     """
+
+    #: How much stronger (dB) a covering rival must be to take over.
+    hysteresis_db = 4.0
 
     def __init__(
         self,
         sim: "Simulator",
         model: "MobilityModel",
-        cells: list[Cell],
+        nodes: list,
+        meter: SignalMeter,
+        attach: Callable[[Any], Any],
+        handoff: Callable[[Any, Any], Any],
         sample_period: float = 0.5,
-        hysteresis_db: float = 4.0,
-        meter: Optional[SignalMeter] = None,
     ) -> None:
         self.sim = sim
         self.model = model
+        self.nodes = nodes
+        self.meter = meter
+        self.attach = attach
+        self.handoff = handoff
         self.sample_period = sample_period
-        self.hysteresis_db = hysteresis_db
-        #: Stack builders pass the one meter (over ``cells``) that all
-        #: their controllers share; a hand-built controller gets its own.
-        self.meter = meter or SignalMeter(PropagationModel(), cells)
-        self.serving_cell: Optional[Cell] = None
+        self.serving = None
         self.handoffs = 0
         self.handoff_latencies: list[float] = []
         self.process = sim.process(self._run())
 
-    # ------------------------------------------------------------------
     def _run(self):
+        nodes = self.nodes
         while True:
             yield self.sim.timeout(self.sample_period)
             position = self.model.advance(self.sample_period)
             covering = self.meter.scan(position, covering=True)
             if not covering:
                 continue
-            cells = self.meter.cells
             best_rss, best_index = covering[0]  # sorted strongest-first
-            best = cells[best_index]
-            if self.serving_cell is None:
-                self.serving_cell = best
-                yield from self._attach(best)
+            best = nodes[best_index]
+            if self.serving is None:
+                self.serving = best
+                yield from self.attach(best) or ()
                 continue
             serving_rss = next(
-                (rss for rss, i in covering if cells[i] is self.serving_cell), None
+                (rss for rss, i in covering if nodes[i] is self.serving), None
             )
             if serving_rss is None:
                 target = best  # forced: walked out of the serving cell
             elif (
-                best is not self.serving_cell
+                best is not self.serving
                 and best_rss >= serving_rss + self.hysteresis_db
             ):
                 target = best
             else:
                 continue
-            old = self.serving_cell
-            self.serving_cell = target
+            old = self.serving
+            self.serving = target
             started = self.sim.now
-            yield from self._handoff(old, target)
+            yield from self.handoff(old, target) or ()
             self.handoffs += 1
             self.handoff_latencies.append(self.sim.now - started)
-
-    # ------------------------------------------------------------------
-    def _attach(self, cell: Cell):
-        """Stack hook: initial attachment to ``cell`` (generator)."""
-        return
-        yield  # pragma: no cover - makes this a generator
-
-    def _handoff(self, old: Cell, new: Cell):
-        """Stack hook: execute the move ``old`` -> ``new`` (generator)."""
-        return
-        yield  # pragma: no cover - makes this a generator
 
 
 __all__ = [
     "FlatMobilityController",
+    "flat_access",
     "flat_cell_layout",
+    "flat_overrides",
 ]

@@ -85,94 +85,6 @@ class BuiltScenario(BuiltRun):
         }
 
 
-def build_multitier_scenario(spec: ScenarioSpec, seed: int) -> BuiltScenario:
-    """Assemble the multi-tier world, population and traffic for one run.
-
-    Same construction order, same stream names, same pico placement as
-    the pre-stacks ``build_scenario`` — the root of the
-    ``stack="multitier"`` byte-identity guarantee.  Returns the
-    assembled (not yet run) world; call :meth:`BuiltScenario.execute`
-    to run it.
-    """
-    plan = plan_population(spec, seed, spec.policy)
-    world = MultiTierWorld(
-        second_domain=spec.domains == 2,
-        domain_kwargs=dict(spec.domain_overrides),
-        channel_plan=plan.channel_plan,
-    )
-    # In-building picos (Fig 2.1's third hierarchy level).  Legacy mode
-    # keeps the historic placement: alternating fixed offsets under the
-    # micro leaves.  Contention mode deploys them at seeded population
-    # concentration points, so the pico overlay can actually absorb
-    # load — the paper's reason for its existence.  The placement rule
-    # is shared with the baselines' flat layout (pico_placements), so
-    # cross-stack cell geometry cannot drift.
-    leaf_centers = {
-        name: world.domain1[name].cell.center for name in PICO_LEAVES
-    }
-    placements = pico_placements(
-        spec,
-        plan.starts,
-        plan.mobility_assignment,
-        plan.traffic_assignment,
-        leaf_centers,
-    )
-    for pico, (parent_name, center) in enumerate(placements):
-        world.add_pico(parent_name, f"p{pico}", center)
-
-    # Under a shared air interface any slow, traffic-bearing mobile
-    # benefits from a covering pico's fat shared budget, so the default
-    # policy block resolves its demand threshold to 1 bit/s in
-    # contention mode (200 kbit/s with per-user dedicated radios) —
-    # the historical stack defaults, byte-identical.
-    policy = TierDecider.from_config(
-        spec.policy, contention=plan.channel_plan is not None
-    )
-    mobiles: list[MultiTierMobileNode] = []
-    controllers: list[MobilityController] = []
-
-    def add_mobile(index: int, kind: str, model) -> MobileEndpoint:
-        mobile = world.add_mobile(
-            f"mn{index}",
-            bandwidth_demand=BANDWIDTH_DEMAND[kind],
-            airtime_key=index,
-        )
-        controllers.append(
-            world.add_controller(
-                mobile,
-                model,
-                sample_period=spec.sample_period,
-                policy=policy,
-            )
-        )
-        mobiles.append(mobile)
-        # Sources address their packets CN -> home address themselves;
-        # the CN sends them as built, with route optimization.
-        return MobileEndpoint(
-            world.cn.send, mobile.on_data, mobile.originate, mobile.home_address
-        )
-
-    # One analytic driver over every contended cell (hybrid runs),
-    # claiming airtime the discrete cohort then contends for.
-    air_cells = fluid_channel_pairs(world.all_radio_stations())
-    flow_plans, fluid_driver = wire_population(
-        world.sim, plan, world.cn, add_mobile, air_cells
-    )
-    return BuiltScenario(
-        spec=spec,
-        seed=int(seed),
-        sim=world.sim,
-        population=plan,
-        flow_plans=flow_plans,
-        fluid_driver=fluid_driver,
-        air_cells=air_cells,
-        decision_trace=world.decision_trace,
-        world=world,
-        mobiles=mobiles,
-        controllers=controllers,
-    )
-
-
 class MultiTierStack(StackAdapter):
     """The paper's multi-tier architecture with RSMC route optimization.
 
@@ -190,9 +102,92 @@ class MultiTierStack(StackAdapter):
     metric_namespace = ""  # grandfathered: predates the namespace rule
 
     def build(self, spec: ScenarioSpec, seed: int) -> BuiltScenario:
-        """Assemble the multi-tier world (see
-        :func:`build_multitier_scenario`)."""
-        return build_multitier_scenario(spec, seed)
+        """Assemble the multi-tier world, population and traffic for one run.
+
+        Same construction order, same stream names, same pico placement
+        as the pre-stacks ``build_scenario`` — the root of the
+        ``stack="multitier"`` byte-identity guarantee.  Returns the
+        assembled (not yet run) world; call :meth:`BuiltScenario.execute`
+        to run it.
+        """
+        plan = plan_population(spec, seed, spec.policy)
+        world = MultiTierWorld(
+            second_domain=spec.domains == 2,
+            domain_kwargs=dict(spec.domain_overrides),
+            channel_plan=plan.channel_plan,
+        )
+        # In-building picos (Fig 2.1's third hierarchy level).  Legacy mode
+        # keeps the historic placement: alternating fixed offsets under the
+        # micro leaves.  Contention mode deploys them at seeded population
+        # concentration points, so the pico overlay can actually absorb
+        # load — the paper's reason for its existence.  The placement rule
+        # is shared with the baselines' flat layout (pico_placements), so
+        # cross-stack cell geometry cannot drift.
+        leaf_centers = {
+            name: world.domain1[name].cell.center for name in PICO_LEAVES
+        }
+        placements = pico_placements(
+            spec,
+            plan.starts,
+            plan.mobility_assignment,
+            plan.traffic_assignment,
+            leaf_centers,
+        )
+        for pico, (parent_name, center) in enumerate(placements):
+            world.add_pico(parent_name, f"p{pico}", center)
+
+        # Under a shared air interface any slow, traffic-bearing mobile
+        # benefits from a covering pico's fat shared budget, so the default
+        # policy block resolves its demand threshold to 1 bit/s in
+        # contention mode (200 kbit/s with per-user dedicated radios) —
+        # the historical stack defaults, byte-identical.
+        policy = TierDecider.from_config(
+            spec.policy, contention=plan.channel_plan is not None
+        )
+        mobiles: list[MultiTierMobileNode] = []
+        controllers: list[MobilityController] = []
+
+        def add_mobile(index: int, kind: str, model) -> MobileEndpoint:
+            mobile = world.add_mobile(
+                f"mn{index}",
+                bandwidth_demand=BANDWIDTH_DEMAND[kind],
+                airtime_key=index,
+            )
+            controllers.append(
+                world.add_controller(
+                    mobile,
+                    model,
+                    sample_period=spec.sample_period,
+                    policy=policy,
+                )
+            )
+            mobiles.append(mobile)
+            # Sources address their packets CN -> home address themselves;
+            # the CN sends them as built, with route optimization.
+            return MobileEndpoint(
+                world.cn.send, mobile.on_data, mobile.originate,
+                mobile.home_address,
+            )
+
+        # One analytic driver over every contended cell (hybrid runs),
+        # claiming airtime the discrete cohort then contends for.
+        air_cells = fluid_channel_pairs(world.all_radio_stations())
+        flow_plans, fluid_driver = wire_population(
+            world.sim, plan, world.cn, add_mobile, air_cells
+        )
+        return BuiltScenario(
+            spec=spec,
+            seed=int(seed),
+            sim=world.sim,
+            population=plan,
+            flow_plans=flow_plans,
+            fluid_driver=fluid_driver,
+            air_cells=air_cells,
+            decision_trace=world.decision_trace,
+            world=world,
+            mobiles=mobiles,
+            controllers=controllers,
+        )
 
     def exercised(self, spec: ScenarioSpec) -> list[str]:
         """Adapter features ``spec`` exercises under the multi-tier stack."""
@@ -230,5 +225,4 @@ class MultiTierStack(StackAdapter):
 __all__ = [
     "BuiltScenario",
     "MultiTierStack",
-    "build_multitier_scenario",
 ]

@@ -91,6 +91,20 @@ def test_cn_packets_tunneled_to_visiting_mn():
     assert fa1.delivered_to_visitors == 1
 
 
+def test_delivered_data_packet_fires_every_on_data_hook():
+    sim, network, cn, core, ha, fa1, fa2, mn = build_mobileip_world()
+    fa1.attach_mobile(mn)
+    sim.run(until=2.0)
+
+    first, second = [], []
+    mn.on_data.extend([first.append, second.append])
+    core.receive(Packet(src=cn.address, dst=mn.home_address, size=1000))
+    sim.run(until=4.0)
+    assert len(first) == len(second) == 1
+    assert first[0] is second[0]
+    assert first[0].dst == mn.home_address
+
+
 def test_packets_before_registration_are_dropped_at_ha():
     sim, network, cn, core, ha, fa1, fa2, mn = build_mobileip_world()
     # MN attached nowhere; CN transmits immediately.

@@ -10,8 +10,9 @@ Pins the stacks refactor's load-bearing guarantees:
   at one seed;
 * one-batch dispatch for ``--stack all`` comparisons, and regrouping
   equal to per-stack replication;
-* the shared skeleton: every stack builds a ``BuiltRun`` and a
-  throw-away fifth stack fits in 60 lines;
+* the shared skeleton: every stack builds a ``BuiltRun``, a
+  throw-away fifth stack fits in 50 lines, and the flat controller
+  runs a stack's two moves as documented;
 * the golden regression: ``stack="multitier"`` output byte-identical
   to the committed pre-refactor ``results/scenarios_smoke/`` tables,
   and the baselines' to ``results/stacks_smoke/``;
@@ -185,9 +186,9 @@ def test_a_run_leaves_almost_nothing_for_the_cyclic_collector(
 
 
 def test_throwaway_fifth_stack_runs_on_the_shared_skeleton():
-    """What a new stack costs: a ``BuiltRun`` subclass with its two
-    counter hooks, a topology, and one ``add_mobile`` callback.  This
-    one has no access network at all (mobiles roam, nothing is
+    """What a new flat stack costs: the node it places at each site, its
+    two moves, and a ``BuiltRun`` subclass with its two counter hooks.
+    This one places no access network at all (mobiles roam, nothing is
     delivered) yet emits every common metric through the skeleton."""
     import math
     from dataclasses import dataclass
@@ -196,16 +197,13 @@ def test_throwaway_fifth_stack_runs_on_the_shared_skeleton():
     from repro.policy import PolicyConfig
     from repro.sim.kernel import Simulator
     from repro.stacks import BuiltRun, StackAdapter
-    from repro.stacks.flat import FlatMobilityController, flat_cell_layout
+    from repro.stacks.flat import FlatMobilityController, flat_access
     from repro.stacks.population import (
         MobileEndpoint, plan_population, wire_population,
     )
     from repro.stacks.registry import _REGISTRY
 
-    # --- the whole stack (<= 60 lines) --------------------------------
-    class NullController(FlatMobilityController):
-        """Tracks the strongest cell; attaching and moving do nothing."""
-
+    # --- the whole stack (<= 50 lines) --------------------------------
     @dataclass(kw_only=True)
     class BuiltNullRun(BuiltRun):
         controllers: list
@@ -214,7 +212,7 @@ def test_throwaway_fifth_stack_runs_on_the_shared_skeleton():
             return (
                 sum(c.handoffs for c in self.controllers),
                 [t for c in self.controllers for t in c.handoff_latencies],
-                sum(1 for c in self.controllers if c.serving_cell is not None),
+                sum(1 for c in self.controllers if c.serving is not None),
             )
 
         def extras(self):
@@ -229,30 +227,28 @@ def test_throwaway_fifth_stack_runs_on_the_shared_skeleton():
             plan = plan_population(spec, seed, PolicyConfig())
             sim = Simulator()
             cn = Network(sim, prefix="10.0.0.0/8").host("cn")
-            cells = [
-                site.cell()
-                for site in flat_cell_layout(
-                    spec, plan.starts, plan.mobility_assignment,
-                    plan.traffic_assignment,
-                )
-            ]
+            # The "node" at each site is its name; moving does nothing.
+            nodes, air_cells, meter = flat_access(
+                spec, plan, sim, lambda site, channel: site.name
+            )
             controllers = []
 
             def add_mobile(index, kind, model):
-                controllers.append(NullController(
-                    sim, model, cells, sample_period=spec.sample_period
+                controllers.append(FlatMobilityController(
+                    sim, model, nodes, meter, lambda node: None,
+                    lambda old, new: None, spec.sample_period,
                 ))
                 return MobileEndpoint(
                     lambda packet: True, [], lambda packet: None, cn.address
                 )
 
             flow_plans, fluid_driver = wire_population(
-                sim, plan, cn, add_mobile, []
+                sim, plan, cn, add_mobile, air_cells
             )
             return BuiltNullRun(
                 spec=spec, seed=seed, sim=sim, population=plan,
                 flow_plans=flow_plans, fluid_driver=fluid_driver,
-                air_cells=[], decision_trace=None, controllers=controllers,
+                air_cells=air_cells, controllers=controllers,
             )
     # ------------------------------------------------------------------
 
@@ -268,6 +264,80 @@ def test_throwaway_fifth_stack_runs_on_the_shared_skeleton():
     assert metrics["sent"] > 0 and metrics["received"] == 0
     assert metrics["attached"] == spec.population
     assert metrics["null.controllers"] == spec.population
+
+
+def test_flat_controller_runs_the_two_moves():
+    """The move contract: ``attach(node)`` once, on the first covering
+    sample; an instant ``handoff`` (returns ``None``) records latency
+    0.0; a ``handoff`` that returns a generator records the simulated
+    time it took; a sample with no covering cell does nothing."""
+    from repro.radio.cells import Cell, Tier
+    from repro.radio.geometry import Point
+    from repro.radio.propagation import PropagationModel
+    from repro.radio.signal import SignalMeter
+    from repro.sim.kernel import Simulator
+    from repro.stacks.flat import FlatMobilityController
+
+    a, b, nowhere = Point(0.0, 0.0), Point(2000.0, 0.0), Point(9000.0, 0.0)
+    cells = [Cell("cell-a", a, Tier.MICRO), Cell("cell-b", b, Tier.MICRO)]
+
+    class Scripted:
+        """One scripted position per sample, then nowhere."""
+
+        def __init__(self, *positions):
+            self.positions = iter(positions)
+
+        def advance(self, dt):
+            return next(self.positions, nowhere)
+
+    sim = Simulator()
+    attached, moves = [], []
+
+    def slow():
+        yield sim.timeout(0.25)
+
+    def handoff(old, new):
+        moves.append((sim.now, old, new))
+        return slow() if new == "a" else None  # the way back takes time
+
+    controller = FlatMobilityController(
+        sim, Scripted(nowhere, a, a, b, nowhere, a),
+        ["a", "b"], SignalMeter(PropagationModel(), cells),
+        attached.append, handoff, sample_period=1.0,
+    )
+    sim.run(until=1.5)  # t=1: nothing covers the mobile
+    assert controller.serving is None and attached == []
+    sim.run(until=3.5)  # t=2: attach to a; t=3: stay
+    assert attached == ["a"] and moves == []
+    sim.run(until=5.5)  # t=4: forced, instant move to b; t=5: nowhere
+    assert moves == [(4.0, "a", "b")] and controller.serving == "b"
+    assert controller.handoff_latencies == [0.0]
+    sim.run(until=7.0)  # t=6: back to a, a move that takes 0.25 s
+    assert attached == ["a"]
+    assert moves[1:] == [(6.0, "b", "a")] and controller.serving == "a"
+    assert controller.handoffs == 2
+    assert controller.handoff_latencies == [0.0, 0.25]
+
+
+@pytest.mark.parametrize("stack", ["cellularip", "mobileip"])
+def test_flat_stack_rejects_an_override_key_no_stack_reads(stack):
+    """A typo'd override key must fail the build in one line, not run
+    unchoked and print a normal-looking table."""
+    from repro.scenarios import build_scenario
+
+    spec = _smoke(stack=stack).replace(
+        domain_overrides={"wired_bandwith": 1e6}
+    )
+    with pytest.raises(ValueError, match="'wired_bandwith'") as error:
+        build_scenario(spec, seed=1)
+    assert "\n" not in str(error.value)
+    with pytest.raises(ValueError, match="'wired_bandwith'"):
+        get_stack(stack).exercised(spec)
+    # A key the multi-tier domain reads is skipped, not rejected.
+    ok = _smoke(stack=stack).replace(domain_overrides={"buffer_size": 8})
+    assert "domain overrides mapped" not in "; ".join(
+        get_stack(stack).exercised(ok)
+    )
 
 
 # ----------------------------------------------------------------------
