@@ -14,7 +14,13 @@ Run:  PYTHONPATH=src python examples/admission_control.py
 """
 
 from repro.policy import PolicyConfig
-from repro.scenarios import get_scenario, run_scenario_trace, sweep_scenario
+from repro.scenarios import (
+    expand_grid,
+    get_scenario,
+    run_grid,
+    run_scenario_trace,
+    sweep_curves,
+)
 
 
 def admission_comparison() -> None:
@@ -61,7 +67,8 @@ def trace_tail(trace) -> None:
 def sweep_point_demo() -> None:
     """policy.speed_threshold sweeps like any other spec axis."""
     print()
-    result = sweep_scenario("city-rush-hour/speed-threshold", smoke=True)
+    cells = expand_grid(sweeps=["city-rush-hour/speed-threshold"], smoke=True)
+    ((_sweep, _base, _seeds, result),) = sweep_curves(cells, run_grid(cells))
     print(
         f"sweep {result.experiment_id}: speed_threshold axis "
         f"{result.x_values} -> handoffs "

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Tour of the scenario catalog: define, register, replicate.
+"""Tour of the scenario catalog: define, register, run.
 
 Runs a shipped scenario on two backends (proving the byte-identity
 guarantee), then registers a custom scenario and runs it — the same
-three steps any new workload takes.
+three steps any new workload takes.  Every run goes the way
+``repro scenario run`` goes: ``expand_grid`` -> ``run_grid``.
 
 Run:  PYTHONPATH=src python examples/scenario_catalog.py
 """
@@ -12,10 +13,11 @@ from repro.experiments import ProcessPoolBackend, SerialBackend
 from repro.scenarios import (
     ScenarioSpec,
     describe_scenario,
+    expand_grid,
     format_scenario_result,
     get_scenario,
     register,
-    replicate_scenario,
+    run_grid,
 )
 
 
@@ -23,8 +25,9 @@ def main() -> None:
     # 1. A shipped scenario, serial vs pooled — identical output.
     spec = get_scenario("sparse-rural").smoke()
     seeds = [1, 2]
-    serial = replicate_scenario(spec, seeds=seeds, backend=SerialBackend())
-    pooled = replicate_scenario(spec, seeds=seeds, backend=ProcessPoolBackend(2))
+    cells = expand_grid([spec], seeds=seeds)
+    (serial,) = run_grid(cells, backend=SerialBackend())
+    (pooled,) = run_grid(cells, backend=ProcessPoolBackend(2))
     assert serial.samples == pooled.samples, "backends must agree bit-for-bit"
     print(format_scenario_result(spec, serial, seeds))
     print("\n(serial == --jobs 2, verified)\n")
@@ -42,7 +45,7 @@ def main() -> None:
     ))
     print(describe_scenario(stadium))
     print()
-    replication = replicate_scenario(stadium)
+    (replication,) = run_grid(expand_grid([stadium]))
     print(format_scenario_result(stadium, replication, stadium.seeds))
 
 

@@ -4,7 +4,9 @@
 Runs a shipped sweep's smoke variant on two backends (proving the
 byte-identity guarantee), renders its per-point CI table and figure,
 then registers a custom sweep over a custom axis — the same steps any
-new paper-style curve takes.
+new paper-style curve takes.  Every sweep goes the way ``repro
+scenario sweep`` goes: ``expand_grid`` -> ``run_grid`` ->
+``sweep_curves``.
 
 Run:  PYTHONPATH=src python examples/scenario_sweep.py
 """
@@ -16,21 +18,29 @@ from repro.experiments.runner import save_experiment_figure
 from repro.scenarios import (
     ScenarioSweep,
     describe_sweep,
+    expand_grid,
     format_sweep_result,
-    get_sweep,
     register_sweep,
-    sweep_scenario,
+    run_grid,
+    sweep_curves,
 )
+
+
+def run_sweep(sweep, backend=None):
+    """Run one sweep's smoke variant; return its single curve entry:
+    ``(effective sweep, base spec, seeds, result)``."""
+    cells = expand_grid(sweeps=[sweep], smoke=True)
+    (curve,) = sweep_curves(cells, run_grid(cells, backend=backend))
+    return curve
 
 
 def main() -> None:
     # 1. A shipped sweep, serial vs pooled — identical output.
     name = "sparse-rural/population"
-    serial = sweep_scenario(name, backend=SerialBackend(), smoke=True)
-    pooled = sweep_scenario(name, backend=ProcessPoolBackend(2), smoke=True)
+    smoke, _base, seeds, serial = run_sweep(name, SerialBackend())
+    pooled = run_sweep(name, ProcessPoolBackend(2))[3]
     assert serial.series == pooled.series, "backends must agree bit-for-bit"
-    smoke = get_sweep(name).smoke()
-    print(format_sweep_result(smoke, serial, seeds=smoke.point_seeds()))
+    print(format_sweep_result(smoke, serial, seeds=seeds))
     print("\n(serial == --jobs 2, verified)\n")
 
     # 2. The figure file: PNG with matplotlib, ASCII chart without.
@@ -52,8 +62,8 @@ def main() -> None:
     ))
     print(describe_sweep(commuters))
     print()
-    result = sweep_scenario(commuters, smoke=True)
-    print(format_sweep_result(commuters.smoke(), result))
+    smoke, _base, _seeds, result = run_sweep(commuters)
+    print(format_sweep_result(smoke, result))
 
 
 if __name__ == "__main__":

@@ -90,43 +90,58 @@ def _build_parser() -> argparse.ArgumentParser:
     describe = verbs.add_parser("describe", help="show one scenario spec")
     describe.add_argument("name", help="scenario name (see 'scenario list')")
 
-    scenario_run = verbs.add_parser(
-        "run", help="replicate scenarios over seeds and print metric tables"
-    )
-    scenario_run.add_argument(
-        "names",
-        nargs="+",
-        help="scenario names (see 'scenario list'), or 'all'",
-    )
-    scenario_run.add_argument(
+    # The grid knobs 'scenario run' and 'scenario sweep' share.
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument(
         "-j",
         "--jobs",
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for per-seed jobs (default 1 = serial; "
-        "results are identical for any N)",
+        help="worker processes for the (cell, seed) grid (default 1 = "
+        "serial; results are identical for any N)",
     )
-    scenario_run.add_argument(
+    grid.add_argument(
         "--seeds",
         type=int,
         nargs="+",
         default=None,
         metavar="SEED",
-        help="override the spec's default seed list",
+        help="override every scenario's (every axis point's) seed list",
     )
-    scenario_run.add_argument(
+    grid.add_argument(
         "--smoke",
         action="store_true",
-        help="run the shrunken CI smoke variant of each scenario",
+        help="run the shrunken CI smoke variant (a sweep keeps 2 points, "
+        "1 seed)",
     )
-    scenario_run.add_argument(
+    grid.add_argument(
         "--stack",
         default=None,
         metavar="STACK",
         help="protocol stack to run under (a registered stack name, or "
-        "'all' for a side-by-side comparison of every registered "
-        "stack); default: each spec's own stack",
+        "'all' for every registered stack: side by side for 'run', one "
+        "curve each for 'sweep'); default: each spec's own stack",
+    )
+    grid.add_argument(
+        "-o",
+        "--output-dir",
+        type=pathlib.Path,
+        default=None,
+        help="also write each table to <dir>/scenario_<name>.txt or "
+        "<dir>/sweep_<name>.txt, and each sweep figure beside it "
+        "(.png, or .figure.txt without matplotlib)",
+    )
+
+    scenario_run = verbs.add_parser(
+        "run",
+        parents=[grid],
+        help="replicate scenarios over seeds and print metric tables",
+    )
+    scenario_run.add_argument(
+        "names",
+        nargs="+",
+        help="scenario names (see 'scenario list'), or 'all'",
     )
     scenario_run.add_argument(
         "--trace-decisions",
@@ -135,60 +150,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "print its decision trace (per-reason counts + last recorded "
         "tier decisions and fallbacks; multi-tier stack only)",
     )
-    scenario_run.add_argument(
-        "-o",
-        "--output-dir",
-        type=pathlib.Path,
-        default=None,
-        help="also write each rendered table to <dir>/scenario_<name>.txt",
-    )
 
     scenario_sweep = verbs.add_parser(
         "sweep",
+        parents=[grid],
         help="run registered scenario sweeps: per-point CI tables + figures",
     )
     scenario_sweep.add_argument(
         "names",
         nargs="+",
         help="sweep names (see 'scenario list'), or 'all'",
-    )
-    scenario_sweep.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the (point, seed) grid (default 1 = "
-        "serial; results are identical for any N)",
-    )
-    scenario_sweep.add_argument(
-        "--seeds",
-        type=int,
-        nargs="+",
-        default=None,
-        metavar="SEED",
-        help="override the seeds replicated at every axis point",
-    )
-    scenario_sweep.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run the shrunken CI smoke variant (2 points, 1 seed)",
-    )
-    scenario_sweep.add_argument(
-        "--stack",
-        default=None,
-        metavar="STACK",
-        help="protocol stack to sweep under (a registered stack name, "
-        "or 'all' to run every sweep once per stack); default: each "
-        "base spec's own stack",
-    )
-    scenario_sweep.add_argument(
-        "-o",
-        "--output-dir",
-        type=pathlib.Path,
-        default=None,
-        help="write each table to <dir>/sweep_<name>.txt and its figure "
-        "to <dir>/sweep_<name>.png (.figure.txt without matplotlib)",
     )
 
     campaign = commands.add_parser(
@@ -405,11 +376,13 @@ def _scenario_main(args: argparse.Namespace) -> int:
             return 2
         return 0
 
-    if args.scenario_command == "sweep":
-        return _scenario_sweep_main(args)
-
-    # scenario run ------------------------------------------------------
-    wanted = _expand_names(args.names, scenarios.scenario_names(), "scenario")
+    # scenario run | sweep: expand -> run -> regroup ---------------------
+    sweeping = args.scenario_command == "sweep"
+    wanted = _expand_names(
+        args.names,
+        scenarios.sweep_names() if sweeping else scenarios.scenario_names(),
+        "sweep" if sweeping else "scenario",
+    )
     if (
         wanted is None
         or not _jobs_ok(args.jobs)
@@ -417,12 +390,13 @@ def _scenario_main(args: argparse.Namespace) -> int:
     ):
         return 2
 
-    # ONE backend batch for the whole (scenario, stack, seed) grid:
-    # the pool's work-stealing queue balances across scenarios and
-    # stacks, so a single-seed heavyweight (mega) still overlaps its
-    # neighbours under --jobs N.
+    # ONE backend batch for the whole (entry, stack, point, seed) grid:
+    # the pool's work-stealing queue balances across scenarios, sweeps,
+    # stacks and axis points, so a single-seed heavyweight (mega) still
+    # overlaps its neighbours under --jobs N.
     cells = scenarios.expand_grid(
-        wanted,
+        scenarios=() if sweeping else wanted,
+        sweeps=wanted if sweeping else (),
         stacks=_stack_list(args.stack),
         seeds=args.seeds,
         smoke=args.smoke,
@@ -430,6 +404,10 @@ def _scenario_main(args: argparse.Namespace) -> int:
     replications, elapsed = _timed(
         lambda: scenarios.run_grid(cells, backend=backend_for_jobs(args.jobs))
     )
+    if sweeping:
+        return _print_sweeps(
+            args, scenarios.sweep_curves(cells, replications), elapsed
+        )
 
     if args.stack == "all":
         if args.trace_decisions:
@@ -504,34 +482,13 @@ def _stack_suffix(stack: str) -> str:
     return "" if stack == DEFAULT_STACK else f"--{stack}"
 
 
-def _scenario_sweep_main(args: argparse.Namespace) -> int:
+def _print_sweeps(args: argparse.Namespace, curves, elapsed: float) -> int:
+    """Print (and with ``-o`` write) each ``sweep_curves`` entry's table
+    and figure; the entry's rebound base spec names the files."""
     from repro import scenarios
     from repro.experiments.runner import save_experiment_figure
 
-    wanted = _expand_names(args.names, scenarios.sweep_names(), "sweep")
-    if (
-        wanted is None
-        or not _jobs_ok(args.jobs)
-        or not _stack_ok(args.stack)
-    ):
-        return 2
-
-    # ONE backend batch for the union of every requested (sweep, stack)
-    # pair's (point, seed) grid: under --jobs N the pool's
-    # work-stealing queue overlaps small sweeps with big ones instead
-    # of serializing the sweeps behind each other.  Each returned
-    # entry carries the effective sweep, seeds and rebound base spec
-    # that ran — its stack field names the output files.
-    batch, elapsed = _timed(
-        lambda: scenarios.sweep_scenarios(
-            wanted,
-            seeds=args.seeds,
-            smoke=args.smoke,
-            backend=backend_for_jobs(args.jobs),
-            stacks=_stack_list(args.stack),
-        )
-    )
-    for effective, base, seeds, result in batch:
+    for effective, base, seeds, result in curves:
         text = scenarios.format_sweep_result(effective, result, seeds)
         print(text)
         if result.notes:
@@ -547,7 +504,7 @@ def _scenario_sweep_main(args: argparse.Namespace) -> int:
             )
             print(f"figure written to {figure_path}")
         print()
-    _print_completed(len(batch), "sweep", elapsed)
+    _print_completed(len(curves), "sweep", elapsed)
     return 0
 
 

@@ -62,7 +62,8 @@ through ONE batch function,
 :func:`~repro.experiments.runner.replicate_cells` — ``(scenario,
 seeds)`` cells → jobs → a single ``backend.run`` → one
 :class:`~repro.experiments.runner.Replication` per cell — as does the
-scenario layer's grid path (:mod:`repro.scenarios.grid`).  The backend
+scenario layer's grid path (:mod:`repro.scenarios.grid`); ``sweep``
+and ``run_grid`` are its only callers.  The backend
 is a pluggable :class:`~repro.experiments.exec.ExecutionBackend`:
 :class:`~repro.experiments.exec.SerialBackend` (the default,
 ``backend=None``) or :class:`~repro.experiments.exec.ProcessPoolBackend`
@@ -85,9 +86,7 @@ from repro.experiments.runner import (
     Replication,
     aggregate,
     build_sweep_result,
-    replicate,
     replicate_cells,
-    replicate_grid,
     sweep,
 )
 
@@ -101,8 +100,6 @@ __all__ = [
     "aggregate",
     "backend_for_jobs",
     "build_sweep_result",
-    "replicate",
     "replicate_cells",
-    "replicate_grid",
     "sweep",
 ]

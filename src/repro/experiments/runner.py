@@ -1,9 +1,9 @@
 """Replication machinery: run scenarios across seeds, aggregate.
 
 A *scenario* is any callable ``f(seed) -> dict[str, float]``.  Every
-multi-run entry point — :func:`replicate`, :func:`replicate_grid`,
-:func:`sweep`, and the scenario, stack-comparison, sweep and campaign
-layers above them — hands its ``(scenario, seeds)`` cells to
+multi-run entry point — :func:`sweep`, and the scenario grid
+(:func:`repro.scenarios.grid.run_grid`) and campaign store above it —
+hands its ``(scenario, seeds)`` cells to
 :func:`replicate_cells`, which flattens the whole grid into ONE
 :class:`~repro.experiments.exec.ExecutionBackend` batch (so a parallel
 backend can use every core even when the seed lists are short) and
@@ -89,29 +89,6 @@ def replicate_cells(
     ]
 
 
-def replicate(
-    scenario: Scenario,
-    seeds: Iterable[int],
-    confidence: float = 0.95,
-    backend: Optional[ExecutionBackend] = None,
-) -> Replication:
-    """Run ``scenario`` once per seed and aggregate each metric."""
-    return replicate_cells([(scenario, seeds)], confidence, backend)[0]
-
-
-def replicate_grid(
-    scenarios: Sequence[Scenario],
-    seeds: Iterable[int],
-    confidence: float = 0.95,
-    backend: Optional[ExecutionBackend] = None,
-) -> list[Replication]:
-    """Replicate several scenarios over the same seeds as ONE batch."""
-    seeds = list(seeds)
-    return replicate_cells(
-        [(scenario, seeds) for scenario in scenarios], confidence, backend
-    )
-
-
 @dataclass
 class ExperimentResult:
     """One reproduced figure/table: data plus its rendered text."""
@@ -154,8 +131,8 @@ def build_sweep_result(
     formats the text table.  ``columns`` lists the metrics to show, in
     order; as a mapping it is ``metric -> column header`` for tables
     whose printed header differs from the metric's name.  Shared by
-    :func:`sweep` and by callers that batch several sweeps' grids
-    through one backend run (``repro.scenarios.grid.sweep_scenarios``).
+    :func:`sweep` and by :func:`repro.scenarios.grid.sweep_curves`,
+    which regroups several sweeps' grids after one backend run.
     """
     headers = (
         dict(columns)
@@ -206,8 +183,9 @@ def sweep(
     then aggregated per x value at the caller's ``confidence`` level
     and rendered by :func:`build_sweep_result`.
     """
-    replications = replicate_grid(
-        [partial(scenario, x) for x in x_values], seeds, confidence, backend
+    seeds = list(seeds)  # once: a generator would seed only the first x
+    replications = replicate_cells(
+        [(partial(scenario, x), seeds) for x in x_values], confidence, backend
     )
     return build_sweep_result(
         experiment_id,

@@ -12,6 +12,8 @@ induce identical background claims.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 #: Bytes of over-the-air signalling one background handoff costs the
@@ -70,30 +72,29 @@ class FluidBackground:
     max_cell_load: float = 0.9
 
     def __post_init__(self) -> None:
+        if not isinstance(self.population, numbers.Integral):
+            raise ValueError(
+                f"fluid population must be an integer, got {self.population!r}"
+            )
         if self.population < 0:
             raise ValueError(
                 f"fluid population must be non-negative, got {self.population}"
             )
         object.__setattr__(self, "population", int(self.population))
-        if self.mean_speed <= 0:
-            raise ValueError(f"mean_speed must be positive, got {self.mean_speed}")
+        # ``not x > 0`` fails nan as well; inf is caught apart.
+        for label in ("mean_speed", "per_mobile_bps", "update_period"):
+            value = getattr(self, label)
+            if not value > 0 or not math.isfinite(value):
+                raise ValueError(f"{label} must be positive and finite, got {value}")
         if not 0.0 <= self.activity <= 1.0:
             raise ValueError(f"activity must be in [0, 1], got {self.activity}")
-        if self.per_mobile_bps <= 0:
-            raise ValueError(
-                f"per_mobile_bps must be positive, got {self.per_mobile_bps}"
-            )
         if not 0.0 <= self.uplink_fraction <= 1.0:
             raise ValueError(
                 f"uplink_fraction must be in [0, 1], got {self.uplink_fraction}"
             )
-        if self.update_period <= 0:
-            raise ValueError(
-                f"update_period must be positive, got {self.update_period}"
-            )
         drift = tuple(float(v) for v in self.drift)
-        if len(drift) != 2:
-            raise ValueError(f"drift must be (vx, vy), got {self.drift!r}")
+        if len(drift) != 2 or not all(map(math.isfinite, drift)):
+            raise ValueError(f"drift must be finite (vx, vy), got {self.drift!r}")
         object.__setattr__(self, "drift", drift)
         if not 0.0 < self.max_cell_load <= MAX_BACKGROUND_FRACTION:
             raise ValueError(

@@ -21,11 +21,12 @@ traffic mix and a protocol stack into one named workload:
   execution-backend batch (through
   :func:`repro.experiments.runner.replicate_cells`, with the same
   ordered-deterministic aggregation guarantee as the experiments),
-  and :func:`~repro.scenarios.grid.stack_comparisons` regroups them
-  per scenario.  ``replicate_scenario(s)``,
-  ``compare_scenario_stacks`` and ``sweep_scenario(s)`` are those
-  steps under one call each; a campaign runs the same cells and
-  keeps their results on disk.
+  and :func:`~repro.scenarios.grid.stack_comparisons` /
+  :func:`~repro.scenarios.grid.sweep_curves` regroup them per
+  scenario / per (sweep, stack) curve.  ``repro scenario run`` and
+  ``sweep`` are those three calls (one scenario's replication is
+  ``run_grid(expand_grid([name]))[0]``); a campaign runs the same
+  cells and keeps their results on disk.
 
 Importing this package loads what one run needs: the spec, the
 catalog and the builder.  The multi-run names (everything from
@@ -68,12 +69,9 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "GridCell",
         "compare_scenario_stacks",
         "expand_grid",
-        "replicate_scenario",
-        "replicate_scenarios",
         "run_grid",
         "stack_comparisons",
-        "sweep_scenario",
-        "sweep_scenarios",
+        "sweep_curves",
     ),
     "repro.scenarios.sweep": (
         "ScenarioSweep",
@@ -109,15 +107,12 @@ __all__ = [
     "iter_sweeps",
     "register",
     "register_sweep",
-    "replicate_scenario",
-    "replicate_scenarios",
     "roam_rectangle",
     "run_grid",
     "run_scenario_spec",
     "run_scenario_trace",
     "scenario_names",
     "stack_comparisons",
+    "sweep_curves",
     "sweep_names",
-    "sweep_scenario",
-    "sweep_scenarios",
 ]

@@ -19,13 +19,13 @@ sweep``, campaigns) goes through the same three steps:
    returns one :class:`~repro.experiments.runner.Replication` per cell.
 3. The cells regroup into what the caller renders:
    :func:`stack_comparisons` (one side-by-side table per scenario) or
-   one :class:`~repro.experiments.runner.ExperimentResult` curve per
-   (sweep, stack).
+   :func:`sweep_curves` (one
+   :class:`~repro.experiments.runner.ExperimentResult` curve per
+   (sweep, stack)).  Neither runs anything.
 
-:func:`replicate_scenario` / :func:`replicate_scenarios`,
-:func:`compare_scenario_stacks` and :func:`sweep_scenario` /
-:func:`sweep_scenarios` are those three steps under their historical
-signatures.
+One scenario's replication is ``run_grid(expand_grid([name]))[0]``.
+:func:`compare_scenario_stacks` is the three steps in one call because
+the ``stacks-campus`` benchmark workload is defined as that call.
 
 Determinism: expansion is a pure function of its arguments and the
 registered catalog/sweep/stack definitions, every run derives all
@@ -36,6 +36,7 @@ execution and across repeats.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Optional, Sequence, Union
@@ -91,12 +92,13 @@ def expand_grid(
     are registered names or instances.  ``stacks=None`` keeps each
     base spec's own stack; explicit names are validated against the
     registry before anything is derived.  ``seeds=None`` uses each
-    spec's (or sweep's) own default seed list.  ``smoke`` shrinks every
-    base spec with :meth:`ScenarioSpec.smoke` and every sweep with
-    :meth:`ScenarioSweep.smoke`.  ``base`` overrides the catalog lookup
-    of every sweep's base scenario.  Every derived spec is re-validated
-    end to end.  Deterministic: a pure function of the knobs and the
-    registered definitions.
+    spec's (or sweep's) own default seed list; an explicit list must
+    hold at least one seed, every one an integer.  ``smoke`` shrinks
+    every base spec with :meth:`ScenarioSpec.smoke` and every sweep
+    with :meth:`ScenarioSweep.smoke`.  ``base`` overrides the catalog
+    lookup of every sweep's base scenario.  Every derived spec is
+    re-validated end to end.  Deterministic: a pure function of the
+    knobs and the registered definitions.
     """
     if stacks is not None:
         stacks = list(stacks)
@@ -104,7 +106,16 @@ def expand_grid(
             raise ValueError("stacks must not be empty")
         for stack in stacks:
             get_stack(stack)  # eager: unknown stack fails before any run
-    shared = tuple(int(seed) for seed in seeds) if seeds is not None else None
+    shared = None
+    if seeds is not None:
+        shared = tuple(seeds)
+        if not shared or not all(
+            isinstance(seed, numbers.Integral) for seed in shared
+        ):
+            raise ValueError(
+                f"seeds must be a non-empty list of integers, got {list(shared)}"
+            )
+        shared = tuple(int(seed) for seed in shared)
 
     cells: list[GridCell] = []
     for entry in scenarios:
@@ -189,26 +200,33 @@ def stack_comparisons(
     return comparisons
 
 
-def _sweep_results(
+def sweep_curves(
     cells: Sequence[GridCell],
-    confidence: float,
-    backend: Optional[ExecutionBackend],
+    replications: Sequence[Replication],
+    confidence: float = 0.95,
 ) -> list[tuple[ScenarioSweep, ScenarioSpec, list[int], ExperimentResult]]:
-    """Run sweep cells; one ``(sweep, base spec, seeds, result)`` curve
-    per (sweep, stack) — a cell at a sweep's first axis value starts
-    the next curve.
+    """Group sweep cells into one curve per (sweep, stack).
 
-    The base spec is the rebound one that ran (``base.stack`` names the
-    protocol stack); non-default stacks are named in the result title,
-    the default stays un-suffixed so legacy output is byte-identical.
+    One ``(sweep, base spec, seeds, result)`` entry per curve, in cell
+    order — sweep-major, stack fastest for :func:`expand_grid` output.
+    A cell at its sweep's first axis value starts the next curve;
+    plain scenario cells are skipped.  Each entry carries what ran —
+    the effective (smoke-shrunk if asked) sweep, the base spec rebound
+    onto the curve's stack and the seed list — so a caller renders it
+    without re-deriving any of them.  Non-default stacks are named in
+    the result title; the default stays un-suffixed.  The result's
+    ``replications`` carry the per-point intervals at ``confidence``.
+    Deterministic: pure data assembly.
     """
     curves: list[tuple[GridCell, list[Replication]]] = []
-    for cell, replication in zip(cells, run_grid(cells, confidence, backend)):
+    for cell, replication in zip(cells, replications):
+        if cell.sweep is None:
+            continue
         if cell.value == cell.sweep.values[0]:
             curves.append((cell, []))
         curves[-1][1].append(replication)
     out = []
-    for cell, replications in curves:
+    for cell, points in curves:
         sweep = cell.sweep
         title = f"sweep {sweep.name}: {cell.scenario.name} vs {sweep.axis_label()}"
         if cell.stack != DEFAULT_STACK:
@@ -220,7 +238,7 @@ def _sweep_results(
             title,
             sweep.axis_label(),
             list(sweep.values),
-            replications,
+            points,
             list(sweep.metrics),
             notes=sweep.notes,
             confidence=confidence,
@@ -232,43 +250,6 @@ def _sweep_results(
     return out
 
 
-# ----------------------------------------------------------------------
-# The historical entry points: expand -> run -> regroup
-# ----------------------------------------------------------------------
-def replicate_scenario(
-    scenario: Union[str, ScenarioSpec],
-    seeds: Optional[Iterable[int]] = None,
-    confidence: float = 0.95,
-    backend: Optional[ExecutionBackend] = None,
-) -> Replication:
-    """Replicate one scenario across seeds (``None``: its own defaults)."""
-    return run_grid(expand_grid([scenario], seeds=seeds), confidence, backend)[0]
-
-
-def replicate_scenarios(
-    scenarios: Sequence[Union[str, ScenarioSpec]],
-    seeds: Optional[Iterable[int]] = None,
-    confidence: float = 0.95,
-    backend: Optional[ExecutionBackend] = None,
-    stack: Optional[str] = None,
-) -> list[tuple[ScenarioSpec, list[int], Replication]]:
-    """Replicate several scenarios as ONE backend batch.
-
-    ``seeds=None`` uses each spec's own default list; ``stack`` rebinds
-    every spec onto one registered protocol stack (``None`` keeps each
-    spec's own).  Returns one ``(spec that ran, seeds, replication)``
-    per scenario, identical to calling :func:`replicate_scenario` one
-    name at a time.
-    """
-    cells = expand_grid(
-        scenarios, stacks=None if stack is None else [stack], seeds=seeds
-    )
-    return [
-        (cell.spec, list(cell.seeds), replication)
-        for cell, replication in zip(cells, run_grid(cells, confidence, backend))
-    ]
-
-
 def compare_scenario_stacks(
     scenarios: Sequence[Union[str, ScenarioSpec]],
     stacks: Optional[Sequence[str]] = None,
@@ -278,11 +259,14 @@ def compare_scenario_stacks(
 ) -> list[StackComparison]:
     """Run scenarios under several stacks as ONE backend batch.
 
-    ``stacks=None`` compares every registered stack (registration
-    order); unknown names fail eagerly with the registered list.
-    ``seeds=None`` uses each spec's own default seed list (identical
-    across that spec's stacks, so columns are paired by seed).
-    Deterministic: same inputs, same backend-independent output.
+    :func:`expand_grid` → :func:`run_grid` → :func:`stack_comparisons`
+    in one call, kept because the ``stacks-campus`` benchmark workload
+    (``perf/workloads.py``) is defined as this call.  ``stacks=None``
+    compares every registered stack (registration order); unknown
+    names fail eagerly with the registered list.  ``seeds=None`` uses
+    each spec's own default seed list (identical across that spec's
+    stacks, so columns are paired by seed).  Deterministic: same
+    inputs, same backend-independent output.
     """
     cells = expand_grid(
         scenarios,
@@ -294,71 +278,11 @@ def compare_scenario_stacks(
     )
 
 
-def sweep_scenario(
-    sweep: Union[str, ScenarioSweep],
-    base: Optional[ScenarioSpec] = None,
-    seeds: Optional[Iterable[int]] = None,
-    confidence: float = 0.95,
-    backend: Optional[ExecutionBackend] = None,
-    smoke: bool = False,
-    stack: Optional[str] = None,
-) -> ExperimentResult:
-    """Run one scenario sweep and return its :class:`ExperimentResult`.
-
-    ``base`` overrides the catalog lookup of ``sweep.scenario``;
-    ``seeds=None`` uses the sweep's (then the base spec's) defaults;
-    ``smoke`` runs the shrunken CI variant (first two points, one seed,
-    :meth:`ScenarioSpec.smoke` base); ``stack`` rebinds the base spec
-    onto one registered protocol stack.  The result's ``replications``
-    carry the per-point confidence intervals at ``confidence``.
-    """
-    return _sweep_results(
-        expand_grid(
-            sweeps=[sweep],
-            stacks=None if stack is None else [stack],
-            seeds=seeds,
-            smoke=smoke,
-            base=base,
-        ),
-        confidence,
-        backend,
-    )[0][3]
-
-
-def sweep_scenarios(
-    sweeps: Iterable[Union[str, ScenarioSweep]],
-    seeds: Optional[Iterable[int]] = None,
-    confidence: float = 0.95,
-    backend: Optional[ExecutionBackend] = None,
-    smoke: bool = False,
-    stacks: Optional[Sequence[str]] = None,
-) -> list[tuple[ScenarioSweep, ScenarioSpec, list[int], ExperimentResult]]:
-    """Run several sweeps as ONE backend batch (the union of grids).
-
-    ``seeds`` / ``smoke`` apply to every sweep exactly as in
-    :func:`sweep_scenario`; ``stacks`` crosses every sweep with each
-    named protocol stack (``None`` keeps each base spec's own).  The
-    returned ``(sweep, base spec, seed list, result)`` entries are
-    ordered sweep-major, stack fastest; each carries the effective
-    (smoke-shrunk) sweep and the rebound base spec that actually ran,
-    and is byte-identical to calling :func:`sweep_scenario` one
-    (sweep, stack) at a time.
-    """
-    return _sweep_results(
-        expand_grid(sweeps=sweeps, stacks=stacks, seeds=seeds, smoke=smoke),
-        confidence,
-        backend,
-    )
-
-
 __all__ = [
     "GridCell",
     "compare_scenario_stacks",
     "expand_grid",
-    "replicate_scenario",
-    "replicate_scenarios",
     "run_grid",
     "stack_comparisons",
-    "sweep_scenario",
-    "sweep_scenarios",
+    "sweep_curves",
 ]

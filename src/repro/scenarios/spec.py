@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -202,12 +203,24 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("scenario name must not be empty")
+        # Counts are ints (numpy integers included), never floats: the
+        # builder ranges over them and a float fails it mid-build.
+        for label in ("population", "domains", "pico_cells", "hotspot_flows"):
+            value = getattr(self, label)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{label} must be an integer, got {value!r}")
+            object.__setattr__(self, label, int(value))
         if self.population < 1:
             raise ValueError(f"population must be >= 1, got {self.population}")
         # ``not x > 0`` / ``not x >= 0``: nan fails both, where it
-        # passes an ``x <= 0`` / ``x < 0`` guard.
-        if not self.duration > 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+        # passes an ``x <= 0`` / ``x < 0`` guard; inf is caught apart,
+        # since a run of infinite length never ends.
+        for label in ("duration", "sample_period"):
+            value = getattr(self, label)
+            if not value > 0 or not math.isfinite(value):
+                raise ValueError(
+                    f"{label} must be positive and finite, got {value}"
+                )
         if self.domains not in (1, 2):
             raise ValueError(f"domains must be 1 or 2, got {self.domains}")
         if self.pico_cells < 0:
@@ -215,9 +228,13 @@ class ScenarioSpec:
         for label in ("macro_channel_bandwidth", "pico_channel_bandwidth"):
             value = getattr(self, label)
             if value is not None:
-                if not isinstance(value, (int, float)) or not value > 0:
+                if (
+                    not isinstance(value, (int, float))
+                    or not value > 0
+                    or not math.isfinite(value)
+                ):
                     raise ValueError(
-                        f"{label} must be a positive number or None, "
+                        f"{label} must be a positive finite number or None, "
                         f"got {value!r}"
                     )
                 object.__setattr__(self, label, float(value))
@@ -225,20 +242,26 @@ class ScenarioSpec:
             raise ValueError("hotspot_fraction must be in [0, 1]")
         if self.hotspot_flows < 1:
             raise ValueError("hotspot_flows must be >= 1")
-        if not self.sample_period > 0:
-            raise ValueError(
-                f"sample_period must be positive, got {self.sample_period}"
-            )
         for label in ("warmup", "drain"):
             value = getattr(self, label)
-            if not value >= 0:
-                raise ValueError(f"{label} must be non-negative, got {value}")
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+            if not value >= 0 or not math.isfinite(value):
+                raise ValueError(
+                    f"{label} must be non-negative and finite, got {value}"
+                )
+        seeds = tuple(self.seeds)
+        if not all(isinstance(seed, numbers.Integral) for seed in seeds):
+            raise ValueError(f"seeds must be integers, got {seeds!r}")
+        object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
         if not self.seeds:
             raise ValueError("seeds must not be empty")
         if self.roam is not None:
             roam = tuple(float(v) for v in self.roam)
-            if len(roam) != 4 or roam[0] >= roam[2] or roam[1] >= roam[3]:
+            if (
+                len(roam) != 4
+                or not all(map(math.isfinite, roam))
+                or roam[0] >= roam[2]
+                or roam[1] >= roam[3]
+            ):
                 raise ValueError(f"bad roam rectangle {self.roam}")
             object.__setattr__(self, "roam", roam)
         _validate_mix(

@@ -13,11 +13,12 @@ each point and the metrics to extract.
 
 :func:`repro.scenarios.grid.expand_grid` derives one immutable,
 re-validated :class:`ScenarioSpec` per axis point
-(:meth:`ScenarioSweep.derive`, ``dataclasses.replace`` under the hood)
-and :func:`~repro.scenarios.grid.sweep_scenarios` dispatches the
-**entire (sweep, stack, point, seed) grid through a single
+(:meth:`ScenarioSweep.derive`, ``dataclasses.replace`` under the hood),
+:func:`~repro.scenarios.grid.run_grid` dispatches the **entire (sweep,
+stack, point, seed) grid through a single
 :meth:`ExecutionBackend.run <repro.experiments.exec.ExecutionBackend.run>`
-call**, so ``--jobs N`` overlaps sweeps, points and seeds alike.
+call**, so ``--jobs N`` overlaps sweeps, points and seeds alike, and
+:func:`~repro.scenarios.grid.sweep_curves` regroups it into curves.
 
 Determinism: derived specs are pure data, every run derives all
 randomness from its seed, and results are aggregated in job order —
@@ -111,7 +112,7 @@ class ScenarioSweep:
         ``city-rush-hour/population``).
     scenario:
         Name of the base :class:`ScenarioSpec` in the catalog (or, when
-        run with ``sweep_scenario``'s ``base=``, any spec).
+        expanded with ``expand_grid``'s ``base=``, any spec).
     field:
         The axis: a :class:`ScenarioSpec` field name, or
         ``domain_overrides.<key>`` to vary one per-domain override

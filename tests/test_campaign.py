@@ -32,11 +32,12 @@ from repro.campaign import (
 )
 from repro.cli import main
 from repro.experiments.exec import ProcessPoolBackend, SerialBackend
-from repro.experiments.runner import replicate
 from repro.scenarios import (
     compare_scenario_stacks,
+    expand_grid,
     format_stack_comparison,
     get_scenario,
+    run_grid,
     run_scenario_spec,
 )
 
@@ -238,9 +239,8 @@ def test_store_replications_match_live_aggregate(tmp_path):
     seeds, replication = groups[f"{SCENARIO} [multitier]"]
     assert seeds == [1, 2, 3]
     spec = get_scenario(SCENARIO).smoke()
-    live = replicate(
-        lambda seed: run_scenario_spec(spec, seed), [1, 2, 3],
-        backend=SerialBackend(),
+    (live,) = run_grid(
+        expand_grid([spec], seeds=[1, 2, 3]), backend=SerialBackend()
     )
     assert replication == live
 

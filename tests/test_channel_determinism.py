@@ -21,7 +21,7 @@ import pytest
 from repro.experiments.exec import ProcessPoolBackend, SerialBackend
 from repro.multitier.architecture import MultiTierWorld
 from repro.radio.channel import ChannelPlan, SharedChannel, airtime_key
-from repro.scenarios import get_scenario, replicate_scenario, run_scenario_spec
+from repro.scenarios import expand_grid, get_scenario, run_grid, run_scenario_spec
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAS_FORK, reason="platform lacks fork")
@@ -47,8 +47,9 @@ def test_channel_scenario_repeat_same_seed_is_byte_identical():
 def test_channel_scenario_serial_vs_pool_is_byte_identical():
     spec = _channel_spec()
     seeds = [1, 2]
-    serial = replicate_scenario(spec, seeds=seeds, backend=SerialBackend())
-    pooled = replicate_scenario(spec, seeds=seeds, backend=ProcessPoolBackend(2))
+    cells = expand_grid([spec], seeds=seeds)
+    (serial,) = run_grid(cells, backend=SerialBackend())
+    (pooled,) = run_grid(cells, backend=ProcessPoolBackend(2))
     assert serial.samples == pooled.samples
     assert serial.metrics == pooled.metrics
 

@@ -15,7 +15,7 @@ from repro.experiments.exec import (
     SerialBackend,
     backend_for_jobs,
 )
-from repro.experiments.runner import replicate, replicate_grid, sweep
+from repro.experiments.runner import replicate_cells, sweep
 from repro.multitier.architecture import MultiTierWorld
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -200,8 +200,10 @@ def test_backend_for_jobs_selection():
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_replicate_identical_across_backends(jobs):
     seeds = [1, 2, 3]
-    serial = replicate(_world_scenario, seeds, backend=SerialBackend())
-    pooled = replicate(_world_scenario, seeds, backend=ProcessPoolBackend(jobs))
+    (serial,) = replicate_cells([(_world_scenario, seeds)], backend=SerialBackend())
+    (pooled,) = replicate_cells(
+        [(_world_scenario, seeds)], backend=ProcessPoolBackend(jobs)
+    )
     assert serial.samples == pooled.samples
     assert set(serial.metrics) == set(pooled.metrics)
     for name in serial.metrics:
@@ -280,7 +282,7 @@ def test_world_totals_are_frozen_against_later_worlds():
 
 
 # ----------------------------------------------------------------------
-# replicate_grid and the E8 job entry point
+# One batch of several cells and the E8 job entry point
 # ----------------------------------------------------------------------
 def test_replicate_grid_matches_per_scenario_replicate():
     def make_scenario(factor):
@@ -290,8 +292,10 @@ def test_replicate_grid_matches_per_scenario_replicate():
         return scenario
 
     scenarios = [make_scenario(f) for f in (1, 10)]
-    grid = replicate_grid(scenarios, seeds=[1, 2, 3])
-    singles = [replicate(scenario, seeds=[1, 2, 3]) for scenario in scenarios]
+    grid = replicate_cells([(scenario, [1, 2, 3]) for scenario in scenarios])
+    singles = [
+        replicate_cells([(scenario, [1, 2, 3])])[0] for scenario in scenarios
+    ]
     assert [r.samples for r in grid] == [r.samples for r in singles]
     assert [r.metrics for r in grid] == [r.metrics for r in singles]
 

@@ -12,14 +12,14 @@ from repro.experiments.baselines import (
     run_multitier_rsmc,
 )
 from repro.experiments.registry import ALL_EXPERIMENTS
-from repro.experiments.runner import replicate, sweep
+from repro.experiments.runner import replicate_cells, sweep
 
 
 def test_replicate_aggregates_metrics():
     def scenario(seed):
         return {"value": float(seed), "constant": 2.0}
 
-    replication = replicate(scenario, seeds=[1, 2, 3])
+    (replication,) = replicate_cells([(scenario, [1, 2, 3])])
     assert replication.mean("value") == pytest.approx(2.0)
     assert replication["constant"].half_width == 0.0
     assert replication.samples["value"] == [1.0, 2.0, 3.0]
@@ -29,7 +29,7 @@ def test_replicate_confidence_interval_contains_mean():
     def scenario(seed):
         return {"value": float(seed % 5)}
 
-    replication = replicate(scenario, seeds=range(20))
+    (replication,) = replicate_cells([(scenario, range(20))])
     estimate = replication["value"]
     assert estimate.low <= estimate.mean <= estimate.high
     assert estimate.n == 20

@@ -22,7 +22,7 @@ import random
 import pytest
 
 from repro.experiments.exec import ProcessPoolBackend, SerialBackend
-from repro.scenarios import replicate_scenario, run_scenario_spec
+from repro.scenarios import expand_grid, run_grid, run_scenario_spec
 from repro.scenarios.spec import MOBILITY_MODELS, TRAFFIC_KINDS, ScenarioSpec
 from repro.stacks import stack_names
 
@@ -93,8 +93,9 @@ def test_generated_spec_repeat_same_seed_is_byte_identical(case_seed):
 def test_generated_spec_serial_vs_pool_is_byte_identical(case_seed):
     spec = random_mini_spec(case_seed)
     seeds = [1, 2]
-    serial = replicate_scenario(spec, seeds=seeds, backend=SerialBackend())
-    pooled = replicate_scenario(spec, seeds=seeds, backend=ProcessPoolBackend(2))
+    cells = expand_grid([spec], seeds=seeds)
+    (serial,) = run_grid(cells, backend=SerialBackend())
+    (pooled,) = run_grid(cells, backend=ProcessPoolBackend(2))
     assert serial.samples == pooled.samples
     assert serial.metrics == pooled.metrics
 

@@ -15,15 +15,17 @@ from repro.scenarios import (
     ScenarioSpec,
     ScenarioSweep,
     describe_sweep,
+    expand_grid,
     format_sweep_result,
     get_scenario,
     get_sweep,
     iter_sweeps,
     register_sweep,
+    run_grid,
     run_scenario_spec,
     scenario_names,
+    sweep_curves,
     sweep_names,
-    sweep_scenario,
 )
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -52,6 +54,15 @@ class _CountingBackend(SerialBackend):
     def run(self, jobs):
         self.batches.append(len(jobs))
         return super().run(jobs)
+
+
+def _curve(sweep, backend=None, confidence=0.95, **knobs):
+    """One sweep's result, the way ``repro scenario sweep`` gets it:
+    expand -> run -> regroup."""
+    cells = expand_grid(sweeps=[sweep], **knobs)
+    replications = run_grid(cells, confidence, backend)
+    (entry,) = sweep_curves(cells, replications, confidence)
+    return entry[3]
 
 
 # ----------------------------------------------------------------------
@@ -226,7 +237,7 @@ def test_registered_metrics_exist_in_scenario_output():
 def test_sweep_scenario_dispatches_one_batch_for_the_whole_grid():
     backend = _CountingBackend()
     sweep = _tiny_sweep(seeds=(1, 2))
-    result = sweep_scenario(sweep, backend=backend)
+    result = _curve(sweep, backend=backend)
     assert backend.batches == [len(sweep.values) * 2]  # points x seeds, once
     assert result.x_values == list(sweep.values)
     assert set(result.series) == set(sweep.metrics)
@@ -239,7 +250,7 @@ def test_sweep_scenario_dispatches_one_batch_for_the_whole_grid():
 
 
 def test_sweep_scenario_population_axis_reaches_the_builder():
-    result = sweep_scenario(_tiny_sweep(), backend=SerialBackend())
+    result = _curve(_tiny_sweep(), backend=SerialBackend())
     assert result.series  # population metric reports the derived spec
     populations = [
         replication.mean("population") for replication in result.replications
@@ -249,14 +260,14 @@ def test_sweep_scenario_population_axis_reaches_the_builder():
 
 def test_sweep_scenario_smoke_shrinks_points_and_seeds():
     sweep = get_sweep("sparse-rural/population")
-    result = sweep_scenario(sweep, backend=SerialBackend(), smoke=True)
+    result = _curve(sweep, backend=SerialBackend(), smoke=True)
     assert result.x_values == list(sweep.values[:2])
     assert all(r.metrics["sent"].n == 1 for r in result.replications)
 
 
 def test_format_sweep_result_has_ci_columns_per_point():
     sweep = _tiny_sweep(seeds=(1, 2))
-    result = sweep_scenario(sweep, backend=SerialBackend())
+    result = _curve(sweep, backend=SerialBackend())
     text = format_sweep_result(sweep, result, seeds=sweep.seeds)
     lines = text.splitlines()
     assert "sent_ci95" in lines[1] and "received_ci95" in lines[1]
@@ -276,8 +287,8 @@ def test_describe_sweep_mentions_axis_and_values():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", [sweep.name for sweep in iter_sweeps()])
 def test_sweep_repeat_is_byte_identical(name):
-    first = sweep_scenario(name, backend=SerialBackend(), smoke=True)
-    second = sweep_scenario(name, backend=SerialBackend(), smoke=True)
+    first = _curve(name, backend=SerialBackend(), smoke=True)
+    second = _curve(name, backend=SerialBackend(), smoke=True)
     assert first.series == second.series
     assert first.text == second.text
     assert [r.samples for r in first.replications] == [
@@ -288,8 +299,8 @@ def test_sweep_repeat_is_byte_identical(name):
 @needs_fork
 @pytest.mark.parametrize("name", [sweep.name for sweep in iter_sweeps()])
 def test_sweep_serial_vs_pool_is_byte_identical(name):
-    serial = sweep_scenario(name, backend=SerialBackend(), smoke=True)
-    pooled = sweep_scenario(name, backend=ProcessPoolBackend(2), smoke=True)
+    serial = _curve(name, backend=SerialBackend(), smoke=True)
+    pooled = _curve(name, backend=ProcessPoolBackend(2), smoke=True)
     assert serial.series == pooled.series
     assert [r.samples for r in serial.replications] == [
         r.samples for r in pooled.replications
@@ -310,7 +321,7 @@ def test_custom_base_spec_override():
         traffic_mix={"poisson-data": 0.5, "idle": 0.5},
         seeds=(7,),
     )
-    result = sweep_scenario(_tiny_sweep(values=(2, 3)), base=base)
+    result = _curve(_tiny_sweep(values=(2, 3)), base=base)
     assert [r.mean("population") for r in result.replications] == [2.0, 3.0]
 
 
@@ -327,14 +338,14 @@ def test_custom_base_spec_with_unregistered_scenario_and_smoke():
         seeds=(5, 6),
     )
     sweep = _tiny_sweep(scenario="not-in-catalog", seeds=None)
-    result = sweep_scenario(sweep, base=base, smoke=True)
+    result = _curve(sweep, base=base, smoke=True)
     assert result.x_values == [2, 4]
     assert all(r.metrics["sent"].n == 1 for r in result.replications)
 
 
 def test_ci_column_label_follows_the_computed_confidence():
     sweep = _tiny_sweep(seeds=(1, 2))
-    result = sweep_scenario(sweep, backend=SerialBackend(), confidence=0.99)
+    result = _curve(sweep, backend=SerialBackend(), confidence=0.99)
     text = format_sweep_result(sweep, result)
     assert "sent_ci99" in text and "ci95" not in text
 

@@ -27,10 +27,11 @@ from repro.scenarios import (
     apportion,
     build_scenario,
     describe_scenario,
+    expand_grid,
     get_scenario,
     iter_scenarios,
     register,
-    replicate_scenario,
+    run_grid,
     run_scenario_spec,
     scenario_names,
 )
@@ -106,6 +107,56 @@ def test_spec_rejects_nan_timing_and_bandwidth_fields(field):
     with pytest.raises(ValueError, match=field) as error:
         dataclasses.replace(_tiny_spec(), **{field: float("nan")})
     assert "\n" not in str(error.value)
+
+
+_INF, _NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("duration", _INF),
+        ("warmup", _INF),
+        ("drain", _INF),
+        ("sample_period", _INF),
+        ("macro_channel_bandwidth", _INF),
+        ("pico_channel_bandwidth", _INF),
+        ("roam", (_NAN, 0.0, 1.0, 1.0)),
+        ("roam", (0.0, 0.0, _INF, 1.0)),
+        ("population", 5.5),
+        ("pico_cells", 1.5),
+        ("hotspot_flows", 1.5),
+        ("domains", 1.0),
+        ("seeds", (1.7,)),
+        ("fluid.population", 10.7),
+        ("fluid.mean_speed", _NAN),
+        ("fluid.per_mobile_bps", _NAN),
+        ("fluid.update_period", _NAN),
+        ("fluid.update_period", _INF),
+        ("fluid.drift", (_NAN, 0.0)),
+    ],
+)
+def test_spec_rejects_non_finite_and_non_integral_values(field, value):
+    """Each of these used to pass construction and then hang, crash
+    mid-build or run something else; the spec (or its fluid block)
+    must refuse it up front, naming the field, in one line."""
+    if field.startswith("fluid."):
+        key = field.removeprefix("fluid.")
+        base = get_scenario("campus-air")
+        changes = {"fluid": {"population": 10, key: value}}
+    else:
+        key, base, changes = field, _tiny_spec(), {field: value}
+    with pytest.raises(ValueError, match=key) as error:
+        dataclasses.replace(base, **changes)
+    assert "\n" not in str(error.value)
+
+
+def test_spec_accepts_numpy_integers_as_ints():
+    import numpy as np
+
+    spec = _tiny_spec(population=np.int64(4), seeds=(np.int64(3),))
+    assert type(spec.population) is int and spec.population == 4
+    assert spec.seeds == (3,) and type(spec.seeds[0]) is int
 
 
 def test_apportion_is_exact_and_deterministic():
@@ -277,30 +328,38 @@ def test_scenario_repeat_same_seed_is_byte_identical(name):
 def test_scenario_serial_vs_pool_is_byte_identical(name):
     spec = get_scenario(name).smoke()
     seeds = [1, 2]
-    serial = replicate_scenario(spec, seeds=seeds, backend=SerialBackend())
-    pooled = replicate_scenario(
-        spec, seeds=seeds, backend=ProcessPoolBackend(2)
-    )
+    cells = expand_grid([spec], seeds=seeds)
+    (serial,) = run_grid(cells, backend=SerialBackend())
+    (pooled,) = run_grid(cells, backend=ProcessPoolBackend(2))
     assert serial.samples == pooled.samples
     assert serial.metrics == pooled.metrics
 
 
 def test_replicate_scenarios_batch_matches_per_scenario():
     """One flat (scenario, seed) batch == per-scenario replication."""
-    from repro.scenarios import replicate_scenarios
-
     names = ["sparse-rural", "flash-crowd"]
     specs = [get_scenario(name).smoke() for name in names]
-    batch = replicate_scenarios(specs, backend=SerialBackend())
-    assert [spec.name for spec, _, _ in batch] == names
-    for spec, seeds, replication in batch:
-        assert seeds == list(spec.seeds)
-        single = replicate_scenario(spec, backend=SerialBackend())
+    cells = expand_grid(specs)
+    batch = run_grid(cells, backend=SerialBackend())
+    assert [cell.spec.name for cell in cells] == names
+    for cell, replication in zip(cells, batch):
+        assert list(cell.seeds) == list(cell.spec.seeds)
+        (single,) = run_grid(expand_grid([cell.spec]), backend=SerialBackend())
         assert replication.samples == single.samples
         assert replication.metrics == single.metrics
 
 
+def test_expand_grid_rejects_an_empty_seed_list():
+    # An empty list would expand to seedless cells, each aggregating
+    # to a metric-less Replication (a table with no rows).
+    with pytest.raises(ValueError, match="seeds"):
+        expand_grid(["sparse-rural"], seeds=[])
+    with pytest.raises(ValueError, match="seeds"):
+        expand_grid(sweeps=["sparse-rural/population"], seeds=[])
+
+
 def test_different_seeds_differ():
+
     spec = get_scenario("city-rush-hour").smoke()
     assert run_scenario_spec(spec, seed=1) != run_scenario_spec(spec, seed=2)
 

@@ -27,12 +27,12 @@ import pytest
 from repro.experiments.exec import ProcessPoolBackend, SerialBackend
 from repro.scenarios import (
     compare_scenario_stacks,
+    expand_grid,
     format_stack_comparison,
     get_scenario,
-    replicate_scenario,
-    replicate_scenarios,
+    run_grid,
     run_scenario_spec,
-    sweep_scenarios,
+    sweep_curves,
 )
 from repro.stacks import (
     COMMON_METRICS,
@@ -478,10 +478,9 @@ def test_stack_repeat_same_seed_is_byte_identical(stack):
 def test_stack_serial_vs_pool_is_byte_identical(stack):
     spec = _smoke(stack=stack)
     seeds = [1, 2]
-    serial = replicate_scenario(spec, seeds=seeds, backend=SerialBackend())
-    pooled = replicate_scenario(
-        spec, seeds=seeds, backend=ProcessPoolBackend(2)
-    )
+    cells = expand_grid([spec], seeds=seeds)
+    (serial,) = run_grid(cells, backend=SerialBackend())
+    (pooled,) = run_grid(cells, backend=ProcessPoolBackend(2))
     assert serial.samples == pooled.samples
     assert serial.metrics == pooled.metrics
 
@@ -514,24 +513,43 @@ def test_compare_dispatches_one_backend_batch():
     assert backend.jobs_seen == expected
     assert [c.spec.name for c in comparisons] == [s.name for s in specs]
 
-    # Same contract for every other multi-run entry point: one batch,
-    # job count = grid size.
+    # Same contract for a plain grid run: one batch, job count = grid
+    # size.
     backend = _CountingBackend()
-    replicate_scenarios(specs, backend=backend)
+    run_grid(expand_grid(specs), backend=backend)
     assert (backend.batches, backend.jobs_seen) == (
         1, sum(len(spec.seeds) for spec in specs)
     )
-    backend = _CountingBackend()
+
+
+def test_sweep_curves_regroup_one_batch_per_sweep_and_stack():
     sweeps = ["sparse-rural/population", "campus-dense/backhaul"]
-    curves = sweep_scenarios(
-        sweeps, smoke=True, backend=backend, stacks=["multitier", "mobileip"]
-    )
+    stacks = ["multitier", "mobileip"]
+    backend = _CountingBackend()
+    cells = expand_grid(sweeps=sweeps, stacks=stacks, smoke=True)
+    curves = sweep_curves(cells, run_grid(cells, backend=backend))
     assert backend.batches == 1
     # 2 sweeps x 2 stacks x 2 smoke points x 1 smoke seed.
     assert backend.jobs_seen == 8
+    # Sweep-major, stack fastest.
     assert [(sweep.name, base.stack) for sweep, base, _seeds, _result in curves] == [
-        (name, stack) for name in sweeps for stack in ("multitier", "mobileip")
+        (name, stack) for name in sweeps for stack in stacks
     ]
+    # Each curve equals its (sweep, stack) run alone.
+    for sweep, base, seeds, result in curves:
+        alone = expand_grid(
+            sweeps=[sweep.name], stacks=[base.stack], smoke=True
+        )
+        ((sweep1, base1, seeds1, result1),) = sweep_curves(
+            alone, run_grid(alone, backend=SerialBackend())
+        )
+        assert (sweep1, base1, seeds1) == (sweep, base, seeds)
+        assert result1.title == result.title
+        assert result1.series == result.series
+        assert result1.text == result.text
+        assert [r.samples for r in result1.replications] == [
+            r.samples for r in result.replications
+        ]
 
 
 def test_compare_matches_per_stack_replication():
@@ -539,8 +557,8 @@ def test_compare_matches_per_stack_replication():
     (comparison,) = compare_scenario_stacks([spec], backend=SerialBackend())
     assert comparison.stacks == ALL_STACKS
     for stack in ALL_STACKS:
-        single = replicate_scenario(
-            spec.replace(stack=stack), backend=SerialBackend()
+        (single,) = run_grid(
+            expand_grid([spec.replace(stack=stack)]), backend=SerialBackend()
         )
         assert comparison.replications[stack].samples == single.samples
         assert comparison.replications[stack].metrics == single.metrics
