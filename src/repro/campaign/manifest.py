@@ -163,8 +163,10 @@ def build_manifest(
     if stacks is not None:
         stacks = tuple(stacks)
     if seeds is not None:
-        seeds = tuple(int(seed) for seed in seeds)
+        seeds = tuple(seeds)
     cells = expand_grid(scenarios, sweeps, stacks, seeds, smoke)
+    if seeds is not None:
+        seeds = tuple(map(int, seeds))  # integers: expand_grid checked them
     items: dict[str, WorkItem] = {}
     fingerprints: list[str] = []
     for cell in cells:

@@ -285,13 +285,13 @@ class MultiTierWorld:
     def add_controller(self, mobile, model, **kwargs) -> "MobilityController":
         """A controller over every radio station built so far; the
         shared meter is rebuilt only when stations were added since."""
-        kwargs.setdefault("trace", self.decision_trace)
         stations = self.all_radio_stations()
         cells = [bs.cell for bs in stations]
         if self._meter is None or self._meter.cells != cells:
             self._meter = SignalMeter(PropagationModel(), cells)
         controller = MobilityController(
-            self.sim, mobile, model, stations, meter=self._meter, **kwargs
+            self.sim, mobile, model, stations, self._meter, self.decision_trace,
+            **kwargs,
         )
         self.controllers.append(controller)
         return controller
@@ -301,42 +301,38 @@ class MobilityController:
     """Drives one mobile: samples its mobility model, applies the
     three-factor decision and executes handoffs (§3.2)."""
 
+    #: Margin (dB) by which a same-tier rival must beat the serving cell.
+    hysteresis_db = 4.0
+    #: Contention mode only: downlink packets waiting on the serving
+    #: cell's shared channel before a traffic-bearing mobile looks for a
+    #: covering cell with spare airtime (the "resources of BS" factor
+    #: made real; no effect in legacy mode, where cells have no shared
+    #: channel).
+    offload_queue_threshold = 3
+
     def __init__(
         self,
         sim: Simulator,
         mobile: MultiTierMobileNode,
         model,
         stations: list[MultiTierBaseStation],
+        meter: SignalMeter,
+        trace: DecisionTrace,
         policy: Optional[TierDecider] = None,
         sample_period: float = 0.5,
-        hysteresis_db: float = 4.0,
-        offload_queue_threshold: int = 3,
-        trace: Optional[DecisionTrace] = None,
-        meter: Optional[SignalMeter] = None,
     ) -> None:
         self.sim = sim
         self.mobile = mobile
         self.model = model
         self.policy = policy if policy is not None else TierDecider()
-        #: Decision-trace log this controller records into; worlds pass
-        #: their shared per-world trace, hand-built controllers get a
-        #: private one.
-        self.trace = trace if trace is not None else DecisionTrace()
+        #: The world's decision-trace log this controller records into.
+        self.trace = trace
         self.sample_period = sample_period
-        self.hysteresis_db = hysteresis_db
-        #: Contention mode only: downlink packets waiting on the
-        #: serving cell's shared channel before a traffic-bearing
-        #: mobile looks for a covering cell with spare airtime (the
-        #: "resources of BS" factor made real; no effect in legacy
-        #: mode, where cells have no shared channel).
-        self.offload_queue_threshold = offload_queue_threshold
         self.stations = [bs for bs in stations if bs.cell is not None]
         #: Scans ``stations``' cells in station order (candidates map
-        #: back by position).  Worlds pass the one meter all their
-        #: controllers share; a hand-built controller gets its own.
-        self.meter = meter or SignalMeter(
-            PropagationModel(), [bs.cell for bs in self.stations]
-        )
+        #: back by position); one meter serves every controller of a
+        #: world.
+        self.meter = meter
         self.blocked_attach_attempts = 0
         self.process = sim.process(self._run(), name=f"{mobile.name}-controller")
 

@@ -4,9 +4,9 @@ This package is the §3.2 decision layer of the reproduction, rebuilt
 so that every decision is *explainable*:
 
 * :mod:`repro.policy.config` — :class:`PolicyConfig`, the validated
-  knob block (mode, thresholds, admission factor, weighted airtime)
-  embedded in :class:`~repro.scenarios.spec.ScenarioSpec` and
-  sweepable like any other spec field;
+  knob block (mode, thresholds, admission factor) embedded in
+  :class:`~repro.scenarios.spec.ScenarioSpec` and sweepable like any
+  other spec field;
 * :mod:`repro.policy.decider` — :class:`TierDecider`, which orders
   handoff candidates from the three §3.2 factors and returns
   machine-readable reasons;

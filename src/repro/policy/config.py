@@ -3,8 +3,8 @@
 A :class:`PolicyConfig` is the declarative knob block behind the
 §3.2 three-factor decision: which decision *mode* runs (the paper's
 speed-aware policy or one of the E9 ablation baselines), the speed and
-bandwidth-demand thresholds, and the air-interface resource controls
-(admission factor, weighted airtime shares).  It is pure data — the
+bandwidth-demand thresholds, and the air-interface admission factor.
+It is pure data — the
 :class:`~repro.policy.decider.TierDecider` consumes it, and
 :class:`~repro.scenarios.spec.ScenarioSpec` embeds it as its
 ``policy`` field, which makes every numeric field sweepable like any
@@ -13,7 +13,7 @@ other spec field (``policy.<field>`` sweep axes).
 The default ``PolicyConfig()`` reproduces the historical hardcoded
 behavior byte-identically: speed threshold 15 m/s, the stack-dependent
 demand threshold (200 kbit/s legacy, 1 bit/s contention), no air
-admission control, FIFO airtime.  Scenario metrics only grow
+admission control.  Scenario metrics only grow
 ``policy.*`` keys when the block differs from this default, so the
 committed golden tables never change shape.
 
@@ -84,18 +84,12 @@ class PolicyConfig:
         disables admission control entirely (the historical
         never-reject behavior).  Requires shared channels; validated
         at the spec layer.
-    weighted_airtime:
-        ``True`` replaces the FIFO airtime arbiter with weighted fair
-        shares, weighting each mobile by its declared bandwidth
-        demand.  Requires shared channels; validated at the spec
-        layer.
     """
 
     mode: str = "speed-aware"
     speed_threshold: float = 15.0
     demand_threshold: Optional[float] = None
     admission_factor: Optional[float] = None
-    weighted_airtime: bool = False
 
     def __post_init__(self) -> None:
         if self.mode not in POLICY_MODES:
@@ -117,11 +111,6 @@ class PolicyConfig:
         if self.admission_factor is not None:
             factor = _positive("admission_factor", self.admission_factor)
             object.__setattr__(self, "admission_factor", factor)
-        if not isinstance(self.weighted_airtime, bool):
-            raise ValueError(
-                f"weighted_airtime must be a bool, "
-                f"got {self.weighted_airtime!r}"
-            )
 
     # ------------------------------------------------------------------
     def is_default(self) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from math import isnan
 from typing import Optional
 
 from repro.radio.geometry import Point
@@ -79,18 +80,16 @@ class Cell:
 
     def __post_init__(self) -> None:
         defaults = TIER_DEFAULTS[self.tier]
-        if self.radius <= 0:
-            self.radius = defaults["radius"]
-        if self.bandwidth <= 0:
-            self.bandwidth = defaults["bandwidth"]
+        for label in ("radius", "bandwidth", "channel_downlink", "channel_uplink"):
+            value = getattr(self, label)
+            if isnan(value):  # neither a size nor "the tier default"
+                raise ValueError(f"cell {self.name}: {label} must not be nan")
+            if not value > 0:
+                setattr(self, label, defaults[label])
         if self.tx_power_dbm == 0.0:
             self.tx_power_dbm = defaults["tx_power_dbm"]
         if self.channels <= 0:
             self.channels = defaults["channels"]
-        if self.channel_downlink <= 0:
-            self.channel_downlink = defaults["channel_downlink"]
-        if self.channel_uplink <= 0:
-            self.channel_uplink = defaults["channel_uplink"]
 
     def covers(self, point: Point) -> bool:
         """True when ``point`` lies inside this cell's coverage disc."""

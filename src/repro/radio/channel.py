@@ -35,13 +35,6 @@ Semantics
   ``admission_factor * downlink budget`` — the §3.2 "resources of BS"
   factor, surfaced by the base station as a handoff rejection that
   makes the mobile "turn to ask" the next tier.
-* **Weighted airtime shares** (off by default): a channel built with
-  ``weighted=True`` replaces FIFO with start-time fair queueing —
-  each transmission is stamped with a virtual finish tag grown at
-  ``size * 8 / weight`` (weight = the mobile's claimed demand, floored
-  at :data:`MIN_AIRTIME_WEIGHT`), and the arbiter grants the smallest
-  tag first, so heavy claimants get proportionally more airtime
-  without starving light ones.
 
 Legacy mode: a link built with ``shared_channel=None`` (the default
 everywhere) keeps the historic per-link transmitter, byte-identical to
@@ -77,11 +70,6 @@ DOWNLINK = "downlink"
 UPLINK = "uplink"
 DIRECTIONS = (DOWNLINK, UPLINK)
 
-#: Floor (bit/s) for a mobile's weighted-airtime weight, so claims of
-#: zero declared demand (signalling-only mobiles) still make progress
-#: under weighted fair queueing instead of growing unbounded tags.
-MIN_AIRTIME_WEIGHT = 8e3
-
 
 def airtime_key(node) -> int:
     """The deterministic tie-breaking key for ``node``'s transmissions.
@@ -99,17 +87,13 @@ def airtime_key(node) -> int:
 class _Airtime:
     """One transmission queued for (or holding) a direction's airtime."""
 
-    __slots__ = ("link", "packet", "tag")
+    __slots__ = ("link", "packet")
 
-    def __init__(
-        self, link: "Link", packet: "Packet", tag: Optional[float]
-    ) -> None:
+    def __init__(self, link: "Link", packet: "Packet") -> None:
         #: ``None`` once a claim detach cancelled this transmission; the
         #: arbiter skips it when it surfaces (lazy heap deletion).
         self.link: Optional["Link"] = link
         self.packet = packet
-        #: Virtual finish tag (weighted mode), else ``None``.
-        self.tag = tag
 
 
 class ChannelStats:
@@ -148,10 +132,6 @@ class SharedChannel:
         control: :meth:`admit` rejects a newcomer whose declared
         demand would push the sum of claimed demands past
         ``admission_factor * downlink_bps``.
-    weighted:
-        ``False`` (default) arbitrates FIFO.  ``True`` enables
-        weighted airtime shares (start-time fair queueing) with each
-        mobile weighted by its claimed demand.
     """
 
     def __init__(
@@ -161,14 +141,13 @@ class SharedChannel:
         downlink_bps: float,
         uplink_bps: float,
         admission_factor: Optional[float] = None,
-        weighted: bool = False,
     ) -> None:
-        if downlink_bps <= 0 or uplink_bps <= 0:
-            raise ValueError(
-                f"channel budgets must be positive, got "
-                f"downlink={downlink_bps}, uplink={uplink_bps}"
-            )
-        if admission_factor is not None and admission_factor <= 0:
+        for label, value in (
+            ("downlink_bps", downlink_bps), ("uplink_bps", uplink_bps)
+        ):
+            if not value > 0:  # also rejects nan
+                raise ValueError(f"{label} must be positive, got {value}")
+        if admission_factor is not None and not admission_factor > 0:
             raise ValueError(
                 f"admission_factor must be positive, got {admission_factor}"
             )
@@ -178,11 +157,10 @@ class SharedChannel:
         self.admission_factor = (
             float(admission_factor) if admission_factor is not None else None
         )
-        self.weighted = bool(weighted)
         # The arbiter, per direction: a heap of waiting transmissions
-        # ordered ``(time, key, seq)`` — ``(tag, time, key, seq)`` when
-        # weighted — whether one is on the air, and whether this
-        # instant's zero-delay arbitration is already scheduled.
+        # ordered ``(time, key, seq)``, whether one is on the air, and
+        # whether this instant's zero-delay arbitration is already
+        # scheduled.
         self._heaps: dict[str, list[tuple]] = {DOWNLINK: [], UPLINK: []}
         self._busy = {DOWNLINK: False, UPLINK: False}
         self._arbitrating = {DOWNLINK: False, UPLINK: False}
@@ -192,18 +170,11 @@ class SharedChannel:
         #: Mobile keys currently holding an airtime claim here.
         self.attached: set[int] = set()
         #: key -> declared bandwidth demand (bit/s) of each claim; the
-        #: admission bookkeeping and the weighted-share weights.
+        #: admission bookkeeping.
         self.claims: dict[int, float] = {}
         self.total_attaches = 0
         #: Newcomers turned away by :meth:`admit` over the whole run.
         self.admission_rejects = 0
-        # Start-time fair queueing state (weighted mode only):
-        # per-direction virtual time and each key's last finish tag.
-        self._vtime = {DOWNLINK: 0.0, UPLINK: 0.0}
-        self._last_finish: dict[str, dict[int, float]] = {
-            DOWNLINK: {},
-            UPLINK: {},
-        }
         #: Analytic background claims (bit/s) from the hybrid fluid
         #: layer (:mod:`repro.fluid`), per direction.  Zero by default
         #: — the legacy-identical state.
@@ -231,8 +202,8 @@ class SharedChannel:
         Called by the base station when it creates the radio link pair;
         during make-before-break / semisoft handoff a mobile briefly
         holds claims on both the old and the new cell.  ``demand`` is
-        the claim's declared bandwidth demand (bit/s) — the admission
-        bookkeeping and, in weighted mode, the mobile's airtime weight.
+        the claim's declared bandwidth demand (bit/s), which admission
+        control counts.
         Idempotent (a re-attach keeps the existing claim).
         """
         if key not in self.attached:
@@ -277,7 +248,6 @@ class SharedChannel:
         self.attached.discard(key)
         self.claims.pop(key, None)
         for direction in DIRECTIONS:
-            self._last_finish[direction].pop(key, None)
             for item in self._heaps[direction]:
                 entry = item[-1]
                 link = entry.link
@@ -326,28 +296,16 @@ class SharedChannel:
 
         The link has already accepted the packet (queue-limit and
         up/down checks are the link's); the channel grants airtime FIFO
-        with the (time, key) tie-break — or smallest virtual finish tag
-        first in weighted mode — and calls back into the link to
+        with the (time, key) tie-break and calls back into the link to
         schedule propagation once serialization finishes.
         """
         direction = link.channel_direction
-        key = link.channel_key
         self.stats.submitted[direction] += 1
         self.queued[direction] += 1
-        tag = None
-        if self.weighted:
-            # Start-time fair queueing: the tag advances from the later
-            # of the direction's virtual time and this mobile's last
-            # finish tag, at a rate inverse to the mobile's weight.
-            weight = max(self.claims.get(key, 0.0), MIN_AIRTIME_WEIGHT)
-            start = max(
-                self._vtime[direction],
-                self._last_finish[direction].get(key, 0.0),
-            )
-            tag = start + packet.size * 8.0 / weight
-            self._last_finish[direction][key] = tag
-        order = (self.sim.now, key, next(self._seq), _Airtime(link, packet, tag))
-        heappush(self._heaps[direction], order if tag is None else (tag, *order))
+        heappush(
+            self._heaps[direction],
+            (self.sim.now, link.channel_key, next(self._seq), _Airtime(link, packet)),
+        )
         if not self._busy[direction]:
             self._schedule_arbitration(direction)
 
@@ -374,8 +332,6 @@ class SharedChannel:
             # Start serializing: hold the direction for the airtime.
             self._busy[direction] = True
             self.queued[direction] -= 1
-            if entry.tag is not None and entry.tag > self._vtime[direction]:
-                self._vtime[direction] = entry.tag
             seconds = self.airtime(direction, entry.packet)
             self.stats.granted[direction] += 1
             self.stats.busy_seconds[direction] += seconds
@@ -442,9 +398,9 @@ class ChannelPlan:
     budgets" from :data:`repro.radio.cells.TIER_DEFAULTS`; a number
     overrides the *downlink* budget for every cell of that tier, with
     the uplink budget derived as ``downlink * uplink_fraction``.
-    ``admission_factor`` and ``weighted`` are handed to every channel
-    the plan builds (see :class:`SharedChannel`); their defaults keep
-    the historical admit-everyone FIFO behavior.
+    ``admission_factor`` is handed to every channel the plan builds
+    (see :class:`SharedChannel`); its default keeps the historical
+    admit-everyone behavior.
 
     A plan only exists when contention is enabled at all —
     ``MultiTierWorld(channel_plan=None)`` (the default) builds legacy
@@ -456,20 +412,17 @@ class ChannelPlan:
     pico_bandwidth: Optional[float] = None
     uplink_fraction: float = 0.5
     admission_factor: Optional[float] = None
-    weighted: bool = False
 
     def __post_init__(self) -> None:
-        for label in ("macro_bandwidth", "micro_bandwidth", "pico_bandwidth"):
+        for label in (
+            "macro_bandwidth", "micro_bandwidth", "pico_bandwidth", "admission_factor"
+        ):
             value = getattr(self, label)
-            if value is not None and value <= 0:
+            if value is not None and not value > 0:  # also rejects nan
                 raise ValueError(f"{label} must be positive, got {value}")
         if not 0.0 < self.uplink_fraction <= 1.0:
             raise ValueError(
                 f"uplink_fraction must be in (0, 1], got {self.uplink_fraction}"
-            )
-        if self.admission_factor is not None and self.admission_factor <= 0:
-            raise ValueError(
-                f"admission_factor must be positive, got {self.admission_factor}"
             )
 
     def budgets(self, cell: Cell) -> tuple[float, float]:
@@ -492,14 +445,12 @@ class ChannelPlan:
             downlink,
             uplink,
             admission_factor=self.admission_factor,
-            weighted=self.weighted,
         )
 
 
 __all__ = [
     "DIRECTIONS",
     "DOWNLINK",
-    "MIN_AIRTIME_WEIGHT",
     "UPLINK",
     "ChannelPlan",
     "ChannelStats",

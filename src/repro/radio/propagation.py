@@ -2,16 +2,13 @@
 
 Signal strength is one of the paper's three handoff decision factors
 ("the power of signal from BS", §3.2).  We provide the standard
-log-distance path-loss model with optional log-normal shadowing, which
-is what 2000s-era handoff studies used.
+log-distance path-loss model, which is what 2000s-era handoff studies
+used.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
-
-import numpy as np
 
 #: Reference path loss at 1 m for ~2 GHz carriers (free space), in dB.
 REFERENCE_LOSS_DB = 38.5
@@ -49,33 +46,16 @@ class PropagationModel:
     ----------
     exponent:
         Path-loss exponent (2 = free space, 3.5 = urban default).
-    shadowing_sigma_db:
-        Standard deviation of log-normal shadowing; 0 disables it.
-    rng:
-        Generator for shadowing draws (required if sigma > 0).
     """
 
-    def __init__(
-        self,
-        exponent: float = 3.5,
-        shadowing_sigma_db: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        if exponent <= 0:
+    def __init__(self, exponent: float = 3.5) -> None:
+        if not exponent > 0:  # also rejects nan
             raise ValueError(f"exponent must be positive, got {exponent}")
-        if shadowing_sigma_db < 0:
-            raise ValueError("shadowing sigma must be non-negative")
-        if shadowing_sigma_db > 0 and rng is None:
-            raise ValueError("shadowing requires an rng")
         self.exponent = exponent
-        self.shadowing_sigma_db = shadowing_sigma_db
-        self.rng = rng
 
     def received_power_dbm(self, tx_power_dbm: float, distance: float) -> float:
         """Received signal strength in dBm at ``distance`` meters."""
         loss = log_distance_path_loss_db(distance, exponent=self.exponent)
-        if self.shadowing_sigma_db > 0:
-            loss += float(self.rng.normal(0.0, self.shadowing_sigma_db))
         return tx_power_dbm - loss
 
     def range_for_threshold(

@@ -108,18 +108,14 @@ class SignalMeter:
 
         :meth:`measure`'s float operations in the same order, inlined.
         Coverage is tested on the raw distance before any path loss is
-        computed.  A ``covering`` scan without shadowing visits only the
-        rows of the position's coverage-index bucket; with shadowing on,
-        every cell takes its draw, in cell order, whether or not it is
-        then kept, so every row is visited.
+        computed.  A ``covering`` scan visits only the rows of the
+        position's coverage-index bucket.
         """
         px, py = position.x, position.y
-        propagation = self.propagation
-        slope = 10.0 * propagation.exponent
-        sigma = propagation.shadowing_sigma_db
+        slope = 10.0 * self.propagation.exponent
         floor = self.min_usable_dbm
         rows = self._rows
-        if covering and not sigma > 0:
+        if covering:
             x0, y0 = self._x0, self._y0
             if not (x0 <= px <= self._x1 and y0 <= py <= self._y1):
                 return []
@@ -130,11 +126,10 @@ class SignalMeter:
         heard = []
         for index, cx, cy, radius, tx_power_dbm in rows:
             distance = hypot(cx - px, cy - py)
-            shadow = float(propagation.rng.normal(0.0, sigma)) if sigma > 0 else 0.0
             if covering and distance > radius:
                 continue
             clamped = distance if distance > 1.0 else 1.0
-            rss = tx_power_dbm - (REFERENCE_LOSS_DB + slope * log10(clamped) + shadow)
+            rss = tx_power_dbm - (REFERENCE_LOSS_DB + slope * log10(clamped))
             if rss >= floor:
                 heard.append((rss, index))
         heard.sort(key=_RSS, reverse=True)

@@ -133,8 +133,6 @@ def describe_scenario(scenario: Union[str, ScenarioSpec]) -> str:
             knobs.append(f"demand_threshold={spec.policy.demand_threshold:g}")
         if spec.policy.admission_factor is not None:
             knobs.append(f"admission_factor={spec.policy.admission_factor:g}")
-        if spec.policy.weighted_airtime:
-            knobs.append("weighted_airtime=on")
         lines.append(f"  policy           {', '.join(knobs)}")
     # Protocol stacks: every registered adapter can run any catalog
     # scenario; list which adapter surface this spec exercises under

@@ -66,6 +66,17 @@ def _validate_mix(label: str, mix: Mapping[str, float], known: Mapping[str, str]
         raise ValueError(f"{label} fractions must sum to 1, got {total}")
 
 
+def _coerce_block(label: str, block: Mapping[str, object], kind: type):
+    """Build the ``kind`` block a spec field was given as a mapping."""
+    known = [f.name for f in dataclasses.fields(kind)]
+    for key in block:
+        if key not in known:
+            raise ValueError(
+                f"{label} has unknown key {key!r}; known: {', '.join(known)}"
+            )
+    return kind(**block)
+
+
 def apportion(mix: Mapping[str, float], count: int) -> dict[str, int]:
     """Split ``count`` individuals across ``mix`` by largest remainder.
 
@@ -170,8 +181,8 @@ class ScenarioSpec:
         hardcoded thresholds byte-identically and emits no ``policy.*``
         metrics; any non-default block makes the multi-tier stack
         record its decision trace into the metrics.  The air-interface
-        knobs (``admission_factor``, ``weighted_airtime``) require
-        shared channels (:meth:`channels_enabled`).  Numeric fields are
+        knob ``admission_factor`` requires shared channels
+        (:meth:`channels_enabled`).  Numeric fields are
         sweepable as ``policy.<field>`` axes.
     notes:
         Free text shown by ``repro scenario describe``.
@@ -286,14 +297,16 @@ class ScenarioSpec:
                 f"registered: {', '.join(stack_names())}"
             )
         if isinstance(self.policy, Mapping):
-            object.__setattr__(self, "policy", PolicyConfig(**dict(self.policy)))
+            policy = _coerce_block(f"{self.name}: policy", self.policy, PolicyConfig)
+            object.__setattr__(self, "policy", policy)
         if not isinstance(self.policy, PolicyConfig):
             raise ValueError(
                 f"{self.name}: policy must be a PolicyConfig or mapping, "
                 f"got {self.policy!r}"
             )
         if isinstance(self.fluid, Mapping):
-            object.__setattr__(self, "fluid", FluidBackground(**dict(self.fluid)))
+            fluid = _coerce_block(f"{self.name}: fluid", self.fluid, FluidBackground)
+            object.__setattr__(self, "fluid", fluid)
         if self.fluid is not None and not isinstance(self.fluid, FluidBackground):
             raise ValueError(
                 f"{self.name}: fluid must be a FluidBackground, mapping or "
@@ -309,17 +322,11 @@ class ScenarioSpec:
                 f"channels (set a channel bandwidth) — background claims "
                 f"have nothing to claim on legacy unconstrained radios"
             )
-        if not self.channels_enabled():
-            if self.policy.admission_factor is not None:
-                raise ValueError(
-                    f"{self.name}: policy.admission_factor requires shared "
-                    f"channels (set a channel bandwidth)"
-                )
-            if self.policy.weighted_airtime:
-                raise ValueError(
-                    f"{self.name}: policy.weighted_airtime requires shared "
-                    f"channels (set a channel bandwidth)"
-                )
+        if self.policy.admission_factor is not None and not self.channels_enabled():
+            raise ValueError(
+                f"{self.name}: policy.admission_factor requires shared "
+                f"channels (set a channel bandwidth)"
+            )
 
     # ------------------------------------------------------------------
     def mobility_counts(self) -> dict[str, int]:

@@ -51,7 +51,7 @@ OVERRIDE_PREFIX = "domain_overrides."
 POLICY_PREFIX = "policy."
 
 #: ``PolicyConfig`` fields a ``policy.<field>`` axis may target (the
-#: numeric knobs; ``mode`` and ``weighted_airtime`` are not numbers).
+#: numeric knobs; ``mode`` is not a number).
 _POLICY_KEYS = {"speed_threshold", "demand_threshold", "admission_factor"}
 
 #: Spec fields that cannot be swept: identity/documentation fields, the

@@ -10,7 +10,7 @@ Public surface — the names the rest of ``repro`` imports::
 
 Events, timeouts, processes and conditions are created through the
 :class:`Simulator` factories (``sim.event()``, ``sim.timeout()``,
-``sim.process()``, ``sim.any_of()`` / ``sim.all_of()``); their classes
+``sim.process()``, ``sim.any_of()``); their classes
 live in :mod:`repro.sim.events` and the remaining error types in
 :mod:`repro.sim.errors`.
 """

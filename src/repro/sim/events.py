@@ -3,9 +3,8 @@
 The design follows the classic generator-based discrete-event pattern:
 an :class:`Event` is a one-shot occurrence with a value; a
 :class:`Process` wraps a generator that ``yield``\\ s events and is
-resumed when the yielded event is processed.  Composite conditions
-(:class:`AnyOf` / :class:`AllOf`) make it easy to wait on several events
-at once.
+resumed when the yielded event is processed.  An :class:`AnyOf`
+condition waits on several events at once and fires with the first.
 """
 
 from __future__ import annotations
@@ -69,27 +68,11 @@ class Event:
         return self.callbacks is None
 
     @property
-    def ok(self) -> bool:
-        """True if the event succeeded; only meaningful once triggered."""
-        if not self.triggered:
-            raise AttributeError("event is not yet triggered")
-        return self._ok
-
-    @property
     def value(self) -> object:
         """The event's value (or exception instance for failed events)."""
         if self._value is _PENDING:
             raise AttributeError("event is not yet triggered")
         return self._value
-
-    @property
-    def defused(self) -> bool:
-        """True if a failed event's exception has been handled."""
-        return self._defused
-
-    @defused.setter
-    def defused(self, value: bool) -> None:
-        self._defused = bool(value)
 
     def succeed(self, value: object = None, priority: int = NORMAL) -> "Event":
         """Trigger the event successfully with ``value`` at the current time."""
@@ -223,11 +206,6 @@ class Process(Event):
         """True while the underlying generator has not terminated."""
         return self._value is _PENDING
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting for."""
-        return self._target
-
     def interrupt(self, cause: object = None) -> None:
         """Throw :class:`Interrupt` into the process as soon as possible."""
         _Interruption(self, cause)
@@ -281,70 +259,29 @@ class Process(Event):
             return
 
 
-class ConditionValue:
-    """Ordered mapping of the sub-events that triggered a condition."""
-
-    __slots__ = ("events",)
-
-    def __init__(self) -> None:
-        self.events: list[Event] = []
-
-    def __getitem__(self, event: Event) -> object:
-        if event not in self.events:
-            raise KeyError(repr(event))
-        return event._value
-
-    def __contains__(self, event: Event) -> bool:
-        return event in self.events
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"<ConditionValue {self.todict()!r}>"
-
-    def todict(self) -> dict[Event, object]:
-        return {event: event._value for event in self.events}
-
-
 class Condition(Event):
-    """An event that triggers when ``evaluate(events, count)`` is true.
+    """An event over several sub-events that fires with the first.
 
-    ``count`` is the number of sub-events processed so far.  Failures of
-    any sub-event propagate immediately to the condition.
+    Its value is the tuple of sub-events processed by then, in the
+    order given.  A failing sub-event fails the condition instead;
+    once it has fired, later failures are defused.  :class:`AnyOf` is
+    the one kind the kernel builds.
     """
 
-    __slots__ = ("_events", "_count", "_evaluate")
+    __slots__ = ("_events",)
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        evaluate: Callable[[list[Event], int], bool],
-        events: Iterable[Event],
-    ) -> None:
+    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
         super().__init__(sim)
-        self._events = list(events)
-        self._count = 0
-        self._evaluate = evaluate
+        self._events = tuple(events)
 
         for event in self._events:
             if event.sim is not sim:
                 raise ValueError("all events must belong to the same simulator")
 
-        # Evaluate immediately for already-processed events so a condition
-        # over past events triggers without waiting.
-        if not self._events and not self.triggered:
-            self.succeed(ConditionValue())
+        # Check already-processed events now, so a condition over past
+        # events triggers without waiting.
+        if not self._events:
+            self.succeed(())
             return
         for event in self._events:
             if event.callbacks is None:
@@ -352,51 +289,23 @@ class Condition(Event):
             else:
                 event.callbacks.append(self._check)
 
-    def _build_value(self) -> ConditionValue:
-        value = ConditionValue()
-        for event in self._events:
-            # Only events whose callbacks have run are in the past; a
-            # Timeout is "triggered" at creation but not yet occurred.
-            if event.callbacks is None and event._ok:
-                value.events.append(event)
-        return value
-
     def _check(self, event: Event) -> None:
         if self.triggered:
             if not event._ok:
                 event._defused = True
             return
-        self._count += 1
         if not event._ok:
             event._defused = True
             self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
-            self.succeed(self._build_value())
-
-
-def all_events(events: list[Event], count: int) -> bool:
-    """Evaluator for :class:`AllOf`: every sub-event has been processed."""
-    return count == len(events)
-
-
-def any_events(events: list[Event], count: int) -> bool:
-    """Evaluator for :class:`AnyOf`: at least one sub-event processed."""
-    return count > 0 or not events
-
-
-class AllOf(Condition):
-    """Condition that triggers once *all* of ``events`` have triggered."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim, all_events, events)
+        else:
+            # Only events whose callbacks have run are in the past; a
+            # Timeout is "triggered" at creation but not yet occurred.
+            self.succeed(
+                tuple(e for e in self._events if e.callbacks is None and e._ok)
+            )
 
 
 class AnyOf(Condition):
     """Condition that triggers once *any* of ``events`` has triggered."""
 
     __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim, any_events, events)

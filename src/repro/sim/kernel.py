@@ -29,7 +29,6 @@ from repro.sim.errors import SimulationError, StopSimulation
 from repro.sim.events import (
     NORMAL,
     URGENT,
-    AllOf,
     AnyOf,
     Event,
     Process,
@@ -103,10 +102,6 @@ class Simulator:
     def process(self, generator: ProcessGenerator, name: Optional[str] = None) -> Process:
         """Start a new process driving ``generator``."""
         return Process(self, generator, name=name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event that triggers when all of ``events`` have triggered."""
-        return AllOf(self, events)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Event that triggers when any of ``events`` has triggered."""

@@ -212,8 +212,6 @@ class MultiTierStack(StackAdapter):
                 "air-interface admission control "
                 f"(factor {spec.policy.admission_factor:g})"
             )
-        if spec.policy.weighted_airtime:
-            features.append("weighted airtime shares (demand-proportional)")
         if spec.fluid is not None and spec.fluid.enabled:
             features.append(
                 f"hybrid fluid background "

@@ -385,8 +385,7 @@ def plan_population(
 ) -> PopulationPlan:
     """Draw the seeded population plan for one ``(spec, seed)``.
 
-    ``air_policy`` supplies the air-interface resource controls
-    (admission factor, weighted airtime) of the contention-mode
+    ``air_policy`` supplies the admission factor of the contention-mode
     channel plan: the multi-tier stack passes ``spec.policy``, the
     tier-blind baselines a default block.  The micro tier (and any
     unset field) runs at its ``TIER_DEFAULTS`` budget; uplink budgets
@@ -401,7 +400,6 @@ def plan_population(
             macro_bandwidth=spec.macro_channel_bandwidth,
             pico_bandwidth=spec.pico_channel_bandwidth,
             admission_factor=air_policy.admission_factor,
-            weighted=air_policy.weighted_airtime,
         )
     return PopulationPlan(
         spec=spec,

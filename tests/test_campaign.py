@@ -88,6 +88,19 @@ def test_build_manifest_rejects_duplicates_and_empties():
         build_manifest("bad", scenarios=[SCENARIO], stacks=["hawaii"])
 
 
+def test_build_manifest_rejects_a_non_integer_seed():
+    """A float seed is refused, not truncated to another seed's run."""
+    knobs = dict(scenarios=["campus-dense"], stacks=["multitier"], smoke=True)
+    with pytest.raises(ValueError, match="integers") as error:
+        build_manifest("x", seeds=[1.7], **knobs)
+    assert "\n" not in str(error.value)
+    import numpy as np
+
+    manifest = build_manifest("x", seeds=(s for s in [np.int64(2)]), **knobs)
+    assert manifest.seeds == (2,) and type(manifest.seeds[0]) is int
+    assert [item.seed for item in manifest.items] == [2]
+
+
 def test_manifest_json_round_trip_is_exact():
     """Every manifest item survives JSON; the digest is over the JSON
     payload, so it is unchanged by a round trip."""

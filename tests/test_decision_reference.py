@@ -19,8 +19,14 @@ from hypothesis import strategies as st
 
 import repro.multitier.architecture as architecture
 from repro.multitier.architecture import MobilityController
-from repro.policy import Candidate, HandoffFactors, TierDecider, TierDecision
-from repro.radio import DOWNLINK, Cell, Point, Tier
+from repro.policy import (
+    Candidate,
+    DecisionTrace,
+    HandoffFactors,
+    TierDecider,
+    TierDecision,
+)
+from repro.radio import DOWNLINK, Cell, Point, PropagationModel, SignalMeter, Tier
 from repro.scenarios import build_scenario, get_scenario
 from repro.sim import Simulator
 
@@ -187,7 +193,7 @@ class ReferenceController(MobilityController):
 # ----------------------------------------------------------------------
 # Generated inputs
 # ----------------------------------------------------------------------
-OFFLOAD_QUEUE_THRESHOLD = 3
+OFFLOAD_QUEUE_THRESHOLD = MobilityController.offload_queue_threshold
 
 #: Small pools: tied signal values, and both sides of the 4 dB margin.
 signals = st.sampled_from([-90.0, -74.0, -70.0, -66.0, -60.0])
@@ -249,9 +255,11 @@ def identities(candidates):
 @given(samples())
 def test_one_pass_equals_the_reference_on_generated_samples(sample):
     candidates, policy, mobile = sample
+    stations = [c.station for c in candidates]
     controller = ReferenceController(
-        Simulator(), mobile, None, [c.station for c in candidates], policy=policy,
-        offload_queue_threshold=OFFLOAD_QUEUE_THRESHOLD,
+        Simulator(), mobile, None, stations,
+        SignalMeter(PropagationModel(), [bs.cell for bs in stations]),
+        DecisionTrace(), policy=policy,
     )
     tier = mobile.serving_bs.tier if mobile.serving_bs is not None else None
     factors = HandoffFactors(mobile.speed, mobile.bandwidth_demand, tier)

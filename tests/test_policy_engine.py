@@ -3,8 +3,9 @@
 Covers the four layers the policy refactor introduced: validated
 :class:`PolicyConfig` blocks, the config-driven
 :class:`~repro.policy.decider.TierDecider` and its reason vocabulary,
-the air-interface resource controls (admission control and weighted
-airtime shares on :class:`~repro.radio.channel.SharedChannel`), and
+the air-interface admission control on
+:class:`~repro.radio.channel.SharedChannel` and its FIFO grant order,
+and
 the decision-trace observability path (ring buffer, ``policy.*``
 metric gating, ``policy.<field>`` sweep axes).  The byte-identity of
 the *default* config with pre-refactor behavior is pinned elsewhere
@@ -53,10 +54,6 @@ def test_config_rejects_bad_admission_factor(bad):
     with pytest.raises(ValueError, match="admission_factor must be positive"):
         PolicyConfig(admission_factor=bad)
 
-
-def test_config_rejects_non_bool_weighted_airtime():
-    with pytest.raises(ValueError, match="weighted_airtime must be a bool"):
-        PolicyConfig(weighted_airtime="yes")
 
 
 def test_demand_threshold_resolution():
@@ -172,7 +169,7 @@ def test_trace_ring_is_bounded_but_counters_are_exact():
 
 
 # ----------------------------------------------------------------------
-# Air interface: admission control + weighted airtime shares
+# Air interface: admission control + FIFO airtime
 # ----------------------------------------------------------------------
 def _channel(**kwargs):
     from repro.radio.channel import SharedChannel
@@ -216,44 +213,6 @@ def test_detach_releases_the_claim():
     assert not channel.admit(1, 4000.0)
     channel.detach(0)
     assert channel.admit(1, 4000.0)
-
-
-def test_weighted_airtime_favors_heavier_claims():
-    from repro.net import Link, Node, Packet
-    from repro.radio.channel import DOWNLINK
-
-    sim, channel = _channel(weighted=True)
-    channel.attach(0, demand=24e3)  # 3x the weight of key 1
-    channel.attach(1, demand=8e3)
-    log = []
-
-    def pair(name, address, key):
-        bs = Node(sim, f"bs-{name}", f"10.0.1.{key + 1}")
-        mobile = Node(sim, name, address)
-        mobile.on_default(
-            lambda packet, link: log.append((name, packet.seq))
-        )
-        return Link(
-            sim, bs, mobile, bandwidth=100e6,
-            shared_channel=channel, channel_direction=DOWNLINK,
-            channel_key=key,
-        )
-
-    heavy, light = pair("heavy", "10.99.0.1", 0), pair("light", "10.99.0.2", 1)
-    for seq in range(3):
-        assert light.transmit(
-            Packet(src="10.0.0.1", dst="10.99.0.2", size=500, seq=seq)
-        )
-        assert heavy.transmit(
-            Packet(src="10.0.0.1", dst="10.99.0.1", size=500, seq=seq)
-        )
-    sim.run()
-    # 6 grants total; start-time fair queueing interleaves ~3:1 in
-    # favor of the heavy claim instead of strict submission FIFO.
-    heavy_first_three = [name for name, _ in log[:4]].count("heavy")
-    assert heavy_first_three >= 3
-    assert [seq for name, seq in log if name == "heavy"] == [0, 1, 2]
-    assert [seq for name, seq in log if name == "light"] == [0, 1, 2]
 
 
 def test_unweighted_channel_keeps_fifo_order():
@@ -304,7 +263,6 @@ def test_spec_coerces_mapping_policy_blocks():
     "block, match",
     [
         ({"admission_factor": 1.0}, "admission_factor requires shared channels"),
-        ({"weighted_airtime": True}, "weighted_airtime requires shared channels"),
     ],
 )
 def test_spec_rejects_air_controls_without_channels(block, match):

@@ -2,14 +2,15 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.radio import (
     Cell,
+    ChannelPlan,
     Point,
     PropagationModel,
     Rectangle,
+    SharedChannel,
     SignalMeter,
     Tier,
     best_covering_cell,
@@ -18,6 +19,7 @@ from repro.radio import (
     hex_positions,
     log_distance_path_loss_db,
 )
+from repro.sim import Simulator
 
 
 # ----------------------------------------------------------------------
@@ -125,18 +127,6 @@ def test_propagation_rx_power_monotonic():
     assert near > far
 
 
-def test_propagation_shadowing_requires_rng():
-    with pytest.raises(ValueError):
-        PropagationModel(shadowing_sigma_db=8.0)
-
-
-def test_propagation_shadowing_changes_samples():
-    rng = np.random.default_rng(7)
-    model = PropagationModel(exponent=3.5, shadowing_sigma_db=8.0, rng=rng)
-    samples = {model.received_power_dbm(30.0, 100.0) for _ in range(5)}
-    assert len(samples) > 1
-
-
 def test_range_for_threshold_inverts_loss():
     model = PropagationModel(exponent=3.5)
     rx_range = model.range_for_threshold(tx_power_dbm=30.0, rx_threshold_dbm=-90.0)
@@ -176,3 +166,38 @@ def test_survey_excludes_cells_below_floor():
     left, _right, meter = make_two_cell_meter()
     survey = meter.survey(Point(10, 0))
     assert [m.cell for m in survey] == [left]
+
+
+# ----------------------------------------------------------------------
+# nan passes an ``x <= 0`` guard; every radio constructor refuses it
+# ----------------------------------------------------------------------
+def _shared_channel(**changes):
+    knobs = dict(downlink_bps=8000.0, uplink_bps=4000.0, admission_factor=None)
+    return SharedChannel(Simulator(), "air", **{**knobs, **changes})
+
+
+def _cell(**changes):
+    return Cell("nan", Point(0, 0), Tier.MICRO, **changes)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (_shared_channel, "downlink_bps"),
+        (_shared_channel, "uplink_bps"),
+        (_shared_channel, "admission_factor"),
+        (ChannelPlan, "macro_bandwidth"),
+        (ChannelPlan, "micro_bandwidth"),
+        (ChannelPlan, "pico_bandwidth"),
+        (ChannelPlan, "admission_factor"),
+        (PropagationModel, "exponent"),
+        (_cell, "radius"),
+        (_cell, "bandwidth"),
+        (_cell, "channel_downlink"),
+        (_cell, "channel_uplink"),
+    ],
+)
+def test_radio_constructors_reject_nan(build, field):
+    with pytest.raises(ValueError, match=field) as error:
+        build(**{field: float("nan")})
+    assert "nan" in str(error.value) and "\n" not in str(error.value)

@@ -25,7 +25,6 @@ from repro.radio.cells import TIER_DEFAULTS, Cell, Tier
 from repro.radio.channel import (
     DIRECTIONS,
     DOWNLINK,
-    MIN_AIRTIME_WEIGHT,
     UPLINK,
     ChannelPlan,
     SharedChannel,
@@ -344,21 +343,19 @@ class Tap:
         self.dropped.add(packet.seq)
 
 
-def reference_arbiter(program, weighted):
+def reference_arbiter(program):
     """Grant order per direction and the dropped set, by brute force.
 
     Tick by tick: apply the tick's operations in program order, then
     every idle direction serves its smallest waiting
-    ``(tag, tick, key, number)`` — ``tag`` is constant in FIFO mode.
+    ``(tick, key, number)``.  An attach only declares demand, which
+    FIFO grants ignore.
     """
     waiting = {d: [] for d in DIRECTIONS}
     served = {d: [] for d in DIRECTIONS}
     dropped = set()
     free_at = dict.fromkeys(DIRECTIONS, 0)
     slowdown = dict.fromkeys(DIRECTIONS, 1)
-    claims = {}
-    vtime = dict.fromkeys(DIRECTIONS, 0.0)
-    last_tag = {d: {} for d in DIRECTIONS}
     tick = 0
     while tick <= program[-1][0] or any(waiting.values()):
         for number, (when, op, *args) in enumerate(program):
@@ -366,30 +363,19 @@ def reference_arbiter(program, weighted):
                 continue
             if op == "submit":
                 direction, key, units = args
-                tag = 0.0
-                if weighted:
-                    weight = max(claims.get(key, 0.0), MIN_AIRTIME_WEIGHT)
-                    start = max(vtime[direction], last_tag[direction].get(key, 0.0))
-                    tag = start + units * UNIT_BYTES * 8.0 / weight
-                    last_tag[direction][key] = tag
-                waiting[direction].append((tag, tick, key, number, units))
-            elif op == "attach":
-                claims.setdefault(args[0], args[1])
+                waiting[direction].append((tick, key, number, units))
             elif op == "background":
                 slowdown[args[0]] = args[1]
-            else:  # detach
+            elif op == "detach":
                 (key,) = args
-                claims.pop(key, None)
                 for d in DIRECTIONS:
-                    last_tag[d].pop(key, None)
-                    dropped.update(w[3] for w in waiting[d] if w[2] == key)
-                    waiting[d] = [w for w in waiting[d] if w[2] != key]
+                    dropped.update(w[2] for w in waiting[d] if w[1] == key)
+                    waiting[d] = [w for w in waiting[d] if w[1] != key]
         for d in DIRECTIONS:
             if waiting[d] and free_at[d] <= tick:
-                tag, _, _, number, units = first = min(waiting[d])
+                _, _, number, units = first = min(waiting[d])
                 waiting[d].remove(first)
                 served[d].append(number)
-                vtime[d] = max(vtime[d], tag)
                 free_at[d] = tick + units * UNIT_TICKS[d] * slowdown[d]
         tick += 1
     return served, dropped
@@ -414,11 +400,11 @@ def assert_air_conserved(channel, elapsed=None):
 
 @seed(20020702)
 @settings(max_examples=120, deadline=None)
-@given(st.lists(_operations, min_size=1, max_size=40), st.booleans())
-def test_arbiter_grant_order_matches_brute_force_reference(operations, weighted):
+@given(st.lists(_operations, min_size=1, max_size=40))
+def test_arbiter_grant_order_matches_brute_force_reference(operations):
     program = sorted(operations, key=lambda op: op[0])  # stable: ties keep order
     sim = Simulator()
-    channel = SharedChannel(sim, "air", 8000.0, 4000.0, weighted=weighted)
+    channel = SharedChannel(sim, "air", 8000.0, 4000.0)
     served = {d: [] for d in DIRECTIONS}
     dropped = set()
 
@@ -443,7 +429,7 @@ def test_arbiter_grant_order_matches_brute_force_reference(operations, weighted)
         assert_air_conserved(channel)
     sim.run()
 
-    expected_served, expected_dropped = reference_arbiter(program, weighted)
+    expected_served, expected_dropped = reference_arbiter(program)
     assert served == expected_served
     assert dropped == expected_dropped
     assert channel.queued == {DOWNLINK: 0, UPLINK: 0}

@@ -2,10 +2,10 @@
 
 ``scan`` inlines the public ``measure`` -> ``received_power_dbm`` ->
 ``log_distance_path_loss_db`` chain into one loop over per-cell rows,
-and a covering scan without shadowing walks only the rows its coverage
-index lists for the position.  The chain is left untouched and is the
-reference here: every value the scan returns must be bit-identical to
-it, in the same order, with the same shadowing draws.  The last tests
+and a covering scan walks only the rows its coverage index lists for
+the position.  The chain is left untouched and is the reference here:
+every value the scan returns must be bit-identical to it, in the same
+order.  The last tests
 pin the consumers: controllers of every stack sample through ``scan``
 only, and map what it returns back to stations by position rather than
 by cell name.
@@ -14,7 +14,6 @@ by cell name.
 import math
 import sys
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +26,7 @@ from repro.multitier.architecture import (
     MobilityController,
     MultiTierWorld,
 )
+from repro.policy import DecisionTrace
 from repro.radio import Cell, Point, PropagationModel, SignalMeter, Tier
 from repro.scenarios import build_scenario, get_scenario
 
@@ -151,33 +151,6 @@ def test_covering_scan_visits_only_the_rows_in_reach(monkeypatch):
     assert rows == len(cells) and heard  # audible, just not covering
 
 
-@settings(max_examples=50, deadline=None)
-@given(layouts(), st.integers(0, 2**32 - 1), st.booleans())
-def test_shadowed_scan_draws_once_per_cell_in_cell_order(layout, seed, covering):
-    """With shadowing on the index is bypassed: one draw per cell per
-    scan, in cell order, wherever the position is (off the map too)."""
-    cells, anchor, free, column, row = layout
-
-    def shadowed_meter():
-        rng = np.random.default_rng(seed)
-        model = PropagationModel(shadowing_sigma_db=6.0, rng=rng)
-        return SignalMeter(model, cells), rng
-
-    meter, rng = shadowed_meter()
-    oracle_meter, oracle_rng = shadowed_meter()
-    positions = probe_positions(meter, anchor, free, column, row)
-    for position in positions:
-        oracle = legacy_survey(oracle_meter, position)
-        if covering:
-            oracle = [m for m in oracle if m.cell.covers(position)]
-        assert meter.scan(position, covering=covering) == indexed(meter, oracle)
-    # Both generators stand exactly len(cells) draws per call further on.
-    fresh = np.random.default_rng(seed)
-    for _ in range(len(cells) * len(positions)):
-        fresh.normal(0.0, 6.0)
-    assert rng.normal() == oracle_rng.normal() == fresh.normal()
-
-
 # ----------------------------------------------------------------------
 # The consumers
 # ----------------------------------------------------------------------
@@ -237,8 +210,10 @@ def test_same_named_cells_map_to_their_own_stations():
     far = world.add_pico("F", "annex", Point(2700, 50))
     near.cell.name = far.cell.name = "cell-duplicate"
     mobile = world.add_mobile("mn")
+    meter = SignalMeter(PropagationModel(), [near.cell, far.cell])
     controller = MobilityController(
-        world.sim, mobile, Stationary(Point(-2700, 45), WORLD_BOUNDS), [near, far]
+        world.sim, mobile, Stationary(Point(-2700, 45), WORLD_BOUNDS), [near, far],
+        meter, DecisionTrace(),
     )
     heard = controller.meter.scan(Point(-2700, 45), covering=True)
     assert [controller.stations[index] for _rss, index in heard] == [near]

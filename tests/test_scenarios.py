@@ -12,6 +12,7 @@ import multiprocessing
 import pytest
 
 from repro.experiments.exec import ProcessPoolBackend, SerialBackend
+from repro.fluid import FluidBackground
 from repro.mobility import (
     GaussMarkov,
     Highway,
@@ -20,6 +21,7 @@ from repro.mobility import (
     RandomWaypoint,
     Stationary,
 )
+from repro.policy import PolicyConfig
 from repro.scenarios import (
     MOBILITY_MODELS,
     TRAFFIC_KINDS,
@@ -149,6 +151,22 @@ def test_spec_rejects_non_finite_and_non_integral_values(field, value):
     with pytest.raises(ValueError, match=key) as error:
         dataclasses.replace(base, **changes)
     assert "\n" not in str(error.value)
+
+
+@pytest.mark.parametrize(
+    "block, key, kind",
+    [("policy", "weighted_airtime", PolicyConfig), ("fluid", "bogus", FluidBackground)],
+)
+def test_spec_rejects_an_unknown_block_key(block, key, kind):
+    """An unknown ``policy`` / ``fluid`` key fails in one line naming
+    the spec, the key and the keys the block knows (was: a dataclass
+    ``TypeError`` about an unexpected keyword argument)."""
+    with pytest.raises(ValueError) as error:
+        get_scenario("campus-dense").replace(**{block: {key: True}})
+    known = ", ".join(field.name for field in dataclasses.fields(kind))
+    assert str(error.value) == (
+        f"campus-dense: {block} has unknown key {key!r}; known: {known}"
+    )
 
 
 def test_spec_accepts_numpy_integers_as_ints():

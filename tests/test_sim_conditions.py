@@ -1,23 +1,8 @@
-"""Tests for AnyOf/AllOf condition events."""
+"""Tests for AnyOf condition events."""
 
 import pytest
 
 from repro.sim import Simulator
-
-
-def test_all_of_waits_for_every_event():
-    sim = Simulator()
-    log = []
-
-    def proc(sim):
-        a = sim.timeout(1.0, value="a")
-        b = sim.timeout(3.0, value="b")
-        result = yield sim.all_of([a, b])
-        log.append((sim.now, [result[a], result[b]]))
-
-    sim.process(proc(sim))
-    sim.run()
-    assert log == [(3.0, ["a", "b"])]
 
 
 def test_any_of_fires_on_first_event():
@@ -36,30 +21,22 @@ def test_any_of_fires_on_first_event():
 
 
 def test_any_of_value_mapping():
+    """The value is the tuple of sub-events processed by the time the
+    condition fires: the first one, not a same-instant sibling still
+    waiting in the queue, nor a later one."""
     sim = Simulator()
-    got = {}
+    got = []
 
     def proc(sim):
         a = sim.timeout(2.0, value=10)
-        result = yield sim.any_of([a])
-        got.update(result.todict())
+        b = sim.timeout(2.0, value=20)
+        late = sim.timeout(3.0, value=30)
+        result = yield sim.any_of([late, b, a])
+        got.append((sim.now, result == (a,), [event.value for event in result]))
 
     sim.process(proc(sim))
     sim.run()
-    assert list(got.values()) == [10]
-
-
-def test_empty_all_of_triggers_immediately():
-    sim = Simulator()
-    log = []
-
-    def proc(sim):
-        yield sim.all_of([])
-        log.append(sim.now)
-
-    sim.process(proc(sim))
-    sim.run()
-    assert log == [0.0]
+    assert got == [(2.0, True, [10])]
 
 
 def test_empty_any_of_triggers_immediately():
@@ -82,12 +59,12 @@ def test_condition_over_already_processed_events():
     def proc(sim):
         early = sim.timeout(1.0, value="e")
         yield sim.timeout(5.0)
-        result = yield sim.all_of([early])
-        log.append((sim.now, result[early]))
+        result = yield sim.any_of([sim.timeout(1.0), early])
+        log.append((sim.now, [event.value for event in result]))
 
     sim.process(proc(sim))
     sim.run()
-    assert log == [(5.0, "e")]
+    assert log == [(5.0, ["e"])]
 
 
 def test_condition_failure_propagates():
@@ -97,7 +74,7 @@ def test_condition_failure_propagates():
 
     def proc(sim, event):
         try:
-            yield sim.all_of([event, sim.timeout(10.0)])
+            yield sim.any_of([event, sim.timeout(10.0)])
         except RuntimeError as error:
             caught.append(str(error))
 
@@ -112,7 +89,7 @@ def test_condition_rejects_foreign_events():
     sim_b = Simulator()
     event = sim_b.event()
     with pytest.raises(ValueError):
-        sim_a.all_of([event])
+        sim_a.any_of([event])
 
 
 def test_timeout_race_any_of_used_as_timeout_guard():
