@@ -173,7 +173,7 @@ def experiment_t1(
 
     Deterministic (one seed, unused): the periodic location-refresh loop
     is frozen and hop counts are differenced around the handoff over the
-    world's link registry (which also covers radio links that are torn
+    world's hop tally (which also covers radio links that are torn
     down during the handoff).  Each case builds its own world and runs
     as one job on the execution backend.  RSMC authentication is a
     processing delay, not an on-wire message, so it has no column.

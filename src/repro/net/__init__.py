@@ -2,14 +2,7 @@
 routers and topology construction."""
 
 from repro.net.addressing import AddressAllocator, IPAddress, Prefix, ip
-from repro.net.link import (
-    Link,
-    LinkRegistry,
-    LinkStats,
-    connect,
-    link_registry,
-    protocol_hop_totals,
-)
+from repro.net.link import Link, LinkStats, connect, protocol_hop_totals
 from repro.net.node import Node
 from repro.net.packet import IP_HEADER_BYTES, Packet, decapsulate, encapsulate
 from repro.net.router import ForwardingTable, Router
@@ -21,7 +14,6 @@ __all__ = [
     "IPAddress",
     "IP_HEADER_BYTES",
     "Link",
-    "LinkRegistry",
     "LinkStats",
     "Network",
     "Node",
@@ -33,7 +25,6 @@ __all__ = [
     "decapsulate",
     "encapsulate",
     "ip",
-    "link_registry",
     "protocol_hop_totals",
     "star_topology",
 ]

@@ -18,7 +18,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class LinkStats:
-    """Per-link counters (including per-protocol delivered hops)."""
+    """Per-link packet counters."""
 
     __slots__ = (
         "sent",
@@ -26,7 +26,6 @@ class LinkStats:
         "dropped_queue",
         "dropped_error",
         "bytes_sent",
-        "protocol_hops",
     )
 
     def __init__(self) -> None:
@@ -35,69 +34,36 @@ class LinkStats:
         self.dropped_queue = 0
         self.dropped_error = 0
         self.bytes_sent = 0
-        #: protocol tag -> number of packets delivered over this link.
-        self.protocol_hops: dict[str, int] = {}
 
 
-class LinkRegistry:
-    """Every link created under one simulator (accounting only).
+def _hop_tally(sim: "Simulator") -> dict[str, int]:
+    """The (lazily created) ``{protocol: delivered hops}`` tally of ``sim``.
 
-    Whole-network accounting (e.g. the T1 signalling table) sums
-    per-protocol hop counts over *every* link of a world — including
-    radio links that are torn down during a handoff — without threading
-    a context object through every constructor.  The registry is scoped
-    to a :class:`~repro.sim.kernel.Simulator`, so scenarios running
-    back-to-back (or concurrently on a parallel backend) can never
-    cross-contaminate each other's totals; no explicit reset exists or
-    is needed.
+    One dict per simulator, bumped by every link under it, so
+    whole-network accounting (e.g. the T1 signalling table) covers radio
+    links torn down during a handoff without keeping those links alive.
+    Stored on the simulator itself: worlds run back-to-back (or
+    concurrently on a parallel backend) never share a tally, and it
+    lives exactly as long as its world.
     """
-
-    def __init__(self) -> None:
-        self.links: list["Link"] = []
-
-    def register(self, link: "Link") -> None:
-        self.links.append(link)
-
-    def __len__(self) -> int:
-        return len(self.links)
-
-    def __iter__(self):
-        return iter(self.links)
-
-    def protocol_hop_totals(self) -> dict[str, int]:
-        """Sum of per-protocol delivered hops over all registered links."""
-        totals: dict[str, int] = {}
-        for link in self.links:
-            for protocol, count in link.stats.protocol_hops.items():
-                totals[protocol] = totals.get(protocol, 0) + count
-        return totals
-
-
-def link_registry(sim: "Simulator") -> LinkRegistry:
-    """The (lazily created) registry of all links under ``sim``.
-
-    Stored on the simulator instance itself so the registry (and every
-    link it holds) lives exactly as long as its world — no module-level
-    root, nothing outlives the simulation.
-    """
-    registry = getattr(sim, "_link_registry", None)
-    if registry is None:
-        registry = LinkRegistry()
-        sim._link_registry = registry
-    return registry
+    tally = getattr(sim, "_hop_tally", None)
+    if tally is None:
+        tally = sim._hop_tally = {}
+    return tally
 
 
 def protocol_hop_totals(sim: "Simulator") -> dict[str, int]:
     """Per-protocol delivered-hop totals over every link under ``sim``."""
-    return link_registry(sim).protocol_hop_totals()
+    return dict(_hop_tally(sim))
 
 
 class Link:
     """A unidirectional link from ``head`` to ``tail``.
 
-    Every instance registers itself in its simulator's
-    :class:`LinkRegistry` (see :func:`link_registry`), giving each
-    scenario isolated whole-network accounting.
+    Every delivered hop is counted in its simulator's hop tally (see
+    :func:`protocol_hop_totals`) and no registry holds links: once its
+    nodes have detached it, a link is freed as soon as its last
+    in-flight packet lands.
 
     Parameters
     ----------
@@ -168,10 +134,12 @@ class Link:
         self._busy_until = 0.0
         self._in_flight = 0
         self._loss_draw = None  # lazily bound RNG for lossy links
-        #: Bound once: every hop hands it to the kernel.
-        self._arrival = self._deliver
+        self._hops = _hop_tally(sim)
+        #: The plain function, with the link passed in the entry's args:
+        #: a bound method stored here would be a self-cycle, which only
+        #: the cyclic collector (off during a run) could free.
+        self._arrival = type(self)._deliver
         self.up = True
-        link_registry(sim).register(self)
 
     def __repr__(self) -> str:
         return f"<Link {self.name} {self.bandwidth/1e6:g}Mbps {self.delay*1e3:g}ms>"
@@ -213,7 +181,7 @@ class Link:
         if start < now:
             start = now
         self._busy_until = finish = start + packet.size * 8.0 / self.bandwidth
-        sim.call_later((finish + self.delay) - now, self._arrival, packet)
+        sim.call_later((finish + self.delay) - now, self._arrival, self, packet)
         return True
 
     # ------------------------------------------------------------------
@@ -221,7 +189,7 @@ class Link:
     # ------------------------------------------------------------------
     def channel_serialized(self, packet: "Packet") -> None:
         """Airtime finished: start propagation toward the tail node."""
-        self.sim.call_later(self.delay, self._arrival, packet)
+        self.sim.call_later(self.delay, self._arrival, self, packet)
 
     def channel_drop(self, packet: "Packet") -> None:
         """The channel cancelled a queued packet (claim detached).
@@ -239,7 +207,7 @@ class Link:
             stats.dropped_error += 1
             return
         stats.delivered += 1
-        hops = stats.protocol_hops
+        hops = self._hops
         hops[packet.protocol] = hops.get(packet.protocol, 0) + 1
         self.tail.receive(packet, self)
 

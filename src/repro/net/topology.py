@@ -9,7 +9,7 @@ from itertools import count
 from typing import Optional, Union
 
 from repro.net.addressing import AddressAllocator, IPAddress
-from repro.net.link import Link, LinkRegistry, connect, link_registry
+from repro.net.link import Link, connect, protocol_hop_totals
 from repro.net.node import Node
 from repro.net.router import Router
 from repro.sim.kernel import Simulator
@@ -140,16 +140,11 @@ class Network:
         return dist[node_b]
 
     # ------------------------------------------------------------------
-    @property
-    def link_registry(self) -> LinkRegistry:
-        """Accounting over *every* link under this network's simulator,
-        including links (radio, inter-domain) created outside
-        :meth:`connect`."""
-        return link_registry(self.sim)
-
     def protocol_hop_totals(self) -> dict[str, int]:
-        """Per-protocol delivered-hop totals for this world's links."""
-        return self.link_registry.protocol_hop_totals()
+        """Per-protocol delivered-hop totals over *every* link under this
+        network's simulator, including links (radio, inter-domain)
+        created outside :meth:`connect` and links since torn down."""
+        return protocol_hop_totals(self.sim)
 
     def find_node_owning(self, address) -> Optional[Node]:
         """The node that owns ``address``, if any."""

@@ -135,11 +135,12 @@ class BuiltRun:
 
         Automatic garbage collection is suspended for the run and put
         back as it was found.  A running world frees what it drops by
-        reference count (packets, timers, records); the cyclic
-        collector would re-walk the pending timers on every pass for
-        the few cycles a run does leave (one per timed-out wait).  Those
-        and the finished world, one large cycle, are for the caller to
-        collect: :func:`~repro.scenarios.builder.run_scenario_spec`
+        reference count (packets, timers, records, and each radio link
+        a handoff retired, once its last in-flight packet lands); the
+        cyclic collector would re-walk the pending timers on every pass
+        for the few cycles a run does leave (one per timed-out wait).
+        Those and the finished world, one large cycle, are for the
+        caller to collect: :func:`~repro.scenarios.builder.run_scenario_spec`
         does; any other caller (``run_scenario_trace``, a tool, a
         direct ``build_scenario(...).execute()``) keeps them until its
         own next collection.  The collector's switch is process-wide

@@ -7,6 +7,7 @@ throughput, plus the largest delivery gap (handoff interruption time).
 
 from __future__ import annotations
 
+from array import array
 from typing import Optional
 
 import numpy as np
@@ -15,7 +16,13 @@ from repro.net.packet import Packet
 
 
 class FlowSink:
-    """Collects receive-side statistics for one flow id."""
+    """Collects receive-side statistics for one flow id.
+
+    Per delivered packet it keeps about 9 bytes: the delay as a float64 in
+    ``delays`` and one byte of the ``seq``-indexed seen-map.  Arrivals
+    are kept only as what the metrics read: the first and last arrival
+    and the largest gap between consecutive arrivals so far.
+    """
 
     def __init__(self, flow_id: Optional[str] = None) -> None:
         self.flow_id = flow_id
@@ -23,35 +30,56 @@ class FlowSink:
         self.bytes_received = 0
         self.duplicates = 0
         self.out_of_order = 0
-        self.delays: list[float] = []
-        self.arrival_times: list[float] = []
-        self._seen: set[int] = set()
+        #: One-way delay of each first delivery, in arrival order.
+        self.delays = array("d")
+        #: ``_seen[seq]`` is 1 once ``seq`` was delivered.  Sources number
+        #: their packets densely from 0, so the map is as long as the flow.
+        self._seen = bytearray()
         self._highest_seq = -1
         self._jitter = 0.0
         self._last_transit: Optional[float] = None
+        self._first_arrival = 0.0
+        self._last_arrival = 0.0
+        self._max_gap = float("-inf")
 
     # ------------------------------------------------------------------
     def on_packet(self, packet: Packet, now: float) -> None:
         """Feed one received packet (call from the node's data hook)."""
         if self.flow_id is not None and packet.flow_id != self.flow_id:
             return
-        if packet.seq in self._seen:
+        seq = packet.seq
+        seen = self._seen
+        unseen = seq - len(seen)
+        if unseen >= 0:  # beyond the map: in order, or after a gap
+            if unseen:
+                seen.extend(bytes(unseen))
+            seen.append(1)
+        elif seq < 0:  # would index the map from its tail
+            raise ValueError(f"seq must be non-negative, got {seq}")
+        elif seen[seq]:
             self.duplicates += 1
             return
-        self._seen.add(packet.seq)
+        else:
+            seen[seq] = 1
         self.received += 1
         self.bytes_received += packet.size
-        if packet.seq < self._highest_seq:
+        if seq < self._highest_seq:
             self.out_of_order += 1
-        self._highest_seq = max(self._highest_seq, packet.seq)
+        else:
+            self._highest_seq = seq
         transit = now - packet.created_at
         self.delays.append(transit)
-        self.arrival_times.append(now)
         if self._last_transit is not None:
             # RFC 3550 §6.4.1 interarrival jitter estimator.
             deviation = abs(transit - self._last_transit)
             self._jitter += (deviation - self._jitter) / 16.0
+            gap = now - self._last_arrival
+            if gap > self._max_gap:
+                self._max_gap = gap
+        else:
+            self._first_arrival = now
         self._last_transit = transit
+        self._last_arrival = now
 
     def bind(self, sim) -> "callable":
         """A hook suitable for ``node.on_data.append``."""
@@ -84,9 +112,9 @@ class FlowSink:
         return self._jitter
 
     def throughput_bps(self) -> float:
-        if len(self.arrival_times) < 2:
+        if self.received < 2:
             return 0.0
-        span = self.arrival_times[-1] - self.arrival_times[0]
+        span = self._last_arrival - self._first_arrival
         if span <= 0:
             return 0.0
         return self.bytes_received * 8.0 / span
@@ -94,13 +122,13 @@ class FlowSink:
     def max_gap(self) -> float:
         """Largest silence between consecutive deliveries — the
         observable service interruption during a handoff."""
-        if len(self.arrival_times) < 2:
+        if self.received < 2:
             return 0.0
-        arrivals = np.asarray(self.arrival_times)
-        return float(np.max(np.diff(arrivals)))
+        return self._max_gap
 
     def missing_sequences(self, sent: int) -> list[int]:
-        return [seq for seq in range(sent) if seq not in self._seen]
+        seen = self._seen
+        return [seq for seq in range(sent) if seq >= len(seen) or not seen[seq]]
 
     def summary(self, sent: Optional[int] = None) -> dict[str, float]:
         result = {

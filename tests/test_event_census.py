@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
-from repro.scenarios import get_scenario
+from repro.net import Link, Node, Packet, connect, protocol_hop_totals
+from repro.scenarios import build_scenario, get_scenario
 from repro.sim import Simulator, kernel
+from repro.stacks import stack_names
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -51,3 +53,56 @@ def test_cli_prints_tables_or_json_for_every_stack(event_census, capsys):
     assert report["all runs"]["events"] == sum(report[run]["events"] for run in runs)
     assert event_census.main(argv + ["--json"]) == 0
     assert json.loads(capsys.readouterr().out) == report
+
+
+@pytest.mark.parametrize("stack", stack_names())
+def test_link_deliveries_are_the_hop_tally_plus_delivery_time_drops(
+    event_census, stack, monkeypatch
+):
+    """Every ``Link._deliver`` entry the kernel dispatched either bumped
+    the simulator's hop tally (``hop_total``) or was lost on arrival:
+    a random loss or a link gone down, counted in ``dropped_error``
+    beside the airtime a detached claim cancelled (which never reaches
+    ``_deliver``)."""
+    links = []
+    init = Link.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        links.append(self)
+
+    monkeypatch.setattr(Link, "__init__", recording_init)
+    spec = get_scenario("campus-air").smoke().replace(stack=stack)
+    with event_census.counting() as (kinds, _simulators):
+        built = build_scenario(spec, spec.seeds[0])
+        metrics = built.execute()
+    deliveries = sum(
+        count for kind, count in kinds.items() if kind.startswith("Link._deliver[")
+    )
+    cancelled = sum(
+        sum(channel.stats.dropped_on_detach.values())
+        for _cell, channel in built.air_cells
+    )
+    dropped = sum(link.stats.dropped_error for link in links) - cancelled
+    assert metrics["hop_total"] == sum(link.stats.delivered for link in links) > 0
+    assert deliveries == metrics["hop_total"] + dropped
+
+
+def test_lossy_and_downed_link_deliveries_count_as_drops(event_census):
+    """The drop term of the conservation above, which no catalog link
+    exercises: random loss and a link taken down mid-flight."""
+    sim = Simulator()
+    a, b = Node(sim, "a", "10.0.0.1"), Node(sim, "b", "10.0.0.2")
+    forward, _backward = connect(sim, a, b, queue_limit=200, loss_rate=0.25)
+    with event_census.counting() as (kinds, _simulators):
+        for seq in range(200):
+            packet = Packet(src=a.address, dst=b.address, size=1000, seq=seq)
+            assert forward.transmit(packet)
+        sim.call_later(0.01, setattr, forward, "up", False)
+        sim.run()
+    deliveries = kinds["Link._deliver[Node,data]"]
+    hops = protocol_hop_totals(sim)
+    assert deliveries == 200 == hops["data"] + forward.stats.dropped_error
+    # 112 packets land before the link goes down: both causes dropped some.
+    assert 0 < hops["data"] == forward.stats.delivered < 100
+    assert forward.stats.dropped_error > 100

@@ -1,5 +1,5 @@
-"""Tests for the execution engine: backend equivalence, per-world link
-registry isolation, and the confidence passthrough in sweep()."""
+"""Tests for the execution engine: backend equivalence, per-world hop
+tally isolation, and the confidence passthrough in sweep()."""
 
 import multiprocessing
 import os
@@ -25,8 +25,8 @@ needs_fork = pytest.mark.skipif(not HAS_FORK, reason="platform lacks fork")
 def _world_scenario(seed: int) -> dict[str, float]:
     """A real simulation whose metrics include whole-world accounting.
 
-    The hop totals are exactly the numbers a leaking (global) link
-    registry would corrupt across back-to-back or concurrent runs.
+    The hop totals are exactly the numbers a leaking (global) hop tally
+    would corrupt across back-to-back or concurrent runs.
     """
     world = MultiTierWorld()
     mn = world.add_mobile("mn")
@@ -35,7 +35,7 @@ def _world_scenario(seed: int) -> dict[str, float]:
     totals = world.protocol_hop_totals()
     return {
         "hop_total": float(sum(totals.values())),
-        "link_count": float(len(world.network.link_registry)),
+        "location_hops": float(totals["mt-update-location"]),
         "seed_echo": float(seed),
     }
 
@@ -224,7 +224,7 @@ def test_sweep_identical_across_backends():
         x_values=[1, 2],
         scenario=scenario,
         seeds=[1, 2],
-        columns=["hop_total", "link_count", "x_echo"],
+        columns=["hop_total", "location_hops", "x_echo"],
     )
     serial = sweep(backend=SerialBackend(), **kwargs)
     pooled = sweep(backend=ProcessPoolBackend(2), **kwargs)
@@ -241,26 +241,29 @@ def test_t1_identical_across_backends():
 
 
 # ----------------------------------------------------------------------
-# Link-registry isolation (no reset, no cross-contamination)
+# Hop-tally isolation (no reset, no cross-contamination)
 # ----------------------------------------------------------------------
 def test_back_to_back_worlds_do_not_cross_contaminate():
     first = _world_scenario(1)
     second = _world_scenario(1)  # same workload, no reset in between
-    # A class-level registry would double the second run's totals.
+    # A class-level tally would double the second run's totals.
     assert second == first
     assert first["hop_total"] > 0
 
 
 def test_link_registry_is_freed_with_its_simulator():
-    """No module-level root may pin finished worlds in memory."""
+    """No module-level root, the hop tally included, may pin finished
+    worlds in memory."""
     import gc
     import weakref
 
     world = MultiTierWorld()
+    mn = world.add_mobile("mn")
+    assert mn.initial_attach(world.domain1["B"])
     world.sim.run(until=0.5)
-    assert len(world.network.link_registry) > 0
+    assert sum(world.protocol_hop_totals().values()) > 0
     sim_ref = weakref.ref(world.sim)
-    del world
+    del world, mn
     gc.collect()
     assert sim_ref() is None
 

@@ -185,6 +185,44 @@ def test_a_run_leaves_almost_nothing_for_the_cyclic_collector(
     assert unreachable < 5_000, (stack, unreachable)
 
 
+def test_no_retired_link_outlives_its_use(collector_restored):
+    """A radio link torn down by a handoff (or built for one that was
+    refused) is freed by reference count once its last in-flight packet
+    lands: after a run with collection off, the live ``Link`` objects
+    are exactly those some node still holds, plus any a queued delivery
+    still names.  No registry, no self-cycle keeps the rest."""
+    import gc
+
+    from repro.net import Link, Node
+    from repro.scenarios import build_scenario
+
+    retired = {}
+    for stack in ALL_STACKS:
+        built = build_scenario(_smoke("commuter-corridor", stack=stack), seed=1)
+        gc.collect()
+        gc.disable()
+        built.execute()
+        objects = gc.get_objects()
+        alive = {id(obj) for obj in objects if isinstance(obj, Link)}
+        held = {
+            id(link)
+            for obj in objects
+            if isinstance(obj, Node)
+            for link in obj.links.values()
+        }
+        in_flight = {
+            id(entry[4][0])
+            for entry in built.sim._queue
+            if entry[4] is not None and isinstance(entry[4][0], Link)
+        }
+        assert held, stack
+        retired[stack] = len(alive - held - in_flight)
+        assert held | in_flight <= alive
+        del built, objects
+        gc.enable()
+    assert retired == dict.fromkeys(ALL_STACKS, 0)
+
+
 def test_throwaway_fifth_stack_runs_on_the_shared_skeleton():
     """What a new flat stack costs: the node it places at each site, its
     two moves, and a ``BuiltRun`` subclass with its two counter hooks.

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.metrics import Estimate, format_series, format_table, mean_confidence, ratio
 from repro.net import Packet, ip
@@ -260,6 +262,103 @@ def test_sink_summary_keys():
     summary = sink.summary(sent=2)
     assert summary["received"] == 1
     assert summary["loss_rate"] == pytest.approx(0.5)
+
+
+class ReferenceSink:
+    """FlowSink's formulas over a plain list of delays and of arrival
+    times and a set of seen seqs: the oracle for the packed sink."""
+
+    def __init__(self, flow_id):
+        self.flow_id = flow_id
+        self.received = self.bytes_received = 0
+        self.duplicates = self.out_of_order = 0
+        self.delays, self.arrival_times, self.seen = [], [], set()
+        self.highest_seq, self.jitter, self.last_transit = -1, 0.0, None
+
+    def on_packet(self, packet, now):
+        if packet.flow_id != self.flow_id:
+            return
+        if packet.seq in self.seen:
+            self.duplicates += 1
+            return
+        self.seen.add(packet.seq)
+        self.received += 1
+        self.bytes_received += packet.size
+        if packet.seq < self.highest_seq:
+            self.out_of_order += 1
+        self.highest_seq = max(self.highest_seq, packet.seq)
+        transit = now - packet.created_at
+        self.delays.append(transit)
+        self.arrival_times.append(now)
+        if self.last_transit is not None:
+            self.jitter += (abs(transit - self.last_transit) - self.jitter) / 16.0
+        self.last_transit = transit
+
+    def summary(self, sent):
+        arrivals = self.arrival_times
+        span = arrivals[-1] - arrivals[0] if len(arrivals) >= 2 else 0.0
+        return {
+            "received": float(self.received),
+            "mean_delay": float(np.mean(self.delays)) if self.delays else math.nan,
+            "p95_delay": (
+                float(np.percentile(self.delays, 95)) if self.delays else math.nan
+            ),
+            "jitter": self.jitter,
+            "throughput_bps": self.bytes_received * 8.0 / span if span > 0 else 0.0,
+            "max_gap": (
+                float(np.max(np.diff(np.asarray(arrivals))))
+                if len(arrivals) >= 2 else 0.0
+            ),
+            "duplicates": float(self.duplicates),
+            "out_of_order": float(self.out_of_order),
+            "sent": float(sent),
+            "loss_rate": max(0.0, 1.0 - self.received / sent) if sent > 0 else 0.0,
+        }
+
+    def missing_sequences(self, sent):
+        return [seq for seq in range(sent) if seq not in self.seen]
+
+
+# One delivery: (seq, transit, wait since the previous delivery, own flow?).
+# Small seqs make duplicates, reordering and gaps common; zero waits make
+# same-instant deliveries.
+_deliveries = st.lists(
+    st.tuples(
+        st.integers(0, 4) | st.integers(0, 60),
+        st.floats(0.0, 2.0),
+        st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+        st.booleans(),
+    ),
+    max_size=120,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_deliveries, st.integers(0, 50), st.integers(40, 1500))
+def test_sink_matches_the_list_and_set_reference(deliveries, sent, size):
+    sink, reference = FlowSink("f1"), ReferenceSink("f1")
+    now = 0.0
+    for seq, transit, wait, own in deliveries:
+        now += wait
+        packet = make_packet(
+            seq, created_at=now - transit, size=size, flow="f1" if own else "f2"
+        )
+        sink.on_packet(packet, now)
+        reference.on_packet(packet, now)
+    got, want = sink.summary(sent), reference.summary(sent)
+    # repr: equal float-for-float, nan included.
+    assert {key: repr(value) for key, value in got.items()} == {
+        key: repr(value) for key, value in want.items()
+    }
+    assert list(sink.delays) == reference.delays
+    assert sink.missing_sequences(sent) == reference.missing_sequences(sent)
+
+
+def test_sink_rejects_a_negative_seq():
+    sink = FlowSink("f1")
+    with pytest.raises(ValueError, match=r"^seq must be non-negative, got -1$"):
+        sink.on_packet(make_packet(-1), now=0.1)
+    assert sink.received == 0
 
 
 # ----------------------------------------------------------------------

@@ -50,8 +50,8 @@ def kind_of(target, args) -> str:
     if args is not None:  # a call_later entry: target(*args)
         name = getattr(target, "__qualname__", type(target).__qualname__)
         if name == "Link._deliver":
-            tail = type(target.__self__.tail).__name__
-            name += f"[{tail},{args[0].protocol}]"
+            link, packet = args
+            name += f"[{type(link.tail).__name__},{packet.protocol}]"
         return name
     event = type(target).__name__
     if not target.callbacks:
