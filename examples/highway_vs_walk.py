@@ -23,13 +23,13 @@ def main() -> None:
     sim = world.sim
 
     vehicle = world.add_mobile("vehicle")
-    world.add_controller(
+    vehicle_controller = world.add_controller(
         vehicle,
         Highway(Point(-4000, 0), WORLD_BOUNDS, rng, speed=25.0, wrap=False),
     )
 
     pedestrian = world.add_mobile("pedestrian")
-    world.add_controller(
+    pedestrian_controller = world.add_controller(
         pedestrian,
         RandomWaypoint(
             Point(-2000, 0),
@@ -43,13 +43,16 @@ def main() -> None:
     def reporter():
         while True:
             yield sim.timeout(30.0)
-            for mobile in (vehicle, pedestrian):
+            for mobile, controller in (
+                (vehicle, vehicle_controller),
+                (pedestrian, pedestrian_controller),
+            ):
                 bs = mobile.serving_bs
                 tier = mobile.serving_tier.label if bs else "-"
                 print(
                     f"[t={sim.now:5.0f}s] {mobile.name:10s} on "
                     f"{bs.name if bs else 'nothing':6s} ({tier}) "
-                    f"speed={mobile.speed:4.1f} m/s "
+                    f"speed={controller.model.speed:4.1f} m/s "
                     f"handoffs={mobile.handoffs_completed}"
                 )
 

@@ -146,9 +146,9 @@ def _build_parser() -> argparse.ArgumentParser:
     scenario_run.add_argument(
         "--trace-decisions",
         action="store_true",
-        help="after each table, replay the first seed in-process and "
-        "print its decision trace (per-reason counts + last recorded "
-        "tier decisions and fallbacks; multi-tier stack only)",
+        help="replay each run's first seed in-process and print its "
+        "decision trace (per-reason counts + last recorded decisions "
+        "and fallbacks), one per stack with --stack all",
     )
 
     scenario_sweep = verbs.add_parser(
@@ -410,11 +410,6 @@ def _scenario_main(args: argparse.Namespace) -> int:
         )
 
     if args.stack == "all":
-        if args.trace_decisions:
-            print(
-                "[--trace-decisions applies to single-stack runs; "
-                "ignored with --stack all]"
-            )
         # Cross-stack mode: each scenario renders a side-by-side
         # comparison table across every registered stack.
         comparisons = scenarios.stack_comparisons(cells, replications)
@@ -427,6 +422,9 @@ def _scenario_main(args: argparse.Namespace) -> int:
                 f"scenario_{comparison.spec.name}_stacks",
                 text + "\n",
             )
+        if args.trace_decisions:
+            for cell in cells:
+                _print_trace(cell.spec, cell.seeds[0])
         _print_completed(len(comparisons), "stack comparison", elapsed)
         return 0
 
@@ -436,19 +434,7 @@ def _scenario_main(args: argparse.Namespace) -> int:
         print(text)
         print()
         if args.trace_decisions:
-            # Replay the first seed in-process (byte-identical run; the
-            # trace is observation, not behavior) and show its ring.
-            _metrics, trace = scenarios.run_scenario_trace(spec, seeds[0])
-            if trace is None:
-                print(
-                    f"[no decision trace: stack {spec.stack!r} makes "
-                    f"no tier decisions]"
-                )
-            else:
-                print(trace.render(
-                    title=f"decision trace: {spec.name} seed {seeds[0]}"
-                ))
-            print()
+            _print_trace(spec, seeds[0])
         _write_table(
             args.output_dir,
             f"scenario_{spec.name}{_stack_suffix(spec.stack)}",
@@ -456,6 +442,19 @@ def _scenario_main(args: argparse.Namespace) -> int:
         )
     _print_completed(len(cells), "scenario", elapsed)
     return 0
+
+
+def _print_trace(spec, seed: int) -> None:
+    """Replay one ``(spec, seed)`` in-process and print its decision
+    trace (a byte-identical run: the trace is observation, not
+    behavior)."""
+    from repro import scenarios
+
+    _metrics, trace = scenarios.run_scenario_trace(spec, seed)
+    print(trace.render(
+        title=f"decision trace: {spec.name} ({spec.stack}) seed {seed}"
+    ))
+    print()
 
 
 def _stack_list(stack: str | None):

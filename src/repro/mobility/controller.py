@@ -1,0 +1,309 @@
+"""The mobility controller: the one sample → scan → decide → move loop
+that every protocol stack runs, one controller per mobile.
+
+Determinism: decisions read only the seeded model, the pure signal
+survey and (for an airtime-aware decider) the cells' queue lengths, so
+one ``(spec, seed)`` moves identically in any process, on any backend.
+"""
+
+from __future__ import annotations
+
+from types import GeneratorType
+from typing import TYPE_CHECKING, Any, Callable, Optional
+
+from repro.policy.types import (
+    Candidate,
+    HandoffFactors,
+    NextAction,
+    TierDecision,
+)
+from repro.radio.channel import DOWNLINK
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.mobility.base import MobilityModel
+    from repro.policy.decider import TierDecider
+    from repro.policy.trace import DecisionTrace
+    from repro.radio.cells import Tier
+    from repro.radio.signal import SignalMeter
+    from repro.sim.kernel import Simulator
+
+
+class MobilityController:
+    """Drives one mobile: samples its mobility model, applies the
+    decider's three-factor decision and runs the stack's moves (§3.2).
+
+    Stacks differ only in what they pass in: the multi-tier stack its
+    speed-aware :class:`~repro.policy.decider.TierDecider` (or an E9
+    ablation mode) and the mobile's admission-checked moves; the flat
+    baselines :data:`~repro.stacks.flat.STRONGEST_SIGNAL` and two moves
+    that never refuse.  ``nodes`` are what the stack placed at the cells
+    of ``meter``, indexed alike; a node needs a ``name`` (for the trace)
+    and, under an airtime-aware decider, a ``shared_channel``.  A
+    candidate's tier is its cell's.  ``attach(node)`` and
+    ``handoff(old, new)`` return ``None`` when done or a reason token
+    (``channel-pool-full``, ...) when refused, or a generator returning
+    that outcome when the move takes simulated time; the controller runs
+    it to completion.  A refusal leaves a ``"fallback"`` record in
+    ``trace`` and the next candidate is asked.  ``name`` labels the
+    records; ``demand`` (bit/s) is the decider's bandwidth factor.
+    """
+
+    #: Margin (dB) by which a same-tier rival must beat the serving cell.
+    hysteresis_db = 4.0
+    #: Contention mode only: downlink packets waiting on the serving
+    #: cell's shared channel before a traffic-bearing mobile looks for a
+    #: covering cell with spare airtime (the "resources of BS" factor
+    #: made real; no effect in legacy mode, where cells have no shared
+    #: channel, nor under a decider that is not airtime-aware).
+    offload_queue_threshold = 3
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        model: "MobilityModel",
+        nodes: list,
+        meter: "SignalMeter",
+        trace: "DecisionTrace",
+        decider: "TierDecider",
+        attach: Callable[[Any], Any],
+        handoff: Callable[[Any, Any], Any],
+        sample_period: float = 0.5,
+        *,
+        name: str = "",
+        demand: float = 0.0,
+    ) -> None:
+        if not sample_period > 0:
+            raise ValueError(
+                f"sample_period must be > 0 seconds, got {sample_period!r}"
+            )
+        self.sim = sim
+        self.model = model
+        self.nodes = nodes
+        self.meter = meter
+        self.trace = trace
+        self.decider = decider
+        self.attach = attach
+        self.handoff = handoff
+        self.sample_period = sample_period
+        self.name = name
+        self.demand = demand
+        #: The node (and its cell's tier) the last accepted move reached.
+        self.serving = None
+        self.serving_tier: Optional["Tier"] = None
+        self.handoffs = 0
+        self.handoff_latencies: list[float] = []
+        self.blocked_attach_attempts = 0
+        if not decider.airtime_aware:
+            # Decided once: a decider blind to the cells' queues never
+            # sees one congested (no airtime relief, no rival excluded).
+            self._channel_congested = lambda station: False
+        self.process = sim.process(self._run(), name=f"{name}-controller")
+
+    # ------------------------------------------------------------------
+    def _run(self):
+        sim = self.sim
+        model = self.model
+        period = self.sample_period
+        nodes = self.nodes
+        cells = self.meter.cells
+        scan = self.meter.scan
+        decider = self.decider
+        attach = self.attach
+        while True:
+            yield sim.timeout(period)
+            position = model.advance(period)
+            # One pass from the scan to the decision: the candidates are
+            # exactly the audible cells covering us, strongest first.
+            candidates = [
+                Candidate(nodes[index], rss, cells[index].tier)
+                for rss, index in scan(position, covering=True)
+            ]
+            if not candidates:
+                continue
+            factors = HandoffFactors(model.speed, self.demand, self.serving_tier)
+            preference = decider.tier_preference(factors)
+            ordered = decider.order_by_preference(candidates, preference)
+
+            if self.serving is None:
+                for index, candidate in enumerate(ordered):
+                    refusal = attach(candidate.station)
+                    if type(refusal) is GeneratorType:
+                        refusal = yield from refusal
+                    if refusal is None:
+                        self.serving = candidate.station
+                        self.serving_tier = candidate.tier
+                        break
+                    self.blocked_attach_attempts += 1
+                    self._note_fallback(candidate, ordered[index + 1:], refusal)
+                continue
+
+            decision = self._decide(candidates, factors, ordered, preference)
+            if decision is None:
+                continue
+            self.trace.record(
+                sim.now, self.name, "decision", decision.reasons,
+                target=decision.target.station.name,
+            )
+            # Try candidates best-first until one admits us (the paper's
+            # tier overflow: "turns to ask micro-tier for handoff").
+            for index, candidate in enumerate(decision.targets):
+                if candidate.station is self.serving:
+                    break
+                started = sim.now
+                refusal = self.handoff(self.serving, candidate.station)
+                if type(refusal) is GeneratorType:
+                    refusal = yield from refusal
+                if refusal is None:
+                    self.serving = candidate.station
+                    self.serving_tier = candidate.tier
+                    self.handoffs += 1
+                    self.handoff_latencies.append(sim.now - started)
+                    break
+                self._note_fallback(
+                    candidate, decision.targets[index + 1:], refusal
+                )
+
+    def _note_fallback(
+        self,
+        failed: Candidate,
+        remaining: list[Candidate],
+        reason: str,
+    ) -> None:
+        """Record what happens after one refused or timed-out attempt.
+
+        Mirrors the try-next-candidate loop exactly: the next target is
+        ``remaining[0]`` (the serving node there means the loop will
+        stop), a different tier means the §3.2 "turn to ask" overflow
+        (``ESCALATE_TIER``), the same tier a plain retry.
+        """
+        nxt = remaining[0] if remaining else None
+        if nxt is None or nxt.station is self.serving:
+            action, target = NextAction.STOP, ""
+        elif nxt.tier is not failed.tier:
+            action, target = NextAction.ESCALATE_TIER, nxt.station.name
+        else:
+            action, target = NextAction.RETRY_SAME_TIER, nxt.station.name
+        self.trace.record(
+            self.sim.now, self.name, "fallback", [reason],
+            action=action.value, target=target,
+        )
+
+    def _channel_congested(self, station) -> bool:
+        """True when ``station``'s shared downlink queue is at or above
+        the offload threshold; always False in legacy mode (no channel).
+        """
+        channel = station.shared_channel
+        return (
+            channel is not None
+            and channel.queued[DOWNLINK] >= self.offload_queue_threshold
+        )
+
+    def _decide(
+        self,
+        candidates: list[Candidate],
+        factors: HandoffFactors,
+        ordered: list[Candidate],
+        preference: list["Tier"],
+    ) -> Optional[TierDecision]:
+        """None = stay; otherwise an explainable decision whose
+        ``targets`` are the ordered candidates to try and whose
+        ``reasons`` name the branch that fired (reason vocabulary:
+        ``docs/POLICY.md``).  ``ordered`` and ``preference`` are the
+        decider's ordering of ``candidates`` and the tier preference it
+        was made with."""
+        serving = self.serving
+        serving_candidate = None
+        for candidate in candidates:
+            if candidate.station is serving:
+                serving_candidate = candidate
+                break
+
+        # Factor: signal — out of the serving cell entirely, must move
+        # (candidates are exactly the audible cells covering us).
+        if serving_candidate is None:
+            return TierDecision(
+                [c for c in ordered if c.station is not serving],
+                ["out-of-coverage"] + self.decider.preference_reasons(factors),
+                factors,
+            )
+
+        congested = self._channel_congested
+        # Factor: resources — in contention mode a congested shared
+        # channel sheds traffic-bearing mobiles toward covering cells
+        # with spare airtime (the paper's pico-overlay absorption:
+        # "system will switch MN" when the serving tier cannot carry
+        # its bandwidth).  Never fires in legacy mode (no channel).
+        if factors.bandwidth_demand > 0 and congested(serving):
+            relief = [
+                c
+                for c in ordered
+                if c.station is not serving
+                and c.station.shared_channel is not None
+                and not congested(c.station)
+            ]
+            if relief:
+                return TierDecision(
+                    relief, ["airtime-relief", "serving-channel-congested"], factors
+                )
+
+        # Nothing but the serving cell covers us: no tier to prefer and
+        # no rival to beat it.
+        if len(candidates) == 1:
+            return None
+
+        serving_tier = serving_candidate.tier
+        tier_agnostic = self.decider.tier_agnostic
+        if not tier_agnostic:
+            # Factors: speed / bandwidth demand — switch to a tier the
+            # decider ranks strictly better than the serving one.  In
+            # contention mode a congested target is never "better":
+            # without this filter the preference branch would bounce a
+            # mobile straight back into the congested cell that airtime
+            # relief just moved it off (handoff ping-pong).
+            serving_rank = preference.index(serving_tier)
+            better_tier = [
+                c
+                for c in ordered
+                if preference.index(c.tier) < serving_rank
+                and not congested(c.station)
+            ]
+            if better_tier:
+                best_rank = min(preference.index(c.tier) for c in better_tier)
+                return TierDecision(
+                    [
+                        c
+                        for c in better_tier
+                        if preference.index(c.tier) == best_rank
+                    ],
+                    ["better-tier"] + self.decider.preference_reasons(factors),
+                    factors,
+                )
+
+        # Factor: signal — a rival (of the serving tier, unless the
+        # decider ignores tiers) beats us by the hysteresis margin;
+        # congested rivals are excluded in contention mode for the same
+        # reason as above.
+        rivals = [
+            c
+            for c in candidates
+            if c.station is not serving
+            and (tier_agnostic or c.tier is serving_tier)
+            and not congested(c.station)
+        ]
+        if rivals:
+            best = max(rivals, key=lambda c: c.rss_dbm)
+            if best.rss_dbm >= serving_candidate.rss_dbm + self.hysteresis_db:
+                return TierDecision(
+                    [best]
+                    + [
+                        c
+                        for c in ordered
+                        if c.station not in (best.station, serving)
+                    ],
+                    ["signal-hysteresis"],
+                    factors,
+                )
+        return None
+
+
+__all__ = ["MobilityController"]

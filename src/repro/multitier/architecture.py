@@ -1,5 +1,5 @@
 """Full-system assembly of the paper's architecture (Figures 3.1 and
-4.1) plus the mobile-side mobility controller.
+4.1), with a mobility controller per mobile.
 
 The canonical world:
 
@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.mobileip import HomeAgent, install_home_prefix_routes
+from repro.mobility.controller import MobilityController
 from repro.multitier.basestation import MultiTierBaseStation
 from repro.multitier.correspondent import CorrespondentNode
 from repro.multitier.domain import MobileRealm, MultiTierDomain
@@ -33,16 +34,10 @@ from repro.multitier.mobile import MultiTierMobileNode
 from repro.multitier.rsmc import RSMC
 from repro.policy.decider import TierDecider
 from repro.policy.trace import DecisionTrace
-from repro.policy.types import (
-    Candidate,
-    HandoffFactors,
-    NextAction,
-    TierDecision,
-)
 from repro.net import Network
 from repro.net.addressing import AddressAllocator
 from repro.radio.cells import Cell, Tier
-from repro.radio.channel import DOWNLINK, ChannelPlan
+from repro.radio.channel import ChannelPlan
 from repro.radio.geometry import Point, Rectangle
 from repro.radio.propagation import PropagationModel
 from repro.radio.signal import SignalMeter
@@ -165,8 +160,10 @@ class MultiTierWorld:
         install_home_prefix_routes(self.network, self.ha)
 
         self.mobiles: list[MultiTierMobileNode] = []
-        self.controllers: list["MobilityController"] = []
-        self._meter: Optional[SignalMeter] = None  # see add_controller
+        self.controllers: list[MobilityController] = []
+        # Shared by every controller (see add_controller).
+        self._stations: Optional[list[MultiTierBaseStation]] = None
+        self._meter: Optional[SignalMeter] = None
 
     # ------------------------------------------------------------------
     def _new_domain(self) -> MultiTierDomain:
@@ -282,287 +279,27 @@ class MultiTierWorld:
             stations.extend(self.domain2.radio_stations())
         return stations
 
-    def add_controller(self, mobile, model, **kwargs) -> "MobilityController":
-        """A controller over every radio station built so far; the
-        shared meter is rebuilt only when stations were added since."""
+    def add_controller(
+        self,
+        mobile: MultiTierMobileNode,
+        model,
+        policy: Optional[TierDecider] = None,
+        sample_period: float = 0.5,
+    ) -> MobilityController:
+        """A controller over every radio station built so far, moving
+        ``mobile`` by its admission-checked moves; the station list and
+        its meter are shared, rebuilt only when stations were added."""
         stations = self.all_radio_stations()
-        cells = [bs.cell for bs in stations]
-        if self._meter is None or self._meter.cells != cells:
-            self._meter = SignalMeter(PropagationModel(), cells)
+        if stations != self._stations:
+            self._stations = stations
+            self._meter = SignalMeter(
+                PropagationModel(), [bs.cell for bs in stations]
+            )
         controller = MobilityController(
-            self.sim, mobile, model, stations, self._meter, self.decision_trace,
-            **kwargs,
+            self.sim, model, self._stations, self._meter, self.decision_trace,
+            policy if policy is not None else TierDecider(),
+            mobile.attach_move, mobile.handoff_move, sample_period,
+            name=mobile.name, demand=mobile.bandwidth_demand,
         )
         self.controllers.append(controller)
         return controller
-
-
-class MobilityController:
-    """Drives one mobile: samples its mobility model, applies the
-    three-factor decision and executes handoffs (§3.2)."""
-
-    #: Margin (dB) by which a same-tier rival must beat the serving cell.
-    hysteresis_db = 4.0
-    #: Contention mode only: downlink packets waiting on the serving
-    #: cell's shared channel before a traffic-bearing mobile looks for a
-    #: covering cell with spare airtime (the "resources of BS" factor
-    #: made real; no effect in legacy mode, where cells have no shared
-    #: channel).
-    offload_queue_threshold = 3
-
-    def __init__(
-        self,
-        sim: Simulator,
-        mobile: MultiTierMobileNode,
-        model,
-        stations: list[MultiTierBaseStation],
-        meter: SignalMeter,
-        trace: DecisionTrace,
-        policy: Optional[TierDecider] = None,
-        sample_period: float = 0.5,
-    ) -> None:
-        self.sim = sim
-        self.mobile = mobile
-        self.model = model
-        self.policy = policy if policy is not None else TierDecider()
-        #: The world's decision-trace log this controller records into.
-        self.trace = trace
-        self.sample_period = sample_period
-        self.stations = [bs for bs in stations if bs.cell is not None]
-        #: Scans ``stations``' cells in station order (candidates map
-        #: back by position); one meter serves every controller of a
-        #: world.
-        self.meter = meter
-        self.blocked_attach_attempts = 0
-        self.process = sim.process(self._run(), name=f"{mobile.name}-controller")
-
-    # ------------------------------------------------------------------
-    def _run(self):
-        mobile = self.mobile
-        stations = self.stations
-        policy = self.policy
-        scan = self.meter.scan
-        while True:
-            yield self.sim.timeout(self.sample_period)
-            position = self.model.advance(self.sample_period)
-            mobile.speed = self.model.speed
-            # One pass from the scan to the decision: the candidates are
-            # exactly the audible cells covering us, strongest first.
-            candidates = [
-                Candidate(stations[index], rss)
-                for rss, index in scan(position, covering=True)
-            ]
-            if not candidates:
-                continue
-            factors = HandoffFactors(
-                mobile.speed, mobile.bandwidth_demand, mobile.serving_tier
-            )
-            preference = policy.tier_preference(factors)
-            ordered = policy.order_by_preference(candidates, preference)
-
-            if mobile.serving_bs is None:
-                for index, candidate in enumerate(ordered):
-                    if mobile.initial_attach(candidate.station):
-                        break
-                    self.blocked_attach_attempts += 1
-                    self._note_fallback(
-                        candidate,
-                        ordered[index + 1:],
-                        candidate.station.last_rejection_reason
-                        or "attach-blocked",
-                    )
-                continue
-
-            decision = self._decide(candidates, factors, ordered, preference)
-            if decision is None:
-                continue
-            self.trace.record(
-                self.sim.now,
-                mobile.name,
-                "decision",
-                decision.reasons,
-                target=(
-                    decision.target.station.name
-                    if decision.target is not None
-                    else ""
-                ),
-            )
-            # Try candidates best-first until one admits us (the paper's
-            # tier overflow: "turns to ask micro-tier for handoff").
-            for index, candidate in enumerate(decision.targets):
-                if candidate.station is mobile.serving_bs:
-                    break
-                accepted = yield from mobile.perform_handoff(candidate.station)
-                if accepted:
-                    break
-                self._note_fallback(
-                    candidate,
-                    decision.targets[index + 1:],
-                    mobile.last_handoff_failure or "handoff-rejected",
-                )
-
-    def _note_fallback(
-        self,
-        failed: Candidate,
-        remaining: list[Candidate],
-        reason: str,
-    ) -> None:
-        """Record what happens after one refused or timed-out attempt.
-
-        Mirrors the try-next-candidate loop exactly: the next target is
-        ``remaining[0]`` (the serving station there means the loop will
-        stop), a different tier means the §3.2 "turn to ask" overflow
-        (``ESCALATE_TIER``), the same tier a plain retry.
-        """
-        serving = self.mobile.serving_bs
-        nxt = remaining[0] if remaining else None
-        if nxt is None or nxt.station is serving:
-            action = NextAction.STOP
-            target = ""
-        else:
-            if nxt.tier is not failed.tier:
-                action = NextAction.ESCALATE_TIER
-            else:
-                action = NextAction.RETRY_SAME_TIER
-            target = nxt.station.name
-        self.trace.record(
-            self.sim.now,
-            self.mobile.name,
-            "fallback",
-            [reason],
-            action=action.value,
-            target=target,
-        )
-
-    def _channel_congested(self, station: MultiTierBaseStation) -> bool:
-        """True when ``station``'s shared downlink queue is at or above
-        the offload threshold; always False in legacy mode (no channel).
-        """
-        channel = station.shared_channel
-        return (
-            channel is not None
-            and channel.queued[DOWNLINK] >= self.offload_queue_threshold
-        )
-
-    def _airtime_relief(
-        self, ordered: list[Candidate], factors: HandoffFactors
-    ) -> Optional[list[Candidate]]:
-        """Offload targets when the serving shared channel is congested.
-
-        Only asked in contention mode (the serving cell has a shared
-        channel).  Returns the policy-ordered covering candidates whose
-        shared channels have spare airtime (downlink queue below the
-        offload threshold), or ``None`` when the mobile carries no
-        traffic or the serving channel is not congested.  Deterministic:
-        reads only the channels' current queue lengths.
-        """
-        serving = self.mobile.serving_bs
-        if factors.bandwidth_demand <= 0 or not self._channel_congested(serving):
-            return None
-        relief = [
-            c
-            for c in ordered
-            if c.station is not serving
-            and c.station.shared_channel is not None
-            and not self._channel_congested(c.station)
-        ]
-        return relief or None
-
-    def _decide(
-        self,
-        candidates: list[Candidate],
-        factors: HandoffFactors,
-        ordered: list[Candidate],
-        preference: list[Tier],
-    ) -> Optional[TierDecision]:
-        """None = stay; otherwise an explainable decision whose
-        ``targets`` are the ordered candidates to try and whose
-        ``reasons`` name the branch that fired (reason vocabulary:
-        ``docs/POLICY.md``).  ``ordered`` and ``preference`` are the
-        policy's ordering of ``candidates`` and the tier preference it
-        was made with."""
-        serving = self.mobile.serving_bs
-        serving_candidate = None
-        for candidate in candidates:
-            if candidate.station is serving:
-                serving_candidate = candidate
-                break
-
-        # Factor: signal — out of the serving cell entirely, must move
-        # (candidates are exactly the audible cells covering us).
-        if serving_candidate is None:
-            return TierDecision(
-                [c for c in ordered if c.station is not serving],
-                ["out-of-coverage"] + self.policy.preference_reasons(factors),
-                factors,
-            )
-
-        # Factor: resources — in contention mode a congested shared
-        # channel sheds traffic-bearing mobiles toward covering cells
-        # with spare airtime (the paper's pico-overlay absorption:
-        # "system will switch MN" when the serving tier cannot carry
-        # its bandwidth).  Never fires in legacy mode (no channel).
-        if serving.shared_channel is not None:
-            relief = self._airtime_relief(ordered, factors)
-            if relief is not None:
-                return TierDecision(
-                    relief, ["airtime-relief", "serving-channel-congested"], factors
-                )
-
-        # Nothing but the serving cell covers us: no tier to prefer and
-        # no rival to beat it.
-        if len(candidates) == 1:
-            return None
-
-        tier_agnostic = self.policy.tier_agnostic
-        if not tier_agnostic:
-            # Factors: speed / bandwidth demand — switch to a tier the
-            # policy ranks strictly better than the serving one.  In
-            # contention mode a congested target is never "better":
-            # without this filter the preference branch would bounce a
-            # mobile straight back into the congested cell that
-            # _airtime_relief just moved it off (handoff ping-pong).
-            serving_rank = preference.index(serving.tier)
-            better_tier = [
-                c
-                for c in ordered
-                if preference.index(c.tier) < serving_rank
-                and not self._channel_congested(c.station)
-            ]
-            if better_tier:
-                best_rank = min(preference.index(c.tier) for c in better_tier)
-                return TierDecision(
-                    [
-                        c
-                        for c in better_tier
-                        if preference.index(c.tier) == best_rank
-                    ],
-                    ["better-tier"] + self.policy.preference_reasons(factors),
-                    factors,
-                )
-
-        # Factor: signal — a rival (of the serving tier, unless the
-        # policy ignores tiers) beats us by the hysteresis margin;
-        # congested rivals are excluded in contention mode for the same
-        # reason as above.
-        rivals = [
-            c
-            for c in candidates
-            if c.station is not serving
-            and (tier_agnostic or c.tier is serving.tier)
-            and not self._channel_congested(c.station)
-        ]
-        if rivals:
-            best = max(rivals, key=lambda c: c.rss_dbm)
-            if best.rss_dbm >= serving_candidate.rss_dbm + self.hysteresis_db:
-                return TierDecision(
-                    [best]
-                    + [
-                        c
-                        for c in ordered
-                        if c.station not in (best.station, serving)
-                    ],
-                    ["signal-hysteresis"],
-                    factors,
-                )
-        return None

@@ -47,8 +47,6 @@ class MultiTierMobileNode(Node):
         #: :func:`repro.radio.channel.airtime_key`.
         self.airtime_key = airtime_key
         self.serving_bs: Optional[MultiTierBaseStation] = None
-        #: Updated by the mobility controller each sampling epoch.
-        self.speed = 0.0
         self.bandwidth_demand = bandwidth_demand
 
         self._location_loop = None
@@ -80,12 +78,17 @@ class MultiTierMobileNode(Node):
     # ------------------------------------------------------------------
     def initial_attach(self, bs: MultiTierBaseStation) -> bool:
         """First association: new-call admission (guard channels excluded)."""
+        return self.attach_move(bs) is None
+
+    def attach_move(self, bs: MultiTierBaseStation) -> Optional[str]:
+        """:meth:`initial_attach` as a mobility-controller move: ``None``
+        once attached, else the refusing station's reason token."""
         if not bs.admit_new_call(self):
-            return False
+            return bs.last_rejection_reason or "attach-blocked"
         self.serving_bs = bs
         self._send_update_location()
         self._ensure_location_loop()
-        return True
+        return None
 
     def _ensure_location_loop(self, period: Optional[float] = None) -> None:
         if self._location_loop is not None and self._location_loop.is_alive:
@@ -232,6 +235,14 @@ class MultiTierMobileNode(Node):
         self.handoffs_completed += 1
         self.handoff_latencies.append(self.sim.now - started)
         return True
+
+    def handoff_move(self, old_bs, new_bs: MultiTierBaseStation):
+        """Generator: :meth:`perform_handoff` as a mobility-controller
+        move, returning ``None`` on success, else the failure's reason
+        token (``handoff-timeout`` or the rejecting station's)."""
+        if (yield from self.perform_handoff(new_bs)):
+            return None
+        return self.last_handoff_failure or "handoff-rejected"
 
     def _handoff_timeout(self, bs: MultiTierBaseStation) -> float:
         return bs.domain.handoff_timeout

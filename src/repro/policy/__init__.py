@@ -13,7 +13,7 @@ so that every decision is *explainable*:
 * :mod:`repro.policy.types` — the decision values
   (:class:`TierDecision`, :class:`HandoffFactors`,
   :class:`Candidate`, :class:`NextAction`);
-* :mod:`repro.policy.trace` — :class:`DecisionTrace`, the per-world
+* :mod:`repro.policy.trace` — :class:`DecisionTrace`, the per-run
   ring-buffer log whose counters become the ``policy.*`` scenario
   metrics and whose tail renders under ``--trace-decisions``.
 

@@ -55,16 +55,12 @@ class TierDecider:
     ``always-micro`` / ``always-macro`` pin the preferred tier).
     """
 
-    #: True for policies that ignore tiers entirely (signal chasing):
-    #: the controller then applies hysteresis across all tiers instead
-    #: of preferring one.
-    tier_agnostic = False
-
     def __init__(
         self,
         speed_threshold: float = 15.0,
         demand_threshold: float = 200e3,
         mode: str = "speed-aware",
+        airtime_aware: bool = True,
     ) -> None:
         # Reuse the config validation so thresholds reject the same
         # inputs (non-positive, NaN) with the same ValueError shape
@@ -77,8 +73,16 @@ class TierDecider:
         self.mode = config.mode
         self.speed_threshold = config.speed_threshold
         self.demand_threshold = config.demand_threshold
-        if self.mode == "always-strongest":
-            self.tier_agnostic = True
+        #: True for policies that ignore tiers entirely (signal chasing):
+        #: the controller then applies hysteresis across all tiers
+        #: instead of preferring one.
+        self.tier_agnostic = self.mode == "always-strongest"
+        #: Whether the controller reads the cells' shared-channel queues
+        #: (the resources factor in contention mode): airtime relief off
+        #: a congested serving cell, and congested cells never a better
+        #: tier or a rival.  Every multi-tier mode is; the flat
+        #: baselines' strongest-signal rule is not.
+        self.airtime_aware = airtime_aware
 
     @classmethod
     def from_config(

@@ -1,18 +1,18 @@
 """The decision-trace log: every policy decision, recorded and counted.
 
-One :class:`DecisionTrace` lives on each multi-tier world.  The
-mobility controllers append a :class:`DecisionRecord` for every
-:class:`~repro.policy.types.TierDecision` they act on and a
+One :class:`DecisionTrace` lives on each built run, whatever its
+stack.  The mobility controllers append a :class:`DecisionRecord` for
+every :class:`~repro.policy.types.TierDecision` they act on and a
 ``"fallback"`` record (its ``action`` a
 :class:`~repro.policy.types.NextAction`) for every rejected or
 timed-out attempt.  Two views come out of it:
 
 * **metrics** — :meth:`DecisionTrace.metric_counts` aggregates the
   records into the fixed ``policy.*`` key set
-  (:data:`POLICY_METRIC_KEYS`), which the multi-tier stack adapter
-  merges into scenario metrics whenever the spec's policy block is
-  non-default, making policy A/B sweeps analyzable in comparison
-  tables;
+  (:data:`POLICY_METRIC_KEYS`), which the run merges into scenario
+  metrics whenever its stack decides with the spec's policy block (the
+  multi-tier stack) and that block is non-default, making policy A/B
+  sweeps analyzable in comparison tables;
 * **narrative** — :meth:`DecisionTrace.render` prints the reason
   counters plus the tail of the ring buffer, which is what
   ``repro scenario run --trace-decisions`` shows.
@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 
-#: Capacity of the per-world ring buffer of recent decision records.
+#: Capacity of the per-run ring buffer of recent decision records.
 TRACE_RING_SIZE = 512
 
 #: The fixed ``policy.*`` metric key set.  Fixed so that every

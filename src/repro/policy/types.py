@@ -45,17 +45,19 @@ class HandoffFactors:
 
 @dataclass(init=False, slots=True)
 class Candidate:
-    """One admissible target: a base station heard at some signal
-    level; ``tier`` is read off the station once, at construction."""
+    """One admissible target: a station heard at some signal level on
+    a cell of ``tier`` (default: the station's own ``.tier``)."""
 
-    station: object  # MultiTierBaseStation (untyped to avoid an import cycle)
+    station: object  # whatever the stack placed at the cell
     rss_dbm: float
     tier: Tier
 
-    def __init__(self, station: object, rss_dbm: float) -> None:
+    def __init__(
+        self, station: object, rss_dbm: float, tier: Optional[Tier] = None
+    ) -> None:
         self.station = station
         self.rss_dbm = rss_dbm
-        self.tier = station.tier
+        self.tier = station.tier if tier is None else tier
 
 
 @dataclass

@@ -84,13 +84,12 @@ def run_scenario_trace(spec: ScenarioSpec, seed: int):
     """Run one ``(spec, seed)`` pair and keep its decision trace.
 
     Returns ``(metrics, trace)`` where ``trace`` is the built run's
-    :class:`~repro.policy.trace.DecisionTrace` (the ring buffer every
-    tier decision and fallback is recorded into) for stacks that keep
-    one — the multi-tier stack — and ``None`` for flat baselines,
-    which make no tier decisions.  The
-    metric dict is byte-identical to :func:`run_scenario_spec` for the
-    same pair; tracing is observation, not behavior.  Deterministic:
-    the trace replays identically for one ``(spec, seed)``.
+    :class:`~repro.policy.trace.DecisionTrace`, the ring buffer every
+    mobility controller of the run records its decisions and fallbacks
+    into, under any stack.  The metric dict is byte-identical to
+    :func:`run_scenario_spec` for the same pair; tracing is
+    observation, not behavior.  Deterministic: the trace replays
+    identically for one ``(spec, seed)``.
     """
     built = build_scenario(spec, seed)
     return built.execute(), built.decision_trace

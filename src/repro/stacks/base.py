@@ -117,15 +117,19 @@ class BuiltRun:
     fluid_driver: Optional[FluidDriver]
     #: ``(cell, channel)`` per contended cell; empty in legacy mode.
     air_cells: list[tuple[Cell, SharedChannel]]
-    #: Where the stack's controllers record tier decisions; ``None``
-    #: for stacks that make none.
-    decision_trace: Optional[DecisionTrace] = None
+    #: Where the stack's controllers record their decisions and
+    #: fallbacks.
+    decision_trace: DecisionTrace
     sources: list[TrafficSource] = field(default_factory=list)
     sinks: list[FlowSink] = field(default_factory=list)
 
     #: Keys emitted ahead of the shared order, for a stack whose golden
     #: tables pin a different historical order (multi-tier only).
     metric_order: ClassVar[tuple[str, ...]] = ()
+    #: Whether the stack decides with ``spec.policy``: only then do the
+    #: trace's ``policy.*`` counters join a non-default policy block's
+    #: metrics (the flat baselines decide with a fixed rule).
+    reads_spec_policy: ClassVar[bool] = False
 
     def execute(self) -> dict[str, float]:
         """Run warmup → traffic window → drain; return the metric dict.
@@ -212,7 +216,7 @@ class BuiltRun:
                 [channel for _cell, channel in self.air_cells],
                 spec.warmup + spec.duration + spec.drain,
             ))
-        if self.decision_trace is not None and not spec.policy.is_default():
+        if self.reads_spec_policy and not spec.policy.is_default():
             # Non-default policy block only (same gating rule).
             metrics.update(self.decision_trace.metric_counts())
         if self.fluid_driver is not None:

@@ -33,10 +33,12 @@ from typing import TYPE_CHECKING
 from repro.cellularip import CIPBaseStation, CIPDomain, CIPGateway, CIPMobileHost
 from repro.net.addressing import AddressAllocator
 from repro.net.topology import Network
+from repro.mobility.controller import MobilityController
 from repro.policy.config import PolicyConfig
+from repro.policy.trace import DecisionTrace
 from repro.sim.kernel import Simulator
 from repro.stacks.base import BuiltRun, StackAdapter
-from repro.stacks.flat import FlatMobilityController, flat_access, flat_overrides
+from repro.stacks.flat import STRONGEST_SIGNAL, flat_access, flat_overrides
 from repro.stacks.population import (
     MobileEndpoint,
     plan_population,
@@ -65,7 +67,7 @@ class BuiltCIPScenario(BuiltRun):
     network: Network
     domain: CIPDomain
     hosts: list[CIPMobileHost]
-    controllers: list[FlatMobilityController]
+    controllers: list[MobilityController]
 
     def mobility_counters(self) -> tuple[int, list[float], int]:
         """Handoffs and attachments per host; latencies per controller
@@ -161,7 +163,8 @@ class CellularIPStack(StackAdapter):
         downlink = cn.links[internet].transmit
         mobile_allocator = AddressAllocator(MOBILE_PREFIX)
         hosts: list[CIPMobileHost] = []
-        controllers: list[FlatMobilityController] = []
+        trace = DecisionTrace()
+        controllers: list[MobilityController] = []
 
         def add_mobile(index: int, kind: str, model) -> MobileEndpoint:
             host = CIPMobileHost(
@@ -170,9 +173,10 @@ class CellularIPStack(StackAdapter):
             )
             # Semisoft returns its dual-path generator; hard is instant.
             move = host.handoff_semisoft if self.semisoft else host.handoff_hard
-            controllers.append(FlatMobilityController(
-                sim, model, nodes, meter, host.attach_to,
-                lambda old, new: move(new), spec.sample_period,
+            controllers.append(MobilityController(
+                sim, model, nodes, meter, trace, STRONGEST_SIGNAL,
+                host.attach_to, lambda old, new: move(new),
+                spec.sample_period, name=host.name,
             ))
             hosts.append(host)
             return MobileEndpoint(
@@ -185,7 +189,8 @@ class CellularIPStack(StackAdapter):
         return BuiltCIPScenario(
             spec=spec, seed=int(seed), sim=sim, population=plan,
             flow_plans=flow_plans, fluid_driver=fluid_driver,
-            air_cells=air_cells, network=network, domain=domain,
+            air_cells=air_cells, decision_trace=trace, network=network,
+            domain=domain,
             hosts=hosts, controllers=controllers,
         )
 

@@ -5,13 +5,13 @@ geometry as the multi-tier world — macro umbrellas R1/R2(/R4), micro
 street cells A–G, and the spec's pico cells — but manage them flat:
 no tier policy, no hierarchy-aware handoff.  :func:`flat_cell_layout`
 produces that site list from a spec, :func:`flat_access` places one
-access node per site, and :class:`FlatMobilityController` drives one
-mobile across those nodes with the classic strongest-signal +
-hysteresis rule (the baseline the paper's three-factor decision is
-compared against).  A flat stack supplies only what differs: the node
-it places at a site and its two moves, ``attach(node)`` and
-``handoff(old, new)``; :func:`flat_overrides` picks the
-``domain_overrides`` it maps and rejects a key no stack reads.
+access node per site, and each mobile's
+:class:`~repro.mobility.controller.MobilityController` decides with
+:data:`STRONGEST_SIGNAL` (the baseline the paper's three-factor
+decision is compared against).  A flat stack supplies only the node it
+places at a site and its two moves, ``attach(node)`` and
+``handoff(old, new)``, which never refuse; :func:`flat_overrides` picks
+the ``domain_overrides`` it maps and rejects a key no stack reads.
 
 Determinism: the layout is a pure function of ``(spec, starts,
 assignments)``; the controller samples the (seeded) mobility model on a
@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Any, Callable, Collection, Optional
 
 from repro.multitier.architecture import DOMAIN_SITES, PICO_LEAVES, Site
 from repro.multitier.domain import OVERRIDE_KEYS
+from repro.policy.decider import TierDecider
 from repro.radio.cells import Tier
 from repro.radio.geometry import Point
 from repro.radio.propagation import PropagationModel
@@ -34,11 +35,16 @@ from repro.radio.signal import SignalMeter
 from repro.stacks.population import pico_placements
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.mobility import MobilityModel
     from repro.radio.channel import SharedChannel
     from repro.scenarios.spec import ScenarioSpec
     from repro.sim.kernel import Simulator
     from repro.stacks.population import PopulationPlan
+
+
+#: The flat baselines' decider: the strongest covering cell of any tier,
+#: a rival taking over only when it is 4 dB stronger, and blind to the
+#: cells' shared-channel queues (no airtime relief).
+STRONGEST_SIGNAL = TierDecider(mode="always-strongest", airtime_aware=False)
 
 
 def flat_cell_layout(
@@ -142,86 +148,8 @@ def flat_access(
     return nodes, air_cells, SignalMeter(PropagationModel(), cells)
 
 
-class FlatMobilityController:
-    """Strongest-signal mobility for one mobile over a flat deployment.
-
-    Samples the mobility model every ``sample_period`` seconds, surveys
-    the cells of ``meter`` (indexed like ``nodes``), and: attaches to
-    the node of the strongest covering cell when unattached; hands off
-    when the serving node's cell no longer covers the position (forced)
-    or a covering rival beats it by :attr:`hysteresis_db` — the
-    tier-blind baseline behaviour (no speed or bandwidth factor).
-
-    ``attach(node)`` and ``handoff(old, new)`` are the stack's two
-    moves.  An instant move returns ``None``; a move that takes
-    simulated time (the Cellular IP semisoft interval) returns its
-    generator, which the controller runs to completion.  The controller
-    records handoff counts and latencies (the simulated time the move
-    took).  Deterministic: decisions read only the seeded model and the
-    pure signal survey.
-    """
-
-    #: How much stronger (dB) a covering rival must be to take over.
-    hysteresis_db = 4.0
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        model: "MobilityModel",
-        nodes: list,
-        meter: SignalMeter,
-        attach: Callable[[Any], Any],
-        handoff: Callable[[Any, Any], Any],
-        sample_period: float = 0.5,
-    ) -> None:
-        self.sim = sim
-        self.model = model
-        self.nodes = nodes
-        self.meter = meter
-        self.attach = attach
-        self.handoff = handoff
-        self.sample_period = sample_period
-        self.serving = None
-        self.handoffs = 0
-        self.handoff_latencies: list[float] = []
-        self.process = sim.process(self._run())
-
-    def _run(self):
-        nodes = self.nodes
-        while True:
-            yield self.sim.timeout(self.sample_period)
-            position = self.model.advance(self.sample_period)
-            covering = self.meter.scan(position, covering=True)
-            if not covering:
-                continue
-            best_rss, best_index = covering[0]  # sorted strongest-first
-            best = nodes[best_index]
-            if self.serving is None:
-                self.serving = best
-                yield from self.attach(best) or ()
-                continue
-            serving_rss = next(
-                (rss for rss, i in covering if nodes[i] is self.serving), None
-            )
-            if serving_rss is None:
-                target = best  # forced: walked out of the serving cell
-            elif (
-                best is not self.serving
-                and best_rss >= serving_rss + self.hysteresis_db
-            ):
-                target = best
-            else:
-                continue
-            old = self.serving
-            self.serving = target
-            started = self.sim.now
-            yield from self.handoff(old, target) or ()
-            self.handoffs += 1
-            self.handoff_latencies.append(self.sim.now - started)
-
-
 __all__ = [
-    "FlatMobilityController",
+    "STRONGEST_SIGNAL",
     "flat_access",
     "flat_cell_layout",
     "flat_overrides",

@@ -34,10 +34,12 @@ from repro.mobileip import (
 from repro.multitier.architecture import HOME_PREFIX
 from repro.net.addressing import AddressAllocator
 from repro.net.topology import Network
+from repro.mobility.controller import MobilityController
 from repro.policy.config import PolicyConfig
+from repro.policy.trace import DecisionTrace
 from repro.sim.kernel import Simulator
 from repro.stacks.base import BuiltRun, StackAdapter
-from repro.stacks.flat import FlatMobilityController, flat_access, flat_overrides
+from repro.stacks.flat import STRONGEST_SIGNAL, flat_access, flat_overrides
 from repro.stacks.population import (
     MobileEndpoint,
     plan_population,
@@ -72,7 +74,7 @@ class BuiltMIPScenario(BuiltRun):
     home_agent: HomeAgent
     agents: list[ForeignAgent]
     nodes: list[MobileIPNode]
-    controllers: list[FlatMobilityController]
+    controllers: list[MobilityController]
 
     def mobility_counters(self) -> tuple[int, list[float], int]:
         """Moves and attachments per controller; latencies per node.
@@ -171,7 +173,8 @@ class MobileIPStack(StackAdapter):
         downlink = cn.links[core].transmit
         home_allocator = AddressAllocator(HOME_PREFIX)
         nodes: list[MobileIPNode] = []
-        controllers: list[FlatMobilityController] = []
+        trace = DecisionTrace()
+        controllers: list[MobilityController] = []
 
         def add_mobile(index: int, kind: str, model) -> MobileEndpoint:
             node = MobileIPNode(
@@ -186,10 +189,10 @@ class MobileIPStack(StackAdapter):
                 old.detach_mobile(node)
                 new.attach_mobile(node)
 
-            controllers.append(FlatMobilityController(
-                sim, model, agents, meter,
+            controllers.append(MobilityController(
+                sim, model, agents, meter, trace, STRONGEST_SIGNAL,
                 lambda agent: agent.attach_mobile(node), handoff,
-                spec.sample_period,
+                spec.sample_period, name=node.name,
             ))
             nodes.append(node)
             return MobileEndpoint(
@@ -202,7 +205,8 @@ class MobileIPStack(StackAdapter):
         return BuiltMIPScenario(
             spec=spec, seed=int(seed), sim=sim, population=plan,
             flow_plans=flow_plans, fluid_driver=fluid_driver,
-            air_cells=air_cells, network=network, home_agent=home_agent,
+            air_cells=air_cells, decision_trace=trace, network=network,
+            home_agent=home_agent,
             agents=agents, nodes=nodes, controllers=controllers,
         )
 

@@ -5,7 +5,7 @@ The stack's own half of a run behind the
 :class:`~repro.multitier.architecture.MultiTierWorld` (one or two
 domains, optional pico cells, optional shared air interface), the
 shared population plan from :mod:`repro.stacks.population`, per-mobile
-:class:`~repro.multitier.architecture.MobilityController`\\ s applying
+:class:`~repro.mobility.controller.MobilityController`\\ s applying
 the three-factor handoff decision, and RSMC route optimization at the
 correspondent.
 
@@ -26,11 +26,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.fluid.driver import fluid_channel_pairs
-from repro.multitier.architecture import (
-    PICO_LEAVES,
-    MobilityController,
-    MultiTierWorld,
-)
+from repro.mobility.controller import MobilityController
+from repro.multitier.architecture import PICO_LEAVES, MultiTierWorld
 from repro.multitier.mobile import MultiTierMobileNode
 from repro.policy.decider import TierDecider
 from repro.stacks.base import BuiltRun, StackAdapter
@@ -62,6 +59,7 @@ class BuiltScenario(BuiltRun):
         "blocked_attaches", "attached", "via_binding_fraction",
         "elastic_goodput_bps", "hop_total",
     )
+    reads_spec_policy = True
 
     def mobility_counters(self) -> tuple[int, list[float], int]:
         """Handoffs, their latencies and attachments, per mobile node."""
@@ -144,8 +142,6 @@ class MultiTierStack(StackAdapter):
         policy = TierDecider.from_config(
             spec.policy, contention=plan.channel_plan is not None
         )
-        mobiles: list[MultiTierMobileNode] = []
-        controllers: list[MobilityController] = []
 
         def add_mobile(index: int, kind: str, model) -> MobileEndpoint:
             mobile = world.add_mobile(
@@ -153,15 +149,9 @@ class MultiTierStack(StackAdapter):
                 bandwidth_demand=BANDWIDTH_DEMAND[kind],
                 airtime_key=index,
             )
-            controllers.append(
-                world.add_controller(
-                    mobile,
-                    model,
-                    sample_period=spec.sample_period,
-                    policy=policy,
-                )
+            world.add_controller(
+                mobile, model, sample_period=spec.sample_period, policy=policy
             )
-            mobiles.append(mobile)
             # Sources address their packets CN -> home address themselves;
             # the CN sends them as built, with route optimization.
             return MobileEndpoint(
@@ -185,8 +175,8 @@ class MultiTierStack(StackAdapter):
             air_cells=air_cells,
             decision_trace=world.decision_trace,
             world=world,
-            mobiles=mobiles,
-            controllers=controllers,
+            mobiles=world.mobiles,
+            controllers=world.controllers,
         )
 
     def exercised(self, spec: ScenarioSpec) -> list[str]:

@@ -94,6 +94,19 @@ def test_controller_rejection_overflows_to_next_candidate():
     assert mn.handoffs_rejected >= 1
 
 
+@pytest.mark.parametrize("period", [0.0, -1.0, float("nan")])
+def test_controller_refuses_a_sample_period_that_is_not_positive(period):
+    """A zero period re-arms a zero timeout at one instant forever, and
+    ``nan`` fails only at run time: both are refused at construction."""
+    world = MultiTierWorld()
+    mn = world.add_mobile("mn")
+    model = Stationary(Point(-2700, 0), WORLD_BOUNDS)
+    with pytest.raises(ValueError, match="sample_period") as error:
+        world.add_controller(mn, model, sample_period=period)
+    assert "\n" not in str(error.value)
+    assert world.controllers == []
+
+
 # ----------------------------------------------------------------------
 # Policy unit tests
 # ----------------------------------------------------------------------

@@ -1,14 +1,24 @@
-"""The one-pass decision against its specification.
+"""The one mobility controller against its specifications.
 
 ``MobilityController`` goes from a scan to a decision in one pass: the
 tier preference is computed once and shared by the ordering and the
 decision, a sample whose only candidate is the serving cell returns
 early, and ``TierDecider.order_by_preference`` orders without a
-per-candidate key function.  The specification is what it replaced —
-the controller's sampling loop, ``_decide`` and ``order_candidates`` as
-they stood before, kept here verbatim as :class:`ReferenceController` —
-and the new pass must agree with it on every generated input and on a
-whole run's decision trace.
+per-candidate key function.  The same class drives every stack: the
+flat baselines pass an always-strongest decider blind to shared-channel
+queues and two moves that never refuse.  The specifications are what
+it replaced, kept here verbatim and self-contained:
+
+* :class:`ReferenceController` — the multi-tier controller's sampling
+  loop, ``_decide`` and ``order_candidates`` as they stood before the
+  one-pass change;
+* :class:`ReferenceFlatController` — the flat baselines' own
+  strongest-signal + hysteresis controller, before the two loops became
+  one.
+
+The controller must agree with the first on every generated sample and
+on a whole run's decision trace, and with the second on every
+generated script of positions: the same moves at the same instants.
 """
 
 from types import SimpleNamespace
@@ -18,17 +28,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.multitier.architecture as architecture
-from repro.multitier.architecture import MobilityController
+from repro.mobility.controller import MobilityController
 from repro.policy import (
     Candidate,
     DecisionTrace,
     HandoffFactors,
+    NextAction,
     TierDecider,
     TierDecision,
 )
 from repro.radio import DOWNLINK, Cell, Point, PropagationModel, SignalMeter, Tier
 from repro.scenarios import build_scenario, get_scenario
 from repro.sim import Simulator
+from repro.stacks.flat import STRONGEST_SIGNAL
 
 
 # ----------------------------------------------------------------------
@@ -44,7 +56,60 @@ def reference_order(policy, candidates, factors):
     )
 
 
-class ReferenceController(MobilityController):
+class ReferenceController:
+    hysteresis_db = 4.0
+    offload_queue_threshold = 3
+
+    def __init__(
+        self,
+        sim,
+        mobile,
+        model,
+        stations,
+        meter,
+        trace,
+        policy=None,
+        sample_period=0.5,
+    ):
+        self.sim = sim
+        self.mobile = mobile
+        self.model = model
+        self.policy = policy if policy is not None else TierDecider()
+        self.trace = trace
+        self.sample_period = sample_period
+        self.stations = [bs for bs in stations if bs.cell is not None]
+        self.meter = meter
+        self.blocked_attach_attempts = 0
+        self.process = sim.process(self._run(), name=f"{mobile.name}-controller")
+
+    def _note_fallback(self, failed, remaining, reason):
+        serving = self.mobile.serving_bs
+        nxt = remaining[0] if remaining else None
+        if nxt is None or nxt.station is serving:
+            action = NextAction.STOP
+            target = ""
+        else:
+            if nxt.tier is not failed.tier:
+                action = NextAction.ESCALATE_TIER
+            else:
+                action = NextAction.RETRY_SAME_TIER
+            target = nxt.station.name
+        self.trace.record(
+            self.sim.now,
+            self.mobile.name,
+            "fallback",
+            [reason],
+            action=action.value,
+            target=target,
+        )
+
+    def _channel_congested(self, station):
+        channel = station.shared_channel
+        return (
+            channel is not None
+            and channel.queued[DOWNLINK] >= self.offload_queue_threshold
+        )
+
     def _candidates(self, position):
         stations = self.stations
         return [
@@ -256,11 +321,17 @@ def identities(candidates):
 def test_one_pass_equals_the_reference_on_generated_samples(sample):
     candidates, policy, mobile = sample
     stations = [c.station for c in candidates]
-    controller = ReferenceController(
-        Simulator(), mobile, None, stations,
-        SignalMeter(PropagationModel(), [bs.cell for bs in stations]),
-        DecisionTrace(), policy=policy,
+    meter = SignalMeter(PropagationModel(), [bs.cell for bs in stations])
+    reference = ReferenceController(
+        Simulator(), mobile, None, stations, meter, DecisionTrace(),
+        policy=policy,
     )
+    controller = MobilityController(
+        Simulator(), None, stations, meter, DecisionTrace(), policy,
+        attach=None, handoff=None, name=mobile.name,
+        demand=mobile.bandwidth_demand,
+    )
+    controller.serving = mobile.serving_bs
     tier = mobile.serving_bs.tier if mobile.serving_bs is not None else None
     factors = HandoffFactors(mobile.speed, mobile.bandwidth_demand, tier)
 
@@ -275,7 +346,7 @@ def test_one_pass_equals_the_reference_on_generated_samples(sample):
     if mobile.serving_bs is None or not candidates:
         return  # the attach loop walks ``ordered``; an empty sample is skipped
 
-    expected = controller.reference_decide(candidates, factors, expected_order)
+    expected = reference.reference_decide(candidates, factors, expected_order)
     decision = controller._decide(candidates, factors, ordered, preference)
     if expected is None:
         assert decision is None
@@ -288,6 +359,21 @@ def test_one_pass_equals_the_reference_on_generated_samples(sample):
 # ----------------------------------------------------------------------
 # A whole run: same trace, record for record
 # ----------------------------------------------------------------------
+def reference_add_controller(self, mobile, model, **kwargs):
+    """``MultiTierWorld.add_controller`` as it was, building the
+    reference controller."""
+    stations = self.all_radio_stations()
+    cells = [bs.cell for bs in stations]
+    if self._meter is None or self._meter.cells != cells:
+        self._meter = SignalMeter(PropagationModel(), cells)
+    controller = ReferenceController(
+        self.sim, mobile, model, stations, self._meter, self.decision_trace,
+        **kwargs,
+    )
+    self.controllers.append(controller)
+    return controller
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -307,7 +393,9 @@ def test_one_pass_leaves_the_same_decision_trace_as_the_reference(spec, monkeypa
     metrics = built.execute()
     trace = built.world.decision_trace
 
-    monkeypatch.setattr(architecture, "MobilityController", ReferenceController)
+    monkeypatch.setattr(
+        architecture.MultiTierWorld, "add_controller", reference_add_controller
+    )
     reference = build_scenario(spec, seed=3)
     assert type(reference.world.controllers[0]) is ReferenceController
     reference_metrics = reference.execute()
@@ -321,3 +409,153 @@ def test_one_pass_leaves_the_same_decision_trace_as_the_reference(spec, monkeypa
     assert blocked == sum(
         c.blocked_attach_attempts for c in reference.world.controllers
     )
+
+
+# ----------------------------------------------------------------------
+# The flat baselines: the same moves at the same instants
+# ----------------------------------------------------------------------
+class ReferenceFlatController:
+    hysteresis_db = 4.0
+
+    def __init__(
+        self,
+        sim,
+        model,
+        nodes,
+        meter,
+        attach,
+        handoff,
+        sample_period=0.5,
+    ):
+        self.sim = sim
+        self.model = model
+        self.nodes = nodes
+        self.meter = meter
+        self.attach = attach
+        self.handoff = handoff
+        self.sample_period = sample_period
+        self.serving = None
+        self.handoffs = 0
+        self.handoff_latencies = []
+        self.process = sim.process(self._run())
+
+    def _run(self):
+        nodes = self.nodes
+        while True:
+            yield self.sim.timeout(self.sample_period)
+            position = self.model.advance(self.sample_period)
+            covering = self.meter.scan(position, covering=True)
+            if not covering:
+                continue
+            best_rss, best_index = covering[0]  # sorted strongest-first
+            best = nodes[best_index]
+            if self.serving is None:
+                self.serving = best
+                yield from self.attach(best) or ()
+                continue
+            serving_rss = next(
+                (rss for rss, i in covering if nodes[i] is self.serving), None
+            )
+            if serving_rss is None:
+                target = best  # forced: walked out of the serving cell
+            elif (
+                best is not self.serving
+                and best_rss >= serving_rss + self.hysteresis_db
+            ):
+                target = best
+            else:
+                continue
+            old = self.serving
+            self.serving = target
+            started = self.sim.now
+            yield from self.handoff(old, target) or ()
+            self.handoffs += 1
+            self.handoff_latencies.append(self.sim.now - started)
+
+
+#: Cell sites to deploy from: two micro cells on one spot (their
+#: signals tie everywhere), a micro and a pico whose discs overlap
+#: theirs, and a macro umbrella over all but the far end of the strip.
+SITES = [
+    (Point(0.0, 0.0), Tier.MICRO),
+    (Point(0.0, 0.0), Tier.MICRO),
+    (Point(600.0, 0.0), Tier.MICRO),
+    (Point(300.0, 0.0), Tier.PICO),
+    (Point(300.0, 1000.0), Tier.MACRO),
+]
+#: Where a sample can find the mobile: inside one cell or several,
+#: halfway between the two micro spots (another tie), on the pico, in
+#: the macro umbrella only, and where nothing covers it.
+SPOTS = [
+    Point(0.0, 0.0), Point(150.0, 0.0), Point(300.0, 0.0),
+    Point(310.0, 20.0), Point(450.0, 0.0), Point(600.0, 0.0),
+    Point(0.0, -350.0), Point(1300.0, 0.0), Point(9000.0, 0.0),
+]
+
+
+@st.composite
+def flat_runs(draw):
+    sites = draw(st.lists(st.sampled_from(SITES), min_size=1, max_size=5))
+    script = draw(st.lists(st.sampled_from(SPOTS), min_size=1, max_size=24))
+    # Per move, in call order: instant (None) or the simulated seconds
+    # it takes, some longer than a sample period.
+    durations = draw(st.lists(
+        st.sampled_from([None, None, 0.0, 0.25, 0.5, 1.5]),
+        min_size=1, max_size=8,
+    ))
+    period = draw(st.sampled_from([0.5, 1.0]))
+    return sites, script, durations, period
+
+
+def drive(make_controller, sites, script, durations, period):
+    """Run one controller over the script; return its move log and
+    counters once every move has finished."""
+    sim = Simulator()
+    cells = [
+        Cell(f"cell-{index}", center, tier)
+        for index, (center, tier) in enumerate(sites)
+    ]
+    nodes = [SimpleNamespace(name=f"n{index}") for index in range(len(sites))]
+    meter = SignalMeter(PropagationModel(), cells)
+    positions = iter(script)
+    model = SimpleNamespace(
+        speed=0.0, advance=lambda dt: next(positions, SPOTS[-1])
+    )
+    log = []
+
+    def move(*call):
+        log.append((sim.now, *[node.name for node in call]))
+        duration = durations[(len(log) - 1) % len(durations)]
+        if duration is None:
+            return None
+
+        def takes_time():
+            yield sim.timeout(duration)
+
+        return takes_time()
+
+    controller = make_controller(
+        sim, model, nodes, meter, lambda node: move(node), move, period
+    )
+    longest = max(d or 0.0 for d in durations)
+    sim.run(until=(period + longest) * (len(script) + 2))
+    serving = controller.serving.name if controller.serving is not None else None
+    return log, serving, controller.handoffs, controller.handoff_latencies
+
+
+@settings(max_examples=400, deadline=None)
+@given(flat_runs())
+def test_the_one_controller_moves_like_the_flat_reference(run):
+    def reference(sim, model, nodes, meter, attach, handoff, period):
+        return ReferenceFlatController(
+            sim, model, nodes, meter, attach, handoff, period
+        )
+
+    def controller(sim, model, nodes, meter, attach, handoff, period):
+        return MobilityController(
+            sim, model, nodes, meter, DecisionTrace(), STRONGEST_SIGNAL,
+            attach, handoff, period,
+        )
+
+    expected = drive(reference, *run)
+    assert drive(controller, *run) == expected

@@ -86,7 +86,7 @@ def test_pico_added_between_controllers_is_audible_to_the_later_one():
 
     def covering(controller):
         heard = controller.meter.scan(spot, covering=True)
-        return [controller.stations[index] for _rss, index in heard]
+        return [controller.nodes[index] for _rss, index in heard]
 
     assert pico not in covering(early)
     assert pico in covering(late)

@@ -21,12 +21,7 @@ from hypothesis import strategies as st
 import repro.radio.propagation as propagation_module
 import repro.radio.signal as signal_module
 from repro.mobility import Stationary
-from repro.multitier.architecture import (
-    WORLD_BOUNDS,
-    MobilityController,
-    MultiTierWorld,
-)
-from repro.policy import DecisionTrace
+from repro.multitier.architecture import WORLD_BOUNDS, MultiTierWorld
 from repro.radio import Cell, Point, PropagationModel, SignalMeter, Tier
 from repro.scenarios import build_scenario, get_scenario
 
@@ -210,12 +205,11 @@ def test_same_named_cells_map_to_their_own_stations():
     far = world.add_pico("F", "annex", Point(2700, 50))
     near.cell.name = far.cell.name = "cell-duplicate"
     mobile = world.add_mobile("mn")
-    meter = SignalMeter(PropagationModel(), [near.cell, far.cell])
-    controller = MobilityController(
-        world.sim, mobile, Stationary(Point(-2700, 45), WORLD_BOUNDS), [near, far],
-        meter, DecisionTrace(),
+    world.all_radio_stations = lambda: [near, far]  # the meter hears only these
+    controller = world.add_controller(
+        mobile, Stationary(Point(-2700, 45), WORLD_BOUNDS)
     )
     heard = controller.meter.scan(Point(-2700, 45), covering=True)
-    assert [controller.stations[index] for _rss, index in heard] == [near]
+    assert [controller.nodes[index] for _rss, index in heard] == [near]
     world.sim.run(until=2.0)
     assert mobile.serving_bs is near

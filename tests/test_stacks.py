@@ -10,9 +10,9 @@ Pins the stacks refactor's load-bearing guarantees:
   at one seed;
 * one-batch dispatch for ``--stack all`` comparisons, and regrouping
   equal to per-stack replication;
-* the shared skeleton: every stack builds a ``BuiltRun``, a
-  throw-away fifth stack fits in 50 lines, and the flat controller
-  runs a stack's two moves as documented;
+* the shared skeleton: every stack builds a ``BuiltRun`` with a
+  decision trace, a throw-away fifth stack fits in 50 lines, and the
+  one mobility controller runs a flat stack's two moves as documented;
 * the golden regression: ``stack="multitier"`` output byte-identical
   to the committed pre-refactor ``results/scenarios_smoke/`` tables,
   and the baselines' to ``results/stacks_smoke/``;
@@ -32,6 +32,7 @@ from repro.scenarios import (
     get_scenario,
     run_grid,
     run_scenario_spec,
+    scenario_names,
     sweep_curves,
 )
 from repro.stacks import (
@@ -231,11 +232,12 @@ def test_throwaway_fifth_stack_runs_on_the_shared_skeleton():
     import math
     from dataclasses import dataclass
 
+    from repro.mobility.controller import MobilityController
     from repro.net.topology import Network
-    from repro.policy import PolicyConfig
+    from repro.policy import DecisionTrace, PolicyConfig
     from repro.sim.kernel import Simulator
     from repro.stacks import BuiltRun, StackAdapter
-    from repro.stacks.flat import FlatMobilityController, flat_access
+    from repro.stacks.flat import STRONGEST_SIGNAL, flat_access
     from repro.stacks.population import (
         MobileEndpoint, plan_population, wire_population,
     )
@@ -265,16 +267,17 @@ def test_throwaway_fifth_stack_runs_on_the_shared_skeleton():
             plan = plan_population(spec, seed, PolicyConfig())
             sim = Simulator()
             cn = Network(sim, prefix="10.0.0.0/8").host("cn")
-            # The "node" at each site is its name; moving does nothing.
+            # The "node" at each site is the site; moving does nothing.
             nodes, air_cells, meter = flat_access(
-                spec, plan, sim, lambda site, channel: site.name
+                spec, plan, sim, lambda site, channel: site
             )
-            controllers = []
+            trace, controllers = DecisionTrace(), []
 
             def add_mobile(index, kind, model):
-                controllers.append(FlatMobilityController(
-                    sim, model, nodes, meter, lambda node: None,
-                    lambda old, new: None, spec.sample_period,
+                controllers.append(MobilityController(
+                    sim, model, nodes, meter, trace, STRONGEST_SIGNAL,
+                    lambda node: None, lambda old, new: None,
+                    spec.sample_period,
                 ))
                 return MobileEndpoint(
                     lambda packet: True, [], lambda packet: None, cn.address
@@ -286,7 +289,8 @@ def test_throwaway_fifth_stack_runs_on_the_shared_skeleton():
             return BuiltNullRun(
                 spec=spec, seed=seed, sim=sim, population=plan,
                 flow_plans=flow_plans, fluid_driver=fluid_driver,
-                air_cells=air_cells, controllers=controllers,
+                air_cells=air_cells, decision_trace=trace,
+                controllers=controllers,
             )
     # ------------------------------------------------------------------
 
@@ -309,18 +313,29 @@ def test_flat_controller_runs_the_two_moves():
     sample; an instant ``handoff`` (returns ``None``) records latency
     0.0; a ``handoff`` that returns a generator records the simulated
     time it took; a sample with no covering cell does nothing."""
+    from repro.mobility.controller import MobilityController
+    from repro.policy import DecisionTrace
     from repro.radio.cells import Cell, Tier
     from repro.radio.geometry import Point
     from repro.radio.propagation import PropagationModel
     from repro.radio.signal import SignalMeter
     from repro.sim.kernel import Simulator
-    from repro.stacks.flat import FlatMobilityController
+    from repro.stacks.flat import STRONGEST_SIGNAL
+
+    class Node(str):
+        """A node is anything with a ``name``; these compare as it."""
+
+        @property
+        def name(self):
+            return str(self)
 
     a, b, nowhere = Point(0.0, 0.0), Point(2000.0, 0.0), Point(9000.0, 0.0)
     cells = [Cell("cell-a", a, Tier.MICRO), Cell("cell-b", b, Tier.MICRO)]
 
     class Scripted:
         """One scripted position per sample, then nowhere."""
+
+        speed = 0.0
 
         def __init__(self, *positions):
             self.positions = iter(positions)
@@ -338,10 +353,11 @@ def test_flat_controller_runs_the_two_moves():
         moves.append((sim.now, old, new))
         return slow() if new == "a" else None  # the way back takes time
 
-    controller = FlatMobilityController(
+    controller = MobilityController(
         sim, Scripted(nowhere, a, a, b, nowhere, a),
-        ["a", "b"], SignalMeter(PropagationModel(), cells),
-        attached.append, handoff, sample_period=1.0,
+        [Node("a"), Node("b")], SignalMeter(PropagationModel(), cells),
+        DecisionTrace(), STRONGEST_SIGNAL, attached.append, handoff,
+        sample_period=1.0,
     )
     sim.run(until=1.5)  # t=1: nothing covers the mobile
     assert controller.serving is None and attached == []
@@ -355,6 +371,32 @@ def test_flat_controller_runs_the_two_moves():
     assert moves[1:] == [(6.0, "b", "a")] and controller.serving == "a"
     assert controller.handoffs == 2
     assert controller.handoff_latencies == [0.0, 0.25]
+
+
+@pytest.mark.parametrize("stack", ALL_STACKS)
+@pytest.mark.parametrize("name", scenario_names())
+def test_one_controller_per_mobile_and_policy_metrics_only_where_read(
+    name, stack
+):
+    """Every stack's run keeps a decision trace; only the multi-tier
+    stack, which decides with ``spec.policy``, reports ``policy.*`` —
+    a flat stack does not, even under a non-default policy block; and a
+    multi-tier controller's serving node is its mobile's at drain end."""
+    from repro.policy import DecisionTrace, PolicyConfig
+    from repro.scenarios import build_scenario
+
+    spec = _smoke(name, stack)
+    if stack != DEFAULT_STACK:
+        spec = spec.replace(policy=PolicyConfig(mode="always-micro"))
+    built = build_scenario(spec, seed=1)
+    metrics = built.execute()
+    assert isinstance(built.decision_trace, DecisionTrace)
+    if stack == DEFAULT_STACK:
+        assert len(built.controllers) == len(built.mobiles) == spec.population
+        for controller, mobile in zip(built.controllers, built.mobiles):
+            assert controller.serving is mobile.serving_bs
+    else:
+        assert not [key for key in metrics if key.startswith("policy.")]
 
 
 @pytest.mark.parametrize("stack", ["cellularip", "mobileip"])
@@ -794,6 +836,21 @@ def test_cli_stack_all_writes_comparison_table(capsys, tmp_path):
     written = tmp_path / "scenario_sparse-rural_stacks.txt"
     assert written.exists()
     assert written.read_text().strip() in out
+
+
+def test_cli_stack_all_traces_decisions_once_per_stack(capsys):
+    from repro.cli import main
+
+    argv = [
+        "scenario", "run", "campus-dense", "--smoke",
+        "--stack", "all", "--trace-decisions",
+    ]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "ignored" not in out
+    assert out.count("decision trace: ") == len(ALL_STACKS)
+    for stack in ALL_STACKS:
+        assert f"decision trace: campus-dense ({stack}) seed 1:" in out
 
 
 def test_cli_single_baseline_stack_names_stack_in_title(capsys, tmp_path):
