@@ -8,15 +8,15 @@ the reproduction of the paper's headline claims.
 Run:  python examples/multimedia_streaming.py
 """
 
-from repro.experiments.baselines import SCHEMES
+from repro.experiments.baselines import SCHEMES, roam
 from repro.metrics import format_table
 
 
 def main() -> None:
     print("Streaming 200 kbit/s CBR to a mobile doing 6 handoffs (2 s apart)\n")
     rows = []
-    for name, runner in SCHEMES.items():
-        metrics = runner(seed=1, handoffs=6, handoff_interval=2.0, duration=16.0)
+    for name, scheme in SCHEMES.items():
+        metrics = roam(scheme(), handoffs=6, handoff_interval=2.0, duration=16.0)
         rows.append(
             [
                 name,

@@ -16,8 +16,11 @@ is a scenario function + one ``sweep`` call + a registry line:
   figure's axis, or the label of a row in a case / scheme table), runs
   it and returns plain metrics.  The shared pieces live in
   :mod:`~repro.experiments.baselines`: the small worlds, the downlink
-  probe ``cbr_to_mobile(world, mn, rate_bps, duration)`` and the
-  scripted mover ``scripted_handoffs(sim, interval, targets, handoff)``.
+  probe ``cbr_to_mobile(world, mn, rate_bps, duration)``, the scripted
+  mover ``scripted_handoffs(sim, interval, targets, handoff)`` and the
+  one scripted roam ``roam(scheme, handoffs, handoff_interval,
+  duration)`` over a scheme's world and move (``SCHEMES``, or
+  ``multitier_scheme(world, cells)`` at given stations).
 * :func:`~repro.experiments.runner.sweep` — runs the whole
   (x, seed) grid as ONE backend batch and is the only place an
   :class:`~repro.experiments.runner.ExperimentResult` is assembled;
@@ -32,14 +35,13 @@ An E8-shaped table — interruption per handoff target, per seed::
     def _e12_scenario(label, seed, handoff_at):
         world = MultiTierWorld()
         d1 = world.domain1
-        mn, source, sink = baselines.handoff_under_stream(
-            world, d1["F"], d1[_E12_TARGETS[label]],
-            handoff_at=handoff_at, stream_s=4.0, until=8.0,
+        scheme = baselines.multitier_scheme(
+            world, [d1["F"], d1[_E12_TARGETS[label]]]
         )
-        return {"gap": sink.max_gap(),
-                "loss_rate": sink.loss_rate(source.packets_sent)}
+        metrics = baselines.roam(scheme, 1, handoff_at, 4.0, drain=3.0)
+        return {"gap": metrics["max_gap"], "loss_rate": metrics["loss_rate"]}
 
-    def experiment_e12(seeds=DEFAULT_SEEDS, handoff_at=1.5, backend=None):
+    def experiment_e12(seeds=ONE_SEED, handoff_at=1.5, backend=None):
         "E12: interruption by handoff target."
         return sweep(
             "E12", "E12: interruption by handoff target", "target",

@@ -9,7 +9,7 @@ from typing import Iterable, Optional
 
 from repro.analysis import erlang_b, guard_channel_blocking
 from repro.experiments import baselines
-from repro.experiments.baselines import DEFAULT_SEEDS
+from repro.experiments.baselines import DEFAULT_SEEDS, ONE_SEED
 from repro.experiments.exec import ExecutionBackend
 from repro.experiments.runner import ExperimentResult, sweep
 from repro.metrics.tables import diff_counts
@@ -198,7 +198,7 @@ def experiment_t1(
 # T2 — scaling: hierarchy vs flat central registration
 # ----------------------------------------------------------------------
 def experiment_t2(
-    seeds: Iterable[int] = (1,),
+    seeds: Iterable[int] = ONE_SEED,
     mobile_counts=(8, 16, 32, 64),
     duration: float = 20.0,
     backend: Optional[ExecutionBackend] = None,
@@ -324,21 +324,21 @@ def _ab1_scenario(size: int, seed: int, home_delay: float) -> dict[str, float]:
         home_delay=home_delay,
         domain_kwargs={"buffer_size": size},
     )
-    _mn, source, sink = baselines.handoff_under_stream(
-        world, world.domain1["F"], world.domain2["G"],
-        handoff_at=2.0, stream_s=6.0, until=12.0,
+    metrics = baselines.roam(
+        baselines.multitier_scheme(world, [world.domain1["F"], world.domain2["G"]]),
+        1, 2.0, 6.0, drain=5.0,
     )
     rsmc1 = world.domain1.rsmc
     return {
-        "loss_rate": sink.loss_rate(source.packets_sent),
-        "max_gap": sink.max_gap(),
+        "loss_rate": metrics["loss_rate"],
+        "max_gap": metrics["max_gap"],
         "buffered": float(rsmc1.buffered_packets),
         "overflows": float(rsmc1.buffer_overflows),
     }
 
 
 def ablation_buffer_size(
-    seeds: Iterable[int] = DEFAULT_SEEDS,
+    seeds: Iterable[int] = ONE_SEED,
     buffer_sizes=(1, 2, 4, 8, 32),
     home_delay: float = 0.100,
     backend: Optional[ExecutionBackend] = None,
@@ -391,7 +391,7 @@ def _ab2_scenario(
 
 
 def ablation_record_lifetime(
-    seeds: Iterable[int] = DEFAULT_SEEDS,
+    seeds: Iterable[int] = ONE_SEED,
     lifetime_ratios=(1.2, 2.0, 4.0, 8.0),
     update_period: float = 1.0,
     duration: float = 20.0,

@@ -1,29 +1,34 @@
-"""The comparable mobility schemes for the headline experiments (E8 and
-E8b, paper Fig 4.1) and the scenario pieces every E-series table is
-built from: the downlink probe (:func:`cbr_to_mobile`), the scripted
-mover (:func:`scripted_handoffs`) and the small worlds.
+"""The scenario pieces every E-series table is built from — the downlink
+probes (:func:`cbr_stream`, :func:`cbr_to_mobile`), the scripted mover
+(:func:`scripted_handoffs`) and the small worlds — and the comparable
+mobility schemes of the headline experiments (E8 and E8b, paper
+Fig 4.1).
 
-Each ``run_*`` function builds its own world, streams a downlink flow
-from a correspondent to one mobile while the mobile performs a fixed
-schedule of handoffs, and returns a metric dict.  The CBR runs share
+A scheme is a builder that returns a :class:`Scheme`: the simulator,
+the downlink entry (``send``, the correspondent ``cn``, the destination
+``dst``), the attached mobile, the cells it tours from ``cells[0]`` and
+its ``move(target)``.  :func:`roam` is the one script every scheme runs
+under: stream from t = 1 s, move round the cells every
+``handoff_interval`` seconds, drain, and return the probe's metrics —
+for the CBR probe
 
-``loss_rate, mean_delay, jitter, max_gap, duplicates, handoff_count``
+``loss_rate, lost, mean_delay, jitter, max_gap, duplicates, received,
+sent, handoff_count``
 
-* ``run_mobileip``   — plain Mobile IP, one FA per cell, every move is
-  a full home registration (losses during the registration RTT).
-* ``run_cip_hard``   — flat Cellular IP, hard handoff.
-* ``run_cip_semisoft`` — flat Cellular IP, semisoft handoff.
-* ``run_multitier_rsmc`` — the paper's scheme.
+* :func:`mobileip_scheme` — plain Mobile IP, one FA per cell, every move
+  is a full home registration (losses during the registration RTT).
+* :func:`cip_scheme` — flat Cellular IP, hard or semisoft handoff.
+* :func:`multitier_scheme` — the paper's scheme; it also attaches at a
+  given station of a caller's world (E5/E6, E7, AB1).
 
-``run_elastic`` roams the same Cellular IP and multi-tier worlds under
-a TCP-like AIMD flow instead (E8b).
+E8b roams the last three under a TCP-like AIMD flow instead.
 """
 
 from __future__ import annotations
 
 import inspect
 from functools import partial
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from repro.cellularip import CIPBaseStation, CIPDomain, CIPGateway, CIPMobileHost
 from repro.mobileip import ForeignAgent, HomeAgent, MobileIPNode, install_home_prefix_routes
@@ -32,8 +37,12 @@ from repro.net import Network, Router, ip
 from repro.sim import Simulator
 from repro.traffic import CBRSource, ElasticSource, FlowSink, make_ack_hook
 
-#: Seeds every E-series experiment replicates over unless told otherwise.
+#: Seeds an E-series experiment that draws a random stream replicates over.
 DEFAULT_SEEDS = (1, 2, 3)
+
+#: The seed of an experiment that draws no random stream: every seed
+#: runs the same world, so one run is the whole replication.
+ONE_SEED = (1,)
 
 #: Stream parameters shared by every scheme in E8.
 DEFAULT_RATE_BPS = 200e3
@@ -41,7 +50,7 @@ DEFAULT_PACKET_SIZE = 500
 
 
 # ----------------------------------------------------------------------
-# The downlink probe and the scripted mover
+# The downlink probes and the scripted mover
 # ----------------------------------------------------------------------
 def measured(sim: Simulator, hooks: list, source) -> tuple:
     """Start ``source`` with a sink for its flow attached via ``hooks``."""
@@ -104,27 +113,6 @@ def scripted_handoffs(sim: Simulator, interval: float, targets, handoff) -> list
     return outcomes
 
 
-def _round_robin(cells: list, handoffs: int) -> list:
-    """The cells a roaming mobile that starts in ``cells[0]`` visits."""
-    return [cells[(index + 1) % len(cells)] for index in range(handoffs)]
-
-
-def handoff_under_stream(
-    world: MultiTierWorld, start, target, handoff_at: float,
-    stream_s: float, until: float,
-):
-    """One scripted handoff ``start`` -> ``target`` while a 200 kbit/s
-    stream flows to the mobile; returns ``(mn, source, sink)``."""
-    sim = world.sim
-    mn = world.add_mobile("mn")
-    assert mn.initial_attach(start)
-    sim.run(until=1.0)
-    source, sink = cbr_to_mobile(world, mn, DEFAULT_RATE_BPS, stream_s)
-    scripted_handoffs(sim, handoff_at, [target], mn.perform_handoff)
-    sim.run(until=until)
-    return mn, source, sink
-
-
 def location_load(count: int, seed: int, duration: float) -> dict[str, float]:
     """``count`` stationary mobiles refreshing their location records in
     the Fig 3.1 hierarchy for ``duration`` seconds (E4 and T2)."""
@@ -156,7 +144,52 @@ def location_load(count: int, seed: int, duration: float) -> dict[str, float]:
     }
 
 
-def _metrics(source: CBRSource, sink: FlowSink, handoffs: int) -> dict[str, float]:
+# ----------------------------------------------------------------------
+# One scheme = one world and its move; one roam drives them all
+# ----------------------------------------------------------------------
+class Scheme(NamedTuple):
+    """What :func:`roam` needs of one scheme's world."""
+
+    sim: Simulator
+    #: Injects a downlink packet at the correspondent's side.
+    send: Callable
+    cn: object
+    dst: object
+    mn: object
+    #: The cells the mobile tours; it is attached at ``cells[0]``.
+    cells: list
+    #: ``move(target)``: one handoff, a value or a generator procedure.
+    move: Callable
+
+
+def roam(
+    scheme: Scheme,
+    handoffs: int,
+    handoff_interval: float,
+    duration: float,
+    drain: float = 4.0,
+    elastic: bool = False,
+) -> dict[str, float]:
+    """Stream to ``scheme``'s mobile from t = 1 s for ``duration``
+    seconds while it makes ``handoffs`` moves round its cells, one every
+    ``handoff_interval`` seconds; run ``drain`` seconds more and return
+    the CBR probe's metrics, or with ``elastic`` the AIMD flow's (its
+    acks travel the real uplink as packets; nothing is short-circuited)."""
+    sim, cells = scheme.sim, scheme.cells
+    sim.run(until=1.0)
+    source, sink = (elastic_stream if elastic else cbr_stream)(
+        sim, scheme.send, scheme.cn, scheme.mn, scheme.dst, duration
+    )
+    targets = [cells[(index + 1) % len(cells)] for index in range(handoffs)]
+    scripted_handoffs(sim, handoff_interval, targets, scheme.move)
+    sim.run(until=1.0 + duration + drain)
+    if elastic:
+        return {
+            "goodput_bps": sink.bytes_received * 8.0 / duration,
+            "lossy_windows": float(source.windows_lossy),
+            "clean_windows": float(source.windows_clean),
+            "final_window": source.window,
+        }
     return {
         "loss_rate": sink.loss_rate(source.packets_sent),
         "lost": float(sink.lost(source.packets_sent)),
@@ -202,28 +235,9 @@ def build_mobileip_world(
     return sim, core, cn, agents, mn
 
 
-def run_mobileip(
-    seed: int = 0,
-    handoffs: int = 6,
-    handoff_interval: float = 2.0,
-    duration: float = 16.0,
-    home_delay: float = 0.025,
-    rate_bps: float = DEFAULT_RATE_BPS,
-    packet_size: int = DEFAULT_PACKET_SIZE,
-) -> dict[str, float]:
-    """One FA per cell; every cell change re-registers with the HA."""
-    sim, core, cn, agents, mn = build_mobileip_world(4, home_delay, 0.005, 0.005)
-    sim.run(until=1.0)
-
-    source, sink = measured(
-        sim,
-        mn.on_data,
-        CBRSource(
-            sim, lambda packet: core.receive(packet) or True,
-            cn.address, mn.home_address,
-            rate_bps=rate_bps, packet_size=packet_size, duration=duration,
-        ),
-    )
+def mobileip_scheme() -> Scheme:
+    """Four FAs, one per cell; every cell change re-registers with the HA."""
+    sim, core, cn, agents, mn = build_mobileip_world(4, 0.025, 0.005, 0.005)
     serving = agents[0]
 
     def reattach(new):
@@ -232,9 +246,10 @@ def run_mobileip(
         new.attach_mobile(mn)
         serving = new
 
-    scripted_handoffs(sim, handoff_interval, _round_robin(agents, handoffs), reattach)
-    sim.run(until=1.0 + duration + 4.0)
-    return _metrics(source, sink, handoffs)
+    return Scheme(
+        sim, lambda packet: core.receive(packet) or True,
+        cn, mn.home_address, mn, agents, reattach,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -283,131 +298,42 @@ def build_cip_world(
     return sim, domain, gw, leaves, internet, cn, mn
 
 
-def _roam_cip(semisoft: bool, handoffs, handoff_interval, duration, open_stream):
-    """Roam the four CIP leaves under ``open_stream``'s flow."""
-    sim, domain, gw, leaves, internet, cn, mn = build_cip_world()
+def cip_scheme(semisoft: bool) -> Scheme:
+    """The four CIP leaves, toured with semisoft or hard handoffs."""
+    sim, _domain, _gw, leaves, internet, cn, mn = build_cip_world()
     mn.attach_to(leaves[0])
-    sim.run(until=1.0)
-    source, sink = open_stream(
+    return Scheme(
         sim, lambda packet: internet.receive(packet) or True,
-        cn, mn, mn.address, duration,
-    )
-    scripted_handoffs(
-        sim, handoff_interval, _round_robin(leaves, handoffs),
+        cn, mn.address, mn, leaves,
         mn.handoff_semisoft if semisoft else mn.handoff_hard,
     )
-    sim.run(until=1.0 + duration + 4.0)
-    return source, sink
-
-
-def _run_cip(
-    semisoft: bool,
-    seed: int = 0,
-    handoffs: int = 6,
-    handoff_interval: float = 2.0,
-    duration: float = 16.0,
-    rate_bps: float = DEFAULT_RATE_BPS,
-    packet_size: int = DEFAULT_PACKET_SIZE,
-) -> dict[str, float]:
-    source, sink = _roam_cip(
-        semisoft, handoffs, handoff_interval, duration,
-        partial(cbr_stream, rate_bps=rate_bps, packet_size=packet_size),
-    )
-    return _metrics(source, sink, handoffs)
-
-
-run_cip_hard = partial(_run_cip, False)
-run_cip_semisoft = partial(_run_cip, True)
 
 
 # ----------------------------------------------------------------------
 # Scheme 4: the paper's multi-tier + RSMC
 # ----------------------------------------------------------------------
-def _roam_multitier(handoffs, handoff_interval, duration, open_stream, **world_kwargs):
-    """Roam cells B, C, E, F of the Fig 3.1 domain under ``open_stream``'s flow."""
-    world = MultiTierWorld(**world_kwargs)
-    sim = world.sim
-    d1 = world.domain1
-    cells = [d1["B"], d1["C"], d1["E"], d1["F"]]
+def multitier_scheme(
+    world: Optional[MultiTierWorld] = None, cells: Optional[list] = None
+) -> Scheme:
+    """A mobile attached at ``cells[0]`` of ``world``; by default a fresh
+    Fig 3.1 world and its cells B, C, E, F."""
+    if world is None:
+        world = MultiTierWorld()
+    if cells is None:
+        d1 = world.domain1
+        cells = [d1["B"], d1["C"], d1["E"], d1["F"]]
     mn = world.add_mobile("mn")
     assert mn.initial_attach(cells[0])
-    sim.run(until=1.0)
-    source, sink = open_stream(
-        sim, world.cn.send, world.cn, mn, mn.home_address, duration
+    return Scheme(
+        world.sim, world.cn.send, world.cn, mn.home_address, mn, cells,
+        mn.perform_handoff,
     )
-    scripted_handoffs(
-        sim, handoff_interval, _round_robin(cells, handoffs), mn.perform_handoff
-    )
-    sim.run(until=1.0 + duration + 4.0)
-    return source, sink, world, mn
 
 
-def run_multitier_rsmc(
-    seed: int = 0,
-    handoffs: int = 6,
-    handoff_interval: float = 2.0,
-    duration: float = 16.0,
-    home_delay: float = 0.025,
-    rate_bps: float = DEFAULT_RATE_BPS,
-    packet_size: int = DEFAULT_PACKET_SIZE,
-    domain_kwargs: Optional[dict] = None,
-) -> dict[str, float]:
-    source, sink, world, mn = _roam_multitier(
-        handoffs, handoff_interval, duration,
-        partial(cbr_stream, rate_bps=rate_bps, packet_size=packet_size),
-        home_delay=home_delay, domain_kwargs=domain_kwargs,
-    )
-    metrics = _metrics(source, sink, handoffs)
-    metrics["buffered"] = float(world.domain1.rsmc.buffered_packets)
-    metrics["handoff_latency"] = (
-        sum(mn.handoff_latencies) / len(mn.handoff_latencies)
-        if mn.handoff_latencies
-        else float("nan")
-    )
-    return metrics
-
-
-def run_elastic(
-    roam,
-    seed: int = 0,
-    handoffs: int = 6,
-    handoff_interval: float = 2.0,
-    duration: float = 16.0,
-) -> dict[str, float]:
-    """Roam one of the worlds above under a TCP-like AIMD flow whose acks
-    travel the real uplink as packets; nothing is short-circuited."""
-    source, sink = roam(handoffs, handoff_interval, duration, elastic_stream)[:2]
-    return {
-        "goodput_bps": sink.bytes_received * 8.0 / duration,
-        "lossy_windows": float(source.windows_lossy),
-        "clean_windows": float(source.windows_clean),
-        "final_window": source.window,
-    }
-
-
-#: Registry used by E8 and the examples.
+#: The four schemes of Fig 4.1 (E8); E8b roams the last three.
 SCHEMES = {
-    "mobile-ip": run_mobileip,
-    "cip-hard": run_cip_hard,
-    "cip-semisoft": run_cip_semisoft,
-    "multitier-rsmc": run_multitier_rsmc,
+    "mobile-ip": mobileip_scheme,
+    "cip-hard": partial(cip_scheme, False),
+    "cip-semisoft": partial(cip_scheme, True),
+    "multitier-rsmc": multitier_scheme,
 }
-
-#: The loss-sensitive subset E8b runs under elastic traffic.
-ELASTIC_SCHEMES = {
-    "cip-hard": partial(run_elastic, partial(_roam_cip, False)),
-    "cip-semisoft": partial(run_elastic, partial(_roam_cip, True)),
-    "multitier-rsmc": partial(run_elastic, _roam_multitier),
-}
-
-
-def run_scheme(name: str, seed: int = 0, **kwargs) -> dict[str, float]:
-    """Run one named scheme — the execution-engine job entry point used
-    by E8's scheme-comparison grid."""
-    try:
-        runner = SCHEMES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scheme {name!r}; available: {', '.join(SCHEMES)}"
-        ) from None
-    return runner(seed, **kwargs)

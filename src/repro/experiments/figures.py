@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 from repro.cellularip import CIPMobileHost
 from repro.experiments import baselines
-from repro.experiments.baselines import DEFAULT_SEEDS
+from repro.experiments.baselines import DEFAULT_SEEDS, ONE_SEED
 from repro.experiments.exec import ExecutionBackend
 from repro.experiments.runner import ExperimentResult, sweep
 from repro.multitier.architecture import MultiTierWorld
@@ -67,7 +67,7 @@ def _e1_scenario(delay: float, seed: int) -> dict[str, float]:
 
 
 def experiment_e1(
-    seeds: Iterable[int] = DEFAULT_SEEDS,
+    seeds: Iterable[int] = ONE_SEED,
     backbone_delays=(0.005, 0.010, 0.025, 0.050, 0.100),
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
@@ -122,7 +122,7 @@ def _e2_scenario(
 
 
 def experiment_e2(
-    seeds: Iterable[int] = DEFAULT_SEEDS,
+    seeds: Iterable[int] = ONE_SEED,
     update_periods=(0.25, 0.5, 1.0, 2.0, 4.0),
     route_timeout: float = 1.5,
     duration: float = 30.0,
@@ -148,13 +148,11 @@ def experiment_e2(
 # E3 — Fig 2.4: Cellular IP hard vs semisoft handoff
 # ----------------------------------------------------------------------
 def _e3_scenario(interval: float, seed: int, duration: float) -> dict[str, float]:
-    schedule = dict(
-        handoffs=int(duration / interval) - 1,
-        handoff_interval=interval,
-        duration=duration,
+    handoffs = int(duration / interval) - 1
+    hard, semisoft = (
+        baselines.roam(baselines.cip_scheme(semisoft), handoffs, interval, duration)
+        for semisoft in (False, True)
     )
-    hard = baselines.run_cip_hard(seed, **schedule)
-    semisoft = baselines.run_cip_semisoft(seed, **schedule)
     return {
         "hard_loss_rate": hard["loss_rate"],
         "semisoft_loss_rate": semisoft["loss_rate"],
@@ -164,7 +162,7 @@ def _e3_scenario(interval: float, seed: int, duration: float) -> dict[str, float
 
 
 def experiment_e3(
-    seeds: Iterable[int] = DEFAULT_SEEDS,
+    seeds: Iterable[int] = ONE_SEED,
     handoff_intervals=(0.5, 1.0, 2.0, 4.0),
     duration: float = 16.0,
     backend: Optional[ExecutionBackend] = None,
@@ -193,7 +191,7 @@ def experiment_e3(
 # E4 — Fig 3.1: hierarchical location management
 # ----------------------------------------------------------------------
 def experiment_e4(
-    seeds: Iterable[int] = DEFAULT_SEEDS,
+    seeds: Iterable[int] = ONE_SEED,
     mobile_counts=(4, 8, 16, 32),
     duration: float = 20.0,
     backend: Optional[ExecutionBackend] = None,
@@ -226,12 +224,11 @@ def _interdomain_handoff(different_upper: bool, home_delay: float) -> dict[str, 
     world = MultiTierWorld(second_domain=True, home_delay=home_delay)
     d1, d2 = world.domain1, world.domain2
     start, target = (d1["F"], d2["G"]) if different_upper else (d1["C"], d1["E"])
-    mn, _source, sink = baselines.handoff_under_stream(
-        world, start, target, handoff_at=2.0, stream_s=6.0, until=12.0
-    )
+    scheme = baselines.multitier_scheme(world, [start, target])
+    metrics = baselines.roam(scheme, 1, 2.0, 6.0, drain=5.0)
     return {
-        "latency": _first(mn.handoff_latencies),
-        "gap": sink.max_gap(),
+        "latency": _first(scheme.mn.handoff_latencies),
+        "gap": metrics["max_gap"],
         "ha_involved": 1.0 if world.ha.registrations_accepted > 1 else 0.0,
     }
 
@@ -249,7 +246,7 @@ def _e5_e6_scenario(home_delay: float, seed: int) -> dict[str, float]:
 
 
 def experiment_e5_e6(
-    seeds: Iterable[int] = DEFAULT_SEEDS,
+    seeds: Iterable[int] = ONE_SEED,
     home_delays=(0.010, 0.025, 0.050, 0.100),
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
@@ -288,18 +285,17 @@ _E7_CASES = {
 def _e7_scenario(case: str, seed: int) -> dict[str, float]:
     world = MultiTierWorld()
     start, target = (world.domain1[name] for name in _E7_CASES[case])
-    mn, source, sink = baselines.handoff_under_stream(
-        world, start, target, handoff_at=1.5, stream_s=4.0, until=8.0
-    )
+    scheme = baselines.multitier_scheme(world, [start, target])
+    metrics = baselines.roam(scheme, 1, 1.5, 4.0, drain=3.0)
     return {
-        "latency": _first(mn.handoff_latencies),
-        "interruption": sink.max_gap(),
-        "loss_rate": sink.loss_rate(source.packets_sent),
+        "latency": _first(scheme.mn.handoff_latencies),
+        "interruption": metrics["max_gap"],
+        "loss_rate": metrics["loss_rate"],
     }
 
 
 def experiment_e7(
-    seeds: Iterable[int] = DEFAULT_SEEDS,
+    seeds: Iterable[int] = ONE_SEED,
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
     """Fig 3.4: the three intra-domain handoff cases (latency, interruption, loss)."""
@@ -359,7 +355,7 @@ def _e7b_scenario(load: int, seed: int, channels: int) -> dict[str, float]:
 
 
 def experiment_e7_blocking(
-    seeds: Iterable[int] = DEFAULT_SEEDS,
+    seeds: Iterable[int] = ONE_SEED,
     offered_loads=(4, 8, 12, 16, 20),
     channels: int = 8,
     backend: Optional[ExecutionBackend] = None,
@@ -383,8 +379,12 @@ def experiment_e7_blocking(
 # ----------------------------------------------------------------------
 # E8 — Fig 4.1: the headline scheme comparison
 # ----------------------------------------------------------------------
+def _e8_scenario(scheme: str, seed: int, **schedule) -> dict[str, float]:
+    return baselines.roam(baselines.SCHEMES[scheme](), **schedule)
+
+
 def experiment_e8(
-    seeds: Iterable[int] = DEFAULT_SEEDS,
+    seeds: Iterable[int] = ONE_SEED,
     handoffs: int = 6,
     handoff_interval: float = 2.0,
     duration: float = 16.0,
@@ -398,7 +398,7 @@ def experiment_e8(
         "scheme",
         list(baselines.SCHEMES),
         partial(
-            baselines.run_scheme,
+            _e8_scenario,
             handoffs=handoffs,
             handoff_interval=handoff_interval,
             duration=duration,
@@ -422,12 +422,8 @@ def experiment_e8(
 # ----------------------------------------------------------------------
 # E8b — elastic (TCP-like) traffic under handoffs, per scheme
 # ----------------------------------------------------------------------
-def _e8b_scenario(scheme: str, seed: int, **schedule) -> dict[str, float]:
-    return baselines.ELASTIC_SCHEMES[scheme](seed, **schedule)
-
-
 def experiment_e8b(
-    seeds: Iterable[int] = DEFAULT_SEEDS,
+    seeds: Iterable[int] = ONE_SEED,
     handoffs: int = 6,
     handoff_interval: float = 2.0,
     duration: float = 16.0,
@@ -446,12 +442,13 @@ def experiment_e8b(
         "E8b: elastic (AIMD) traffic under handoffs, "
         f"{handoffs} handoffs @ {handoff_interval}s",
         "scheme",
-        list(baselines.ELASTIC_SCHEMES),
+        list(baselines.SCHEMES)[1:],
         partial(
-            _e8b_scenario,
+            _e8_scenario,
             handoffs=handoffs,
             handoff_interval=handoff_interval,
             duration=duration,
+            elastic=True,
         ),
         seeds,
         ["goodput_bps", "lossy_windows", "final_window"],
@@ -513,7 +510,7 @@ def _e10_scenario(count: int, seed: int, duration: float) -> dict[str, float]:
 
 
 def experiment_e10(
-    seeds: Iterable[int] = DEFAULT_SEEDS,
+    seeds: Iterable[int] = ONE_SEED,
     mobile_counts=(2, 4, 8, 16),
     duration: float = 30.0,
     backend: Optional[ExecutionBackend] = None,

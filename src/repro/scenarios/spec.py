@@ -154,8 +154,11 @@ class ScenarioSpec:
         Keyword overrides forwarded to every
         :class:`~repro.multitier.domain.MultiTierDomain` (e.g.
         ``{"wired_bandwidth": 6e6}`` to choke the backhaul).  Baseline
-        stacks map the keys they share (wired/wireless link knobs) and
-        ignore the multi-tier-specific rest.
+        stacks map the keys they read — the wired/wireless link knobs,
+        and under Cellular IP also its own timers (``route_timeout``,
+        ``semisoft_delay``, ...) — and skip the multi-tier-only rest.
+        A key neither the spec's stack nor the multi-tier domain reads
+        fails at construction.
     stack:
         The protocol stack the scenario runs under: the name of a
         registered :class:`~repro.stacks.base.StackAdapter`
@@ -296,6 +299,8 @@ class ScenarioSpec:
                 f"{self.name}: unknown stack {self.stack!r}; "
                 f"registered: {', '.join(stack_names())}"
             )
+        if self.domain_overrides:
+            self._check_override_keys()
         if isinstance(self.policy, Mapping):
             policy = _coerce_block(f"{self.name}: policy", self.policy, PolicyConfig)
             object.__setattr__(self, "policy", policy)
@@ -346,6 +351,23 @@ class ScenarioSpec:
     def hotspot_count(self) -> int:
         """Number of hotspot mobiles: ``ceil(fraction * population)``."""
         return int(math.ceil(self.hotspot_fraction * self.population))
+
+    def _check_override_keys(self) -> None:
+        """Reject a ``domain_overrides`` key that neither the spec's
+        stack nor the multi-tier domain reads, in one line."""
+        from repro.multitier.domain import OVERRIDE_KEYS
+        from repro.stacks.registry import get_stack
+
+        for key in self.domain_overrides:
+            if key in OVERRIDE_KEYS:
+                continue
+            own = get_stack(self.stack).override_keys
+            if key not in own:
+                raise ValueError(
+                    f"{self.name}: unknown domain override key {key!r} "
+                    f"under stack {self.stack!r}; known: "
+                    f"{', '.join(sorted({*own, *OVERRIDE_KEYS}))}"
+                )
 
     def channels_enabled(self) -> bool:
         """True when the shared air interface contends (either channel

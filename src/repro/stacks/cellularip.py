@@ -52,13 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only (import cycle)
 #: Internet routes it wholesale to the gateway.
 MOBILE_PREFIX = "10.200.0.0/16"
 
-#: ``ScenarioSpec.domain_overrides`` keys that translate directly onto
-#: :class:`~repro.cellularip.base_station.CIPDomain` parameters (the
-#: shared wired/wireless link knobs plus CIP's own timers).
-_CIP_DOMAIN_PARAMS = frozenset(
-    inspect.signature(CIPDomain.__init__).parameters
-) - {"self", "sim"}
-
 
 @dataclass(kw_only=True)
 class BuiltCIPScenario(BuiltRun):
@@ -117,6 +110,11 @@ class CellularIPStack(StackAdapter):
         "semisoft handoff, no tier policy"
     )
     metric_namespace = "cip"
+    #: The :class:`~repro.cellularip.base_station.CIPDomain` parameters:
+    #: the shared wired/wireless link knobs plus CIP's own timers.
+    override_keys = frozenset(
+        inspect.signature(CIPDomain.__init__).parameters
+    ) - {"self", "sim"}
     #: Semisoft (dual-path) handoff, or hard break-then-make.
     semisoft = True
 
@@ -131,7 +129,7 @@ class CellularIPStack(StackAdapter):
         """
         plan = plan_population(spec, seed, PolicyConfig())
         sim = Simulator()
-        domain = CIPDomain(sim, **flat_overrides(spec, _CIP_DOMAIN_PARAMS))
+        domain = CIPDomain(sim, **flat_overrides(spec, self.override_keys))
         network = Network(sim, prefix="10.0.0.0/8")
         gateway = CIPGateway(
             sim, "gw", network.allocator.allocate(), domain,
@@ -205,7 +203,7 @@ class CellularIPStack(StackAdapter):
             features.append("single flat tree spans both domains' sites")
         if spec.pico_cells > 0:
             features.append(f"pico sites in the access tree ({spec.pico_cells})")
-        mapped = sorted(flat_overrides(spec, _CIP_DOMAIN_PARAMS))
+        mapped = sorted(flat_overrides(spec, self.override_keys))
         if mapped:
             features.append("domain overrides mapped: " + ", ".join(mapped))
         return features

@@ -11,7 +11,8 @@ access node per site, and each mobile's
 decision is compared against).  A flat stack supplies only the node it
 places at a site and its two moves, ``attach(node)`` and
 ``handoff(old, new)``, which never refuse; :func:`flat_overrides` picks
-the ``domain_overrides`` it maps and rejects a key no stack reads.
+the ``domain_overrides`` it maps (the spec has already rejected a key
+no stack reads).
 
 Determinism: the layout is a pure function of ``(spec, starts,
 assignments)``; the controller samples the (seeded) mobility model on a
@@ -26,7 +27,6 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Callable, Collection, Optional
 
 from repro.multitier.architecture import DOMAIN_SITES, PICO_LEAVES, Site
-from repro.multitier.domain import OVERRIDE_KEYS
 from repro.policy.decider import TierDecider
 from repro.radio.cells import Tier
 from repro.radio.geometry import Point
@@ -94,19 +94,10 @@ def flat_cell_layout(
 
 
 def flat_overrides(spec: "ScenarioSpec", own: Collection[str]) -> dict:
-    """The ``spec.domain_overrides`` a flat stack maps: the keys in ``own``.
-
-    A key outside ``own`` that the multi-tier domain reads is skipped
-    here; a key neither reads is a typo, and raises a one-line
-    :class:`ValueError` naming it rather than letting the run finish
-    unchoked with a normal-looking table.
-    """
-    for key in spec.domain_overrides:
-        if key not in own and key not in OVERRIDE_KEYS:
-            raise ValueError(
-                f"{spec.name}: unknown domain override key {key!r}; "
-                f"known: {', '.join(sorted({*own, *OVERRIDE_KEYS}))}"
-            )
+    """The ``spec.domain_overrides`` a flat stack maps: the keys in
+    ``own``.  The rest are multi-tier-only keys, skipped here
+    (:class:`~repro.scenarios.spec.ScenarioSpec` rejects any other key
+    at construction)."""
     return {
         key: value
         for key, value in spec.domain_overrides.items()

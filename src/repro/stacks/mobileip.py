@@ -125,6 +125,7 @@ class MobileIPStack(StackAdapter):
         "registration per move, HA tunnel triangle"
     )
     metric_namespace = "mip"
+    override_keys = frozenset(_LINK_DEFAULTS)
 
     def build(self, spec: ScenarioSpec, seed: int) -> BuiltMIPScenario:
         """Assemble the flat Mobile IP world for one ``(spec, seed)``.
@@ -150,7 +151,7 @@ class MobileIPStack(StackAdapter):
         network.connect(home_agent, core, delay=_HOME_DELAY)
         network.connect(cn, core, delay=_INTERNET_DELAY)
 
-        links = {**_LINK_DEFAULTS, **flat_overrides(spec, _LINK_DEFAULTS)}
+        links = {**_LINK_DEFAULTS, **flat_overrides(spec, self.override_keys)}
 
         def place(site, channel) -> ForeignAgent:
             agent = ForeignAgent(
@@ -220,7 +221,7 @@ class MobileIPStack(StackAdapter):
             features.append(f"pico-site FAs ({spec.pico_cells})")
         if spec.channels_enabled():
             features.append("uplink registration traffic contends for airtime")
-        mapped = sorted(flat_overrides(spec, _LINK_DEFAULTS))
+        mapped = sorted(flat_overrides(spec, self.override_keys))
         if mapped:
             features.append("domain overrides mapped: " + ", ".join(mapped))
         return features

@@ -285,7 +285,7 @@ def test_world_totals_are_frozen_against_later_worlds():
 
 
 # ----------------------------------------------------------------------
-# One batch of several cells and the E8 job entry point
+# One batch of several cells
 # ----------------------------------------------------------------------
 def test_replicate_grid_matches_per_scenario_replicate():
     def make_scenario(factor):
@@ -301,13 +301,6 @@ def test_replicate_grid_matches_per_scenario_replicate():
     ]
     assert [r.samples for r in grid] == [r.samples for r in singles]
     assert [r.metrics for r in grid] == [r.metrics for r in singles]
-
-
-def test_run_scheme_rejects_unknown_name():
-    from repro.experiments.baselines import run_scheme
-
-    with pytest.raises(ValueError, match="unknown scheme"):
-        run_scheme("no-such-scheme", seed=1)
 
 
 # ----------------------------------------------------------------------

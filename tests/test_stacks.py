@@ -399,21 +399,25 @@ def test_one_controller_per_mobile_and_policy_metrics_only_where_read(
         assert not [key for key in metrics if key.startswith("policy.")]
 
 
-@pytest.mark.parametrize("stack", ["cellularip", "mobileip"])
-def test_flat_stack_rejects_an_override_key_no_stack_reads(stack):
-    """A typo'd override key must fail the build in one line, not run
-    unchoked and print a normal-looking table."""
-    from repro.scenarios import build_scenario
-
-    spec = _smoke(stack=stack).replace(
-        domain_overrides={"wired_bandwith": 1e6}
-    )
-    with pytest.raises(ValueError, match="'wired_bandwith'") as error:
-        build_scenario(spec, seed=1)
+@pytest.mark.parametrize("stack", ALL_STACKS)
+def test_override_key_no_stack_reads_fails_at_spec_construction(stack):
+    """A typo'd override key must fail when the spec is built, in one
+    line, under every stack: not halfway through a build, and never as
+    a run that finishes unchoked with a normal-looking table."""
+    with pytest.raises(
+        ValueError, match=f"'wired_bandwith' under stack '{stack}'"
+    ) as error:
+        _smoke(stack=stack).replace(domain_overrides={"wired_bandwith": 1e6})
     assert "\n" not in str(error.value)
-    with pytest.raises(ValueError, match="'wired_bandwith'"):
-        get_stack(stack).exercised(spec)
-    # A key the multi-tier domain reads is skipped, not rejected.
+    # A key only Cellular IP reads is valid under Cellular IP alone.
+    cip_only = {"semisoft_delay": 0.05}
+    if stack.startswith("cellularip"):
+        _smoke(stack=stack).replace(domain_overrides=cip_only)
+    else:
+        with pytest.raises(ValueError, match="'semisoft_delay'"):
+            _smoke(stack=stack).replace(domain_overrides=cip_only)
+    # A key the multi-tier domain reads is valid everywhere; a flat
+    # stack skips it.
     ok = _smoke(stack=stack).replace(domain_overrides={"buffer_size": 8})
     assert "domain overrides mapped" not in "; ".join(
         get_stack(stack).exercised(ok)
