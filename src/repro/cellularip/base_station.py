@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.cellularip import messages
 from repro.cellularip.routing_cache import RoutingCache
 from repro.net.addressing import IPAddress, Prefix
-from repro.net.link import connect
+from repro.net.link import book_drop, connect
 from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.radio.channel import radio_attach, radio_detach
@@ -94,11 +94,6 @@ class CIPDomain:
     def total_control_packets(self) -> int:
         return sum(bs.control_packets_seen for bs in self.base_stations)
 
-    def total_downlink_drops(self) -> int:
-        return sum(
-            bs.dropped_no_route + bs.dropped_stale_route for bs in self.base_stations
-        )
-
 
 class CIPBaseStation(Node):
     """One node of the Cellular IP access tree."""
@@ -125,8 +120,6 @@ class CIPBaseStation(Node):
         #: The wired Internet router; ``None`` except at the gateway.
         self.internet_neighbor: Optional[Node] = None
         self.control_packets_seen = 0
-        self.dropped_no_route = 0
-        self.dropped_stale_route = 0
         self.paging_broadcasts = 0
         self.delivered_to_mobiles = 0
         if self not in domain.base_stations:
@@ -231,7 +224,7 @@ class CIPBaseStation(Node):
             link = self.links.get(hops[0])
             if link is None:
                 # The mapping points at a departed mobile's dead radio link.
-                self.dropped_stale_route += 1
+                book_drop(self.sim, "stale-mapping")
             else:
                 link.transmit(packet)
             return
@@ -245,7 +238,7 @@ class CIPBaseStation(Node):
             self._fan_out(packet, list(self.children))
             return
 
-        self.dropped_no_route += 1
+        book_drop(self.sim, "no-mapping")
 
     def _fan_out(self, packet: Packet, hops: list[Node]) -> None:
         """Send ``packet`` down every live hop, a copy on all but the
@@ -253,7 +246,7 @@ class CIPBaseStation(Node):
         links = self.links
         live = [links[hop] for hop in hops if hop in links]
         if not live:
-            self.dropped_stale_route += 1
+            book_drop(self.sim, "stale-mapping")
             return
         live[0].transmit(packet)
         for extra in live[1:]:

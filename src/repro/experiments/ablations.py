@@ -16,6 +16,7 @@ from repro.metrics.tables import diff_counts
 from repro.mobility import Highway, RandomWaypoint
 from repro.multitier.architecture import WORLD_BOUNDS, MultiTierWorld
 from repro.multitier.basestation import GuardedChannelPool
+from repro.net import drop_totals
 from repro.policy.decider import TierDecider
 from repro.radio.cells import Tier
 from repro.radio.geometry import Point, Rectangle
@@ -328,12 +329,14 @@ def _ab1_scenario(size: int, seed: int, home_delay: float) -> dict[str, float]:
         baselines.multitier_scheme(world, [world.domain1["F"], world.domain2["G"]]),
         1, 2.0, 6.0, drain=5.0,
     )
-    rsmc1 = world.domain1.rsmc
+    drops = drop_totals(world.sim)
     return {
         "loss_rate": metrics["loss_rate"],
         "max_gap": metrics["max_gap"],
-        "buffered": float(rsmc1.buffered_packets),
-        "overflows": float(rsmc1.buffer_overflows),
+        "buffered": float(world.domain1.rsmc.buffered_packets),
+        "overflows": float(  # the three buffer-* causes
+            sum(n for cause, n in drops.items() if cause.startswith("buffer-"))
+        ),
     }
 
 

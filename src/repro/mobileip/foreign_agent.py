@@ -12,6 +12,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.mobileip import messages
 from repro.net.addressing import IPAddress
+from repro.net.link import book_drop
 from repro.net.node import Node
 from repro.net.packet import Packet, decapsulate
 from repro.net.router import Router
@@ -63,7 +64,6 @@ class ForeignAgent(Router):
         self.relayed_requests = 0
         self.relayed_replies = 0
         self.delivered_to_visitors = 0
-        self.dropped_unknown_visitor = 0
         self.on_protocol("ipip", self._handle_tunneled)
         self.on_protocol(messages.REGISTRATION_REQUEST, self._relay_request)
         self.on_protocol(messages.REGISTRATION_REPLY, self._relay_reply)
@@ -187,7 +187,7 @@ class ForeignAgent(Router):
         inner = decapsulate(packet)
         visitor = self.visitors.get(inner.dst)
         if visitor is None:
-            self.dropped_unknown_visitor += 1
+            book_drop(self.sim, "unknown-visitor")
             return
         self.delivered_to_visitors += 1
         self.links[visitor.node].transmit(inner)

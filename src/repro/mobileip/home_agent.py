@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.mobileip import messages
 from repro.net.addressing import IPAddress, Prefix
+from repro.net.link import book_drop
 from repro.net.packet import Packet, encapsulate
 from repro.net.router import Router
 
@@ -55,7 +56,6 @@ class HomeAgent(Router):
         self.registrations_accepted = 0
         self.registrations_denied = 0
         self.tunneled_count = 0
-        self.dropped_no_binding = 0
         self.on_protocol(messages.REGISTRATION_REQUEST, self._handle_registration)
 
     # ------------------------------------------------------------------
@@ -156,7 +156,7 @@ class HomeAgent(Router):
             # No binding: the mobile is (presumed) at home; fall through to
             # normal forwarding, which drops if it is not actually here.
             if self.table.lookup(packet.dst) is None:
-                self.dropped_no_binding += 1
+                book_drop(self.sim, "no-binding")
                 return
         super().forward(packet, link)
 

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.multitier import messages
 from repro.multitier.tables import TablePair
 from repro.net.addressing import IPAddress
+from repro.net.link import book_drop
 from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.radio.cells import Cell, Tier
@@ -139,11 +140,7 @@ class MultiTierBaseStation(Node):
         #: (``air-budget-exceeded`` or ``channel-pool-full``) — read by
         #: the mobility controller to explain attach fallbacks.
         self.last_rejection_reason = ""
-        self.dropped_no_record = 0
-        self.dropped_stale_radio = 0
         self.delivered_to_mobiles = 0
-        self.bounced_up = 0
-        self.lookup_probes = 0
         domain.add_station(self)
 
     # ------------------------------------------------------------------
@@ -449,11 +446,10 @@ class MultiTierBaseStation(Node):
                 self.delivered_to_mobiles += 1
                 radio.transmit(packet)
             else:
-                self.dropped_stale_radio += 1
+                book_drop(self.sim, "stale-radio")
             return
 
-        record, probes = self.tables.lookup(destination)
-        self.lookup_probes += probes
+        record, _probes = self.tables.lookup(destination)
         if record is not None:
             down = record.via
             usable = (
@@ -465,14 +461,13 @@ class MultiTierBaseStation(Node):
         # No usable downward pointer: drain upward (resource switching)
         # unless this copy is a paging flood that found nobody.
         if packet.paged:
-            self.dropped_no_record += 1
+            book_drop(self.sim, "no-record")
             return
         if self.parent is not None:
             if packet.ttl <= 1:
-                self.dropped_no_record += 1
+                book_drop(self.sim, "ttl-expired")
                 return
             packet.ttl -= 1
-            self.bounced_up += 1
             self.send_via(self.parent, packet)
             return
-        self.dropped_no_record += 1
+        book_drop(self.sim, "no-record")

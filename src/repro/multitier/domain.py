@@ -111,12 +111,6 @@ class MultiTierDomain:
     def total_table_records(self) -> int:
         return sum(bs.tables.total_records() for bs in self.base_stations)
 
-    def total_downlink_drops(self) -> int:
-        return sum(
-            bs.dropped_no_record + bs.dropped_stale_radio
-            for bs in self.base_stations
-        )
-
 
 #: The keys a ``ScenarioSpec.domain_overrides`` mapping may name: the
 #: keyword parameters of :class:`MultiTierDomain` minus the ones the

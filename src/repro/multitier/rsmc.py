@@ -22,7 +22,7 @@ from repro.mobileip import messages as mip_messages
 from repro.multitier import messages
 from repro.multitier.basestation import MultiTierBaseStation
 from repro.net.addressing import IPAddress
-from repro.net.link import connect
+from repro.net.link import book_drop, connect
 from repro.net.node import Node
 from repro.net.packet import Packet, decapsulate
 from repro.radio.cells import Tier
@@ -78,7 +78,6 @@ class RSMC(MultiTierBaseStation):
         self._forward_to: dict[IPAddress, tuple[IPAddress, float]] = {}
 
         self.buffered_packets = 0
-        self.buffer_overflows = 0
         self.flushed_packets = 0
         self.forwarded_to_new_domain = 0
         self.authentications = 0
@@ -229,7 +228,7 @@ class RSMC(MultiTierBaseStation):
 
     def _tunnel_to_new_domain(self, packet: Packet, new_coa: IPAddress) -> None:
         if self.internet_neighbor is None:
-            self.dropped_no_record += 1
+            book_drop(self.sim, "no-route")
             return
         from repro.net.packet import encapsulate
 
@@ -256,7 +255,7 @@ class RSMC(MultiTierBaseStation):
         buffer = self._buffers.pop(mobile, None)
         self._buffer_guards.pop(mobile, None)
         if buffer:
-            self.buffer_overflows += len(buffer)
+            book_drop(self.sim, "buffer-abandoned", len(buffer))
             # The mobile vanished without an update or a home notify:
             # treat it as departed so a return re-registers.
             self._registered.discard(mobile)
@@ -268,7 +267,7 @@ class RSMC(MultiTierBaseStation):
             return
         record, _probes = self.tables.lookup(mobile)
         if record is None or record.via is None or record.via not in self.links:
-            self.buffer_overflows += len(buffer)
+            book_drop(self.sim, "buffer-unroutable", len(buffer))
             return
         for packet in buffer:
             self.flushed_packets += 1
@@ -288,8 +287,7 @@ class RSMC(MultiTierBaseStation):
                     return
             else:
                 del self._forward_to[packet.dst]
-        record, probes = self.tables.lookup(packet.dst)
-        self.lookup_probes += probes
+        record, _probes = self.tables.lookup(packet.dst)
         if record is not None:
             down = record.via
             if down is not None and down in self.links and down is not from_node:
@@ -303,7 +301,7 @@ class RSMC(MultiTierBaseStation):
                 return
         if record is None and self.domain.broadcast_paging and self.children:
             if packet.paged:
-                self.dropped_no_record += 1
+                book_drop(self.sim, "no-record")
                 return
             for child in self.children:
                 copy = packet.copy(
@@ -311,11 +309,11 @@ class RSMC(MultiTierBaseStation):
                 )
                 self.send_via(child, copy)
             return
-        self.dropped_no_record += 1
+        book_drop(self.sim, "no-record")
 
     def _buffer_packet(self, mobile: IPAddress, buffer, packet: Packet) -> None:
         if len(buffer) >= self.domain.buffer_size:
-            self.buffer_overflows += 1
+            book_drop(self.sim, "buffer-full")
             return
         self.buffered_packets += 1
         buffer.append(packet)

@@ -17,52 +17,59 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
 
 
-class LinkStats:
-    """Per-link packet counters."""
-
-    __slots__ = (
-        "sent",
-        "delivered",
-        "dropped_queue",
-        "dropped_error",
-        "bytes_sent",
-    )
-
-    def __init__(self) -> None:
-        self.sent = 0
-        self.delivered = 0
-        self.dropped_queue = 0
-        self.dropped_error = 0
-        self.bytes_sent = 0
+#: Every cause a packet is discarded under (see :func:`drop_totals`),
+#: in the order of where it is booked: links, routers and the
+#: multi-tier bounce, Cellular IP stations, multi-tier stations and
+#: the RSMC, the RSMC handoff buffer, the Mobile IP agents.
+DROP_CAUSES = (
+    "queue-full", "link-down", "in-flight-down", "link-loss", "air-cancelled",
+    "ttl-expired", "no-route", "no-mapping", "stale-mapping", "no-record",
+    "stale-radio", "buffer-full", "buffer-abandoned", "buffer-unroutable",
+    "no-binding", "unknown-visitor",
+)
 
 
-def _hop_tally(sim: "Simulator") -> dict[str, int]:
-    """The (lazily created) ``{protocol: delivered hops}`` tally of ``sim``.
+def _books(sim: "Simulator") -> tuple[dict[str, int], dict[str, int]]:
+    """The (lazily created) hop tally and drop ledger of ``sim``.
 
-    One dict per simulator, bumped by every link under it, so
+    ``{protocol: delivered hops}`` and ``{cause: discarded packets}``,
+    one pair per simulator, bumped by every link and node under it, so
     whole-network accounting (e.g. the T1 signalling table) covers radio
     links torn down during a handoff without keeping those links alive.
     Stored on the simulator itself: worlds run back-to-back (or
-    concurrently on a parallel backend) never share a tally, and it
-    lives exactly as long as its world.
+    concurrently on a parallel backend) never share books, and they
+    live exactly as long as their world.
     """
-    tally = getattr(sim, "_hop_tally", None)
-    if tally is None:
-        tally = sim._hop_tally = {}
-    return tally
+    books = getattr(sim, "_net_books", None)
+    if books is None:
+        books = sim._net_books = ({}, {})
+    return books
 
 
 def protocol_hop_totals(sim: "Simulator") -> dict[str, int]:
     """Per-protocol delivered-hop totals over every link under ``sim``."""
-    return dict(_hop_tally(sim))
+    return dict(_books(sim)[0])
+
+
+def book_drop(sim: "Simulator", cause: str, count: int = 1) -> None:
+    """Book ``count`` packets discarded under ``cause`` (one of
+    :data:`DROP_CAUSES`) in ``sim``'s drop ledger."""
+    ledger = _books(sim)[1]
+    ledger[cause] = ledger.get(cause, 0) + count
+
+
+def drop_totals(sim: "Simulator") -> dict[str, int]:
+    """Discarded packets by cause over every node and link under ``sim``."""
+    return dict(_books(sim)[1])
 
 
 class Link:
     """A unidirectional link from ``head`` to ``tail``.
 
     Every delivered hop is counted in its simulator's hop tally (see
-    :func:`protocol_hop_totals`) and no registry holds links: once its
-    nodes have detached it, a link is freed as soon as its last
+    :func:`protocol_hop_totals`), every discarded packet in its drop
+    ledger (see :func:`drop_totals`), and no registry holds links: once
+    its nodes have detached it, a link is freed as soon as its last
     in-flight packet lands.
 
     Parameters
@@ -130,11 +137,10 @@ class Link:
         self.shared_channel = shared_channel
         self.channel_direction = channel_direction
         self.channel_key = int(channel_key)
-        self.stats = LinkStats()
         self._busy_until = 0.0
         self._in_flight = 0
         self._loss_draw = None  # lazily bound RNG for lossy links
-        self._hops = _hop_tally(sim)
+        self._hops, self._drops = _books(sim)
         #: The plain function, with the link passed in the entry's args:
         #: a bound method stored here would be a self-cycle, which only
         #: the cyclic collector (off during a run) could free.
@@ -155,17 +161,16 @@ class Link:
     def transmit(self, packet: "Packet") -> bool:
         """Enqueue ``packet`` for transmission.
 
-        Returns False if the packet was tail-dropped (queue full or link
-        down); True if it was accepted (it may still be lost to random
-        errors in flight).
+        Returns False if the packet was refused (``queue-full`` or
+        ``link-down``); True if it was accepted (it may still be lost in
+        flight).
         """
-        stats = self.stats
         if not self.up or self._in_flight >= self.queue_limit:
-            stats.dropped_queue += 1
+            cause = "queue-full" if self.up else "link-down"
+            drops = self._drops
+            drops[cause] = drops.get(cause, 0) + 1
             return False
         self._in_flight += 1
-        stats.sent += 1
-        stats.bytes_sent += packet.size
 
         if self.shared_channel is not None:
             # Contention mode: the cell's shared airtime arbiter owns
@@ -194,22 +199,23 @@ class Link:
     def channel_drop(self, packet: "Packet") -> None:
         """The channel cancelled a queued packet (claim detached).
 
-        Counted as an in-flight loss (``dropped_error``): the radio is
-        gone, exactly like a legacy link going down mid-delivery.
+        Booked as ``air-cancelled``: the radio is gone, like a legacy
+        link going down mid-delivery (``in-flight-down``).
         """
         self._in_flight -= 1
-        self.stats.dropped_error += 1
+        drops = self._drops
+        drops["air-cancelled"] = drops.get("air-cancelled", 0) + 1
 
     def _deliver(self, packet: "Packet") -> None:
         self._in_flight -= 1
-        stats = self.stats
-        if not self.up or (self.loss_rate > 0.0 and self._random_loss()):
-            stats.dropped_error += 1
+        if self.up and not (self.loss_rate > 0.0 and self._random_loss()):
+            hops = self._hops
+            hops[packet.protocol] = hops.get(packet.protocol, 0) + 1
+            self.tail.receive(packet, self)
             return
-        stats.delivered += 1
-        hops = self._hops
-        hops[packet.protocol] = hops.get(packet.protocol, 0) + 1
-        self.tail.receive(packet, self)
+        cause = "link-loss" if self.up else "in-flight-down"
+        drops = self._drops
+        drops[cause] = drops.get(cause, 0) + 1
 
     def _random_loss(self) -> bool:
         if self._loss_draw is None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.net.addressing import IPAddress, Prefix
+from repro.net.link import book_drop
 from repro.net.node import Node
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -92,8 +93,6 @@ class Router(Node):
         super().__init__(sim, name, address)
         self.table = ForwardingTable()
         self.forwarded_count = 0
-        self.dropped_no_route = 0
-        self.dropped_ttl = 0
 
     def add_route(self, prefix, next_hop: Node) -> None:
         if not isinstance(prefix, Prefix):
@@ -105,11 +104,11 @@ class Router(Node):
 
     def forward(self, packet: "Packet", link: Optional["Link"]) -> None:
         if packet.ttl <= 1:
-            self.dropped_ttl += 1
+            book_drop(self.sim, "ttl-expired")
             return
         next_hop = self.table.lookup(packet.dst)
         if next_hop is None:
-            self.dropped_no_route += 1
+            book_drop(self.sim, "no-route")
             return
         packet.ttl -= 1
         self.forwarded_count += 1

@@ -26,8 +26,9 @@ Semantics
   station attaches it at radio-link creation (make-before-break and
   semisoft handoffs briefly hold claims on both cells) and the old one
   detaches it, cancelling any airtime the departed mobile still had
-  queued there (those packets are air-interface losses, counted in
-  ``Link.stats.dropped_error`` and :attr:`ChannelStats.dropped_on_detach`).
+  queued there (those packets are air-interface losses, booked as
+  ``air-cancelled`` in the drop ledger and counted per direction in
+  :attr:`ChannelStats.dropped_on_detach`).
 * **Admission control** (off by default): a channel built with an
   ``admission_factor`` tracks each claim's declared bandwidth demand
   and :meth:`SharedChannel.admit` rejects a newcomer whose demand

@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING
 
 from repro.cellularip import CIPBaseStation, CIPDomain, CIPGateway, CIPMobileHost
 from repro.net.addressing import AddressAllocator
+from repro.net.link import drop_totals
 from repro.net.topology import Network
 from repro.mobility.controller import MobilityController
 from repro.policy.config import PolicyConfig
@@ -77,7 +78,7 @@ class BuiltCIPScenario(BuiltRun):
 
     def extras(self) -> dict[str, float]:
         """Namespaced Cellular IP extras (metric contract: base.py)."""
-        hosts, domain = self.hosts, self.domain
+        hosts, domain, drops = self.hosts, self.domain, drop_totals(self.sim)
         return {
             "cip.route_updates": float(
                 sum(host.route_updates_sent for host in hosts)
@@ -89,7 +90,9 @@ class BuiltCIPScenario(BuiltRun):
                 sum(host.duplicates_discarded for host in hosts)
             ),
             "cip.control_packets": float(domain.total_control_packets()),
-            "cip.downlink_drops": float(domain.total_downlink_drops()),
+            "cip.downlink_drops": float(
+                drops.get("no-mapping", 0) + drops.get("stale-mapping", 0)
+            ),
             "cip.paging_broadcasts": float(
                 sum(bs.paging_broadcasts for bs in domain.base_stations)
             ),

@@ -33,6 +33,7 @@ from repro.mobileip import (
 )
 from repro.multitier.architecture import HOME_PREFIX
 from repro.net.addressing import AddressAllocator
+from repro.net.link import drop_totals
 from repro.net.topology import Network
 from repro.mobility.controller import MobilityController
 from repro.policy.config import PolicyConfig
@@ -94,7 +95,7 @@ class BuiltMIPScenario(BuiltRun):
 
     def extras(self) -> dict[str, float]:
         """Namespaced Mobile IP extras (metric contract: base.py)."""
-        home_agent = self.home_agent
+        home_agent, drops = self.home_agent, drop_totals(self.sim)
         return {
             "mip.registration_attempts": float(
                 sum(node.registration_attempts for node in self.nodes)
@@ -104,10 +105,8 @@ class BuiltMIPScenario(BuiltRun):
             ),
             "mip.registrations_denied": float(home_agent.registrations_denied),
             "mip.tunneled": float(home_agent.tunneled_count),
-            "mip.dropped_no_binding": float(home_agent.dropped_no_binding),
-            "mip.dropped_unknown_visitor": float(
-                sum(agent.dropped_unknown_visitor for agent in self.agents)
-            ),
+            "mip.dropped_no_binding": float(drops.get("no-binding", 0)),
+            "mip.dropped_unknown_visitor": float(drops.get("unknown-visitor", 0)),
         }
 
 

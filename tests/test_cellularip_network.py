@@ -18,7 +18,7 @@ from repro.cellularip import (
     CIPGateway,
     CIPMobileHost,
 )
-from repro.net import Network, Packet, Router, ip
+from repro.net import Network, Packet, Router, drop_totals, ip
 from repro.sim import Simulator
 
 
@@ -137,7 +137,8 @@ def test_hard_handoff_loses_in_flight_packets():
     # when the radio switched are gone; the stream then resumes.
     assert lost, "hard handoff should lose at least one packet"
     assert len(lost) < 10
-    assert bs[1].dropped_stale_route >= 1
+    # Each lost packet died on bs1's mapping to the departed radio link.
+    assert drop_totals(sim) == {"stale-mapping": len(lost)} == {"stale-mapping": 2}
     assert mn.handoffs_completed == 1
 
 
@@ -219,7 +220,7 @@ def test_unknown_mobile_broadcast_paged_or_dropped():
     sim.run(until=1.0)
     assert gw.paging_broadcasts == 1
     # Flood reached the leaves, nobody had it: dropped at every leaf.
-    assert sum(b.dropped_no_route for b in bs.values()) == 4
+    assert drop_totals(sim) == {"no-mapping": 4}
 
 
 def test_broadcast_paging_disabled_drops_at_gateway():
@@ -230,7 +231,7 @@ def test_broadcast_paging_disabled_drops_at_gateway():
     domain.register_mobile(ghost)
     stream_downlink(sim, cn, internet, ghost, count=1, interval=0.01)
     sim.run(until=1.0)
-    assert gw.dropped_no_route == 1
+    assert drop_totals(sim) == {"no-mapping": 1}
     assert gw.paging_broadcasts == 0
 
 

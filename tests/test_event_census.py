@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from repro.net import Link, Node, Packet, connect, protocol_hop_totals
+from repro.net import Node, Packet, connect, drop_totals, protocol_hop_totals
 from repro.scenarios import build_scenario, get_scenario
 from repro.sim import Simulator, kernel
 from repro.stacks import stack_names
@@ -40,6 +40,7 @@ def test_kinds_sum_to_events_processed_and_two_runs_agree(event_census):
     assert kinds["Link._deliver[MultiTierMobileNode,data]"] > 0
     assert kinds["Timeout -> Process._resume[CBRSource._run]"] > 0
     assert list(kinds.values()) == sorted(kinds.values(), reverse=True)
+    assert first["drops"] == {}  # the multi-tier smoke run drops nothing
 
 
 def test_cli_prints_tables_or_json_for_every_stack(event_census, capsys):
@@ -51,27 +52,35 @@ def test_cli_prints_tables_or_json_for_every_stack(event_census, capsys):
     runs = [label for label in report if label != "all runs"]
     assert len(runs) > 1 and all(f"{label}: " in tables for label in report)
     assert report["all runs"]["events"] == sum(report[run]["events"] for run in runs)
+    # Every run lists its drops by cause; "all runs" is their sum.
+    assert all(f"{label}: 0 packets dropped" in tables for label in report)
+    assert [report[label]["drops"] for label in report] == [{}] * len(report)
     assert event_census.main(argv + ["--json"]) == 0
     assert json.loads(capsys.readouterr().out) == report
 
 
+def test_census_drops_are_the_runs_drop_ledger(event_census, capsys):
+    """A run's ``drops`` are its simulator's ledger, ranked, and they
+    are what the stack's drop metric sums."""
+    spec = get_scenario("city-rush-hour").smoke().replace(stack="mobileip")
+    assert event_census.census_of(spec, 1)["drops"] == {"unknown-visitor": 6}
+    assert build_scenario(spec, 1).execute()["mip.dropped_unknown_visitor"] == 6
+    argv = ["city-rush-hour", "--smoke", "--stack", "mobileip", "--seed", "1"]
+    assert event_census.main(argv) == 0
+    tables = capsys.readouterr().out
+    assert "city-rush-hour/mobileip: 6 packets dropped\n" in tables
+    assert tables.endswith("        6  100.0%  unknown-visitor\n")
+
+
 @pytest.mark.parametrize("stack", stack_names())
 def test_link_deliveries_are_the_hop_tally_plus_delivery_time_drops(
-    event_census, stack, monkeypatch
+    event_census, stack
 ):
     """Every ``Link._deliver`` entry the kernel dispatched either bumped
     the simulator's hop tally (``hop_total``) or was lost on arrival:
-    a random loss or a link gone down, counted in ``dropped_error``
-    beside the airtime a detached claim cancelled (which never reaches
-    ``_deliver``)."""
-    links = []
-    init = Link.__init__
-
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        links.append(self)
-
-    monkeypatch.setattr(Link, "__init__", recording_init)
+    booked as ``in-flight-down`` or ``link-loss``.  The airtime a
+    detached claim cancelled never reaches ``_deliver``: it is booked
+    as ``air-cancelled``, which the channels count per direction too."""
     spec = get_scenario("campus-air").smoke().replace(stack=stack)
     with event_census.counting() as (kinds, _simulators):
         built = build_scenario(spec, spec.seeds[0])
@@ -83,9 +92,14 @@ def test_link_deliveries_are_the_hop_tally_plus_delivery_time_drops(
         sum(channel.stats.dropped_on_detach.values())
         for _cell, channel in built.air_cells
     )
-    dropped = sum(link.stats.dropped_error for link in links) - cancelled
-    assert metrics["hop_total"] == sum(link.stats.delivered for link in links) > 0
-    assert deliveries == metrics["hop_total"] + dropped
+    drops = drop_totals(built.sim)
+    assert metrics["hop_total"] > 0
+    assert deliveries == (
+        metrics["hop_total"]
+        + drops.get("in-flight-down", 0)
+        + drops.get("link-loss", 0)
+    )
+    assert drops.get("air-cancelled", 0) == cancelled
 
 
 def test_lossy_and_downed_link_deliveries_count_as_drops(event_census):
@@ -102,7 +116,9 @@ def test_lossy_and_downed_link_deliveries_count_as_drops(event_census):
         sim.run()
     deliveries = kinds["Link._deliver[Node,data]"]
     hops = protocol_hop_totals(sim)
-    assert deliveries == 200 == hops["data"] + forward.stats.dropped_error
-    # 112 packets land before the link goes down: both causes dropped some.
-    assert 0 < hops["data"] == forward.stats.delivered < 100
-    assert forward.stats.dropped_error > 100
+    drops = drop_totals(sim)
+    assert deliveries == 200 == hops["data"] + sum(drops.values())
+    # 112 packets land before the link goes down: the crc32-seeded draw
+    # loses 28 of them, and the 88 still in flight meet a downed link.
+    assert hops == {"data": 84}
+    assert drops == {"link-loss": 28, "in-flight-down": 88}

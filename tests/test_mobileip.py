@@ -14,7 +14,7 @@ from repro.mobileip import (
     install_home_prefix_routes,
     messages,
 )
-from repro.net import Network, Packet, ip
+from repro.net import Network, Packet, drop_totals, ip
 from repro.sim import Simulator
 
 
@@ -110,7 +110,7 @@ def test_packets_before_registration_are_dropped_at_ha():
     # MN attached nowhere; CN transmits immediately.
     core.receive(Packet(src=cn.address, dst=mn.home_address, size=1000))
     sim.run(until=1.0)
-    assert ha.dropped_no_binding == 1
+    assert drop_totals(sim) == {"no-binding": 1}
 
 
 def test_handoff_between_foreign_agents_updates_binding():
@@ -142,7 +142,7 @@ def test_packets_in_flight_during_handoff_are_lost():
     sim.run(until=10.0)
     # All three raced the registration: tunneled to FA1, which no longer
     # knows the visitor.
-    assert fa1.dropped_unknown_visitor == 3
+    assert drop_totals(sim) == {"unknown-visitor": 3}
     assert received == []
 
 

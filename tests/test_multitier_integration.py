@@ -8,7 +8,7 @@ import pytest
 from repro.multitier import messages
 from repro.multitier.architecture import MultiTierWorld
 from repro.multitier.basestation import GuardedChannelPool
-from repro.net import Packet
+from repro.net import Packet, drop_totals
 from repro.radio.cells import Tier
 from repro.sim import Simulator
 
@@ -393,7 +393,7 @@ def test_rsmc_buffers_during_handoff_no_loss():
     assert x.data_received == 40
     assert d1.rsmc.buffered_packets > 0
     assert d1.rsmc.flushed_packets == d1.rsmc.buffered_packets
-    assert d1.rsmc.buffer_overflows == 0
+    assert drop_totals(world.sim) == {}
 
 
 def test_uplink_data_reaches_cn(world):

@@ -120,7 +120,7 @@ def test_macro_served_record_goes_to_macro_table():
     assert ip("10.1.0.1") not in pair.micro_table
 
 
-def test_lookup_probes_micro_first():
+def test_micro_table_probed_first():
     _sim, pair, node = make_pair()
     pair.store(ip("10.1.0.1"), node, serving_tier_is_macro=False)
     record, probes = pair.lookup(ip("10.1.0.1"))

@@ -10,8 +10,10 @@ from repro.net import (
     Router,
     binary_tree_topology,
     decapsulate,
+    drop_totals,
     encapsulate,
     ip,
+    protocol_hop_totals,
     star_topology,
 )
 from repro.net.router import ForwardingTable
@@ -98,9 +100,9 @@ def test_link_queue_overflow_drops():
 
     accepted = [a.send_via(b, make_packet(dst=str(b.address))) for _ in range(5)]
     assert accepted == [True, True, False, False, False]
-    assert forward.stats.dropped_queue == 3
+    assert drop_totals(sim) == {"queue-full": 3}
     sim.run()
-    assert forward.stats.delivered == 2
+    assert protocol_hop_totals(sim) == {"data": 2}
 
 
 def test_link_down_drops_everything():
@@ -111,6 +113,22 @@ def test_link_down_drops_everything():
     forward, _ = network.connect(a, b)
     forward.up = False
     assert not a.send_via(b, make_packet(dst=str(b.address)))
+    assert drop_totals(sim) == {"link-down": 1}
+
+
+def test_full_and_downed_link_refuses_as_link_down():
+    """A transmit refused on a downed link is ``link-down`` even when
+    the queue is full too: the link, not the queue, turned it away."""
+    sim = Simulator()
+    network = Network(sim)
+    a = network.host("a")
+    b = network.host("b")
+    forward, _ = network.connect(a, b, bandwidth=1e6, queue_limit=1)
+    assert a.send_via(b, make_packet(dst=str(b.address)))
+    assert not a.send_via(b, make_packet(dst=str(b.address)))
+    forward.up = False
+    assert not a.send_via(b, make_packet(dst=str(b.address)))
+    assert drop_totals(sim) == {"queue-full": 1, "link-down": 1}
 
 
 def test_link_validation():
@@ -236,14 +254,14 @@ def test_router_drops_on_ttl_expiry():
     src.send_via(r1, make_packet(src=str(src.address), dst=str(dst.address), ttl=1))
     sim.run()
     assert received == []
-    assert r1.dropped_ttl == 1
+    assert drop_totals(sim) == {"ttl-expired": 1}
 
 
 def test_router_counts_unroutable():
     sim = Simulator()
     router = Router(sim, "r", "10.0.0.1")
     router.receive(make_packet(dst="99.0.0.1"))
-    assert router.dropped_no_route == 1
+    assert drop_totals(sim) == {"no-route": 1}
 
 
 # ----------------------------------------------------------------------

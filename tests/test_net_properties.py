@@ -3,7 +3,15 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import IPAddress, Network, Packet, Prefix, ip
+from repro.net import (
+    IPAddress,
+    Network,
+    Packet,
+    Prefix,
+    drop_totals,
+    ip,
+    protocol_hop_totals,
+)
 from repro.net.router import ForwardingTable
 from repro.net.node import Node
 from repro.sim import Simulator
@@ -113,22 +121,33 @@ def test_lpm_matches_bruteforce_reference(entries, removals, defaults, probes):
     packet_count=st.integers(1, 30),
     queue_limit=st.integers(1, 10),
     size=st.integers(64, 1500),
+    loss_rate=st.sampled_from([0.0, 0.1, 0.5]),
+    down_at=st.none() | st.floats(0.0, 0.2),
 )
-def test_link_conserves_packets(packet_count, queue_limit, size):
-    """Every packet offered to a link is either delivered or counted as
-    dropped — none vanish."""
+def test_link_conserves_packets(packet_count, queue_limit, size, loss_rate, down_at):
+    """Every packet offered to a link is either delivered or booked
+    under one link drop cause — none vanish, even when the link is
+    lossy or goes down mid-run (packets are offered 5 ms apart, so some
+    meet a downed link and some are in flight when it goes)."""
     sim = Simulator()
     network = Network(sim)
     a = network.host("a")
     b = network.host("b")
-    forward, _ = network.connect(a, b, bandwidth=1e6, queue_limit=queue_limit)
+    forward, _ = network.connect(
+        a, b, bandwidth=1e6, queue_limit=queue_limit, loss_rate=loss_rate
+    )
     received = []
     b.on_default(lambda packet, link: received.append(packet))
-    for _ in range(packet_count):
-        a.send_via(b, Packet(src=a.address, dst=b.address, size=size))
+    for index in range(packet_count):
+        packet = Packet(src=a.address, dst=b.address, size=size)
+        sim.call_later(index * 0.005, a.send_via, b, packet)
+    if down_at is not None:
+        sim.call_later(down_at, setattr, forward, "up", False)
     sim.run()
-    assert forward.stats.delivered == len(received)
-    assert forward.stats.delivered + forward.stats.dropped_queue == packet_count
+    drops = drop_totals(sim)
+    assert set(drops) <= {"queue-full", "link-down", "in-flight-down", "link-loss"}
+    assert protocol_hop_totals(sim).get("data", 0) == len(received)
+    assert packet_count == len(received) + sum(drops.values())
 
 
 @settings(max_examples=20, deadline=None)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from repro.net.link import Link, connect
+from repro.net.link import Link, connect, drop_totals
 from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.radio.cells import TIER_DEFAULTS, Cell, Tier
@@ -186,7 +186,7 @@ def test_detach_cancels_queued_airtime_but_not_in_flight():
     sim.run()
     assert [s for _, _, s in log] == [0, 1]
     assert channel.stats.dropped_on_detach[DOWNLINK] == 1
-    assert link.stats.dropped_error == 1
+    assert drop_totals(sim) == {"air-cancelled": 1}
     assert link.queue_depth == 0
     assert 7 not in channel.attached
 

@@ -19,7 +19,9 @@ It is done from outside: while counting, the ``heappop`` the kernel's
 dispatch loop calls is wrapped, so every entry is seen as it leaves the
 queue, before it runs, and nothing in ``src/`` knows.  Counts only — no
 timing — so two runs print the same bytes, and every run checks that
-its kinds sum to the simulators' ``events_processed``.
+its kinds sum to the simulators' ``events_processed``.  Each run also
+lists why its packets were dropped: the simulators' ``drop_totals``,
+by cause.
 
 Run from the repository root::
 
@@ -128,20 +130,29 @@ def ranked(kinds: Counter) -> dict[str, int]:
 
 def census_of(spec, seed: int) -> dict:
     """Build and execute one run; its record for the report."""
+    from repro.net import drop_totals
     from repro.scenarios import build_scenario
 
     with counting() as (kinds, simulators):
         build_scenario(spec, seed).execute()
     events = sum(simulator.events_processed for simulator in simulators)
-    return {"events": events, "kinds": ranked(kinds)}
+    drops: Counter = Counter()
+    for simulator in simulators:
+        drops.update(drop_totals(simulator))
+    return {"events": events, "kinds": ranked(kinds), "drops": ranked(drops)}
 
 
 def render(label: str, record: dict) -> str:
-    """One run's table: count, share of all entries, kind."""
+    """One run's table: count, share of all entries, kind; then count,
+    share of all drops, cause."""
     total = record["events"]
     lines = [f"{label}: {total} kernel entries"]
     for kind, count in record["kinds"].items():
         lines.append(f"  {count:9d}  {count / total:6.1%}  {kind}")
+    dropped = sum(record["drops"].values())
+    lines.append(f"{label}: {dropped} packets dropped")
+    for cause, count in record["drops"].items():
+        lines.append(f"  {count:9d}  {count / dropped:6.1%}  {cause}")
     return "\n".join(lines)
 
 
@@ -174,9 +185,13 @@ def main(argv: list[str]) -> int:
             return 1
     if len(report) > 1:
         lot: Counter = Counter()
+        drops: Counter = Counter()
         for record in report.values():
             lot.update(record["kinds"])
-        report["all runs"] = {"events": sum(lot.values()), "kinds": ranked(lot)}
+            drops.update(record["drops"])
+        report["all runs"] = {
+            "events": sum(lot.values()), "kinds": ranked(lot), "drops": ranked(drops),
+        }
     if args.json:
         print(json.dumps(report, indent=1))
     else:
