@@ -6,7 +6,8 @@ default never-reject policy and with `admission_factor=0.25` — the
 constrained run shows nonzero `policy.admission_reject` and
 `policy.escalate_tier` counters, the paper's §3.2 "turn to ask" the
 next tier behavior; (2) the decision trace behind those counters —
-every tier decision and fallback with its machine-readable reasons;
+every tier decision and refused move with its machine-readable
+reasons, and the refusals counted by move and reason;
 (3) a `policy.speed_threshold` point from the shipped sweep axis, to
 show policy knobs sweep like any spec field.
 

@@ -53,17 +53,20 @@ def main() -> None:
                     f"[t={sim.now:5.0f}s] {mobile.name:10s} on "
                     f"{bs.name if bs else 'nothing':6s} ({tier}) "
                     f"speed={controller.model.speed:4.1f} m/s "
-                    f"handoffs={mobile.handoffs_completed}"
+                    f"handoffs={controller.handoffs}"
                 )
 
     sim.process(reporter())
     sim.run(until=240.0)
 
     print()
-    for mobile in (vehicle, pedestrian):
-        per_min = mobile.handoffs_completed / 4.0
+    for mobile, controller in (
+        (vehicle, vehicle_controller),
+        (pedestrian, pedestrian_controller),
+    ):
+        per_min = controller.handoffs / 4.0
         print(
-            f"{mobile.name}: {mobile.handoffs_completed} handoffs in 4 min "
+            f"{mobile.name}: {controller.handoffs} handoffs in 4 min "
             f"({per_min:.2f}/min), finished on the "
             f"{mobile.serving_tier.label if mobile.serving_bs else '?'} tier"
         )

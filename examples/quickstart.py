@@ -18,7 +18,7 @@ def main() -> None:
 
     # 2. A mobile node attaches to micro cell B (new-call admission).
     mobile = world.add_mobile("alice")
-    assert mobile.initial_attach(domain["B"])
+    assert mobile.initial_attach(domain["B"]) is None
     sim.run(until=1.0)
     print(f"alice attached to {mobile.serving_bs.name} "
           f"({mobile.serving_tier.label} tier), home address {mobile.home_address}")
@@ -44,8 +44,9 @@ def main() -> None:
     def walk():
         yield sim.timeout(2.0)
         print(f"[t={sim.now:.2f}s] handing off B -> C ...")
-        ok = yield from mobile.perform_handoff(domain["C"])
-        print(f"[t={sim.now:.2f}s] handoff {'succeeded' if ok else 'failed'}")
+        refusal = yield from mobile.perform_handoff(domain["C"])
+        outcome = "succeeded" if refusal is None else f"failed ({refusal})"
+        print(f"[t={sim.now:.2f}s] handoff {outcome}")
 
     sim.process(walk())
     sim.run(until=10.0)

@@ -48,7 +48,6 @@ class CIPMobileHost(Node):
         self.duplicates_discarded = 0
         self.route_updates_sent = 0
         self.paging_updates_sent = 0
-        self.handoffs_completed = 0
         self.data_received = 0
         #: Hooks fired with each received data packet.
         self.on_data: list[Callable[[Packet], None]] = []
@@ -85,7 +84,6 @@ class CIPMobileHost(Node):
         new_bs.attach_mobile(self)
         self.serving_bs = new_bs
         self.send_route_update()
-        self.handoffs_completed += 1
 
     def handoff_semisoft(self, new_bs: CIPBaseStation):
         """Cellular IP semisoft handoff (generator: run as a process).
@@ -105,7 +103,6 @@ class CIPMobileHost(Node):
         if old is not None:
             old.detach_mobile(self)
         self.send_route_update()
-        self.handoffs_completed += 1
 
     # ------------------------------------------------------------------
     # Control packets

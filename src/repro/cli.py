@@ -147,8 +147,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace-decisions",
         action="store_true",
         help="replay each run's first seed in-process and print its "
-        "decision trace (per-reason counts + last recorded decisions "
-        "and fallbacks), one per stack with --stack all",
+        "decision trace (per-reason counts, refused moves by move and "
+        "reason, last recorded records), one per stack with --stack all",
     )
 
     scenario_sweep = verbs.add_parser(

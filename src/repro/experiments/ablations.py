@@ -71,8 +71,10 @@ def _e9_scenario(
 
     sim.run(until=duration)
     minutes = duration / 60.0
-    vehicle_handoffs = sum(m.handoffs_completed for m in vehicle_nodes)
-    pedestrian_handoffs = sum(m.handoffs_completed for m in pedestrian_nodes)
+    vehicle_handoffs = sum(len(m.handoff_latencies) for m in vehicle_nodes)
+    pedestrian_handoffs = sum(
+        len(m.handoff_latencies) for m in pedestrian_nodes
+    )
     on_macro = sum(
         1 for m in vehicle_nodes if m.serving_tier is Tier.MACRO
     )
@@ -82,9 +84,11 @@ def _e9_scenario(
         / max(pedestrians, 1)
         / minutes,
         "vehicles_on_macro": float(on_macro),
-        "rejections": float(
-            sum(m.handoffs_rejected for m in vehicle_nodes + pedestrian_nodes)
-        ),
+        "rejections": float(sum(
+            count
+            for (move, reason), count in world.decision_trace.refusals.items()
+            if move == "handoff" and reason != "handoff-timeout"
+        )),
     }
 
 
@@ -154,7 +158,7 @@ def _t1_scenario(case: str, seed: int) -> dict[str, int]:
     mn = world.add_mobile("mn")
     start_bs = world.domain1[start]
     target_bs = world.domain2[target] if cross_domain else world.domain1[target]
-    assert mn.initial_attach(start_bs)
+    assert mn.initial_attach(start_bs) is None
     sim.run(until=1.0)
     # Freeze the periodic refresh so only handoff signalling counts.
     if mn._location_loop is not None and mn._location_loop.is_alive:
@@ -163,7 +167,7 @@ def _t1_scenario(case: str, seed: int) -> dict[str, int]:
     before = world.protocol_hop_totals()
     outcomes = baselines.scripted_handoffs(sim, 0.0, [target_bs], mn.perform_handoff)
     sim.run(until=4.0)
-    assert outcomes == [True]
+    assert outcomes == [None]
     return diff_counts(before, world.protocol_hop_totals(), _T1_PROTOCOLS)
 
 
@@ -382,7 +386,7 @@ def _ab2_scenario(
     sim = world.sim
     d1 = world.domain1
     mn = world.add_mobile("mn")
-    assert mn.initial_attach(d1["B"])
+    assert mn.initial_attach(d1["B"]) is None
     sim.run(until=1.0)
     source, sink = baselines.cbr_to_mobile(world, mn, 40e3, duration)
     sim.run(until=duration + 3.0)

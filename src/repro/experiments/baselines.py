@@ -323,7 +323,7 @@ def multitier_scheme(
         d1 = world.domain1
         cells = [d1["B"], d1["C"], d1["E"], d1["F"]]
     mn = world.add_mobile("mn")
-    assert mn.initial_attach(cells[0])
+    assert mn.initial_attach(cells[0]) is None
     return Scheme(
         world.sim, world.cn.send, world.cn, mn.home_address, mn, cells,
         mn.perform_handoff,

@@ -333,21 +333,21 @@ def _e7b_scenario(load: int, seed: int, channels: int) -> dict[str, float]:
             resident.initial_attach(target)
         sim.run(until=0.5)
         mover = world.add_mobile("mover")
-        assert mover.initial_attach(d1["F"])
+        assert mover.initial_attach(d1["F"]) is None
         sim.run(until=1.0)
 
-        completed = []
+        refusals = []
 
         def attempt():
-            ok = yield from mover.perform_handoff(target)
-            if not ok and overflow:
-                ok = yield from mover.perform_handoff(d1["R2"])
-            completed.append(ok)
+            refusal = yield from mover.perform_handoff(target)
+            if refusal is not None and overflow:
+                refusal = yield from mover.perform_handoff(d1["R2"])
+            refusals.append(refusal)
 
         sim.process(attempt())
         sim.run(until=4.0)
         key = "with" if overflow else "without"
-        outcomes[key] = 1 if (completed and completed[0]) else 0
+        outcomes[key] = 1 if refusals == [None] else 0
     return {
         "success_with_overflow": float(outcomes["with"]),
         "success_without_overflow": float(outcomes["without"]),
@@ -563,13 +563,13 @@ def _e11_scenario(
     cell = world.domain1["B"]
 
     viewer = world.add_mobile("viewer")
-    assert viewer.initial_attach(cell)
+    assert viewer.initial_attach(cell) is None
 
     # Background: Poisson data to other mobiles in the same
     # cell; every flow shares the R1->A->B backhaul.
     for index in range(flows):
         other = world.add_mobile(f"bg{index}")
-        assert other.initial_attach(cell)
+        assert other.initial_attach(cell) is None
         PoissonSource(
             sim,
             world.cn.send,

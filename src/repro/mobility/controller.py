@@ -43,9 +43,10 @@ class MobilityController:
     ``handoff(old, new)`` return ``None`` when done or a reason token
     (``channel-pool-full``, ...) when refused, or a generator returning
     that outcome when the move takes simulated time; the controller runs
-    it to completion.  A refusal leaves a ``"fallback"`` record in
-    ``trace`` and the next candidate is asked.  ``name`` labels the
-    records; ``demand`` (bit/s) is the decider's bandwidth factor.
+    it to completion.  A refusal leaves a record in ``trace`` whose
+    ``kind`` names the move (``"attach"`` or ``"handoff"``), and the
+    next candidate is asked.  ``name`` labels the records; ``demand``
+    (bit/s) is the decider's bandwidth factor.
     """
 
     #: Margin (dB) by which a same-tier rival must beat the serving cell.
@@ -92,7 +93,6 @@ class MobilityController:
         self.serving_tier: Optional["Tier"] = None
         self.handoffs = 0
         self.handoff_latencies: list[float] = []
-        self.blocked_attach_attempts = 0
         if not decider.airtime_aware:
             # Decided once: a decider blind to the cells' queues never
             # sees one congested (no airtime relief, no rival excluded).
@@ -133,8 +133,9 @@ class MobilityController:
                         self.serving = candidate.station
                         self.serving_tier = candidate.tier
                         break
-                    self.blocked_attach_attempts += 1
-                    self._note_fallback(candidate, ordered[index + 1:], refusal)
+                    self._note_fallback(
+                        "attach", candidate, ordered[index + 1:], refusal
+                    )
                 continue
 
             decision = self._decide(candidates, factors, ordered, preference)
@@ -160,16 +161,18 @@ class MobilityController:
                     self.handoff_latencies.append(sim.now - started)
                     break
                 self._note_fallback(
-                    candidate, decision.targets[index + 1:], refusal
+                    "handoff", candidate, decision.targets[index + 1:], refusal
                 )
 
     def _note_fallback(
         self,
+        move: str,
         failed: Candidate,
         remaining: list[Candidate],
         reason: str,
     ) -> None:
-        """Record what happens after one refused or timed-out attempt.
+        """Record one refused or timed-out ``move`` (``"attach"`` or
+        ``"handoff"``), why it failed, and what happens next.
 
         Mirrors the try-next-candidate loop exactly: the next target is
         ``remaining[0]`` (the serving node there means the loop will
@@ -184,7 +187,7 @@ class MobilityController:
         else:
             action, target = NextAction.RETRY_SAME_TIER, nxt.station.name
         self.trace.record(
-            self.sim.now, self.name, "fallback", [reason],
+            self.sim.now, self.name, move, [reason],
             action=action.value, target=target,
         )
 

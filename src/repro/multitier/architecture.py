@@ -131,7 +131,7 @@ class MultiTierWorld:
         self.channel_plan = channel_plan
         #: World-wide decision-trace log: every controller built via
         #: :meth:`add_controller` records its tier decisions and
-        #: fallbacks here (ring buffer + exact ``policy.*`` counters).
+        #: refused moves here (ring buffer + exact counters).
         self.decision_trace = DecisionTrace()
         self._home_allocator = AddressAllocator(HOME_PREFIX)
 
@@ -298,7 +298,8 @@ class MultiTierWorld:
         controller = MobilityController(
             self.sim, model, self._stations, self._meter, self.decision_trace,
             policy if policy is not None else TierDecider(),
-            mobile.attach_move, mobile.handoff_move, sample_period,
+            mobile.initial_attach,
+            lambda old, new: mobile.perform_handoff(new), sample_period,
             name=mobile.name, demand=mobile.bandwidth_demand,
         )
         self.controllers.append(controller)

@@ -129,17 +129,6 @@ class MultiTierBaseStation(Node):
         self._pending_channels: dict[IPAddress, int] = {}
 
         self.location_messages_seen = 0
-        self.handoff_requests = 0
-        self.handoffs_accepted = 0
-        self.handoffs_rejected = 0
-        self.new_calls_blocked = 0
-        #: Admissions refused by the shared channel's demand budget
-        #: (a subset of handoffs_rejected / new_calls_blocked).
-        self.air_admission_rejects = 0
-        #: Cause token of the most recent refusal this station issued
-        #: (``air-budget-exceeded`` or ``channel-pool-full``) — read by
-        #: the mobility controller to explain attach fallbacks.
-        self.last_rejection_reason = ""
         self.delivered_to_mobiles = 0
         domain.add_station(self)
 
@@ -173,29 +162,24 @@ class MultiTierBaseStation(Node):
     # ------------------------------------------------------------------
     # Admission (the "resources of BS" factor)
     # ------------------------------------------------------------------
-    def admit_new_call(self, mobile: Node) -> bool:
+    def admit_new_call(self, mobile: Node) -> Optional[str]:
         """Initial attachment: may not take guard channels.
 
         Checks both resource pools — the shared channel's demand
         budget first (when admission control is on), then the guarded
-        channel pool — and records the cause of a refusal in
-        :attr:`last_rejection_reason`.
+        channel pool.  Returns ``None`` once admitted, else the cause
+        of the refusal: ``air-budget-exceeded`` or ``channel-pool-full``.
         """
         if self.shared_channel is not None and not self.shared_channel.admit(
             airtime_key(mobile), getattr(mobile, "bandwidth_demand", 0.0)
         ):
-            self.last_rejection_reason = "air-budget-exceeded"
-            self.air_admission_rejects += 1
-            self.new_calls_blocked += 1
-            return False
+            return "air-budget-exceeded"
         channel = self.channels.admit_new_call()
         if channel is None:
-            self.last_rejection_reason = "channel-pool-full"
-            self.new_calls_blocked += 1
-            return False
+            return "channel-pool-full"
         self.radio_connect(mobile)
         self.attached[mobile.address] = Attachment(mobile, channel, self.sim.now)
-        return True
+        return None
 
     def detach_mobile(self, mobile: Node) -> None:
         attachment = self.attached.pop(mobile.address, None)
@@ -319,7 +303,6 @@ class MultiTierBaseStation(Node):
     # ------------------------------------------------------------------
     def _handle_handoff_request(self, packet: Packet, from_node: Optional[Node]) -> None:
         request = packet.payload
-        self.handoff_requests += 1
         mobile_address = request.mobile_address
         mobile = self._linked_mobile(mobile_address, from_node)
         # Resources factor, checked in order: the shared channel's
@@ -341,14 +324,9 @@ class MultiTierBaseStation(Node):
             if previous is not None:
                 self.channels.release(previous)
             self._pending_channels[mobile_address] = channel
-            self.handoffs_accepted += 1
             self._notify_handoff_begin(request)
         else:
             reason = "channel-pool-full" if air_ok else "air-budget-exceeded"
-            if not air_ok:
-                self.air_admission_rejects += 1
-            self.last_rejection_reason = reason
-            self.handoffs_rejected += 1
 
         answer = messages.HandoffAnswer(
             mobile_address=mobile_address,

@@ -51,15 +51,7 @@ class MultiTierMobileNode(Node):
 
         self._location_loop = None
         self._pending_answers: dict[int, object] = {}
-        self.handoffs_attempted = 0
-        self.handoffs_completed = 0
-        self.handoffs_rejected = 0
-        self.handoffs_timed_out = 0
-        #: Cause token of the most recent failed attempt (empty after a
-        #: success) — read by the mobility controller to explain the
-        #: resulting fallback: ``handoff-timeout``, or the rejecting
-        #: base station's reason (e.g. ``air-budget-exceeded``).
-        self.last_handoff_failure = ""
+        #: Seconds each completed handoff took, request to accept.
         self.handoff_latencies: list[float] = []
         self.location_messages_sent = 0
         self.data_received = 0
@@ -76,15 +68,13 @@ class MultiTierMobileNode(Node):
     # ------------------------------------------------------------------
     # Attachment / location refresh
     # ------------------------------------------------------------------
-    def initial_attach(self, bs: MultiTierBaseStation) -> bool:
-        """First association: new-call admission (guard channels excluded)."""
-        return self.attach_move(bs) is None
-
-    def attach_move(self, bs: MultiTierBaseStation) -> Optional[str]:
-        """:meth:`initial_attach` as a mobility-controller move: ``None``
-        once attached, else the refusing station's reason token."""
-        if not bs.admit_new_call(self):
-            return bs.last_rejection_reason or "attach-blocked"
+    def initial_attach(self, bs: MultiTierBaseStation) -> Optional[str]:
+        """First association: new-call admission (guard channels
+        excluded).  ``None`` once attached, else the refusing station's
+        reason token."""
+        refusal = bs.admit_new_call(self)
+        if refusal is not None:
+            return refusal
         self.serving_bs = bs
         self._send_update_location()
         self._ensure_location_loop()
@@ -173,14 +163,13 @@ class MultiTierMobileNode(Node):
     def perform_handoff(self, new_bs: MultiTierBaseStation):
         """Generator: run as ``sim.process(mn.perform_handoff(bs))``.
 
-        Returns True on success.  On rejection or timeout the mobile
-        stays with its old base station (the caller may then try the
-        next candidate — tier overflow).
+        Returns ``None`` on success, else why it failed:
+        ``handoff-timeout`` or the rejecting station's reason token.  On
+        failure the mobile stays with its old base station (the caller
+        may then try the next candidate — tier overflow).
         """
         if new_bs is self.serving_bs:
-            return True
-        self.last_handoff_failure = ""
-        self.handoffs_attempted += 1
+            return None
         handoff_id = next(_handoff_ids)
         started = self.sim.now
 
@@ -208,20 +197,15 @@ class MultiTierMobileNode(Node):
         self._pending_answers.pop(handoff_id, None)
 
         if answer_event not in outcome:
-            self.handoffs_timed_out += 1
-            self.last_handoff_failure = "handoff-timeout"
+            refusal = "handoff-timeout"
+        elif not answer_event.value.accepted:
+            refusal = answer_event.value.reason
+        else:
+            refusal = None
+        if refusal is not None:
             if new_bs is not self.serving_bs:
                 new_bs.radio_disconnect(self)
-            return False
-        answer = answer_event.value
-        if not answer.accepted:
-            self.handoffs_rejected += 1
-            self.last_handoff_failure = (
-                getattr(answer, "reason", "") or "channel-pool-full"
-            )
-            if new_bs is not self.serving_bs:
-                new_bs.radio_disconnect(self)
-            return False
+            return refusal
 
         # 2. Make-before-break: erase the stale branch via the old radio
         #    and announce the new location via the new one, "in the same
@@ -232,17 +216,8 @@ class MultiTierMobileNode(Node):
         self.serving_bs = new_bs
         self._send_update_location(handoff_id)
         self._ensure_location_loop()
-        self.handoffs_completed += 1
         self.handoff_latencies.append(self.sim.now - started)
-        return True
-
-    def handoff_move(self, old_bs, new_bs: MultiTierBaseStation):
-        """Generator: :meth:`perform_handoff` as a mobility-controller
-        move, returning ``None`` on success, else the failure's reason
-        token (``handoff-timeout`` or the rejecting station's)."""
-        if (yield from self.perform_handoff(new_bs)):
-            return None
-        return self.last_handoff_failure or "handoff-rejected"
+        return None
 
     def _handoff_timeout(self, bs: MultiTierBaseStation) -> float:
         return bs.domain.handoff_timeout

@@ -15,7 +15,9 @@ so that every decision is *explainable*:
   :class:`Candidate`, :class:`NextAction`);
 * :mod:`repro.policy.trace` — :class:`DecisionTrace`, the per-run
   ring-buffer log whose counters become the ``policy.*`` scenario
-  metrics and whose tail renders under ``--trace-decisions``.
+  metrics, which books every refused move by move and reason
+  (:data:`REFUSAL_CAUSES`), and whose tail renders under
+  ``--trace-decisions``.
 
 The default config reproduces the historical hard-coded policy
 byte-identically.
@@ -36,6 +38,7 @@ from repro.policy.config import (
 from repro.policy.decider import TierDecider
 from repro.policy.trace import (
     POLICY_METRIC_KEYS,
+    REFUSAL_CAUSES,
     TRACE_RING_SIZE,
     DecisionRecord,
     DecisionTrace,
@@ -53,6 +56,7 @@ __all__ = [
     "POLICY_METRIC_KEYS",
     "POLICY_MODES",
     "PRESETS",
+    "REFUSAL_CAUSES",
     "TRACE_RING_SIZE",
     "Candidate",
     "DecisionRecord",

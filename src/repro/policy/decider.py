@@ -9,8 +9,8 @@ and the last is the resources of BS."
 into that decision: speed and bandwidth demand pick the *preferred
 tier*, signal strength ranks candidates inside a tier, and the
 resources factor is applied downstream by trying the returned
-candidates in order until one admits (rejections become ``"fallback"``
-records in the decision trace).  Unlike the
+candidates in order until one admits (each refusal becomes a decision
+trace record named after the refused move).  Unlike the
 historical threshold-only class it is *explainable*: :meth:`decide`
 returns a :class:`~repro.policy.types.TierDecision` whose ``reasons``
 name, in machine-readable tokens, why the candidates are ordered the

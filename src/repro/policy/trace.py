@@ -2,10 +2,11 @@
 
 One :class:`DecisionTrace` lives on each built run, whatever its
 stack.  The mobility controllers append a :class:`DecisionRecord` for
-every :class:`~repro.policy.types.TierDecision` they act on and a
-``"fallback"`` record (its ``action`` a
-:class:`~repro.policy.types.NextAction`) for every rejected or
-timed-out attempt.  Two views come out of it:
+every :class:`~repro.policy.types.TierDecision` they act on and one
+for every refused or timed-out move, its ``kind`` the move
+(``"attach"`` or ``"handoff"``), its one reason a token of
+:data:`REFUSAL_CAUSES` and its ``action`` a
+:class:`~repro.policy.types.NextAction`.  Three views come out of it:
 
 * **metrics** — :meth:`DecisionTrace.metric_counts` aggregates the
   records into the fixed ``policy.*`` key set
@@ -13,6 +14,9 @@ timed-out attempt.  Two views come out of it:
   metrics whenever its stack decides with the spec's policy block (the
   multi-tier stack) and that block is non-default, making policy A/B
   sweeps analyzable in comparison tables;
+* **refusals** — :attr:`DecisionTrace.refusals` counts the refused
+  moves by ``(move, reason)``, the run's one book of why mobiles were
+  turned away (``blocked_attaches`` and E9's ``rejections`` read it);
 * **narrative** — :meth:`DecisionTrace.render` prints the reason
   counters plus the tail of the ring buffer, which is what
   ``repro scenario run --trace-decisions`` shows.
@@ -59,15 +63,26 @@ _DECISION_REASON_KEYS = {
     "signal-hysteresis": "policy.signal_hysteresis",
 }
 
-#: Reason tokens on ``kind="fallback"`` records that have their own
-#: metric key (why the attempt failed).
-_FALLBACK_REASON_KEYS = {
-    "air-budget-exceeded": "policy.admission_reject",
-    "channel-pool-full": "policy.handoff_reject",
-    "handoff-timeout": "policy.handoff_timeout",
+#: Why a move was refused: a station's resources (the guarded channel
+#: pool, the shared channel's demand budget) or, for a handoff, no
+#: answer within the domain's ``handoff_timeout``.
+REFUSAL_CAUSES: tuple[str, ...] = (
+    "channel-pool-full",
+    "air-budget-exceeded",
+    "handoff-timeout",
+)
+
+#: Metric keys summing refused moves, each over its ``(move, reason)``
+#: pairs.
+_REFUSAL_KEYS = {
+    "policy.admission_reject": (
+        ("attach", "air-budget-exceeded"), ("handoff", "air-budget-exceeded"),
+    ),
+    "policy.handoff_reject": (("handoff", "channel-pool-full"),),
+    "policy.handoff_timeout": (("handoff", "handoff-timeout"),),
 }
 
-#: Fallback actions (``NextAction.value``) that have their own metric
+#: Refusal actions (``NextAction.value``) that have their own metric
 #: key (what the mobile did next).
 _ACTION_KEYS = {
     "retry_same_tier": "policy.retry_same_tier",
@@ -80,12 +95,12 @@ class DecisionRecord:
     """One traced policy event.
 
     ``kind`` is ``"decision"`` (a :class:`TierDecision` the controller
-    acted on) or ``"fallback"`` (the follow-up to one failed attempt);
-    ``action`` is empty for decisions and the
-    :class:`~repro.policy.types.NextAction` value for fallbacks;
+    acted on) or the move that was refused (``"attach"`` or
+    ``"handoff"``); ``action`` is empty for decisions and the
+    :class:`~repro.policy.types.NextAction` value for refusals;
     ``reasons`` is the machine-readable token list (never empty);
     ``target`` names the station asked (or the next station for
-    fallbacks, empty when stopping).
+    refusals, empty when stopping).
     """
 
     time: float
@@ -97,11 +112,14 @@ class DecisionRecord:
 
 
 class DecisionTrace:
-    """Bounded ring of decision records plus exact reason counters."""
+    """Bounded ring of decision records plus exact counters."""
 
     def __init__(self, ring_size: int = TRACE_RING_SIZE) -> None:
         self.records: deque[DecisionRecord] = deque(maxlen=int(ring_size))
+        #: ``policy.*`` key -> decisions and refusal actions, whole run.
         self.counts: Counter[str] = Counter()
+        #: ``(move, reason)`` -> refused moves, whole run.
+        self.refusals: Counter[tuple[str, str]] = Counter()
 
     def __len__(self) -> int:
         return len(self.records)
@@ -116,13 +134,13 @@ class DecisionTrace:
         action: str = "",
         target: str = "",
     ) -> None:
-        """Append one record and bump the matching ``policy.*`` counters.
+        """Append one record and count it.
 
         ``kind="decision"`` bumps ``policy.decisions`` plus a key per
-        recognized cause token; ``kind="fallback"`` bumps the key of
-        its ``action`` plus a key per recognized failure token.
-        Unrecognized tokens still land in the record (and the render)
-        — they just have no dedicated metric key.
+        recognized cause token (an unrecognized one lands in the record
+        and the render only); any other ``kind`` is a refused move,
+        counted in :attr:`refusals` once per reason and under the key
+        of its ``action``.
         """
         self.records.append(DecisionRecord(
             float(time), str(mobile), str(kind), str(action), tuple(reasons),
@@ -130,33 +148,40 @@ class DecisionTrace:
         ))
         if kind == "decision":
             self.counts["policy.decisions"] += 1
-            reason_keys = _DECISION_REASON_KEYS
+            for reason in reasons:
+                key = _DECISION_REASON_KEYS.get(reason)
+                if key is not None:
+                    self.counts[key] += 1
         else:
             key = _ACTION_KEYS.get(action)
             if key is not None:
                 self.counts[key] += 1
-            reason_keys = _FALLBACK_REASON_KEYS
-        for reason in reasons:
-            key = reason_keys.get(reason)
-            if key is not None:
-                self.counts[key] += 1
+            for reason in reasons:
+                self.refusals[kind, reason] += 1
 
     # ------------------------------------------------------------------
     def metric_counts(self) -> dict[str, float]:
         """The fixed ``policy.*`` metric dict (all keys, zero-filled)."""
-        return {
-            key: float(self.counts.get(key, 0)) for key in POLICY_METRIC_KEYS
-        }
+        counts = self.counts.copy()
+        for key, pairs in _REFUSAL_KEYS.items():
+            counts[key] = sum(self.refusals[pair] for pair in pairs)
+        return {key: float(counts[key]) for key in POLICY_METRIC_KEYS}
 
     def render(self, title: str = "decision trace", limit: int = 20) -> str:
-        """Human-readable summary: counters, then the last records.
+        """Human-readable summary: counters, refusals by move and
+        reason (most first), then the last records.
 
         ``limit`` caps the number of tail records shown (the ring
         itself holds up to its capacity).
         """
         lines = [f"{title}:"]
-        for key in POLICY_METRIC_KEYS:
-            lines.append(f"  {key:<28}{self.counts.get(key, 0)}")
+        for key, value in self.metric_counts().items():
+            lines.append(f"  {key:<28}{value:.0f}")
+        lines.append(f"  {sum(self.refusals.values())} moves refused:")
+        for (move, reason), count in sorted(
+            self.refusals.items(), key=lambda item: (-item[1], item[0])
+        ):
+            lines.append(f"    {count:9d}  {move:<8}{reason}")
         tail = list(self.records)[-int(limit):]
         shown = len(tail)
         lines.append(
@@ -176,6 +201,7 @@ class DecisionTrace:
 
 __all__ = [
     "POLICY_METRIC_KEYS",
+    "REFUSAL_CAUSES",
     "TRACE_RING_SIZE",
     "DecisionRecord",
     "DecisionTrace",

@@ -174,8 +174,6 @@ class SharedChannel:
         #: admission bookkeeping.
         self.claims: dict[int, float] = {}
         self.total_attaches = 0
-        #: Newcomers turned away by :meth:`admit` over the whole run.
-        self.admission_rejects = 0
         #: Analytic background claims (bit/s) from the hybrid fluid
         #: layer (:mod:`repro.fluid`), per direction.  Zero by default
         #: — the legacy-identical state.
@@ -215,15 +213,15 @@ class SharedChannel:
     def admit(self, key: int, demand: float) -> bool:
         """Would this channel accept a claim of ``demand`` bit/s?
 
-        Pure capacity check — no state changes besides counting the
-        rejection.  Always ``True`` with admission control off
-        (``admission_factor=None``).  Otherwise ``key`` is admitted
-        only while the other claims' committed demand plus its own
-        stays within ``admission_factor * downlink budget`` (the §3.2
-        "resources of BS" factor).  The asker's own claim is excluded
-        from the committed sum because a handing-off mobile attaches a
-        signalling claim here *before* asking — the check evaluates
-        the cell as if that claim were replaced by ``demand``.
+        Pure capacity check — no state changes.  Always ``True`` with
+        admission control off (``admission_factor=None``).  Otherwise
+        ``key`` is admitted only while the other claims' committed
+        demand plus its own stays within ``admission_factor * downlink
+        budget`` (the §3.2 "resources of BS" factor).  The asker's own
+        claim is excluded from the committed sum because a handing-off
+        mobile attaches a signalling claim here *before* asking — the
+        check evaluates the cell as if that claim were replaced by
+        ``demand``.
         """
         if self.admission_factor is None:
             return True
@@ -232,10 +230,8 @@ class SharedChannel:
         # a cell carrying 100k analytic mobiles has that much less
         # headroom for discrete newcomers.  Zero in non-hybrid runs.
         committed += self.background[DOWNLINK]
-        if committed + float(demand) <= self.admission_factor * self.rates[DOWNLINK]:
-            return True
-        self.admission_rejects += 1
-        return False
+        budget = self.admission_factor * self.rates[DOWNLINK]
+        return committed + float(demand) <= budget
 
     def detach(self, key: int) -> None:
         """Drop mobile ``key``'s claim and cancel its queued airtime.

@@ -85,8 +85,8 @@ def run_scenario_trace(spec: ScenarioSpec, seed: int):
 
     Returns ``(metrics, trace)`` where ``trace`` is the built run's
     :class:`~repro.policy.trace.DecisionTrace`, the ring buffer every
-    mobility controller of the run records its decisions and fallbacks
-    into, under any stack.  The metric dict is byte-identical to
+    mobility controller of the run records its decisions and refused
+    moves into, under any stack.  The metric dict is byte-identical to
     :func:`run_scenario_spec` for the same pair; tracing is
     observation, not behavior.  Deterministic: the trace replays
     identically for one ``(spec, seed)``.

@@ -7,7 +7,7 @@ IP — wiring the *same* population and traffic plan (see
 :mod:`repro.stacks.population`) over stack-specific machinery.  The
 returned :class:`BuiltRun` is the one skeleton every stack shares: it
 executes warmup → traffic → drain and harvests the metric dict, so a
-stack supplies only its topology, its controller and its counters.
+stack supplies only its topology, its controllers and its extras.
 
 Metric contract
 ---------------
@@ -45,6 +45,7 @@ from repro.radio.channel import DOWNLINK, UPLINK
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fluid.driver import FluidDriver
+    from repro.mobility.controller import MobilityController
     from repro.policy.trace import DecisionTrace
     from repro.radio.cells import Cell
     from repro.radio.channel import SharedChannel
@@ -103,8 +104,8 @@ class BuiltRun:
     The skeleton every stack shares: :meth:`execute` drives the
     measurement phases and :meth:`harvest` turns the finished run's
     counters into the metric dict.  A stack subclasses this with its
-    own data fields (world, network, agents, ...) and supplies only
-    :meth:`mobility_counters` and :meth:`extras`.
+    own data fields (world, network, agents, ...), passes its
+    controllers and supplies :meth:`extras`.
     """
 
     spec: ScenarioSpec
@@ -118,8 +119,11 @@ class BuiltRun:
     #: ``(cell, channel)`` per contended cell; empty in legacy mode.
     air_cells: list[tuple[Cell, SharedChannel]]
     #: Where the stack's controllers record their decisions and
-    #: fallbacks.
+    #: refused moves.
     decision_trace: DecisionTrace
+    #: One mobility controller per mobile, in population order: the
+    #: run's book of completed handoffs and attachments.
+    controllers: list[MobilityController]
     sources: list[TrafficSource] = field(default_factory=list)
     sinks: list[FlowSink] = field(default_factory=list)
 
@@ -225,13 +229,28 @@ class BuiltRun:
         return {key: metrics[key] for key in (*self.metric_order, *metrics)}
 
     def mobility_counters(self) -> tuple[int, list[float], int]:
-        """Stack hook: ``(handoffs, handoff latencies, attached)``.
+        """``(handoffs, handoff latencies, attached)``.
 
-        Completed handoffs over all mobiles, every completed handoff's
-        latency in seconds (mobile order), and how many mobiles hold a
-        serving attachment at the end of the run.
+        Completed handoffs over all controllers,
+        :meth:`handoff_latencies`, and how many mobiles hold a serving
+        attachment at the end of the run.
         """
-        raise NotImplementedError
+        controllers = self.controllers
+        return (
+            sum(controller.handoffs for controller in controllers),
+            self.handoff_latencies(),
+            sum(1 for controller in controllers if controller.serving is not None),
+        )
+
+    def handoff_latencies(self) -> list[float]:
+        """Every completed handoff's latency in seconds: by default the
+        time each handoff move took, in controller order.  Stack hook
+        for a stack whose handoff completes after its move returns."""
+        return [
+            latency
+            for controller in self.controllers
+            for latency in controller.handoff_latencies
+        ]
 
     def extras(self) -> dict[str, float]:
         """Stack hook: the stack's namespaced extra metrics, in order."""

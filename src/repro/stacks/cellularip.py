@@ -61,20 +61,6 @@ class BuiltCIPScenario(BuiltRun):
     network: Network
     domain: CIPDomain
     hosts: list[CIPMobileHost]
-    controllers: list[MobilityController]
-
-    def mobility_counters(self) -> tuple[int, list[float], int]:
-        """Handoffs and attachments per host; latencies per controller
-        (the time the handoff generator occupied)."""
-        return (
-            sum(host.handoffs_completed for host in self.hosts),
-            [
-                latency
-                for controller in self.controllers
-                for latency in controller.handoff_latencies
-            ],
-            sum(1 for host in self.hosts if host.serving_bs is not None),
-        )
 
     def extras(self) -> dict[str, float]:
         """Namespaced Cellular IP extras (metric contract: base.py)."""

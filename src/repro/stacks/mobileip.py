@@ -75,23 +75,16 @@ class BuiltMIPScenario(BuiltRun):
     home_agent: HomeAgent
     agents: list[ForeignAgent]
     nodes: list[MobileIPNode]
-    controllers: list[MobilityController]
 
-    def mobility_counters(self) -> tuple[int, list[float], int]:
-        """Moves and attachments per controller; latencies per node.
-
-        Mobile IP re-establishes routing via home registration, so the
-        registration round-trip IS the handoff latency.
-        """
-        return (
-            sum(controller.handoffs for controller in self.controllers),
-            [
-                latency
-                for node in self.nodes
-                for latency in node.registration_latencies
-            ],
-            sum(1 for c in self.controllers if c.serving is not None),
-        )
+    def handoff_latencies(self) -> list[float]:
+        """The registration round-trips, per node: Mobile IP
+        re-establishes routing via home registration, so that round-trip
+        IS the handoff latency."""
+        return [
+            latency
+            for node in self.nodes
+            for latency in node.registration_latencies
+        ]
 
     def extras(self) -> dict[str, float]:
         """Namespaced Mobile IP extras (metric contract: base.py)."""

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.fluid.driver import fluid_channel_pairs
-from repro.mobility.controller import MobilityController
 from repro.multitier.architecture import PICO_LEAVES, MultiTierWorld
 from repro.multitier.mobile import MultiTierMobileNode
 from repro.policy.decider import TierDecider
@@ -49,7 +48,6 @@ class BuiltScenario(BuiltRun):
 
     world: MultiTierWorld
     mobiles: list[MultiTierMobileNode]
-    controllers: list[MobilityController]
 
     #: Grandfathered key order (pinned by the committed golden tables):
     #: the un-namespaced extras sit inside the common block.
@@ -61,22 +59,16 @@ class BuiltScenario(BuiltRun):
     )
     reads_spec_policy = True
 
-    def mobility_counters(self) -> tuple[int, list[float], int]:
-        """Handoffs, their latencies and attachments, per mobile node."""
-        return (
-            sum(m.handoffs_completed for m in self.mobiles),
-            [latency for m in self.mobiles for latency in m.handoff_latencies],
-            sum(1 for m in self.mobiles if m.serving_bs is not None),
-        )
-
     def extras(self) -> dict[str, float]:
         """The grandfathered un-namespaced multi-tier extras."""
         cn = self.world.cn
         routed = cn.sent_via_binding + cn.sent_via_home
         return {
-            "blocked_attaches": float(
-                sum(c.blocked_attach_attempts for c in self.controllers)
-            ),
+            "blocked_attaches": float(sum(
+                count
+                for (move, _reason), count in self.decision_trace.refusals.items()
+                if move == "attach"
+            )),
             "via_binding_fraction": (
                 cn.sent_via_binding / routed if routed else 0.0
             ),

@@ -76,7 +76,7 @@ def test_multitier_handoff_migrates_airtime_claim():
 
     mobile = world.add_mobile("mn0", bandwidth_demand=64e3, airtime_key=0)
     key = airtime_key(mobile)
-    assert mobile.initial_attach(b)
+    assert mobile.initial_attach(b) is None
     assert key in b.shared_channel.attached
 
     handoff = sim.process(mobile.perform_handoff(c))

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 import repro.multitier.architecture as architecture
 from repro.mobility.controller import MobilityController
 from repro.policy import (
+    REFUSAL_CAUSES,
     Candidate,
     DecisionTrace,
     HandoffFactors,
@@ -82,7 +83,20 @@ class ReferenceController:
         self.blocked_attach_attempts = 0
         self.process = sim.process(self._run(), name=f"{mobile.name}-controller")
 
-    def _note_fallback(self, failed, remaining, reason):
+    # What a run harvests from its controllers, read off the mobile.
+    @property
+    def serving(self):
+        return self.mobile.serving_bs
+
+    @property
+    def handoff_latencies(self):
+        return self.mobile.handoff_latencies
+
+    @property
+    def handoffs(self):
+        return len(self.mobile.handoff_latencies)
+
+    def _note_fallback(self, move, failed, remaining, reason):
         serving = self.mobile.serving_bs
         nxt = remaining[0] if remaining else None
         if nxt is None or nxt.station is serving:
@@ -97,7 +111,7 @@ class ReferenceController:
         self.trace.record(
             self.sim.now,
             self.mobile.name,
-            "fallback",
+            move,
             [reason],
             action=action.value,
             target=target,
@@ -138,14 +152,15 @@ class ReferenceController:
 
             if mobile.serving_bs is None:
                 for index, candidate in enumerate(ordered):
-                    if mobile.initial_attach(candidate.station):
+                    refusal = mobile.initial_attach(candidate.station)
+                    if refusal is None:
                         break
                     self.blocked_attach_attempts += 1
                     self._note_fallback(
+                        "attach",
                         candidate,
                         ordered[index + 1:],
-                        candidate.station.last_rejection_reason
-                        or "attach-blocked",
+                        refusal,
                     )
                 continue
 
@@ -166,13 +181,14 @@ class ReferenceController:
             for index, candidate in enumerate(decision.targets):
                 if candidate.station is mobile.serving_bs:
                     break
-                accepted = yield from mobile.perform_handoff(candidate.station)
-                if accepted:
+                refusal = yield from mobile.perform_handoff(candidate.station)
+                if refusal is None:
                     break
                 self._note_fallback(
+                    "handoff",
                     candidate,
                     decision.targets[index + 1:],
-                    mobile.last_handoff_failure or "handoff-rejected",
+                    refusal,
                 )
 
     def reference_airtime_relief(self, ordered, factors):
@@ -402,11 +418,17 @@ def test_one_pass_leaves_the_same_decision_trace_as_the_reference(spec, monkeypa
     reference_trace = reference.world.decision_trace
 
     assert trace.counts == reference_trace.counts
+    assert trace.refusals == reference_trace.refusals
     assert list(trace.records) == list(reference_trace.records)
     assert len(trace.records) > 0
     assert metrics == reference_metrics
-    blocked = sum(c.blocked_attach_attempts for c in built.world.controllers)
-    assert blocked == sum(
+    for move, reason in trace.refusals:
+        assert move in ("attach", "handoff") and reason in REFUSAL_CAUSES
+    attach_refusals = sum(
+        count for (move, _reason), count in trace.refusals.items()
+        if move == "attach"
+    )
+    assert attach_refusals == metrics["blocked_attaches"] == sum(
         c.blocked_attach_attempts for c in reference.world.controllers
     )
 

@@ -11,6 +11,7 @@ import pytest
 
 from repro.multitier.architecture import MultiTierWorld
 from repro.net import DROP_CAUSES, Packet, drop_totals, ip, protocol_hop_totals
+from repro.policy import REFUSAL_CAUSES
 from repro.radio.channel import ChannelPlan
 from repro.scenarios import build_scenario, get_scenario, scenario_names
 from repro.stacks import stack_names
@@ -26,10 +27,19 @@ def test_causes_are_distinct_tokens():
 @pytest.mark.parametrize("stack", stack_names())
 @pytest.mark.parametrize("name", scenario_names())
 def test_every_smoke_run_books_only_known_causes(name, stack):
+    """Drops by a token of ``DROP_CAUSES``; refused moves by move and a
+    token of ``REFUSAL_CAUSES``, the attach ones being
+    ``blocked_attaches`` (a flat stack's moves never refuse)."""
     spec = get_scenario(name).smoke().replace(stack=stack)
     built = build_scenario(spec, spec.seeds[0])
-    built.execute()
+    metrics = built.execute()
     assert set(drop_totals(built.sim)) <= set(DROP_CAUSES)
+    refusals = built.decision_trace.refusals
+    for move, reason in refusals:
+        assert move in ("attach", "handoff") and reason in REFUSAL_CAUSES
+    assert metrics.get("blocked_attaches", 0.0) == sum(
+        count for (move, _reason), count in refusals.items() if move == "attach"
+    )
 
 
 def _ghost_packet(world, ttl=64):
@@ -59,7 +69,7 @@ def test_attachment_without_its_radio_link_is_stale_radio():
     sim = world.sim
     station = world.domain1["B"]
     mn = world.add_mobile("mn")
-    assert mn.initial_attach(station)
+    assert mn.initial_attach(station) is None
     sim.run(until=1.0)
     station.detach_link(mn)  # the downlink radio goes; the attachment stays
     for seq in range(3):
@@ -107,7 +117,7 @@ def test_drops_on_a_retired_radio_link_outlive_the_link():
         world = MultiTierWorld(channel_plan=plan)
         sim, old, new = world.sim, world.domain1["F"], world.domain1["E"]
         mn = world.add_mobile("mn")
-        assert mn.initial_attach(old)
+        assert mn.initial_attach(old) is None
         sim.run(until=1.0)
         retired = weakref.ref(old.link_to(mn))
         for index in range(40):
@@ -120,7 +130,7 @@ def test_drops_on_a_retired_radio_link_outlive_the_link():
 
         sim.process(handoff())
         sim.run(until=8.0)
-    assert outcome == [True] and old.link_to(mn) is None
+    assert outcome == [None] and old.link_to(mn) is None
     gc.collect()
     assert retired() is None
     drops = drop_totals(sim)

@@ -41,6 +41,7 @@ def test_kinds_sum_to_events_processed_and_two_runs_agree(event_census):
     assert kinds["Timeout -> Process._resume[CBRSource._run]"] > 0
     assert list(kinds.values()) == sorted(kinds.values(), reverse=True)
     assert first["drops"] == {}  # the multi-tier smoke run drops nothing
+    assert first["refusals"] == {}  # ... and refuses no move
 
 
 def test_cli_prints_tables_or_json_for_every_stack(event_census, capsys):
@@ -52,9 +53,12 @@ def test_cli_prints_tables_or_json_for_every_stack(event_census, capsys):
     runs = [label for label in report if label != "all runs"]
     assert len(runs) > 1 and all(f"{label}: " in tables for label in report)
     assert report["all runs"]["events"] == sum(report[run]["events"] for run in runs)
-    # Every run lists its drops by cause; "all runs" is their sum.
+    # Every run lists its drops by cause and its refused moves by move
+    # and reason; "all runs" is their sum.
     assert all(f"{label}: 0 packets dropped" in tables for label in report)
+    assert all(f"{label}: 0 moves refused" in tables for label in report)
     assert [report[label]["drops"] for label in report] == [{}] * len(report)
+    assert [report[label]["refusals"] for label in report] == [{}] * len(report)
     assert event_census.main(argv + ["--json"]) == 0
     assert json.loads(capsys.readouterr().out) == report
 
@@ -69,7 +73,32 @@ def test_census_drops_are_the_runs_drop_ledger(event_census, capsys):
     assert event_census.main(argv) == 0
     tables = capsys.readouterr().out
     assert "city-rush-hour/mobileip: 6 packets dropped\n" in tables
-    assert tables.endswith("        6  100.0%  unknown-visitor\n")
+    assert tables.endswith(
+        "        6  100.0%  unknown-visitor\n"
+        "city-rush-hour/mobileip: 0 moves refused\n"
+    )
+
+
+def test_census_refusals_are_the_runs_decision_trace(event_census):
+    """A run's ``refusals`` are its decision trace's, keyed
+    ``move:reason`` and ranked; the attach ones are ``blocked_attaches``."""
+    spec = get_scenario("mega").replace(
+        population=400, duration=6.0, traffic_mix={"idle": 1.0},
+        hotspot_fraction=0.0,
+    )
+    record = event_census.census_of(spec, 3)
+    assert record["refusals"] == {
+        "attach:channel-pool-full": 3990, "handoff:channel-pool-full": 18,
+    }
+    assert list(record["refusals"]) == ["attach:channel-pool-full",
+                                        "handoff:channel-pool-full"]
+    assert build_scenario(spec, 3).execute()["blocked_attaches"] == 3990
+    tables = event_census.render("mega/multitier", record)
+    assert tables.endswith(
+        "mega/multitier: 4008 moves refused\n"
+        "       3990   99.6%  attach:channel-pool-full\n"
+        "         18    0.4%  handoff:channel-pool-full"
+    )
 
 
 @pytest.mark.parametrize("stack", stack_names())

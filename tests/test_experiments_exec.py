@@ -30,7 +30,7 @@ def _world_scenario(seed: int) -> dict[str, float]:
     """
     world = MultiTierWorld()
     mn = world.add_mobile("mn")
-    assert mn.initial_attach(world.domain1["B"])
+    assert mn.initial_attach(world.domain1["B"]) is None
     world.sim.run(until=2.0)
     totals = world.protocol_hop_totals()
     return {
@@ -259,7 +259,7 @@ def test_link_registry_is_freed_with_its_simulator():
 
     world = MultiTierWorld()
     mn = world.add_mobile("mn")
-    assert mn.initial_attach(world.domain1["B"])
+    assert mn.initial_attach(world.domain1["B"]) is None
     world.sim.run(until=0.5)
     assert sum(world.protocol_hop_totals().values()) > 0
     sim_ref = weakref.ref(world.sim)
@@ -271,13 +271,13 @@ def test_link_registry_is_freed_with_its_simulator():
 def test_world_totals_are_frozen_against_later_worlds():
     world_a = MultiTierWorld()
     mn = world_a.add_mobile("mn")
-    assert mn.initial_attach(world_a.domain1["B"])
+    assert mn.initial_attach(world_a.domain1["B"]) is None
     world_a.sim.run(until=2.0)
     totals_a = world_a.protocol_hop_totals()
 
     world_b = MultiTierWorld()
     other = world_b.add_mobile("mn")
-    assert other.initial_attach(world_b.domain1["B"])
+    assert other.initial_attach(world_b.domain1["B"]) is None
     world_b.sim.run(until=2.0)
 
     assert world_a.protocol_hop_totals() == totals_a

@@ -110,7 +110,7 @@ def test_handoff_request_times_out_over_dead_radio():
     sim = world.sim
     d1 = world.domain1
     mn = world.add_mobile("mn")
-    assert mn.initial_attach(d1["F"])
+    assert mn.initial_attach(d1["F"]) is None
     sim.run(until=1.0)
 
     target = d1["E"]
@@ -122,13 +122,11 @@ def test_handoff_request_times_out_over_dead_radio():
         for link in (mn.link_to(target), target.link_to(mn)):
             if link is not None:
                 link.up = False
-        ok = yield from mn.perform_handoff(target)
-        results.append(ok)
+        results.append((yield from mn.perform_handoff(target)))
 
     sim.process(mover())
     sim.run(until=3.0)
-    assert results == [False]
-    assert mn.handoffs_timed_out == 1
+    assert results == ["handoff-timeout"]
     assert mn.serving_bs is d1["F"]
 
 
@@ -137,7 +135,7 @@ def test_stream_survives_lossy_wireless_with_gaps():
     world = MultiTierWorld()
     sim = world.sim
     mn = world.add_mobile("mn")
-    assert mn.initial_attach(world.domain1["B"])
+    assert mn.initial_attach(world.domain1["B"]) is None
     sim.run(until=1.0)
     # 20% downlink radio loss.
     link = world.domain1["B"].link_to(mn)
@@ -163,7 +161,7 @@ def test_buffer_guard_prevents_unbounded_memory():
     sim = world.sim
     rsmc = world.domain1.rsmc
     mn = world.add_mobile("mn")
-    assert mn.initial_attach(world.domain1["B"])
+    assert mn.initial_attach(world.domain1["B"]) is None
     sim.run(until=1.0)
 
     rsmc._start_buffering(mn.home_address)

@@ -255,7 +255,7 @@ def _multitier_downlink(sim):
     """CN -> Internet -> RSMC -> base stations -> mobile (Fig 3.1 world)."""
     world = MultiTierWorld(sim=sim)
     mobile = world.add_mobile("mn")
-    assert mobile.initial_attach(world.domain1["B"])
+    assert mobile.initial_attach(world.domain1["B"]) is None
     sim.run(until=1.0)
     delivered = []
     mobile.on_data.append(lambda packet: delivered.append(packet.uid))

@@ -20,21 +20,22 @@ def world():
 
 def attach(world, mobile, station_name, domain="domain1"):
     handle = getattr(world, domain)
-    assert mobile.initial_attach(handle[station_name])
+    assert mobile.initial_attach(handle[station_name]) is None
     return handle[station_name]
 
 
 def run_handoff(world, mobile, station):
-    """Execute a handoff synchronously and return success."""
+    """Execute a handoff synchronously and return its refusal (``None``
+    on success)."""
     result = []
 
     def runner():
-        ok = yield from mobile.perform_handoff(station)
-        result.append(ok)
+        result.append((yield from mobile.perform_handoff(station)))
 
     world.sim.process(runner())
     world.sim.run(until=world.sim.now + 2.0)
-    return result[0] if result else False
+    assert len(result) == 1, "the handoff did not finish"
+    return result[0]
 
 
 # ----------------------------------------------------------------------
@@ -101,7 +102,7 @@ def test_intra_domain_micro_to_micro_case_c(world):
     z = world.add_mobile("z")
     attach(world, z, "F")
     world.sim.run(until=1.0)
-    assert run_handoff(world, z, d1["E"])
+    assert run_handoff(world, z, d1["E"]) is None
     world.sim.run(until=world.sim.now + 1.0)
 
     assert z.serving_bs is d1["E"]
@@ -133,7 +134,7 @@ def test_handoff_over_the_mobiles_own_radio_never_walks_the_stations_links(world
     attach(world, z, "F")
     world.sim.run(until=1.0)
     target.links = CountedLinks(target.links)
-    assert run_handoff(world, z, target)
+    assert run_handoff(world, z, target) is None
     assert z.serving_bs is target
     assert target.attached[z.home_address].node is z
     assert target.links.passes == 0
@@ -145,7 +146,7 @@ def test_intra_domain_macro_to_micro_case_a(world):
     x = world.add_mobile("x", bandwidth_demand=384e3)
     attach(world, x, "R1")
     world.sim.run(until=1.0)
-    assert run_handoff(world, x, d1["B"])
+    assert run_handoff(world, x, d1["B"]) is None
     world.sim.run(until=world.sim.now + 1.0)
 
     assert x.serving_bs is d1["B"]
@@ -161,7 +162,7 @@ def test_intra_domain_micro_to_macro_case_b(world):
     y = world.add_mobile("y")
     attach(world, y, "E")
     world.sim.run(until=1.0)
-    assert run_handoff(world, y, d1["R2"])
+    assert run_handoff(world, y, d1["R2"]) is None
     world.sim.run(until=world.sim.now + 1.0)
 
     assert y.serving_bs is d1["R2"]
@@ -178,17 +179,16 @@ def test_handoff_rejected_when_channels_full():
     fillers = []
     for index in range(target.channels.capacity):
         filler = world.add_mobile(f"filler{index}")
-        assert filler.initial_attach(target)
+        assert filler.initial_attach(target) is None
         fillers.append(filler)
     world.sim.run(until=0.5)
 
     z = world.add_mobile("z")
     attach(world, z, "F")
     world.sim.run(until=1.0)
-    assert not run_handoff(world, z, target)
+    assert run_handoff(world, z, target) == "channel-pool-full"
     assert z.serving_bs is d1["F"]  # stays put after rejection
-    assert z.handoffs_rejected == 1
-    assert target.handoffs_rejected == 1
+    assert z.handoff_latencies == []
 
 
 def test_guard_channels_prefer_handoffs():
@@ -196,19 +196,20 @@ def test_guard_channels_prefer_handoffs():
     d1 = world.domain1
     target = d1["E"]
     # Fill all non-guard channels with new calls.
-    blocked = 0
+    refusals = []
     for index in range(target.channels.capacity):
         filler = world.add_mobile(f"filler{index}")
-        if not filler.initial_attach(target):
-            blocked += 1
-    assert blocked == 1  # the guard channel refused a new call
+        refusal = filler.initial_attach(target)
+        if refusal is not None:
+            refusals.append(refusal)
+    assert refusals == ["channel-pool-full"]  # the guard channel refused a new call
     world.sim.run(until=0.5)
 
     z = world.add_mobile("z")
     attach(world, z, "F")
     world.sim.run(until=1.0)
     # The handoff may still take the guard channel.
-    assert run_handoff(world, z, target)
+    assert run_handoff(world, z, target) is None
 
 
 def test_guarded_pool_blocks_new_calls_before_handoffs():
@@ -255,7 +256,7 @@ def test_inter_domain_same_upper_crosses_at_r3(world):
     attach(world, x, "C")
     world.sim.run(until=1.0)
     ha_registrations_before = world.ha.registrations_accepted
-    assert run_handoff(world, x, d1["E"])
+    assert run_handoff(world, x, d1["E"]) is None
     world.sim.run(until=world.sim.now + 1.0)
 
     assert d1["R3"].tables.micro_table.peek(x.home_address).via is d1["R2"]
@@ -272,7 +273,7 @@ def test_inter_domain_different_upper_registers_with_home(world):
     x = world.add_mobile("x")
     attach(world, x, "F")
     world.sim.run(until=1.0)
-    assert run_handoff(world, x, d2["G"])
+    assert run_handoff(world, x, d2["G"]) is None
     world.sim.run(until=world.sim.now + 2.0)
 
     assert x.serving_bs is d2["G"]
@@ -311,7 +312,7 @@ def test_rsmc_notifies_cn_for_route_optimization(world):
     world.sim.run(until=2.0)
 
     # A handoff makes the RSMC notify the CN (it saw CN's traffic).
-    assert run_handoff(world, x, d1["C"])
+    assert run_handoff(world, x, d1["C"]) is None
     world.sim.run(until=world.sim.now + 2.0)
     assert world.cn.notifications_received >= 1
     assert world.cn.bindings[x.home_address] == d1.rsmc.address
@@ -384,8 +385,7 @@ def test_rsmc_buffers_during_handoff_no_loss():
     world.sim.run(until=1.05)
 
     def handoff():
-        ok = yield from x.perform_handoff(d1["E"])
-        assert ok
+        assert (yield from x.perform_handoff(d1["E"])) is None
 
     world.sim.process(handoff())
     world.sim.run(until=5.0)

@@ -26,7 +26,7 @@ def test_pico_attachment_and_data_path():
     world, pico = make_world_with_pico()
     sim = world.sim
     mn = world.add_mobile("worker")
-    assert mn.initial_attach(pico)
+    assert mn.initial_attach(pico) is None
     sim.run(until=1.0)
 
     # Location records climb office -> B -> A -> R1 -> R3 -> RSMC.
@@ -47,18 +47,17 @@ def test_pico_to_micro_handoff():
     sim = world.sim
     d1 = world.domain1
     mn = world.add_mobile("worker")
-    assert mn.initial_attach(pico)
+    assert mn.initial_attach(pico) is None
     sim.run(until=1.0)
 
     done = []
 
     def leave_building():
-        ok = yield from mn.perform_handoff(d1["B"])
-        done.append(ok)
+        done.append((yield from mn.perform_handoff(d1["B"])))
 
     sim.process(leave_building())
     sim.run(until=3.0)
-    assert done == [True]
+    assert done == [None]
     assert mn.serving_bs is d1["B"]
     assert pico.tables.micro_table.peek(mn.home_address) is None
 
@@ -107,22 +106,21 @@ def test_pico_guard_channel_admits_handoff_only():
     # New calls stop at capacity - guard = 3...
     for index in range(3):
         filler = world.add_mobile(f"filler{index}", bandwidth_demand=1e6)
-        assert filler.initial_attach(pico)
+        assert filler.initial_attach(pico) is None
     blocked = world.add_mobile("blocked", bandwidth_demand=1e6)
-    assert not blocked.initial_attach(pico)
+    assert blocked.initial_attach(pico) == "channel-pool-full"
     # ...but a handoff may still take the guard channel.
     mover = world.add_mobile("mover", bandwidth_demand=1e6)
-    assert mover.initial_attach(world.domain1["B"])
+    assert mover.initial_attach(world.domain1["B"]) is None
     world.sim.run(until=0.5)
     done = []
 
     def enter_building():
-        ok = yield from mover.perform_handoff(pico)
-        done.append(ok)
+        done.append((yield from mover.perform_handoff(pico)))
 
     world.sim.process(enter_building())
     world.sim.run(until=2.0)
-    assert done == [True]
+    assert done == [None]
 
 
 def test_pico_completely_full_overflows_to_micro():
@@ -130,13 +128,12 @@ def test_pico_completely_full_overflows_to_micro():
     # Saturate all 4 channels: 3 new calls plus one handoff (guard).
     for index in range(3):
         filler = world.add_mobile(f"filler{index}", bandwidth_demand=1e6)
-        assert filler.initial_attach(pico)
+        assert filler.initial_attach(pico) is None
     guard_filler = world.add_mobile("guard_filler", bandwidth_demand=1e6)
-    assert guard_filler.initial_attach(world.domain1["B"])
+    assert guard_filler.initial_attach(world.domain1["B"]) is None
 
     def fill_guard():
-        ok = yield from guard_filler.perform_handoff(pico)
-        assert ok
+        assert (yield from guard_filler.perform_handoff(pico)) is None
 
     world.sim.process(fill_guard())
     world.sim.run(until=1.0)
@@ -148,4 +145,7 @@ def test_pico_completely_full_overflows_to_micro():
     # Pico is completely full; the controller fell through to micro B
     # and stayed there (handoff attempts into the pico are rejected).
     assert overflow.serving_bs is world.domain1["B"]
-    assert overflow.handoffs_rejected >= 1
+    assert world.decision_trace.refusals == {
+        ("attach", "channel-pool-full"): 1,
+        ("handoff", "channel-pool-full"): 8,
+    }

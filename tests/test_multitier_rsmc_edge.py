@@ -14,7 +14,7 @@ def test_buffer_overflow_counts_and_drops():
     sim = world.sim
     rsmc = world.domain1.rsmc
     mn = world.add_mobile("mn")
-    assert mn.initial_attach(world.domain1["B"])
+    assert mn.initial_attach(world.domain1["B"]) is None
     sim.run(until=1.0)
 
     # Force buffering and pour in more packets than the buffer holds.
@@ -31,7 +31,7 @@ def test_buffer_guard_abandons_stuck_handoff():
     sim = world.sim
     rsmc = world.domain1.rsmc
     mn = world.add_mobile("mn")
-    assert mn.initial_attach(world.domain1["B"])
+    assert mn.initial_attach(world.domain1["B"]) is None
     sim.run(until=1.0)
 
     rsmc._start_buffering(mn.home_address)
@@ -50,7 +50,7 @@ def test_departure_forwarding_to_new_domain():
     world = MultiTierWorld(second_domain=True, home_delay=0.05)
     sim = world.sim
     mn = world.add_mobile("mn")
-    assert mn.initial_attach(world.domain1["F"])
+    assert mn.initial_attach(world.domain1["F"]) is None
     sim.run(until=1.0)
 
     got = []
@@ -58,8 +58,7 @@ def test_departure_forwarding_to_new_domain():
 
     def mover():
         yield sim.timeout(0.5)
-        ok = yield from mn.perform_handoff(world.domain2["G"])
-        assert ok
+        assert (yield from mn.perform_handoff(world.domain2["G"])) is None
 
     # Stream across the move.
     for seq in range(40):
@@ -75,7 +74,7 @@ def test_forward_grace_expires():
     sim = world.sim
     rsmc1 = world.domain1.rsmc
     mn = world.add_mobile("mn")
-    assert mn.initial_attach(world.domain1["F"])
+    assert mn.initial_attach(world.domain1["F"]) is None
     sim.run(until=1.0)
 
     def mover():
@@ -102,7 +101,7 @@ def test_authentication_counted_once_per_domain():
     sim = world.sim
     d1 = world.domain1
     mn = world.add_mobile("mn")
-    assert mn.initial_attach(d1["B"])
+    assert mn.initial_attach(d1["B"]) is None
     sim.run(until=1.0)
     assert d1.rsmc.authentications == 1
 
@@ -119,7 +118,7 @@ def test_auth_delay_defers_first_binding():
     world = MultiTierWorld(domain_kwargs={"auth_delay": 0.5})
     sim = world.sim
     mn = world.add_mobile("mn")
-    assert mn.initial_attach(world.domain1["B"])
+    assert mn.initial_attach(world.domain1["B"]) is None
     sim.run(until=0.3)
     # Still inside the auth window: HA has no binding yet.
     assert world.ha.lookup_binding(mn.home_address) is None
@@ -133,15 +132,13 @@ def test_proxy_registration_uses_timestamp_identifications():
     world = MultiTierWorld(second_domain=True)
     sim = world.sim
     mn = world.add_mobile("mn")
-    assert mn.initial_attach(world.domain1["F"])
+    assert mn.initial_attach(world.domain1["F"]) is None
     sim.run(until=1.0)
 
     def mover():
-        ok = yield from mn.perform_handoff(world.domain2["G"])
-        assert ok
+        assert (yield from mn.perform_handoff(world.domain2["G"])) is None
         yield sim.timeout(1.0)
-        ok = yield from mn.perform_handoff(world.domain1["F"])
-        assert ok
+        assert (yield from mn.perform_handoff(world.domain1["F"])) is None
 
     sim.process(mover())
     sim.run(until=6.0)
@@ -196,7 +193,7 @@ def test_cn_binding_follows_mn_across_domains():
     world = MultiTierWorld(second_domain=True)
     sim = world.sim
     mn = world.add_mobile("mn")
-    assert mn.initial_attach(world.domain1["F"])
+    assert mn.initial_attach(world.domain1["F"]) is None
     sim.run(until=1.0)
     world.cn.send_to_mobile(mn.home_address, seq=0)
     sim.run(until=2.0)

@@ -142,19 +142,33 @@ def test_trace_counts_decisions_and_fallbacks():
     trace = DecisionTrace()
     trace.record(1.0, "mn0", "decision", ["out-of-coverage", "prefer-macro"],
                  target="R1")
-    trace.record(2.0, "mn0", "fallback", ["air-budget-exceeded"],
+    trace.record(2.0, "mn0", "handoff", ["air-budget-exceeded"],
                  action="escalate_tier", target="R2")
-    trace.record(3.0, "mn1", "fallback", ["channel-pool-full"],
+    trace.record(3.0, "mn1", "handoff", ["channel-pool-full"],
                  action="retry_same_tier", target="B")
+    trace.record(4.0, "mn2", "attach", ["channel-pool-full"],
+                 action="stop")
     counts = trace.metric_counts()
     assert set(counts) == set(POLICY_METRIC_KEYS)
     assert counts["policy.decisions"] == 1.0
     assert counts["policy.out_of_coverage"] == 1.0
     assert counts["policy.admission_reject"] == 1.0
     assert counts["policy.escalate_tier"] == 1.0
+    # A blocked attach is no handoff reject.
     assert counts["policy.handoff_reject"] == 1.0
     assert counts["policy.retry_same_tier"] == 1.0
     assert counts["policy.handoff_timeout"] == 0.0
+    assert trace.refusals == {
+        ("handoff", "air-budget-exceeded"): 1,
+        ("handoff", "channel-pool-full"): 1,
+        ("attach", "channel-pool-full"): 1,
+    }
+    assert [record.kind for record in trace.records] == [
+        "decision", "handoff", "handoff", "attach",
+    ]
+    rendered = trace.render()
+    assert "  3 moves refused:\n" in rendered
+    assert "            1  attach  channel-pool-full\n" in rendered
 
 
 def test_trace_ring_is_bounded_but_counters_are_exact():
@@ -182,18 +196,17 @@ def _channel(**kwargs):
 def test_admission_disabled_always_admits():
     _sim, channel = _channel()
     channel.attach(0, demand=1e12)
-    assert channel.admit(1, 1e12)
-    assert channel.admission_rejects == 0
+    assert channel.admit(1, 1e12) is True
 
 
 def test_admission_rejects_over_budget_and_counts():
     _sim, channel = _channel(admission_factor=1.0)
     channel.attach(0, demand=6000.0)
     # Budget is 8000 bit/s: 6000 committed + 4000 asked exceeds it.
-    assert not channel.admit(1, 4000.0)
-    assert channel.admission_rejects == 1
-    assert channel.admit(1, 2000.0)
-    assert channel.admission_rejects == 1
+    assert channel.admit(1, 4000.0) is False
+    # A pure check: the answer is all it leaves behind.
+    assert channel.claims == {0: 6000.0} and channel.attached == {0}
+    assert channel.admit(1, 2000.0) is True
 
 
 def test_admission_excludes_the_askers_own_claim():

@@ -226,11 +226,10 @@ def test_no_retired_link_outlives_its_use(collector_restored):
 
 def test_throwaway_fifth_stack_runs_on_the_shared_skeleton():
     """What a new flat stack costs: the node it places at each site, its
-    two moves, and a ``BuiltRun`` subclass with its two counter hooks.
+    two moves, and a ``BuiltRun`` subclass with its extras hook.
     This one places no access network at all (mobiles roam, nothing is
     delivered) yet emits every common metric through the skeleton."""
     import math
-    from dataclasses import dataclass
 
     from repro.mobility.controller import MobilityController
     from repro.net.topology import Network
@@ -244,17 +243,7 @@ def test_throwaway_fifth_stack_runs_on_the_shared_skeleton():
     from repro.stacks.registry import _REGISTRY
 
     # --- the whole stack (<= 50 lines) --------------------------------
-    @dataclass(kw_only=True)
     class BuiltNullRun(BuiltRun):
-        controllers: list
-
-        def mobility_counters(self):
-            return (
-                sum(c.handoffs for c in self.controllers),
-                [t for c in self.controllers for t in c.handoff_latencies],
-                sum(1 for c in self.controllers if c.serving is not None),
-            )
-
         def extras(self):
             return {"null.controllers": float(len(self.controllers))}
 

@@ -21,7 +21,8 @@ queue, before it runs, and nothing in ``src/`` knows.  Counts only — no
 timing — so two runs print the same bytes, and every run checks that
 its kinds sum to the simulators' ``events_processed``.  Each run also
 lists why its packets were dropped: the simulators' ``drop_totals``,
-by cause.
+by cause; and why its mobiles' moves were refused: the decision
+trace's ``refusals``, by move and reason (JSON keys ``move:reason``).
 
 Run from the repository root::
 
@@ -134,17 +135,26 @@ def census_of(spec, seed: int) -> dict:
     from repro.scenarios import build_scenario
 
     with counting() as (kinds, simulators):
-        build_scenario(spec, seed).execute()
+        built = build_scenario(spec, seed)
+        built.execute()
     events = sum(simulator.events_processed for simulator in simulators)
     drops: Counter = Counter()
     for simulator in simulators:
         drops.update(drop_totals(simulator))
-    return {"events": events, "kinds": ranked(kinds), "drops": ranked(drops)}
+    refusals = {
+        f"{move}:{reason}": count
+        for (move, reason), count in built.decision_trace.refusals.items()
+    }
+    return {
+        "events": events, "kinds": ranked(kinds), "drops": ranked(drops),
+        "refusals": ranked(refusals),
+    }
 
 
 def render(label: str, record: dict) -> str:
     """One run's table: count, share of all entries, kind; then count,
-    share of all drops, cause."""
+    share of all drops, cause; then count, share of all refused moves,
+    move and reason."""
     total = record["events"]
     lines = [f"{label}: {total} kernel entries"]
     for kind, count in record["kinds"].items():
@@ -153,6 +163,10 @@ def render(label: str, record: dict) -> str:
     lines.append(f"{label}: {dropped} packets dropped")
     for cause, count in record["drops"].items():
         lines.append(f"  {count:9d}  {count / dropped:6.1%}  {cause}")
+    refused = sum(record["refusals"].values())
+    lines.append(f"{label}: {refused} moves refused")
+    for refusal, count in record["refusals"].items():
+        lines.append(f"  {count:9d}  {count / refused:6.1%}  {refusal}")
     return "\n".join(lines)
 
 
@@ -186,11 +200,14 @@ def main(argv: list[str]) -> int:
     if len(report) > 1:
         lot: Counter = Counter()
         drops: Counter = Counter()
+        refusals: Counter = Counter()
         for record in report.values():
             lot.update(record["kinds"])
             drops.update(record["drops"])
+            refusals.update(record["refusals"])
         report["all runs"] = {
-            "events": sum(lot.values()), "kinds": ranked(lot), "drops": ranked(drops),
+            "events": sum(lot.values()), "kinds": ranked(lot),
+            "drops": ranked(drops), "refusals": ranked(refusals),
         }
     if args.json:
         print(json.dumps(report, indent=1))
