@@ -8,7 +8,7 @@ names is first asked for.
 
 Who gains is a fresh interpreter that builds one world through the
 library — ``build_scenario(spec, seed).execute()`` or
-``run_scenario_spec``: a perf repetition, a ``tools/*_census.py`` child,
+``run_scenario_spec``: a perf repetition, a ``tools/census.py`` child,
 an example, a notebook.  The ``repro scenario`` and ``repro campaign``
 verbs use the multi-run layer and load it whole (they skip only the
 stack adapters their grid does not name), ``--jobs`` workers are forked

@@ -64,9 +64,6 @@ class CIPDomain:
     def register_mobile(self, address) -> None:
         self.mobile_addresses.add(IPAddress(address))
 
-    def is_mobile(self, address) -> bool:
-        return IPAddress(address) in self.mobile_addresses
-
     def add_gateway(self, gateway: "CIPGateway") -> "CIPGateway":
         if self.gateway is not None:
             raise ValueError("domain already has a gateway")

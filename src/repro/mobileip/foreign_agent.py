@@ -61,8 +61,6 @@ class ForeignAgent(Router):
         #: Mobiles whose registration through this FA was accepted.
         self.visitors: dict[IPAddress, Visitor] = {}
         self._advertisement_sequence = 0
-        self.relayed_requests = 0
-        self.relayed_replies = 0
         self.delivered_to_visitors = 0
         self.on_protocol("ipip", self._handle_tunneled)
         self.on_protocol(messages.REGISTRATION_REQUEST, self._relay_request)
@@ -143,7 +141,6 @@ class ForeignAgent(Router):
             return
         if request.home_address not in self.attached:
             return  # not radio-attached here; ignore
-        self.relayed_requests += 1
         relayed = Packet(
             src=self.address,
             dst=request.home_agent,
@@ -167,7 +164,6 @@ class ForeignAgent(Router):
                 node=mobile,
                 registered_at=self.sim.now,
             )
-        self.relayed_replies += 1
         self.send_via(
             mobile,
             Packet(

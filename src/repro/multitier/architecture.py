@@ -150,7 +150,6 @@ class MultiTierWorld:
         self.network.connect(self.mnld, self.internet, delay=internet_delay)
         self.network.connect(self.cn, self.internet, delay=internet_delay)
         self.cn.gateway_router = self.internet
-        self.mnld.gateway_router = self.internet
 
         # Domains ---------------------------------------------------------
         self.domain1 = self._build_domain(0)

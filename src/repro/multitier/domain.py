@@ -29,9 +29,6 @@ class MobileRealm:
     def register(self, address) -> None:
         self.mobile_addresses.add(IPAddress(address))
 
-    def is_mobile(self, address) -> bool:
-        return IPAddress(address) in self.mobile_addresses
-
 
 class MultiTierDomain:
     """Parameters and registry for one multi-tier domain."""
@@ -53,7 +50,6 @@ class MultiTierDomain:
         wired_bandwidth: float = 100e6,
         wired_delay: float = 0.002,
         broadcast_paging: bool = True,
-        notify_correspondents: bool = True,
     ) -> None:
         self.sim = sim
         self.realm = realm if realm is not None else MobileRealm()
@@ -70,18 +66,11 @@ class MultiTierDomain:
         self.wired_bandwidth = wired_bandwidth
         self.wired_delay = wired_delay
         self.broadcast_paging = broadcast_paging
-        self.notify_correspondents = notify_correspondents
 
         self.rsmc: Optional["RSMC"] = None
         self.base_stations: list["MultiTierBaseStation"] = []
 
     # ------------------------------------------------------------------
-    def is_mobile(self, address) -> bool:
-        return self.realm.is_mobile(address)
-
-    def register_mobile(self, address) -> None:
-        self.realm.register(address)
-
     def add_station(self, station: "MultiTierBaseStation") -> None:
         if station not in self.base_stations:
             self.base_stations.append(station)

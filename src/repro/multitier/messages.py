@@ -24,8 +24,6 @@ BINDING_NOTIFY = "mt-binding-notify"
 AUTH_REQUEST = "mt-auth-request"
 AUTH_REPLY = "mt-auth-reply"
 MNLD_UPDATE = "mnld-update"
-MNLD_QUERY = "mnld-query"
-MNLD_REPLY = "mnld-reply"
 
 LOCATION_BYTES = 40
 UPDATE_LOCATION_BYTES = 44
@@ -108,15 +106,3 @@ class MNLDUpdate:
 
     mobile_address: IPAddress
     rsmc_address: IPAddress
-
-
-@dataclass(frozen=True)
-class MNLDQuery:
-    mobile_address: IPAddress
-    reply_to: IPAddress
-
-
-@dataclass(frozen=True)
-class MNLDReply:
-    mobile_address: IPAddress
-    rsmc_address: IPAddress | None

@@ -1,8 +1,7 @@
 """The Mobile Node Location Database (Fig 4.1).
 
 A wired service storing which RSMC currently serves each mobile.
-RSMCs push updates on arrival; the home network (or any node) may
-query it when no fresher binding exists.
+RSMCs push updates on arrival; :meth:`MNLD.lookup` reads the record.
 """
 
 from __future__ import annotations
@@ -25,41 +24,13 @@ class MNLD(Node):
     def __init__(self, sim: "Simulator", name: str, address) -> None:
         super().__init__(sim, name, address)
         self.records: dict[IPAddress, IPAddress] = {}
-        self.updates_received = 0
-        self.queries_received = 0
-        self.gateway_router: Optional[Node] = None
         self.on_protocol(messages.MNLD_UPDATE, self._handle_update)
-        self.on_protocol(messages.MNLD_QUERY, self._handle_query)
 
     def _handle_update(self, packet: Packet, link: Optional["Link"]) -> None:
         update = packet.payload
         if not isinstance(update, messages.MNLDUpdate):
             return
         self.records[update.mobile_address] = update.rsmc_address
-        self.updates_received += 1
-
-    def _handle_query(self, packet: Packet, link: Optional["Link"]) -> None:
-        query = packet.payload
-        if not isinstance(query, messages.MNLDQuery):
-            return
-        self.queries_received += 1
-        reply = messages.MNLDReply(
-            mobile_address=query.mobile_address,
-            rsmc_address=self.records.get(query.mobile_address),
-        )
-        out = Packet(
-            src=self.address,
-            dst=query.reply_to,
-            size=messages.MNLD_BYTES,
-            protocol=messages.MNLD_REPLY,
-            payload=reply,
-            created_at=self.sim.now,
-        )
-        target = self.gateway_router
-        if target is None and self.links:
-            target = next(iter(self.links))
-        if target is not None:
-            self.send_via(target, out)
 
     def lookup(self, mobile) -> Optional[IPAddress]:
         return self.records.get(IPAddress(mobile))

@@ -22,7 +22,7 @@ from repro.mobileip import messages as mip_messages
 from repro.multitier import messages
 from repro.multitier.basestation import MultiTierBaseStation
 from repro.net.addressing import IPAddress
-from repro.net.link import book_drop, connect
+from repro.net.link import book_drop
 from repro.net.node import Node
 from repro.net.packet import Packet, decapsulate
 from repro.radio.cells import Tier
@@ -81,19 +81,10 @@ class RSMC(MultiTierBaseStation):
         self.flushed_packets = 0
         self.forwarded_to_new_domain = 0
         self.authentications = 0
-        self.notifications_sent = 0
-        self.proxy_registrations = 0
         self.on_protocol("ipip", self._handle_tunneled)
         self.on_protocol(
             mip_messages.BINDING_NOTIFY, self._handle_home_binding_notify
         )
-
-    # ------------------------------------------------------------------
-    def connect_internet(
-        self, router: Node, bandwidth: float = 100e6, delay: float = 0.005
-    ) -> None:
-        connect(self.sim, self, router, bandwidth=bandwidth, delay=delay)
-        self.internet_neighbor = router
 
     # ------------------------------------------------------------------
     # Overridden packet paths
@@ -322,8 +313,6 @@ class RSMC(MultiTierBaseStation):
     # Route optimization and wide-area integration (§4)
     # ------------------------------------------------------------------
     def _notify_correspondent(self, mobile: IPAddress) -> None:
-        if not self.domain.notify_correspondents:
-            return
         correspondent = self._correspondents.get(mobile)
         if correspondent is None:
             # No known CN yet: notify as soon as its traffic shows up.
@@ -341,7 +330,6 @@ class RSMC(MultiTierBaseStation):
             rsmc_address=self.address,
             sequence=self._notify_sequence,
         )
-        self.notifications_sent += 1
         self.send_via(
             self.internet_neighbor,
             Packet(
@@ -367,7 +355,6 @@ class RSMC(MultiTierBaseStation):
             lifetime=300.0,
             identification=identification,
         )
-        self.proxy_registrations += 1
         self.send_via(
             self.internet_neighbor,
             Packet(

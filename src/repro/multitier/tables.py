@@ -107,13 +107,6 @@ class CellTable:
         self.expirations += len(stale)
         return len(stale)
 
-    def mobiles(self) -> list[IPAddress]:
-        return [
-            mn
-            for mn, record in self._records.items()
-            if record.expires > self.sim.now
-        ]
-
 
 class TablePair:
     """The paper's per-BS table set with its two-step lookup.

@@ -27,8 +27,7 @@ Semantics
   semisoft handoffs briefly hold claims on both cells) and the old one
   detaches it, cancelling any airtime the departed mobile still had
   queued there (those packets are air-interface losses, booked as
-  ``air-cancelled`` in the drop ledger and counted per direction in
-  :attr:`ChannelStats.dropped_on_detach`).
+  ``air-cancelled`` in the drop ledger).
 * **Admission control** (off by default): a channel built with an
   ``admission_factor`` tracks each claim's declared bandwidth demand
   and :meth:`SharedChannel.admit` rejects a newcomer whose demand
@@ -100,15 +99,13 @@ class _Airtime:
 class ChannelStats:
     """Per-channel airtime counters, split by direction."""
 
-    __slots__ = ("submitted", "granted", "dropped_on_detach", "busy_seconds")
+    __slots__ = ("submitted", "granted", "busy_seconds")
 
     def __init__(self) -> None:
         #: direction -> packets handed to the arbiter.
         self.submitted = {DOWNLINK: 0, UPLINK: 0}
         #: direction -> packets granted airtime.
         self.granted = {DOWNLINK: 0, UPLINK: 0}
-        #: direction -> queued packets cancelled by a claim detach.
-        self.dropped_on_detach = {DOWNLINK: 0, UPLINK: 0}
         #: direction -> total airtime seconds granted so far.
         self.busy_seconds = {DOWNLINK: 0.0, UPLINK: 0.0}
 
@@ -252,7 +249,6 @@ class SharedChannel:
                     link.channel_drop(entry.packet)
                     entry.link = None  # cancelled; skipped when it surfaces
                     self.queued[direction] -= 1
-                    self.stats.dropped_on_detach[direction] += 1
 
     # ------------------------------------------------------------------
     # Transmission (called by Link.transmit for channel-gated links)

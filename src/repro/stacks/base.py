@@ -40,8 +40,8 @@ import gc
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, ClassVar, Optional
 
-from repro.net.link import protocol_hop_totals
-from repro.radio.channel import DOWNLINK, UPLINK
+from repro.net.link import drop_totals, protocol_hop_totals
+from repro.radio.channel import DOWNLINK
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fluid.driver import FluidDriver
@@ -73,13 +73,14 @@ COMMON_METRICS: tuple[str, ...] = (
 )
 
 
-def air_metrics(channels: list, window: float) -> dict[str, float]:
+def air_metrics(sim, channels: list, window: float) -> dict[str, float]:
     """Contention-mode air-interface extras over ``channels``.
 
     Emitted only when the spec enables shared channels (legacy tables
     must not grow keys): the downlink utilization of the busiest cell
-    (over the ``window`` seconds simulated) and the total airtime
-    cancelled by claim detaches.  Deterministic counter arithmetic.
+    (over the ``window`` seconds simulated) and the queued airtime
+    claim detaches cancelled (``sim``'s ``air-cancelled`` drops).
+    Deterministic counter arithmetic.
     """
     live = [channel for channel in channels if channel is not None]
     busiest = max(
@@ -87,13 +88,7 @@ def air_metrics(channels: list, window: float) -> dict[str, float]:
     )
     return {
         "air_busiest_downlink": busiest / window,
-        "air_detach_drops": float(
-            sum(
-                channel.stats.dropped_on_detach[DOWNLINK]
-                + channel.stats.dropped_on_detach[UPLINK]
-                for channel in live
-            )
-        ),
+        "air_detach_drops": float(drop_totals(sim).get("air-cancelled", 0)),
     }
 
 
@@ -217,6 +212,7 @@ class BuiltRun:
             # Contention mode only: adding keys to a legacy run would
             # change its rendered table and break byte-identity.
             metrics.update(air_metrics(
+                self.sim,
                 [channel for _cell, channel in self.air_cells],
                 spec.warmup + spec.duration + spec.drain,
             ))

@@ -185,7 +185,6 @@ def test_detach_cancels_queued_airtime_but_not_in_flight():
     sim.call_later(0.6, channel.detach, 7)
     sim.run()
     assert [s for _, _, s in log] == [0, 1]
-    assert channel.stats.dropped_on_detach[DOWNLINK] == 1
     assert drop_totals(sim) == {"air-cancelled": 1}
     assert link.queue_depth == 0
     assert 7 not in channel.attached
@@ -381,8 +380,9 @@ def reference_arbiter(program):
     return served, dropped
 
 
-def assert_air_conserved(channel, elapsed=None):
-    """The ROADMAP conservation invariants of one channel.
+def assert_air_conserved(channel, cancelled, elapsed=None):
+    """The ROADMAP conservation invariants of one channel; ``cancelled``
+    maps a direction to the queued packets detaches cancelled on it.
 
     The balance holds at any instant boundary; the busy-time bound only
     once nothing is on the air (airtime is charged in full at the
@@ -391,7 +391,7 @@ def assert_air_conserved(channel, elapsed=None):
     stats = channel.stats
     for d in DIRECTIONS:
         assert stats.submitted[d] == (
-            stats.granted[d] + stats.dropped_on_detach[d] + channel.queued[d]
+            stats.granted[d] + cancelled[d] + channel.queued[d]
         ), (channel, d)
         assert channel.queued[d] >= 0
         if elapsed is not None:
@@ -422,11 +422,15 @@ def test_arbiter_grant_order_matches_brute_force_reference(operations):
             rate = channel.rates[direction]
             channel.set_background(direction, rate - rate / slowdown)
 
+    def by_direction(numbers):
+        """The submits ``numbers`` index, counted per direction."""
+        return {d: sum(program[n][2] == d for n in numbers) for d in DIRECTIONS}
+
     for number, (when, *rest) in enumerate(program):
         sim.call_later(when * TICK, apply, number, *rest)
     for tick in range(program[-1][0] + 1):
         sim.run(until=tick * TICK)
-        assert_air_conserved(channel)
+        assert_air_conserved(channel, by_direction(dropped))
     sim.run()
 
     expected_served, expected_dropped = reference_arbiter(program)
@@ -434,19 +438,30 @@ def test_arbiter_grant_order_matches_brute_force_reference(operations):
     assert dropped == expected_dropped
     assert channel.queued == {DOWNLINK: 0, UPLINK: 0}
     assert channel.stats.granted == {d: len(served[d]) for d in DIRECTIONS}
-    assert_air_conserved(channel, elapsed=sim.now)
+    assert_air_conserved(channel, by_direction(expected_dropped), elapsed=sim.now)
 
 
 @pytest.mark.parametrize("stack", stack_names())
 @pytest.mark.parametrize("name", ["campus-air", "metro-100k"])
 def test_contended_smoke_runs_conserve_airtime(name, stack):
     """Every contended smoke-golden run, under every stack, ends with
-    each cell's channel balanced."""
+    each cell's channel balanced: what a channel neither granted nor
+    still holds was cancelled by a detach, and the drop ledger's
+    ``air-cancelled`` is the sum of it over every cell."""
     spec = get_scenario(name).smoke().replace(stack=stack)
     assert spec.channels_enabled()
     built = build_scenario(spec, spec.seeds[0])
     built.execute()
     assert built.air_cells
     assert any(c.stats.granted[DOWNLINK] for _cell, c in built.air_cells)
+    total = 0
     for _cell, channel in built.air_cells:
-        assert_air_conserved(channel, elapsed=built.sim.now)
+        stats = channel.stats
+        cancelled = {
+            d: stats.submitted[d] - stats.granted[d] - channel.queued[d]
+            for d in DIRECTIONS
+        }
+        assert min(cancelled.values()) >= 0, channel
+        assert_air_conserved(channel, cancelled, elapsed=built.sim.now)
+        total += sum(cancelled.values())
+    assert drop_totals(built.sim).get("air-cancelled", 0) == total

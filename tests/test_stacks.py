@@ -393,11 +393,14 @@ def test_override_key_no_stack_reads_fails_at_spec_construction(stack):
     """A typo'd override key must fail when the spec is built, in one
     line, under every stack: not halfway through a build, and never as
     a run that finishes unchoked with a normal-looking table."""
-    with pytest.raises(
-        ValueError, match=f"'wired_bandwith' under stack '{stack}'"
-    ) as error:
-        _smoke(stack=stack).replace(domain_overrides={"wired_bandwith": 1e6})
-    assert "\n" not in str(error.value)
+    # ``notify_correspondents`` was a multi-tier knob: the RSMC always
+    # notifies now, so the key is as unknown as a typo.
+    for key in ("wired_bandwith", "notify_correspondents"):
+        with pytest.raises(
+            ValueError, match=f"'{key}' under stack '{stack}'"
+        ) as error:
+            _smoke(stack=stack).replace(domain_overrides={key: 1e6})
+        assert "\n" not in str(error.value)
     # A key only Cellular IP reads is valid under Cellular IP alone.
     cip_only = {"semisoft_delay": 0.05}
     if stack.startswith("cellularip"):
