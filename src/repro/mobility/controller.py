@@ -77,6 +77,8 @@ class MobilityController:
             raise ValueError(
                 f"sample_period must be > 0 seconds, got {sample_period!r}"
             )
+        if not demand >= 0:
+            raise ValueError(f"demand must be >= 0 bit/s, got {demand!r}")
         self.sim = sim
         self.model = model
         self.nodes = nodes
@@ -104,27 +106,20 @@ class MobilityController:
         sim = self.sim
         model = self.model
         period = self.sample_period
-        nodes = self.nodes
-        cells = self.meter.cells
         scan = self.meter.scan
-        decider = self.decider
         attach = self.attach
         while True:
             yield sim.timeout(period)
             position = model.advance(period)
-            # One pass from the scan to the decision: the candidates are
-            # exactly the audible cells covering us, strongest first.
-            candidates = [
-                Candidate(nodes[index], rss, cells[index].tier)
-                for rss, index in scan(position, covering=True)
-            ]
-            if not candidates:
+            # The decision reads the survey itself: the audible cells
+            # covering us as (rss, index) pairs, strongest first.
+            # Candidates are built only for a move the controller tries.
+            survey = scan(position, covering=True)
+            if not survey:
                 continue
-            factors = HandoffFactors(model.speed, self.demand, self.serving_tier)
-            preference = decider.tier_preference(factors)
-            ordered = decider.order_by_preference(candidates, preference)
 
             if self.serving is None:
+                ordered = self._targets(survey, self._factors())
                 for index, candidate in enumerate(ordered):
                     refusal = attach(candidate.station)
                     if type(refusal) is GeneratorType:
@@ -138,7 +133,7 @@ class MobilityController:
                     )
                 continue
 
-            decision = self._decide(candidates, factors, ordered, preference)
+            decision = self._decide(survey)
             if decision is None:
                 continue
             self.trace.record(
@@ -201,32 +196,46 @@ class MobilityController:
             and channel.queued[DOWNLINK] >= self.offload_queue_threshold
         )
 
-    def _decide(
-        self,
-        candidates: list[Candidate],
-        factors: HandoffFactors,
-        ordered: list[Candidate],
-        preference: list["Tier"],
-    ) -> Optional[TierDecision]:
+    def _factors(self) -> HandoffFactors:
+        """The §3.2 factors as observed now, for a move being made."""
+        return HandoffFactors(self.model.speed, self.demand, self.serving_tier)
+
+    def _targets(
+        self, heard: list[tuple[float, int]], factors: HandoffFactors
+    ) -> list[Candidate]:
+        """``heard`` survey pairs as candidates, best-first in the
+        decider's order.  Ordering a subset of the survey equals
+        filtering the ordered survey: both sorts are stable."""
+        nodes = self.nodes
+        cells = self.meter.cells
+        decider = self.decider
+        return decider.order_by_preference(
+            [Candidate(nodes[index], rss, cells[index].tier) for rss, index in heard],
+            decider.tier_preference(factors),
+        )
+
+    def _decide(self, survey: list[tuple[float, int]]) -> Optional[TierDecision]:
         """None = stay; otherwise an explainable decision whose
         ``targets`` are the ordered candidates to try and whose
         ``reasons`` name the branch that fired (reason vocabulary:
-        ``docs/POLICY.md``).  ``ordered`` and ``preference`` are the
-        decider's ordering of ``candidates`` and the tier preference it
-        was made with."""
+        ``docs/POLICY.md``).  ``survey`` is the meter's covering scan,
+        ``(rss_dbm, index)`` strongest first; nothing is built unless a
+        branch fires."""
         serving = self.serving
-        serving_candidate = None
-        for candidate in candidates:
-            if candidate.station is serving:
-                serving_candidate = candidate
+        nodes = self.nodes
+        cells = self.meter.cells
+        decider = self.decider
+        for serving_rss, serving_index in survey:
+            if nodes[serving_index] is serving:
                 break
-
-        # Factor: signal — out of the serving cell entirely, must move
-        # (candidates are exactly the audible cells covering us).
-        if serving_candidate is None:
+        else:
+            # Factor: signal — out of the serving cell entirely, must
+            # move (the survey is exactly the audible cells covering us,
+            # so every one is a target).
+            factors = self._factors()
             return TierDecision(
-                [c for c in ordered if c.station is not serving],
-                ["out-of-coverage"] + self.decider.preference_reasons(factors),
+                self._targets(survey, factors),
+                ["out-of-coverage"] + decider.preference_reasons(factors),
                 factors,
             )
 
@@ -236,73 +245,88 @@ class MobilityController:
         # with spare airtime (the paper's pico-overlay absorption:
         # "system will switch MN" when the serving tier cannot carry
         # its bandwidth).  Never fires in legacy mode (no channel).
-        if factors.bandwidth_demand > 0 and congested(serving):
+        if self.demand > 0 and congested(serving):
             relief = [
-                c
-                for c in ordered
-                if c.station is not serving
-                and c.station.shared_channel is not None
-                and not congested(c.station)
+                (rss, index)
+                for rss, index in survey
+                if nodes[index] is not serving
+                and nodes[index].shared_channel is not None
+                and not congested(nodes[index])
             ]
             if relief:
+                factors = self._factors()
                 return TierDecision(
-                    relief, ["airtime-relief", "serving-channel-congested"], factors
+                    self._targets(relief, factors),
+                    ["airtime-relief", "serving-channel-congested"],
+                    factors,
                 )
 
         # Nothing but the serving cell covers us: no tier to prefer and
         # no rival to beat it.
-        if len(candidates) == 1:
+        if len(survey) == 1:
             return None
 
-        serving_tier = serving_candidate.tier
-        tier_agnostic = self.decider.tier_agnostic
+        serving_tier = cells[serving_index].tier
+        tier_agnostic = decider.tier_agnostic
         if not tier_agnostic:
-            # Factors: speed / bandwidth demand — switch to a tier the
-            # decider ranks strictly better than the serving one.  In
+            # Factors: speed / bandwidth demand — switch to the best
+            # tier the decider ranks strictly above the serving one.  In
             # contention mode a congested target is never "better":
             # without this filter the preference branch would bounce a
             # mobile straight back into the congested cell that airtime
             # relief just moved it off (handoff ping-pong).
-            serving_rank = preference.index(serving_tier)
-            better_tier = [
-                c
-                for c in ordered
-                if preference.index(c.tier) < serving_rank
-                and not congested(c.station)
-            ]
-            if better_tier:
-                best_rank = min(preference.index(c.tier) for c in better_tier)
+            preference = decider.preference_for(self.model.speed, self.demand)
+            serving_rank = best_rank = preference.index(serving_tier)
+            if serving_rank:  # some tier ranks above the serving one
+                for _rss, index in survey:
+                    rank = preference.index(cells[index].tier)
+                    if rank < best_rank and not congested(nodes[index]):
+                        best_rank = rank
+            if best_rank < serving_rank:
+                best_tier = preference[best_rank]
+                factors = self._factors()
                 return TierDecision(
-                    [
-                        c
-                        for c in better_tier
-                        if preference.index(c.tier) == best_rank
-                    ],
-                    ["better-tier"] + self.decider.preference_reasons(factors),
+                    self._targets(
+                        [
+                            (rss, index)
+                            for rss, index in survey
+                            if cells[index].tier is best_tier
+                            and not congested(nodes[index])
+                        ],
+                        factors,
+                    ),
+                    ["better-tier"] + decider.preference_reasons(factors),
                     factors,
                 )
 
         # Factor: signal — a rival (of the serving tier, unless the
         # decider ignores tiers) beats us by the hysteresis margin;
         # congested rivals are excluded in contention mode for the same
-        # reason as above.
-        rivals = [
-            c
-            for c in candidates
-            if c.station is not serving
-            and (tier_agnostic or c.tier is serving_tier)
-            and not congested(c.station)
-        ]
-        if rivals:
-            best = max(rivals, key=lambda c: c.rss_dbm)
-            if best.rss_dbm >= serving_candidate.rss_dbm + self.hysteresis_db:
+        # reason as above.  The survey is strongest first: the first
+        # rival is the loudest, and once a cell is quieter than the
+        # level a rival needs, so is every later one.
+        needed = serving_rss + self.hysteresis_db
+        for rss, index in survey:
+            if rss < needed:
+                return None
+            best = nodes[index]
+            if (
+                best is not serving
+                and (tier_agnostic or cells[index].tier is serving_tier)
+                and not congested(best)
+            ):
+                factors = self._factors()
                 return TierDecision(
-                    [best]
-                    + [
-                        c
-                        for c in ordered
-                        if c.station not in (best.station, serving)
-                    ],
+                    self._targets([(rss, index)], factors)
+                    + self._targets(
+                        [
+                            (other_rss, other)
+                            for other_rss, other in survey
+                            if nodes[other] is not best
+                            and nodes[other] is not serving
+                        ],
+                        factors,
+                    ),
                     ["signal-hysteresis"],
                     factors,
                 )

@@ -116,13 +116,18 @@ class TierDecider:
         pico as a local bonus, macro as overflow.  The ablation modes
         pin the order regardless of factors.
         """
+        return self.preference_for(factors.speed, factors.bandwidth_demand)
+
+    def preference_for(self, speed: float, demand: float) -> list[Tier]:
+        """:meth:`tier_preference` from the two factors it reads (the
+        controller's stay test asks it without a factors snapshot)."""
         if self.mode == "always-micro":
             return [Tier.MICRO, Tier.PICO, Tier.MACRO]
         if self.mode == "always-macro":
             return [Tier.MACRO, Tier.MICRO, Tier.PICO]
-        if factors.speed >= self.speed_threshold:
+        if speed >= self.speed_threshold:
             return [Tier.MACRO, Tier.MICRO, Tier.PICO]
-        if factors.bandwidth_demand >= self.demand_threshold:
+        if demand >= self.demand_threshold:
             return [Tier.PICO, Tier.MICRO, Tier.MACRO]
         return [Tier.MICRO, Tier.PICO, Tier.MACRO]
 
@@ -158,8 +163,7 @@ class TierDecider:
         self, candidates: list[Candidate], preference: list[Tier]
     ) -> list[Candidate]:
         """:meth:`order_candidates` for a :meth:`tier_preference` the
-        caller already holds (the controller computes it once per
-        sample and decides with it too)."""
+        caller already holds."""
         if len(candidates) < 2:
             return list(candidates)
         # Both sorts are stable: equal signals keep their given order.

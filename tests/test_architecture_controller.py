@@ -109,6 +109,20 @@ def test_controller_refuses_a_sample_period_that_is_not_positive(period):
     assert world.controllers == []
 
 
+@pytest.mark.parametrize("demand", [-1.0, float("nan")])
+def test_controller_refuses_a_demand_that_is_negative_or_nan(demand):
+    """A ``nan`` demand would pass every ``>`` and ``>=`` test as False
+    and silently act as zero: it is refused at construction, as is a
+    negative one."""
+    world = MultiTierWorld()
+    mn = world.add_mobile("mn", bandwidth_demand=demand)
+    model = Stationary(Point(-2700, 0), WORLD_BOUNDS)
+    with pytest.raises(ValueError, match="demand") as error:
+        world.add_controller(mn, model)
+    assert "\n" not in str(error.value)
+    assert world.controllers == []
+
+
 # ----------------------------------------------------------------------
 # Policy unit tests
 # ----------------------------------------------------------------------

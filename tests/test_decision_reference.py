@@ -1,10 +1,13 @@
 """The one mobility controller against its specifications.
 
-``MobilityController`` goes from a scan to a decision in one pass: the
-tier preference is computed once and shared by the ordering and the
-decision, a sample whose only candidate is the serving cell returns
-early, and ``TierDecider.order_by_preference`` orders without a
-per-candidate key function.  The same class drives every stack: the
+``MobilityController`` decides on the meter's survey itself: ``_decide``
+reads the ``(rss_dbm, index)`` pairs, strongest first, in the fixed
+order out of coverage, airtime relief, alone in reach, better tier,
+signal hysteresis, and builds ``Candidate``s, ``HandoffFactors``, the
+ordering and the ``TierDecision`` only when it acts (an attach attempt
+or a decision it tries), so a sample that stays builds nothing.
+``TierDecider.order_by_preference`` orders without a per-candidate key
+function.  The same class drives every stack: the
 flat baselines pass an always-strongest decider blind to shared-channel
 queues and two moves that never refuse.  The specifications are what
 it replaced, kept here verbatim and self-contained:
@@ -18,7 +21,10 @@ it replaced, kept here verbatim and self-contained:
 
 The controller must agree with the first on every generated sample and
 on a whole run's decision trace, and with the second on every
-generated script of positions: the same moves at the same instants.
+generated script of positions: the same moves at the same instants.  A
+generated sample reaches ``_decide`` as the survey pairs of the same
+candidates, strongest first with ties in cell order, as the meter
+returns them.
 """
 
 from types import SimpleNamespace
@@ -343,12 +349,13 @@ def test_one_pass_equals_the_reference_on_generated_samples(sample):
         policy=policy,
     )
     controller = MobilityController(
-        Simulator(), None, stations, meter, DecisionTrace(), policy,
-        attach=None, handoff=None, name=mobile.name,
+        Simulator(), SimpleNamespace(speed=mobile.speed), stations, meter,
+        DecisionTrace(), policy, attach=None, handoff=None, name=mobile.name,
         demand=mobile.bandwidth_demand,
     )
     controller.serving = mobile.serving_bs
     tier = mobile.serving_bs.tier if mobile.serving_bs is not None else None
+    controller.serving_tier = tier
     factors = HandoffFactors(mobile.speed, mobile.bandwidth_demand, tier)
 
     expected_order = reference_order(policy, candidates, factors)
@@ -362,8 +369,14 @@ def test_one_pass_equals_the_reference_on_generated_samples(sample):
     if mobile.serving_bs is None or not candidates:
         return  # the attach loop walks ``ordered``; an empty sample is skipped
 
+    # The same candidates as the meter's survey: strongest first, ties
+    # in cell order.
+    survey = sorted(
+        [(c.rss_dbm, index) for index, c in enumerate(candidates)],
+        key=lambda pair: pair[0], reverse=True,
+    )
     expected = reference.reference_decide(candidates, factors, expected_order)
-    decision = controller._decide(candidates, factors, ordered, preference)
+    decision = controller._decide(survey)
     if expected is None:
         assert decision is None
     else:

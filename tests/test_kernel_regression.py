@@ -8,23 +8,33 @@ loop in :meth:`Simulator.run`, ``__slots__`` on
 the link.  None of that may move a single event: this file pins the
 ordering contract (time, then priority, then scheduling order) across
 bare callables and plain timeouts, what the per-hop chain may not
-do per packet, and the kernel-entry budgets of an elastic window and of
-an air packet.  The experiment-table goldens pin the same contract
+do per packet, what a mobility sample that stays may not build, and
+the kernel-entry budgets of an elastic window and of an air packet.  The experiment-table goldens pin the same contract
 end-to-end; these tests localize a violation.
 """
 
 from itertools import count
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mobility.controller import MobilityController
 from repro.multitier.architecture import MultiTierWorld
 from repro.net import IPAddress, Network
 from repro.net.link import Link
 from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.net.router import ForwardingTable
+from repro.policy import (
+    Candidate,
+    DecisionTrace,
+    HandoffFactors,
+    TierDecider,
+    TierDecision,
+)
+from repro.radio import Cell, Point, PropagationModel, SignalMeter, Tier
 from repro.radio.channel import DOWNLINK, SharedChannel
 from repro.scenarios import ScenarioSpec, build_scenario
 from repro.sim import Simulator
@@ -343,6 +353,57 @@ def test_data_plane_transmits_on_the_link_and_sends_the_source_packet(
         tunnelled = run.extras().get("mip.tunneled", 0)
     assert made.count("ipip") == tunnelled
     assert not hasattr(Simulator, "now")  # set per instance, no descriptor
+
+
+# ----------------------------------------------------------------------
+# A mobility sample that stays builds nothing
+# ----------------------------------------------------------------------
+def test_a_sample_that_stays_builds_no_candidate_factors_or_decision(monkeypatch):
+    """A mobile attached to one micro cell and parked where a second
+    micro cell is louder, but by less than the hysteresis margin, stays
+    at every sample: after the attach, no sample builds a ``Candidate``,
+    a ``HandoffFactors`` or a ``TierDecision``, so N samples and 2N
+    samples build the same number of each."""
+    built = {Candidate: 0, HandoffFactors: 0, TierDecision: 0}
+    for cls in built:
+        def counted_init(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
+            built[_cls] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted_init)
+
+    cells = [
+        Cell("serving", Point(0.0, 0.0), Tier.MICRO),
+        Cell("rival", Point(200.0, 0.0), Tier.MICRO),
+    ]
+    meter = SignalMeter(PropagationModel(), cells)
+    attach_at, parked = Point(10.0, 0.0), Point(106.0, 0.0)
+    (rival_rss, rival), (serving_rss, serving) = meter.scan(parked, covering=True)
+    assert (rival, serving) == (1, 0)
+    margin = MobilityController.hysteresis_db
+    assert 0.0 < rival_rss - serving_rss < margin
+
+    def counts(samples):
+        for cls in built:
+            built[cls] = 0
+        sim = Simulator()
+        nodes = [SimpleNamespace(name=cell.name, shared_channel=None) for cell in cells]
+        positions = iter([attach_at])
+        model = SimpleNamespace(speed=1.0, advance=lambda dt: next(positions, parked))
+        trace = DecisionTrace()
+        controller = MobilityController(
+            sim, model, nodes, meter, trace, TierDecider(),
+            attach=lambda node: None, handoff=lambda old, new: None,
+        )
+        sim.run(until=samples * controller.sample_period + 0.25)
+        assert controller.serving is nodes[0] and controller.handoffs == 0
+        assert not trace.records
+        return dict(built)
+
+    n = 20
+    once, twice = counts(n), counts(2 * n)
+    assert once == twice
+    assert once[Candidate] == 2 and once[HandoffFactors] == 1  # the attach
 
 
 # ----------------------------------------------------------------------
