@@ -118,7 +118,6 @@ class CIPBaseStation(Node):
         self.internet_neighbor: Optional[Node] = None
         self.control_packets_seen = 0
         self.paging_broadcasts = 0
-        self.delivered_to_mobiles = 0
         if self not in domain.base_stations:
             domain.base_stations.append(self)
 
@@ -210,7 +209,6 @@ class CIPBaseStation(Node):
         destination = packet.dst
         mobile = self.attached.get(destination)
         if mobile is not None:
-            self.delivered_to_mobiles += 1
             self.links[mobile].transmit(packet)
             return
 
@@ -273,7 +271,6 @@ class CIPGateway(CIPBaseStation):
         self.mobile_prefix: Optional[Prefix] = (
             Prefix(mobile_prefix) if mobile_prefix is not None else None
         )
-        self.uplink_data_packets = 0
 
     def connect_internet(
         self, router: Node, bandwidth: float = 100e6, delay: float = 0.005
@@ -285,5 +282,4 @@ class CIPGateway(CIPBaseStation):
         if packet.protocol in (messages.ROUTE_UPDATE, messages.PAGING_UPDATE):
             return  # control packets terminate at the gateway
         if self.internet_neighbor is not None:
-            self.uplink_data_packets += 1
             self.links[self.internet_neighbor].transmit(packet)

@@ -51,7 +51,7 @@ class CIPMobileHost(Node):
         self.data_received = 0
         #: Hooks fired with each received data packet.
         self.on_data: list[Callable[[Packet], None]] = []
-        self._control_loop = sim.process(self._update_loop(), name=f"{name}-cip-loop")
+        sim.process(self._update_loop(), name=f"{name}-cip-loop")
 
     # ------------------------------------------------------------------
     @property

@@ -108,10 +108,6 @@ class ExperimentResult:
     #: data cannot disagree.
     confidence: float = 0.95
 
-    def series_mean(self, name: str) -> float:
-        values = self.series[name]
-        return sum(values) / len(values) if values else float("nan")
-
 
 def build_sweep_result(
     experiment_id: str,

@@ -61,12 +61,11 @@ class ForeignAgent(Router):
         #: Mobiles whose registration through this FA was accepted.
         self.visitors: dict[IPAddress, Visitor] = {}
         self._advertisement_sequence = 0
-        self.delivered_to_visitors = 0
         self.on_protocol("ipip", self._handle_tunneled)
         self.on_protocol(messages.REGISTRATION_REQUEST, self._relay_request)
         self.on_protocol(messages.REGISTRATION_REPLY, self._relay_reply)
         self.on_protocol(messages.AGENT_SOLICITATION, self._handle_solicitation)
-        self._advertiser = sim.process(self._advertise_loop(), name=f"{name}-adv")
+        sim.process(self._advertise_loop(), name=f"{name}-adv")
 
     # ------------------------------------------------------------------
     # Radio attachment management (called by the mobility controller)
@@ -185,7 +184,6 @@ class ForeignAgent(Router):
         if visitor is None:
             book_drop(self.sim, "unknown-visitor")
             return
-        self.delivered_to_visitors += 1
         self.links[visitor.node].transmit(inner)
 
     def originate(self, packet: Packet) -> None:

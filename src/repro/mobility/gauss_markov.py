@@ -28,8 +28,8 @@ class GaussMarkov(MobilityModel):
         super().__init__(start, bounds)
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-        if mean_speed <= 0:
-            raise ValueError("mean_speed must be positive")
+        if not mean_speed > 0:  # nan fails too
+            raise ValueError(f"mean_speed must be positive, got {mean_speed}")
         self._rng = rng
         self.alpha = alpha
         self.mean_speed = mean_speed

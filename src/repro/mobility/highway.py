@@ -27,8 +27,8 @@ class Highway(MobilityModel):
         speed_jitter: float = 0.0,
     ) -> None:
         super().__init__(start, bounds)
-        if speed <= 0:
-            raise ValueError("speed must be positive")
+        if not speed > 0:  # nan fails too
+            raise ValueError(f"speed must be positive, got {speed}")
         if direction not in (-1, 1):
             raise ValueError("direction must be -1 or +1")
         if speed_jitter > 0 and rng is None:

@@ -32,10 +32,10 @@ class ManhattanGrid(MobilityModel):
         speed: float = 8.0,
         turn_probability: float = 0.5,
     ) -> None:
-        if block_size <= 0:
-            raise ValueError("block_size must be positive")
-        if speed <= 0:
-            raise ValueError("speed must be positive")
+        if not block_size > 0:  # nan fails too
+            raise ValueError(f"block_size must be positive, got {block_size}")
+        if not speed > 0:
+            raise ValueError(f"speed must be positive, got {speed}")
         if not 0.0 <= turn_probability <= 1.0:
             raise ValueError("turn_probability must be in [0, 1]")
         # Snap the start onto the nearest street (grid line).

@@ -24,10 +24,12 @@ class RandomDirection(MobilityModel):
         redirect_mean_interval: float = 60.0,
     ) -> None:
         super().__init__(start, bounds)
-        if speed <= 0:
-            raise ValueError("speed must be positive")
-        if redirect_mean_interval <= 0:
-            raise ValueError("redirect interval must be positive")
+        if not speed > 0:  # nan fails too
+            raise ValueError(f"speed must be positive, got {speed}")
+        if not redirect_mean_interval > 0:
+            raise ValueError(
+                f"redirect_mean_interval must be positive, got {redirect_mean_interval}"
+            )
         self._rng = rng
         self._constant_speed = speed
         self.redirect_mean_interval = redirect_mean_interval

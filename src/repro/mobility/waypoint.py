@@ -19,10 +19,15 @@ class RandomWaypoint(MobilityModel):
         pause_range: tuple[float, float] = (0.0, 10.0),
     ) -> None:
         super().__init__(start, bounds)
-        if speed_range[0] <= 0 or speed_range[1] < speed_range[0]:
-            raise ValueError(f"bad speed range {speed_range}")
-        if pause_range[0] < 0 or pause_range[1] < pause_range[0]:
-            raise ValueError(f"bad pause range {pause_range}")
+        # Written so that nan fails too.
+        if not (speed_range[0] > 0 and speed_range[1] >= speed_range[0]):
+            raise ValueError(
+                f"speed_range must be positive and ordered, got {speed_range}"
+            )
+        if not (pause_range[0] >= 0 and pause_range[1] >= pause_range[0]):
+            raise ValueError(
+                f"pause_range must be non-negative and ordered, got {pause_range}"
+            )
         self._rng = rng
         self.speed_range = speed_range
         self.pause_range = pause_range

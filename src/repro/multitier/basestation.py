@@ -129,7 +129,6 @@ class MultiTierBaseStation(Node):
         self._pending_channels: dict[IPAddress, int] = {}
 
         self.location_messages_seen = 0
-        self.delivered_to_mobiles = 0
         domain.add_station(self)
 
     # ------------------------------------------------------------------
@@ -376,34 +375,6 @@ class MultiTierBaseStation(Node):
         return node.address
 
     # ------------------------------------------------------------------
-    # Location tracking (§3.1: "When system needs to track the location
-    # of MNs, BSS just search its cell table")
-    # ------------------------------------------------------------------
-    def locate(self, mobile) -> tuple[Optional["MultiTierBaseStation"], int]:
-        """Walk the downward pointers to the serving base station.
-
-        Returns ``(serving_bs, table_probes)``; ``(None, probes)`` when
-        the trail is cold.  Each hop costs one :meth:`TablePair.lookup`
-        (micro_table first, then macro_table — the paper's order).
-        """
-        probes = 0
-        node: MultiTierBaseStation = self
-        visited: set[int] = set()
-        while True:
-            if id(node) in visited:
-                return None, probes  # corrupt trail; refuse to loop
-            visited.add(id(node))
-            record, cost = node.tables.lookup(mobile)
-            probes += cost
-            if record is None:
-                return None, probes
-            if record.via is None:
-                return node, probes
-            if not isinstance(record.via, MultiTierBaseStation):
-                return None, probes
-            node = record.via
-
-    # ------------------------------------------------------------------
     # Data plane
     # ------------------------------------------------------------------
     def _route_mobile_packet(self, packet: Packet, from_node: Optional[Node]) -> None:
@@ -421,7 +392,6 @@ class MultiTierBaseStation(Node):
         if attachment is not None:
             radio = self.links.get(attachment.node)
             if radio is not None:
-                self.delivered_to_mobiles += 1
                 radio.transmit(packet)
             else:
                 book_drop(self.sim, "stale-radio")

@@ -53,7 +53,6 @@ class MultiTierMobileNode(Node):
         self._pending_answers: dict[int, object] = {}
         #: Seconds each completed handoff took, request to accept.
         self.handoff_latencies: list[float] = []
-        self.location_messages_sent = 0
         self.data_received = 0
         self.on_data: list[Callable[[Packet], None]] = []
 
@@ -106,7 +105,6 @@ class MultiTierMobileNode(Node):
         serving = self.serving_bs
         if serving is None:
             return
-        self.location_messages_sent += 1
         self.send_via(
             serving,
             Packet(
@@ -125,7 +123,6 @@ class MultiTierMobileNode(Node):
         serving = self.serving_bs
         if serving is None:
             return
-        self.location_messages_sent += 1
         self.send_via(
             serving,
             Packet(

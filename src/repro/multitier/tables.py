@@ -33,7 +33,6 @@ class LocationRecord:
     mobile: IPAddress
     via: Optional["Node"]
     expires: float
-    stored_at: float
 
     @property
     def is_direct(self) -> bool:
@@ -50,11 +49,6 @@ class CellTable:
         self.name = name
         self.record_lifetime = record_lifetime
         self._records: dict[IPAddress, LocationRecord] = {}
-        self.stores = 0
-        self.hits = 0
-        self.misses = 0
-        self.deletes = 0
-        self.expirations = 0
 
     def __len__(self) -> int:
         return len(self._records)
@@ -64,28 +58,22 @@ class CellTable:
 
     def store(self, mobile: IPAddress, via: Optional["Node"]) -> LocationRecord:
         """Insert or refresh the record for ``mobile``."""
-        now = self.sim.now
-        record = LocationRecord(mobile, via, now + self.record_lifetime, now)
+        record = LocationRecord(mobile, via, self.sim.now + self.record_lifetime)
         self._records[mobile] = record
-        self.stores += 1
         return record
 
     def get(self, mobile: IPAddress) -> Optional[LocationRecord]:
         """The live record for ``mobile``, purging it if expired."""
         record = self._records.get(mobile)
         if record is None:
-            self.misses += 1
             return None
         if record.expires <= self.sim.now:
             del self._records[mobile]
-            self.expirations += 1
-            self.misses += 1
             return None
-        self.hits += 1
         return record
 
     def peek(self, mobile: IPAddress) -> Optional[LocationRecord]:
-        """Like :meth:`get` but without touching hit/miss counters."""
+        """Like :meth:`get` but leaves an expired record in place."""
         record = self._records.get(mobile)
         if record is None or record.expires <= self.sim.now:
             return None
@@ -93,19 +81,7 @@ class CellTable:
 
     def delete(self, mobile: IPAddress) -> bool:
         """Explicit erase (Delete Location Message, §3.2)."""
-        if mobile in self._records:
-            del self._records[mobile]
-            self.deletes += 1
-            return True
-        return False
-
-    def purge_expired(self) -> int:
-        now = self.sim.now
-        stale = [mn for mn, record in self._records.items() if record.expires <= now]
-        for mn in stale:
-            del self._records[mn]
-        self.expirations += len(stale)
-        return len(stale)
+        return self._records.pop(mobile, None) is not None
 
 
 class TablePair:

@@ -92,7 +92,6 @@ class Router(Node):
     def __init__(self, sim: "Simulator", name: str, address=None) -> None:
         super().__init__(sim, name, address)
         self.table = ForwardingTable()
-        self.forwarded_count = 0
 
     def add_route(self, prefix, next_hop: Node) -> None:
         if not isinstance(prefix, Prefix):
@@ -111,5 +110,4 @@ class Router(Node):
             book_drop(self.sim, "no-route")
             return
         packet.ttl -= 1
-        self.forwarded_count += 1
         self.links[next_hop].transmit(packet)

@@ -6,9 +6,9 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import count
-from typing import Optional, Union
+from typing import Union
 
-from repro.net.addressing import AddressAllocator, IPAddress
+from repro.net.addressing import AddressAllocator
 from repro.net.link import Link, connect, protocol_hop_totals
 from repro.net.node import Node
 from repro.net.router import Router
@@ -145,14 +145,6 @@ class Network:
         network's simulator, including links (radio, inter-domain)
         created outside :meth:`connect` and links since torn down."""
         return protocol_hop_totals(self.sim)
-
-    def find_node_owning(self, address) -> Optional[Node]:
-        """The node that owns ``address``, if any."""
-        target = IPAddress(address)
-        for node in self.nodes.values():
-            if node.owns(target):
-                return node
-        return None
 
 
 def star_topology(

@@ -103,10 +103,6 @@ class TierDecider:
         )
 
     # ------------------------------------------------------------------
-    def preferred_tier(self, factors: HandoffFactors) -> Tier:
-        """The single best tier for these factors (preference head)."""
-        return self.tier_preference(factors)[0]
-
     def tier_preference(self, factors: HandoffFactors) -> list[Tier]:
         """Tiers best-first for these factors.
 

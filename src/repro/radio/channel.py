@@ -170,7 +170,6 @@ class SharedChannel:
         #: key -> declared bandwidth demand (bit/s) of each claim; the
         #: admission bookkeeping.
         self.claims: dict[int, float] = {}
-        self.total_attaches = 0
         #: Analytic background claims (bit/s) from the hybrid fluid
         #: layer (:mod:`repro.fluid`), per direction.  Zero by default
         #: — the legacy-identical state.
@@ -205,7 +204,6 @@ class SharedChannel:
         if key not in self.attached:
             self.attached.add(key)
             self.claims[key] = float(demand)
-            self.total_attaches += 1
 
     def admit(self, key: int, demand: float) -> bool:
         """Would this channel accept a claim of ``demand`` bit/s?

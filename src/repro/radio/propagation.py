@@ -57,12 +57,3 @@ class PropagationModel:
         """Received signal strength in dBm at ``distance`` meters."""
         loss = log_distance_path_loss_db(distance, exponent=self.exponent)
         return tx_power_dbm - loss
-
-    def range_for_threshold(
-        self, tx_power_dbm: float, rx_threshold_dbm: float
-    ) -> float:
-        """Distance (m) at which mean received power hits the threshold."""
-        budget = tx_power_dbm - rx_threshold_dbm - REFERENCE_LOSS_DB
-        if budget <= 0:
-            return 1.0
-        return 10.0 ** (budget / (10.0 * self.exponent))

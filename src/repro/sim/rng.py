@@ -33,10 +33,6 @@ class RandomStreams:
             self._streams[name] = generator
         return generator
 
-    def spawn(self, name: str) -> "RandomStreams":
-        """Derive an independent sub-factory (for nested components)."""
-        return RandomStreams(root_seed=self.root_seed ^ _stable_hash(name))
-
     # Convenience draws -------------------------------------------------
     def uniform(self, name: str, low: float = 0.0, high: float = 1.0) -> float:
         return float(self.stream(name).uniform(low, high))
@@ -56,8 +52,3 @@ class RandomStreams:
     def choice(self, name: str, options):
         index = int(self.stream(name).integers(0, len(options)))
         return options[index]
-
-    def bernoulli(self, name: str, probability: float) -> bool:
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {probability}")
-        return bool(self.stream(name).random() < probability)

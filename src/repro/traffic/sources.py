@@ -110,8 +110,10 @@ class CBRSource(TrafficSource):
         flow_id: Optional[str] = None,
     ) -> None:
         super().__init__(sim, send, src, dst, flow_id)
-        if rate_bps <= 0 or packet_size <= 0:
-            raise ValueError("rate and packet size must be positive")
+        if not rate_bps > 0:  # nan fails too
+            raise ValueError(f"rate_bps must be positive, got {rate_bps}")
+        if not packet_size > 0:
+            raise ValueError(f"packet_size must be positive, got {packet_size}")
         self.packet_size = packet_size
         self.interval = packet_size * 8.0 / rate_bps
         self.duration = duration
@@ -139,8 +141,8 @@ class PoissonSource(TrafficSource):
         flow_id: Optional[str] = None,
     ) -> None:
         super().__init__(sim, send, src, dst, flow_id)
-        if mean_rate_pps <= 0:
-            raise ValueError("rate must be positive")
+        if not mean_rate_pps > 0:  # nan fails too
+            raise ValueError(f"mean_rate_pps must be positive, got {mean_rate_pps}")
         self._rng = rng
         self.mean_gap = 1.0 / mean_rate_pps
         self.packet_size = packet_size
@@ -221,8 +223,8 @@ class VBRVideoSource(TrafficSource):
         super().__init__(sim, send, src, dst, flow_id)
         if not 0.0 <= correlation < 1.0:
             raise ValueError("correlation must be in [0, 1)")
-        if burstiness < 0:
-            raise ValueError("burstiness must be non-negative")
+        if not burstiness >= 0:  # nan fails too
+            raise ValueError(f"burstiness must be non-negative, got {burstiness}")
         self._rng = rng
         self.frame_interval = 1.0 / frame_rate
         self.mean_frame_bytes = mean_rate_bps / frame_rate / 8.0

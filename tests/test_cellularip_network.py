@@ -18,7 +18,7 @@ from repro.cellularip import (
     CIPGateway,
     CIPMobileHost,
 )
-from repro.net import Network, Packet, Router, drop_totals, ip
+from repro.net import Network, Packet, Router, drop_totals, ip, protocol_hop_totals
 from repro.sim import Simulator
 
 
@@ -107,15 +107,19 @@ def test_downlink_follows_cached_path():
     stream_downlink(sim, cn, internet, mn.address, count=5, interval=0.05, start=0.5)
     sim.run(until=2.0)
     assert got == [0, 1, 2, 3, 4]
-    assert bs[2].delivered_to_mobiles == 5
+    # internet -> gw -> m1 -> bs2 -> mn per packet: the cached path, no
+    # paging flood and no detour.
+    assert protocol_hop_totals(sim)["data"] == 5 * 4
 
 
 def test_route_update_consumed_at_gateway():
     sim, domain, network, gw, m1, m2, bs, internet, cn, mn = build_cip_tree()
     mn.attach_to(bs[1])
     sim.run(until=0.3)
-    # The gateway must not leak control packets to the Internet.
-    assert gw.uplink_data_packets == 0
+    # The gateway must not leak control packets to the Internet: every
+    # hop is a route update on mn -> bs1 -> m1 -> gw, none goes on.
+    assert mn.route_updates_sent == 1
+    assert protocol_hop_totals(sim) == {"cip-route-update": 3}
 
 
 def test_hard_handoff_loses_in_flight_packets():

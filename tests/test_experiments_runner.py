@@ -46,7 +46,6 @@ def test_sweep_builds_series_and_text():
     assert result.series["doubled"] == [2.0, 4.0, 6.0]
     assert result.series["seeded"] == [1.5, 1.5, 1.5]
     assert "a test sweep" in result.text
-    assert result.series_mean("doubled") == pytest.approx(4.0)
 
 
 def test_sweep_renders_a_case_table_with_renamed_headers():

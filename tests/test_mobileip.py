@@ -14,7 +14,7 @@ from repro.mobileip import (
     install_home_prefix_routes,
     messages,
 )
-from repro.net import Network, Packet, drop_totals, ip
+from repro.net import Network, Packet, drop_totals, ip, protocol_hop_totals
 from repro.sim import Simulator
 
 
@@ -80,15 +80,19 @@ def test_cn_packets_tunneled_to_visiting_mn():
     sim.run(until=2.0)
 
     received = []
-    mn.on_protocol("data", lambda packet, link: received.append(packet))
+    mn.on_protocol("data", lambda packet, link: received.append((packet, link)))
     cn_sends = Packet(
         src=cn.address, dst=mn.home_address, size=1000, created_at=sim.now
     )
+    before = protocol_hop_totals(sim)
     core.receive(cn_sends)
     sim.run(until=4.0)
-    assert len(received) == 1
+    after = protocol_hop_totals(sim)
+    assert [link.head for _packet, link in received] == [fa1]
     assert ha.tunneled_count == 1
-    assert fa1.delivered_to_visitors == 1
+    # core -> HA and FA1 -> MN in the clear, HA -> core -> FA1 tunnelled.
+    assert after["data"] - before.get("data", 0) == 2
+    assert after["ipip"] - before.get("ipip", 0) == 2
 
 
 def test_delivered_data_packet_fires_every_on_data_hook():
@@ -213,14 +217,15 @@ def test_mn_to_cn_traffic_routes_directly_not_through_ha():
     sim.run(until=3.0)
     received = []
     cn.on_protocol("data", lambda packet, link: received.append(packet))
+    data_before = protocol_hop_totals(sim).get("data", 0)
     mn.originate(
         Packet(src=mn.home_address, dst=cn.address, size=800, created_at=sim.now)
     )
-    ha_forwarded_before = ha.forwarded_count
     sim.run(until=5.0)
     assert len(received) == 1
-    # Triangle routing is one-directional: uplink bypasses the HA.
-    assert ha.forwarded_count == ha_forwarded_before
+    # Triangle routing is one-directional: uplink bypasses the HA, so
+    # the packet takes only MN -> FA1 -> core -> CN.
+    assert protocol_hop_totals(sim)["data"] - data_before == 3
 
 
 def test_triangle_routing_path_stretch():

@@ -1,5 +1,7 @@
 """Tests for mobility models, including property-based bounds checks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +60,37 @@ def test_random_waypoint_bad_ranges():
         RandomWaypoint(Point(0, 0), BOUNDS, rng, speed_range=(0.0, 1.0))
     with pytest.raises(ValueError):
         RandomWaypoint(Point(0, 0), BOUNDS, rng, pause_range=(5.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "model, bad",
+    [
+        (model, {name: value})
+        for model, names in (
+            (Highway, ("speed",)),
+            (GaussMarkov, ("mean_speed",)),
+            (RandomDirection, ("speed", "redirect_mean_interval")),
+            (ManhattanGrid, ("block_size", "speed")),
+        )
+        for name in names
+        for value in (0.0, -1.0, math.nan)
+    ]
+    + [
+        (RandomWaypoint, {name: bounds})
+        for name, values in (
+            ("speed_range", ((0.0, 1.0), (math.nan, 1.0), (1.0, math.nan), (2.0, 1.0))),
+            ("pause_range", ((-1.0, 1.0), (math.nan, 1.0), (0.0, math.nan), (2.0, 1.0))),
+        )
+        for bounds in values
+    ],
+)
+def test_mis_built_models_fail_at_construction(model, bad):
+    """A nan speed used to make every position nan, so the mobile never
+    heard a cell; each bad field is refused up front, by name."""
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
+        model(Point(500, 500), BOUNDS, rng, **bad)
+    model(Point(500, 500), BOUNDS, rng)  # defaults pass
 
 
 def test_gauss_markov_alpha_validation():

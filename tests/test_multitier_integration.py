@@ -80,7 +80,7 @@ def test_periodic_location_messages_refresh_records(world):
     # Run well past the record lifetime: refreshes must keep it alive.
     world.sim.run(until=d1.domain.record_lifetime * 3)
     assert d1["R3"].tables.micro_table.peek(x.home_address) is not None
-    assert x.location_messages_sent >= 10
+    assert world.protocol_hop_totals()["mt-location"] >= 10
 
 
 def test_macro_attached_mn_recorded_in_macro_tables(world):

@@ -112,7 +112,7 @@ def test_decider_from_config_resolves_thresholds():
 )
 def test_speed_aware_preference_and_reasons(factors, head, token):
     decider = TierDecider()
-    assert decider.preferred_tier(factors) is head
+    assert decider.tier_preference(factors)[0] is head
     reasons = decider.preference_reasons(factors)
     assert token in reasons
     assert len(reasons) >= 1

@@ -127,13 +127,6 @@ def test_propagation_rx_power_monotonic():
     assert near > far
 
 
-def test_range_for_threshold_inverts_loss():
-    model = PropagationModel(exponent=3.5)
-    rx_range = model.range_for_threshold(tx_power_dbm=30.0, rx_threshold_dbm=-90.0)
-    at_edge = model.received_power_dbm(30.0, rx_range)
-    assert at_edge == pytest.approx(-90.0, abs=0.1)
-
-
 def test_invalid_distance_rejected():
     with pytest.raises(ValueError):
         free_space_path_loss_db(0.0)

@@ -212,9 +212,9 @@ def test_attach_is_idempotent_and_migration_tracks_claims():
     sim = Simulator()
     old = SharedChannel(sim, "air-old", 8000.0, 4000.0)
     new = SharedChannel(sim, "air-new", 8000.0, 4000.0)
-    old.attach(4)
-    old.attach(4)
-    assert old.total_attaches == 1
+    old.attach(4, demand=100.0)
+    old.attach(4, demand=200.0)  # a re-attach keeps the first claim
+    assert old.attached == {4} and old.claims == {4: 100.0}
     # Make-before-break: claim on both, then the old side detaches.
     new.attach(4)
     old.detach(4)

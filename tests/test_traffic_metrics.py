@@ -169,19 +169,25 @@ def test_elastic_source_backs_off_on_loss():
             (ElasticSource,
              ("packet_size", "initial_window", "max_window", "feedback_timeout")),
             (OnOffSource, ("rate_bps", "packet_size", "mean_on", "mean_off")),
+            (CBRSource, ("rate_bps", "packet_size")),
+            (PoissonSource, ("mean_rate_pps",)),
+            (VBRVideoSource, ("burstiness",)),
         )
         for name in names
         for value in (0, -1, math.nan)
-        if (name, value) != ("mean_off", 0)  # a source that never pauses
+        # a source that never pauses; frames of exactly the mean size
+        if (name, value) not in (("mean_off", 0), ("burstiness", 0))
     ],
 )
 def test_mis_built_sources_fail_at_construction(source, bad):
     """A value that would make every window lossy (``feedback_timeout=0``),
     send nothing (``mean_on=0``) or only raise from inside the process at
-    the first emit (``packet_size=0``) is refused up front, nan included."""
+    the first emit (``packet_size=0``, a nan rate's "negative delay nan")
+    is refused up front, nan included."""
     sim = Simulator()
     send, _ = collect(sim)
-    extra = {"rng": np.random.default_rng(0)} if source is OnOffSource else {}
+    seeded = (OnOffSource, PoissonSource, VBRVideoSource)
+    extra = {"rng": np.random.default_rng(0)} if source in seeded else {}
     with pytest.raises(ValueError, match=next(iter(bad))):
         source(sim, send, ip("10.0.0.1"), ip("10.0.0.2"), **extra, **bad)
     source(sim, send, ip("10.0.0.1"), ip("10.0.0.2"), **extra)  # defaults pass
