@@ -108,21 +108,3 @@ class RoutingCache:
     def remove(self, mobile: IPAddress) -> None:
         """Explicitly clear the mapping (paper's Delete Location Message)."""
         self._entries.pop(mobile, None)
-
-    def purge_expired(self) -> int:
-        """Drop all expired entries; returns how many were removed."""
-        removed = 0
-        now = self.sim.now
-        for mobile in list(self._entries):
-            entries = self._entries[mobile]
-            live = [entry for entry in entries if entry.expires > now]
-            removed += len(entries) - len(live)
-            if live:
-                self._entries[mobile] = live
-            else:
-                del self._entries[mobile]
-        self.expirations += removed
-        return removed
-
-    def mobiles(self) -> list[IPAddress]:
-        return list(self._entries)

@@ -16,7 +16,7 @@ from repro.metrics.tables import diff_counts
 from repro.mobility import Highway, RandomWaypoint
 from repro.multitier.architecture import WORLD_BOUNDS, MultiTierWorld
 from repro.multitier.basestation import GuardedChannelPool
-from repro.net import drop_totals
+from repro.net import drop_totals, protocol_hop_totals
 from repro.policy.decider import TierDecider
 from repro.radio.cells import Tier
 from repro.radio.geometry import Point, Rectangle
@@ -164,11 +164,11 @@ def _t1_scenario(case: str, seed: int) -> dict[str, int]:
     if mn._location_loop is not None and mn._location_loop.is_alive:
         mn._location_loop.interrupt("t1 accounting")
     sim.run(until=1.5)
-    before = world.protocol_hop_totals()
+    before = protocol_hop_totals(sim)
     outcomes = baselines.scripted_handoffs(sim, 0.0, [target_bs], mn.perform_handoff)
     sim.run(until=4.0)
     assert outcomes == [None]
-    return diff_counts(before, world.protocol_hop_totals(), _T1_PROTOCOLS)
+    return diff_counts(before, protocol_hop_totals(sim), _T1_PROTOCOLS)
 
 
 def experiment_t1(

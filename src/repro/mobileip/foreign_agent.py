@@ -64,7 +64,6 @@ class ForeignAgent(Router):
         self.on_protocol("ipip", self._handle_tunneled)
         self.on_protocol(messages.REGISTRATION_REQUEST, self._relay_request)
         self.on_protocol(messages.REGISTRATION_REPLY, self._relay_reply)
-        self.on_protocol(messages.AGENT_SOLICITATION, self._handle_solicitation)
         sim.process(self._advertise_loop(), name=f"{name}-adv")
 
     # ------------------------------------------------------------------
@@ -125,11 +124,6 @@ class ForeignAgent(Router):
                 created_at=self.sim.now,
             ),
         )
-
-    def _handle_solicitation(self, packet: Packet, link: Optional["Link"]) -> None:
-        mobile = self.attached.get(packet.src)
-        if mobile is not None:
-            self._send_advertisement(mobile)
 
     # ------------------------------------------------------------------
     # Registration relay

@@ -13,14 +13,12 @@ from repro.net.addressing import IPAddress
 
 #: Protocol tags used on the wire.
 AGENT_ADVERTISEMENT = "mip-agent-adv"
-AGENT_SOLICITATION = "mip-agent-sol"
 REGISTRATION_REQUEST = "mip-reg-request"
 REGISTRATION_REPLY = "mip-reg-reply"
 BINDING_NOTIFY = "mip-binding-notify"
 
 #: Wire sizes in bytes (IP+UDP+message, RFC-ish ballpark).
 ADVERTISEMENT_BYTES = 48
-SOLICITATION_BYTES = 36
 REGISTRATION_REQUEST_BYTES = 52
 REGISTRATION_REPLY_BYTES = 44
 BINDING_NOTIFY_BYTES = 44
@@ -42,13 +40,6 @@ class AgentAdvertisement:
     lifetime: float
     is_home_agent: bool
     is_foreign_agent: bool
-
-
-@dataclass(frozen=True)
-class AgentSolicitation:
-    """Sent by an MN that wants an immediate advertisement."""
-
-    mobile_address: IPAddress
 
 
 @dataclass(frozen=True)

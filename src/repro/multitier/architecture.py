@@ -262,16 +262,6 @@ class MultiTierWorld:
         self.mobiles.append(mobile)
         return mobile
 
-    def protocol_hop_totals(self) -> dict[str, int]:
-        """Per-protocol delivered-hop totals over every link of this
-        world (wired, radio, both domains) — the T1 accounting input.
-
-        Scoped to this world's simulator, so several worlds can coexist
-        (sequentially or on a parallel execution backend) without
-        cross-contaminating each other's totals.
-        """
-        return self.network.protocol_hop_totals()
-
     def all_radio_stations(self) -> list[MultiTierBaseStation]:
         stations = self.domain1.radio_stations()
         if self.domain2 is not None:

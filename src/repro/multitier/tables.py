@@ -34,10 +34,6 @@ class LocationRecord:
     via: Optional["Node"]
     expires: float
 
-    @property
-    def is_direct(self) -> bool:
-        return self.via is None
-
 
 class CellTable:
     """A micro_table or macro_table with soft-state records."""

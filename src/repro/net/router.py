@@ -22,9 +22,10 @@ class ForwardingTable:
     topologies while behaving exactly like real LPM.  The probe order
     is rebuilt when a length bucket appears or empties, not per lookup.
 
-    A destination is probed once per table state: its answer is
-    remembered until the next ``add``, ``remove`` or ``set_default``
-    (the only mutators), which forget every answer.
+    A destination is probed once per table state: its answer (``None``
+    when no prefix matches) is remembered until the next ``add`` (also
+    through ``add_host``) or ``remove`` (the only mutators), which
+    forget every answer.
     """
 
     def __init__(self) -> None:
@@ -33,7 +34,6 @@ class ForwardingTable:
         self._buckets: dict[int, dict[int, Node]] = {}
         #: (mask, bucket) pairs, longest prefix first.
         self._probes: list[tuple[int, dict[int, Node]]] = []
-        self._default: Optional[Node] = None
         #: destination -> the answer ``lookup`` gave it (None included).
         self._resolved: dict[int, Optional[Node]] = {}
 
@@ -64,21 +64,16 @@ class ForwardingTable:
             del self._buckets[prefix.mask]
             self._rebuild_probes()
 
-    def set_default(self, next_hop: Optional[Node]) -> None:
-        self._resolved.clear()
-        self._default = next_hop
-
     def lookup(self, address: IPAddress) -> Optional[Node]:
         try:
             return self._resolved[address]
         except KeyError:
             pass
+        next_hop = None
         for mask, bucket in self._probes:
             next_hop = bucket.get(address & mask)
             if next_hop is not None:
                 break
-        else:
-            next_hop = self._default
         self._resolved[address] = next_hop
         return next_hop
 

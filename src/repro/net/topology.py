@@ -9,7 +9,7 @@ from itertools import count
 from typing import Union
 
 from repro.net.addressing import AddressAllocator
-from repro.net.link import Link, connect, protocol_hop_totals
+from repro.net.link import Link, connect
 from repro.net.node import Node
 from repro.net.router import Router
 from repro.sim.kernel import Simulator
@@ -138,13 +138,6 @@ class Network:
         if node_b not in dist:
             raise ValueError(f"no path from {node_a.name!r} to {node_b.name!r}")
         return dist[node_b]
-
-    # ------------------------------------------------------------------
-    def protocol_hop_totals(self) -> dict[str, int]:
-        """Per-protocol delivered-hop totals over *every* link under this
-        network's simulator, including links (radio, inter-domain)
-        created outside :meth:`connect` and links since torn down."""
-        return protocol_hop_totals(self.sim)
 
 
 def star_topology(

@@ -8,7 +8,7 @@ queue with an explicit (time, mobile-key) arbitration order, so a given
 world and seed produce identical radio behaviour in any process.
 """
 
-from repro.radio.cells import TIER_DEFAULTS, Cell, Tier, best_covering_cell
+from repro.radio.cells import TIER_DEFAULTS, Cell, Tier
 from repro.radio.channel import (
     DIRECTIONS,
     DOWNLINK,
@@ -18,18 +18,10 @@ from repro.radio.channel import (
     SharedChannel,
     airtime_key,
 )
-from repro.radio.geometry import (
-    ORIGIN,
-    Point,
-    Rectangle,
-    centroid,
-    grid_positions,
-    hex_positions,
-)
+from repro.radio.geometry import ORIGIN, Point, Rectangle
 from repro.radio.propagation import (
     NOISE_FLOOR_DBM,
     PropagationModel,
-    free_space_path_loss_db,
     log_distance_path_loss_db,
 )
 from repro.radio.signal import Measurement, SignalMeter
@@ -52,10 +44,5 @@ __all__ = [
     "Tier",
     "UPLINK",
     "airtime_key",
-    "best_covering_cell",
-    "centroid",
-    "free_space_path_loss_db",
-    "grid_positions",
-    "hex_positions",
     "log_distance_path_loss_db",
 ]

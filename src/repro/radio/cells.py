@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import isnan
-from typing import Optional
 
 from repro.radio.geometry import Point
 
@@ -99,28 +98,6 @@ class Cell:
         """Distance from the cell center to ``point`` in meters."""
         return self.center.distance_to(point)
 
-    def edge_proximity(self, point: Point) -> float:
-        """0 at the center, 1 at the coverage edge, >1 outside."""
-        return self.center.distance_to(point) / self.radius
-
     def __repr__(self) -> str:
         return f"<Cell {self.name} {self.tier.label} r={self.radius:g}m>"
 
-
-def best_covering_cell(
-    cells: list[Cell], point: Point, tier: Optional[Tier] = None
-) -> Optional[Cell]:
-    """The covering cell with the smallest edge proximity (strongest
-    nominal signal), optionally restricted to one tier."""
-    best: Optional[Cell] = None
-    best_proximity = float("inf")
-    for cell in cells:
-        if tier is not None and cell.tier is not tier:
-            continue
-        if not cell.covers(point):
-            continue
-        proximity = cell.edge_proximity(point)
-        if proximity < best_proximity:
-            best = cell
-            best_proximity = proximity
-    return best

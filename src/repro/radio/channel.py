@@ -381,6 +381,10 @@ def radio_detach(station: "Node", mobile: "Node") -> None:
     mobile.detach_link(station)
 
 
+#: Uplink budget as a fraction of an overridden downlink budget.
+UPLINK_FRACTION = 0.5
+
+
 @dataclass(frozen=True)
 class ChannelPlan:
     """Per-tier air-interface budgets: the knob scenarios sweep.
@@ -388,7 +392,7 @@ class ChannelPlan:
     ``None`` for a tier means "use the cell's own (tier-default)
     budgets" from :data:`repro.radio.cells.TIER_DEFAULTS`; a number
     overrides the *downlink* budget for every cell of that tier, with
-    the uplink budget derived as ``downlink * uplink_fraction``.
+    the uplink budget derived as ``downlink * UPLINK_FRACTION``.
     ``admission_factor`` is handed to every channel the plan builds
     (see :class:`SharedChannel`); its default keeps the historical
     admit-everyone behavior.
@@ -401,7 +405,6 @@ class ChannelPlan:
     macro_bandwidth: Optional[float] = None
     micro_bandwidth: Optional[float] = None
     pico_bandwidth: Optional[float] = None
-    uplink_fraction: float = 0.5
     admission_factor: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -411,10 +414,6 @@ class ChannelPlan:
             value = getattr(self, label)
             if value is not None and not value > 0:  # also rejects nan
                 raise ValueError(f"{label} must be positive, got {value}")
-        if not 0.0 < self.uplink_fraction <= 1.0:
-            raise ValueError(
-                f"uplink_fraction must be in (0, 1], got {self.uplink_fraction}"
-            )
 
     def budgets(self, cell: Cell) -> tuple[float, float]:
         """The ``(downlink, uplink)`` bits/s budgets for ``cell``."""
@@ -424,7 +423,7 @@ class ChannelPlan:
             Tier.PICO: self.pico_bandwidth,
         }[cell.tier]
         if override is not None:
-            return float(override), float(override) * self.uplink_fraction
+            return float(override), float(override) * UPLINK_FRACTION
         return cell.channel_downlink, cell.channel_uplink
 
     def channel_for(self, sim: "Simulator", cell: Cell) -> SharedChannel:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -106,53 +105,3 @@ class Rectangle:
             flip_y = True
         return self.clamp(Point(x, y)), flip_x, flip_y
 
-
-def grid_positions(
-    bounds: Rectangle, rows: int, columns: int
-) -> Iterator[Point]:
-    """Cell-center positions for a uniform rows x columns grid layout."""
-    if rows < 1 or columns < 1:
-        raise ValueError("rows and columns must be positive")
-    cell_width = bounds.width / columns
-    cell_height = bounds.height / rows
-    for row in range(rows):
-        for column in range(columns):
-            yield Point(
-                bounds.x_min + (column + 0.5) * cell_width,
-                bounds.y_min + (row + 0.5) * cell_height,
-            )
-
-
-def hex_positions(center: Point, radius: float, rings: int) -> Iterator[Point]:
-    """Hexagonal layout: a center cell surrounded by ``rings`` rings.
-
-    ``radius`` is the center-to-center distance between adjacent cells.
-    """
-    yield center
-    for ring in range(1, rings + 1):
-        # Walk the six ring edges.
-        angle_offsets = [math.pi / 3 * k for k in range(6)]
-        corner = Point(
-            center.x + radius * ring * math.cos(0),
-            center.y + radius * ring * math.sin(0),
-        )
-        current = corner
-        for k in range(6):
-            direction = angle_offsets[k] + 2 * math.pi / 3
-            for _ in range(ring):
-                yield current
-                current = Point(
-                    current.x + radius * math.cos(direction),
-                    current.y + radius * math.sin(direction),
-                )
-
-
-def centroid(points: Iterable[Point]) -> Point:
-    """The arithmetic mean position of ``points`` (at least one)."""
-    points = list(points)
-    if not points:
-        raise ValueError("centroid of no points")
-    return Point(
-        sum(p.x for p in points) / len(points),
-        sum(p.y for p in points) / len(points),
-    )

@@ -16,14 +16,6 @@ REFERENCE_LOSS_DB = 38.5
 NOISE_FLOOR_DBM = -107.0
 
 
-def free_space_path_loss_db(distance: float, frequency_hz: float = 2.0e9) -> float:
-    """Friis free-space path loss in dB (distance in meters)."""
-    if distance <= 0:
-        raise ValueError(f"distance must be positive, got {distance}")
-    wavelength = 299_792_458.0 / frequency_hz
-    return 20.0 * math.log10(4.0 * math.pi * distance / wavelength)
-
-
 def log_distance_path_loss_db(
     distance: float,
     exponent: float = 3.5,

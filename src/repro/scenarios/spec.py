@@ -387,12 +387,6 @@ class ScenarioSpec:
         """A copy with ``changes`` applied (re-validated)."""
         return dataclasses.replace(self, **changes)
 
-    def scaled(self, factor: float) -> "ScenarioSpec":
-        """A copy with the population scaled by ``factor``."""
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        return self.replace(population=max(1, round(self.population * factor)))
-
     def smoke(self) -> "ScenarioSpec":
         """A shrunken copy for CI smoke runs and determinism tests.
 

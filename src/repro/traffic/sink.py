@@ -1,8 +1,8 @@
 """Flow sinks: per-flow QoS measurement at the receiver.
 
 A :class:`FlowSink` is attached to a receiving node's data hook and
-computes loss, delay, jitter (RFC 3550 interarrival jitter) and
-throughput, plus the largest delivery gap (handoff interruption time).
+computes loss, delay and jitter (RFC 3550 interarrival jitter), plus
+the largest delivery gap (handoff interruption time).
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ class FlowSink:
 
     Per delivered packet it keeps about 9 bytes: the delay as a float64 in
     ``delays`` and one byte of the ``seq``-indexed seen-map.  Arrivals
-    are kept only as what the metrics read: the first and last arrival
-    and the largest gap between consecutive arrivals so far.
+    are kept only as what the metrics read: the last arrival and the
+    largest gap between consecutive arrivals so far.
     """
 
     def __init__(self, flow_id: Optional[str] = None) -> None:
@@ -29,16 +29,13 @@ class FlowSink:
         self.received = 0
         self.bytes_received = 0
         self.duplicates = 0
-        self.out_of_order = 0
         #: One-way delay of each first delivery, in arrival order.
         self.delays = array("d")
         #: ``_seen[seq]`` is 1 once ``seq`` was delivered.  Sources number
         #: their packets densely from 0, so the map is as long as the flow.
         self._seen = bytearray()
-        self._highest_seq = -1
         self._jitter = 0.0
         self._last_transit: Optional[float] = None
-        self._first_arrival = 0.0
         self._last_arrival = 0.0
         self._max_gap = float("-inf")
 
@@ -63,10 +60,6 @@ class FlowSink:
             seen[seq] = 1
         self.received += 1
         self.bytes_received += packet.size
-        if seq < self._highest_seq:
-            self.out_of_order += 1
-        else:
-            self._highest_seq = seq
         transit = now - packet.created_at
         self.delays.append(transit)
         if self._last_transit is not None:
@@ -76,8 +69,6 @@ class FlowSink:
             gap = now - self._last_arrival
             if gap > self._max_gap:
                 self._max_gap = gap
-        else:
-            self._first_arrival = now
         self._last_transit = transit
         self._last_arrival = now
 
@@ -105,19 +96,8 @@ class FlowSink:
     def mean_delay(self) -> float:
         return float(np.mean(self.delays)) if self.delays else float("nan")
 
-    def p95_delay(self) -> float:
-        return float(np.percentile(self.delays, 95)) if self.delays else float("nan")
-
     def jitter(self) -> float:
         return self._jitter
-
-    def throughput_bps(self) -> float:
-        if self.received < 2:
-            return 0.0
-        span = self._last_arrival - self._first_arrival
-        if span <= 0:
-            return 0.0
-        return self.bytes_received * 8.0 / span
 
     def max_gap(self) -> float:
         """Largest silence between consecutive deliveries — the
@@ -126,22 +106,3 @@ class FlowSink:
             return 0.0
         return self._max_gap
 
-    def missing_sequences(self, sent: int) -> list[int]:
-        seen = self._seen
-        return [seq for seq in range(sent) if seq >= len(seen) or not seen[seq]]
-
-    def summary(self, sent: Optional[int] = None) -> dict[str, float]:
-        result = {
-            "received": float(self.received),
-            "mean_delay": self.mean_delay(),
-            "p95_delay": self.p95_delay(),
-            "jitter": self.jitter(),
-            "throughput_bps": self.throughput_bps(),
-            "max_gap": self.max_gap(),
-            "duplicates": float(self.duplicates),
-            "out_of_order": float(self.out_of_order),
-        }
-        if sent is not None:
-            result["sent"] = float(sent)
-            result["loss_rate"] = self.loss_rate(sent)
-        return result

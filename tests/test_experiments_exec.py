@@ -17,6 +17,7 @@ from repro.experiments.exec import (
 )
 from repro.experiments.runner import replicate_cells, sweep
 from repro.multitier.architecture import MultiTierWorld
+from repro.net import protocol_hop_totals
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAS_FORK, reason="platform lacks fork")
@@ -32,7 +33,7 @@ def _world_scenario(seed: int) -> dict[str, float]:
     mn = world.add_mobile("mn")
     assert mn.initial_attach(world.domain1["B"]) is None
     world.sim.run(until=2.0)
-    totals = world.protocol_hop_totals()
+    totals = protocol_hop_totals(world.sim)
     return {
         "hop_total": float(sum(totals.values())),
         "location_hops": float(totals["mt-update-location"]),
@@ -261,7 +262,7 @@ def test_link_registry_is_freed_with_its_simulator():
     mn = world.add_mobile("mn")
     assert mn.initial_attach(world.domain1["B"]) is None
     world.sim.run(until=0.5)
-    assert sum(world.protocol_hop_totals().values()) > 0
+    assert sum(protocol_hop_totals(world.sim).values()) > 0
     sim_ref = weakref.ref(world.sim)
     del world, mn
     gc.collect()
@@ -273,15 +274,15 @@ def test_world_totals_are_frozen_against_later_worlds():
     mn = world_a.add_mobile("mn")
     assert mn.initial_attach(world_a.domain1["B"]) is None
     world_a.sim.run(until=2.0)
-    totals_a = world_a.protocol_hop_totals()
+    totals_a = protocol_hop_totals(world_a.sim)
 
     world_b = MultiTierWorld()
     other = world_b.add_mobile("mn")
     assert other.initial_attach(world_b.domain1["B"]) is None
     world_b.sim.run(until=2.0)
 
-    assert world_a.protocol_hop_totals() == totals_a
-    assert world_b.protocol_hop_totals() == totals_a  # same deterministic run
+    assert protocol_hop_totals(world_a.sim) == totals_a
+    assert protocol_hop_totals(world_b.sim) == totals_a  # same deterministic run
 
 
 # ----------------------------------------------------------------------

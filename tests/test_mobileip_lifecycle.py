@@ -85,33 +85,6 @@ def test_home_agent_deregistration_on_zero_lifetime():
     assert ha.lookup_binding(mn.home_address) is None
 
 
-def test_solicitation_triggers_immediate_advertisement():
-    sim, ha, fa1, fa2, mn = build_world(advertisement_interval=30.0)
-    fa1.attach_mobile(mn)
-    sim.run(until=1.0)
-    advertisements = []
-    original = mn._handle_advertisement
-
-    def spy(packet, link):
-        advertisements.append(sim.now)
-        original(packet, link)
-
-    mn.on_protocol(messages.AGENT_ADVERTISEMENT, spy)
-    mn.send_via(
-        fa1,
-        Packet(
-            src=mn.home_address,
-            dst=fa1.address,
-            size=messages.SOLICITATION_BYTES,
-            protocol=messages.AGENT_SOLICITATION,
-            payload=messages.AgentSolicitation(mn.home_address),
-        ),
-    )
-    sim.run(until=2.0)
-    # Far sooner than the 30 s beacon interval.
-    assert advertisements and advertisements[0] < 1.5
-
-
 def test_ha_max_lifetime_caps_registration():
     sim, ha, fa1, fa2, mn = build_world()
     ha.max_lifetime = 10.0

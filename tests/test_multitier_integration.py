@@ -5,10 +5,10 @@ figures: location management (Fig 3.1), intra-domain handoff cases
 
 import pytest
 
-from repro.multitier import messages
+from repro.multitier import DIRECT, messages
 from repro.multitier.architecture import MultiTierWorld
 from repro.multitier.basestation import GuardedChannelPool
-from repro.net import Packet, drop_totals
+from repro.net import Packet, drop_totals, protocol_hop_totals
 from repro.radio.cells import Tier
 from repro.sim import Simulator
 
@@ -53,7 +53,7 @@ def test_location_records_along_fig31_chain(world):
     record_a = d1["A"].tables.micro_table.peek(x.home_address)
     record_r1 = d1["R1"].tables.micro_table.peek(x.home_address)
     record_r3 = d1["R3"].tables.micro_table.peek(x.home_address)
-    assert record_b is not None and record_b.is_direct
+    assert record_b is not None and record_b.via is DIRECT
     assert record_a is not None and record_a.via is d1["B"]
     assert record_r1 is not None and record_r1.via is d1["A"]
     assert record_r3 is not None and record_r3.via is d1["R1"]
@@ -80,7 +80,7 @@ def test_periodic_location_messages_refresh_records(world):
     # Run well past the record lifetime: refreshes must keep it alive.
     world.sim.run(until=d1.domain.record_lifetime * 3)
     assert d1["R3"].tables.micro_table.peek(x.home_address) is not None
-    assert world.protocol_hop_totals()["mt-location"] >= 10
+    assert protocol_hop_totals(world.sim)["mt-location"] >= 10
 
 
 def test_macro_attached_mn_recorded_in_macro_tables(world):
@@ -106,7 +106,7 @@ def test_intra_domain_micro_to_micro_case_c(world):
     world.sim.run(until=world.sim.now + 1.0)
 
     assert z.serving_bs is d1["E"]
-    assert d1["E"].tables.micro_table.peek(z.home_address).is_direct
+    assert d1["E"].tables.micro_table.peek(z.home_address).via is DIRECT
     assert d1["D"].tables.micro_table.peek(z.home_address).via is d1["E"]
     # The old branch is erased (Delete Location Message).
     assert d1["F"].tables.micro_table.peek(z.home_address) is None
@@ -150,7 +150,7 @@ def test_intra_domain_macro_to_micro_case_a(world):
     world.sim.run(until=world.sim.now + 1.0)
 
     assert x.serving_bs is d1["B"]
-    assert d1["B"].tables.micro_table.peek(x.home_address).is_direct
+    assert d1["B"].tables.micro_table.peek(x.home_address).via is DIRECT
     # R1's record for X moved from macro_table to micro_table.
     assert d1["R1"].tables.macro_table.peek(x.home_address) is None
     assert d1["R1"].tables.micro_table.peek(x.home_address).via is d1["A"]
@@ -166,7 +166,7 @@ def test_intra_domain_micro_to_macro_case_b(world):
     world.sim.run(until=world.sim.now + 1.0)
 
     assert y.serving_bs is d1["R2"]
-    assert d1["R2"].tables.macro_table.peek(y.home_address).is_direct
+    assert d1["R2"].tables.macro_table.peek(y.home_address).via is DIRECT
     assert d1["R3"].tables.macro_table.peek(y.home_address).via is d1["R2"]
     assert d1["E"].tables.micro_table.peek(y.home_address) is None
 

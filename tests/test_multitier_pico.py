@@ -4,6 +4,7 @@ hierarchy, managed like a micro cell."""
 import pytest
 
 from repro.mobility import Stationary
+from repro.multitier import DIRECT
 from repro.multitier.architecture import WORLD_BOUNDS, MultiTierWorld
 from repro.radio.cells import Tier
 from repro.radio.geometry import Point
@@ -31,7 +32,7 @@ def test_pico_attachment_and_data_path():
 
     # Location records climb office -> B -> A -> R1 -> R3 -> RSMC.
     d1 = world.domain1
-    assert pico.tables.micro_table.peek(mn.home_address).is_direct
+    assert pico.tables.micro_table.peek(mn.home_address).via is DIRECT
     assert d1["B"].tables.micro_table.peek(mn.home_address).via is pico
     assert d1.rsmc.tables.micro_table.peek(mn.home_address) is not None
 

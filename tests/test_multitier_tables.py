@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.multitier import CellTable, TablePair
+from repro.multitier import DIRECT, CellTable, TablePair
 from repro.net import Node, ip
 from repro.sim import Simulator
 
@@ -22,14 +22,14 @@ def test_store_and_get():
     record = table.get(ip("10.1.0.1"))
     assert record is not None
     assert record.via is node
-    assert not record.is_direct
+    assert record.via is not DIRECT
 
 
 def test_direct_record():
     sim, table, _node = make_table()
     table.store(ip("10.1.0.1"), None)
     record = table.get(ip("10.1.0.1"))
-    assert record.is_direct
+    assert record.via is DIRECT
 
 
 def test_record_expires():

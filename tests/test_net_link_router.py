@@ -183,14 +183,6 @@ def test_lpm_prefers_longest_prefix():
     assert table.lookup(ip("10.2.2.3")) is coarse
 
 
-def test_lpm_default_route():
-    sim = Simulator()
-    gateway = Node(sim, "gw")
-    table = ForwardingTable()
-    table.set_default(gateway)
-    assert table.lookup(ip("99.99.99.99")) is gateway
-
-
 def test_lpm_no_match_returns_none():
     table = ForwardingTable()
     assert table.lookup(ip("1.2.3.4")) is None

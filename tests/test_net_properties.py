@@ -41,11 +41,11 @@ def test_prefix_membership_matches_mask_arithmetic(network, length, probe):
     assert (IPAddress(probe) in prefix) == expected
 
 
-def _longest_match(reference, default, probe):
+def _longest_match(reference, probe):
     """Naive LPM: the longest prefix in ``reference`` containing
-    ``probe``, else ``default``; ties are impossible since
-    (network, length) is unique."""
-    best = default
+    ``probe``, else None; ties are impossible since (network, length)
+    is unique."""
+    best = None
     best_length = -1
     for (network, length), hop in reference.items():
         mask = ((1 << 32) - 1) << (32 - length) if length else 0
@@ -63,30 +63,21 @@ def _longest_match(reference, default, probe):
         max_size=25,
     ),
     removals=st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24)), max_size=12),
-    defaults=st.lists(
-        st.tuples(st.integers(0, 24), st.none() | st.integers(0, 9)), max_size=6
-    ),
     probes=st.lists(addresses, min_size=1, max_size=4),
 )
-def test_lpm_matches_bruteforce_reference(entries, removals, defaults, probes):
+def test_lpm_matches_bruteforce_reference(entries, removals, probes):
     """The bucketed LPM must agree with a naive longest-match scan at
-    every moment: lookups run after every add, remove and default-route
-    change, so an answer the table remembered across a change fails."""
+    every moment: lookups run after every add and remove, so an answer
+    the table remembered across a change fails."""
     sim = Simulator()
     hops = [Node(sim, f"hop{i}") for i in range(10)]
     table = ForwardingTable()
     reference: dict[tuple[int, int], Node] = {}
-    default = None
     # (after, victim): once entry ``after`` is in, remove entry ``victim``
     # whether or not it was added yet (removing an absent prefix is a no-op).
     removes_after: dict[int, list[int]] = {}
     for after, victim in removals:
         removes_after.setdefault(after % len(entries), []).append(victim % len(entries))
-    defaults_after: dict[int, list] = {}
-    for after, hop_index in defaults:
-        defaults_after.setdefault(after % len(entries), []).append(
-            None if hop_index is None else hops[hop_index]
-        )
     # A random address rarely falls inside a long prefix: probe every
     # entry's own address as well.
     targets = [IPAddress(value) for value in probes]
@@ -94,7 +85,7 @@ def test_lpm_matches_bruteforce_reference(entries, removals, defaults, probes):
 
     def lookups_agree() -> None:
         for target in targets:
-            assert table.lookup(target) is _longest_match(reference, default, target)
+            assert table.lookup(target) is _longest_match(reference, target)
 
     lookups_agree()
     for index, (network, length, hop_index) in enumerate(entries):
@@ -106,10 +97,6 @@ def test_lpm_matches_bruteforce_reference(entries, removals, defaults, probes):
             gone = Prefix(IPAddress(entries[victim][0]), entries[victim][1])
             table.remove(gone)
             reference.pop((int(gone.network), gone.length), None)
-            lookups_agree()
-        for hop in defaults_after.get(index, ()):
-            table.set_default(hop)
-            default = hop
             lookups_agree()
     assert len(table) == len(reference)
     # One probe per prefix length still in use: remove leaves no empty bucket.

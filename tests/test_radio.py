@@ -13,10 +13,6 @@ from repro.radio import (
     SharedChannel,
     SignalMeter,
     Tier,
-    best_covering_cell,
-    free_space_path_loss_db,
-    grid_positions,
-    hex_positions,
     log_distance_path_loss_db,
 )
 from repro.sim import Simulator
@@ -54,19 +50,6 @@ def test_rectangle_degenerate_rejected():
         Rectangle(0, 0, 0, 10)
 
 
-def test_grid_positions_count_and_containment():
-    box = Rectangle(0, 0, 100, 100)
-    points = list(grid_positions(box, rows=3, columns=4))
-    assert len(points) == 12
-    assert all(box.contains(point) for point in points)
-
-
-def test_hex_positions_ring_counts():
-    points = list(hex_positions(Point(0, 0), radius=100.0, rings=2))
-    # 1 center + 6 + 12.
-    assert len(points) == 19
-
-
 # ----------------------------------------------------------------------
 # Cells
 # ----------------------------------------------------------------------
@@ -81,36 +64,23 @@ def test_cell_coverage():
     cell = Cell("c", Point(0, 0), Tier.MICRO, radius=100.0)
     assert cell.covers(Point(50, 0))
     assert not cell.covers(Point(150, 0))
-    assert cell.edge_proximity(Point(50, 0)) == pytest.approx(0.5)
-
-
-def test_best_covering_cell_prefers_closest_relative():
-    near = Cell("near", Point(0, 0), Tier.MICRO, radius=100.0)
-    far = Cell("far", Point(300, 0), Tier.MICRO, radius=400.0)
-    best = best_covering_cell([near, far], Point(10, 0))
-    assert best is near
-
-
-def test_best_covering_cell_tier_filter():
-    micro = Cell("m", Point(0, 0), Tier.MICRO, radius=100.0)
-    macro = Cell("M", Point(0, 0), Tier.MACRO, radius=1000.0)
-    assert best_covering_cell([micro, macro], Point(0, 0), tier=Tier.MACRO) is macro
-
-
-def test_best_covering_cell_none_when_uncovered():
-    cell = Cell("c", Point(0, 0), Tier.PICO, radius=50.0)
-    assert best_covering_cell([cell], Point(500, 500)) is None
 
 
 # ----------------------------------------------------------------------
 # Propagation
 # ----------------------------------------------------------------------
+def free_space_loss(distance):
+    """Free space is the log-distance law at exponent 2 (its reference
+    loss is the free-space loss at 1 m for a ~2 GHz carrier)."""
+    return log_distance_path_loss_db(distance, exponent=2.0)
+
+
 def test_free_space_loss_increases_with_distance():
-    assert free_space_path_loss_db(200.0) > free_space_path_loss_db(100.0)
+    assert free_space_loss(200.0) > free_space_loss(100.0)
 
 
 def test_free_space_loss_6db_per_doubling():
-    delta = free_space_path_loss_db(200.0) - free_space_path_loss_db(100.0)
+    delta = free_space_loss(200.0) - free_space_loss(100.0)
     assert delta == pytest.approx(20.0 * math.log10(2.0), abs=1e-9)
 
 
@@ -129,7 +99,7 @@ def test_propagation_rx_power_monotonic():
 
 def test_invalid_distance_rejected():
     with pytest.raises(ValueError):
-        free_space_path_loss_db(0.0)
+        log_distance_path_loss_db(0.0)
     with pytest.raises(ValueError):
         log_distance_path_loss_db(-5.0)
 

@@ -279,8 +279,6 @@ def test_channel_plan_budgets_resolve_overrides_and_tier_defaults():
     )
     with pytest.raises(ValueError):
         ChannelPlan(micro_bandwidth=0.0)
-    with pytest.raises(ValueError):
-        ChannelPlan(uplink_fraction=0.0)
 
 
 def test_airtime_key_prefers_explicit_index_over_name_hash():

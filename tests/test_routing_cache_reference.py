@@ -81,7 +81,6 @@ _operation = st.one_of(
     st.tuples(st.just("lookup"), _mobile),
     st.tuples(st.just("contains"), _mobile),
     st.tuples(st.just("remove"), _mobile),
-    st.tuples(st.just("purge")),
     # Binary fractions of the timeout: sums are exact, so a refresh at t
     # is looked up at exactly t + TIMEOUT again and again.
     st.tuples(st.just("advance"), st.sampled_from([0.0, 0.25, 0.5, 1.0])),
@@ -99,8 +98,6 @@ def apply(cache, clock, operation):
         return args[0] in cache
     if kind == "remove":
         return cache.remove(*args)
-    if kind == "purge":
-        return cache.purge_expired()
     clock.now += args[0]
     return None
 
@@ -110,7 +107,6 @@ def state(cache):
         cache.refreshes,
         cache.expirations,
         len(cache),
-        cache.mobiles(),
         {
             mobile: [
                 (entry.next_hop, entry.expires, entry.semisoft, entry.freshness)

@@ -196,13 +196,11 @@ def test_spec_counts_cover_population():
         assert sum(spec.traffic_counts().values()) == spec.population
 
 
-def test_smoke_and_scaled_variants():
+def test_smoke_variant():
     spec = get_scenario("mega")
     smoke = spec.smoke()
     assert smoke.population <= 6 and smoke.duration <= 8.0
     assert smoke.mobility_mix == spec.mobility_mix
-    assert spec.scaled(2.0).population == 2 * spec.population
-    assert spec.scaled(0.001).population == 1  # never below one mobile
 
 
 # ----------------------------------------------------------------------

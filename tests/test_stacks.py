@@ -94,7 +94,7 @@ def test_spec_validates_stack_field_eagerly():
 def test_smoke_and_derived_specs_preserve_stack():
     spec = _smoke(stack="mobileip")
     assert spec.smoke().stack == "mobileip"
-    assert spec.scaled(2.0).stack == "mobileip"
+    assert spec.replace(population=2 * spec.population).stack == "mobileip"
 
 
 def test_every_registered_adapter_class_is_importable_from_repro_stacks():

@@ -210,7 +210,6 @@ def test_sink_counts_and_loss():
     assert sink.received == 3
     assert sink.lost(5) == 2
     assert sink.loss_rate(5) == pytest.approx(0.4)
-    assert sink.missing_sequences(5) == [2, 4]
 
 
 def test_sink_ignores_other_flows():
@@ -225,9 +224,8 @@ def test_sink_detects_duplicates_and_reordering():
     sink.on_packet(make_packet(2), now=1.1)
     sink.on_packet(make_packet(1), now=1.2)  # late
     sink.on_packet(make_packet(2), now=1.3)  # duplicate
-    assert sink.out_of_order == 1
     assert sink.duplicates == 1
-    assert sink.received == 3
+    assert sink.received == 3  # the late packet is a delivery
 
 
 def test_sink_delay_and_gap():
@@ -254,32 +252,15 @@ def test_sink_jitter_positive_for_variable_transit():
     assert sink.jitter() > 0.0
 
 
-def test_sink_throughput():
-    sink = FlowSink("f1")
-    for seq in range(11):
-        sink.on_packet(make_packet(seq, size=1000, created_at=0.0), now=seq * 0.1)
-    # 10,000 B over 1.0 s window (first to last) = 88 kbit/s.
-    assert sink.throughput_bps() == pytest.approx(11 * 1000 * 8 / 1.0, rel=0.01)
-
-
-def test_sink_summary_keys():
-    sink = FlowSink("f1")
-    sink.on_packet(make_packet(0), now=0.1)
-    summary = sink.summary(sent=2)
-    assert summary["received"] == 1
-    assert summary["loss_rate"] == pytest.approx(0.5)
-
-
 class ReferenceSink:
     """FlowSink's formulas over a plain list of delays and of arrival
     times and a set of seen seqs: the oracle for the packed sink."""
 
     def __init__(self, flow_id):
         self.flow_id = flow_id
-        self.received = self.bytes_received = 0
-        self.duplicates = self.out_of_order = 0
+        self.received = self.bytes_received = self.duplicates = 0
         self.delays, self.arrival_times, self.seen = [], [], set()
-        self.highest_seq, self.jitter, self.last_transit = -1, 0.0, None
+        self.jitter, self.last_transit = 0.0, None
 
     def on_packet(self, packet, now):
         if packet.flow_id != self.flow_id:
@@ -290,9 +271,6 @@ class ReferenceSink:
         self.seen.add(packet.seq)
         self.received += 1
         self.bytes_received += packet.size
-        if packet.seq < self.highest_seq:
-            self.out_of_order += 1
-        self.highest_seq = max(self.highest_seq, packet.seq)
         transit = now - packet.created_at
         self.delays.append(transit)
         self.arrival_times.append(now)
@@ -300,29 +278,35 @@ class ReferenceSink:
             self.jitter += (abs(transit - self.last_transit) - self.jitter) / 16.0
         self.last_transit = transit
 
-    def summary(self, sent):
+    def metrics(self, sent):
         arrivals = self.arrival_times
-        span = arrivals[-1] - arrivals[0] if len(arrivals) >= 2 else 0.0
         return {
-            "received": float(self.received),
+            "received": self.received,
+            "bytes_received": self.bytes_received,
+            "duplicates": self.duplicates,
             "mean_delay": float(np.mean(self.delays)) if self.delays else math.nan,
-            "p95_delay": (
-                float(np.percentile(self.delays, 95)) if self.delays else math.nan
-            ),
             "jitter": self.jitter,
-            "throughput_bps": self.bytes_received * 8.0 / span if span > 0 else 0.0,
             "max_gap": (
                 float(np.max(np.diff(np.asarray(arrivals))))
                 if len(arrivals) >= 2 else 0.0
             ),
-            "duplicates": float(self.duplicates),
-            "out_of_order": float(self.out_of_order),
-            "sent": float(sent),
+            "lost": max(0, sent - self.received),
             "loss_rate": max(0.0, 1.0 - self.received / sent) if sent > 0 else 0.0,
         }
 
-    def missing_sequences(self, sent):
-        return [seq for seq in range(sent) if seq not in self.seen]
+
+def _sink_metrics(sink, sent):
+    """The FlowSink readings the program takes, in ReferenceSink.metrics' keys."""
+    return {
+        "received": sink.received,
+        "bytes_received": sink.bytes_received,
+        "duplicates": sink.duplicates,
+        "mean_delay": sink.mean_delay(),
+        "jitter": sink.jitter(),
+        "max_gap": sink.max_gap(),
+        "lost": sink.lost(sent),
+        "loss_rate": sink.loss_rate(sent),
+    }
 
 
 # One delivery: (seq, transit, wait since the previous delivery, own flow?).
@@ -351,13 +335,12 @@ def test_sink_matches_the_list_and_set_reference(deliveries, sent, size):
         )
         sink.on_packet(packet, now)
         reference.on_packet(packet, now)
-    got, want = sink.summary(sent), reference.summary(sent)
+    got, want = _sink_metrics(sink, sent), reference.metrics(sent)
     # repr: equal float-for-float, nan included.
     assert {key: repr(value) for key, value in got.items()} == {
         key: repr(value) for key, value in want.items()
     }
     assert list(sink.delays) == reference.delays
-    assert sink.missing_sequences(sent) == reference.missing_sequences(sent)
 
 
 def test_sink_rejects_a_negative_seq():

@@ -31,22 +31,20 @@ generated into) a ``repro`` class body are wrapped from outside
   alone (``IPAddress``, enum members) have no ``__init__`` to wrap and
   are not counted.
 
-**In a clean child** under ``-X importtime``, the planned runs are built
-and executed again, the way a library caller does it:
+**In a clean child**, the planned runs are built and executed again, the
+way a library caller does it:
 
-* the import graph — the modules the child ended with (``sys.modules``)
-  and their own import time per ``repro.*`` package (numpy, and the
-  standard library with this tool, in a row each), and the modules first
-  imported *inside* an ``execute()`` — there must be none: an import
-  there is set-up cost hidden in the timed run.  ``-X importtime`` sees
-  the ``import`` statement only: a module brought in by
-  ``importlib.import_module`` (a lazily resolved re-export of
-  ``repro.scenarios`` / ``repro.stacks``, a shipped adapter on its
-  first ``get_stack``) is counted and listed as untimed, and the
-  microseconds of its own body are in no row (those of the ``import``
-  statements inside it are).  So that the child's modules stay the
-  run's own, this module imports nothing from ``repro`` at load, and
-  what only the in-process pass needs is imported where it is used;
+* the import graph — the modules the child ended with (``sys.modules``),
+  counted per ``repro.*`` package (numpy, and the standard library with
+  this tool, in a row each), and the modules first imported *inside* an
+  ``execute()`` — there must be none: an import there is set-up cost
+  hidden in the timed run.  The census counts modules and does not time
+  them: one ``-X importtime`` reading per child swings by a factor of
+  three between identical trees, so import cost is measured as the
+  median of many fresh children instead.  So that the child's modules
+  stay the run's own, this module imports nothing from ``repro`` at
+  load, and what only the in-process pass needs is imported where it
+  is used;
 * the cyclic collector — per run, the collector's passes, seconds and
   unreachable objects found per generation while ``execute()`` ran
   (``BuiltRun.execute`` suspends automatic collection, so: none), what
@@ -59,8 +57,8 @@ and executed again, the way a library caller does it:
   them, so their teardowns walk only what the batch made (the backend
   freezes the heap the batch started with).
 
-Every count repeats from run to run; the microseconds and seconds are
-wall-clock readings and do not.  Exits 1 if a run's kinds do not sum to
+Every count repeats from run to run; the seconds are wall-clock
+readings and do not.  Exits 1 if a run's kinds do not sum to
 its ``events_processed`` or a module was first imported inside an
 ``execute()``.
 
@@ -277,30 +275,14 @@ def package_of(module: str) -> str:
     return "numpy" if parts[0] == "numpy" else "other"
 
 
-def packages_of(importtime: str, loaded: list[str]) -> tuple[dict, list[str]]:
-    """The import table — per report row the modules among ``loaded``
-    (the child's ``sys.modules``) and the own microseconds
-    ``-X importtime`` printed for that row, most expensive first — and
-    the ``repro`` modules among ``loaded`` that it printed no line for."""
+def packages_of(loaded: list[str]) -> dict[str, int]:
+    """The import table: per report row the modules among ``loaded``
+    (the child's ``sys.modules``), most modules first."""
     modules = Counter(package_of(module) for module in loaded)
-    micros: Counter = Counter()
-    timed = set()
-    for line in importtime.splitlines():
-        own, _, rest = line.removeprefix("import time:").partition("|")
-        if not (line.startswith("import time:") and own.strip().isdigit()):
-            continue  # the header, a warning
-        module = rest.partition("|")[2].strip()
-        timed.add(module)
-        micros[package_of(module)] += int(own)
-    packages = {
-        package: {"modules": modules[package], "import_us": micros[package]}
-        for package in sorted(modules, key=lambda p: (-micros[p], p))
+    return {
+        package: modules[package]
+        for package in sorted(modules, key=lambda p: (-modules[p], p))
     }
-    untimed = [
-        module for module in loaded
-        if module.split(".")[0] == "repro" and module not in timed
-    ]
-    return packages, untimed
 
 
 @contextmanager
@@ -399,17 +381,14 @@ def census(scenario: str, stack: str | None, smoke: bool, seed: int | None) -> d
         PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tools")]),
     )
     done = subprocess.run(
-        [sys.executable, "-X", "importtime", "-c", CHILD,
+        [sys.executable, "-c", CHILD,
          json.dumps([scenario, stack, smoke, seed])],
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
     if done.returncode != 0:
-        raise RuntimeError("the census child failed:\n" + "\n".join(
-            line for line in done.stderr.splitlines()
-            if not line.startswith("import time:")
-        ))
+        raise RuntimeError("the census child failed:\n" + done.stderr)
     child = json.loads(done.stdout)
-    packages, untimed = packages_of(done.stderr, child["modules"])
+    packages = packages_of(child["modules"])
     for label, record in runs.items():
         record.update(child["runs"][label])
     if len(runs) > 1:
@@ -420,7 +399,7 @@ def census(scenario: str, stack: str | None, smoke: bool, seed: int | None) -> d
             {name for record in runs.values() for name in record["generated"]}
         )
         runs["all runs"] = lot
-    return {"packages": packages, "untimed": untimed, "runs": runs}
+    return {"packages": packages, "runs": runs}
 
 
 def shares(counts: dict, total: int) -> list[str]:
@@ -430,21 +409,11 @@ def shares(counts: dict, total: int) -> list[str]:
     ]
 
 
-def render_packages(title: str, packages: dict, untimed: list[str]) -> str:
-    """The import table: modules, own import time, package; then the
-    modules ``-X importtime`` could not time."""
-    ours = [row for package, row in packages.items() if package.startswith("repro")]
-    lines = [
-        f"{title}: {sum(row['modules'] for row in ours)} repro modules, "
-        f"{sum(row['import_us'] for row in ours)} us to import them "
-        "in a clean child"
-    ]
-    for package, row in packages.items():
-        lines.append(f"  {row['modules']:5d}  {row['import_us']:9d} us  {package}")
-    lines.append(
-        "  loaded through importlib, own time in no row: "
-        + (", ".join(untimed) or "nothing")
-    )
+def render_packages(title: str, packages: dict) -> str:
+    """The import table: modules per package."""
+    ours = sum(n for package, n in packages.items() if package.startswith("repro"))
+    lines = [f"{title}: {ours} repro modules loaded in a clean child"]
+    lines += [f"  {modules:5d}  {package}" for package, modules in packages.items()]
     return "\n".join(lines)
 
 
@@ -506,7 +475,7 @@ def main(argv: list[str]) -> int:
         print(json.dumps(report, indent=1))
     else:
         print("\n\n".join([
-            render_packages(" ".join(argv), report["packages"], report["untimed"]),
+            render_packages(" ".join(argv), report["packages"]),
             *(render(label, record) for label, record in report["runs"].items()),
         ]))
     failed = False
