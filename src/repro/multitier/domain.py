@@ -9,7 +9,6 @@ stitched together over the wired Internet by Mobile IP.
 
 from __future__ import annotations
 
-import inspect
 from typing import TYPE_CHECKING, Optional
 
 from repro.net.addressing import IPAddress
@@ -100,11 +99,3 @@ class MultiTierDomain:
     def total_table_records(self) -> int:
         return sum(bs.tables.total_records() for bs in self.base_stations)
 
-
-#: The keys a ``ScenarioSpec.domain_overrides`` mapping may name: the
-#: keyword parameters of :class:`MultiTierDomain` minus the ones the
-#: world supplies itself.  The sweep axis check and the flat stacks'
-#: override check both read this one set.
-OVERRIDE_KEYS = frozenset(
-    inspect.signature(MultiTierDomain.__init__).parameters
-) - {"self", "sim", "realm"}

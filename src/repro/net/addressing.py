@@ -8,7 +8,7 @@ base on the current IP (IPv4)"), so 32-bit addressing is used throughout.
 
 from __future__ import annotations
 
-from typing import Iterator, Union
+from typing import Union
 
 _MAX = (1 << 32) - 1
 
@@ -106,15 +106,6 @@ class Prefix:
 
     def __str__(self) -> str:
         return f"{self.network}/{self.length}"
-
-    def hosts(self, count: int, start: int = 1) -> Iterator[IPAddress]:
-        """Yield ``count`` host addresses inside this prefix."""
-        base = int(self.network)
-        size = 1 << (32 - self.length)
-        if start + count > size:
-            raise ValueError(f"prefix {self} cannot hold {count} hosts from {start}")
-        for offset in range(start, start + count):
-            yield IPAddress(base + offset)
 
 
 class AddressAllocator:

@@ -65,4 +65,5 @@ __all__ = [
     "NextAction",
     "PolicyConfig",
     "TierDecider",
+    "TierDecision",
 ]

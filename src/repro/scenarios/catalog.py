@@ -108,11 +108,6 @@ def describe_scenario(scenario: Union[str, ScenarioSpec]) -> str:
             f"  hotspots         {spec.hotspot_count()} mobiles x "
             f"{spec.hotspot_flows} extra flows"
         )
-    if spec.domain_overrides:
-        overrides = ", ".join(
-            f"{key}={value!r}" for key, value in spec.domain_overrides.items()
-        )
-        lines.append(f"  domain overrides {overrides}")
     if spec.fluid is not None and spec.fluid.enabled:
         fluid = spec.fluid
         drift = (
@@ -241,9 +236,9 @@ register(ScenarioSpec(
     },
     roam=(-3100.0, -450.0, -900.0, 450.0),  # the A/B/C micro cluster
     pico_cells=2,
-    domain_overrides={"wired_bandwidth": 2.5e6},
+    wired_bandwidth=2.5e6,
     notes="Everyone lives under the western micro cluster; the 2.5 "
-    "Mbit/s backhaul override pushes the shared rsmc1-R3-R1-A chain "
+    "Mbit/s wired backhaul pushes the shared rsmc1-R3-R1-A chain "
     "toward saturation, so queueing shows up in mean_delay/jitter.",
 ))
 

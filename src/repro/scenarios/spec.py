@@ -59,10 +59,11 @@ def _validate_mix(label: str, mix: Mapping[str, float], known: Mapping[str, str]
             f"{label} names unknown entries {unknown}; "
             f"known: {', '.join(known)}"
         )
-    if any(fraction < 0 for fraction in mix.values()):
+    # ``not x >= 0`` / ``not x <= tol``: nan fails both.
+    if not all(fraction >= 0 for fraction in mix.values()):
         raise ValueError(f"{label} fractions must be non-negative")
     total = sum(mix.values())
-    if abs(total - 1.0) > _MIX_TOLERANCE:
+    if not abs(total - 1.0) <= _MIX_TOLERANCE:
         raise ValueError(f"{label} fractions must sum to 1, got {total}")
 
 
@@ -150,15 +151,11 @@ class ScenarioSpec:
         Mobility controller sampling period (s).
     warmup / drain:
         Seconds simulated before sources start / after they stop.
-    domain_overrides:
-        Keyword overrides forwarded to every
-        :class:`~repro.multitier.domain.MultiTierDomain` (e.g.
-        ``{"wired_bandwidth": 6e6}`` to choke the backhaul).  Baseline
-        stacks map the keys they read — the wired/wireless link knobs,
-        and under Cellular IP also its own timers (``route_timeout``,
-        ``semisoft_delay``, ...) — and skip the multi-tier-only rest.
-        A key neither the spec's stack nor the multi-tier domain reads
-        fails at construction.
+    wired_bandwidth:
+        Bandwidth (bit/s) of every wired access link a stack builds:
+        each multi-tier domain's tree, the Cellular IP access tree and
+        the Mobile IP FA↔core links.  Lower it to choke the backhaul
+        (``campus-dense`` runs at 2.5 Mbit/s).
     stack:
         The protocol stack the scenario runs under: the name of a
         registered :class:`~repro.stacks.base.StackAdapter`
@@ -208,7 +205,7 @@ class ScenarioSpec:
     sample_period: float = 0.5
     warmup: float = 2.0
     drain: float = 3.0
-    domain_overrides: Mapping[str, object] = field(default_factory=dict)
+    wired_bandwidth: float = 100e6
     stack: str = "multitier"
     policy: PolicyConfig = field(default_factory=PolicyConfig)
     fluid: Optional[FluidBackground] = None
@@ -229,7 +226,7 @@ class ScenarioSpec:
         # ``not x > 0`` / ``not x >= 0``: nan fails both, where it
         # passes an ``x <= 0`` / ``x < 0`` guard; inf is caught apart,
         # since a run of infinite length never ends.
-        for label in ("duration", "sample_period"):
+        for label in ("duration", "sample_period", "wired_bandwidth"):
             value = getattr(self, label)
             if not value > 0 or not math.isfinite(value):
                 raise ValueError(
@@ -299,8 +296,6 @@ class ScenarioSpec:
                 f"{self.name}: unknown stack {self.stack!r}; "
                 f"registered: {', '.join(stack_names())}"
             )
-        if self.domain_overrides:
-            self._check_override_keys()
         if isinstance(self.policy, Mapping):
             policy = _coerce_block(f"{self.name}: policy", self.policy, PolicyConfig)
             object.__setattr__(self, "policy", policy)
@@ -351,23 +346,6 @@ class ScenarioSpec:
     def hotspot_count(self) -> int:
         """Number of hotspot mobiles: ``ceil(fraction * population)``."""
         return int(math.ceil(self.hotspot_fraction * self.population))
-
-    def _check_override_keys(self) -> None:
-        """Reject a ``domain_overrides`` key that neither the spec's
-        stack nor the multi-tier domain reads, in one line."""
-        from repro.multitier.domain import OVERRIDE_KEYS
-        from repro.stacks.registry import get_stack
-
-        for key in self.domain_overrides:
-            if key in OVERRIDE_KEYS:
-                continue
-            own = get_stack(self.stack).override_keys
-            if key not in own:
-                raise ValueError(
-                    f"{self.name}: unknown domain override key {key!r} "
-                    f"under stack {self.stack!r}; known: "
-                    f"{', '.join(sorted({*own, *OVERRIDE_KEYS}))}"
-                )
 
     def channels_enabled(self) -> bool:
         """True when the shared air interface contends (either channel

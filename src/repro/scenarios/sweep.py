@@ -7,9 +7,9 @@ Mirzamany & Friderikos's QoE-centric LMM evaluation) report the same
 shape: metrics swept across load and mobility axes, not single
 operating points.  A :class:`ScenarioSweep` turns one registered
 scenario into such a curve: it names a spec field (``population``,
-``hotspot_fraction``, a per-domain override via
-``domain_overrides.<key>``), the axis values, the seeds replicated at
-each point and the metrics to extract.
+``hotspot_fraction``, ``wired_bandwidth``, a policy knob via
+``policy.<key>``), the axis values, the seeds replicated at each point
+and the metrics to extract.
 
 :func:`repro.scenarios.grid.expand_grid` derives one immutable,
 re-validated :class:`ScenarioSpec` per axis point
@@ -31,19 +31,13 @@ steps).
 from __future__ import annotations
 
 import dataclasses
-import inspect
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from repro.experiments.runner import ExperimentResult
 from repro.metrics.tables import format_table
-from repro.multitier.domain import OVERRIDE_KEYS, MultiTierDomain
 from repro.scenarios.catalog import get_scenario
 from repro.scenarios.spec import ScenarioSpec
-
-#: Axis prefix selecting a key inside ``ScenarioSpec.domain_overrides``
-#: (merged, not replaced wholesale) instead of a top-level spec field.
-OVERRIDE_PREFIX = "domain_overrides."
 
 #: Axis prefix selecting a numeric field inside ``ScenarioSpec.policy``
 #: (rebound via ``dataclasses.replace`` on the policy block, preserving
@@ -55,17 +49,14 @@ POLICY_PREFIX = "policy."
 _POLICY_KEYS = {"speed_threshold", "demand_threshold", "admission_factor"}
 
 #: Spec fields that cannot be swept: identity/documentation fields, the
-#: seed list (the sweep controls seeds itself), the overrides mapping
-#: as a whole (sweep one key via ``domain_overrides.<key>``), the
-#: policy block as a whole (sweep one knob via ``policy.<field>``) and
-#: the non-scalar fields (mixes, roam rectangle) a numeric axis cannot
-#: rebind.
+#: seed list (the sweep controls seeds itself), the policy block as a
+#: whole (sweep one knob via ``policy.<field>``) and the non-scalar
+#: fields (mixes, roam rectangle) a numeric axis cannot rebind.
 _UNSWEEPABLE = {
     "name",
     "description",
     "notes",
     "seeds",
-    "domain_overrides",
     "policy",
     "mobility_mix",
     "traffic_mix",
@@ -73,17 +64,6 @@ _UNSWEEPABLE = {
 }
 
 _SPEC_FIELDS = {field.name for field in dataclasses.fields(ScenarioSpec)}
-
-#: Override keys whose domain parameter is integral (judged by the
-#: constructor default's type, bools included) — their axis values get
-#: the same integral check as int-typed spec fields.
-_INT_OVERRIDE_KEYS = {
-    name
-    for name, param in inspect.signature(
-        MultiTierDomain.__init__
-    ).parameters.items()
-    if name in OVERRIDE_KEYS and isinstance(param.default, int)
-}
 
 #: Fields whose declared type is ``int`` — axis values for these must
 #: be integral.  Decided from the dataclass annotation, not the runtime
@@ -114,9 +94,9 @@ class ScenarioSweep:
         Name of the base :class:`ScenarioSpec` in the catalog (or, when
         expanded with ``expand_grid``'s ``base=``, any spec).
     field:
-        The axis: a :class:`ScenarioSpec` field name, or
-        ``domain_overrides.<key>`` to vary one per-domain override
-        (e.g. ``domain_overrides.wired_bandwidth``).
+        The axis: a :class:`ScenarioSpec` field name (e.g.
+        ``wired_bandwidth``), or ``policy.<key>`` to vary one knob of
+        the policy block.
     values:
         Numeric axis values; at least two, strictly monotone (so the
         resulting curve reads left to right without reordering).
@@ -172,20 +152,7 @@ class ScenarioSweep:
                 f"{self.name}: axis values must be strictly monotone, "
                 f"got {self.values}"
             )
-        if self.field.startswith(OVERRIDE_PREFIX):
-            key = self.field[len(OVERRIDE_PREFIX):]
-            if not key:
-                raise ValueError(
-                    f"{self.name}: empty domain_overrides key in "
-                    f"field {self.field!r}"
-                )
-            # Checked here so a typo'd key fails eagerly, not mid-run.
-            if key not in OVERRIDE_KEYS:
-                raise ValueError(
-                    f"{self.name}: unknown domain override key {key!r}; "
-                    f"known: {', '.join(sorted(OVERRIDE_KEYS))}"
-                )
-        elif self.field.startswith(POLICY_PREFIX):
+        if self.field.startswith(POLICY_PREFIX):
             key = self.field[len(POLICY_PREFIX):]
             if not key:
                 raise ValueError(
@@ -204,18 +171,16 @@ class ScenarioSweep:
             raise ValueError(
                 f"{self.name}: unknown ScenarioSpec field {self.field!r}; "
                 f"sweepable: {', '.join(sorted(_SPEC_FIELDS - _UNSWEEPABLE))}, "
-                f"{OVERRIDE_PREFIX}<key> or {POLICY_PREFIX}<key>"
+                f"or {POLICY_PREFIX}<key>"
             )
 
     # ------------------------------------------------------------------
     def axis_label(self) -> str:
         """The x-axis label used in tables and figures.
 
-        Returns the bare key for ``domain_overrides.<key>`` and
-        ``policy.<key>`` axes and the spec field name otherwise.
+        Returns the bare key for ``policy.<key>`` axes and the spec
+        field name otherwise.
         """
-        if self.field.startswith(OVERRIDE_PREFIX):
-            return self.field[len(OVERRIDE_PREFIX):]
         if self.field.startswith(POLICY_PREFIX):
             return self.field[len(POLICY_PREFIX):]
         return self.field
@@ -229,15 +194,11 @@ class ScenarioSweep:
         that produces an invalid spec raises :class:`ValueError` with
         the sweep name and offending value attached.  Integer fields
         (``population``, ``pico_cells``, ...) accept integral floats.
-        ``domain_overrides.<key>`` axes merge into the base overrides
-        mapping, preserving its other keys; ``policy.<key>`` axes
-        rebind one knob of the base policy block, preserving the rest.
+        ``policy.<key>`` axes rebind one knob of the base policy block,
+        preserving the rest.
         """
-        override_key = policy_key = None
-        if self.field.startswith(OVERRIDE_PREFIX):
-            override_key = self.field[len(OVERRIDE_PREFIX):]
-            integral = override_key in _INT_OVERRIDE_KEYS
-        elif self.field.startswith(POLICY_PREFIX):
+        policy_key = None
+        if self.field.startswith(POLICY_PREFIX):
             policy_key = self.field[len(POLICY_PREFIX):]
             integral = False  # every sweepable policy knob is a float
         else:
@@ -250,11 +211,7 @@ class ScenarioSweep:
                 )
             value = int(value)
         try:
-            if override_key is not None:
-                overrides = dict(base.domain_overrides)
-                overrides[override_key] = value
-                changes = {"domain_overrides": overrides}
-            elif policy_key is not None:
+            if policy_key is not None:
                 changes = {
                     "policy": dataclasses.replace(
                         base.policy, **{policy_key: float(value)}
@@ -439,7 +396,7 @@ register_sweep(ScenarioSweep(
 register_sweep(ScenarioSweep(
     name="campus-dense/backhaul",
     scenario="campus-dense",
-    field="domain_overrides.wired_bandwidth",
+    field="wired_bandwidth",
     values=(1.5e6, 2.5e6, 5e6, 10e6),
     metrics=("mean_delay", "jitter", "loss_rate"),
     description="multimedia QoS vs per-domain backhaul bandwidth",
@@ -519,7 +476,6 @@ register_sweep(ScenarioSweep(
 
 
 __all__ = [
-    "OVERRIDE_PREFIX",
     "POLICY_PREFIX",
     "ScenarioSweep",
     "describe_sweep",

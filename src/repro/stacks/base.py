@@ -269,11 +269,6 @@ class StackAdapter(abc.ABC):
     description: str = ""
     #: Prefix of this stack's namespaced metric extras ("" = none).
     metric_namespace: str = ""
-    #: The ``ScenarioSpec.domain_overrides`` keys a baseline stack maps
-    #: onto its own world.  A spec accepts these and every key in
-    #: :data:`repro.multitier.domain.OVERRIDE_KEYS` (the multi-tier
-    #: domain's); a stack skips a key it does not map.
-    override_keys: frozenset[str] = frozenset()
 
     @abc.abstractmethod
     def build(self, spec: "ScenarioSpec", seed: int) -> BuiltRun:

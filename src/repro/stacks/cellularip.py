@@ -26,7 +26,6 @@ byte-identical metrics on any execution backend.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -34,17 +33,11 @@ from repro.cellularip import CIPBaseStation, CIPDomain, CIPGateway, CIPMobileHos
 from repro.net.addressing import AddressAllocator
 from repro.net.link import drop_totals
 from repro.net.topology import Network
-from repro.mobility.controller import MobilityController
 from repro.policy.config import PolicyConfig
-from repro.policy.trace import DecisionTrace
 from repro.sim.kernel import Simulator
-from repro.stacks.base import BuiltRun, StackAdapter
-from repro.stacks.flat import STRONGEST_SIGNAL, flat_access, flat_overrides
-from repro.stacks.population import (
-    MobileEndpoint,
-    plan_population,
-    wire_population,
-)
+from repro.stacks.base import StackAdapter
+from repro.stacks.flat import FlatRun, flat_access, flat_run
+from repro.stacks.population import plan_population
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only (import cycle)
     from repro.scenarios.spec import ScenarioSpec
@@ -55,16 +48,16 @@ MOBILE_PREFIX = "10.200.0.0/16"
 
 
 @dataclass(kw_only=True)
-class BuiltCIPScenario(BuiltRun):
-    """A fully assembled Cellular IP world plus its planned traffic."""
+class BuiltCIPScenario(FlatRun):
+    """A fully assembled Cellular IP world plus its planned traffic;
+    its ``mobiles`` are :class:`~repro.cellularip.CIPMobileHost`\\ s."""
 
     network: Network
     domain: CIPDomain
-    hosts: list[CIPMobileHost]
 
     def extras(self) -> dict[str, float]:
         """Namespaced Cellular IP extras (metric contract: base.py)."""
-        hosts, domain, drops = self.hosts, self.domain, drop_totals(self.sim)
+        hosts, domain, drops = self.mobiles, self.domain, drop_totals(self.sim)
         return {
             "cip.route_updates": float(
                 sum(host.route_updates_sent for host in hosts)
@@ -99,11 +92,6 @@ class CellularIPStack(StackAdapter):
         "semisoft handoff, no tier policy"
     )
     metric_namespace = "cip"
-    #: The :class:`~repro.cellularip.base_station.CIPDomain` parameters:
-    #: the shared wired/wireless link knobs plus CIP's own timers.
-    override_keys = frozenset(
-        inspect.signature(CIPDomain.__init__).parameters
-    ) - {"self", "sim"}
     #: Semisoft (dual-path) handoff, or hard break-then-make.
     semisoft = True
 
@@ -112,13 +100,12 @@ class CellularIPStack(StackAdapter):
 
         The access tree mirrors the multi-tier wired hierarchy —
         gateway over macro-site relays over micro leaves over picos —
-        with ``spec.domain_overrides`` applied where CIP has the same
-        parameter, over the shared population plan.  Deterministic:
-        seeded streams only.
+        on ``spec.wired_bandwidth`` links, over the shared population
+        plan.  Deterministic: seeded streams only.
         """
         plan = plan_population(spec, seed, PolicyConfig())
         sim = Simulator()
-        domain = CIPDomain(sim, **flat_overrides(spec, self.override_keys))
+        domain = CIPDomain(sim, wired_bandwidth=spec.wired_bandwidth)
         network = Network(sim, prefix="10.0.0.0/8")
         gateway = CIPGateway(
             sim, "gw", network.allocator.allocate(), domain,
@@ -138,7 +125,7 @@ class CellularIPStack(StackAdapter):
             stations[site.name] = station
             return station
 
-        nodes, air_cells, meter = flat_access(spec, plan, sim, place)
+        access = flat_access(spec, plan, sim, place)
 
         internet = network.router("internet")
         cn = network.host("cn")
@@ -147,38 +134,21 @@ class CellularIPStack(StackAdapter):
         internet.add_route(MOBILE_PREFIX, gateway)
         internet.add_host_route(cn.address, cn)
 
-        downlink = cn.links[internet].transmit
         mobile_allocator = AddressAllocator(MOBILE_PREFIX)
-        hosts: list[CIPMobileHost] = []
-        trace = DecisionTrace()
-        controllers: list[MobilityController] = []
 
-        def add_mobile(index: int, kind: str, model) -> MobileEndpoint:
+        def new_mobile(index: int):
             host = CIPMobileHost(
                 sim, f"mn{index}", mobile_allocator.allocate(), domain,
                 airtime_key=index,
             )
             # Semisoft returns its dual-path generator; hard is instant.
             move = host.handoff_semisoft if self.semisoft else host.handoff_hard
-            controllers.append(MobilityController(
-                sim, model, nodes, meter, trace, STRONGEST_SIGNAL,
-                host.attach_to, lambda old, new: move(new),
-                spec.sample_period, name=host.name,
-            ))
-            hosts.append(host)
-            return MobileEndpoint(
-                downlink, host.on_data, host.originate, host.address
-            )
+            return host, host.address, host.attach_to, lambda old, new: move(new)
 
-        flow_plans, fluid_driver = wire_population(
-            sim, plan, cn, add_mobile, air_cells
-        )
-        return BuiltCIPScenario(
-            spec=spec, seed=int(seed), sim=sim, population=plan,
-            flow_plans=flow_plans, fluid_driver=fluid_driver,
-            air_cells=air_cells, decision_trace=trace, network=network,
-            domain=domain,
-            hosts=hosts, controllers=controllers,
+        return flat_run(
+            BuiltCIPScenario, spec, seed, plan, sim, cn,
+            cn.links[internet].transmit, access, new_mobile,
+            network=network, domain=domain,
         )
 
     def exercised(self, spec: ScenarioSpec) -> list[str]:
@@ -192,9 +162,6 @@ class CellularIPStack(StackAdapter):
             features.append("single flat tree spans both domains' sites")
         if spec.pico_cells > 0:
             features.append(f"pico sites in the access tree ({spec.pico_cells})")
-        mapped = sorted(flat_overrides(spec, self.override_keys))
-        if mapped:
-            features.append("domain overrides mapped: " + ", ".join(mapped))
         return features
 
 

@@ -8,11 +8,11 @@ produces that site list from a spec, :func:`flat_access` places one
 access node per site, and each mobile's
 :class:`~repro.mobility.controller.MobilityController` decides with
 :data:`STRONGEST_SIGNAL` (the baseline the paper's three-factor
-decision is compared against).  A flat stack supplies only the node it
-places at a site and its two moves, ``attach(node)`` and
-``handoff(old, new)``, which never refuse; :func:`flat_overrides` picks
-the ``domain_overrides`` it maps (the spec has already rejected a key
-no stack reads).
+decision is compared against).  A flat stack supplies only its core
+wiring, the node it places at a site and, per mobile, the mobile and
+its two moves, ``attach(node)`` and ``handoff(old, new)``, which never
+refuse; :func:`flat_run` lays the shared population over them and
+returns the run.
 
 Determinism: the layout is a pure function of ``(spec, starts,
 assignments)``; the controller samples the (seeded) mobility model on a
@@ -23,16 +23,23 @@ process, on any execution backend.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import TYPE_CHECKING, Any, Callable, Collection, Optional
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
+from repro.mobility.controller import MobilityController
 from repro.multitier.architecture import DOMAIN_SITES, PICO_LEAVES, Site
 from repro.policy.decider import TierDecider
+from repro.policy.trace import DecisionTrace
 from repro.radio.cells import Tier
 from repro.radio.geometry import Point
 from repro.radio.propagation import PropagationModel
 from repro.radio.signal import SignalMeter
-from repro.stacks.population import pico_placements
+from repro.stacks.base import BuiltRun
+from repro.stacks.population import (
+    MobileEndpoint,
+    pico_placements,
+    wire_population,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.radio.channel import SharedChannel
@@ -93,18 +100,6 @@ def flat_cell_layout(
     return sites
 
 
-def flat_overrides(spec: "ScenarioSpec", own: Collection[str]) -> dict:
-    """The ``spec.domain_overrides`` a flat stack maps: the keys in
-    ``own``.  The rest are multi-tier-only keys, skipped here
-    (:class:`~repro.scenarios.spec.ScenarioSpec` rejects any other key
-    at construction)."""
-    return {
-        key: value
-        for key, value in spec.domain_overrides.items()
-        if key in own
-    }
-
-
 def flat_access(
     spec: "ScenarioSpec",
     plan: "PopulationPlan",
@@ -139,9 +134,68 @@ def flat_access(
     return nodes, air_cells, SignalMeter(PropagationModel(), cells)
 
 
+@dataclass(kw_only=True)
+class FlatRun(BuiltRun):
+    """A flat stack's run: the shared skeleton plus its mobiles, in
+    population order."""
+
+    mobiles: list
+
+
+def flat_run(
+    run: type[FlatRun],
+    spec: "ScenarioSpec",
+    seed: int,
+    plan: "PopulationPlan",
+    sim: "Simulator",
+    cn,
+    downlink: Callable,
+    access: tuple[list, list, SignalMeter],
+    new_mobile: Callable[[int], tuple[Any, Any, Callable, Callable]],
+    **fields,
+) -> FlatRun:
+    """Lay the population over a wired flat world and return its run.
+
+    ``access`` is :func:`flat_access`'s ``(nodes, air_cells, meter)``
+    and ``downlink`` the correspondent ``cn``'s injection into the
+    core.  Per mobile index, ``new_mobile(index)`` creates the mobile
+    and returns ``(mobile, address, attach, handoff)``: the mobile
+    (its ``name``, ``on_data`` hooks and ``originate``), the address
+    its flows are sent to and its two moves, which one
+    :class:`~repro.mobility.controller.MobilityController` deciding
+    with :data:`STRONGEST_SIGNAL` drives.  Returns ``run`` built with
+    the skeleton's fields, the mobiles and the stack's own ``fields``.
+    Deterministic: population order, seeded streams only.
+    """
+    nodes, air_cells, meter = access
+    trace = DecisionTrace()
+    controllers: list[MobilityController] = []
+    mobiles: list = []
+
+    def add_mobile(index: int, kind: str, model) -> MobileEndpoint:
+        mobile, address, attach, handoff = new_mobile(index)
+        controllers.append(MobilityController(
+            sim, model, nodes, meter, trace, STRONGEST_SIGNAL,
+            attach, handoff, spec.sample_period, name=mobile.name,
+        ))
+        mobiles.append(mobile)
+        return MobileEndpoint(downlink, mobile.on_data, mobile.originate, address)
+
+    flow_plans, fluid_driver = wire_population(
+        sim, plan, cn, add_mobile, air_cells
+    )
+    return run(
+        spec=spec, seed=int(seed), sim=sim, population=plan,
+        flow_plans=flow_plans, fluid_driver=fluid_driver,
+        air_cells=air_cells, decision_trace=trace,
+        controllers=controllers, mobiles=mobiles, **fields,
+    )
+
+
 __all__ = [
     "STRONGEST_SIGNAL",
+    "FlatRun",
     "flat_access",
     "flat_cell_layout",
-    "flat_overrides",
+    "flat_run",
 ]

@@ -35,17 +35,11 @@ from repro.multitier.architecture import HOME_PREFIX
 from repro.net.addressing import AddressAllocator
 from repro.net.link import drop_totals
 from repro.net.topology import Network
-from repro.mobility.controller import MobilityController
 from repro.policy.config import PolicyConfig
-from repro.policy.trace import DecisionTrace
 from repro.sim.kernel import Simulator
-from repro.stacks.base import BuiltRun, StackAdapter
-from repro.stacks.flat import STRONGEST_SIGNAL, flat_access, flat_overrides
-from repro.stacks.population import (
-    MobileEndpoint,
-    plan_population,
-    wire_population,
-)
+from repro.stacks.base import StackAdapter
+from repro.stacks.flat import FlatRun, flat_access, flat_run
+from repro.stacks.population import plan_population
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only (import cycle)
     from repro.scenarios.spec import ScenarioSpec
@@ -56,25 +50,19 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only (import cycle)
 _HOME_DELAY = 0.025
 _INTERNET_DELAY = 0.005
 
-#: ``ScenarioSpec.domain_overrides`` keys Mobile IP maps, with their
-#: defaults: the radio legs per FA, and the FA↔core access backhaul
-#: (the flat analogue of the domain's wired tree).
-_LINK_DEFAULTS = {
-    "wireless_bandwidth": 2e6,
-    "wireless_delay": 0.002,
-    "wired_bandwidth": 100e6,
-    "wired_delay": _INTERNET_DELAY,
-}
+#: Each FA's radio leg, as in the multi-tier world's cells.
+_WIRELESS_BANDWIDTH = 2e6
+_WIRELESS_DELAY = 0.002
 
 
 @dataclass(kw_only=True)
-class BuiltMIPScenario(BuiltRun):
-    """A fully assembled Mobile IP world plus its planned traffic."""
+class BuiltMIPScenario(FlatRun):
+    """A fully assembled Mobile IP world plus its planned traffic;
+    its ``mobiles`` are :class:`~repro.mobileip.MobileIPNode`\\ s."""
 
     network: Network
     home_agent: HomeAgent
     agents: list[ForeignAgent]
-    nodes: list[MobileIPNode]
 
     def handoff_latencies(self) -> list[float]:
         """The registration round-trips, per node: Mobile IP
@@ -82,7 +70,7 @@ class BuiltMIPScenario(BuiltRun):
         IS the handoff latency."""
         return [
             latency
-            for node in self.nodes
+            for node in self.mobiles
             for latency in node.registration_latencies
         ]
 
@@ -91,7 +79,7 @@ class BuiltMIPScenario(BuiltRun):
         home_agent, drops = self.home_agent, drop_totals(self.sim)
         return {
             "mip.registration_attempts": float(
-                sum(node.registration_attempts for node in self.nodes)
+                sum(node.registration_attempts for node in self.mobiles)
             ),
             "mip.registrations_accepted": float(
                 home_agent.registrations_accepted
@@ -117,19 +105,18 @@ class MobileIPStack(StackAdapter):
         "registration per move, HA tunnel triangle"
     )
     metric_namespace = "mip"
-    override_keys = frozenset(_LINK_DEFAULTS)
 
     def build(self, spec: ScenarioSpec, seed: int) -> BuiltMIPScenario:
         """Assemble the flat Mobile IP world for one ``(spec, seed)``.
 
         One FA per cell site, all on the wired core next to the HA and
-        CN, over the shared population plan.  Link overrides map onto
-        the analogous links (:data:`_LINK_DEFAULTS`), so a
-        choked-backhaul scenario chokes every stack.  A move is
-        detach-from-old + attach-to-new; the new FA's advertisement
-        triggers the home registration, whose round-trip is where
-        Mobile IP's handoff losses accrue.  Deterministic: seeded
-        streams only.
+        CN, over the shared population plan.  Each FA's link to the core
+        is the flat analogue of the domain's wired tree and runs at
+        ``spec.wired_bandwidth``, so a choked-backhaul scenario chokes
+        every stack.  A move is detach-from-old + attach-to-new; the
+        new FA's advertisement triggers the home registration, whose
+        round-trip is where Mobile IP's handoff losses accrue.
+        Deterministic: seeded streams only.
         """
         plan = plan_population(spec, seed, PolicyConfig())
         sim = Simulator()
@@ -143,33 +130,27 @@ class MobileIPStack(StackAdapter):
         network.connect(home_agent, core, delay=_HOME_DELAY)
         network.connect(cn, core, delay=_INTERNET_DELAY)
 
-        links = {**_LINK_DEFAULTS, **flat_overrides(spec, self.override_keys)}
-
         def place(site, channel) -> ForeignAgent:
             agent = ForeignAgent(
                 sim, f"fa-{site.name}", network.allocator.allocate(),
-                wireless_bandwidth=links["wireless_bandwidth"],
-                wireless_delay=links["wireless_delay"],
+                wireless_bandwidth=_WIRELESS_BANDWIDTH,
+                wireless_delay=_WIRELESS_DELAY,
                 shared_channel=channel,
             )
             network.add(agent)
             network.connect(
                 agent, core,
-                bandwidth=links["wired_bandwidth"], delay=links["wired_delay"],
+                bandwidth=spec.wired_bandwidth, delay=_INTERNET_DELAY,
             )
             return agent
 
-        agents, air_cells, meter = flat_access(spec, plan, sim, place)
+        access = flat_access(spec, plan, sim, place)
         network.install_routes()
         install_home_prefix_routes(network, home_agent)
 
-        downlink = cn.links[core].transmit
         home_allocator = AddressAllocator(HOME_PREFIX)
-        nodes: list[MobileIPNode] = []
-        trace = DecisionTrace()
-        controllers: list[MobilityController] = []
 
-        def add_mobile(index: int, kind: str, model) -> MobileEndpoint:
+        def new_mobile(index: int):
             node = MobileIPNode(
                 sim, f"mn{index}", home_address=home_allocator.allocate(),
                 home_agent_address=home_agent.address,
@@ -182,25 +163,15 @@ class MobileIPStack(StackAdapter):
                 old.detach_mobile(node)
                 new.attach_mobile(node)
 
-            controllers.append(MobilityController(
-                sim, model, agents, meter, trace, STRONGEST_SIGNAL,
+            return (
+                node, node.home_address,
                 lambda agent: agent.attach_mobile(node), handoff,
-                spec.sample_period, name=node.name,
-            ))
-            nodes.append(node)
-            return MobileEndpoint(
-                downlink, node.on_data, node.originate, node.home_address
             )
 
-        flow_plans, fluid_driver = wire_population(
-            sim, plan, cn, add_mobile, air_cells
-        )
-        return BuiltMIPScenario(
-            spec=spec, seed=int(seed), sim=sim, population=plan,
-            flow_plans=flow_plans, fluid_driver=fluid_driver,
-            air_cells=air_cells, decision_trace=trace, network=network,
-            home_agent=home_agent,
-            agents=agents, nodes=nodes, controllers=controllers,
+        return flat_run(
+            BuiltMIPScenario, spec, seed, plan, sim, cn,
+            cn.links[core].transmit, access, new_mobile,
+            network=network, home_agent=home_agent, agents=access[0],
         )
 
     def exercised(self, spec: ScenarioSpec) -> list[str]:
@@ -213,9 +184,6 @@ class MobileIPStack(StackAdapter):
             features.append(f"pico-site FAs ({spec.pico_cells})")
         if spec.channels_enabled():
             features.append("uplink registration traffic contends for airtime")
-        mapped = sorted(flat_overrides(spec, self.override_keys))
-        if mapped:
-            features.append("domain overrides mapped: " + ", ".join(mapped))
         return features
 
 

@@ -103,7 +103,7 @@ class MultiTierStack(StackAdapter):
         plan = plan_population(spec, seed, spec.policy)
         world = MultiTierWorld(
             second_domain=spec.domains == 2,
-            domain_kwargs=dict(spec.domain_overrides),
+            domain_kwargs={"wired_bandwidth": spec.wired_bandwidth},
             channel_plan=plan.channel_plan,
         )
         # In-building picos (Fig 2.1's third hierarchy level).  Legacy mode
@@ -179,11 +179,6 @@ class MultiTierStack(StackAdapter):
             features.append("inter-domain handoff (two RSMCs)")
         if spec.pico_cells > 0:
             features.append(f"pico overlay ({spec.pico_cells} cells)")
-        if spec.domain_overrides:
-            features.append(
-                "domain overrides: "
-                + ", ".join(sorted(spec.domain_overrides))
-            )
         if not spec.policy.is_default():
             features.append(
                 f"non-default policy block (mode={spec.policy.mode}, "

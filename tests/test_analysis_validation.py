@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    boundary_crossing_rate,
     circular_cell_crossing_rate,
     erlang_b,
     erlang_c,

@@ -2,8 +2,6 @@
 protocol machinery that recovers (retransmission, soft-state expiry,
 handoff timeout)."""
 
-import pytest
-
 from repro.cellularip import CIPBaseStation, CIPDomain, CIPGateway, CIPMobileHost
 from repro.mobileip import (
     ForeignAgent,

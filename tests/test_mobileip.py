@@ -5,8 +5,6 @@ home agent (HA) on the home network, and two foreign agents (FA1, FA2)
 reachable across a wide-area backbone.
 """
 
-import pytest
-
 from repro.mobileip import (
     ForeignAgent,
     HomeAgent,

@@ -1,8 +1,6 @@
 """Mobile IP lifecycle edge cases: renewal, deregistration, solicitation
 and advertisement sequencing."""
 
-import pytest
-
 from repro.mobileip import (
     ForeignAgent,
     HomeAgent,

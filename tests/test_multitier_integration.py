@@ -5,12 +5,10 @@ figures: location management (Fig 3.1), intra-domain handoff cases
 
 import pytest
 
-from repro.multitier import DIRECT, messages
+from repro.multitier import DIRECT
 from repro.multitier.architecture import MultiTierWorld
 from repro.multitier.basestation import GuardedChannelPool
 from repro.net import Packet, drop_totals, protocol_hop_totals
-from repro.radio.cells import Tier
-from repro.sim import Simulator
 
 
 @pytest.fixture

@@ -1,8 +1,6 @@
 """Pico-tier tests: the in-building level of the paper's Fig 2.1
 hierarchy, managed like a micro cell."""
 
-import pytest
-
 from repro.mobility import Stationary
 from repro.multitier import DIRECT
 from repro.multitier.architecture import WORLD_BOUNDS, MultiTierWorld

@@ -1,12 +1,8 @@
 """Edge-case tests for the RSMC: buffering limits, departure
 forwarding, authentication, guard timers and paging."""
 
-import pytest
-
-from repro.mobileip import messages as mip_messages
 from repro.multitier.architecture import MultiTierWorld
 from repro.net import Packet, drop_totals, ip
-from repro.traffic import CBRSource, FlowSink
 
 
 def test_buffer_overflow_counts_and_drops():

@@ -131,22 +131,6 @@ def test_prefix_invalid_length():
         Prefix("10.0.0.0", -1)
 
 
-def test_prefix_hosts_iterator():
-    prefix = Prefix("192.168.1.0/24")
-    hosts = list(prefix.hosts(3))
-    assert [str(host) for host in hosts] == [
-        "192.168.1.1",
-        "192.168.1.2",
-        "192.168.1.3",
-    ]
-
-
-def test_prefix_hosts_overflow_rejected():
-    prefix = Prefix("192.168.1.0/30")
-    with pytest.raises(ValueError):
-        list(prefix.hosts(10))
-
-
 def test_allocator_sequential_unique():
     allocator = AddressAllocator("10.5.0.0/24")
     a = allocator.allocate()

@@ -9,7 +9,6 @@ from repro.net import (
     Packet,
     Prefix,
     drop_totals,
-    ip,
     protocol_hop_totals,
 )
 from repro.net.router import ForwardingTable

@@ -13,9 +13,6 @@ the *default* config with pre-refactor behavior is pinned elsewhere
 behavior.
 """
 
-import dataclasses
-import math
-
 import pytest
 
 from repro.policy import (

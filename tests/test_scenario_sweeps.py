@@ -75,7 +75,7 @@ def test_sweep_rejects_unknown_field():
 
 def test_sweep_rejects_unsweepable_fields():
     unsweepable = (
-        "name", "seeds", "domain_overrides", "notes",
+        "name", "seeds", "policy", "notes",
         "mobility_mix", "traffic_mix", "roam",  # non-scalar fields
     )
     for field in unsweepable:
@@ -103,37 +103,13 @@ def test_sweep_rejects_short_empty_or_non_numeric_axis():
         _tiny_sweep(values=("a", "b"))
 
 
-def test_sweep_rejects_empty_metrics_seeds_and_override_key():
+def test_sweep_rejects_empty_metrics_seeds_and_policy_key():
     with pytest.raises(ValueError, match="metrics"):
         _tiny_sweep(metrics=())
     with pytest.raises(ValueError, match="seeds"):
         _tiny_sweep(seeds=())
-    with pytest.raises(ValueError, match="domain_overrides key"):
-        _tiny_sweep(field="domain_overrides.")
-
-
-def test_derive_integral_override_keys_reject_fractional_values():
-    # Int-typed domain parameters (buffer_size, guard_channels, ...)
-    # get the same integral check as int-typed spec fields.
-    base = get_scenario("campus-dense")
-    sweep = _tiny_sweep(
-        scenario="campus-dense",
-        field="domain_overrides.buffer_size",
-        values=(16, 32),
-    )
-    assert sweep.derive(base, 32.0).domain_overrides["buffer_size"] == 32
-    with pytest.raises(ValueError, match="integral"):
-        sweep.derive(base, 16.5)
-
-
-def test_sweep_rejects_typod_override_key_eagerly():
-    # Eager validation must also cover the dotted axis: a key the
-    # domain constructor doesn't accept fails at construction, not as
-    # a TypeError halfway through a run.
-    with pytest.raises(ValueError, match="unknown domain override key"):
-        _tiny_sweep(field="domain_overrides.wired_bandwith")
-    ok = _tiny_sweep(field="domain_overrides.wired_bandwidth")
-    assert ok.axis_label() == "wired_bandwidth"
+    with pytest.raises(ValueError, match="empty policy key"):
+        _tiny_sweep(field="policy.")
 
 
 # ----------------------------------------------------------------------
@@ -163,20 +139,6 @@ def test_derive_invalid_value_names_the_sweep_and_value():
     base = get_scenario("sparse-rural")
     with pytest.raises(ValueError, match=r"test-axis.*population=0"):
         _tiny_sweep(values=(0, 4)).derive(base, 0)
-
-
-def test_derive_domain_override_merges_with_base_overrides():
-    base = get_scenario("campus-dense")
-    assert base.domain_overrides  # the choked backhaul must be present
-    sweep = _tiny_sweep(
-        scenario="campus-dense",
-        field="domain_overrides.wired_delay",
-        values=(0.001, 0.002),
-    )
-    derived = sweep.derive(base, 0.002)
-    assert derived.domain_overrides["wired_delay"] == 0.002
-    for key, value in base.domain_overrides.items():
-        assert derived.domain_overrides[key] == value
 
 
 def test_register_sweep_validates_eagerly_and_rejects_duplicates():
@@ -212,7 +174,7 @@ def test_registry_ships_at_least_five_sweeps_over_real_scenarios():
 def test_registry_covers_the_papers_axes():
     fields = {sweep.field for sweep in iter_sweeps()}
     assert "population" in fields  # load axis
-    assert any(f.startswith("domain_overrides.") for f in fields)  # backhaul
+    assert "wired_bandwidth" in fields  # backhaul
     assert "hotspot_fraction" in fields  # offered-load axis
     assert "pico_cells" in fields  # cell-layout axis
 
@@ -278,7 +240,7 @@ def test_format_sweep_result_has_ci_columns_per_point():
 
 def test_describe_sweep_mentions_axis_and_values():
     text = describe_sweep("campus-dense/backhaul")
-    assert "domain_overrides.wired_bandwidth" in text
+    assert "wired_bandwidth" in text
     assert "campus-dense" in text and "mean_delay" in text
 
 

@@ -100,7 +100,7 @@ def test_spec_rejects_bad_shape_fields():
     "field",
     [
         "duration", "sample_period", "warmup", "drain",
-        "macro_channel_bandwidth", "pico_channel_bandwidth",
+        "macro_channel_bandwidth", "pico_channel_bandwidth", "wired_bandwidth",
     ],
 )
 def test_spec_rejects_nan_timing_and_bandwidth_fields(field):
@@ -136,12 +136,16 @@ _INF, _NAN = float("inf"), float("nan")
         ("fluid.update_period", _NAN),
         ("fluid.update_period", _INF),
         ("fluid.drift", (_NAN, 0.0)),
+        ("wired_bandwidth", _INF),
+        ("mobility_mix", {"waypoint": _NAN, "highway": 1.0}),
+        ("traffic_mix", {"cbr-voice": _NAN, "idle": 1.0}),
     ],
 )
 def test_spec_rejects_non_finite_and_non_integral_values(field, value):
     """Each of these used to pass construction and then hang, crash
-    mid-build or run something else; the spec (or its fluid block)
-    must refuse it up front, naming the field, in one line."""
+    mid-build or run something else (a nan mix fraction gave its share
+    to the other keys); the spec (or its fluid block) must refuse it
+    up front, naming the field, in one line."""
     if field.startswith("fluid."):
         key = field.removeprefix("fluid.")
         base = get_scenario("campus-air")
@@ -311,12 +315,17 @@ def test_run_scenario_spec_leaves_no_finished_world_behind(monkeypatch):
 def test_nan_soft_state_lifetime_override_fails_the_build_in_one_line(stack, key):
     """nan passes an ``x <= 0`` test: records that never expire, or a
     routing cache with no live entry, would still finish a run with a
-    plausible table."""
-    spec = get_scenario("campus-dense").smoke().replace(
-        stack=stack, domain_overrides={key: float("nan")}
-    )
+    plausible table.  The protocol constants are set where the E-series
+    set them: on the world, not the spec."""
+    from repro.experiments.baselines import build_cip_world
+    from repro.multitier.architecture import MultiTierWorld
+
+    build = {
+        "multitier": lambda: MultiTierWorld(domain_kwargs={key: float("nan")}),
+        "cellularip": lambda: build_cip_world(**{key: float("nan")}),
+    }[stack]
     with pytest.raises(ValueError, match="must be positive, got nan") as error:
-        build_scenario(spec, seed=1)
+        build()
     assert "\n" not in str(error.value)
 
 

@@ -11,7 +11,7 @@ Pins the stacks refactor's load-bearing guarantees:
 * one-batch dispatch for ``--stack all`` comparisons, and regrouping
   equal to per-stack replication;
 * the shared skeleton: every stack builds a ``BuiltRun`` with a
-  decision trace, a throw-away fifth stack fits in 50 lines, and the
+  decision trace, a throw-away fifth stack fits in 30 lines, and the
   one mobility controller runs a flat stack's two moves as documented;
 * the golden regression: ``stack="multitier"`` output byte-identical
   to the committed pre-refactor ``results/scenarios_smoke/`` tables,
@@ -225,25 +225,24 @@ def test_no_retired_link_outlives_its_use(collector_restored):
 
 
 def test_throwaway_fifth_stack_runs_on_the_shared_skeleton():
-    """What a new flat stack costs: the node it places at each site, its
-    two moves, and a ``BuiltRun`` subclass with its extras hook.
-    This one places no access network at all (mobiles roam, nothing is
-    delivered) yet emits every common metric through the skeleton."""
+    """What a new flat stack costs: its core wiring, the node it places
+    at each site, its mobile with its two moves, and a ``FlatRun``
+    subclass with its extras hook.  This one places no access network
+    at all (mobiles roam, nothing is delivered) yet emits every common
+    metric through the skeleton."""
     import math
+    from types import SimpleNamespace
 
-    from repro.mobility.controller import MobilityController
     from repro.net.topology import Network
-    from repro.policy import DecisionTrace, PolicyConfig
+    from repro.policy import PolicyConfig
     from repro.sim.kernel import Simulator
-    from repro.stacks import BuiltRun, StackAdapter
-    from repro.stacks.flat import STRONGEST_SIGNAL, flat_access
-    from repro.stacks.population import (
-        MobileEndpoint, plan_population, wire_population,
-    )
+    from repro.stacks import StackAdapter
+    from repro.stacks.flat import FlatRun, flat_access, flat_run
+    from repro.stacks.population import plan_population
     from repro.stacks.registry import _REGISTRY
 
-    # --- the whole stack (<= 50 lines) --------------------------------
-    class BuiltNullRun(BuiltRun):
+    # --- the whole stack (<= 30 lines) --------------------------------
+    class BuiltNullRun(FlatRun):
         def extras(self):
             return {"null.controllers": float(len(self.controllers))}
 
@@ -257,29 +256,17 @@ def test_throwaway_fifth_stack_runs_on_the_shared_skeleton():
             sim = Simulator()
             cn = Network(sim, prefix="10.0.0.0/8").host("cn")
             # The "node" at each site is the site; moving does nothing.
-            nodes, air_cells, meter = flat_access(
-                spec, plan, sim, lambda site, channel: site
-            )
-            trace, controllers = DecisionTrace(), []
+            access = flat_access(spec, plan, sim, lambda site, channel: site)
 
-            def add_mobile(index, kind, model):
-                controllers.append(MobilityController(
-                    sim, model, nodes, meter, trace, STRONGEST_SIGNAL,
-                    lambda node: None, lambda old, new: None,
-                    spec.sample_period,
-                ))
-                return MobileEndpoint(
-                    lambda packet: True, [], lambda packet: None, cn.address
+            def new_mobile(index):
+                mobile = SimpleNamespace(
+                    name=f"mn{index}", on_data=[], originate=lambda packet: None
                 )
+                return mobile, cn.address, lambda node: None, lambda old, new: None
 
-            flow_plans, fluid_driver = wire_population(
-                sim, plan, cn, add_mobile, air_cells
-            )
-            return BuiltNullRun(
-                spec=spec, seed=seed, sim=sim, population=plan,
-                flow_plans=flow_plans, fluid_driver=fluid_driver,
-                air_cells=air_cells, decision_trace=trace,
-                controllers=controllers,
+            return flat_run(
+                BuiltNullRun, spec, seed, plan, sim, cn,
+                lambda packet: True, access, new_mobile,
             )
     # ------------------------------------------------------------------
 
@@ -386,34 +373,6 @@ def test_one_controller_per_mobile_and_policy_metrics_only_where_read(
             assert controller.serving is mobile.serving_bs
     else:
         assert not [key for key in metrics if key.startswith("policy.")]
-
-
-@pytest.mark.parametrize("stack", ALL_STACKS)
-def test_override_key_no_stack_reads_fails_at_spec_construction(stack):
-    """A typo'd override key must fail when the spec is built, in one
-    line, under every stack: not halfway through a build, and never as
-    a run that finishes unchoked with a normal-looking table."""
-    # ``notify_correspondents`` was a multi-tier knob: the RSMC always
-    # notifies now, so the key is as unknown as a typo.
-    for key in ("wired_bandwith", "notify_correspondents"):
-        with pytest.raises(
-            ValueError, match=f"'{key}' under stack '{stack}'"
-        ) as error:
-            _smoke(stack=stack).replace(domain_overrides={key: 1e6})
-        assert "\n" not in str(error.value)
-    # A key only Cellular IP reads is valid under Cellular IP alone.
-    cip_only = {"semisoft_delay": 0.05}
-    if stack.startswith("cellularip"):
-        _smoke(stack=stack).replace(domain_overrides=cip_only)
-    else:
-        with pytest.raises(ValueError, match="'semisoft_delay'"):
-            _smoke(stack=stack).replace(domain_overrides=cip_only)
-    # A key the multi-tier domain reads is valid everywhere; a flat
-    # stack skips it.
-    ok = _smoke(stack=stack).replace(domain_overrides={"buffer_size": 8})
-    assert "domain overrides mapped" not in "; ".join(
-        get_stack(stack).exercised(ok)
-    )
 
 
 # ----------------------------------------------------------------------
@@ -523,21 +482,39 @@ def test_flat_layout_pico_geometry_matches_multitier(scenario):
     ]
 
 
-def test_mobileip_maps_wired_backhaul_override():
-    """campus-dense's defining 2.5 Mbit/s choke applies to the Mobile
-    IP access backhaul too — choked comparisons are apples-to-apples."""
+def test_every_stack_builds_its_wired_access_links_at_the_spec_backhaul():
+    """campus-dense's defining 2.5 Mbit/s choke applies to every wired
+    link a stack builds from the spec, so choked comparisons are
+    apples-to-apples: the multi-tier and Cellular IP access trees, and
+    Mobile IP's FA-to-core links."""
     from repro.scenarios import build_scenario
 
-    spec = _smoke("campus-dense", stack="mobileip")
-    assert spec.domain_overrides["wired_bandwidth"] == 2.5e6
-    built = build_scenario(spec, seed=1)
-    core = built.network["internet"]
-    for agent in built.agents:
-        assert agent.link_to(core).bandwidth == 2.5e6
-    adapter = get_stack("mobileip")
-    assert any(
-        "wired_bandwidth" in feature for feature in adapter.exercised(spec)
-    )
+    for stack in ALL_STACKS:
+        spec = _smoke("campus-dense", stack=stack)
+        assert spec.wired_bandwidth == 2.5e6
+        built = build_scenario(spec, seed=1)
+        if stack == "mobileip":
+            core = built.network["internet"]
+            pairs = [(agent, core) for agent in built.agents]
+        else:
+            if stack == DEFAULT_STACK:
+                stations = [
+                    station
+                    for handle in (built.world.domain1, built.world.domain2)
+                    if handle is not None
+                    for station in handle.stations.values()
+                ]
+            else:
+                stations = built.domain.base_stations
+            pairs = [
+                (station, station.parent)
+                for station in stations
+                if station.parent is not None
+            ]
+        assert len(pairs) >= 4, stack
+        for a, b in pairs:
+            assert a.link_to(b).bandwidth == 2.5e6, (stack, a.name)
+            assert b.link_to(a).bandwidth == 2.5e6, (stack, a.name)
 
 
 # ----------------------------------------------------------------------
