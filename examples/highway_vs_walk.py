@@ -42,7 +42,7 @@ def main() -> None:
     # Log serving cells over time.
     def reporter():
         while True:
-            yield sim.timeout(30.0)
+            yield 30.0
             for mobile, controller in (
                 (vehicle, vehicle_controller),
                 (pedestrian, pedestrian_controller),

@@ -42,7 +42,7 @@ def main() -> None:
     # 4. Mid-stream, alice walks from B's coverage into C's: a
     #    micro-to-micro intra-domain handoff (Fig 3.4 case c).
     def walk():
-        yield sim.timeout(2.0)
+        yield 2.0
         print(f"[t={sim.now:.2f}s] handing off B -> C ...")
         refusal = yield from mobile.perform_handoff(domain["C"])
         outcome = "succeeded" if refusal is None else f"failed ({refusal})"

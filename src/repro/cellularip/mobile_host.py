@@ -97,7 +97,7 @@ class CIPMobileHost(Node):
         new_bs.attach_mobile(self)
         self.secondary_bs = new_bs
         self._send_update(new_bs, semisoft=True)
-        yield self.sim.timeout(self.domain.semisoft_delay)
+        yield self.domain.semisoft_delay
         self.serving_bs = new_bs
         self.secondary_bs = None
         if old is not None:
@@ -156,7 +156,7 @@ class CIPMobileHost(Node):
         domain = self.domain
         last_paging = -float("inf")
         while True:
-            yield self.sim.timeout(domain.route_update_time)
+            yield domain.route_update_time
             if self.serving_bs is None:
                 continue
             if self.is_active:

@@ -251,7 +251,7 @@ def simulate_blocking(servers, guard, new_load, handoff_load, duration, seed):
 
     def hold_then_release(request, holding):
         def proc():
-            yield sim.timeout(holding)
+            yield holding
             pool.release(request)
 
         sim.process(proc())
@@ -259,7 +259,7 @@ def simulate_blocking(servers, guard, new_load, handoff_load, duration, seed):
     def arrival_stream(kind, rate, admit):
         def proc():
             while True:
-                yield sim.timeout(streams.exponential(f"{kind}-gap", 1.0 / rate))
+                yield streams.exponential(f"{kind}-gap", 1.0 / rate)
                 counts[kind] += 1
                 request = admit()
                 if request is None:

@@ -103,7 +103,7 @@ def scripted_handoffs(sim: Simulator, interval: float, targets, handoff) -> list
 
     def mover():
         for target in targets:
-            yield sim.timeout(interval)
+            yield interval
             step = handoff(target)
             outcomes.append(
                 (yield from step) if inspect.isgenerator(step) else step

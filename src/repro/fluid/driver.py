@@ -126,7 +126,7 @@ class FluidDriver:
     def _run(self):
         while True:
             self.refresh()
-            yield self.sim.timeout(self.config.update_period)
+            yield self.config.update_period
 
     # ------------------------------------------------------------------
     def metrics(self) -> dict[str, float]:

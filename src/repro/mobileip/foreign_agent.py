@@ -99,7 +99,7 @@ class ForeignAgent(Router):
     # ------------------------------------------------------------------
     def _advertise_loop(self):
         while True:
-            yield self.sim.timeout(self.advertisement_interval)
+            yield self.advertisement_interval
             for mobile in list(self.attached.values()):
                 self._send_advertisement(mobile)
 

@@ -110,7 +110,7 @@ class MobileIPNode(Node):
         while self._pending_identification == identification:
             self._send_registration_request(identification, started)
             try:
-                yield self.sim.timeout(backoff)
+                yield backoff
             except Interrupt:
                 return
             backoff = min(backoff * 2.0, self.retransmit_max)

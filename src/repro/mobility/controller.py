@@ -19,6 +19,11 @@ from repro.policy.types import (
 )
 from repro.radio.channel import DOWNLINK
 
+#: The refusal actions' trace values, looked up once rather than per refusal.
+_STOP = NextAction.STOP.value
+_ESCALATE_TIER = NextAction.ESCALATE_TIER.value
+_RETRY_SAME_TIER = NextAction.RETRY_SAME_TIER.value
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mobility.base import MobilityModel
     from repro.policy.decider import TierDecider
@@ -109,7 +114,7 @@ class MobilityController:
         scan = self.meter.scan
         attach = self.attach
         while True:
-            yield sim.timeout(period)
+            yield period
             position = model.advance(period)
             # The decision reads the survey itself: the audible cells
             # covering us as (rss, index) pairs, strongest first.
@@ -176,14 +181,14 @@ class MobilityController:
         """
         nxt = remaining[0] if remaining else None
         if nxt is None or nxt.station is self.serving:
-            action, target = NextAction.STOP, ""
+            action, target = _STOP, ""
         elif nxt.tier is not failed.tier:
-            action, target = NextAction.ESCALATE_TIER, nxt.station.name
+            action, target = _ESCALATE_TIER, nxt.station.name
         else:
-            action, target = NextAction.RETRY_SAME_TIER, nxt.station.name
+            action, target = _RETRY_SAME_TIER, nxt.station.name
         self.trace.record(
             self.sim.now, self.name, move, [reason],
-            action=action.value, target=target,
+            action=action, target=target,
         )
 
     def _channel_congested(self, station) -> bool:

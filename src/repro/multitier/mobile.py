@@ -95,7 +95,7 @@ class MultiTierMobileNode(Node):
                 serving.domain.location_update_period if serving else 1.0
             )
             try:
-                yield self.sim.timeout(interval)
+                yield interval
             except Interrupt:
                 return
             if self.serving_bs is not None:

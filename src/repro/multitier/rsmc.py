@@ -167,7 +167,7 @@ class RSMC(MultiTierBaseStation):
         self._auth_in_progress.add(mobile)
         # Start buffering so nothing is lost while we verify identity.
         self._start_buffering(mobile)
-        yield self.sim.timeout(self.domain.auth_delay)
+        yield self.domain.auth_delay
         self._auth_in_progress.discard(mobile)
         self.authenticated.add(mobile)
         self.authentications += 1
@@ -242,7 +242,7 @@ class RSMC(MultiTierBaseStation):
 
     def _buffer_guard(self, mobile: IPAddress):
         """Abandon a buffer if the handoff never completes."""
-        yield self.sim.timeout(self.domain.buffer_guard_time)
+        yield self.domain.buffer_guard_time
         buffer = self._buffers.pop(mobile, None)
         self._buffer_guards.pop(mobile, None)
         if buffer:

@@ -68,7 +68,7 @@ class Packet:
         # measurable at scale.
         self.src = src if type(src) is IPAddress else IPAddress(src)
         self.dst = dst if type(dst) is IPAddress else IPAddress(dst)
-        if size <= 0:
+        if not size > 0:  # also rejects nan
             raise ValueError(f"packet size must be positive, got {size}")
         self.size = size
         self.protocol = protocol

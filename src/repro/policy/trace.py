@@ -140,11 +140,11 @@ class DecisionTrace:
         recognized cause token (an unrecognized one lands in the record
         and the render only); any other ``kind`` is a refused move,
         counted in :attr:`refusals` once per reason and under the key
-        of its ``action``.
+        of its ``action``.  The fields are stored as given: a float
+        ``time`` and strings (``reasons`` becomes a tuple).
         """
         self.records.append(DecisionRecord(
-            float(time), str(mobile), str(kind), str(action), tuple(reasons),
-            str(target),
+            time, mobile, kind, action, tuple(reasons), target
         ))
         if kind == "decision":
             self.counts["policy.decisions"] += 1

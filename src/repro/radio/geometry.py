@@ -6,9 +6,17 @@ import math
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Point:
-    """A point in meters on the simulation plane."""
+    """A point in meters on the simulation plane.
+
+    A value: nothing writes to one.  It is slotted rather than frozen,
+    because a frozen dataclass sets each field through
+    ``object.__setattr__`` (about four times the plain constructor, and
+    a mobile makes one per movement step).  Equality and the hash are
+    the frozen class's: a frozen
+    :class:`~repro.multitier.architecture.Site` hashes its point.
+    """
 
     x: float
     y: float

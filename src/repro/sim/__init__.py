@@ -12,7 +12,9 @@ Events, timeouts, processes and conditions are created through the
 :class:`Simulator` factories (``sim.event()``, ``sim.timeout()``,
 ``sim.process()``, ``sim.any_of()``); their classes
 live in :mod:`repro.sim.events` and the remaining error types in
-:mod:`repro.sim.errors`.
+:mod:`repro.sim.errors`.  A process sleeps by yielding seconds
+(``yield 2.0``); a ``sim.timeout()`` is for a deadline composed with
+``sim.any_of()``.
 """
 
 from repro.sim.errors import Interrupt

@@ -22,7 +22,7 @@ class Interrupt(SimulationError):
     interrupted process can inspect::
 
         try:
-            yield sim.timeout(10.0)
+            yield 10.0  # sleep
         except Interrupt as interrupt:
             handle(interrupt.cause)
     """

@@ -5,12 +5,14 @@ an :class:`Event` is a one-shot occurrence with a value; a
 :class:`Process` wraps a generator that ``yield``\\ s events and is
 resumed when the yielded event is processed.  An :class:`AnyOf`
 condition waits on several events at once and fires with the first.
+A process that only sleeps yields the seconds instead (``yield 2.0``):
+the kernel queues one wake-up entry and builds no event.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Callable, Generator, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Iterable, Optional, Union
 
 from repro.sim.errors import Interrupt
 
@@ -108,9 +110,9 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: object = None) -> None:
         if not delay >= 0:  # also rejects nan, which would sort first
             raise ValueError(f"negative delay {delay}")
-        # Event.__init__ and Simulator._enqueue inlined: Timeout is the
-        # highest-churn event type (every process tick allocates one),
-        # so it pays no double-initialization or call overhead.
+        # Event.__init__ and Simulator._enqueue inlined: every deadline
+        # composed with ``any_of`` allocates one.  A process that only
+        # sleeps yields the seconds instead and allocates no Timeout.
         self.sim = sim
         self.callbacks = []
         self.delay = delay
@@ -159,18 +161,40 @@ class _Interruption(Event):
 
     def _deliver(self, event: "Event") -> None:
         process = self.process
-        if process.processed or process._target is None:
+        target = process._target
+        if process.processed or target is None:
             # Terminated (or never started waiting) in the meantime: the
             # interrupt is moot and silently dropped.
             return
         # Detach the process from whatever it was waiting on, then resume
-        # it with the Interrupt exception.
-        if process._target.callbacks is not None:
+        # it with the Interrupt exception.  Clearing a sleep's token
+        # leaves its queued wake-up a no-op.
+        process._target = None
+        if type(target) is not int and target.callbacks is not None:
             try:
-                process._target.callbacks.remove(process._resume)
+                target.callbacks.remove(process._resume)
             except ValueError:
                 pass
         process._resume(self)
+
+
+class _Woken:
+    """What a process is resumed with when its sleep ends: a success
+    whose value is ``None``, as a ``Timeout`` without a value."""
+
+    __slots__ = ()
+    _ok = True
+    _value = None
+
+
+_WOKEN = _Woken()
+
+
+def _wake(process: "Process", token: int) -> None:
+    """End ``process``'s sleep ``token``, unless an interrupt ended it
+    first (the process then waits on something else, or nothing)."""
+    if process._target is token:
+        process._resume(_WOKEN)
 
 
 class Process(Event):
@@ -180,6 +204,13 @@ class Process(Event):
     return value when the generator finishes (or fails with the escaping
     exception).  This allows processes to wait for each other simply by
     yielding the other process.
+
+    A process sleeps by yielding a number of seconds (a ``float`` or an
+    ``int``, not a ``bool``): the kernel queues one ``call_later``-shaped
+    wake-up, ``(now + delay, NORMAL, token, _wake, (process, token))``,
+    drawing its event id where ``sim.timeout(delay)`` would have, so
+    event order is that of the ``Timeout`` form.  ``_target`` then holds
+    the token, an interrupt clears it, and the wake-up finds it gone.
     """
 
     __slots__ = ("_generator", "_target", "name")
@@ -194,7 +225,8 @@ class Process(Event):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(sim)
         self._generator = generator
-        self._target: Optional[Event] = None
+        #: The event the process waits on, its sleep's token, or None.
+        self._target: Union[Event, int, None] = None
         self.name = name or getattr(generator, "__name__", "process")
         Initialize(sim, self)
 
@@ -237,6 +269,22 @@ class Process(Event):
                 self.fail(error)
                 return
 
+            kind = type(next_event)
+            if kind is float or kind is int:
+                # A sleep (a bool or a numpy scalar is not one, and fails
+                # below): one wake-up entry instead of a Timeout.
+                sim._active_process = None
+                if not next_event >= 0:  # also rejects nan, which would sort first
+                    self._target = None
+                    self.fail(ValueError(f"negative delay {next_event}"))
+                    return
+                token = next(sim._eid)
+                self._target = token
+                heappush(
+                    sim._queue,
+                    (sim.now + next_event, NORMAL, token, _wake, (self, token)),
+                )
+                return
             if not isinstance(next_event, Event):
                 self._target = None
                 sim._active_process = None

@@ -10,7 +10,7 @@ Example
 >>> sim = Simulator()
 >>> def pinger(sim, log):
 ...     while sim.now < 3:
-...         yield sim.timeout(1.0)
+...         yield 1.0  # sleep one second
 ...         log.append(sim.now)
 >>> log = []
 >>> _ = sim.process(pinger(sim, log))
@@ -45,8 +45,9 @@ class Simulator:
     Every heap entry is ``(when, priority, eid, target, args)``.  With
     ``args is None`` the target is an :class:`Event` whose callbacks the
     loop runs; otherwise the loop calls ``target(*args)`` — the
-    fire-and-forget form :meth:`call_later` pushes, which allocates
-    nothing but the entry itself.
+    fire-and-forget form :meth:`call_later` pushes, and the wake-up of
+    a process that sleeps by yielding seconds, which allocate nothing
+    but the entry itself.
     """
 
     def __init__(self, start: float = 0.0) -> None:
@@ -81,8 +82,8 @@ class Simulator:
         The fire-and-forget path: queue ordering is that of a
         :meth:`timeout` created at the same point (one event-id per
         call, NORMAL priority), but the heap entry carries the callable
-        itself, so no event object is made.  A caller that needs an
-        event to wait on uses :meth:`timeout` in a process instead.
+        itself, so no event object is made.  A process that waits
+        ``delay`` yields it instead (``yield delay``).
         """
         if not delay >= 0:  # also rejects nan, which would sort first
             raise ValueError(f"negative delay {delay}")
@@ -96,7 +97,11 @@ class Simulator:
         return Event(self)
 
     def timeout(self, delay: float, value: object = None) -> Timeout:
-        """Create an event that triggers ``delay`` units in the future."""
+        """Create an event that triggers ``delay`` units in the future.
+
+        For a deadline composed with :meth:`any_of`; a process that only
+        sleeps yields the delay itself and allocates no event.
+        """
         return Timeout(self, delay, value)
 
     def process(self, generator: ProcessGenerator, name: Optional[str] = None) -> Process:

@@ -38,7 +38,7 @@ class RandomStreams:
         return float(self.stream(name).uniform(low, high))
 
     def exponential(self, name: str, mean: float) -> float:
-        if mean <= 0:
+        if not mean > 0:  # also rejects nan
             raise ValueError(f"mean must be positive, got {mean}")
         return float(self.stream(name).exponential(mean))
 

@@ -122,7 +122,7 @@ class CBRSource(TrafficSource):
         stop_at = None if self.duration is None else self.sim.now + self.duration
         while stop_at is None or self.sim.now < stop_at:
             self._emit(self.packet_size)
-            yield self.sim.timeout(self.interval)
+            yield self.interval
 
 
 class PoissonSource(TrafficSource):
@@ -151,7 +151,7 @@ class PoissonSource(TrafficSource):
     def _run(self):
         stop_at = None if self.duration is None else self.sim.now + self.duration
         while stop_at is None or self.sim.now < stop_at:
-            yield self.sim.timeout(float(self._rng.exponential(self.mean_gap)))
+            yield float(self._rng.exponential(self.mean_gap))
             self._emit(self.packet_size)
 
 
@@ -193,8 +193,8 @@ class OnOffSource(TrafficSource):
             burst_end = self.sim.now + float(self._rng.exponential(self.mean_on))
             while self.sim.now < burst_end:
                 self._emit(self.packet_size)
-                yield self.sim.timeout(self.interval)
-            yield self.sim.timeout(float(self._rng.exponential(self.mean_off)))
+                yield self.interval
+            yield float(self._rng.exponential(self.mean_off))
 
 
 class VBRVideoSource(TrafficSource):
@@ -252,7 +252,7 @@ class VBRVideoSource(TrafficSource):
                 fragment = min(remaining, self.mtu)
                 self._emit(fragment)
                 remaining -= fragment
-            yield self.sim.timeout(self.frame_interval)
+            yield self.frame_interval
 
 
 class ElasticSource(TrafficSource):
@@ -331,4 +331,4 @@ class ElasticSource(TrafficSource):
             else:
                 self.window = max(1.0, self.window / 2.0)
                 self.windows_lossy += 1
-            yield self.sim.timeout(0.01)
+            yield 0.01

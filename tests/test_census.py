@@ -27,7 +27,7 @@ from repro.net import Node, Packet, connect, drop_totals, protocol_hop_totals
 from repro.radio.channel import DIRECTIONS
 from repro.radio.geometry import Point
 from repro.scenarios import build_scenario, get_scenario
-from repro.sim import Simulator, kernel
+from repro.sim import Interrupt, Simulator, kernel
 from repro.stacks import stack_names
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -59,7 +59,7 @@ def test_kinds_sum_to_events_processed_and_two_runs_agree(census):
     assert kinds["SharedChannel._arbitrate"] == kinds["SharedChannel._finish"] > 0
     assert "SharedChannel._start" not in kinds
     assert kinds["Link._deliver[MultiTierMobileNode,data]"] > 0
-    assert kinds["Timeout -> Process._resume[CBRSource._run]"] > 0
+    assert kinds["sleep -> Process._resume[CBRSource._run]"] > 0
     assert list(kinds.values()) == sorted(kinds.values(), reverse=True)
     assert first["drops"] == {}  # the multi-tier smoke run drops nothing
     assert first["refusals"] == {}  # ... and refuses no move
@@ -74,6 +74,28 @@ def test_wrapping_constructors_does_not_perturb_the_kernel(census, stack):
     with census.counting() as (kinds, _simulators):
         build_scenario(spec, spec.seeds[0]).execute()
     assert census.census_of(spec, spec.seeds[0])["kinds"] == census.ranked(kinds)
+
+
+def test_a_sleep_is_named_by_its_process_and_a_stale_one_by_nothing(census):
+    """A wake-up names the generator it resumes; once an interrupt has
+    ended that sleep, its queued wake-up is ``sleep -> nothing``."""
+
+    def sleeper():
+        try:
+            yield 10.0
+        except Interrupt:
+            pass
+        yield 20.0
+
+    with census.counting() as (kinds, simulators):
+        sim = Simulator()
+        process = sim.process(sleeper())
+        sim.call_later(3.0, process.interrupt)
+        sim.run()
+    assert simulators == [sim]
+    assert kinds["sleep -> nothing"] == 1  # the interrupted sleep's, at 10 s
+    assert kinds[f"sleep -> Process._resume[{sleeper.__qualname__}]"] == 1
+    assert sum(kinds.values()) == sim.events_processed
 
 
 def test_each_object_is_counted_once_and_two_runs_agree(census):

@@ -13,9 +13,11 @@ the kernel-entry budgets of an elastic window and of an air packet.  The experim
 end-to-end; these tests localize a violation.
 """
 
+import random
 from itertools import count
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,7 +39,7 @@ from repro.policy import (
 from repro.radio import Cell, Point, PropagationModel, SignalMeter, Tier
 from repro.radio.channel import DOWNLINK, SharedChannel
 from repro.scenarios import ScenarioSpec, build_scenario
-from repro.sim import Simulator
+from repro.sim import Interrupt, Simulator
 from repro.sim.events import NORMAL, URGENT, Timeout
 from repro.stacks import stack_names
 from repro.traffic import ElasticSource
@@ -225,6 +227,110 @@ def test_nan_delay_is_rejected_instead_of_firing_first(schedule):
     sim.run()
     assert seen == ["a", "b"]
     assert sim.now == 1.0
+
+
+# ----------------------------------------------------------------------
+# A process sleeps by yielding seconds
+# ----------------------------------------------------------------------
+def _interrupted_sleeper(sleep):
+    """The log and ``events_processed`` of a sleeper interrupted at 3 s
+    into a 10 s sleep, which then sleeps 20 s more."""
+    sim = Simulator()
+    log = []
+
+    def sleeper():
+        try:
+            yield sleep(sim, 10.0)
+        except Interrupt as interrupt:
+            log.append(("interrupted", sim.now, interrupt.cause))
+        yield sleep(sim, 20.0)  # asleep when the first sleep's entry fires
+        log.append(("woke", sim.now))
+
+    process = sim.process(sleeper())
+    sim.call_later(3.0, process.interrupt, "moved")
+    sim.run()
+    return log, sim.events_processed
+
+
+def test_an_interrupted_sleep_leaves_a_stale_wake_up_that_does_nothing():
+    """The interrupt clears the sleep's token: its wake-up still leaves
+    the queue at 10 s (counted, as an orphaned ``Timeout`` is) but does
+    not resume the process, which sleeps on to 23 s."""
+    log, processed = _interrupted_sleeper(lambda sim, delay: delay)
+    assert log == [("interrupted", 3.0, "moved"), ("woke", 23.0)]
+    timeout_form = _interrupted_sleeper(lambda sim, delay: sim.timeout(delay))
+    assert (log, processed) == timeout_form
+
+
+@pytest.mark.parametrize(
+    "value, error, message",
+    [
+        (-1.0, ValueError, "^negative delay -1.0$"),
+        (float("nan"), ValueError, "^negative delay nan$"),
+        (True, RuntimeError, "^process 'bad' yielded a non-event: True$"),
+        (np.float64(1.0), RuntimeError, "yielded a non-event"),
+    ],
+    ids=["negative", "nan", "bool", "numpy-scalar"],
+)
+def test_a_bad_sleep_fails_the_process_in_one_line(value, error, message):
+    """A negative or nan delay fails as ``sim.timeout`` would; a bool or
+    a numpy scalar is no sleep (call sites keep their ``float(...)``)."""
+    sim = Simulator()
+
+    def bad():
+        yield value
+
+    process = sim.process(bad())
+    with pytest.raises(error, match=message):
+        sim.run()
+    assert not process.is_alive and sim.now == 0.0 and not sim._queue
+
+
+def _sleep_trace(seed, by_number):
+    """``(now, name)`` of every wake-up and interrupt of a seeded set of
+    sleepers, and ``events_processed``.  The sleepers named in
+    ``by_number`` yield seconds; the others yield ``sim.timeout``."""
+    rng = random.Random(seed)
+    sim = Simulator()
+    trace = []
+
+    def sleeper(name, delays):
+        for delay in delays:
+            try:
+                yield delay if name in by_number else sim.timeout(delay)
+            except Interrupt:
+                trace.append((sim.now, f"{name}!"))
+            else:
+                trace.append((sim.now, name))
+
+    processes = [
+        sim.process(sleeper(
+            f"p{index}",
+            [rng.choice((0, 0.5, 1.0, 2.5)) for _ in range(rng.randint(1, 8))],
+        ))
+        for index in range(12)
+    ]
+    for _ in range(6):
+        victim = rng.choice(processes)
+        sim.call_later(
+            rng.choice((0.5, 1.0, 3.0)),
+            lambda victim=victim: victim.is_alive and victim.interrupt(),
+        )
+    sim.run()
+    return trace, sim.events_processed
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sleeping_by_number_replays_the_timeout_program(seed):
+    """A sleep draws its event id where ``sim.timeout`` would have, so
+    any mix of the two forms (ties at one instant, interrupts, ``int``
+    delays) dispatches in the all-``Timeout`` order."""
+    names = {f"p{index}" for index in range(12)}
+    reference = _sleep_trace(seed, set())
+    assert any(name.endswith("!") for _, name in reference[0])
+    half = set(random.Random(seed).sample(sorted(names), 6))
+    assert _sleep_trace(seed, half) == reference
+    assert _sleep_trace(seed, names) == reference
 
 
 # ----------------------------------------------------------------------

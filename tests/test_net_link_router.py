@@ -32,6 +32,11 @@ def test_packet_requires_positive_size():
         make_packet(size=0)
 
 
+def test_packet_rejects_nan_size():
+    with pytest.raises(ValueError, match="packet size must be positive, got nan"):
+        make_packet(size=float("nan"))
+
+
 def test_packet_uids_unique():
     a, b = make_packet(), make_packet()
     assert a.uid != b.uid

@@ -194,7 +194,7 @@ def test_yielding_non_event_fails_the_process():
     sim = Simulator()
 
     def bad(sim):
-        yield 42
+        yield "soon"  # a number would be a sleep
 
     sim.process(bad(sim))
     with pytest.raises(RuntimeError, match="non-event"):

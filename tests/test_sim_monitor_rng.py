@@ -26,3 +26,8 @@ def test_streams_validation():
     streams = RandomStreams(0)
     with pytest.raises(ValueError):
         streams.exponential("x", 0.0)
+
+
+def test_streams_exponential_rejects_nan_mean():
+    with pytest.raises(ValueError, match="mean must be positive, got nan"):
+        RandomStreams(0).exponential("x", float("nan"))

@@ -12,10 +12,13 @@ generated into) a ``repro`` class body are wrapped from outside
   runs, by kind: a ``call_later`` entry by its target's
   ``__qualname__`` — and for ``Link._deliver`` by the class of the
   link's tail node and the packet's protocol
-  (``Link._deliver[BaseStation,data]``); an event entry by the event's
-  class and its first callback — with the generator of the process it
-  resumes (``Timeout -> Process._resume[CBRSource._run]``) or, through
-  a live condition, will resume
+  (``Link._deliver[BaseStation,data]``); a sleeping process's wake-up
+  by the generator it resumes
+  (``sleep -> Process._resume[CBRSource._run]``), or ``sleep ->
+  nothing`` once an interrupt has ended that sleep; an event entry by
+  the event's class and its first callback — with the generator of the
+  process it resumes (``AnyOf -> Process._resume[ElasticSource._run]``)
+  or, through a live condition, will resume
   (``Event -> Condition._check[ElasticSource._run]``); a bare
   ``Condition._check`` is a condition already decided (a spent
   deadline), ``nothing`` an event nobody waits on.  The kinds must sum
@@ -143,6 +146,11 @@ def kind_of(target, args) -> str:
     """The kind of one heap entry ``(..., target, args)``."""
     if args is not None:  # a call_later entry: target(*args)
         name = getattr(target, "__qualname__", type(target).__qualname__)
+        if name == "_wake":  # a sleeping process's wake-up
+            process, token = args
+            if process._target is not token:
+                return "sleep -> nothing"
+            return f"sleep -> Process._resume[{process._generator.__qualname__}]"
         if name == "Link._deliver":
             link, packet = args
             name += f"[{type(link.tail).__name__},{packet.protocol}]"
