@@ -46,7 +46,7 @@ def _e9_scenario(
     vehicle_nodes = []
     for index in range(vehicles):
         mn = world.add_mobile(f"veh{index}")
-        start_x = streams.uniform(f"veh{index}.start", -4000, -1000)
+        start_x = streams.uniform_once(f"veh{index}.start", -4000, -1000)
         model = Highway(
             Point(start_x, 0.0),
             WORLD_BOUNDS,

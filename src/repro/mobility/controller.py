@@ -112,30 +112,40 @@ class MobilityController:
         model = self.model
         period = self.sample_period
         scan = self.meter.scan
+        cells = self.meter.cells
+        nodes = self.nodes
         attach = self.attach
         while True:
             yield period
             position = model.advance(period)
             # The decision reads the survey itself: the audible cells
             # covering us as (rss, index) pairs, strongest first.
-            # Candidates are built only for a move the controller tries.
+            # Candidates are built only for a decision the controller
+            # tries; an attach asks the survey's own cells.
             survey = scan(position, covering=True)
             if not survey:
                 continue
 
             if self.serving is None:
-                ordered = self._targets(survey, self._factors())
-                for index, candidate in enumerate(ordered):
-                    refusal = attach(candidate.station)
+                ordered = self._attach_order(survey)
+                for rank, (_rss, index) in enumerate(ordered, 1):
+                    station = nodes[index]
+                    refusal = attach(station)
                     if type(refusal) is GeneratorType:
                         refusal = yield from refusal
+                    tier = cells[index].tier
                     if refusal is None:
-                        self.serving = candidate.station
-                        self.serving_tier = candidate.tier
+                        self.serving = station
+                        self.serving_tier = tier
                         break
-                    self._note_fallback(
-                        "attach", candidate, ordered[index + 1:], refusal
-                    )
+                    if rank < len(ordered):
+                        following = ordered[rank][1]
+                        self._note_fallback(
+                            "attach", tier, refusal,
+                            nodes[following], cells[following].tier,
+                        )
+                    else:
+                        self._note_fallback("attach", tier, refusal)
                 continue
 
             decision = self._decide(survey)
@@ -147,7 +157,8 @@ class MobilityController:
             )
             # Try candidates best-first until one admits us (the paper's
             # tier overflow: "turns to ask micro-tier for handoff").
-            for index, candidate in enumerate(decision.targets):
+            targets = decision.targets
+            for rank, candidate in enumerate(targets, 1):
                 if candidate.station is self.serving:
                     break
                 started = sim.now
@@ -160,32 +171,39 @@ class MobilityController:
                     self.handoffs += 1
                     self.handoff_latencies.append(sim.now - started)
                     break
-                self._note_fallback(
-                    "handoff", candidate, decision.targets[index + 1:], refusal
-                )
+                if rank < len(targets):
+                    following = targets[rank]
+                    self._note_fallback(
+                        "handoff", candidate.tier, refusal,
+                        following.station, following.tier,
+                    )
+                else:
+                    self._note_fallback("handoff", candidate.tier, refusal)
 
     def _note_fallback(
         self,
         move: str,
-        failed: Candidate,
-        remaining: list[Candidate],
+        failed_tier: "Tier",
         reason: str,
+        following: Any = None,
+        following_tier: Optional["Tier"] = None,
     ) -> None:
         """Record one refused or timed-out ``move`` (``"attach"`` or
-        ``"handoff"``), why it failed, and what happens next.
+        ``"handoff"``) on a cell of ``failed_tier``, why it failed, and
+        what happens next.
 
-        Mirrors the try-next-candidate loop exactly: the next target is
-        ``remaining[0]`` (the serving node there means the loop will
-        stop), a different tier means the §3.2 "turn to ask" overflow
+        Mirrors the try-next-candidate loop exactly: ``following`` is
+        the station asked next, on a cell of ``following_tier`` (none
+        left, or the serving node there, means the loop will stop), a
+        different tier means the §3.2 "turn to ask" overflow
         (``ESCALATE_TIER``), the same tier a plain retry.
         """
-        nxt = remaining[0] if remaining else None
-        if nxt is None or nxt.station is self.serving:
+        if following is None or following is self.serving:
             action, target = _STOP, ""
-        elif nxt.tier is not failed.tier:
-            action, target = _ESCALATE_TIER, nxt.station.name
+        elif following_tier is not failed_tier:
+            action, target = _ESCALATE_TIER, following.name
         else:
-            action, target = _RETRY_SAME_TIER, nxt.station.name
+            action, target = _RETRY_SAME_TIER, following.name
         self.trace.record(
             self.sim.now, self.name, move, [reason],
             action=action, target=target,
@@ -200,6 +218,24 @@ class MobilityController:
             channel is not None
             and channel.queued[DOWNLINK] >= self.offload_queue_threshold
         )
+
+    def _attach_order(
+        self, survey: list[tuple[float, int]]
+    ) -> list[tuple[float, int]]:
+        """The survey pairs in the order :meth:`_targets` gives their
+        candidates, building none: the survey is already strongest
+        first with ties in cell order, and both of
+        ``order_by_preference``'s sorts are stable."""
+        decider = self.decider
+        if decider.tier_agnostic or len(survey) < 2:
+            return survey
+        cells = self.meter.cells
+        return [
+            pair
+            for tier in decider.preference_for(self.model.speed, self.demand)
+            for pair in survey
+            if cells[pair[1]].tier is tier
+        ]
 
     def _factors(self) -> HandoffFactors:
         """The §3.2 factors as observed now, for a move being made."""

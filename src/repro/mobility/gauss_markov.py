@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.mobility.base import MobilityModel
 from repro.radio.geometry import Point, Rectangle
+from repro.sim.rng import standard_normals
 
 
 class GaussMarkov(MobilityModel):
@@ -30,7 +31,10 @@ class GaussMarkov(MobilityModel):
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
         if not mean_speed > 0:  # nan fails too
             raise ValueError(f"mean_speed must be positive, got {mean_speed}")
-        self._rng = rng
+        if not speed_sigma >= 0:
+            raise ValueError(f"speed_sigma must be non-negative, got {speed_sigma}")
+        if not heading_sigma >= 0:
+            raise ValueError(f"heading_sigma must be non-negative, got {heading_sigma}")
         self.alpha = alpha
         self.mean_speed = mean_speed
         self.speed_sigma = speed_sigma
@@ -38,20 +42,23 @@ class GaussMarkov(MobilityModel):
         self._current_speed = mean_speed
         self._heading = float(rng.uniform(0.0, 2.0 * math.pi))
         self._mean_heading = self._heading
+        # The model is its generator's only reader from here on.
+        self._normal = standard_normals(rng).__next__
 
     def advance(self, dt: float) -> Point:
         alpha = self.alpha
         root = math.sqrt(max(1.0 - alpha * alpha, 0.0))
+        # Each ``0.0 + 1.0 * z`` is numpy's normal(), bit for bit.
         self._current_speed = (
             alpha * self._current_speed
             + (1 - alpha) * self.mean_speed
-            + root * self.speed_sigma * float(self._rng.normal())
+            + root * self.speed_sigma * (0.0 + 1.0 * self._normal())
         )
         self._current_speed = max(self._current_speed, 0.0)
         self._heading = (
             alpha * self._heading
             + (1 - alpha) * self._mean_heading
-            + root * self.heading_sigma * float(self._rng.normal())
+            + root * self.heading_sigma * (0.0 + 1.0 * self._normal())
         )
         step = self._current_speed * dt
         candidate = self._position.offset(

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.mobility.base import MobilityModel
 from repro.radio.geometry import Point, Rectangle
+from repro.sim.rng import standard_normals
 
 
 class Highway(MobilityModel):
@@ -31,9 +32,12 @@ class Highway(MobilityModel):
             raise ValueError(f"speed must be positive, got {speed}")
         if direction not in (-1, 1):
             raise ValueError("direction must be -1 or +1")
-        if speed_jitter > 0 and rng is None:
-            raise ValueError("speed_jitter requires an rng")
-        self._rng = rng
+        if not speed_jitter >= 0:  # nan fails too
+            raise ValueError(f"speed_jitter must be non-negative, got {speed_jitter}")
+        if speed_jitter > 0:
+            if rng is None:
+                raise ValueError("speed_jitter requires an rng")
+            self._normal = standard_normals(rng).__next__
         self.base_speed = speed
         self.direction = direction
         self.wrap = wrap
@@ -43,7 +47,8 @@ class Highway(MobilityModel):
     def advance(self, dt: float) -> Point:
         speed = self.base_speed
         if self.speed_jitter > 0:
-            speed = max(0.1, speed + float(self._rng.normal(0.0, self.speed_jitter)))
+            # numpy's normal(0.0, jitter), bit for bit
+            speed = max(0.1, speed + (0.0 + self.speed_jitter * self._normal()))
         x = self._position.x + self.direction * speed * dt
         if self.wrap:
             width = self.bounds.width

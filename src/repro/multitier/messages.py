@@ -4,6 +4,11 @@ Protocol tags are prefixed ``mt-``.  §3.1 defines the periodic
 *Location Message*; §3.2 adds *Update Location Message* and *Delete
 Location Message* plus the handoff request/accept exchange; §4 adds
 the RSMC's binding notifications and authentication exchange.
+
+A message is a value: nothing writes to one.  Like
+:class:`~repro.radio.geometry.Point` it is slotted rather than frozen
+(a frozen dataclass sets each field through ``object.__setattr__``),
+with the frozen class's equality, hash and ``repr``.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ AUTH_BYTES = 64
 MNLD_BYTES = 48
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LocationMessage:
     """Periodic soft-state refresh sent by the MN to the top of the
     macro tier (§3.1)."""
@@ -43,7 +48,7 @@ class LocationMessage:
     serving_tier: Tier
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class UpdateLocationMessage:
     """Sent through the *new* base station after a handoff is accepted."""
 
@@ -52,7 +57,7 @@ class UpdateLocationMessage:
     handoff_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DeleteLocationMessage:
     """Sent to the *old* base station so the stale branch is erased
     instead of waiting for soft-state expiry."""
@@ -61,7 +66,7 @@ class DeleteLocationMessage:
     handoff_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class HandoffRequest:
     """MN -> candidate BS: admission request (channel needed)."""
 
@@ -70,7 +75,7 @@ class HandoffRequest:
     bandwidth_demand: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class HandoffAnswer:
     """Candidate BS -> MN: accept or reject (resources factor, §3.2)."""
 
@@ -82,7 +87,7 @@ class HandoffAnswer:
     reason: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class HandoffBegin:
     """New BS -> RSMC: start buffering downlink packets for the MN."""
 
@@ -90,7 +95,7 @@ class HandoffBegin:
     handoff_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RSMCBindingNotify:
     """RSMC -> HA / CN: the MN is now reachable via this RSMC (§4),
     enabling route optimization around the HA triangle."""
@@ -100,7 +105,7 @@ class RSMCBindingNotify:
     sequence: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MNLDUpdate:
     """RSMC -> MNLD: record the MN's current domain."""
 

@@ -53,9 +53,15 @@ class CellTable:
         return self.get(mobile) is not None
 
     def store(self, mobile: IPAddress, via: Optional["Node"]) -> LocationRecord:
-        """Insert or refresh the record for ``mobile``."""
-        record = LocationRecord(mobile, via, self.sim.now + self.record_lifetime)
-        self._records[mobile] = record
+        """Insert the record for ``mobile``, or refresh its ``via`` and
+        expiry in place."""
+        expires = self.sim.now + self.record_lifetime
+        record = self._records.get(mobile)
+        if record is None:
+            record = self._records[mobile] = LocationRecord(mobile, via, expires)
+        else:
+            record.via = via
+            record.expires = expires
         return record
 
     def get(self, mobile: IPAddress) -> Optional[LocationRecord]:

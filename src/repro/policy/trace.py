@@ -23,7 +23,9 @@ for every refused or timed-out move, its ``kind`` the move
 
 The ring buffer is bounded (:data:`TRACE_RING_SIZE` most recent
 records) so long runs keep constant memory; the counters are exact
-over the whole run.
+over the whole run.  The ring keeps each record's fields as a tuple;
+:attr:`DecisionTrace.records` builds the :class:`DecisionRecord`
+values only when read, so a run nobody reads builds none.
 
 Determinism: records are appended in simulation event order by a
 deterministic simulation, so the counters — and the rendered tail —
@@ -115,14 +117,20 @@ class DecisionTrace:
     """Bounded ring of decision records plus exact counters."""
 
     def __init__(self, ring_size: int = TRACE_RING_SIZE) -> None:
-        self.records: deque[DecisionRecord] = deque(maxlen=int(ring_size))
+        #: The recent records' fields, in :class:`DecisionRecord` order.
+        self._ring: deque[tuple] = deque(maxlen=int(ring_size))
         #: ``policy.*`` key -> decisions and refusal actions, whole run.
         self.counts: Counter[str] = Counter()
         #: ``(move, reason)`` -> refused moves, whole run.
         self.refusals: Counter[tuple[str, str]] = Counter()
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._ring)
+
+    @property
+    def records(self) -> list[DecisionRecord]:
+        """The buffered records, oldest first, built when read."""
+        return [DecisionRecord(*fields) for fields in self._ring]
 
     # ------------------------------------------------------------------
     def record(
@@ -143,9 +151,7 @@ class DecisionTrace:
         of its ``action``.  The fields are stored as given: a float
         ``time`` and strings (``reasons`` becomes a tuple).
         """
-        self.records.append(DecisionRecord(
-            time, mobile, kind, action, tuple(reasons), target
-        ))
+        self._ring.append((time, mobile, kind, action, tuple(reasons), target))
         if kind == "decision":
             self.counts["policy.decisions"] += 1
             for reason in reasons:
@@ -182,19 +188,19 @@ class DecisionTrace:
             self.refusals.items(), key=lambda item: (-item[1], item[0])
         ):
             lines.append(f"    {count:9d}  {move:<8}{reason}")
-        tail = list(self.records)[-int(limit):]
-        shown = len(tail)
+        ring = self._ring
+        tail = list(ring)[-int(limit):]
         lines.append(
-            f"  last {shown} of {len(self.records)} buffered records "
-            f"(ring size {self.records.maxlen}):"
+            f"  last {len(tail)} of {len(ring)} buffered records "
+            f"(ring size {ring.maxlen}):"
         )
-        for record in tail:
-            action = f" -> {record.action}" if record.action else ""
-            target = f" target={record.target}" if record.target else ""
+        for time, mobile, kind, action, reasons, target in tail:
+            action = f" -> {action}" if action else ""
+            target = f" target={target}" if target else ""
             lines.append(
-                f"    t={record.time:9.3f}  {record.mobile:<6} "
-                f"{record.kind}{action}{target} "
-                f"[{', '.join(record.reasons)}]"
+                f"    t={time:9.3f}  {mobile:<6} "
+                f"{kind}{action}{target} "
+                f"[{', '.join(reasons)}]"
             )
         return "\n".join(lines)
 

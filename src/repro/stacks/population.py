@@ -108,8 +108,8 @@ def start_positions(
     """
     return [
         Point(
-            streams.uniform(f"mn{index}.start.x", roam.x_min, roam.x_max),
-            streams.uniform(f"mn{index}.start.y", roam.y_min, roam.y_max),
+            streams.uniform_once(f"mn{index}.start.x", roam.x_min, roam.x_max),
+            streams.uniform_once(f"mn{index}.start.y", roam.y_min, roam.y_max),
         )
         for index in range(spec.population)
     ]
@@ -216,7 +216,7 @@ def make_mobility(
     if kind == "highway":
         # Vehicles drive a lane across the middle of the roam area.
         lane = Point(start.x, roam.center.y)
-        speed = streams.uniform(f"mn{index}.speed", 22.0, 33.0)
+        speed = streams.uniform_once(f"mn{index}.speed", 22.0, 33.0)
         return Highway(lane, roam, rng, speed=speed, wrap=True, speed_jitter=1.0)
     if kind == "gauss-markov":
         return GaussMarkov(start, roam, rng, mean_speed=5.0)

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.net.addressing import IPAddress
 from repro.net.packet import Packet
+from repro.sim.rng import standard_exponentials, standard_normals
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
@@ -143,7 +144,7 @@ class PoissonSource(TrafficSource):
         super().__init__(sim, send, src, dst, flow_id)
         if not mean_rate_pps > 0:  # nan fails too
             raise ValueError(f"mean_rate_pps must be positive, got {mean_rate_pps}")
-        self._rng = rng
+        self._exponential = standard_exponentials(rng).__next__
         self.mean_gap = 1.0 / mean_rate_pps
         self.packet_size = packet_size
         self.duration = duration
@@ -151,7 +152,7 @@ class PoissonSource(TrafficSource):
     def _run(self):
         stop_at = None if self.duration is None else self.sim.now + self.duration
         while stop_at is None or self.sim.now < stop_at:
-            yield float(self._rng.exponential(self.mean_gap))
+            yield self.mean_gap * self._exponential()  # numpy's exponential(mean_gap)
             self._emit(self.packet_size)
 
 
@@ -180,7 +181,7 @@ class OnOffSource(TrafficSource):
                 f"non-negative, got rate_bps={rate_bps}, packet_size={packet_size}, "
                 f"mean_on={mean_on}, mean_off={mean_off}"
             )
-        self._rng = rng
+        self._exponential = standard_exponentials(rng).__next__
         self.packet_size = packet_size
         self.interval = packet_size * 8.0 / rate_bps
         self.mean_on = mean_on
@@ -190,11 +191,12 @@ class OnOffSource(TrafficSource):
     def _run(self):
         stop_at = None if self.duration is None else self.sim.now + self.duration
         while stop_at is None or self.sim.now < stop_at:
-            burst_end = self.sim.now + float(self._rng.exponential(self.mean_on))
+            # ``mean * e`` is numpy's exponential(mean), bit for bit.
+            burst_end = self.sim.now + self.mean_on * self._exponential()
             while self.sim.now < burst_end:
                 self._emit(self.packet_size)
                 yield self.interval
-            yield float(self._rng.exponential(self.mean_off))
+            yield self.mean_off * self._exponential()
 
 
 class VBRVideoSource(TrafficSource):
@@ -225,7 +227,13 @@ class VBRVideoSource(TrafficSource):
             raise ValueError("correlation must be in [0, 1)")
         if not burstiness >= 0:  # nan fails too
             raise ValueError(f"burstiness must be non-negative, got {burstiness}")
-        self._rng = rng
+        if not mean_rate_bps > 0:
+            raise ValueError(f"mean_rate_bps must be positive, got {mean_rate_bps}")
+        if not frame_rate > 0:
+            raise ValueError(f"frame_rate must be positive, got {frame_rate}")
+        if not mtu > 0:
+            raise ValueError(f"mtu must be positive, got {mtu}")
+        self._normal = standard_normals(rng).__next__
         self.frame_interval = 1.0 / frame_rate
         self.mean_frame_bytes = mean_rate_bps / frame_rate / 8.0
         self.burstiness = burstiness
@@ -237,7 +245,7 @@ class VBRVideoSource(TrafficSource):
 
     def _next_frame_bytes(self) -> int:
         rho = self.correlation
-        noise = float(self._rng.normal(0.0, 1.0))
+        noise = 0.0 + 1.0 * self._normal()  # numpy's normal(0.0, 1.0)
         self._state = rho * self._state + np.sqrt(1 - rho * rho) * noise
         factor = max(0.1, 1.0 + self.burstiness * self._state)
         return max(64, int(self.mean_frame_bytes * factor))

@@ -4,8 +4,9 @@
 reads the ``(rss_dbm, index)`` pairs, strongest first, in the fixed
 order out of coverage, airtime relief, alone in reach, better tier,
 signal hysteresis, and builds ``Candidate``s, ``HandoffFactors``, the
-ordering and the ``TierDecision`` only when it acts (an attach attempt
-or a decision it tries), so a sample that stays builds nothing.
+ordering and the ``TierDecision`` only for a decision it tries, so a
+sample that stays builds nothing; an attach asks the survey's cells in
+the same order without building them.
 ``TierDecider.order_by_preference`` orders without a per-candidate key
 function.  The same class drives every stack: the
 flat baselines pass an always-strongest decider blind to shared-channel

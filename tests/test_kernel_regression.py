@@ -31,6 +31,7 @@ from repro.net.packet import Packet
 from repro.net.router import ForwardingTable
 from repro.policy import (
     Candidate,
+    DecisionRecord,
     DecisionTrace,
     HandoffFactors,
     TierDecider,
@@ -462,21 +463,29 @@ def test_data_plane_transmits_on_the_link_and_sends_the_source_packet(
 
 
 # ----------------------------------------------------------------------
-# A mobility sample that stays builds nothing
+# A mobility sample that stays, or whose attach is refused, builds nothing
 # ----------------------------------------------------------------------
-def test_a_sample_that_stays_builds_no_candidate_factors_or_decision(monkeypatch):
-    """A mobile attached to one micro cell and parked where a second
-    micro cell is louder, but by less than the hysteresis margin, stays
-    at every sample: after the attach, no sample builds a ``Candidate``,
-    a ``HandoffFactors`` or a ``TierDecision``, so N samples and 2N
-    samples build the same number of each."""
-    built = {Candidate: 0, HandoffFactors: 0, TierDecision: 0}
+def _count_constructions(monkeypatch, *classes):
+    """A ``{class: constructions}`` dict the patched ``__init__``s bump."""
+    built = dict.fromkeys(classes, 0)
     for cls in built:
         def counted_init(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
             built[_cls] += 1
             _init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counted_init)
+    return built
+
+
+def test_a_sample_that_stays_builds_no_candidate_factors_or_decision(monkeypatch):
+    """A mobile attached to one micro cell and parked where a second
+    micro cell is louder, but by less than the hysteresis margin, stays
+    at every sample: no sample builds a ``Candidate``, a
+    ``HandoffFactors``, a ``TierDecision`` or a ``DecisionRecord``, the
+    attach included (it asks the survey's own cells)."""
+    built = _count_constructions(
+        monkeypatch, Candidate, HandoffFactors, TierDecision, DecisionRecord
+    )
 
     cells = [
         Cell("serving", Point(0.0, 0.0), Tier.MICRO),
@@ -507,9 +516,54 @@ def test_a_sample_that_stays_builds_no_candidate_factors_or_decision(monkeypatch
         return dict(built)
 
     n = 20
-    once, twice = counts(n), counts(2 * n)
-    assert once == twice
-    assert once[Candidate] == 2 and once[HandoffFactors] == 1  # the attach
+    assert counts(n) == counts(2 * n) == dict.fromkeys(built, 0)
+
+
+def test_a_refused_attach_builds_nothing_but_its_trace_fields(monkeypatch):
+    """A mobile that every covering cell refuses asks each cell at every
+    sample, in the decider's order, and records each refusal with the
+    action ``_note_fallback`` derives, without building a
+    ``Candidate``, a ``HandoffFactors`` or a ``DecisionRecord``."""
+    built = _count_constructions(monkeypatch, Candidate, HandoffFactors, DecisionRecord)
+
+    cells = [
+        Cell("macro", Point(0.0, 0.0), Tier.MACRO),
+        Cell("micro", Point(50.0, 0.0), Tier.MICRO),
+        Cell("micro2", Point(120.0, 0.0), Tier.MICRO),
+    ]
+    meter = SignalMeter(PropagationModel(), cells)
+    spot = Point(60.0, 0.0)
+    survey = meter.scan(spot, covering=True)
+    assert sorted(index for _rss, index in survey) == [0, 1, 2]
+    sim = Simulator()
+    nodes = [SimpleNamespace(name=cell.name, shared_channel=None) for cell in cells]
+    asked = []
+
+    def attach(node):
+        asked.append(node.name)
+        return "channel-pool-full"
+
+    model = SimpleNamespace(speed=1.0, advance=lambda dt: spot)
+    trace = DecisionTrace()
+    controller = MobilityController(
+        sim, model, nodes, meter, trace, TierDecider(),
+        attach=attach, handoff=lambda old, new: None,
+    )
+    samples = 3
+    sim.run(until=samples * controller.sample_period + 0.25)
+    assert controller.serving is None
+    assert built == dict.fromkeys(built, 0)
+    # A slow mobile prefers micro: the louder micro cell first, then the
+    # other, then the macro overflow.
+    order = ["micro", "micro2", "macro"]
+    assert asked == order * samples
+    assert trace.refusals == {("attach", "channel-pool-full"): 3 * samples}
+    records = trace.records
+    assert [(r.kind, r.action, r.target) for r in records[:3]] == [
+        ("attach", "retry_same_tier", "micro2"),
+        ("attach", "escalate_tier", "macro"),
+        ("attach", "stop", ""),
+    ]
 
 
 # ----------------------------------------------------------------------

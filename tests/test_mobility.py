@@ -93,6 +93,29 @@ def test_mis_built_models_fail_at_construction(model, bad):
     model(Point(500, 500), BOUNDS, rng)  # defaults pass
 
 
+@pytest.mark.parametrize(
+    "model, name, value",
+    [
+        (model, name, value)
+        for model, name in (
+            (GaussMarkov, "speed_sigma"),
+            (GaussMarkov, "heading_sigma"),
+            (Highway, "speed_jitter"),
+        )
+        for value in (-1.0, math.nan)
+    ],
+)
+def test_negative_or_nan_spreads_fail_at_construction(model, name, value):
+    """A nan ``speed_sigma`` made every Gauss-Markov position nan, a
+    negative ``heading_sigma`` was accepted and a nan ``speed_jitter``
+    silently switched the jitter off; each is refused by name.  Zero,
+    no spread at all, stays valid."""
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=f"^{name} must be non-negative, got"):
+        model(Point(500, 500), BOUNDS, rng, **{name: value})
+    model(Point(500, 500), BOUNDS, rng, **{name: 0.0}).advance(0.5)
+
+
 def test_gauss_markov_alpha_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):

@@ -3,12 +3,15 @@ figures: location management (Fig 3.1), intra-domain handoff cases
 (Fig 3.4), inter-domain handoff (Figs 3.2/3.3) and the RSMC data path
 (Fig 4.1)."""
 
+import dataclasses
+
 import pytest
 
-from repro.multitier import DIRECT
+from repro.multitier import DIRECT, messages
 from repro.multitier.architecture import MultiTierWorld
 from repro.multitier.basestation import GuardedChannelPool
-from repro.net import Packet, drop_totals, protocol_hop_totals
+from repro.net import Packet, drop_totals, ip, protocol_hop_totals
+from repro.radio import Tier
 
 
 @pytest.fixture
@@ -34,6 +37,43 @@ def run_handoff(world, mobile, station):
     world.sim.run(until=world.sim.now + 2.0)
     assert len(result) == 1, "the handoff did not finish"
     return result[0]
+
+
+# ----------------------------------------------------------------------
+# Control messages are values
+# ----------------------------------------------------------------------
+_SAMPLE_FIELD_VALUES = {
+    "IPAddress": (ip("10.1.0.7"), ip("10.1.0.8")),
+    "Tier": (Tier.MICRO, Tier.MACRO),
+    "int": (3, 4),
+    "float": (64e3, 0.5),
+    "bool": (True, False),
+    "str": ("channel-pool-full", ""),
+}
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [obj for obj in vars(messages).values() if dataclasses.is_dataclass(obj)],
+    ids=lambda cls: cls.__name__,
+)
+def test_message_equality_hash_and_repr_are_the_frozen_dataclasses(cls):
+    """A slotted message compares, hashes and prints exactly as the
+    same fields in a frozen dataclass do, and carries no ``__dict__``."""
+    fields = dataclasses.fields(cls)
+    frozen = dataclasses.make_dataclass(
+        cls.__name__, [(field.name, field.type) for field in fields], frozen=True
+    )
+    for pick in (0, 1):
+        values = [_SAMPLE_FIELD_VALUES[field.type][pick] for field in fields]
+        message, twin = cls(*values), frozen(*values)
+        assert repr(message) == repr(twin)
+        assert hash(message) == hash(twin)
+        assert message == cls(*values) and message != twin
+        assert not hasattr(message, "__dict__")
+    first = [_SAMPLE_FIELD_VALUES[field.type][0] for field in fields]
+    second = [_SAMPLE_FIELD_VALUES[field.type][1] for field in fields]
+    assert cls(*first) != cls(*second)
 
 
 # ----------------------------------------------------------------------

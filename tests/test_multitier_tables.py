@@ -52,6 +52,28 @@ def test_refresh_extends_expiry():
     assert table.get(ip("10.1.0.1")) is not None
 
 
+def test_refresh_renews_the_one_record_in_place():
+    """A refresh keeps one record per mobile, repoints it and renews its
+    expiry, also after the record lapsed unread."""
+    sim, table, node = make_table(lifetime=2.0)
+    other = Node(sim, "other")
+    first = table.store(ip("10.1.0.1"), node)
+    assert (first.via, first.expires) == (node, 2.0)
+    sim.timeout(1.5)
+    sim.run()
+    again = table.store(ip("10.1.0.1"), other)
+    assert len(table) == 1
+    assert table.get(ip("10.1.0.1")) is again
+    assert (again.mobile, again.via, again.expires) == (ip("10.1.0.1"), other, 3.5)
+    sim.timeout(5.0)
+    sim.run()
+    assert table.peek(ip("10.1.0.1")) is None  # lapsed, not yet purged
+    renewed = table.store(ip("10.1.0.1"), DIRECT)
+    assert len(table) == 1
+    assert (renewed.via, renewed.expires) == (DIRECT, 8.5)
+    assert table.get(ip("10.1.0.1")) is renewed
+
+
 def test_delete_record():
     sim, table, node = make_table()
     table.store(ip("10.1.0.1"), node)

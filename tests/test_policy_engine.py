@@ -18,6 +18,7 @@ import pytest
 from repro.policy import (
     POLICY_METRIC_KEYS,
     PRESETS,
+    DecisionRecord,
     DecisionTrace,
     HandoffFactors,
     PolicyConfig,
@@ -177,6 +178,68 @@ def test_trace_ring_is_bounded_but_counters_are_exact():
     rendered = trace.render(limit=2)
     assert "policy.better_tier" in rendered
     assert "last 2 of 4 buffered records" in rendered
+
+
+def test_trace_render_and_records_are_the_ring_fields():
+    """The ring keeps each record's fields and builds records only when
+    read: over a ring that has wrapped, ``records`` and ``render`` give
+    exactly what a ring of ``DecisionRecord``s gave."""
+    trace = DecisionTrace(ring_size=4)
+    trace.record(0.5, "mn0", "decision",
+                 ["out-of-coverage", "speed-at-or-above-threshold", "prefer-macro"],
+                 target="R1")
+    trace.record(1.25, "mn0", "handoff", ["air-budget-exceeded"],
+                 action="escalate_tier", target="R2")
+    trace.record(2.0, "mobile-17", "attach", ["channel-pool-full"],
+                 action="retry_same_tier", target="B")
+    trace.record(12.125, "mn2", "attach", ["channel-pool-full"], action="stop")
+    trace.record(130.0, "mn3", "handoff", ["handoff-timeout"], action="stop")
+    trace.record(131.5, "mn3", "decision",
+                 ["better-tier", "speed-and-demand-below-thresholds", "prefer-micro"],
+                 target="A")
+    assert len(trace) == 4
+    assert list(trace.records) == [
+        DecisionRecord(2.0, "mobile-17", "attach", "retry_same_tier",
+                       ("channel-pool-full",), "B"),
+        DecisionRecord(12.125, "mn2", "attach", "stop", ("channel-pool-full",)),
+        DecisionRecord(130.0, "mn3", "handoff", "stop", ("handoff-timeout",)),
+        DecisionRecord(131.5, "mn3", "decision", "",
+                       ("better-tier", "speed-and-demand-below-thresholds",
+                        "prefer-micro"), "A"),
+    ]
+    counters = (
+        "  policy.decisions            2\n"
+        "  policy.out_of_coverage      1\n"
+        "  policy.airtime_relief       0\n"
+        "  policy.better_tier          1\n"
+        "  policy.signal_hysteresis    0\n"
+        "  policy.retry_same_tier      1\n"
+        "  policy.escalate_tier        1\n"
+        "  policy.admission_reject     1\n"
+        "  policy.handoff_reject       0\n"
+        "  policy.handoff_timeout      1\n"
+        "  4 moves refused:\n"
+        "            2  attach  channel-pool-full\n"
+        "            1  handoff air-budget-exceeded\n"
+        "            1  handoff handoff-timeout\n"
+    )
+    last_two = (
+        "    t=  130.000  mn3    handoff -> stop [handoff-timeout]\n"
+        "    t=  131.500  mn3    decision target=A "
+        "[better-tier, speed-and-demand-below-thresholds, prefer-micro]"
+    )
+    assert trace.render() == (
+        "decision trace:\n" + counters
+        + "  last 4 of 4 buffered records (ring size 4):\n"
+        "    t=    2.000  mobile-17 attach -> retry_same_tier target=B "
+        "[channel-pool-full]\n"
+        "    t=   12.125  mn2    attach -> stop [channel-pool-full]\n"
+        + last_two
+    )
+    assert trace.render("mega trace", limit=2) == (
+        "mega trace:\n" + counters
+        + "  last 2 of 4 buffered records (ring size 4):\n" + last_two
+    )
 
 
 # ----------------------------------------------------------------------

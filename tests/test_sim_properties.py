@@ -38,14 +38,18 @@ def test_simultaneous_events_preserve_insertion_order(items):
 def test_named_rng_streams_are_reproducible(seed):
     streams_a = RandomStreams(seed)
     streams_b = RandomStreams(seed)
-    assert streams_a.uniform("x") == streams_b.uniform("x")
+    assert streams_a.stream("x").uniform() == streams_b.stream("x").uniform()
     assert streams_a.exponential("y", 2.0) == streams_b.exponential("y", 2.0)
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_named_rng_streams_are_independent_of_draw_order(seed):
     streams_a = RandomStreams(seed)
-    first_then_second = (streams_a.uniform("one"), streams_a.uniform("two"))
+    first_then_second = (
+        streams_a.stream("one").uniform(), streams_a.stream("two").uniform()
+    )
     streams_b = RandomStreams(seed)
-    second_then_first = (streams_b.uniform("two"), streams_b.uniform("one"))
+    second_then_first = (
+        streams_b.stream("two").uniform(), streams_b.stream("one").uniform()
+    )
     assert first_then_second == (second_then_first[1], second_then_first[0])

@@ -118,6 +118,27 @@ def test_vbr_validation():
         VBRVideoSource(sim, send, ip("10.0.0.1"), ip("10.0.0.2"), rng, correlation=1.5)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        (name, value)
+        for name in ("mean_rate_bps", "frame_rate", "mtu")
+        for value in (0, -1, math.nan)
+    ],
+)
+def test_vbr_rejects_a_rate_frame_rate_or_mtu_that_is_not_positive(name, value):
+    """``frame_rate=0`` raised a bare ``ZeroDivisionError``; a nan rate,
+    a nan frame rate or ``mtu=0`` was accepted and the run failed (or
+    never ended) later.  Each is refused up front, by name."""
+    sim = Simulator()
+    send, _ = collect(sim)
+    with pytest.raises(ValueError, match=f"^{name} must be positive, got"):
+        VBRVideoSource(
+            sim, send, ip("10.0.0.1"), ip("10.0.0.2"), np.random.default_rng(0),
+            **{name: value},
+        )
+
+
 def test_elastic_source_grows_when_acked():
     sim = Simulator()
     source_ref = {}
