@@ -44,9 +44,9 @@ class GuardedChannelPool:
     """
 
     def __init__(self, capacity: int, guard: int = 0) -> None:
-        if capacity <= 0:
+        if not capacity > 0:  # also rejects nan, which would admit every call
             raise ValueError(f"capacity must be positive, got {capacity}")
-        if guard < 0 or guard >= capacity:
+        if not 0 <= guard < capacity:
             raise ValueError(f"guard must be in [0, capacity), got {guard}")
         self.capacity = capacity
         self.guard = guard

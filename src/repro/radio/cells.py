@@ -79,7 +79,9 @@ class Cell:
 
     def __post_init__(self) -> None:
         defaults = TIER_DEFAULTS[self.tier]
-        for label in ("radius", "bandwidth", "channel_downlink", "channel_uplink"):
+        for label in (
+            "radius", "bandwidth", "channels", "channel_downlink", "channel_uplink"
+        ):
             value = getattr(self, label)
             if isnan(value):  # neither a size nor "the tier default"
                 raise ValueError(f"cell {self.name}: {label} must not be nan")
@@ -87,8 +89,6 @@ class Cell:
                 setattr(self, label, defaults[label])
         if self.tx_power_dbm == 0.0:
             self.tx_power_dbm = defaults["tx_power_dbm"]
-        if self.channels <= 0:
-            self.channels = defaults["channels"]
 
     def covers(self, point: Point) -> bool:
         """True when ``point`` lies inside this cell's coverage disc."""

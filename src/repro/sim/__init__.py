@@ -8,13 +8,12 @@ Public surface — the names the rest of ``repro`` imports::
     sim.process(my_generator(sim))
     sim.run(until=100.0)
 
-Events, timeouts, processes and conditions are created through the
-:class:`Simulator` factories (``sim.event()``, ``sim.timeout()``,
-``sim.process()``, ``sim.any_of()``); their classes
-live in :mod:`repro.sim.events` and the remaining error types in
-:mod:`repro.sim.errors`.  A process sleeps by yielding seconds
-(``yield 2.0``); a ``sim.timeout()`` is for a deadline composed with
-``sim.any_of()``.
+A process (``sim.process()``) waits in one of three ways: it sleeps by
+yielding seconds (``yield 2.0``), it waits for an event
+(``yield sim.event()``), or it waits for an event with a deadline
+(``yield sim.any_of([event, sim.timeout(delay)])``).  Their classes
+live in :mod:`repro.sim.events`; :class:`Interrupt`, what
+``Process.interrupt`` throws into a process, in :mod:`repro.sim.errors`.
 """
 
 from repro.sim.errors import Interrupt

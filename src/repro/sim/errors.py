@@ -1,21 +1,9 @@
-"""Exception types used by the discrete-event simulation kernel."""
+"""The exception an interrupted process receives."""
 
 from __future__ import annotations
 
 
-class SimulationError(Exception):
-    """Base class for all kernel-level errors."""
-
-
-class StopSimulation(SimulationError):
-    """Raised internally to stop :meth:`Simulator.run` at a target event."""
-
-    def __init__(self, value: object = None) -> None:
-        super().__init__(value)
-        self.value = value
-
-
-class Interrupt(SimulationError):
+class Interrupt(Exception):
     """Raised inside a process that has been interrupted.
 
     The interrupting party supplies an arbitrary ``cause`` that the

@@ -1,12 +1,15 @@
-"""Core event and process machinery for the simulation kernel.
+"""Events and the processes that wait on them.
 
-The design follows the classic generator-based discrete-event pattern:
-an :class:`Event` is a one-shot occurrence with a value; a
-:class:`Process` wraps a generator that ``yield``\\ s events and is
-resumed when the yielded event is processed.  An :class:`AnyOf`
-condition waits on several events at once and fires with the first.
-A process that only sleeps yields the seconds instead (``yield 2.0``):
-the kernel queues one wake-up entry and builds no event.
+A :class:`Process` drives a generator through the simulation.  It waits
+in one of three ways, the only three the program makes:
+
+* it sleeps by yielding seconds (``yield 2.0``): the kernel queues one
+  wake-up entry and builds no event;
+* it waits for an :class:`Event` (``yield sim.event()``), which some
+  other party triggers with :meth:`Event.succeed`;
+* it waits for an event with a deadline, ``yield sim.any_of([event,
+  sim.timeout(delay)])``: the :class:`AnyOf` fires with whichever of the
+  two is processed first.
 """
 
 from __future__ import annotations
@@ -33,21 +36,19 @@ ProcessGenerator = Generator["Event", object, object]
 class Event:
     """A one-shot simulation event.
 
-    An event starts *pending*; it becomes *triggered* once a value (or an
-    exception) is attached and it is placed on the simulator's queue; it
-    becomes *processed* once the simulator has popped it and run its
-    callbacks.  Processes waiting on the event are resumed at that point.
+    An event starts *pending*; it becomes *triggered* once a value is
+    attached and it is placed on the simulator's queue; it becomes
+    *processed* once the simulator has popped it and run its callbacks.
+    Processes waiting on the event are resumed at that point.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_defused")
+    __slots__ = ("sim", "callbacks", "_value")
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
         #: Callables invoked (in order) when the event is processed.
         self.callbacks: Optional[list[EventCallback]] = []
         self._value: object = _PENDING
-        self._ok: bool = True
-        self._defused: bool = False
 
     def __repr__(self) -> str:
         state = (
@@ -71,33 +72,16 @@ class Event:
 
     @property
     def value(self) -> object:
-        """The event's value (or exception instance for failed events)."""
+        """The value the event was triggered with."""
         if self._value is _PENDING:
             raise AttributeError("event is not yet triggered")
         return self._value
 
     def succeed(self, value: object = None, priority: int = NORMAL) -> "Event":
-        """Trigger the event successfully with ``value`` at the current time."""
+        """Trigger the event with ``value`` at the current time."""
         if self.triggered:
             raise RuntimeError(f"{self!r} has already been triggered")
-        self._ok = True
         self._value = value
-        self.sim._enqueue(self, delay=0.0, priority=priority)
-        return self
-
-    def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
-        """Trigger the event with an exception.
-
-        Any process waiting on this event will have ``exception`` thrown
-        into it.  If nothing is waiting, the simulator re-raises the
-        exception to keep errors from passing silently.
-        """
-        if self.triggered:
-            raise RuntimeError(f"{self!r} has already been triggered")
-        if not isinstance(exception, BaseException):
-            raise TypeError(f"{exception!r} is not an exception")
-        self._ok = False
-        self._value = exception
         self.sim._enqueue(self, delay=0.0, priority=priority)
         return self
 
@@ -116,204 +100,19 @@ class Timeout(Event):
         self.sim = sim
         self.callbacks = []
         self.delay = delay
-        self._ok = True
         self._value = value
-        self._defused = False
         heappush(sim._queue, (sim.now + delay, NORMAL, next(sim._eid), self, None))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay} at {id(self):#x}>"
 
 
-class Initialize(Event):
-    """Internal event used to start a freshly created process."""
+class AnyOf(Event):
+    """An event over several events that fires with the first.
 
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", process: "Process") -> None:
-        # Flattened like Timeout.__init__ (one heap entry per process
-        # start; high-churn in scenario builders spawning thousands).
-        self.sim = sim
-        self.callbacks = [process._resume]
-        self._value = None
-        self._ok = True
-        self._defused = False
-        heappush(sim._queue, (sim.now, URGENT, next(sim._eid), self, None))
-
-
-class _Interruption(Event):
-    """Internal event that delivers an :class:`Interrupt` to a process."""
-
-    __slots__ = ("process",)
-
-    def __init__(self, process: "Process", cause: object) -> None:
-        super().__init__(process.sim)
-        if process.processed:
-            raise RuntimeError(f"{process!r} has terminated and cannot be interrupted")
-        if process is process.sim.active_process:
-            raise RuntimeError("a process is not allowed to interrupt itself")
-        self.process = process
-        self._ok = False
-        self._value = Interrupt(cause)
-        self._defused = True
-        self.callbacks.append(self._deliver)
-        process.sim._enqueue(self, delay=0.0, priority=URGENT)
-
-    def _deliver(self, event: "Event") -> None:
-        process = self.process
-        target = process._target
-        if process.processed or target is None:
-            # Terminated (or never started waiting) in the meantime: the
-            # interrupt is moot and silently dropped.
-            return
-        # Detach the process from whatever it was waiting on, then resume
-        # it with the Interrupt exception.  Clearing a sleep's token
-        # leaves its queued wake-up a no-op.
-        process._target = None
-        if type(target) is not int and target.callbacks is not None:
-            try:
-                target.callbacks.remove(process._resume)
-            except ValueError:
-                pass
-        process._resume(self)
-
-
-class _Woken:
-    """What a process is resumed with when its sleep ends: a success
-    whose value is ``None``, as a ``Timeout`` without a value."""
-
-    __slots__ = ()
-    _ok = True
-    _value = None
-
-
-_WOKEN = _Woken()
-
-
-def _wake(process: "Process", token: int) -> None:
-    """End ``process``'s sleep ``token``, unless an interrupt ended it
-    first (the process then waits on something else, or nothing)."""
-    if process._target is token:
-        process._resume(_WOKEN)
-
-
-class Process(Event):
-    """Wraps a generator and drives it through the simulation.
-
-    The process itself is an event: it triggers with the generator's
-    return value when the generator finishes (or fails with the escaping
-    exception).  This allows processes to wait for each other simply by
-    yielding the other process.
-
-    A process sleeps by yielding a number of seconds (a ``float`` or an
-    ``int``, not a ``bool``): the kernel queues one ``call_later``-shaped
-    wake-up, ``(now + delay, NORMAL, token, _wake, (process, token))``,
-    drawing its event id where ``sim.timeout(delay)`` would have, so
-    event order is that of the ``Timeout`` form.  ``_target`` then holds
-    the token, an interrupt clears it, and the wake-up finds it gone.
-    """
-
-    __slots__ = ("_generator", "_target", "name")
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        generator: ProcessGenerator,
-        name: Optional[str] = None,
-    ) -> None:
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
-            raise TypeError(f"{generator!r} is not a generator")
-        super().__init__(sim)
-        self._generator = generator
-        #: The event the process waits on, its sleep's token, or None.
-        self._target: Union[Event, int, None] = None
-        self.name = name or getattr(generator, "__name__", "process")
-        Initialize(sim, self)
-
-    def __repr__(self) -> str:
-        return f"<Process {self.name!r} at {id(self):#x}>"
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not terminated."""
-        return self._value is _PENDING
-
-    def interrupt(self, cause: object = None) -> None:
-        """Throw :class:`Interrupt` into the process as soon as possible."""
-        _Interruption(self, cause)
-
-    def _resume(self, event: Event) -> None:
-        """Advance the generator with the outcome of ``event``."""
-        sim = self.sim
-        sim._active_process = self
-        while True:
-            try:
-                if event._ok:
-                    next_event = self._generator.send(event._value)
-                else:
-                    # The exception is being handed to a process; mark it
-                    # defused so the kernel does not crash on it as well.
-                    event._defused = True
-                    exc = event._value
-                    if not isinstance(exc, BaseException):  # pragma: no cover
-                        raise TypeError(f"{exc!r} is not an exception")
-                    next_event = self._generator.throw(exc)
-            except StopIteration as stop:
-                self._target = None
-                sim._active_process = None
-                self.succeed(stop.value)
-                return
-            except BaseException as error:
-                self._target = None
-                sim._active_process = None
-                self.fail(error)
-                return
-
-            kind = type(next_event)
-            if kind is float or kind is int:
-                # A sleep (a bool or a numpy scalar is not one, and fails
-                # below): one wake-up entry instead of a Timeout.
-                sim._active_process = None
-                if not next_event >= 0:  # also rejects nan, which would sort first
-                    self._target = None
-                    self.fail(ValueError(f"negative delay {next_event}"))
-                    return
-                token = next(sim._eid)
-                self._target = token
-                heappush(
-                    sim._queue,
-                    (sim.now + next_event, NORMAL, token, _wake, (self, token)),
-                )
-                return
-            if not isinstance(next_event, Event):
-                self._target = None
-                sim._active_process = None
-                message = f"process {self.name!r} yielded a non-event: {next_event!r}"
-                self.fail(RuntimeError(message))
-                return
-            if next_event.sim is not sim:
-                self._target = None
-                sim._active_process = None
-                self.fail(RuntimeError("yielded an event from a different simulator"))
-                return
-
-            if next_event.callbacks is None:
-                # Already processed: resume immediately with its outcome.
-                event = next_event
-                continue
-            next_event.callbacks.append(self._resume)
-            self._target = next_event
-            sim._active_process = None
-            return
-
-
-class Condition(Event):
-    """An event over several sub-events that fires with the first.
-
-    Its value is the tuple of sub-events processed by then, in the
-    order given.  A failing sub-event fails the condition instead;
-    once it has fired, later failures are defused.  :class:`AnyOf` is
-    the one kind the kernel builds.
+    Its value is the tuple of the events processed by then, in the
+    order given: a process that waits on ``sim.any_of([reply,
+    sim.timeout(delay)])`` learns which came first by membership.
     """
 
     __slots__ = ("_events",)
@@ -326,7 +125,7 @@ class Condition(Event):
             if event.sim is not sim:
                 raise ValueError("all events must belong to the same simulator")
 
-        # Check already-processed events now, so a condition over past
+        # Check already-processed events now, so an AnyOf over past
         # events triggers without waiting.
         if not self._events:
             self.succeed(())
@@ -338,22 +137,157 @@ class Condition(Event):
                 event.callbacks.append(self._check)
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
-            if not event._ok:
-                event._defused = True
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-        else:
+        if self._value is _PENDING:
             # Only events whose callbacks have run are in the past; a
             # Timeout is "triggered" at creation but not yet occurred.
-            self.succeed(
-                tuple(e for e in self._events if e.callbacks is None and e._ok)
-            )
+            self.succeed(tuple(e for e in self._events if e.callbacks is None))
 
 
-class AnyOf(Condition):
-    """Condition that triggers once *any* of ``events`` has triggered."""
+class _Woken:
+    """What a process is resumed with when it starts or its sleep ends:
+    a value of ``None``, as a ``Timeout`` without a value."""
 
     __slots__ = ()
+    _value = None
+
+
+_WOKEN = _Woken()
+
+
+def _start(process: "Process") -> None:
+    """Run ``process`` to its first wait."""
+    process._resume(_WOKEN)
+
+
+def _wake(process: "Process", token: int) -> None:
+    """End ``process``'s sleep ``token``, unless an interrupt ended it
+    first (the process then waits on something else, or nothing)."""
+    if process._target is token:
+        process._resume(_WOKEN)
+
+
+def _interrupt(process: "Process", cause: object) -> None:
+    """Throw ``Interrupt(cause)`` into ``process``, detached from what it
+    waits on.  A process that has ended meanwhile ignores it."""
+    target = process._target
+    if target is None:
+        return
+    # Clearing a sleep's token leaves its queued wake-up a no-op.
+    process._target = None
+    if type(target) is not int and target.callbacks is not None:
+        try:
+            target.callbacks.remove(process._resume)
+        except ValueError:
+            pass
+    process._resume(None, Interrupt(cause))
+
+
+class Process:
+    """Wraps a generator and drives it through the simulation.
+
+    The kernel starts the process with one URGENT entry at the instant
+    it is made, ``(now, URGENT, eid, _start, (process,))``.  A process
+    sleeps by yielding a number of seconds (a ``float`` or an ``int``,
+    not a ``bool``): the kernel queues one ``call_later``-shaped
+    wake-up, ``(now + delay, NORMAL, token, _wake, (process, token))``,
+    drawing its event id where ``sim.timeout(delay)`` would have, so
+    event order is that of the ``Timeout`` form.  ``_target`` then holds
+    the token, an interrupt clears it, and the wake-up finds it gone.
+    :meth:`interrupt` queues ``(now, URGENT, eid, _interrupt, (process,
+    cause))``.
+
+    Ending queues nothing: nothing waits on a process.  A generator that
+    raises, or yields what is not a wait, makes :meth:`Simulator.run`
+    raise at that instant.
+    """
+
+    __slots__ = ("sim", "_generator", "_target", "name")
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        generator: ProcessGenerator,
+        name: Optional[str] = None,
+    ) -> None:
+        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
+            raise TypeError(f"{generator!r} is not a generator")
+        self.sim = sim
+        #: The generator, or None once the process has ended.
+        self._generator: Optional[ProcessGenerator] = generator
+        #: The event the process waits on, its sleep's token, or None.
+        self._target: Union[Event, int, None] = None
+        self.name = name or getattr(generator, "__name__", "process")
+        heappush(sim._queue, (sim.now, URGENT, next(sim._eid), _start, (self,)))
+
+    def __repr__(self) -> str:
+        return f"<Process {self.name!r} at {id(self):#x}>"
+
+    @property
+    def is_alive(self) -> bool:
+        """True while the underlying generator has not terminated."""
+        return self._generator is not None
+
+    def interrupt(self, cause: object = None) -> None:
+        """Throw :class:`Interrupt` into the process as soon as possible."""
+        if self._generator is None:
+            raise RuntimeError(f"{self!r} has terminated and cannot be interrupted")
+        if self._generator.gi_running:
+            raise RuntimeError("a process is not allowed to interrupt itself")
+        sim = self.sim
+        entry = (sim.now, URGENT, next(sim._eid), _interrupt, (self, cause))
+        heappush(sim._queue, entry)
+
+    def _end(self) -> None:
+        """Mark the process ended: a queued wake-up or interrupt of it
+        finds nothing to do."""
+        self._generator = self._target = None
+
+    def _resume(
+        self, event: Optional[Event], error: Optional[Interrupt] = None
+    ) -> None:
+        """Advance the generator with ``event``'s value, or throw
+        ``error`` into it."""
+        sim = self.sim
+        generator = self._generator
+        while True:
+            try:
+                if error is None:
+                    target = generator.send(event._value)
+                else:
+                    target = generator.throw(error)
+            except StopIteration:
+                self._end()
+                return
+            except BaseException:
+                self._end()
+                raise
+
+            kind = type(target)
+            if kind is float or kind is int:
+                # A sleep (a bool or a numpy scalar is not one, and fails
+                # below): one wake-up entry instead of a Timeout.
+                if not target >= 0:  # also rejects nan, which would sort first
+                    self._end()
+                    raise ValueError(f"negative delay {target}")
+                token = next(sim._eid)
+                self._target = token
+                heappush(
+                    sim._queue, (sim.now + target, NORMAL, token, _wake, (self, token))
+                )
+                return
+            if not isinstance(target, Event):
+                self._end()
+                raise RuntimeError(
+                    f"process {self.name!r} yielded a non-event: {target!r}"
+                )
+            if target.sim is not sim:
+                self._end()
+                raise RuntimeError("yielded an event from a different simulator")
+
+            if target.callbacks is None:
+                # Already processed: resume immediately with its value.
+                event, error = target, None
+                continue
+            target.callbacks.append(self._resume)
+            self._target = target
+            return

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import count
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
-from repro.sim.errors import SimulationError, StopSimulation
 from repro.sim.events import (
     NORMAL,
     URGENT,
@@ -36,18 +35,16 @@ from repro.sim.events import (
     Timeout,
 )
 
-Until = Union[None, float, int, Event]
-
 
 class Simulator:
-    """A minimal but complete discrete-event simulation kernel.
+    """A minimal discrete-event simulation kernel.
 
     Every heap entry is ``(when, priority, eid, target, args)``.  With
     ``args is None`` the target is an :class:`Event` whose callbacks the
     loop runs; otherwise the loop calls ``target(*args)`` — the
-    fire-and-forget form :meth:`call_later` pushes, and the wake-up of
-    a process that sleeps by yielding seconds, which allocate nothing
-    but the entry itself.
+    fire-and-forget form :meth:`call_later` pushes, and a process's
+    start, the wake-up of its sleep and its interrupt, which allocate
+    nothing but the entry itself.
     """
 
     def __init__(self, start: float = 0.0) -> None:
@@ -56,7 +53,6 @@ class Simulator:
         self.now = float(start)
         self._queue: list[tuple[float, int, int, object, Optional[tuple]]] = []
         self._eid = count()
-        self._active_process: Optional[Process] = None
         #: True while :meth:`run`'s dispatch loop is on the stack.
         self._running = False
         #: Total events dispatched by :meth:`run` so far.
@@ -65,11 +61,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Clock and scheduling
     # ------------------------------------------------------------------
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
-
     def _enqueue(self, event: Event, delay: float, priority: int = NORMAL) -> None:
         """Place a triggered event on the queue ``delay`` units from now."""
         heappush(
@@ -115,22 +106,13 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none remain."""
-        return self._queue[0][0] if self._queue else float("inf")
-
-    def run(self, until: Until = None) -> object:
+    def run(self, until: Optional[float] = None) -> None:
         """Run the simulation.
 
-        ``until`` may be:
-
-        * ``None`` — run until the event queue is exhausted;
-        * a number — inclusive stop time: process every event scheduled
-          at ``t <= until`` (including events at exactly ``until``),
-          then set ``now`` to it;
-        * an :class:`Event` — run until that event has been processed and
-          return its value (raises :class:`SimulationError` if the queue
-          empties first).
+        With ``until=None`` run until the event queue is exhausted;
+        with a number, process every event scheduled at ``t <= until``
+        (an inclusive stop time), then set ``now`` to it.  An exception
+        a dispatched callback or process raises leaves ``run`` at once.
 
         ``run`` is not re-entrant: calling it from inside a dispatched
         callback or process raises :class:`RuntimeError`.  A nested loop
@@ -147,17 +129,11 @@ class Simulator:
             )
         stop_at: Optional[float] = None
         if until is not None:
-            if isinstance(until, Event):
-                if until.callbacks is None:
-                    # Already processed.
-                    return until._value
-                until.callbacks.append(self._stop_on_event)
-            else:
-                stop_at = float(until)
-                if not stop_at >= self.now:  # also rejects nan, which stops nothing
-                    raise ValueError(
-                        f"until ({stop_at}) must not be before now ({self.now})"
-                    )
+            stop_at = float(until)
+            if not stop_at >= self.now:  # also rejects nan, which stops nothing
+                raise ValueError(
+                    f"until ({stop_at}) must not be before now ({self.now})"
+                )
 
         # The dispatch loop is written inline with everything hot bound
         # to locals — this function dominates every benchmark, so the
@@ -171,36 +147,19 @@ class Simulator:
             while queue:
                 if stop_at is not None and queue[0][0] > stop_at:
                     break
-                self.now, _priority, _eid, event, args = pop(queue)
+                self.now, _priority, _eid, target, args = pop(queue)
                 processed += 1
                 if args is not None:
-                    event(*args)  # a call_later entry: a bare callable
+                    target(*args)  # a bare callable
                     continue
-                callbacks, event.callbacks = event.callbacks, None
+                callbacks, target.callbacks = target.callbacks, None
                 for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    # Nobody handled a failed event: surface it loudly.
-                    raise event._value
-        except StopSimulation as stop:
-            return stop.value
+                    callback(target)
         finally:
             self._running = False
             self.events_processed += processed
-        if isinstance(until, Event):
-            raise SimulationError(
-                "event queue ran empty before the target event triggered"
-            )
         if stop_at is not None:
             self.now = stop_at
-        return None
-
-    @staticmethod
-    def _stop_on_event(event: Event) -> None:
-        if not event._ok:
-            event._defused = True
-            raise event._value
-        raise StopSimulation(event._value)
 
 
-__all__ = ["Simulator", "Until", "NORMAL", "URGENT"]
+__all__ = ["Simulator", "NORMAL", "URGENT"]

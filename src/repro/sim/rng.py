@@ -74,11 +74,3 @@ class RandomStreams:
         if not mean > 0:  # also rejects nan
             raise ValueError(f"mean must be positive, got {mean}")
         return float(self.stream(name).exponential(mean))
-
-    def integers(self, name: str, low: int, high: int) -> int:
-        """Uniform integer in ``[low, high)``."""
-        return int(self.stream(name).integers(low, high))
-
-    def choice(self, name: str, options):
-        index = int(self.stream(name).integers(0, len(options)))
-        return options[index]

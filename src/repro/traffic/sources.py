@@ -9,6 +9,7 @@ stamp ``flow_id``/``seq`` so sinks can compute loss and reordering.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -238,15 +239,17 @@ class VBRVideoSource(TrafficSource):
         self.mean_frame_bytes = mean_rate_bps / frame_rate / 8.0
         self.burstiness = burstiness
         self.correlation = correlation
+        #: The AR(1) innovation's weight, sqrt(1 - rho^2): a float, so
+        #: the state stays one.
+        self._innovation = math.sqrt(1 - correlation * correlation)
         self.mtu = mtu
         self.duration = duration
         self._state = 0.0
         self.frames_sent = 0
 
     def _next_frame_bytes(self) -> int:
-        rho = self.correlation
         noise = 0.0 + 1.0 * self._normal()  # numpy's normal(0.0, 1.0)
-        self._state = rho * self._state + np.sqrt(1 - rho * rho) * noise
+        self._state = self.correlation * self._state + self._innovation * noise
         factor = max(0.1, 1.0 + self.burstiness * self._state)
         return max(64, int(self.mean_frame_bytes * factor))
 

@@ -77,8 +77,9 @@ def test_wrapping_constructors_does_not_perturb_the_kernel(census, stack):
 
 
 def test_a_sleep_is_named_by_its_process_and_a_stale_one_by_nothing(census):
-    """A wake-up names the generator it resumes; once an interrupt has
-    ended that sleep, its queued wake-up is ``sleep -> nothing``."""
+    """A start, a wake-up and an interrupt name the generator they
+    resume; once an interrupt has ended a sleep, its queued wake-up is
+    ``sleep -> nothing``.  The process's end is no entry."""
 
     def sleeper():
         try:
@@ -93,9 +94,35 @@ def test_a_sleep_is_named_by_its_process_and_a_stale_one_by_nothing(census):
         sim.call_later(3.0, process.interrupt)
         sim.run()
     assert simulators == [sim]
-    assert kinds["sleep -> nothing"] == 1  # the interrupted sleep's, at 10 s
-    assert kinds[f"sleep -> Process._resume[{sleeper.__qualname__}]"] == 1
+    resumed = f"Process._resume[{sleeper.__qualname__}]"
+    assert kinds == {
+        f"start -> {resumed}": 1,
+        "Process.interrupt": 1,  # the call_later that queues the interrupt
+        f"interrupt -> {resumed}": 1,
+        "sleep -> nothing": 1,  # the interrupted sleep's, at 10 s
+        f"sleep -> {resumed}": 1,
+    }
     assert sum(kinds.values()) == sim.events_processed
+
+
+def test_an_interrupt_of_a_process_that_ended_meanwhile_is_named_nothing(census):
+    with census.counting() as (kinds, _simulators):
+        sim = Simulator()
+        answer = sim.event()
+
+        def waiter():
+            yield answer
+
+        process = sim.process(waiter())
+
+        def answer_then_interrupt():
+            answer.succeed(priority=kernel.URGENT)  # ends the process first
+            process.interrupt()
+
+        sim.call_later(1.0, answer_then_interrupt)
+        sim.run()
+    assert kinds["interrupt -> nothing"] == 1
+    assert kinds[f"Event -> Process._resume[{waiter.__qualname__}]"] == 1
 
 
 def test_each_object_is_counted_once_and_two_runs_agree(census):

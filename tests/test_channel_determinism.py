@@ -80,8 +80,10 @@ def test_multitier_handoff_migrates_airtime_claim():
     assert key in b.shared_channel.attached
 
     handoff = sim.process(mobile.perform_handoff(c))
-    sim.run(until=handoff)
-    sim.run(until=sim.now + 2.0)  # let the Delete Location land at B
+    # The handoff ends within its 1 s deadline; then let the Delete
+    # Location land at B.
+    sim.run(until=sim.now + 3.0)
+    assert not handoff.is_alive
     assert mobile.serving_bs is c
     assert key in c.shared_channel.attached
     assert key not in b.shared_channel.attached

@@ -600,9 +600,9 @@ def test_an_elastic_window_costs_the_same_entries_whatever_its_size():
         assert windows > 20 and source.windows_lossy == 0
         assert source.packets_sent == windows * size
         assert built == {"event": windows, "any_of": windows}
-        # Besides one entry per looped-back ack: the process's start and
-        # end, and the window's own.
-        own = sim.events_processed - source.packets_sent - 2
+        # Besides one entry per looped-back ack: the process's start,
+        # and the window's own.
+        own = sim.events_processed - source.packets_sent - 1
         budgets.append(own / windows)
     assert budgets == [4.0, 4.0, 4.0]
 

@@ -4,6 +4,7 @@ figures: location management (Fig 3.1), intra-domain handoff cases
 (Fig 4.1)."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -281,6 +282,16 @@ def test_guarded_pool_invalid_guard():
 def test_guarded_pool_invalid_capacity():
     with pytest.raises(ValueError):
         GuardedChannelPool(capacity=0)
+
+
+@pytest.mark.parametrize(
+    "capacity, guard, field",
+    [(math.nan, 0, "capacity"), (4, math.nan, "guard"), (math.nan, math.nan, "capacity")],
+)
+def test_guarded_pool_rejects_nan(capacity, guard, field):
+    """A nan capacity passed ``capacity <= 0`` and admitted every call."""
+    with pytest.raises(ValueError, match=f"{field} must be .*nan"):
+        GuardedChannelPool(capacity=capacity, guard=guard)
 
 
 # ----------------------------------------------------------------------

@@ -156,6 +156,7 @@ def _cell(**changes):
         (PropagationModel, "exponent"),
         (_cell, "radius"),
         (_cell, "bandwidth"),
+        (_cell, "channels"),
         (_cell, "channel_downlink"),
         (_cell, "channel_uplink"),
     ],

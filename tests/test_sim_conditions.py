@@ -67,23 +67,6 @@ def test_condition_over_already_processed_events():
     assert log == [(5.0, ["e"])]
 
 
-def test_condition_failure_propagates():
-    sim = Simulator()
-    event = sim.event()
-    caught = []
-
-    def proc(sim, event):
-        try:
-            yield sim.any_of([event, sim.timeout(10.0)])
-        except RuntimeError as error:
-            caught.append(str(error))
-
-    sim.process(proc(sim, event))
-    sim.call_later(1.0, event.fail, RuntimeError("sub-event died"))
-    sim.run()
-    assert caught == ["sub-event died"]
-
-
 def test_condition_rejects_foreign_events():
     sim_a = Simulator()
     sim_b = Simulator()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Interrupt, Simulator
-from repro.sim.errors import SimulationError
+from repro.sim.events import URGENT
 
 
 def test_clock_starts_at_zero():
@@ -86,19 +86,6 @@ def test_simultaneous_events_fifo_order():
     assert order == [0, 1, 2, 3, 4]
 
 
-def test_process_runs_and_returns_value():
-    sim = Simulator()
-
-    def proc(sim):
-        yield sim.timeout(2.0)
-        return "done"
-
-    process = sim.process(proc(sim))
-    result = sim.run(until=process)
-    assert result == "done"
-    assert sim.now == 2.0
-
-
 def test_process_waits_for_multiple_timeouts():
     sim = Simulator()
     times = []
@@ -111,23 +98,6 @@ def test_process_waits_for_multiple_timeouts():
     sim.process(proc(sim))
     sim.run()
     assert times == [1.5, 3.0, 4.5]
-
-
-def test_process_can_wait_on_another_process():
-    sim = Simulator()
-
-    def child(sim):
-        yield sim.timeout(4.0)
-        return 99
-
-    def parent(sim, results):
-        value = yield sim.process(child(sim))
-        results.append((sim.now, value))
-
-    results = []
-    sim.process(parent(sim, results))
-    sim.run()
-    assert results == [(4.0, 99)]
 
 
 def test_event_succeed_delivers_value():
@@ -153,41 +123,37 @@ def test_event_cannot_trigger_twice():
         event.succeed(2)
 
 
-def test_event_fail_raises_in_waiting_process():
-    sim = Simulator()
-    event = sim.event()
-    caught = []
-
-    def waiter(sim, event):
-        try:
-            yield event
-        except ValueError as error:
-            caught.append(str(error))
-
-    sim.process(waiter(sim, event))
-    sim.call_later(1.0, event.fail, ValueError("boom"))
-    sim.run()
-    assert caught == ["boom"]
-
-
-def test_unhandled_failed_event_surfaces():
-    sim = Simulator()
-    event = sim.event()
-    sim.call_later(1.0, event.fail, ValueError("nobody caught me"))
-    with pytest.raises(ValueError, match="nobody caught me"):
-        sim.run()
-
-
 def test_process_exception_propagates_to_run():
+    """A process that raises makes ``run`` raise at that instant: later
+    entries stay queued and the process is over."""
     sim = Simulator()
+    later = []
 
     def bad(sim):
         yield sim.timeout(1.0)
         raise KeyError("broken process")
 
-    sim.process(bad(sim))
+    process = sim.process(bad(sim))
+    sim.call_later(2.0, later.append, "not reached")
     with pytest.raises(KeyError):
         sim.run()
+    assert sim.now == 1.0 and later == [] and not process.is_alive
+    sim.run()
+    assert later == ["not reached"]
+
+
+def test_a_process_that_ends_queues_nothing():
+    """A process's start and its waits are its only kernel entries."""
+    sim = Simulator()
+
+    def proc(sim):
+        yield 2.0
+        return "done"
+
+    process = sim.process(proc(sim))
+    sim.run()
+    assert sim.now == 2.0 and sim.events_processed == 2
+    assert not process.is_alive and not sim._queue
 
 
 def test_yielding_non_event_fails_the_process():
@@ -197,6 +163,20 @@ def test_yielding_non_event_fails_the_process():
         yield "soon"  # a number would be a sleep
 
     sim.process(bad(sim))
+    with pytest.raises(RuntimeError, match="non-event"):
+        sim.run()
+
+
+def test_a_process_is_not_something_to_wait_on():
+    sim = Simulator()
+
+    def child(sim):
+        yield 4.0
+
+    def parent(sim):
+        yield sim.process(child(sim))
+
+    sim.process(parent(sim))
     with pytest.raises(RuntimeError, match="non-event"):
         sim.run()
 
@@ -214,21 +194,6 @@ def test_yield_already_processed_event_resumes_immediately():
     sim.process(proc(sim))
     sim.run()
     assert log == [(5.0, "early")]
-
-
-def test_run_until_event_queue_empty_is_error():
-    sim = Simulator()
-    never = sim.event()
-    sim.timeout(1.0)
-    with pytest.raises(SimulationError):
-        sim.run(until=never)
-
-
-def test_run_until_already_processed_event_returns_value():
-    sim = Simulator()
-    timeout = sim.timeout(1.0, value="v")
-    sim.run()
-    assert sim.run(until=timeout) == "v"
 
 
 def test_interrupt_wakes_sleeping_process():
@@ -261,14 +226,37 @@ def test_interrupt_terminated_process_raises():
 
 def test_process_cannot_interrupt_itself():
     sim = Simulator()
+    processes = []
 
     def selfish(sim):
         yield sim.timeout(0.0)
-        sim.active_process.interrupt()
+        processes[0].interrupt()
 
-    sim.process(selfish(sim))
-    with pytest.raises(RuntimeError):
+    processes.append(sim.process(selfish(sim)))
+    with pytest.raises(RuntimeError, match="itself"):
         sim.run()
+
+
+def test_an_interrupt_of_a_process_that_ended_meanwhile_is_dropped():
+    """An interrupt queued behind the answer that ends its process finds
+    the process over and does nothing."""
+    sim = Simulator()
+    log = []
+    answer = sim.event()
+
+    def waiter(sim):
+        log.append((yield answer))
+
+    process = sim.process(waiter(sim))
+
+    def answer_then_interrupt():
+        answer.succeed("answered", priority=URGENT)  # dispatched first
+        process.interrupt("too late")
+
+    sim.call_later(1.0, answer_then_interrupt)
+    sim.run()
+    assert log == ["answered"] and not process.is_alive
+    assert sim.events_processed == 4  # start, call, answer, spent interrupt
 
 
 def test_interrupted_process_can_continue():
@@ -309,13 +297,6 @@ def test_process_is_alive_lifecycle():
     assert not process.is_alive
 
 
-def test_peek_reports_next_event_time():
-    sim = Simulator()
-    assert sim.peek() == float("inf")
-    sim.timeout(7.0)
-    assert sim.peek() == 7.0
-
-
 def test_public_kernel_surface_is_all_imported_outside_the_kernel():
     """Every name in ``repro.sim.__all__`` is imported by at least one
     module under ``src/repro/`` outside ``sim/`` — the kernel exports
@@ -340,3 +321,34 @@ def test_public_kernel_surface_is_all_imported_outside_the_kernel():
         set(repro.sim.__all__) - imported
     )
     assert all(hasattr(repro.sim, name) for name in repro.sim.__all__)
+
+
+def test_every_public_simulator_method_is_read_off_a_simulator():
+    """Every public method of ``Simulator`` is read off a simulator
+    (``sim.run``, ``self.sim.timeout``) by a module under ``src/repro/``
+    outside ``sim/`` or under ``perf/``.  The receiver is matched, not
+    only the name, so another class's ``peek`` keeps no
+    ``Simulator.peek`` alive."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    package = root / "src" / "repro"
+    paths = [p for p in package.rglob("*.py") if not p.is_relative_to(package / "sim")]
+    paths += (root / "perf").rglob("*.py")
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Attribute):
+                continue
+            receiver = node.value
+            if isinstance(receiver, ast.Name) and receiver.id == "sim" or (
+                isinstance(receiver, ast.Attribute) and receiver.attr == "sim"
+            ):
+                read.add(node.attr)
+    public = {
+        name
+        for name, value in vars(Simulator).items()
+        if callable(value) and not name.startswith("_")
+    }
+    assert public and public <= read, sorted(public - read)

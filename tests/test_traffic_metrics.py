@@ -110,6 +110,29 @@ def test_vbr_video_fragments_frames():
     assert 0.6 * 400e3 * 4 < total_bits < 1.4 * 400e3 * 4
 
 
+def test_vbr_frame_sizes_follow_the_ar1_formula_with_a_float_state():
+    """The innovation weight sqrt(1 - rho^2) is computed once, as a
+    float: the AR(1) state stays a ``float``, and 200 frame sizes equal
+    ``rho * s + np.sqrt(1 - rho * rho) * z`` drawn on a twin generator."""
+    sim = Simulator()
+    send, _ = collect(sim)
+    for correlation, burstiness in ((0.8, 0.5), (0.3, 1.2), (0.0, 0.5)):
+        source = VBRVideoSource(
+            sim, send, ip("10.0.0.1"), ip("10.0.0.2"), np.random.default_rng(21),
+            burstiness=burstiness, correlation=correlation,
+        )
+        twin = np.random.default_rng(21)
+        state = 0.0
+        for _ in range(200):
+            size = source._next_frame_bytes()
+            assert type(source._state) is float
+            state = correlation * state + np.sqrt(
+                1 - correlation * correlation
+            ) * twin.normal(0.0, 1.0)
+            factor = max(0.1, 1.0 + burstiness * state)
+            assert size == max(64, int(source.mean_frame_bytes * factor))
+
+
 def test_vbr_validation():
     sim = Simulator()
     send, _ = collect(sim)

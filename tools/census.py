@@ -12,15 +12,16 @@ generated into) a ``repro`` class body are wrapped from outside
   runs, by kind: a ``call_later`` entry by its target's
   ``__qualname__`` — and for ``Link._deliver`` by the class of the
   link's tail node and the packet's protocol
-  (``Link._deliver[BaseStation,data]``); a sleeping process's wake-up
-  by the generator it resumes
-  (``sleep -> Process._resume[CBRSource._run]``), or ``sleep ->
-  nothing`` once an interrupt has ended that sleep; an event entry by
-  the event's class and its first callback — with the generator of the
-  process it resumes (``AnyOf -> Process._resume[ElasticSource._run]``)
-  or, through a live condition, will resume
-  (``Event -> Condition._check[ElasticSource._run]``); a bare
-  ``Condition._check`` is a condition already decided (a spent
+  (``Link._deliver[BaseStation,data]``); a process's start, the
+  wake-up of its sleep and its interrupt by the generator each resumes
+  (``start -> Process._resume[CBRSource._run]``, ``sleep -> ...``,
+  ``interrupt -> ...``), or ``sleep -> nothing`` once an interrupt has
+  ended that sleep and ``interrupt -> nothing`` once the process has
+  ended; an event entry by the event's class and its first callback —
+  with the generator of the process it resumes (``AnyOf ->
+  Process._resume[ElasticSource._run]``) or, through a live
+  ``AnyOf``, will resume (``Event -> AnyOf._check[ElasticSource._run]``);
+  a bare ``AnyOf._check`` is an ``AnyOf`` already decided (a spent
   deadline), ``nothing`` an event nobody waits on.  The kinds must sum
   to the simulators' ``events_processed``;
 * why its packets were dropped: the simulators' ``drop_totals``, by
@@ -142,15 +143,23 @@ def ranked(counts) -> dict[str, int]:
     return dict(sorted(counts.items(), key=lambda item: (-item[1], item[0])))
 
 
+#: The kernel's entries for a process, by target: what each is called.
+_PROCESS_ENTRIES = {"_start": "start", "_wake": "sleep", "_interrupt": "interrupt"}
+
+
 def kind_of(target, args) -> str:
     """The kind of one heap entry ``(..., target, args)``."""
     if args is not None:  # a call_later entry: target(*args)
         name = getattr(target, "__qualname__", type(target).__qualname__)
-        if name == "_wake":  # a sleeping process's wake-up
-            process, token = args
-            if process._target is not token:
-                return "sleep -> nothing"
-            return f"sleep -> Process._resume[{process._generator.__qualname__}]"
+        if name in _PROCESS_ENTRIES:  # a process's start, wake-up or interrupt
+            process = args[0]
+            if (
+                name == "_wake" and process._target is not args[1]
+                or name == "_interrupt" and process._target is None
+            ):
+                return f"{_PROCESS_ENTRIES[name]} -> nothing"
+            generator = process._generator.__qualname__
+            return f"{_PROCESS_ENTRIES[name]} -> Process._resume[{generator}]"
         if name == "Link._deliver":
             link, packet = args
             name += f"[{type(link.tail).__name__},{packet.protocol}]"
@@ -160,8 +169,8 @@ def kind_of(target, args) -> str:
         return f"{event} -> nothing"
     first = waiter = target.callbacks[0]
     name = getattr(first, "__qualname__", type(first).__qualname__)
-    if name == "Condition._check" and first.__self__.callbacks:
-        waiter = first.__self__.callbacks[0]  # who the live condition is for
+    if name == "AnyOf._check" and first.__self__.callbacks:
+        waiter = first.__self__.callbacks[0]  # who the live AnyOf is for
     generator = getattr(getattr(waiter, "__self__", None), "_generator", None)
     if generator is not None:
         name += f"[{generator.__qualname__}]"
