@@ -19,19 +19,12 @@ from __future__ import annotations
 import math
 
 
-def boundary_crossing_rate(
-    speed: float, perimeter: float, area: float, density: float = None
-) -> float:
-    """Crossings per second out of a convex region.
-
-    With ``density`` given: aggregate crossing rate for the population.
-    Without: the per-mobile rate (density = 1 mobile / ``area``).
-    """
+def boundary_crossing_rate(speed: float, perimeter: float, area: float) -> float:
+    """Crossings per second out of a convex region, per mobile
+    (density = 1 mobile / ``area``)."""
     if speed < 0 or perimeter <= 0 or area <= 0:
         raise ValueError("speed >= 0, perimeter > 0, area > 0 required")
-    if density is None:
-        density = 1.0 / area
-    return density * speed * perimeter / math.pi
+    return (1.0 / area) * speed * perimeter / math.pi
 
 
 def circular_cell_crossing_rate(speed: float, radius: float) -> float:

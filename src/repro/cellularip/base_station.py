@@ -33,7 +33,6 @@ class CIPDomain:
         self,
         sim: "Simulator",
         route_timeout: float = 1.5,
-        paging_timeout: float = 12.0,
         route_update_time: float = 0.5,
         paging_update_time: float = 5.0,
         active_state_timeout: float = 2.0,
@@ -46,7 +45,6 @@ class CIPDomain:
     ) -> None:
         self.sim = sim
         self.route_timeout = route_timeout
-        self.paging_timeout = paging_timeout
         self.route_update_time = route_update_time
         self.paging_update_time = paging_update_time
         self.active_state_timeout = active_state_timeout
@@ -108,7 +106,7 @@ class CIPBaseStation(Node):
         self.parent: Optional["CIPBaseStation"] = None
         self.children: list["CIPBaseStation"] = []
         self.routing_cache = RoutingCache(sim, domain.route_timeout)
-        self.paging_cache = RoutingCache(sim, domain.paging_timeout)
+        self.paging_cache = RoutingCache(sim, 12.0)  # paging lifetime (s)
         #: Shared air interface of this station's cell; ``None`` =
         #: legacy mode (unconstrained per-mobile radio links).
         self.shared_channel = shared_channel

@@ -193,8 +193,8 @@ class CIPMobileHost(Node):
                 hook(packet)
         super().deliver_local(packet, link)
 
-    def _remember(self, key: int, window: int = 4096) -> None:
+    def _remember(self, key: int) -> None:
         self._seen_keys.add(key)
         self._seen_order.append(key)
-        while len(self._seen_order) > window:
+        while len(self._seen_order) > 4096:  # packets remembered
             self._seen_keys.discard(self._seen_order.popleft())

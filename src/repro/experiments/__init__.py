@@ -28,24 +28,26 @@ is a scenario function + one ``sweep`` call + a registry line:
   their headers.
 * ``ALL_EXPERIMENTS["E12"] = experiment_e12`` in the registry.
 
-An E8-shaped table — interruption per handoff target, per seed::
+The axis is a module constant, as is any value no run passes: a
+parameter only a test would set is a constant.  An E8-shaped table —
+interruption per handoff target, per seed::
 
     _E12_TARGETS = {"same branch (F->E)": "E", "other branch (F->B)": "B"}
 
-    def _e12_scenario(label, seed, handoff_at):
+    def _e12_scenario(label, seed):
         world = MultiTierWorld()
         d1 = world.domain1
         scheme = baselines.multitier_scheme(
             world, [d1["F"], d1[_E12_TARGETS[label]]]
         )
-        metrics = baselines.roam(scheme, 1, handoff_at, 4.0, drain=3.0)
+        metrics = baselines.roam(scheme, 1, 1.5, 4.0, drain=3.0)
         return {"gap": metrics["max_gap"], "loss_rate": metrics["loss_rate"]}
 
-    def experiment_e12(seeds=ONE_SEED, handoff_at=1.5, backend=None):
+    def experiment_e12(seeds=ONE_SEED, backend=None):
         "E12: interruption by handoff target."
         return sweep(
             "E12", "E12: interruption by handoff target", "target",
-            list(_E12_TARGETS), partial(_e12_scenario, handoff_at=handoff_at),
+            list(_E12_TARGETS), _e12_scenario,
             seeds, {"gap": "gap_s", "loss_rate": "loss_rate"},
             backend=backend,
         )

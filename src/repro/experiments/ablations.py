@@ -202,9 +202,11 @@ def experiment_t1(
 # ----------------------------------------------------------------------
 # T2 — scaling: hierarchy vs flat central registration
 # ----------------------------------------------------------------------
+T2_MOBILE_COUNTS = (8, 16, 32, 64)  # mobiles registered
+
+
 def experiment_t2(
     seeds: Iterable[int] = ONE_SEED,
-    mobile_counts=(8, 16, 32, 64),
     duration: float = 20.0,
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
@@ -213,7 +215,7 @@ def experiment_t2(
         "T2",
         "T2: location-management scaling, hierarchy vs flat",
         "mobiles",
-        list(mobile_counts),
+        list(T2_MOBILE_COUNTS),
         partial(baselines.location_load, duration=duration),
         seeds,
         {
@@ -323,6 +325,9 @@ def experiment_v1(
 # ----------------------------------------------------------------------
 # Ablation: RSMC handoff buffer depth
 # ----------------------------------------------------------------------
+BUFFER_SIZES = (1, 2, 4, 8, 32)  # RSMC handoff buffer depths, in packets
+
+
 def _ab1_scenario(size: int, seed: int, home_delay: float) -> dict[str, float]:
     world = MultiTierWorld(
         second_domain=True,
@@ -346,7 +351,6 @@ def _ab1_scenario(size: int, seed: int, home_delay: float) -> dict[str, float]:
 
 def ablation_buffer_size(
     seeds: Iterable[int] = ONE_SEED,
-    buffer_sizes=(1, 2, 4, 8, 32),
     home_delay: float = 0.100,
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
@@ -360,7 +364,7 @@ def ablation_buffer_size(
         "Ablation: RSMC handoff buffer depth, inter-domain handoff "
         f"(home RTT ~{2 * home_delay * 1e3:.0f} ms, 50 pkt/s)",
         "buffer_size_packets",
-        list(buffer_sizes),
+        list(BUFFER_SIZES),
         partial(_ab1_scenario, home_delay=home_delay),
         seeds,
         ["loss_rate", "max_gap", "buffered", "overflows"],
@@ -374,6 +378,9 @@ def ablation_buffer_size(
 # ----------------------------------------------------------------------
 # Ablation: location record lifetime / refresh period ratio
 # ----------------------------------------------------------------------
+LIFETIME_RATIOS = (1.2, 2.0, 4.0, 8.0)  # record lifetime / refresh period
+
+
 def _ab2_scenario(
     ratio: float, seed: int, update_period: float, duration: float
 ) -> dict[str, float]:
@@ -399,7 +406,6 @@ def _ab2_scenario(
 
 def ablation_record_lifetime(
     seeds: Iterable[int] = ONE_SEED,
-    lifetime_ratios=(1.2, 2.0, 4.0, 8.0),
     update_period: float = 1.0,
     duration: float = 20.0,
     backend: Optional[ExecutionBackend] = None,
@@ -409,7 +415,7 @@ def ablation_record_lifetime(
         "AB2",
         "Ablation: record lifetime as a multiple of the refresh period",
         "lifetime/period",
-        list(lifetime_ratios),
+        list(LIFETIME_RATIOS),
         partial(_ab2_scenario, update_period=update_period, duration=duration),
         seeds,
         ["loss_rate", "records_at_root", "location_msgs_per_s"],

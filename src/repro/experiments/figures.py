@@ -36,6 +36,9 @@ def _first(values: list) -> float:
 # ----------------------------------------------------------------------
 # E1 — Fig 2.2: Mobile IP registration latency and triangle routing
 # ----------------------------------------------------------------------
+BACKBONE_DELAYS = (0.005, 0.010, 0.025, 0.050, 0.100)  # s, home to visited
+
+
 def _e1_scenario(delay: float, seed: int) -> dict[str, float]:
     sim, core, cn, _agents, mn = baselines.build_mobileip_world(1, delay, delay, 0.002)
     sim.run(until=5.0)
@@ -68,7 +71,6 @@ def _e1_scenario(delay: float, seed: int) -> dict[str, float]:
 
 def experiment_e1(
     seeds: Iterable[int] = ONE_SEED,
-    backbone_delays=(0.005, 0.010, 0.025, 0.050, 0.100),
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
     """Fig 2.2: Mobile IP registration latency & triangle routing vs HA distance."""
@@ -76,7 +78,7 @@ def experiment_e1(
         "E1",
         "E1 (Fig 2.2): Mobile IP registration latency & triangle routing vs backbone delay",
         "backbone_delay_s",
-        list(backbone_delays),
+        list(BACKBONE_DELAYS),
         _e1_scenario,
         seeds,
         ["registration_latency", "downlink_delay", "uplink_delay", "triangle_stretch"],
@@ -89,6 +91,9 @@ def experiment_e1(
 # ----------------------------------------------------------------------
 # E2 — Fig 2.3: Cellular IP routing-cache maintenance
 # ----------------------------------------------------------------------
+ROUTE_UPDATE_PERIODS = (0.25, 0.5, 1.0, 2.0, 4.0)  # s, past the route timeout
+
+
 def _e2_scenario(
     period: float, seed: int, route_timeout: float, duration: float
 ) -> dict[str, float]:
@@ -123,7 +128,6 @@ def _e2_scenario(
 
 def experiment_e2(
     seeds: Iterable[int] = ONE_SEED,
-    update_periods=(0.25, 0.5, 1.0, 2.0, 4.0),
     route_timeout: float = 1.5,
     duration: float = 30.0,
     backend: Optional[ExecutionBackend] = None,
@@ -134,7 +138,7 @@ def experiment_e2(
         "E2 (Fig 2.3): Cellular IP signalling vs route-update period "
         f"(route_timeout={route_timeout}s)",
         "route_update_period_s",
-        list(update_periods),
+        list(ROUTE_UPDATE_PERIODS),
         partial(_e2_scenario, route_timeout=route_timeout, duration=duration),
         seeds,
         ["control_packets_per_s", "miss_rate", "cache_refreshes"],
@@ -147,6 +151,9 @@ def experiment_e2(
 # ----------------------------------------------------------------------
 # E3 — Fig 2.4: Cellular IP hard vs semisoft handoff
 # ----------------------------------------------------------------------
+HANDOFF_INTERVALS = (0.5, 1.0, 2.0, 4.0)  # s between handoffs
+
+
 def _e3_scenario(interval: float, seed: int, duration: float) -> dict[str, float]:
     handoffs = int(duration / interval) - 1
     hard, semisoft = (
@@ -163,7 +170,6 @@ def _e3_scenario(interval: float, seed: int, duration: float) -> dict[str, float
 
 def experiment_e3(
     seeds: Iterable[int] = ONE_SEED,
-    handoff_intervals=(0.5, 1.0, 2.0, 4.0),
     duration: float = 16.0,
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
@@ -172,7 +178,7 @@ def experiment_e3(
         "E3",
         "E3 (Fig 2.4): hard vs semisoft Cellular IP handoff",
         "handoff_interval_s",
-        list(handoff_intervals),
+        list(HANDOFF_INTERVALS),
         partial(_e3_scenario, duration=duration),
         seeds,
         [
@@ -190,9 +196,11 @@ def experiment_e3(
 # ----------------------------------------------------------------------
 # E4 — Fig 3.1: hierarchical location management
 # ----------------------------------------------------------------------
+LOCATION_MOBILE_COUNTS = (4, 8, 16, 32)  # mobiles in the location hierarchy
+
+
 def experiment_e4(
     seeds: Iterable[int] = ONE_SEED,
-    mobile_counts=(4, 8, 16, 32),
     duration: float = 20.0,
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
@@ -201,7 +209,7 @@ def experiment_e4(
         "E4",
         "E4 (Fig 3.1): location-management load vs number of mobiles",
         "mobiles",
-        list(mobile_counts),
+        list(LOCATION_MOBILE_COUNTS),
         partial(baselines.location_load, duration=duration),
         seeds,
         [
@@ -220,6 +228,9 @@ def experiment_e4(
 # ----------------------------------------------------------------------
 # E5 / E6 — Figs 3.2 / 3.3: inter-domain handoff latency
 # ----------------------------------------------------------------------
+HOME_DELAYS = (0.010, 0.025, 0.050, 0.100)  # s, one way to the home network
+
+
 def _interdomain_handoff(different_upper: bool, home_delay: float) -> dict[str, float]:
     world = MultiTierWorld(second_domain=True, home_delay=home_delay)
     d1, d2 = world.domain1, world.domain2
@@ -247,7 +258,6 @@ def _e5_e6_scenario(home_delay: float, seed: int) -> dict[str, float]:
 
 def experiment_e5_e6(
     seeds: Iterable[int] = ONE_SEED,
-    home_delays=(0.010, 0.025, 0.050, 0.100),
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
     """Figs 3.2/3.3: inter-domain handoff, same vs different upper BS."""
@@ -255,7 +265,7 @@ def experiment_e5_e6(
         "E5/E6",
         "E5/E6 (Figs 3.2/3.3): inter-domain handoff, same vs different upper BS",
         "home_delay_s",
-        list(home_delays),
+        list(HOME_DELAYS),
         _e5_e6_scenario,
         seeds,
         [
@@ -280,6 +290,7 @@ _E7_CASES = {
     "macro->micro (R1->B)": ("R1", "B"),
     "micro->macro (E->R2)": ("E", "R2"),
 }
+RESIDENT_LOADS = (4, 8, 12, 16, 20)  # E7b: residents in the target cell
 
 
 def _e7_scenario(case: str, seed: int) -> dict[str, float]:
@@ -356,7 +367,6 @@ def _e7b_scenario(load: int, seed: int, channels: int) -> dict[str, float]:
 
 def experiment_e7_blocking(
     seeds: Iterable[int] = ONE_SEED,
-    offered_loads=(4, 8, 12, 16, 20),
     channels: int = 8,
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
@@ -366,7 +376,7 @@ def experiment_e7_blocking(
         "E7b",
         f"E7b (Fig 3.4 case c): handoff success vs load ({channels} channels)",
         "resident_mobiles",
-        list(offered_loads),
+        list(RESIDENT_LOADS),
         partial(_e7b_scenario, channels=channels),
         seeds,
         ["success_with_overflow", "success_without_overflow"],
@@ -462,6 +472,9 @@ def experiment_e8b(
 # ----------------------------------------------------------------------
 # E10 — paging / idle efficiency (Cellular IP + §4 claim)
 # ----------------------------------------------------------------------
+IDLE_MOBILE_COUNTS = (2, 4, 8, 16)  # idle mobiles per population
+
+
 def _idle_population(count: int, with_paging: bool, duration: float) -> dict[str, float]:
     sim, domain, gw, leaves, internet, cn, _mn = baselines.build_cip_world()
     domain.route_update_time = 0.5
@@ -511,7 +524,6 @@ def _e10_scenario(count: int, seed: int, duration: float) -> dict[str, float]:
 
 def experiment_e10(
     seeds: Iterable[int] = ONE_SEED,
-    mobile_counts=(2, 4, 8, 16),
     duration: float = 30.0,
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
@@ -522,7 +534,7 @@ def experiment_e10(
         "E10",
         "E10: idle-mode paging economy (paging-update 5s vs forced route-update 0.5s)",
         "idle_mobiles",
-        list(mobile_counts),
+        list(IDLE_MOBILE_COUNTS),
         partial(_e10_scenario, duration=duration),
         seeds,
         [
@@ -543,6 +555,7 @@ def experiment_e10(
 # ----------------------------------------------------------------------
 #: Backhaul bottleneck: ~2x E1 (era-appropriate microwave/leased line).
 BACKHAUL_BPS = 3e6
+BACKGROUND_FLOWS = (0, 2, 4, 6, 8, 10)  # flows sharing the backhaul
 
 
 def _e11_scenario(
@@ -597,7 +610,6 @@ def _e11_scenario(
 
 def experiment_e11(
     seeds: Iterable[int] = DEFAULT_SEEDS,
-    background_flows=(0, 2, 4, 6, 8, 10),
     foreground_rate: float = 200e3,
     background_rate_pps: float = 40.0,
     duration: float = 10.0,
@@ -624,7 +636,7 @@ def experiment_e11(
         f"({BACKHAUL_BPS/1e6:g} Mbit/s backhaul, "
         f"{background_rate_pps:.0f} pkt/s x 1000 B per background flow)",
         "background_flows",
-        list(background_flows),
+        list(BACKGROUND_FLOWS),
         partial(
             _e11_scenario,
             foreground_rate=foreground_rate,

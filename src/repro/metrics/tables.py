@@ -8,6 +8,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+#: Plot area of :func:`format_ascii_plot`, in characters.
+PLOT_WIDTH = 64
+PLOT_HEIGHT = 16
+
 
 def format_table(
     headers: Sequence[str],
@@ -70,8 +74,6 @@ def format_ascii_plot(
     x_values: Sequence[object],
     series: dict[str, Sequence[float]],
     title: Optional[str] = None,
-    width: int = 64,
-    height: int = 16,
 ) -> str:
     """A figure as a deterministic ASCII chart: one letter per series.
 
@@ -89,8 +91,8 @@ def format_ascii_plot(
         ``name -> y values`` (parallel to ``x_values``); NaNs are
         skipped.  Each series is drawn with the letter A, B, C, ... in
         iteration order; overlapping points render as ``*``.
-    title / width / height:
-        Chart caption and plot-area size in characters.
+    title:
+        Chart caption.
 
     Returns
     -------
@@ -116,24 +118,24 @@ def format_ascii_plot(
         for x, y in zip(xs, values):
             if not isinstance(y, (int, float)) or y != y:
                 continue
-            column = round((x - x_lo) / x_span * (width - 1))
-            row = round((y - y_lo) / y_span * (height - 1))
+            column = round((x - x_lo) / x_span * (PLOT_WIDTH - 1))
+            row = round((y - y_lo) / y_span * (PLOT_HEIGHT - 1))
             points.append((column, row, index))
 
-    grid = [[" "] * width for _ in range(height)]
+    grid = [[" "] * PLOT_WIDTH for _ in range(PLOT_HEIGHT)]
     for column, row, index in points:
-        cell = grid[height - 1 - row][column]
+        line = grid[PLOT_HEIGHT - 1 - row]
         letter = chr(ord("A") + index % 26)
-        grid[height - 1 - row][column] = "*" if cell not in (" ", letter) else letter
+        line[column] = "*" if line[column] not in (" ", letter) else letter
 
     lines = []
     if title:
         lines.append(title)
     lines.append(f"y: {_cell(float(y_lo))} .. {_cell(float(y_hi))}")
-    lines.append("+" + "-" * width + "+")
+    lines.append("+" + "-" * PLOT_WIDTH + "+")
     for row in grid:
         lines.append("|" + "".join(row) + "|")
-    lines.append("+" + "-" * width + "+")
+    lines.append("+" + "-" * PLOT_WIDTH + "+")
     x_left = _cell(x_values[0]) if not numeric_x else _cell(float(x_lo))
     x_right = _cell(x_values[-1]) if not numeric_x else _cell(float(x_hi))
     lines.append(f"x: {x_label} = {x_left} .. {x_right}")

@@ -23,6 +23,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.radio.channel import SharedChannel
     from repro.sim.kernel import Simulator
 
+#: Seconds between a foreign agent's advertisements.
+ADVERTISEMENT_INTERVAL = 1.0
+
 
 @dataclass
 class Visitor:
@@ -41,13 +44,11 @@ class ForeignAgent(Router):
         sim: "Simulator",
         name: str,
         address,
-        advertisement_interval: float = 1.0,
         wireless_bandwidth: float = 11e6,
         wireless_delay: float = 0.002,
         shared_channel: Optional["SharedChannel"] = None,
     ) -> None:
         super().__init__(sim, name, address)
-        self.advertisement_interval = advertisement_interval
         self.wireless_bandwidth = wireless_bandwidth
         self.wireless_delay = wireless_delay
         #: Shared air interface of this FA's cell; ``None`` = legacy
@@ -99,7 +100,7 @@ class ForeignAgent(Router):
     # ------------------------------------------------------------------
     def _advertise_loop(self):
         while True:
-            yield self.advertisement_interval
+            yield ADVERTISEMENT_INTERVAL
             for mobile in list(self.attached.values()):
                 self._send_advertisement(mobile)
 
@@ -109,7 +110,7 @@ class ForeignAgent(Router):
             agent_address=self.address,
             care_of_address=self.address,
             sequence=self._advertisement_sequence,
-            lifetime=self.advertisement_interval * 3,
+            lifetime=ADVERTISEMENT_INTERVAL * 3,
             is_home_agent=False,
             is_foreign_agent=True,
         )

@@ -44,13 +44,12 @@ class HomeAgent(Router):
         name: str,
         address,
         home_prefix,
-        max_lifetime: float = 300.0,
     ) -> None:
         super().__init__(sim, name, address)
         self.home_prefix = (
             home_prefix if isinstance(home_prefix, Prefix) else Prefix(home_prefix)
         )
-        self.max_lifetime = max_lifetime
+        self.max_lifetime = 300.0  # longest lifetime granted (s)
         self.bindings: dict[IPAddress, Binding] = {}
         self._last_identification: dict[IPAddress, int] = {}
         self.registrations_accepted = 0

@@ -31,16 +31,11 @@ class MobileIPNode(Node):
         name: str,
         home_address,
         home_agent_address,
-        registration_lifetime: float = 60.0,
-        retransmit_initial: float = 1.0,
-        retransmit_max: float = 8.0,
     ) -> None:
         super().__init__(sim, name, home_address)
         self.home_address = IPAddress(home_address)
         self.home_agent_address = IPAddress(home_agent_address)
-        self.registration_lifetime = registration_lifetime
-        self.retransmit_initial = retransmit_initial
-        self.retransmit_max = retransmit_max
+        self.registration_lifetime = 60.0  # asked for in each request (s)
 
         self.current_agent: Optional[IPAddress] = None
         self.registered_agent: Optional[IPAddress] = None
@@ -105,7 +100,7 @@ class MobileIPNode(Node):
     def _register_with_retry(self, identification: int):
         from repro.sim.errors import Interrupt
 
-        backoff = self.retransmit_initial
+        backoff = 1.0  # doubling to 8 s between retransmissions
         started = self.sim.now
         while self._pending_identification == identification:
             self._send_registration_request(identification, started)
@@ -113,7 +108,7 @@ class MobileIPNode(Node):
                 yield backoff
             except Interrupt:
                 return
-            backoff = min(backoff * 2.0, self.retransmit_max)
+            backoff = min(backoff * 2.0, 8.0)
 
     def _send_registration_request(self, identification: int, started: float) -> None:
         agent_node = self._agent_node()

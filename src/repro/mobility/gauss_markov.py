@@ -14,6 +14,10 @@ from repro.mobility.base import MobilityModel
 from repro.radio.geometry import Point, Rectangle
 from repro.sim.rng import standard_normals
 
+#: Standard deviations of the speed (m/s) and heading (rad) innovations.
+SPEED_SIGMA = 1.0
+HEADING_SIGMA = 0.4
+
 
 class GaussMarkov(MobilityModel):
     def __init__(
@@ -23,22 +27,14 @@ class GaussMarkov(MobilityModel):
         rng: np.random.Generator,
         mean_speed: float = 5.0,
         alpha: float = 0.85,
-        speed_sigma: float = 1.0,
-        heading_sigma: float = 0.4,
     ) -> None:
         super().__init__(start, bounds)
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
         if not mean_speed > 0:  # nan fails too
             raise ValueError(f"mean_speed must be positive, got {mean_speed}")
-        if not speed_sigma >= 0:
-            raise ValueError(f"speed_sigma must be non-negative, got {speed_sigma}")
-        if not heading_sigma >= 0:
-            raise ValueError(f"heading_sigma must be non-negative, got {heading_sigma}")
         self.alpha = alpha
         self.mean_speed = mean_speed
-        self.speed_sigma = speed_sigma
-        self.heading_sigma = heading_sigma
         self._current_speed = mean_speed
         self._heading = float(rng.uniform(0.0, 2.0 * math.pi))
         self._mean_heading = self._heading
@@ -52,13 +48,13 @@ class GaussMarkov(MobilityModel):
         self._current_speed = (
             alpha * self._current_speed
             + (1 - alpha) * self.mean_speed
-            + root * self.speed_sigma * (0.0 + 1.0 * self._normal())
+            + root * SPEED_SIGMA * (0.0 + 1.0 * self._normal())
         )
         self._current_speed = max(self._current_speed, 0.0)
         self._heading = (
             alpha * self._heading
             + (1 - alpha) * self._mean_heading
-            + root * self.heading_sigma * (0.0 + 1.0 * self._normal())
+            + root * HEADING_SIGMA * (0.0 + 1.0 * self._normal())
         )
         step = self._current_speed * dt
         candidate = self._position.offset(

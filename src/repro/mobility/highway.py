@@ -23,15 +23,12 @@ class Highway(MobilityModel):
         bounds: Rectangle,
         rng: Optional[np.random.Generator] = None,
         speed: float = 25.0,
-        direction: int = 1,
         wrap: bool = True,
         speed_jitter: float = 0.0,
     ) -> None:
         super().__init__(start, bounds)
         if not speed > 0:  # nan fails too
             raise ValueError(f"speed must be positive, got {speed}")
-        if direction not in (-1, 1):
-            raise ValueError("direction must be -1 or +1")
         if not speed_jitter >= 0:  # nan fails too
             raise ValueError(f"speed_jitter must be non-negative, got {speed_jitter}")
         if speed_jitter > 0:
@@ -39,7 +36,7 @@ class Highway(MobilityModel):
                 raise ValueError("speed_jitter requires an rng")
             self._normal = standard_normals(rng).__next__
         self.base_speed = speed
-        self.direction = direction
+        self.direction = 1  # +1 east, -1 west; a bounce flips it
         self.wrap = wrap
         self.speed_jitter = speed_jitter
         self._lane_y = start.y

@@ -30,14 +30,11 @@ class ManhattanGrid(MobilityModel):
         rng: np.random.Generator,
         block_size: float = 100.0,
         speed: float = 8.0,
-        turn_probability: float = 0.5,
     ) -> None:
         if not block_size > 0:  # nan fails too
             raise ValueError(f"block_size must be positive, got {block_size}")
         if not speed > 0:
             raise ValueError(f"speed must be positive, got {speed}")
-        if not 0.0 <= turn_probability <= 1.0:
-            raise ValueError("turn_probability must be in [0, 1]")
         # Snap the start onto the nearest street (grid line).
         snapped = Point(
             bounds.x_min + round((start.x - bounds.x_min) / block_size) * block_size,
@@ -47,7 +44,6 @@ class ManhattanGrid(MobilityModel):
         self._rng = rng
         self.block_size = block_size
         self._constant_speed = speed
-        self.turn_probability = turn_probability
         self._direction = str(rng.choice(list(_DIRECTIONS)))
         self._to_next_intersection = block_size
 
@@ -78,7 +74,7 @@ class ManhattanGrid(MobilityModel):
         return candidate
 
     def _maybe_turn(self, position: Point) -> None:
-        if float(self._rng.random()) < self.turn_probability:
+        if float(self._rng.random()) < 0.5:  # turn at one crossing in two
             options = _TURNS[self._direction]
             self._direction = str(self._rng.choice(list(options)))
         # Never drive off the grid: turn away from a wall we are hugging.

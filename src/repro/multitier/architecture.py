@@ -46,6 +46,8 @@ from repro.sim.kernel import Simulator
 #: The strip of the world that mobility models roam.
 WORLD_BOUNDS = Rectangle(-4500, -1500, 8500, 1500)
 HOME_PREFIX = "10.99.0.0/16"
+#: One-way delay (s) from the MNLD and the correspondent to the Internet core.
+INTERNET_DELAY = 0.005
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,6 @@ class MultiTierWorld:
         self,
         sim: Optional[Simulator] = None,
         home_delay: float = 0.025,
-        internet_delay: float = 0.005,
         second_domain: bool = False,
         domain_kwargs: Optional[dict] = None,
         channel_plan: Optional[ChannelPlan] = None,
@@ -147,8 +148,8 @@ class MultiTierWorld:
         for node in (self.ha, self.mnld, self.cn):
             self.network.add(node)
         self.network.connect(self.ha, self.internet, delay=home_delay)
-        self.network.connect(self.mnld, self.internet, delay=internet_delay)
-        self.network.connect(self.cn, self.internet, delay=internet_delay)
+        self.network.connect(self.mnld, self.internet, delay=INTERNET_DELAY)
+        self.network.connect(self.cn, self.internet, delay=INTERNET_DELAY)
         self.cn.gateway_router = self.internet
 
         # Domains ---------------------------------------------------------

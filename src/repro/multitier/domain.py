@@ -18,6 +18,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.multitier.rsmc import RSMC
     from repro.sim.kernel import Simulator
 
+#: How long a mobile waits for a handoff answer before it gives up (s).
+HANDOFF_TIMEOUT = 1.0
+#: How long the RSMC holds a handoff buffer no update location claims (s).
+BUFFER_GUARD_TIME = 2.0
+#: How long the old RSMC forwards to a mobile that left the domain (s).
+FORWARD_GRACE = 5.0
+
 
 class MobileRealm:
     """The set of mobile home addresses known across all domains."""
@@ -38,10 +45,7 @@ class MultiTierDomain:
         realm: Optional[MobileRealm] = None,
         record_lifetime: float = 5.0,
         location_update_period: float = 1.0,
-        handoff_timeout: float = 1.0,
         buffer_size: int = 64,
-        buffer_guard_time: float = 2.0,
-        forward_grace: float = 5.0,
         auth_delay: float = 0.020,
         guard_channels: int = 1,
         wireless_bandwidth: float = 2e6,
@@ -54,10 +58,7 @@ class MultiTierDomain:
         self.realm = realm if realm is not None else MobileRealm()
         self.record_lifetime = record_lifetime
         self.location_update_period = location_update_period
-        self.handoff_timeout = handoff_timeout
         self.buffer_size = buffer_size
-        self.buffer_guard_time = buffer_guard_time
-        self.forward_grace = forward_grace
         self.auth_delay = auth_delay
         self.guard_channels = guard_channels
         self.wireless_bandwidth = wireless_bandwidth

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.multitier import messages
 from repro.multitier.basestation import MultiTierBaseStation
+from repro.multitier.domain import HANDOFF_TIMEOUT
 from repro.net.addressing import IPAddress
 from repro.net.node import Node
 from repro.net.packet import Packet
@@ -79,21 +80,19 @@ class MultiTierMobileNode(Node):
         self._ensure_location_loop()
         return None
 
-    def _ensure_location_loop(self, period: Optional[float] = None) -> None:
+    def _ensure_location_loop(self) -> None:
         if self._location_loop is not None and self._location_loop.is_alive:
             return
         self._location_loop = self.sim.process(
-            self._location_refresh_loop(period), name=f"{self.name}-location-loop"
+            self._location_refresh_loop(), name=f"{self.name}-location-loop"
         )
 
-    def _location_refresh_loop(self, period: Optional[float]):
+    def _location_refresh_loop(self):
         from repro.sim.errors import Interrupt
 
         while True:
             serving = self.serving_bs
-            interval = period or (
-                serving.domain.location_update_period if serving else 1.0
-            )
+            interval = serving.domain.location_update_period if serving else 1.0
             try:
                 yield interval
             except Interrupt:
@@ -189,7 +188,7 @@ class MultiTierMobileNode(Node):
                 created_at=started,
             ),
         )
-        timeout_guard = self.sim.timeout(self._handoff_timeout(new_bs))
+        timeout_guard = self.sim.timeout(HANDOFF_TIMEOUT)
         outcome = yield self.sim.any_of([answer_event, timeout_guard])
         self._pending_answers.pop(handoff_id, None)
 
@@ -215,9 +214,6 @@ class MultiTierMobileNode(Node):
         self._ensure_location_loop()
         self.handoff_latencies.append(self.sim.now - started)
         return None
-
-    def _handoff_timeout(self, bs: MultiTierBaseStation) -> float:
-        return bs.domain.handoff_timeout
 
     def _handle_answer(self, packet: Packet, link: Optional["Link"]) -> None:
         answer = packet.payload

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.mobileip import messages as mip_messages
 from repro.multitier import messages
 from repro.multitier.basestation import MultiTierBaseStation
+from repro.multitier.domain import BUFFER_GUARD_TIME, FORWARD_GRACE
 from repro.net.addressing import IPAddress
 from repro.net.link import book_drop
 from repro.net.node import Node
@@ -209,7 +210,7 @@ class RSMC(MultiTierBaseStation):
         self._registered.discard(mobile)
         self._forward_to[mobile] = (
             new_coa,
-            self.sim.now + self.domain.forward_grace,
+            self.sim.now + FORWARD_GRACE,
         )
         buffer = self._buffers.pop(mobile, None)
         self._buffer_guards.pop(mobile, None)
@@ -242,7 +243,7 @@ class RSMC(MultiTierBaseStation):
 
     def _buffer_guard(self, mobile: IPAddress):
         """Abandon a buffer if the handoff never completes."""
-        yield self.domain.buffer_guard_time
+        yield BUFFER_GUARD_TIME
         buffer = self._buffers.pop(mobile, None)
         self._buffer_guards.pop(mobile, None)
         if buffer:

@@ -65,15 +65,13 @@ class Network:
         self.nodes[node.name] = node
         return node
 
-    def host(self, name: str, address=None) -> Node:
-        """Create and register a plain host."""
-        node = Node(self.sim, name, address or self.allocator.allocate())
-        return self.add(node)
+    def host(self, name: str) -> Node:
+        """Create and register a plain host at the next free address."""
+        return self.add(Node(self.sim, name, self.allocator.allocate()))
 
-    def router(self, name: str, address=None) -> Router:
-        """Create and register a router."""
-        node = Router(self.sim, name, address or self.allocator.allocate())
-        return self.add(node)
+    def router(self, name: str) -> Router:
+        """Create and register a router at the next free address."""
+        return self.add(Router(self.sim, name, self.allocator.allocate()))
 
     def __getitem__(self, name: str) -> Node:
         return self.nodes[name]
@@ -140,46 +138,35 @@ class Network:
         return dist[node_b]
 
 
-def star_topology(
-    sim: Simulator,
-    center_name: str = "gw",
-    leaf_count: int = 4,
-    bandwidth: float = 100e6,
-    delay: float = 0.001,
-) -> Network:
-    """A gateway router with ``leaf_count`` leaf routers — the shape of a
+def star_topology(sim: Simulator) -> Network:
+    """A gateway router ``gw`` with four leaf routers — the shape of a
     Cellular IP access network's first level."""
     network = Network(sim)
-    network.router(center_name)
-    for index in range(leaf_count):
-        name = f"{center_name}-leaf{index}"
+    network.router("gw")
+    for index in range(4):
+        name = f"gw-leaf{index}"
         network.router(name)
-        network.connect(center_name, name, bandwidth=bandwidth, delay=delay)
+        network.connect("gw", name)
     network.install_routes()
     return network
 
 
-def binary_tree_topology(
-    sim: Simulator,
-    depth: int,
-    root_name: str = "root",
-    bandwidth: float = 100e6,
-    delay: float = 0.001,
-) -> Network:
-    """A complete binary tree of routers — the canonical Cellular IP
-    evaluation topology (gateway at the root, base stations at leaves)."""
+def binary_tree_topology(sim: Simulator, depth: int, delay: float = 0.001) -> Network:
+    """A complete binary tree of routers named ``root``, ``root.l``,
+    ``root.r``, ... — the canonical Cellular IP evaluation topology
+    (gateway at the root, base stations at leaves)."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
     network = Network(sim)
-    network.router(root_name)
-    frontier = [root_name]
+    network.router("root")
+    frontier = ["root"]
     for level in range(1, depth):
         next_frontier = []
         for parent in frontier:
             for side in ("l", "r"):
                 child = f"{parent}.{side}"
                 network.router(child)
-                network.connect(parent, child, bandwidth=bandwidth, delay=delay)
+                network.connect(parent, child, delay=delay)
                 next_frontier.append(child)
         frontier = next_frontier
     network.install_routes()

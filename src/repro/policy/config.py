@@ -51,8 +51,10 @@ def _positive(label: str, value: float) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValueError(f"{label} must be positive")
     value = float(value)
-    if math.isnan(value) or not value > 0:
+    if not value > 0:  # nan fails too
         raise ValueError(f"{label} must be positive")
+    if value == math.inf:
+        raise ValueError(f"{label} must be finite")
     return value
 
 

@@ -67,7 +67,7 @@ _DECISION_REASON_KEYS = {
 
 #: Why a move was refused: a station's resources (the guarded channel
 #: pool, the shared channel's demand budget) or, for a handoff, no
-#: answer within the domain's ``handoff_timeout``.
+#: answer within ``repro.multitier.domain.HANDOFF_TIMEOUT``.
 REFUSAL_CAUSES: tuple[str, ...] = (
     "channel-pool-full",
     "air-budget-exceeded",

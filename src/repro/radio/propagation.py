@@ -19,16 +19,13 @@ NOISE_FLOOR_DBM = -107.0
 def log_distance_path_loss_db(
     distance: float,
     exponent: float = 3.5,
-    reference_loss_db: float = REFERENCE_LOSS_DB,
-    reference_distance: float = 1.0,
 ) -> float:
-    """Log-distance path loss: ``PL(d) = PL(d0) + 10 n log10(d/d0)``."""
+    """Log-distance path loss with a 1 m reference:
+    ``PL(d) = PL(1 m) + 10 n log10(d)``, flat inside the first metre."""
     if distance <= 0:
         raise ValueError(f"distance must be positive, got {distance}")
-    distance = max(distance, reference_distance)
-    return reference_loss_db + 10.0 * exponent * math.log10(
-        distance / reference_distance
-    )
+    distance = max(distance, 1.0)
+    return REFERENCE_LOSS_DB + 10.0 * exponent * math.log10(distance)
 
 
 class PropagationModel:

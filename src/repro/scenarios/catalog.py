@@ -33,14 +33,14 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 _REGISTRY: dict[str, ScenarioSpec] = {}
 
 
-def register(spec: ScenarioSpec, replace: bool = False) -> ScenarioSpec:
+def register(spec: ScenarioSpec) -> ScenarioSpec:
     """Add ``spec`` to the catalog under ``spec.name``.
 
-    ``replace=False`` (the default) raises :class:`ValueError` on a
-    duplicate name so two workloads can never silently shadow each
-    other.  Returns the registered spec for chaining.
+    Raises :class:`ValueError` on a duplicate name so two workloads can
+    never silently shadow each other.  Returns the registered spec for
+    chaining.
     """
-    if not replace and spec.name in _REGISTRY:
+    if spec.name in _REGISTRY:
         raise ValueError(f"scenario {spec.name!r} is already registered")
     _REGISTRY[spec.name] = spec
     return spec

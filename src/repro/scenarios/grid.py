@@ -36,7 +36,6 @@ execution and across repeats.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Optional, Sequence, Union
@@ -52,7 +51,7 @@ from repro.scenarios.builder import run_scenario_spec
 from repro.scenarios.catalog import _resolve as _resolve_scenario
 from repro.scenarios.catalog import get_scenario
 from repro.scenarios.compare import StackComparison
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import ScenarioSpec, _integer
 from repro.scenarios.sweep import ScenarioSweep
 from repro.scenarios.sweep import _resolve as _resolve_sweep
 from repro.stacks.registry import DEFAULT_STACK, get_stack, stack_names
@@ -83,7 +82,6 @@ def expand_grid(
     stacks: Optional[Sequence[str]] = None,
     seeds: Optional[Iterable[int]] = None,
     smoke: bool = False,
-    base: Optional[ScenarioSpec] = None,
 ) -> list[GridCell]:
     """Expand run knobs into the grid's cells, in execution order.
 
@@ -93,10 +91,9 @@ def expand_grid(
     base spec's own stack; explicit names are validated against the
     registry before anything is derived.  ``seeds=None`` uses each
     spec's (or sweep's) own default seed list; an explicit list must
-    hold at least one seed, every one an integer.  ``smoke`` shrinks
+    hold at least one seed, every one a non-negative integer.  ``smoke`` shrinks
     every base spec with :meth:`ScenarioSpec.smoke` and every sweep
-    with :meth:`ScenarioSweep.smoke`.  ``base`` overrides the catalog
-    lookup of every sweep's base scenario.  Every derived spec is
+    with :meth:`ScenarioSweep.smoke`.  Every derived spec is
     re-validated end to end.  Deterministic: a pure function of the
     knobs and the registered definitions.
     """
@@ -109,11 +106,11 @@ def expand_grid(
     shared = None
     if seeds is not None:
         shared = tuple(seeds)
-        if not shared or not all(
-            isinstance(seed, numbers.Integral) for seed in shared
-        ):
+        # A negative seed would fail only at the run's first stream.
+        if not shared or not all(_integer(seed) and seed >= 0 for seed in shared):
             raise ValueError(
-                f"seeds must be a non-empty list of integers, got {list(shared)}"
+                "seeds must be a non-empty list of non-negative integers, "
+                f"got {list(shared)}"
             )
         shared = tuple(int(seed) for seed in shared)
 
@@ -129,7 +126,7 @@ def expand_grid(
             ))
     for entry in sweeps:
         sweep = _resolve_sweep(entry)
-        scenario = base if base is not None else get_scenario(sweep.scenario)
+        scenario = get_scenario(sweep.scenario)
         if smoke:
             scenario = scenario.smoke()
             sweep = sweep.smoke(scenario)

@@ -22,7 +22,7 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from repro.fluid.config import FluidBackground
 from repro.policy.config import PolicyConfig
@@ -50,7 +50,20 @@ TRAFFIC_KINDS: dict[str, str] = {
 _MIX_TOLERANCE = 1e-6
 
 
+def _real(value: object) -> bool:
+    """A number, numpy's included, but not a bool: a comparison would
+    raise ``TypeError`` on a string and read ``True`` as 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _integer(value: object) -> bool:
+    """An integer, numpy's included, but not a bool."""
+    return isinstance(value, numbers.Integral) and _real(value)
+
+
 def _validate_mix(label: str, mix: Mapping[str, float], known: Mapping[str, str]):
+    if not isinstance(mix, Mapping):
+        raise ValueError(f"{label} must be a mapping, got {mix!r}")
     if not mix:
         raise ValueError(f"{label} must not be empty")
     unknown = [key for key in mix if key not in known]
@@ -60,8 +73,8 @@ def _validate_mix(label: str, mix: Mapping[str, float], known: Mapping[str, str]
             f"known: {', '.join(known)}"
         )
     # ``not x >= 0`` / ``not x <= tol``: nan fails both.
-    if not all(fraction >= 0 for fraction in mix.values()):
-        raise ValueError(f"{label} fractions must be non-negative")
+    if not all(_real(fraction) and fraction >= 0 for fraction in mix.values()):
+        raise ValueError(f"{label} fractions must be non-negative numbers")
     total = sum(mix.values())
     if not abs(total - 1.0) <= _MIX_TOLERANCE:
         raise ValueError(f"{label} fractions must sum to 1, got {total}")
@@ -212,13 +225,15 @@ class ScenarioSpec:
     notes: str = ""
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("scenario name must not be empty")
-        # Counts are ints (numpy integers included), never floats: the
-        # builder ranges over them and a float fails it mid-build.
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(
+                f"scenario name must be a non-empty string, got {self.name!r}"
+            )
+        # Counts are ints (numpy integers included), never floats or bools:
+        # the builder ranges over them and a float fails it mid-build.
         for label in ("population", "domains", "pico_cells", "hotspot_flows"):
             value = getattr(self, label)
-            if not isinstance(value, numbers.Integral):
+            if not _integer(value):
                 raise ValueError(f"{label} must be an integer, got {value!r}")
             object.__setattr__(self, label, int(value))
         if self.population < 1:
@@ -226,12 +241,18 @@ class ScenarioSpec:
         # ``not x > 0`` / ``not x >= 0``: nan fails both, where it
         # passes an ``x <= 0`` / ``x < 0`` guard; inf is caught apart,
         # since a run of infinite length never ends.
-        for label in ("duration", "sample_period", "wired_bandwidth"):
+        for label in (
+            "duration", "sample_period", "wired_bandwidth", "warmup", "drain"
+        ):
             value = getattr(self, label)
-            if not value > 0 or not math.isfinite(value):
-                raise ValueError(
-                    f"{label} must be positive and finite, got {value}"
-                )
+            positive = label not in ("warmup", "drain")
+            if (
+                not _real(value)
+                or not (value > 0 if positive else value >= 0)
+                or not math.isfinite(value)
+            ):
+                sign = "positive" if positive else "non-negative"
+                raise ValueError(f"{label} must be {sign} and finite, got {value!r}")
         if self.domains not in (1, 2):
             raise ValueError(f"domains must be 1 or 2, got {self.domains}")
         if self.pico_cells < 0:
@@ -240,7 +261,7 @@ class ScenarioSpec:
             value = getattr(self, label)
             if value is not None:
                 if (
-                    not isinstance(value, (int, float))
+                    not _real(value)
                     or not value > 0
                     or not math.isfinite(value)
                 ):
@@ -249,23 +270,25 @@ class ScenarioSpec:
                         f"got {value!r}"
                     )
                 object.__setattr__(self, label, float(value))
-        if not 0.0 <= self.hotspot_fraction <= 1.0:
+        fraction = self.hotspot_fraction
+        if not _real(fraction) or not 0.0 <= fraction <= 1.0:
             raise ValueError("hotspot_fraction must be in [0, 1]")
         if self.hotspot_flows < 1:
             raise ValueError("hotspot_flows must be >= 1")
-        for label in ("warmup", "drain"):
-            value = getattr(self, label)
-            if not value >= 0 or not math.isfinite(value):
-                raise ValueError(
-                    f"{label} must be non-negative and finite, got {value}"
-                )
-        seeds = tuple(self.seeds)
-        if not all(isinstance(seed, numbers.Integral) for seed in seeds):
-            raise ValueError(f"seeds must be integers, got {seeds!r}")
+        seeds = tuple(self.seeds) if isinstance(self.seeds, Iterable) else (None,)
+        # A negative seed would fail only at the run's first stream.
+        if not all(_integer(seed) and seed >= 0 for seed in seeds):
+            raise ValueError(
+                f"seeds must be non-negative integers, got {self.seeds!r}"
+            )
         object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
         if not self.seeds:
             raise ValueError("seeds must not be empty")
         if self.roam is not None:
+            if not isinstance(self.roam, (tuple, list)) or not all(
+                map(_real, self.roam)
+            ):
+                raise ValueError(f"bad roam rectangle {self.roam!r}")
             roam = tuple(float(v) for v in self.roam)
             if (
                 len(roam) != 4

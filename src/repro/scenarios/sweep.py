@@ -226,14 +226,13 @@ class ScenarioSweep:
                 f"invalid spec: {error}"
             ) from error
 
-    def derived_specs(self, base: Optional[ScenarioSpec] = None) -> list[ScenarioSpec]:
-        """One validated spec per axis value, in axis order.
+    def derived_specs(self) -> list[ScenarioSpec]:
+        """One validated spec per axis value of the catalog's
+        :attr:`scenario`, in axis order.
 
-        ``base=None`` resolves :attr:`scenario` from the catalog.
         Deterministic: pure data transformation, no randomness.
         """
-        if base is None:
-            base = get_scenario(self.scenario)
+        base = get_scenario(self.scenario)
         return [self.derive(base, value) for value in self.values]
 
     def point_seeds(self, base: Optional[ScenarioSpec] = None) -> list[int]:
@@ -269,7 +268,7 @@ class ScenarioSweep:
 _SWEEPS: dict[str, ScenarioSweep] = {}
 
 
-def register_sweep(sweep: ScenarioSweep, replace: bool = False) -> ScenarioSweep:
+def register_sweep(sweep: ScenarioSweep) -> ScenarioSweep:
     """Add ``sweep`` to the registry under ``sweep.name``.
 
     Eagerly resolves the base scenario and derives every per-point spec
@@ -277,7 +276,7 @@ def register_sweep(sweep: ScenarioSweep, replace: bool = False) -> ScenarioSweep
     here (at import for shipped sweeps) rather than mid-run.  Returns
     the registered sweep for chaining.
     """
-    if not replace and sweep.name in _SWEEPS:
+    if sweep.name in _SWEEPS:
         raise ValueError(f"sweep {sweep.name!r} is already registered")
     sweep.derived_specs()  # validates scenario + every axis point
     _SWEEPS[sweep.name] = sweep

@@ -53,7 +53,7 @@ class Event:
     def __repr__(self) -> str:
         state = (
             "processed"
-            if self.processed
+            if self.callbacks is None
             else "triggered"
             if self.triggered
             else "pending"
@@ -66,23 +66,19 @@ class Event:
         return self._value is not _PENDING
 
     @property
-    def processed(self) -> bool:
-        """True once callbacks have run (the event is in the past)."""
-        return self.callbacks is None
-
-    @property
     def value(self) -> object:
         """The value the event was triggered with."""
         if self._value is _PENDING:
             raise AttributeError("event is not yet triggered")
         return self._value
 
-    def succeed(self, value: object = None, priority: int = NORMAL) -> "Event":
+    def succeed(self, value: object = None) -> "Event":
         """Trigger the event with ``value`` at the current time."""
         if self.triggered:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._value = value
-        self.sim._enqueue(self, delay=0.0, priority=priority)
+        sim = self.sim
+        heappush(sim._queue, (sim.now, NORMAL, next(sim._eid), self, None))
         return self
 
 
@@ -94,9 +90,9 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: object = None) -> None:
         if not delay >= 0:  # also rejects nan, which would sort first
             raise ValueError(f"negative delay {delay}")
-        # Event.__init__ and Simulator._enqueue inlined: every deadline
-        # composed with ``any_of`` allocates one.  A process that only
-        # sleeps yields the seconds instead and allocates no Timeout.
+        # Event.__init__ inlined: every deadline composed with ``any_of``
+        # allocates one.  A process that only sleeps yields the seconds
+        # instead and allocates no Timeout.
         self.sim = sim
         self.callbacks = []
         self.delay = delay
@@ -121,15 +117,14 @@ class AnyOf(Event):
         super().__init__(sim)
         self._events = tuple(events)
 
+        if not self._events:
+            raise ValueError("any_of needs at least one event; none would never fire")
         for event in self._events:
             if event.sim is not sim:
                 raise ValueError("all events must belong to the same simulator")
 
         # Check already-processed events now, so an AnyOf over past
         # events triggers without waiting.
-        if not self._events:
-            self.succeed(())
-            return
         for event in self._events:
             if event.callbacks is None:
                 self._check(event)

@@ -27,7 +27,6 @@ from typing import Iterable, Optional
 
 from repro.sim.events import (
     NORMAL,
-    URGENT,
     AnyOf,
     Event,
     Process,
@@ -47,10 +46,10 @@ class Simulator:
     nothing but the entry itself.
     """
 
-    def __init__(self, start: float = 0.0) -> None:
-        #: Current simulation time.  A plain attribute (every hop reads
-        #: it); only the dispatch loop writes it.
-        self.now = float(start)
+    def __init__(self) -> None:
+        #: Current simulation time, from 0.0.  A plain attribute (every
+        #: hop reads it); only the dispatch loop writes it.
+        self.now = 0.0
         self._queue: list[tuple[float, int, int, object, Optional[tuple]]] = []
         self._eid = count()
         #: True while :meth:`run`'s dispatch loop is on the stack.
@@ -61,12 +60,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Clock and scheduling
     # ------------------------------------------------------------------
-    def _enqueue(self, event: Event, delay: float, priority: int = NORMAL) -> None:
-        """Place a triggered event on the queue ``delay`` units from now."""
-        heappush(
-            self._queue, (self.now + delay, priority, next(self._eid), event, None)
-        )
-
     def call_later(self, delay: float, fn, *args) -> None:
         """Run ``fn(*args)`` after ``delay`` time units (no return event).
 
@@ -162,4 +155,4 @@ class Simulator:
             self.now = stop_at
 
 
-__all__ = ["Simulator", "NORMAL", "URGENT"]
+__all__ = ["Simulator"]

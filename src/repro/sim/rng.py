@@ -23,26 +23,29 @@ def _stable_hash(name: str) -> int:
     return zlib.crc32(name.encode("utf-8"))
 
 
-def standard_normals(generator: np.random.Generator, block: int = 16):
-    """Successive ``generator.standard_normal()`` values, drawn ``block``
-    at a time.
+BLOCK = 16  # draws per numpy call of the two block readers below
 
-    The generator runs up to ``block - 1`` draws ahead of what has been
+
+def standard_normals(generator: np.random.Generator):
+    """Successive ``generator.standard_normal()`` values, drawn
+    :data:`BLOCK` at a time.
+
+    The generator runs up to ``BLOCK - 1`` draws ahead of what has been
     read, so read a generator this way only when nothing else draws
     from it afterwards.  ``loc + scale * z`` is numpy's own
     ``normal(loc, scale)``, bit for bit.
     """
     while True:
-        yield from generator.standard_normal(block).tolist()
+        yield from generator.standard_normal(BLOCK).tolist()
 
 
-def standard_exponentials(generator: np.random.Generator, block: int = 16):
+def standard_exponentials(generator: np.random.Generator):
     """Successive ``generator.standard_exponential()`` values, drawn
-    ``block`` at a time; the same caveat as :func:`standard_normals`.
+    :data:`BLOCK` at a time; the same caveat as :func:`standard_normals`.
     ``scale * e`` is numpy's own ``exponential(scale)``, bit for bit.
     """
     while True:
-        yield from generator.standard_exponential(block).tolist()
+        yield from generator.standard_exponential(BLOCK).tolist()
 
 
 class RandomStreams:

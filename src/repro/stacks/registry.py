@@ -39,16 +39,16 @@ SHIPPED_STACKS: dict[str, tuple[str, str]] = {
 _REGISTRY: dict[str, Optional["StackAdapter"]] = dict.fromkeys(SHIPPED_STACKS)
 
 
-def register_stack(adapter: "StackAdapter", replace: bool = False) -> "StackAdapter":
+def register_stack(adapter: "StackAdapter") -> "StackAdapter":
     """Add ``adapter`` to the registry under ``adapter.name``.
 
-    ``replace=False`` (the default) raises :class:`ValueError` on a
-    duplicate name so two stacks can never silently shadow each other.
-    Returns the registered adapter for chaining.
+    Raises :class:`ValueError` on a duplicate name so two stacks can
+    never silently shadow each other.  Returns the registered adapter
+    for chaining.
     """
     if not adapter.name:
         raise ValueError("stack adapter must set a non-empty name")
-    if not replace and adapter.name in _REGISTRY:
+    if adapter.name in _REGISTRY:
         raise ValueError(f"stack {adapter.name!r} is already registered")
     _REGISTRY[adapter.name] = adapter
     return adapter

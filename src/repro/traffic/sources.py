@@ -169,35 +169,31 @@ class OnOffSource(TrafficSource):
         rng: np.random.Generator,
         rate_bps: float = 64e3,
         packet_size: int = 200,
-        mean_on: float = 1.0,
-        mean_off: float = 1.35,
         duration: Optional[float] = None,
         flow_id: Optional[str] = None,
     ) -> None:
         super().__init__(sim, send, src, dst, flow_id)
         # Written so that nan fails too.
-        if not (rate_bps > 0 and packet_size > 0 and mean_on > 0 and mean_off >= 0):
+        if not (rate_bps > 0 and packet_size > 0):
             raise ValueError(
-                f"rate, packet size and mean_on must be positive and mean_off "
-                f"non-negative, got rate_bps={rate_bps}, packet_size={packet_size}, "
-                f"mean_on={mean_on}, mean_off={mean_off}"
+                f"rate and packet size must be positive, got "
+                f"rate_bps={rate_bps}, packet_size={packet_size}"
             )
         self._exponential = standard_exponentials(rng).__next__
         self.packet_size = packet_size
         self.interval = packet_size * 8.0 / rate_bps
-        self.mean_on = mean_on
-        self.mean_off = mean_off
         self.duration = duration
 
     def _run(self):
         stop_at = None if self.duration is None else self.sim.now + self.duration
         while stop_at is None or self.sim.now < stop_at:
-            # ``mean * e`` is numpy's exponential(mean), bit for bit.
-            burst_end = self.sim.now + self.mean_on * self._exponential()
+            # ``mean * e`` is numpy's exponential(mean), bit for bit: a
+            # talkspurt of mean 1 s, a silence of mean 1.35 s.
+            burst_end = self.sim.now + 1.0 * self._exponential()
             while self.sim.now < burst_end:
                 self._emit(self.packet_size)
                 yield self.interval
-            yield self.mean_off * self._exponential()
+            yield 1.35 * self._exponential()
 
 
 class VBRVideoSource(TrafficSource):

@@ -199,7 +199,6 @@ def test_idle_mobile_found_by_paging_cache():
     sim, domain, network, gw, m1, m2, bs, internet, cn, mn = build_cip_tree(
         active_state_timeout=0.5,
         route_timeout=1.0,
-        paging_timeout=60.0,
         paging_update_time=1.0,
     )
     mn.attach_to(bs[4])

@@ -111,18 +111,21 @@ def test_an_interrupt_of_a_process_that_ended_meanwhile_is_named_nothing(census)
         answer = sim.event()
 
         def waiter():
-            yield answer
+            try:
+                yield answer
+            except Interrupt:
+                return
 
         process = sim.process(waiter())
 
-        def answer_then_interrupt():
-            answer.succeed(priority=kernel.URGENT)  # ends the process first
+        def interrupt_twice():
+            process.interrupt()  # ends the process first
             process.interrupt()
 
-        sim.call_later(1.0, answer_then_interrupt)
+        sim.call_later(1.0, interrupt_twice)
         sim.run()
     assert kinds["interrupt -> nothing"] == 1
-    assert kinds[f"Event -> Process._resume[{waiter.__qualname__}]"] == 1
+    assert kinds[f"interrupt -> Process._resume[{waiter.__qualname__}]"] == 1
 
 
 def test_each_object_is_counted_once_and_two_runs_agree(census):

@@ -80,7 +80,7 @@ def test_attachment_without_its_radio_link_is_stale_radio():
 
 
 def test_flushing_a_buffer_with_no_record_is_buffer_unroutable():
-    world = MultiTierWorld(domain_kwargs={"buffer_guard_time": 5.0})
+    world = MultiTierWorld()
     sim = world.sim
     rsmc = world.domain1.rsmc
     packet = _ghost_packet(world)

@@ -21,10 +21,7 @@ def test_mobileip_registration_survives_lossy_radio():
     network = Network(sim)
     core = network.router("core")
     ha = HomeAgent(sim, "ha", network.allocator.allocate(), "10.99.0.0/16")
-    fa = ForeignAgent(
-        sim, "fa", network.allocator.allocate(),
-        advertisement_interval=0.5,
-    )
+    fa = ForeignAgent(sim, "fa", network.allocator.allocate())
     network.add(ha)
     network.add(fa)
     network.connect(ha, core, delay=0.005)
@@ -33,8 +30,7 @@ def test_mobileip_registration_survives_lossy_radio():
     install_home_prefix_routes(network, ha)
 
     mn = MobileIPNode(
-        sim, "mn", home_address="10.99.0.5", home_agent_address=ha.address,
-        retransmit_initial=0.5,
+        sim, "mn", home_address="10.99.0.5", home_agent_address=ha.address
     )
     fa.attach_mobile(mn)
     # Corrupt the radio links after attach.
@@ -104,7 +100,7 @@ def test_wired_link_failure_blackholes_then_recovers():
 def test_handoff_request_times_out_over_dead_radio():
     """A handoff request into a BS whose radio immediately fails must
     time out and leave the mobile on its old station."""
-    world = MultiTierWorld(domain_kwargs={"handoff_timeout": 0.3})
+    world = MultiTierWorld()
     sim = world.sim
     d1 = world.domain1
     mn = world.add_mobile("mn")
@@ -153,9 +149,7 @@ def test_stream_survives_lossy_wireless_with_gaps():
 def test_buffer_guard_prevents_unbounded_memory():
     """If an accepted handoff never completes, the RSMC buffer is
     bounded by buffer_size and reclaimed by the guard."""
-    world = MultiTierWorld(
-        domain_kwargs={"buffer_size": 8, "buffer_guard_time": 0.5}
-    )
+    world = MultiTierWorld(domain_kwargs={"buffer_size": 8})
     sim = world.sim
     rsmc = world.domain1.rsmc
     mn = world.add_mobile("mn")

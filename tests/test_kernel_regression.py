@@ -49,14 +49,21 @@ from repro.traffic import ElasticSource
 # ----------------------------------------------------------------------
 # Ordering: time, then priority, then event id
 # ----------------------------------------------------------------------
+def _starting(fire):
+    """A process that calls ``fire`` when it starts, then ends: its
+    start is the program's URGENT entry, queued at the instant it is
+    made."""
+    fire()
+    return
+    yield
+
+
 def test_urgent_events_preempt_normal_events_at_the_same_time():
     sim = Simulator()
     seen = []
-    Timeout(sim, 1.0).callbacks.append(lambda e: seen.append("normal-first"))
-    urgent = sim.event()
-    urgent.callbacks.append(lambda e: seen.append("urgent"))
-    sim._enqueue(urgent, delay=1.0, priority=URGENT)
-    Timeout(sim, 1.0).callbacks.append(lambda e: seen.append("normal-second"))
+    Timeout(sim, 0.0).callbacks.append(lambda e: seen.append("normal-first"))
+    sim.process(_starting(lambda: seen.append("urgent")))
+    Timeout(sim, 0.0).callbacks.append(lambda e: seen.append("normal-second"))
     sim.run()
     assert seen == ["urgent", "normal-first", "normal-second"]
     assert URGENT < NORMAL  # the heap invariant the test relies on
@@ -120,7 +127,7 @@ def test_call_later_entry_carries_its_callable_and_makes_no_event():
     assert event is timeout and no_args is None
     assert second == first + 1  # one event id each, in call order
     sim.run()
-    assert seen == ["x"] and timeout.processed
+    assert seen == ["x"] and timeout.callbacks is None  # processed
 
 
 def test_callbacks_scheduled_from_a_callback_keep_ordering():
@@ -165,10 +172,8 @@ def _schedule(sim, op, tag, fired):
         sim.call_later(delay, fire)
     elif kind == "timeout":
         sim.timeout(delay).callbacks.append(fire)
-    else:  # an event triggered now, ahead of everything NORMAL at this time
-        event = sim.event()
-        event.callbacks.append(fire)
-        event.succeed(priority=URGENT)
+    else:  # a process started now, ahead of everything NORMAL at this time
+        sim.process(_starting(fire))
 
 
 def _reference_order(ops):
@@ -196,7 +201,7 @@ def _reference_order(ops):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_ops, min_size=1, max_size=6), st.sampled_from((0.0, 0.5, 1.0, 2.5)))
 def test_dispatch_order_is_time_then_priority_then_creation_index(ops, stop):
-    """Any mix of ``call_later``, ``timeout`` and urgent ``succeed``,
+    """Any mix of ``call_later``, ``timeout`` and process starts,
     from the top level and from inside fired callbacks, is dispatched in
     the reference order; a bounded run stops after the entries at its
     bound; ``events_processed`` counts exactly what fired."""

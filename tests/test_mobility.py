@@ -97,19 +97,13 @@ def test_mis_built_models_fail_at_construction(model, bad):
     "model, name, value",
     [
         (model, name, value)
-        for model, name in (
-            (GaussMarkov, "speed_sigma"),
-            (GaussMarkov, "heading_sigma"),
-            (Highway, "speed_jitter"),
-        )
+        for model, name in ((Highway, "speed_jitter"),)
         for value in (-1.0, math.nan)
     ],
 )
 def test_negative_or_nan_spreads_fail_at_construction(model, name, value):
-    """A nan ``speed_sigma`` made every Gauss-Markov position nan, a
-    negative ``heading_sigma`` was accepted and a nan ``speed_jitter``
-    silently switched the jitter off; each is refused by name.  Zero,
-    no spread at all, stays valid."""
+    """A nan ``speed_jitter`` silently switched the jitter off; it is
+    refused by name.  Zero, no spread at all, stays valid."""
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match=f"^{name} must be non-negative, got"):
         model(Point(500, 500), BOUNDS, rng, **{name: value})
@@ -124,9 +118,7 @@ def test_gauss_markov_alpha_validation():
 
 def test_gauss_markov_speed_tracks_mean():
     rng = np.random.default_rng(3)
-    model = GaussMarkov(
-        Point(500, 500), BOUNDS, rng, mean_speed=10.0, alpha=0.5, speed_sigma=0.5
-    )
+    model = GaussMarkov(Point(500, 500), BOUNDS, rng, mean_speed=10.0, alpha=0.5)
     speeds = []
     for _ in range(500):
         model.advance(1.0)
@@ -147,7 +139,7 @@ def test_random_direction_constant_speed():
 
 
 def test_highway_constant_velocity_and_wrap():
-    model = Highway(Point(990, 500), BOUNDS, speed=25.0, direction=1, wrap=True)
+    model = Highway(Point(990, 500), BOUNDS, speed=25.0, wrap=True)
     model.advance(1.0)
     # 990 + 25 = 1015 -> wraps to 15.
     assert model.position.x == pytest.approx(15.0)
@@ -155,7 +147,7 @@ def test_highway_constant_velocity_and_wrap():
 
 
 def test_highway_bounce_mode_reverses():
-    model = Highway(Point(995, 500), BOUNDS, speed=10.0, direction=1, wrap=False)
+    model = Highway(Point(995, 500), BOUNDS, speed=10.0, wrap=False)
     model.advance(1.0)
     assert model.position.x == pytest.approx(995.0)
     assert model.direction == -1

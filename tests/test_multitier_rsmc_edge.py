@@ -6,7 +6,7 @@ from repro.net import Packet, drop_totals, ip
 
 
 def test_buffer_overflow_counts_and_drops():
-    world = MultiTierWorld(domain_kwargs={"buffer_size": 3, "buffer_guard_time": 5.0})
+    world = MultiTierWorld(domain_kwargs={"buffer_size": 3})
     sim = world.sim
     rsmc = world.domain1.rsmc
     mn = world.add_mobile("mn")
@@ -23,7 +23,7 @@ def test_buffer_overflow_counts_and_drops():
 
 
 def test_buffer_guard_abandons_stuck_handoff():
-    world = MultiTierWorld(domain_kwargs={"buffer_guard_time": 0.5})
+    world = MultiTierWorld()
     sim = world.sim
     rsmc = world.domain1.rsmc
     mn = world.add_mobile("mn")
@@ -32,10 +32,10 @@ def test_buffer_guard_abandons_stuck_handoff():
 
     rsmc._start_buffering(mn.home_address)
     world.cn.send_to_mobile(mn.home_address, seq=0)
-    sim.run(until=1.2)
+    sim.run(until=2.9)
     assert rsmc.buffered_packets == 1
-    # No Update Location Message ever arrives: the guard discards.
-    sim.run(until=3.0)
+    # No Update Location Message ever arrives: the 2 s guard discards.
+    sim.run(until=3.1)
     assert drop_totals(sim) == {"buffer-abandoned": 1}
     assert mn.home_address not in rsmc._buffers
 
@@ -66,7 +66,7 @@ def test_departure_forwarding_to_new_domain():
 
 
 def test_forward_grace_expires():
-    world = MultiTierWorld(second_domain=True, domain_kwargs={"forward_grace": 0.5})
+    world = MultiTierWorld(second_domain=True)
     sim = world.sim
     rsmc1 = world.domain1.rsmc
     mn = world.add_mobile("mn")
@@ -81,13 +81,14 @@ def test_forward_grace_expires():
     sim.run(until=3.0)
     # Pointer installed during the move...
     assert mn.home_address in rsmc1._forward_to
-    # ...but a late packet after the grace period is not forwarded.
+    # ...but a late packet after the 5 s grace period is not forwarded.
+    sim.run(until=7.0)
     before = rsmc1.forwarded_to_new_domain
     # Inject directly at the old RSMC (emulating a stale route).
     rsmc1._route_mobile_packet(
         Packet(src=world.cn.address, dst=mn.home_address, size=100), None
     )
-    sim.run(until=4.0)
+    sim.run(until=8.0)
     assert rsmc1.forwarded_to_new_domain == before
     assert mn.home_address not in rsmc1._forward_to
 

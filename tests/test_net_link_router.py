@@ -266,10 +266,10 @@ def test_router_counts_unroutable():
 # ----------------------------------------------------------------------
 def test_star_topology_connects_all_leaves():
     sim = Simulator()
-    network = star_topology(sim, leaf_count=3)
-    assert len(network.nodes) == 4
+    network = star_topology(sim)
+    assert len(network.nodes) == 5
     center = network["gw"]
-    assert len(center.links) == 3
+    assert len(center.links) == 4
 
 
 def test_binary_tree_topology_structure():

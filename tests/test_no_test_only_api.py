@@ -21,6 +21,17 @@ Names are matched by name, not by type: one live ``run`` keeps every
 never through a bare name, so a local variable that shares its name
 does not keep it.  Type hints load nothing: annotations and ``if
 TYPE_CHECKING:`` imports never run.
+
+The same holds one level down, for a def's defaulted parameters: a
+knob no run sets is a constant that a signature, a validation line and
+a docstring paragraph pretend is variable.  The second guard requires
+every defaulted parameter in ``src/repro`` to be set by program code
+(``src/`` included) or be pinned with the reason a test needs it.  A
+parameter is set by a keyword of that name in any call, by a position
+in a call of a def of its owner's name, by a string key of a dict
+literal (a ``**`` mapping such as ``domain_kwargs``) or by ``obj.name
+= ...`` on a receiver other than ``self``.  Like defs, parameters are
+matched by name: a ``period=`` anywhere sets every ``period``.
 """
 
 import ast
@@ -72,6 +83,38 @@ TEST_FACING = {
     "star_topology": "a hub-and-spoke wired network for the routing tests",
     "binary_tree_topology": "the binary router tree the routing tests "
                             "forward over",
+}
+
+
+#: Defaulted parameters no program code sets, each kept for the reason
+#: given.  Keys are ``owner.parameter``, as :func:`unset_parameters`
+#: names them.
+TEST_SET = {
+    # Reference and oracle tests that vary the value.
+    "ElasticSource.initial_window": "test_elastic_reference drives the "
+                                    "window rule from every start size",
+    "ElasticSource.max_window": "test_elastic_reference drives the window "
+                                "rule under every cap",
+    "ElasticSource.feedback_timeout": "test_elastic_reference sets the "
+                                      "deadline in whole reference ticks",
+    "VBRVideoSource.burstiness": "the AR(1) frame-size reference is checked "
+                                 "at several burstiness values",
+    "VBRVideoSource.correlation": "the AR(1) frame-size reference is checked "
+                                  "at several correlations, zero included",
+    "SignalMeter.min_usable_dbm": "the scan-equals-measure hypothesis test "
+                                  "draws the usable-signal floor",
+    "RandomDirection.redirect_mean_interval": "the dwell-time oracle turns "
+                                              "redirects off to match the "
+                                              "straight-line closed form",
+    "disc_rect_overlap_fraction.resolution": "the overlap oracle refines the "
+                                             "quadrature grid to show it "
+                                             "converges on the exact area",
+    # Tests that need a value the default hides.
+    "MultiTierDomain.auth_delay": "the auth-window test lengthens it to "
+                                  "0.5 s to see no binding at 0.3 s and one "
+                                  "by 2 s",
+    "DecisionTrace.ring_size": "the ring-wrap and render tests wrap a "
+                               "four-record ring and compare whole renderings",
 }
 
 
@@ -172,6 +215,12 @@ def _split(body, site, defs, outer, in_class=False):
             defs.append((statement.name, site_line, in_class, own))
 
 
+def _modules(root, directory):
+    """``(path, tree)`` for every module under ``root / directory``."""
+    for path in sorted((root / directory).rglob("*.py")):
+        yield path, ast.parse(path.read_text(), str(path))
+
+
 def scan(root, source="src/repro", program=PROGRAM_DIRECTORIES):
     """``{name: ["path:line", ...]}`` for every def no program code reaches.
 
@@ -188,14 +237,13 @@ def scan(root, source="src/repro", program=PROGRAM_DIRECTORIES):
         attributed.update(more_attributed)
 
     defs = []
-    for path in sorted((root / source).rglob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
+    for path, tree in _modules(root, source):
         module_level = []
         _split(tree.body, path.relative_to(root), defs, module_level)
         load(module_level, path.name == "__init__.py")
     for directory in program:
-        for path in sorted((root / directory).rglob("*.py")):
-            load([ast.parse(path.read_text(), str(path))])
+        for _path, tree in _modules(root, directory):
+            load([tree])
 
     def is_live(name, is_method):
         return name in attributed or (not is_method and name in named)
@@ -217,14 +265,19 @@ def scan(root, source="src/repro", program=PROGRAM_DIRECTORIES):
     return dead
 
 
-def check(dead, pinned):
-    """The guard's two failures as messages; empty when it passes."""
+UNREACHED = (
+    "defined in src/ but reached by no run, example, tool, benchmark or perf/ code"
+)
+UNSET = "defaulted in src/ but set by no program code"
+
+
+def check(dead, pinned, what=UNREACHED):
+    """A guard's two failures as messages; empty when it passes."""
     problems = []
     unpinned = {name: sites for name, sites in dead.items() if name not in pinned}
     if unpinned:
         problems.append(
-            "defined in src/ but reached by no run, example, tool, benchmark "
-            f"or perf/ code; delete them or pin them with a reason: {unpinned}"
+            f"{what}; delete them or pin them with a reason: {unpinned}"
         )
     stale = sorted(set(pinned) - set(dead))
     if stale:
@@ -234,6 +287,160 @@ def check(dead, pinned):
 
 def test_every_def_in_src_is_reached_or_pinned():
     assert check(scan(ROOT), TEST_FACING) == []
+
+
+# ----------------------------------------------------------------------
+# Defaulted parameters no program code sets
+# ----------------------------------------------------------------------
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _callee(node):
+    """The name a call reaches its function by, or None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _defaulted(tree):
+    """``(class, def, parameter, position)`` for each defaulted parameter
+    of a def in ``tree``: ``class`` is None outside a class body, and
+    ``position`` is where a call's arguments fill the parameter (``self``
+    not counted) or None for a keyword-only one."""
+    methods = {
+        id(statement): node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for statement in node.body
+        if isinstance(statement, _FUNCTIONS)
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, _FUNCTIONS):
+            continue
+        owner = methods.get(id(node))
+        decorators = {_callee(decorator) for decorator in node.decorator_list}
+        bound = owner is not None and "staticmethod" not in decorators
+        arguments = node.args
+        positional = arguments.posonlyargs + arguments.args
+        first = len(positional) - len(arguments.defaults)
+        for index, argument in enumerate(positional[first:], first):
+            yield owner, node, argument.arg, index - bound
+        for argument, default in zip(arguments.kwonlyargs, arguments.kw_defaults):
+            if default is not None:
+                yield owner, node, argument.arg, None
+
+
+def _settings(trees):
+    """``(named, filled)`` over ``trees``: the names a keyword, a dict
+    literal's string key or an attribute store on a receiver other than
+    ``self`` sets, and ``{callee: positions a call of it fills}``."""
+    named, filled = set(), {}
+
+    def fill(callee, arguments):
+        if any(isinstance(argument, ast.Starred) for argument in arguments):
+            count = len(arguments) + 1_000  # a ``*`` may fill every position
+        else:
+            count = len(arguments)
+        if callee is not None:
+            filled[callee] = max(filled.get(callee, 0), count)
+
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                # super().__init__(...) fills the bases' positions.
+                for call in ast.walk(node):
+                    if (
+                        isinstance(call, ast.Call)
+                        and _callee(call.func) == "__init__"
+                        and isinstance(call.func.value, ast.Call)
+                        and _callee(call.func.value.func) == "super"
+                    ):
+                        for base in node.bases:
+                            fill(_callee(base), call.args)
+            elif isinstance(node, ast.Call):
+                named.update(keyword.arg for keyword in node.keywords if keyword.arg)
+                callee, arguments = _callee(node.func), node.args
+                if callee == "partial" and arguments:
+                    callee, arguments = _callee(arguments[0]), arguments[1:]
+                elif callee == "__init__":  # Base.__init__(self, ...)
+                    callee, arguments = _callee(node.func.value), arguments[1:]
+                fill(callee, arguments)
+            elif isinstance(node, ast.Dict):
+                named.update(
+                    key.value for key in node.keys
+                    if isinstance(key, ast.Constant) and isinstance(key.value, str)
+                )
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+            ):
+                named.add(node.attr)
+    return named, filled
+
+
+def unset_parameters(root, source="src/repro", program=PROGRAM_DIRECTORIES):
+    """``{"owner.parameter": ["path:line", ...]}`` for every defaulted
+    parameter of a def in ``source`` that no code in ``source`` or
+    ``program`` sets.  ``owner`` is the class for ``__init__``, else the
+    def's qualified name.
+
+    A class's ``__init__`` is called by the class's name and by the
+    names of subclasses that define no ``__init__`` of their own.
+    """
+    root = Path(root)
+    sources = list(_modules(root, source))
+    trees = [tree for _path, tree in sources]
+    for directory in program:
+        trees += [tree for _path, tree in _modules(root, directory)]
+    named, filled = _settings(trees)
+
+    bases, initialised = {}, set()
+    for tree in trees[:len(sources)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {_callee(base) for base in node.bases}
+                if any(
+                    isinstance(s, _FUNCTIONS) and s.name == "__init__"
+                    for s in node.body
+                ):
+                    initialised.add(node.name)
+
+    def callers(owner):
+        names = {owner}
+        grown = True
+        while grown:
+            heirs = {
+                name for name, parents in bases.items()
+                if name not in names and name not in initialised and parents & names
+            }
+            names |= heirs
+            grown = bool(heirs)
+        return names
+
+    unset = {}
+    for path, tree in sources:
+        for owner, node, parameter, position in _defaulted(tree):
+            if node.name == "__init__":
+                key, called_as = f"{owner}.{parameter}", callers(owner)
+            else:
+                qualified = node.name if owner is None else f"{owner}.{node.name}"
+                key, called_as = f"{qualified}.{parameter}", {node.name}
+            if parameter in named:
+                continue
+            if position is not None and any(
+                filled.get(name, 0) > position for name in called_as
+            ):
+                continue
+            site = f"{path.relative_to(root)}:{node.lineno}"
+            unset.setdefault(key, []).append(site)
+    return unset
+
+
+def test_every_defaulted_parameter_in_src_is_set_or_pinned():
+    assert check(unset_parameters(ROOT), TEST_SET, UNSET) == []
 
 
 # ----------------------------------------------------------------------
@@ -286,3 +493,48 @@ def test_scanner_fails_on_a_stale_pin(synthetic):
     assert check(dead, {"f": "why"})  # g is dead and unpinned
     stale = check(dead, {"f": "why", "g": "why", "run": "live now"})
     assert len(stale) == 1 and "'run'" in stale[0]
+
+
+_KNOBS = (
+    "class Base:\n"
+    "    def __init__(self, knob=1):\n"
+    "        self.knob = knob\n\n"
+    "class Heir(Base):\n"
+    "    pass\n\n"
+    "def build(first, knob=1, *, flag=False):\n"
+    "    return first, knob, flag\n"
+)
+
+
+@pytest.mark.parametrize("program, flagged", [
+    ("build(0)\n", {"Base.knob", "build.knob"}),  # left at the default
+    ("build(0, knob=2)\n", set()),  # a keyword sets every ``knob``
+    ("build(0, 2)\n", {"Base.knob"}),  # a position sets the called def's
+    ("Heir(2)\n", {"build.knob"}),  # a subclass with no __init__ of its own
+    (
+        "class Child(Base):\n"
+        "    def __init__(self):\n"
+        "        super().__init__(2)\n",
+        {"build.knob"},
+    ),
+    ("partial(build, 0, 2)\n", {"Base.knob"}),
+    ("Base(**{'knob': 2})\n", set()),  # a ``**`` mapping's key
+    ("box = Base()\nbox.knob = 2\n", set()),  # an attribute store
+])
+def test_parameter_scanner_sees_every_way_program_code_sets_a_knob(
+    tmp_path, program, flagged
+):
+    """Only a test passes ``knob`` and ``flag``: that keeps neither.
+    ``self.knob = knob`` in the def's own class sets nothing."""
+    root = _tree(tmp_path, {
+        "src/repro/knobs.py": _KNOBS,
+        "tools/main.py": "from repro.knobs import *\n" + program,
+        "tests/test_knobs.py": (
+            "from repro.knobs import Base, build\n"
+            "Base(knob=2)\nbuild(0, 2, flag=True)\n"
+        ),
+    })
+    unset = unset_parameters(root)
+    assert set(unset) == flagged | {"build.flag"}
+    assert check(unset, {"build.flag": "why"} | dict.fromkeys(flagged, "why"),
+                 UNSET) == []

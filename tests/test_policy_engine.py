@@ -53,6 +53,15 @@ def test_config_rejects_bad_admission_factor(bad):
         PolicyConfig(admission_factor=bad)
 
 
+@pytest.mark.parametrize(
+    "field", ["speed_threshold", "demand_threshold", "admission_factor"]
+)
+def test_config_rejects_an_infinite_threshold(field):
+    """Each threshold is documented finite, yet an infinite one was
+    accepted: it is refused by name."""
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        PolicyConfig(**{field: float("inf")})
+
 
 def test_demand_threshold_resolution():
     default = PolicyConfig()

@@ -77,9 +77,7 @@ def test_unanswered_handoffs_are_timeouts():
     """Radio legs of 0.6 s make every answer arrive after the 1 s
     timeout: walking out of B, the handoff to A at t=35 and the one to R1
     it escalates to both time out, and the mobile stays on B."""
-    world = MultiTierWorld(
-        domain_kwargs={"wireless_delay": 0.6, "handoff_timeout": 1.0}
-    )
+    world = MultiTierWorld(domain_kwargs={"wireless_delay": 0.6})
     mobile = world.add_mobile("mn")
     walk = TracePlayback(
         [(0.0, IN_B), (120.0, Point(-1300, 0))], WORLD_BOUNDS

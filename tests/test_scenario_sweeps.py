@@ -11,6 +11,8 @@ import multiprocessing
 import pytest
 
 from repro.experiments.exec import ProcessPoolBackend, SerialBackend
+from repro.scenarios import catalog
+from repro.scenarios import sweep as sweep_module
 from repro.scenarios import (
     ScenarioSpec,
     ScenarioSweep,
@@ -20,6 +22,7 @@ from repro.scenarios import (
     get_scenario,
     get_sweep,
     iter_sweeps,
+    register,
     register_sweep,
     run_grid,
     run_scenario_spec,
@@ -149,7 +152,13 @@ def test_register_sweep_validates_eagerly_and_rejects_duplicates():
     existing = get_sweep(sweep_names()[0])
     with pytest.raises(ValueError, match="already registered"):
         register_sweep(existing)
-    register_sweep(existing, replace=True)  # idempotent with replace
+
+
+def test_register_sweep_adds_a_fresh_name(monkeypatch):
+    monkeypatch.setattr(sweep_module, "_SWEEPS", dict(sweep_module._SWEEPS))
+    fresh = _tiny_sweep(name="sparse-rural/fresh-axis")
+    assert register_sweep(fresh) is fresh
+    assert get_sweep("sparse-rural/fresh-axis") is fresh
 
 
 def test_get_sweep_unknown_name():
@@ -273,34 +282,31 @@ def test_sweep_serial_vs_pool_is_byte_identical(name):
     )
 
 
-def test_custom_base_spec_override():
-    base = ScenarioSpec(
-        name="tiny-sweep-base",
+def _register_base(monkeypatch, **fields):
+    """Register a small custom base spec in a scratch catalog."""
+    monkeypatch.setattr(catalog, "_REGISTRY", dict(catalog._REGISTRY))
+    return register(ScenarioSpec(
         description="test spec",
         population=3,
         duration=3.0,
         mobility_mix={"stationary": 1.0},
         traffic_mix={"poisson-data": 0.5, "idle": 0.5},
-        seeds=(7,),
-    )
-    result = _curve(_tiny_sweep(values=(2, 3)), base=base)
+        **fields,
+    ))
+
+
+def test_custom_base_spec(monkeypatch):
+    _register_base(monkeypatch, name="tiny-sweep-base", seeds=(7,))
+    sweep = _tiny_sweep(scenario="tiny-sweep-base", values=(2, 3))
+    result = _curve(sweep)
     assert [r.mean("population") for r in result.replications] == [2.0, 3.0]
 
 
-def test_custom_base_spec_with_unregistered_scenario_and_smoke():
-    # base= must satisfy the whole run, including smoke seed
-    # resolution, without touching the catalog.
-    base = ScenarioSpec(
-        name="unregistered-base",
-        description="test spec",
-        population=3,
-        duration=3.0,
-        mobility_mix={"stationary": 1.0},
-        traffic_mix={"poisson-data": 0.5, "idle": 0.5},
-        seeds=(5, 6),
-    )
-    sweep = _tiny_sweep(scenario="not-in-catalog", seeds=None)
-    result = _curve(sweep, base=base, smoke=True)
+def test_custom_base_spec_with_smoke(monkeypatch):
+    # The base satisfies the whole run, smoke seed resolution included.
+    _register_base(monkeypatch, name="tiny-smoke-base", seeds=(5, 6))
+    sweep = _tiny_sweep(scenario="tiny-smoke-base", seeds=None)
+    result = _curve(sweep, smoke=True)
     assert result.x_values == [2, 4]
     assert all(r.metrics["sent"].n == 1 for r in result.replications)
 

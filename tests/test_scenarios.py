@@ -10,6 +10,8 @@ import dataclasses
 import multiprocessing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.exec import ProcessPoolBackend, SerialBackend
 from repro.fluid import FluidBackground
@@ -22,6 +24,7 @@ from repro.mobility import (
     Stationary,
 )
 from repro.policy import PolicyConfig
+from repro.scenarios import catalog
 from repro.scenarios import (
     MOBILITY_MODELS,
     TRAFFIC_KINDS,
@@ -92,6 +95,8 @@ def test_spec_rejects_bad_shape_fields():
         _tiny_spec(roam=(0.0, 0.0, -1.0, 1.0))
     with pytest.raises(ValueError):
         _tiny_spec(seeds=())
+    with pytest.raises(ValueError, match="seeds"):
+        _tiny_spec(seeds=5)  # not a list
     with pytest.raises(ValueError):
         _tiny_spec(hotspot_fraction=1.5)
 
@@ -154,6 +159,52 @@ def test_spec_rejects_non_finite_and_non_integral_values(field, value):
         key, base, changes = field, _tiny_spec(), {field: value}
     with pytest.raises(ValueError, match=key) as error:
         dataclasses.replace(base, **changes)
+    assert "\n" not in str(error.value)
+
+
+#: One invalid value of each kind the property test draws.
+_BAD_VALUES = {
+    "nan": _NAN, "inf": _INF, "-inf": -_INF, "negative": -1, "zero": 0,
+    "bool": True, "string": "1",
+}
+#: Kinds that are valid for a field, and so not drawn for it.
+_VALID_KINDS = {
+    "name": {"string"},
+    "pico_cells": {"zero"},
+    "hotspot_fraction": {"zero"},
+    "warmup": {"zero"},
+    "drain": {"zero"},
+    "seeds": {"zero"},
+    "roam": {"negative", "zero"},
+}
+#: How a drawn value is put into a field that holds more than a number.
+_PLACE = {
+    "seeds": lambda value: (value,),
+    "roam": lambda value: (value, 0.0, 1000.0, 1000.0),
+    "mobility_mix": lambda value: {"stationary": value},
+    "traffic_mix": lambda value: {"idle": value},
+}
+#: Free text no run reads; every other field is drawn.
+_FREE_TEXT = {"description", "notes"}
+_BAD_CASES = [
+    (spec_field.name, kind)
+    for spec_field in dataclasses.fields(ScenarioSpec)
+    if spec_field.name not in _FREE_TEXT
+    for kind in _BAD_VALUES
+    if kind not in _VALID_KINDS.get(spec_field.name, ())
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(scenario_names()), st.sampled_from(_BAD_CASES))
+def test_every_invalid_field_value_fails_with_one_value_error(name, case):
+    """nan, an infinity, a negative, zero, a bool or a string in any
+    field fails construction with a ``ValueError``; a string used to
+    raise ``TypeError`` from a comparison, and ``True`` passed as 1."""
+    field, kind = case
+    value = _PLACE.get(field, lambda value: value)(_BAD_VALUES[kind])
+    with pytest.raises(ValueError) as error:
+        dataclasses.replace(get_scenario(name), **{field: value})
     assert "\n" not in str(error.value)
 
 
@@ -233,11 +284,14 @@ def test_catalog_spans_new_ground():
     assert {t for s in specs for t in s.traffic_mix} == set(TRAFFIC_KINDS)
 
 
-def test_register_rejects_duplicate_names():
+def test_register_rejects_duplicate_names(monkeypatch):
+    monkeypatch.setattr(catalog, "_REGISTRY", dict(catalog._REGISTRY))
     spec = get_scenario("sparse-rural")
     with pytest.raises(ValueError, match="already registered"):
         register(spec)
-    register(spec, replace=True)  # idempotent with replace
+    fresh = spec.replace(name="sparse-rural-copy")
+    assert register(fresh) is fresh
+    assert get_scenario("sparse-rural-copy") is fresh
 
 
 def test_get_scenario_unknown_name():
@@ -374,13 +428,16 @@ def test_replicate_scenarios_batch_matches_per_scenario():
         assert replication.metrics == single.metrics
 
 
-def test_expand_grid_rejects_an_empty_seed_list():
+def test_expand_grid_rejects_an_empty_or_negative_seed_list():
     # An empty list would expand to seedless cells, each aggregating
     # to a metric-less Replication (a table with no rows).
     with pytest.raises(ValueError, match="seeds"):
         expand_grid(["sparse-rural"], seeds=[])
     with pytest.raises(ValueError, match="seeds"):
         expand_grid(sweeps=["sparse-rural/population"], seeds=[])
+    # A negative seed used to pass here and fail inside numpy mid-run.
+    with pytest.raises(ValueError, match="non-negative"):
+        expand_grid(["sparse-rural"], seeds=[-1])
 
 
 def test_different_seeds_differ():

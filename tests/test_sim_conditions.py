@@ -39,17 +39,11 @@ def test_any_of_value_mapping():
     assert got == [(2.0, True, [10])]
 
 
-def test_empty_any_of_triggers_immediately():
+def test_empty_any_of_is_refused():
+    """An empty wait would never fire; it fails where it is built."""
     sim = Simulator()
-    log = []
-
-    def proc(sim):
-        yield sim.any_of([])
-        log.append(sim.now)
-
-    sim.process(proc(sim))
-    sim.run()
-    assert log == [0.0]
+    with pytest.raises(ValueError, match="at least one event"):
+        sim.any_of([])
 
 
 def test_condition_over_already_processed_events():

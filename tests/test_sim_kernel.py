@@ -3,17 +3,11 @@
 import pytest
 
 from repro.sim import Interrupt, Simulator
-from repro.sim.events import URGENT
 
 
 def test_clock_starts_at_zero():
     sim = Simulator()
     assert sim.now == 0.0
-
-
-def test_clock_custom_start():
-    sim = Simulator(start=42.0)
-    assert sim.now == 42.0
 
 
 def test_timeout_advances_clock():
@@ -50,7 +44,8 @@ def test_run_until_is_inclusive_of_events_at_stop_time():
 
 
 def test_run_until_past_time_rejected():
-    sim = Simulator(start=10.0)
+    sim = Simulator()
+    sim.run(until=10.0)
     with pytest.raises(ValueError):
         sim.run(until=5.0)
 
@@ -238,25 +233,27 @@ def test_process_cannot_interrupt_itself():
 
 
 def test_an_interrupt_of_a_process_that_ended_meanwhile_is_dropped():
-    """An interrupt queued behind the answer that ends its process finds
+    """An interrupt queued behind the one that ends its process finds
     the process over and does nothing."""
     sim = Simulator()
     log = []
-    answer = sim.event()
 
     def waiter(sim):
-        log.append((yield answer))
+        try:
+            yield sim.event()
+        except Interrupt as interrupt:
+            log.append(interrupt.cause)
 
     process = sim.process(waiter(sim))
 
-    def answer_then_interrupt():
-        answer.succeed("answered", priority=URGENT)  # dispatched first
+    def interrupt_twice():
+        process.interrupt("first")  # dispatched first; ends the process
         process.interrupt("too late")
 
-    sim.call_later(1.0, answer_then_interrupt)
+    sim.call_later(1.0, interrupt_twice)
     sim.run()
-    assert log == ["answered"] and not process.is_alive
-    assert sim.events_processed == 4  # start, call, answer, spent interrupt
+    assert log == ["first"] and not process.is_alive
+    assert sim.events_processed == 4  # start, call, interrupt, spent interrupt
 
 
 def test_interrupted_process_can_continue():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim import RandomStreams
-from repro.sim.rng import standard_exponentials, standard_normals
+from repro.sim.rng import BLOCK, standard_exponentials, standard_normals
 
 
 # ----------------------------------------------------------------------
@@ -24,29 +24,28 @@ def test_streams_exponential_rejects_nan_mean():
 # ----------------------------------------------------------------------
 # Block readers and one-draw names
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("block", [1, 5, 16])
-def test_block_readers_equal_scalar_draws_on_a_twin_generator(block):
-    """Across at least three block boundaries a reader gives the scalar
-    draws bit for bit, and ``loc + scale * z`` / ``scale * e`` are
-    numpy's own ``normal(loc, scale)`` / ``exponential(scale)``."""
-    reads = 3 * block + 7
+def test_block_readers_equal_scalar_draws_on_a_twin_generator():
+    """Across three block boundaries a reader gives the scalar draws bit
+    for bit, and ``loc + scale * z`` / ``scale * e`` are numpy's own
+    ``normal(loc, scale)`` / ``exponential(scale)``."""
+    reads = 3 * BLOCK + 7
     for reader, scalar in (
         (standard_normals, "standard_normal"),
         (standard_exponentials, "standard_exponential"),
     ):
-        blocked = reader(np.random.default_rng(11), block)
+        blocked = reader(np.random.default_rng(11))
         twin = np.random.default_rng(11)
         assert [next(blocked) for _ in range(reads)] == [
             float(getattr(twin, scalar)()) for _ in range(reads)
         ]
 
     for loc, scale in ((0.0, 1.0), (0.0, 0.7), (2.5, 3.0), (-1.0, 1e-3)):
-        normals = standard_normals(np.random.default_rng(5), block)
+        normals = standard_normals(np.random.default_rng(5))
         twin = np.random.default_rng(5)
         for _ in range(reads):
             assert loc + scale * next(normals) == float(twin.normal(loc, scale))
     for scale in (1.0, 0.05, 1.35, 7.0):
-        exponentials = standard_exponentials(np.random.default_rng(6), block)
+        exponentials = standard_exponentials(np.random.default_rng(6))
         twin = np.random.default_rng(6)
         for _ in range(reads):
             assert scale * next(exponentials) == float(twin.exponential(scale))

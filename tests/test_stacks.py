@@ -19,6 +19,7 @@ Pins the stacks refactor's load-bearing guarantees:
 * Mobile IP uplink shared-channel contention (the ROADMAP nicety).
 """
 
+import copy
 import multiprocessing
 import pathlib
 
@@ -35,6 +36,7 @@ from repro.scenarios import (
     scenario_names,
     sweep_curves,
 )
+from repro.stacks import registry as stack_registry
 from repro.stacks import (
     COMMON_METRICS,
     DEFAULT_STACK,
@@ -73,11 +75,15 @@ def test_get_stack_unknown_lists_registered_names():
         get_stack("hawaii")
 
 
-def test_register_stack_rejects_duplicates():
+def test_register_stack_rejects_duplicates(monkeypatch):
+    monkeypatch.setattr(stack_registry, "_REGISTRY", dict(stack_registry._REGISTRY))
     adapter = get_stack("cellularip")
     with pytest.raises(ValueError, match="already registered"):
         register_stack(adapter)
-    register_stack(adapter, replace=True)  # idempotent with replace
+    fresh = copy.copy(adapter)
+    fresh.name = "cellularip-copy"
+    assert register_stack(fresh) is fresh
+    assert get_stack("cellularip-copy") is fresh
 
 
 def test_spec_validates_stack_field_eagerly():

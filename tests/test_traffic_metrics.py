@@ -84,7 +84,7 @@ def test_onoff_produces_bursts_and_silences():
     rng = np.random.default_rng(7)
     OnOffSource(
         sim, send, ip("10.0.0.1"), ip("10.0.0.2"),
-        rng, mean_on=0.5, mean_off=1.0, duration=30.0,
+        rng, duration=30.0,
     ).start()
     sim.run()
     gaps = [b - a for (a, _), (b, _) in zip(log, log[1:])]
@@ -212,22 +212,22 @@ def test_elastic_source_backs_off_on_loss():
         for source, names in (
             (ElasticSource,
              ("packet_size", "initial_window", "max_window", "feedback_timeout")),
-            (OnOffSource, ("rate_bps", "packet_size", "mean_on", "mean_off")),
+            (OnOffSource, ("rate_bps", "packet_size")),
             (CBRSource, ("rate_bps", "packet_size")),
             (PoissonSource, ("mean_rate_pps",)),
             (VBRVideoSource, ("burstiness",)),
         )
         for name in names
         for value in (0, -1, math.nan)
-        # a source that never pauses; frames of exactly the mean size
-        if (name, value) not in (("mean_off", 0), ("burstiness", 0))
+        # frames of exactly the mean size
+        if (name, value) != ("burstiness", 0)
     ],
 )
 def test_mis_built_sources_fail_at_construction(source, bad):
-    """A value that would make every window lossy (``feedback_timeout=0``),
-    send nothing (``mean_on=0``) or only raise from inside the process at
-    the first emit (``packet_size=0``, a nan rate's "negative delay nan")
-    is refused up front, nan included."""
+    """A value that would make every window lossy (``feedback_timeout=0``)
+    or only raise from inside the process at the first emit
+    (``packet_size=0``, a nan rate's "negative delay nan") is refused up
+    front, nan included."""
     sim = Simulator()
     send, _ = collect(sim)
     seeded = (OnOffSource, PoissonSource, VBRVideoSource)
