@@ -1,13 +1,11 @@
 """Design-choice ablations from DESIGN.md §6: RSMC buffer depth and
 location-record lifetime ratio."""
 
-from benchmarks.conftest import run_once
 from repro.experiments.ablations import ablation_buffer_size, ablation_record_lifetime
 
 
-def test_bench_ablation_buffer_size(benchmark, record_result):
-    result = run_once(benchmark, ablation_buffer_size)
-    record_result(result)
+def test_bench_ablation_buffer_size(run_once):
+    result = run_once(ablation_buffer_size)
 
     loss = result.series["loss_rate"]
     # Shape: a one-packet buffer loses packets during the handoff window;
@@ -16,9 +14,8 @@ def test_bench_ablation_buffer_size(benchmark, record_result):
     assert loss[-1] < 0.01
 
 
-def test_bench_ablation_record_lifetime(benchmark, record_result):
-    result = run_once(benchmark, ablation_record_lifetime)
-    record_result(result)
+def test_bench_ablation_record_lifetime(run_once):
+    result = run_once(ablation_record_lifetime)
 
     loss = result.series["loss_rate"]
     records = result.series["records_at_root"]

@@ -6,13 +6,11 @@ system where they must refresh route caches at the fast cadence.
 
 import math
 
-from benchmarks.conftest import run_once
 from repro.experiments.figures import experiment_e10
 
 
-def test_bench_e10_paging_economy(benchmark, record_result):
-    result = run_once(benchmark, experiment_e10)
-    record_result(result)
+def test_bench_e10_paging_economy(run_once):
+    result = run_once(experiment_e10)
 
     savings = result.series["savings_factor"]
     delays = result.series["paging_first_packet_delay"]

@@ -4,13 +4,11 @@ The QoS-degradation curve: delay/jitter climb toward the backhaul
 bottleneck, loss appears past saturation.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.figures import experiment_e11
 
 
-def test_bench_e11_qos_under_load(benchmark, record_result):
-    result = run_once(benchmark, experiment_e11)
-    record_result(result)
+def test_bench_e11_qos_under_load(run_once):
+    result = run_once(experiment_e11)
 
     offered = result.series["offered_load"]
     loss = result.series["loss_rate"]

@@ -4,13 +4,11 @@ Regenerates the Mobile IP procedure costs: registration latency and
 CN->MN path stretch as the home agent moves farther away.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.figures import experiment_e1
 
 
-def test_bench_e1_registration_and_triangle(benchmark, record_result):
-    result = run_once(benchmark, experiment_e1)
-    record_result(result)
+def test_bench_e1_registration_and_triangle(run_once):
+    result = run_once(experiment_e1)
 
     latency = result.series["registration_latency"]
     stretch = result.series["triangle_stretch"]

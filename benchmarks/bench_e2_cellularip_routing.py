@@ -4,13 +4,11 @@ Signalling rate vs route-update period, and the cache-miss cliff once
 the update period exceeds the route timeout.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.figures import experiment_e2
 
 
-def test_bench_e2_signalling_vs_refresh(benchmark, record_result):
-    result = run_once(benchmark, experiment_e2)
-    record_result(result)
+def test_bench_e2_signalling_vs_refresh(run_once):
+    result = run_once(experiment_e2)
 
     control = result.series["control_packets_per_s"]
     miss = result.series["miss_rate"]

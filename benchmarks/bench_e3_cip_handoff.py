@@ -4,13 +4,11 @@ Loss per handoff for the break-then-make hard scheme versus the
 dual-path semisoft scheme, across handoff rates.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.figures import experiment_e3
 
 
-def test_bench_e3_hard_vs_semisoft(benchmark, record_result):
-    result = run_once(benchmark, experiment_e3)
-    record_result(result)
+def test_bench_e3_hard_vs_semisoft(run_once):
+    result = run_once(experiment_e3)
 
     hard = result.series["hard_loss_rate"]
     semisoft = result.series["semisoft_loss_rate"]

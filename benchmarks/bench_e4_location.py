@@ -4,13 +4,11 @@ Signalling and table occupancy versus the number of mobiles in the
 Fig 3.1 hierarchy.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.figures import experiment_e4
 
 
-def test_bench_e4_location_load(benchmark, record_result):
-    result = run_once(benchmark, experiment_e4)
-    record_result(result)
+def test_bench_e4_location_load(run_once):
+    result = run_once(experiment_e4)
 
     msgs = result.series["location_msgs_per_s"]
     records = result.series["table_records"]

@@ -6,13 +6,11 @@ different-upper case pays authentication plus the home-network round
 trip, so its service interruption grows with home-agent distance.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.figures import experiment_e5_e6
 
 
-def test_bench_e5_e6_interdomain(benchmark, record_result):
-    result = run_once(benchmark, experiment_e5_e6)
-    record_result(result)
+def test_bench_e5_e6_interdomain(run_once):
+    result = run_once(experiment_e5_e6)
 
     same_gap = result.series["same_upper_gap"]
     diff_gap = result.series["diff_upper_gap"]

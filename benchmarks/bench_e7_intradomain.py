@@ -2,13 +2,11 @@
 channel-overflow fallback (case c's "turn to macro-cell").
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.figures import experiment_e7, experiment_e7_blocking
 
 
-def test_bench_e7_handoff_cases(benchmark, record_result):
-    result = run_once(benchmark, experiment_e7)
-    record_result(result)
+def test_bench_e7_handoff_cases(run_once):
+    result = run_once(experiment_e7)
 
     interruptions = result.series["interruption"]
     losses = result.series["loss_rate"]
@@ -18,9 +16,8 @@ def test_bench_e7_handoff_cases(benchmark, record_result):
     assert all(value < 0.01 for value in losses)
 
 
-def test_bench_e7_overflow_blocking(benchmark, record_result):
-    result = run_once(benchmark, experiment_e7_blocking)
-    record_result(result)
+def test_bench_e7_overflow_blocking(run_once):
+    result = run_once(experiment_e7_blocking)
 
     with_overflow = result.series["success_with_overflow"]
     without = result.series["success_without_overflow"]

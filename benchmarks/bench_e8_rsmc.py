@@ -8,13 +8,11 @@ loss and delay columns.
 
 import math
 
-from benchmarks.conftest import run_once
 from repro.experiments.figures import experiment_e8
 
 
-def test_bench_e8_scheme_comparison(benchmark, record_result):
-    result = run_once(benchmark, experiment_e8)
-    record_result(result)
+def test_bench_e8_scheme_comparison(run_once):
+    result = run_once(experiment_e8)
 
     schemes = result.x_values
     loss = dict(zip(schemes, result.series["loss_rate"]))

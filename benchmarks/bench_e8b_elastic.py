@@ -5,13 +5,11 @@ traffic — the §2.2.2 claim that semisoft handoff "provid[es] improved
 TCP ... performance over hard handoff", extended to the paper's RSMC.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.figures import experiment_e8b
 
 
-def test_bench_e8b_elastic_goodput(benchmark, record_result):
-    result = run_once(benchmark, experiment_e8b)
-    record_result(result)
+def test_bench_e8b_elastic_goodput(run_once):
+    result = run_once(experiment_e8b)
 
     schemes = result.x_values
     goodput = dict(zip(schemes, result.series["goodput_bps"]))

@@ -5,13 +5,11 @@ policies; the paper's speed-aware policy should park vehicles on the
 macro umbrella and cut their handoff churn.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.ablations import experiment_e9
 
 
-def test_bench_e9_policy_ablation(benchmark, record_result):
-    result = run_once(benchmark, experiment_e9)
-    record_result(result)
+def test_bench_e9_policy_ablation(run_once):
+    result = run_once(experiment_e9)
 
     policies = result.x_values
     vehicle = dict(zip(policies, result.series["vehicle_handoffs_per_min"]))

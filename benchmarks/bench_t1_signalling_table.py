@@ -1,12 +1,10 @@
 """T1: control message-hops per handoff type (§3/§4 accounting)."""
 
-from benchmarks.conftest import run_once
 from repro.experiments.ablations import experiment_t1
 
 
-def test_bench_t1_signalling_accounting(benchmark, record_result):
-    result = run_once(benchmark, experiment_t1)
-    record_result(result)
+def test_bench_t1_signalling_accounting(run_once):
+    result = run_once(experiment_t1)
 
     cases = result.x_values
     registrations = dict(zip(cases, result.series["mip-reg-request"]))

@@ -1,13 +1,11 @@
 """T2 (§1 claim): location-management scaling, hierarchy vs a flat
 central registration scheme."""
 
-from benchmarks.conftest import run_once
 from repro.experiments.ablations import experiment_t2
 
 
-def test_bench_t2_scaling(benchmark, record_result):
-    result = run_once(benchmark, experiment_t2)
-    record_result(result)
+def test_bench_t2_scaling(run_once):
+    result = run_once(experiment_t2)
 
     hier = result.series["location_msgs_per_s"]
     flat = result.series["flat_central_msg_hops_per_s"]

@@ -5,13 +5,11 @@ Erlang-B and the guard-channel birth-death model — the credibility
 check behind every admission-control number in E7/E7b.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.ablations import experiment_v1
 
 
-def test_bench_v1_blocking_validation(benchmark, record_result):
-    result = run_once(benchmark, experiment_v1)
-    record_result(result)
+def test_bench_v1_blocking_validation(run_once):
+    result = run_once(experiment_v1)
 
     for analytic, simulated in zip(
         result.series["analytic_P_new"], result.series["sim_P_new"]

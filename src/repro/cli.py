@@ -283,6 +283,14 @@ def _jobs_ok(jobs: int) -> bool:
     return True
 
 
+def _seeds_ok(seeds: list[int] | None) -> bool:
+    """Validate a --seeds list, printing the error on failure."""
+    if seeds is not None and min(seeds) < 0:
+        print(f"--seeds must be non-negative, got {min(seeds)}", file=sys.stderr)
+        return False
+    return True
+
+
 def _timed(call):
     """Run ``call()``; return ``(result, elapsed wall-clock seconds)``.
 
@@ -386,6 +394,7 @@ def _scenario_main(args: argparse.Namespace) -> int:
     if (
         wanted is None
         or not _jobs_ok(args.jobs)
+        or not _seeds_ok(args.seeds)
         or not _stack_ok(args.stack)
     ):
         return 2
@@ -472,9 +481,8 @@ def _stack_list(stack: str | None):
 def _stack_suffix(stack: str) -> str:
     """Output-file suffix for a non-default stack ("" for the default).
 
-    Keeps default-stack filenames identical to pre-stacks output so the
-    CI parity gates (``diff -r`` serial vs ``--jobs N``) and historical
-    tooling keep working unchanged.
+    Keeps default-stack filenames identical to pre-stacks output, so
+    the committed goldens (``tools/goldens.py``) keep their names.
     """
     from repro.stacks import DEFAULT_STACK
 
@@ -523,7 +531,7 @@ def _campaign_main(args: argparse.Namespace) -> int:
             from repro import scenarios
             from repro.stacks import stack_names
 
-            if not _jobs_ok(args.jobs):
+            if not _jobs_ok(args.jobs) or not _seeds_ok(args.seeds):
                 return 2
             knobs = {}
             for kind, names, available in (

@@ -207,7 +207,6 @@ T2_MOBILE_COUNTS = (8, 16, 32, 64)  # mobiles registered
 
 def experiment_t2(
     seeds: Iterable[int] = ONE_SEED,
-    duration: float = 20.0,
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
     """T2: location-management scaling, hierarchy vs flat central registration."""
@@ -216,7 +215,7 @@ def experiment_t2(
         "T2: location-management scaling, hierarchy vs flat",
         "mobiles",
         list(T2_MOBILE_COUNTS),
-        partial(baselines.location_load, duration=duration),
+        baselines.location_load,
         seeds,
         {
             "update_rate_per_s": "updates/s",
@@ -242,6 +241,7 @@ _V1_CASES = {
     "c=8 g=2 a_n=4.0 a_h=2.0": (8, 2, 4.0, 2.0),
     "c=16 g=2 a_n=10.0 a_h=3.0": (16, 2, 10.0, 3.0),
 }
+V1_DURATION = 4000.0  # s simulated per case, for blocking rates to settle
 
 
 def simulate_blocking(servers, guard, new_load, handoff_load, duration, seed):
@@ -282,7 +282,7 @@ def simulate_blocking(servers, guard, new_load, handoff_load, duration, seed):
     return p_new, p_ho
 
 
-def _v1_scenario(case: str, seed: int, duration: float) -> dict[str, float]:
+def _v1_scenario(case: str, seed: int) -> dict[str, float]:
     servers, guard, new_load, handoff_load = _V1_CASES[case]
     if guard == 0 and handoff_load == 0.0:
         analytic_new = erlang_b(servers, new_load)
@@ -292,7 +292,7 @@ def _v1_scenario(case: str, seed: int, duration: float) -> dict[str, float]:
             servers, guard, new_load, handoff_load
         )
     sim_new, sim_ho = simulate_blocking(
-        servers, guard, new_load, handoff_load, duration, seed
+        servers, guard, new_load, handoff_load, V1_DURATION, seed
     )
     return {
         "analytic_P_new": analytic_new,
@@ -304,7 +304,6 @@ def _v1_scenario(case: str, seed: int, duration: float) -> dict[str, float]:
 
 def experiment_v1(
     seeds: Iterable[int] = DEFAULT_SEEDS,
-    duration: float = 4000.0,
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
     """V1: channel-pool blocking, simulation vs Erlang-B / guard-channel closed forms."""
@@ -313,7 +312,7 @@ def experiment_v1(
         "V1: channel blocking, simulation vs closed form",
         "case",
         list(_V1_CASES),
-        partial(_v1_scenario, duration=duration),
+        _v1_scenario,
         seeds,
         ["analytic_P_new", "sim_P_new", "analytic_P_ho", "sim_P_ho"],
         notes="The kernel's guarded channel pools reproduce classic "
@@ -326,12 +325,13 @@ def experiment_v1(
 # Ablation: RSMC handoff buffer depth
 # ----------------------------------------------------------------------
 BUFFER_SIZES = (1, 2, 4, 8, 32)  # RSMC handoff buffer depths, in packets
+AB1_HOME_DELAY = 0.100  # s, one way to the home network
 
 
-def _ab1_scenario(size: int, seed: int, home_delay: float) -> dict[str, float]:
+def _ab1_scenario(size: int, seed: int) -> dict[str, float]:
     world = MultiTierWorld(
         second_domain=True,
-        home_delay=home_delay,
+        home_delay=AB1_HOME_DELAY,
         domain_kwargs={"buffer_size": size},
     )
     metrics = baselines.roam(
@@ -351,7 +351,6 @@ def _ab1_scenario(size: int, seed: int, home_delay: float) -> dict[str, float]:
 
 def ablation_buffer_size(
     seeds: Iterable[int] = ONE_SEED,
-    home_delay: float = 0.100,
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
     """Inter-domain handoff (Fig 3.3): the *old* RSMC must hold roughly
@@ -362,10 +361,10 @@ def ablation_buffer_size(
     return sweep(
         "AB1",
         "Ablation: RSMC handoff buffer depth, inter-domain handoff "
-        f"(home RTT ~{2 * home_delay * 1e3:.0f} ms, 50 pkt/s)",
+        f"(home RTT ~{2 * AB1_HOME_DELAY * 1e3:.0f} ms, 50 pkt/s)",
         "buffer_size_packets",
         list(BUFFER_SIZES),
-        partial(_ab1_scenario, home_delay=home_delay),
+        _ab1_scenario,
         seeds,
         ["loss_rate", "max_gap", "buffered", "overflows"],
         notes="The old RSMC buffers packets until the home agent reports "
@@ -379,15 +378,15 @@ def ablation_buffer_size(
 # Ablation: location record lifetime / refresh period ratio
 # ----------------------------------------------------------------------
 LIFETIME_RATIOS = (1.2, 2.0, 4.0, 8.0)  # record lifetime / refresh period
+AB2_UPDATE_PERIOD = 1.0  # s between location refreshes
+AB2_DURATION = 20.0  # s of streaming
 
 
-def _ab2_scenario(
-    ratio: float, seed: int, update_period: float, duration: float
-) -> dict[str, float]:
+def _ab2_scenario(ratio: float, seed: int) -> dict[str, float]:
     world = MultiTierWorld(
         domain_kwargs={
-            "record_lifetime": update_period * ratio,
-            "location_update_period": update_period,
+            "record_lifetime": AB2_UPDATE_PERIOD * ratio,
+            "location_update_period": AB2_UPDATE_PERIOD,
         }
     )
     sim = world.sim
@@ -395,19 +394,17 @@ def _ab2_scenario(
     mn = world.add_mobile("mn")
     assert mn.initial_attach(d1["B"]) is None
     sim.run(until=1.0)
-    source, sink = baselines.cbr_to_mobile(world, mn, 40e3, duration)
-    sim.run(until=duration + 3.0)
+    source, sink = baselines.cbr_to_mobile(world, mn, 40e3, AB2_DURATION)
+    sim.run(until=AB2_DURATION + 3.0)
     return {
         "loss_rate": sink.loss_rate(source.packets_sent),
         "records_at_root": float(d1.rsmc.tables.total_records()),
-        "location_msgs_per_s": d1.domain.total_location_messages() / duration,
+        "location_msgs_per_s": d1.domain.total_location_messages() / AB2_DURATION,
     }
 
 
 def ablation_record_lifetime(
     seeds: Iterable[int] = ONE_SEED,
-    update_period: float = 1.0,
-    duration: float = 20.0,
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
     """Ablation: location record lifetime as a multiple of the refresh period."""
@@ -416,7 +413,7 @@ def ablation_record_lifetime(
         "Ablation: record lifetime as a multiple of the refresh period",
         "lifetime/period",
         list(LIFETIME_RATIOS),
-        partial(_ab2_scenario, update_period=update_period, duration=duration),
+        _ab2_scenario,
         seeds,
         ["loss_rate", "records_at_root", "location_msgs_per_s"],
         notes="Lifetimes barely above the refresh period risk expiry between "

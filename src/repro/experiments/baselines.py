@@ -113,16 +113,21 @@ def scripted_handoffs(sim: Simulator, interval: float, targets, handoff) -> list
     return outcomes
 
 
-def location_load(count: int, seed: int, duration: float) -> dict[str, float]:
+#: Simulated seconds of location refreshes in E4 and T2.
+LOCATION_DURATION = 20.0
+
+
+def location_load(count: int, seed: int) -> dict[str, float]:
     """``count`` stationary mobiles refreshing their location records in
-    the Fig 3.1 hierarchy for ``duration`` seconds (E4 and T2)."""
+    the Fig 3.1 hierarchy for :data:`LOCATION_DURATION` seconds (E4 and
+    T2)."""
     world = MultiTierWorld()
     d1 = world.domain1
     leaves = [d1["B"], d1["C"], d1["E"], d1["F"]]
     for index in range(count):
         mn = world.add_mobile(f"mn{index}")
         mn.initial_attach(leaves[index % len(leaves)])
-    world.sim.run(until=duration)
+    world.sim.run(until=LOCATION_DURATION)
     domain = d1.domain
     rate = count / domain.location_update_period
     # Hierarchy: measured message-hops/s (each refresh climbs its branch
@@ -131,13 +136,14 @@ def location_load(count: int, seed: int, duration: float) -> dict[str, float]:
     branch_depth = 4  # leaf -> aggregation -> macro -> R3 -> RSMC
     return {
         "update_rate_per_s": rate,
-        "location_msgs_per_s": domain.total_location_messages() / duration,
+        "location_msgs_per_s": domain.total_location_messages()
+        / LOCATION_DURATION,
         "flat_central_msg_hops_per_s": rate * (branch_depth + 2),
-        "root_load_per_s": d1.rsmc.location_messages_seen / duration,
+        "root_load_per_s": d1.rsmc.location_messages_seen / LOCATION_DURATION,
         "max_station_load_per_s": max(
             bs.location_messages_seen for bs in domain.base_stations
         )
-        / duration,
+        / LOCATION_DURATION,
         "table_records": float(domain.total_table_records()),
         "records_per_station": domain.total_table_records()
         / len(domain.base_stations),
@@ -255,18 +261,11 @@ def mobileip_scheme() -> Scheme:
 # ----------------------------------------------------------------------
 # Schemes 2 & 3: flat Cellular IP (hard / semisoft)
 # ----------------------------------------------------------------------
-def build_cip_world(
-    route_timeout: float = 5.0,
-    semisoft_delay: float = 0.05,
-    wired_delay: float = 0.005,
-):
+def build_cip_world(route_timeout: float = 5.0):
     """Gateway over two relays over four leaf base stations."""
     sim = Simulator()
     domain = CIPDomain(
-        sim,
-        route_timeout=route_timeout,
-        semisoft_delay=semisoft_delay,
-        wired_delay=wired_delay,
+        sim, route_timeout=route_timeout, semisoft_delay=0.05, wired_delay=0.005
     )
     network = Network(sim)
     gw = CIPGateway(sim, "gw", network.allocator.allocate(), domain)

@@ -92,18 +92,18 @@ def experiment_e1(
 # E2 — Fig 2.3: Cellular IP routing-cache maintenance
 # ----------------------------------------------------------------------
 ROUTE_UPDATE_PERIODS = (0.25, 0.5, 1.0, 2.0, 4.0)  # s, past the route timeout
+E2_ROUTE_TIMEOUT = 1.5  # s a routing-cache entry lives unrefreshed
+E2_DURATION = 30.0  # s of downlink probes
 
 
-def _e2_scenario(
-    period: float, seed: int, route_timeout: float, duration: float
-) -> dict[str, float]:
+def _e2_scenario(period: float, seed: int) -> dict[str, float]:
     sim, domain, gw, leaves, internet, cn, mn = baselines.build_cip_world()
     domain.route_update_time = period
-    domain.route_timeout = route_timeout
+    domain.route_timeout = E2_ROUTE_TIMEOUT
     domain.broadcast_paging = False
     for bs in domain.base_stations:
-        bs.routing_cache.timeout = route_timeout
-        bs.paging_cache.timeout = route_timeout  # isolate route caches
+        bs.routing_cache.timeout = E2_ROUTE_TIMEOUT
+        bs.paging_cache.timeout = E2_ROUTE_TIMEOUT  # isolate route caches
     mn.attach_to(leaves[0])
     # Keep the mobile nominally active but silent so only timed
     # route updates refresh the caches.
@@ -115,12 +115,12 @@ def _e2_scenario(
     sim.run(until=1.0)
     source, sink = baselines.cbr_stream(
         sim, lambda p: internet.receive(p) or True, cn, mn, mn.address,
-        duration, rate_bps=500 * 8 / probe_interval, packet_size=500,
+        E2_DURATION, rate_bps=500 * 8 / probe_interval, packet_size=500,
     )
-    sim.run(until=1.0 + duration + 2.0)
+    sim.run(until=1.0 + E2_DURATION + 2.0)
     control = domain.total_control_packets()
     return {
-        "control_packets_per_s": control / duration,
+        "control_packets_per_s": control / E2_DURATION,
         "miss_rate": sink.loss_rate(source.packets_sent),
         "cache_refreshes": float(gw.routing_cache.refreshes),
     }
@@ -128,18 +128,16 @@ def _e2_scenario(
 
 def experiment_e2(
     seeds: Iterable[int] = ONE_SEED,
-    route_timeout: float = 1.5,
-    duration: float = 30.0,
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
     """Fig 2.3: Cellular IP signalling vs route-update period, and the cache-miss cliff."""
     return sweep(
         "E2",
         "E2 (Fig 2.3): Cellular IP signalling vs route-update period "
-        f"(route_timeout={route_timeout}s)",
+        f"(route_timeout={E2_ROUTE_TIMEOUT}s)",
         "route_update_period_s",
         list(ROUTE_UPDATE_PERIODS),
-        partial(_e2_scenario, route_timeout=route_timeout, duration=duration),
+        _e2_scenario,
         seeds,
         ["control_packets_per_s", "miss_rate", "cache_refreshes"],
         notes="Faster updates cost linearly more signalling; once the period "
@@ -152,12 +150,15 @@ def experiment_e2(
 # E3 — Fig 2.4: Cellular IP hard vs semisoft handoff
 # ----------------------------------------------------------------------
 HANDOFF_INTERVALS = (0.5, 1.0, 2.0, 4.0)  # s between handoffs
+E3_DURATION = 16.0  # s of streaming
 
 
-def _e3_scenario(interval: float, seed: int, duration: float) -> dict[str, float]:
-    handoffs = int(duration / interval) - 1
+def _e3_scenario(interval: float, seed: int) -> dict[str, float]:
+    handoffs = int(E3_DURATION / interval) - 1
     hard, semisoft = (
-        baselines.roam(baselines.cip_scheme(semisoft), handoffs, interval, duration)
+        baselines.roam(
+            baselines.cip_scheme(semisoft), handoffs, interval, E3_DURATION
+        )
         for semisoft in (False, True)
     )
     return {
@@ -170,7 +171,6 @@ def _e3_scenario(interval: float, seed: int, duration: float) -> dict[str, float
 
 def experiment_e3(
     seeds: Iterable[int] = ONE_SEED,
-    duration: float = 16.0,
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
     """Fig 2.4: hard vs semisoft Cellular IP handoff loss across handoff rates."""
@@ -179,7 +179,7 @@ def experiment_e3(
         "E3 (Fig 2.4): hard vs semisoft Cellular IP handoff",
         "handoff_interval_s",
         list(HANDOFF_INTERVALS),
-        partial(_e3_scenario, duration=duration),
+        _e3_scenario,
         seeds,
         [
             "hard_loss_rate",
@@ -201,7 +201,6 @@ LOCATION_MOBILE_COUNTS = (4, 8, 16, 32)  # mobiles in the location hierarchy
 
 def experiment_e4(
     seeds: Iterable[int] = ONE_SEED,
-    duration: float = 20.0,
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
     """Fig 3.1: hierarchical location-management load vs number of mobiles."""
@@ -210,7 +209,7 @@ def experiment_e4(
         "E4 (Fig 3.1): location-management load vs number of mobiles",
         "mobiles",
         list(LOCATION_MOBILE_COUNTS),
-        partial(baselines.location_load, duration=duration),
+        baselines.location_load,
         seeds,
         [
             "location_msgs_per_s",
@@ -291,6 +290,7 @@ _E7_CASES = {
     "micro->macro (E->R2)": ("E", "R2"),
 }
 RESIDENT_LOADS = (4, 8, 12, 16, 20)  # E7b: residents in the target cell
+E7B_CHANNELS = 8  # the target micro cell's channel count
 
 
 def _e7_scenario(case: str, seed: int) -> dict[str, float]:
@@ -328,7 +328,7 @@ def experiment_e7(
     )
 
 
-def _e7b_scenario(load: int, seed: int, channels: int) -> dict[str, float]:
+def _e7b_scenario(load: int, seed: int) -> dict[str, float]:
     outcomes = {"with": 0, "without": 0}
     for overflow in (True, False):
         world = MultiTierWorld(
@@ -337,7 +337,7 @@ def _e7b_scenario(load: int, seed: int, channels: int) -> dict[str, float]:
         sim = world.sim
         d1 = world.domain1
         target = d1["E"]
-        target.channels.capacity = channels
+        target.channels.capacity = E7B_CHANNELS
         # Residents occupy the target cell up to its capacity.
         for index in range(load):
             resident = world.add_mobile(f"res{index}")
@@ -367,17 +367,16 @@ def _e7b_scenario(load: int, seed: int, channels: int) -> dict[str, float]:
 
 def experiment_e7_blocking(
     seeds: Iterable[int] = ONE_SEED,
-    channels: int = 8,
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
     """Channel overflow: handoffs into a small micro cell, with and
     without the paper's fallback to the macro tier."""
     return sweep(
         "E7b",
-        f"E7b (Fig 3.4 case c): handoff success vs load ({channels} channels)",
+        f"E7b (Fig 3.4 case c): handoff success vs load ({E7B_CHANNELS} channels)",
         "resident_mobiles",
         list(RESIDENT_LOADS),
-        partial(_e7b_scenario, channels=channels),
+        _e7b_scenario,
         seeds,
         ["success_with_overflow", "success_without_overflow"],
         notes="Once the micro cell fills, handoffs without macro overflow are "
@@ -389,30 +388,30 @@ def experiment_e7_blocking(
 # ----------------------------------------------------------------------
 # E8 — Fig 4.1: the headline scheme comparison
 # ----------------------------------------------------------------------
-def _e8_scenario(scheme: str, seed: int, **schedule) -> dict[str, float]:
-    return baselines.roam(baselines.SCHEMES[scheme](), **schedule)
+E8_HANDOFFS = 6  # moves per roam, E8 and E8b
+E8_HANDOFF_INTERVAL = 2.0  # s between moves
+E8_DURATION = 16.0  # s of streaming
+
+
+def _e8_scenario(scheme: str, seed: int, elastic: bool = False) -> dict[str, float]:
+    return baselines.roam(
+        baselines.SCHEMES[scheme](), E8_HANDOFFS, E8_HANDOFF_INTERVAL,
+        E8_DURATION, elastic=elastic,
+    )
 
 
 def experiment_e8(
     seeds: Iterable[int] = ONE_SEED,
-    handoffs: int = 6,
-    handoff_interval: float = 2.0,
-    duration: float = 16.0,
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
     """Fig 4.1: headline scheme comparison (Mobile IP / CIP hard / semisoft / RSMC)."""
     return sweep(
         "E8",
         "E8 (Fig 4.1): CBR video to a roaming MN, "
-        f"{handoffs} handoffs @ {handoff_interval}s",
+        f"{E8_HANDOFFS} handoffs @ {E8_HANDOFF_INTERVAL}s",
         "scheme",
         list(baselines.SCHEMES),
-        partial(
-            _e8_scenario,
-            handoffs=handoffs,
-            handoff_interval=handoff_interval,
-            duration=duration,
-        ),
+        _e8_scenario,
         seeds,
         {
             "loss_rate": "loss_rate",
@@ -434,9 +433,6 @@ def experiment_e8(
 # ----------------------------------------------------------------------
 def experiment_e8b(
     seeds: Iterable[int] = ONE_SEED,
-    handoffs: int = 6,
-    handoff_interval: float = 2.0,
-    duration: float = 16.0,
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
     """E8b: elastic AIMD goodput under handoffs (CIP hard vs semisoft vs RSMC).
@@ -450,16 +446,10 @@ def experiment_e8b(
     return sweep(
         "E8b",
         "E8b: elastic (AIMD) traffic under handoffs, "
-        f"{handoffs} handoffs @ {handoff_interval}s",
+        f"{E8_HANDOFFS} handoffs @ {E8_HANDOFF_INTERVAL}s",
         "scheme",
         list(baselines.SCHEMES)[1:],
-        partial(
-            _e8_scenario,
-            handoffs=handoffs,
-            handoff_interval=handoff_interval,
-            duration=duration,
-            elastic=True,
-        ),
+        partial(_e8_scenario, elastic=True),
         seeds,
         ["goodput_bps", "lossy_windows", "final_window"],
         notes="Handoff losses make AIMD halve its window: hard handoff shows "
@@ -473,9 +463,10 @@ def experiment_e8b(
 # E10 — paging / idle efficiency (Cellular IP + §4 claim)
 # ----------------------------------------------------------------------
 IDLE_MOBILE_COUNTS = (2, 4, 8, 16)  # idle mobiles per population
+E10_DURATION = 30.0  # s the idle population is maintained
 
 
-def _idle_population(count: int, with_paging: bool, duration: float) -> dict[str, float]:
+def _idle_population(count: int, with_paging: bool) -> dict[str, float]:
     sim, domain, gw, leaves, internet, cn, _mn = baselines.build_cip_world()
     domain.route_update_time = 0.5
     domain.active_state_timeout = 1.0
@@ -490,7 +481,7 @@ def _idle_population(count: int, with_paging: bool, duration: float) -> dict[str
         )
         host.attach_to(leaves[index % len(leaves)])
         hosts.append(host)
-    sim.run(until=duration)
+    sim.run(until=E10_DURATION)
     control = domain.total_control_packets()
 
     # First-packet delay to one idle host (found via paging caches).
@@ -503,16 +494,16 @@ def _idle_population(count: int, with_paging: bool, duration: float) -> dict[str
     )
     sink.flow_id = "probe"
     internet.receive(probe)
-    sim.run(until=duration + 3.0)
+    sim.run(until=E10_DURATION + 3.0)
     return {
-        "control_per_s": control / duration,
+        "control_per_s": control / E10_DURATION,
         "first_packet_delay": _first(sink.delays),
     }
 
 
-def _e10_scenario(count: int, seed: int, duration: float) -> dict[str, float]:
-    paging = _idle_population(count, True, duration)
-    forced = _idle_population(count, False, duration)
+def _e10_scenario(count: int, seed: int) -> dict[str, float]:
+    paging = _idle_population(count, True)
+    forced = _idle_population(count, False)
     return {
         "paging_control_per_s": paging["control_per_s"],
         "no_paging_control_per_s": forced["control_per_s"],
@@ -524,7 +515,6 @@ def _e10_scenario(count: int, seed: int, duration: float) -> dict[str, float]:
 
 def experiment_e10(
     seeds: Iterable[int] = ONE_SEED,
-    duration: float = 30.0,
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
     """Idle-mode economy: a population of idle mobiles maintained by slow
@@ -535,7 +525,7 @@ def experiment_e10(
         "E10: idle-mode paging economy (paging-update 5s vs forced route-update 0.5s)",
         "idle_mobiles",
         list(IDLE_MOBILE_COUNTS),
-        partial(_e10_scenario, duration=duration),
+        _e10_scenario,
         seeds,
         [
             "paging_control_per_s",
@@ -556,15 +546,12 @@ def experiment_e10(
 #: Backhaul bottleneck: ~2x E1 (era-appropriate microwave/leased line).
 BACKHAUL_BPS = 3e6
 BACKGROUND_FLOWS = (0, 2, 4, 6, 8, 10)  # flows sharing the backhaul
+E11_FOREGROUND_BPS = 200e3  # the foreground video stream
+E11_BACKGROUND_PPS = 40.0  # 1000-byte packets per background flow
+E11_DURATION = 10.0  # s of foreground streaming
 
 
-def _e11_scenario(
-    flows: int,
-    seed: int,
-    foreground_rate: float,
-    background_rate_pps: float,
-    duration: float,
-) -> dict[str, float]:
+def _e11_scenario(flows: int, seed: int) -> dict[str, float]:
     # One named stream per background flow (sim/rng.py's
     # variance-reduction discipline): flow k's arrivals are the
     # same whether 2 or 10 flows are configured.
@@ -589,16 +576,18 @@ def _e11_scenario(
             src=world.cn.address,
             dst=other.home_address,
             rng=streams.stream(f"background{index}.arrivals"),
-            mean_rate_pps=background_rate_pps,
+            mean_rate_pps=E11_BACKGROUND_PPS,
             packet_size=1000,
-            duration=duration + 2.0,
+            duration=E11_DURATION + 2.0,
         ).start()
     sim.run(until=1.0)
 
-    source, sink = baselines.cbr_to_mobile(world, viewer, foreground_rate, duration)
-    sim.run(until=1.0 + duration + 3.0)
+    source, sink = baselines.cbr_to_mobile(
+        world, viewer, E11_FOREGROUND_BPS, E11_DURATION
+    )
+    sim.run(until=1.0 + E11_DURATION + 3.0)
     offered = (
-        foreground_rate + flows * background_rate_pps * 1000 * 8
+        E11_FOREGROUND_BPS + flows * E11_BACKGROUND_PPS * 1000 * 8
     ) / BACKHAUL_BPS
     return {
         "offered_load": offered,
@@ -610,9 +599,6 @@ def _e11_scenario(
 
 def experiment_e11(
     seeds: Iterable[int] = DEFAULT_SEEDS,
-    foreground_rate: float = 200e3,
-    background_rate_pps: float = 40.0,
-    duration: float = 10.0,
     backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentResult:
     """E11: foreground video QoS vs background load on the cell backhaul.
@@ -634,15 +620,10 @@ def experiment_e11(
         "E11",
         "E11 (§4d): foreground video QoS vs background load "
         f"({BACKHAUL_BPS/1e6:g} Mbit/s backhaul, "
-        f"{background_rate_pps:.0f} pkt/s x 1000 B per background flow)",
+        f"{E11_BACKGROUND_PPS:.0f} pkt/s x 1000 B per background flow)",
         "background_flows",
         list(BACKGROUND_FLOWS),
-        partial(
-            _e11_scenario,
-            foreground_rate=foreground_rate,
-            background_rate_pps=background_rate_pps,
-            duration=duration,
-        ),
+        _e11_scenario,
         seeds,
         ["offered_load", "loss_rate", "mean_delay", "jitter"],
         notes="Queueing delay and jitter climb as offered load approaches "

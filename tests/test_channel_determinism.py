@@ -1,20 +1,20 @@
 """Contention-mode determinism and the legacy byte-identity contract.
 
-Three guarantees this file pins down:
+Two guarantees this file pins down:
 
 1. A channel-enabled scenario (``campus-air``, and any spec with a
    channel bandwidth set) is byte-identical serial vs ``--jobs 2`` and
-   across repeats — the shared-channel arbiter adds no nondeterminism.
+   across repeats — the shared-channel arbiter adds no nondeterminism;
+   it emits ``air_*`` metrics and a legacy run grows none.
 2. Handoff migrates a mobile's airtime claim between cells, in the
    multi-tier stack (make-before-break) and the Cellular IP stack
    (semisoft: claims briefly held on both stations).
-3. With channels disabled (the default), all 16 reproduced experiment
-   tables are byte-identical to the committed goldens in ``results/``
-   — the legacy-mode compatibility contract of ``repro.radio.channel``.
+
+With channels disabled (the default) every table stays byte-identical
+to its golden in ``results/``: ``tests/test_goldens.py``.
 """
 
 import multiprocessing
-import pathlib
 
 import pytest
 
@@ -25,8 +25,6 @@ from repro.scenarios import expand_grid, get_scenario, run_grid, run_scenario_sp
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAS_FORK, reason="platform lacks fork")
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _channel_spec():
@@ -136,40 +134,3 @@ def test_cip_station_without_shared_channel_stays_legacy():
     assert bs.shared_channel is None
     with pytest.raises(ValueError):
         SharedChannel(sim, "air-bs", 0.0, 0.0)
-
-
-# ----------------------------------------------------------------------
-# 3. Legacy regression: the 17 experiment tables vs the goldens
-# ----------------------------------------------------------------------
-def test_all_legacy_experiment_tables_match_committed_goldens(tmp_path, monkeypatch):
-    """Channels disabled (default): every table byte-identical to
-    ``results/``.  This is the whole-suite regression gate for the
-    shared-channel PR's compatibility contract — slow (~10 s), but it
-    executes every reproduced experiment end to end, and counts that
-    each one hands its whole (axis point, seed) grid to the backend as
-    a single batch."""
-    import repro.cli
-    from repro.experiments.exec import SerialBackend
-
-    batches = []
-
-    class CountingBackend(SerialBackend):
-        def run(self, jobs):
-            batches.append(len(jobs))
-            return super().run(jobs)
-
-    monkeypatch.setattr(repro.cli, "backend_for_jobs", lambda jobs: CountingBackend())
-    assert repro.cli.main(["run", "all", "-o", str(tmp_path)]) == 0
-    goldens = REPO_ROOT / "results"
-    produced = sorted(p.name for p in tmp_path.glob("*.txt"))
-    assert len(produced) == 17
-    assert len(batches) == 17
-    mismatched = [
-        name
-        for name in produced
-        if (tmp_path / name).read_bytes() != (goldens / name).read_bytes()
-    ]
-    assert not mismatched, (
-        f"legacy experiment tables diverged from results/ goldens: "
-        f"{', '.join(mismatched)}"
-    )

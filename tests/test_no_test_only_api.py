@@ -31,7 +31,10 @@ parameter is set by a keyword of that name in any call, by a position
 in a call of a def of its owner's name, by a string key of a dict
 literal (a ``**`` mapping such as ``domain_kwargs``) or by ``obj.name
 = ...`` on a receiver other than ``self``.  Like defs, parameters are
-matched by name: a ``period=`` anywhere sets every ``period``.
+matched by name: a ``period=`` anywhere sets every ``period``.  A
+keyword whose value is a defaulted parameter of the def it sits in
+(``partial(scenario, duration=duration)``) forwards that parameter: it
+sets its name only once the forwarding def's own parameter is set.
 """
 
 import ast
@@ -115,6 +118,11 @@ TEST_SET = {
                                   "by 2 s",
     "DecisionTrace.ring_size": "the ring-wrap and render tests wrap a "
                                "four-record ring and compare whole renderings",
+    # Tests that need a shorter run than the program's.
+    "experiment_e9.vehicles": "test_policy_presets shrinks E9 to two "
+                              "vehicles to stay within its time budget",
+    "experiment_e9.pedestrians": "test_policy_presets shrinks E9 to two "
+                                 "pedestrians to stay within its time budget",
 }
 
 
@@ -304,6 +312,15 @@ def _callee(node):
     return None
 
 
+def _key(owner, node, parameter):
+    """How :func:`unset_parameters` names ``parameter`` of def ``node``:
+    ``owner`` is its class for ``__init__``, else the qualified name."""
+    if node.name == "__init__":
+        return f"{owner}.{parameter}"
+    qualified = node.name if owner is None else f"{owner}.{node.name}"
+    return f"{qualified}.{parameter}"
+
+
 def _defaulted(tree):
     """``(class, def, parameter, position)`` for each defaulted parameter
     of a def in ``tree``: ``class`` is None outside a class body, and
@@ -332,11 +349,37 @@ def _defaulted(tree):
                 yield owner, node, argument.arg, None
 
 
+def _parameter_reads(tree):
+    """``{id(name): key}`` for each read in ``tree`` of a defaulted
+    parameter of the def it sits in, ``key`` as :func:`_key` names it."""
+    keys, reads = {}, {}
+    for owner, node, parameter, _position in _defaulted(tree):
+        keys.setdefault(id(node), {})[parameter] = _key(owner, node, parameter)
+
+    def visit(node, scopes):
+        if isinstance(node, (*_FUNCTIONS, ast.Lambda)):
+            every = {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+            scopes = [(every, keys.get(id(node), {}))] + scopes
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            # The innermost def (or lambda) with a parameter of this name.
+            own = next((own for every, own in scopes if node.id in every), {})
+            if node.id in own:
+                reads[id(node)] = own[node.id]
+        for child in ast.iter_child_nodes(node):
+            visit(child, scopes)
+
+    visit(tree, [])
+    return reads
+
+
 def _settings(trees):
-    """``(named, filled)`` over ``trees``: the names a keyword, a dict
-    literal's string key or an attribute store on a receiver other than
-    ``self`` sets, and ``{callee: positions a call of it fills}``."""
-    named, filled = set(), {}
+    """``(named, filled, forwarded)`` over ``trees``: the names a
+    keyword, a dict literal's string key or an attribute store on a
+    receiver other than ``self`` sets, ``{callee: positions a call of
+    it fills}``, and ``(key, name)`` for each keyword ``name=parameter``
+    that forwards the enclosing def's defaulted parameter ``key``: it
+    sets ``name`` only if ``key`` is itself set."""
+    named, filled, forwarded = set(), {}, []
 
     def fill(callee, arguments):
         if any(isinstance(argument, ast.Starred) for argument in arguments):
@@ -347,6 +390,7 @@ def _settings(trees):
             filled[callee] = max(filled.get(callee, 0), count)
 
     for tree in trees:
+        reads = _parameter_reads(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
                 # super().__init__(...) fills the bases' positions.
@@ -360,7 +404,12 @@ def _settings(trees):
                         for base in node.bases:
                             fill(_callee(base), call.args)
             elif isinstance(node, ast.Call):
-                named.update(keyword.arg for keyword in node.keywords if keyword.arg)
+                for keyword in node.keywords:
+                    source = reads.get(id(keyword.value))
+                    if source is not None:
+                        forwarded.append((source, keyword.arg))
+                    elif keyword.arg:
+                        named.add(keyword.arg)
                 callee, arguments = _callee(node.func), node.args
                 if callee == "partial" and arguments:
                     callee, arguments = _callee(arguments[0]), arguments[1:]
@@ -378,7 +427,7 @@ def _settings(trees):
                 and not (isinstance(node.value, ast.Name) and node.value.id == "self")
             ):
                 named.add(node.attr)
-    return named, filled
+    return named, filled, forwarded
 
 
 def unset_parameters(root, source="src/repro", program=PROGRAM_DIRECTORIES):
@@ -388,14 +437,17 @@ def unset_parameters(root, source="src/repro", program=PROGRAM_DIRECTORIES):
     def's qualified name.
 
     A class's ``__init__`` is called by the class's name and by the
-    names of subclasses that define no ``__init__`` of their own.
+    names of subclasses that define no ``__init__`` of their own.  A
+    keyword that forwards a defaulted parameter of the def it sits in
+    sets its name only once that parameter is set: the unset keys are
+    recomputed until no forward adds a name.
     """
     root = Path(root)
     sources = list(_modules(root, source))
     trees = [tree for _path, tree in sources]
     for directory in program:
         trees += [tree for _path, tree in _modules(root, directory)]
-    named, filled = _settings(trees)
+    named, filled, forwarded = _settings(trees)
 
     bases, initialised = {}, set()
     for tree in trees[:len(sources)]:
@@ -420,23 +472,32 @@ def unset_parameters(root, source="src/repro", program=PROGRAM_DIRECTORIES):
             grown = bool(heirs)
         return names
 
-    unset = {}
-    for path, tree in sources:
-        for owner, node, parameter, position in _defaulted(tree):
-            if node.name == "__init__":
-                key, called_as = f"{owner}.{parameter}", callers(owner)
-            else:
-                qualified = node.name if owner is None else f"{owner}.{node.name}"
-                key, called_as = f"{qualified}.{parameter}", {node.name}
-            if parameter in named:
-                continue
-            if position is not None and any(
-                filled.get(name, 0) > position for name in called_as
-            ):
-                continue
-            site = f"{path.relative_to(root)}:{node.lineno}"
-            unset.setdefault(key, []).append(site)
-    return unset
+    def unset_under(named):
+        unset = {}
+        for path, tree in sources:
+            for owner, node, parameter, position in _defaulted(tree):
+                called_as = (
+                    callers(owner) if node.name == "__init__" else {node.name}
+                )
+                if parameter in named:
+                    continue
+                if position is not None and any(
+                    filled.get(name, 0) > position for name in called_as
+                ):
+                    continue
+                site = f"{path.relative_to(root)}:{node.lineno}"
+                unset.setdefault(_key(owner, node, parameter), []).append(site)
+        return unset
+
+    while True:
+        unset = unset_under(named)
+        more = {
+            name for key, name in forwarded
+            if key not in unset and name not in named
+        }
+        if not more:
+            return unset
+        named |= more
 
 
 def test_every_defaulted_parameter_in_src_is_set_or_pinned():
@@ -538,3 +599,26 @@ def test_parameter_scanner_sees_every_way_program_code_sets_a_knob(
     assert set(unset) == flagged | {"build.flag"}
     assert check(unset, {"build.flag": "why"} | dict.fromkeys(flagged, "why"),
                  UNSET) == []
+
+
+_FORWARDS = (
+    "def inner(depth=1):\n"
+    "    return depth\n\n"
+    "def outer(levels=2):\n"
+    "    return inner(depth=levels)\n"
+)
+
+
+@pytest.mark.parametrize("program, flagged", [
+    ("outer()\n", {"inner.depth", "outer.levels"}),  # forwarded only
+    ("outer(levels=3)\n", set()),  # a caller sets what outer forwards
+    ("outer(3)\n", set()),  # by position too
+])
+def test_a_forwarded_keyword_sets_only_what_its_source_sets(
+    tmp_path, program, flagged
+):
+    root = _tree(tmp_path, {
+        "src/repro/forwards.py": _FORWARDS,
+        "tools/main.py": "from repro.forwards import outer\n" + program,
+    })
+    assert set(unset_parameters(root)) == flagged

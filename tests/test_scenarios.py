@@ -476,6 +476,23 @@ def test_cli_scenario_run_rejects_unknown_and_bad_jobs(capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["scenario", "run", "sparse-rural", "-o", "{out}"],
+    ["scenario", "sweep", "sparse-rural/population", "-o", "{out}"],
+    ["campaign", "run", "{out}", "--scenarios", "sparse-rural"],
+], ids=["run", "sweep", "campaign"])
+def test_cli_rejects_a_negative_seed_in_one_line(argv, capsys, tmp_path):
+    from repro.cli import main
+
+    out = tmp_path / "out"
+    argv = [str(out) if word == "{out}" else word for word in argv]
+    assert main(argv + ["--smoke", "--seeds", "1", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "--seeds must be non-negative, got -1\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @needs_fork
 def test_cli_scenario_run_jobs_flag_matches_serial_output(capsys, tmp_path):
     from repro.cli import main

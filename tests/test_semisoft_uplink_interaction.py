@@ -12,9 +12,8 @@ from repro.radio.cells import Tier
 
 
 def test_semisoft_handoff_lossless_despite_uplink_chatter():
-    sim, domain, gw, leaves, internet, cn, mn = build_cip_world(
-        route_timeout=5.0, semisoft_delay=0.08
-    )
+    sim, domain, gw, leaves, internet, cn, mn = build_cip_world()
+    domain.semisoft_delay = 0.08
     mn.attach_to(leaves[0])
     sim.run(until=0.5)
 

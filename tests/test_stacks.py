@@ -13,15 +13,14 @@ Pins the stacks refactor's load-bearing guarantees:
 * the shared skeleton: every stack builds a ``BuiltRun`` with a
   decision trace, a throw-away fifth stack fits in 30 lines, and the
   one mobility controller runs a flat stack's two moves as documented;
-* the golden regression: ``stack="multitier"`` output byte-identical
-  to the committed pre-refactor ``results/scenarios_smoke/`` tables,
-  and the baselines' to ``results/stacks_smoke/``;
+* metric namespaces: ``cip.*`` / ``mip.*`` extras stay in their own
+  stack, ``air_*`` keys appear only in contention mode, and the
+  comparison table renders deterministically;
 * Mobile IP uplink shared-channel contention (the ROADMAP nicety).
 """
 
 import copy
 import multiprocessing
-import pathlib
 
 import pytest
 
@@ -48,8 +47,6 @@ from repro.stacks import (
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAS_FORK, reason="platform lacks fork")
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 BASELINES = ["cellularip", "cellularip-hard", "mobileip"]
 ALL_STACKS = [DEFAULT_STACK] + BASELINES
@@ -649,68 +646,6 @@ def test_format_stack_comparison_is_deterministic_and_complete():
     assert "cip.route_updates" in text and "mip.tunneled" in text
 
 
-# ----------------------------------------------------------------------
-# Golden regression: the multitier path is byte-identical pre/post
-# ----------------------------------------------------------------------
-def test_multitier_scenario_smoke_matches_committed_goldens(tmp_path):
-    """``scenario run all --smoke`` (default ``stack="multitier"``)
-    must stay byte-identical to the pre-refactor output committed in
-    ``results/scenarios_smoke/`` — the stacks refactor's compatibility
-    contract for the hoisted builder."""
-    from repro.cli import main
-
-    assert main(["scenario", "run", "all", "--smoke", "-o", str(tmp_path)]) == 0
-    _assert_matches_goldens(tmp_path, "scenarios_smoke")
-
-
-def test_stack_comparison_smoke_matches_committed_goldens(tmp_path):
-    """``--stack all`` over the legacy, two-domain, contention and fluid
-    scenarios must stay byte-identical to ``results/stacks_smoke/`` —
-    the pin on the Cellular IP and Mobile IP baselines (``cip.*`` /
-    ``mip.*`` extras included), which the multitier-only goldens above
-    cannot see."""
-    from repro.cli import main
-
-    argv = [
-        "scenario", "run", "campus-dense", "commuter-corridor", "campus-air",
-        "metro-100k", "--stack", "all", "--smoke", "-o", str(tmp_path),
-    ]
-    assert main(argv) == 0
-    _assert_matches_goldens(tmp_path, "stacks_smoke")
-
-
-def test_sweep_smoke_matches_committed_goldens(tmp_path):
-    """``scenario sweep all --smoke`` must stay byte-identical to
-    ``results/sweeps_smoke/`` — the pin on sweep expansion, batching
-    and per-point regrouping.  Tables only: the figure is a ``.png``
-    once matplotlib is installed."""
-    from repro.cli import main
-
-    assert main(["scenario", "sweep", "all", "--smoke", "-o", str(tmp_path)]) == 0
-    _assert_matches_goldens(
-        tmp_path, "sweeps_smoke",
-        keep=lambda name: name.endswith(".txt")
-        and not name.endswith(".figure.txt"),
-    )
-
-
-def test_campaign_smoke_matches_committed_goldens(tmp_path):
-    """One ``campaign run`` of a scenario + sweep grid under two stacks
-    must write exactly the ``manifest.json`` (item ids, order,
-    fingerprints) and ``results.json`` in ``results/campaign_smoke/`` —
-    so a store written before a grid refactor still diffs clean against
-    one written after it."""
-    from repro.cli import main
-
-    camp = tmp_path / "camp"
-    assert main([
-        "campaign", "run", str(camp), "--scenarios", "sparse-rural",
-        "--sweeps", "sparse-rural/population", "--stacks", "multitier",
-        "mobileip", "--smoke", "--name", "golden",
-    ]) == 0
-    _assert_matches_goldens(camp, "campaign_smoke", keep=lambda name: True)
-
-
 _FLOW_KEYS = [
     "population", "flows", "sent", "received", "loss_rate", "mean_delay",
     "jitter", "max_gap",
@@ -752,24 +687,6 @@ def test_metric_key_order_is_pinned_per_stack(stack):
     metro-100k runs contention and fluid, so the gated tail is covered."""
     metrics = run_scenario_spec(_smoke("metro-100k", stack=stack), seed=1)
     assert list(metrics) == METRIC_KEY_ORDER[stack] + _GATED_KEYS
-
-
-def _assert_matches_goldens(
-    produced_dir, golden_name, keep=lambda name: name.endswith(".txt")
-):
-    goldens = REPO_ROOT / "results" / golden_name
-    expected = sorted(p.name for p in goldens.iterdir() if keep(p.name))
-    produced = sorted(p.name for p in produced_dir.iterdir() if keep(p.name))
-    assert produced == expected
-    mismatched = [
-        name
-        for name in produced
-        if (produced_dir / name).read_bytes() != (goldens / name).read_bytes()
-    ]
-    assert not mismatched, (
-        f"output diverged from results/{golden_name}/ goldens: "
-        f"{', '.join(mismatched)}"
-    )
 
 
 # ----------------------------------------------------------------------
